@@ -152,7 +152,6 @@ impl Default for Config {
                 "intersect_gallop_into",
                 "intersect_adaptive_into",
                 "mark_hits",
-                "intersect_ids_into",
             ]),
             hot_path_cuts: s(&["query"]),
             scratch_arenas: s(&["QueryScratch"]),

@@ -5,9 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
-use tir_hint::{
-    Grid1D, Hint, HintConfig, IntervalRecord, IntervalTree, PeriodIndex, TimelineIndex,
-};
+use tir_hint::{Grid1D, Hint, HintConfig, IntervalRecord, IntervalTree};
 
 const N: u32 = 100_000;
 const DOMAIN: u64 = 10_000_000;
@@ -41,8 +39,6 @@ fn bench_range_queries(c: &mut Criterion) {
     let grid_coarse = Grid1D::build(&recs, 100);
     let grid_fine = Grid1D::build(&recs, 10_000);
     let tree = IntervalTree::build(&recs);
-    let timeline = TimelineIndex::build(&recs);
-    let period = PeriodIndex::build(&recs, 128);
 
     let mut group = c.benchmark_group("interval_range_query");
     for extent_pct in [0.001f64, 0.01, 0.1] {
@@ -83,28 +79,6 @@ fn bench_range_queries(c: &mut Criterion) {
                     let mut n = 0;
                     for &(a, z) in qs {
                         n += tree.range_query(a, z).len();
-                    }
-                    black_box(n)
-                })
-            },
-        );
-        group.bench_with_input(BenchmarkId::new("timeline", extent_pct), &qs, |b, qs| {
-            b.iter(|| {
-                let mut n = 0;
-                for &(a, z) in qs {
-                    n += timeline.range_query(a, z).len();
-                }
-                black_box(n)
-            })
-        });
-        group.bench_with_input(
-            BenchmarkId::new("period_index", extent_pct),
-            &qs,
-            |b, qs| {
-                b.iter(|| {
-                    let mut n = 0;
-                    for &(a, z) in qs {
-                        n += period.range_query(a, z).len();
                     }
                     black_box(n)
                 })

@@ -5,10 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
-use tir_invidx::{
-    intersect_adaptive_into, intersect_gallop_into, intersect_merge_into, InvertedIndex,
-    SignatureFile,
-};
+use tir_invidx::{intersect_adaptive_into, intersect_gallop_into, intersect_merge_into};
 
 fn sorted(n: usize, stride: u32, offset: u32) -> Vec<u32> {
     (0..n as u32).map(|i| i * stride + offset).collect()
@@ -44,43 +41,6 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sigfile_vs_inverted(c: &mut Criterion) {
-    // Section 6.1's design justification: inverted files beat signature
-    // files on containment search.
-    let objects: Vec<(u32, Vec<u32>)> = (0..50_000u32)
-        .map(|i| {
-            let mut d = vec![i % 97, 97 + i % 53, 150 + i % 31, 181 + i % 11];
-            d.sort_unstable();
-            d.dedup();
-            (i, d)
-        })
-        .collect();
-    let inv = InvertedIndex::build(objects.iter().map(|(id, d)| (*id, d.as_slice())));
-    let sf = SignatureFile::build(objects.iter().map(|(id, d)| (*id, d.as_slice())));
-    let queries: Vec<Vec<u32>> = (0..64u32).map(|i| vec![i % 97, 97 + i % 53]).collect();
-
-    let mut group = c.benchmark_group("containment_sigfile_vs_inverted");
-    group.bench_function("inverted", |b| {
-        b.iter(|| {
-            let mut n = 0;
-            for q in &queries {
-                n += inv.containment_query(q).len();
-            }
-            black_box(n)
-        })
-    });
-    group.bench_function("sigfile", |b| {
-        b.iter(|| {
-            let mut n = 0;
-            for q in &queries {
-                n += sf.containment_query(q).len();
-            }
-            black_box(n)
-        })
-    });
-    group.finish();
-}
-
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(20)
@@ -91,6 +51,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_kernels, bench_sigfile_vs_inverted
+    targets = bench_kernels
 }
 criterion_main!(benches);

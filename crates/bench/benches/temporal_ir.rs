@@ -5,16 +5,16 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
-use tir_bench::{build_method, datasets, Method};
+use tir_bench::{build_method, datasets, COMPETITION, TABLE5};
 use tir_datagen::{workload, Extent, WorkloadSpec};
 
 fn bench_methods(c: &mut Criterion) {
     for d in datasets(1.0) {
         let mut group = c.benchmark_group(format!("query_{}", d.name));
         let qs = workload(&d.coll, &WorkloadSpec::default(), 200, 7);
-        for &m in Method::all() {
+        for m in TABLE5 {
             let built = build_method(m, &d.coll);
-            group.bench_with_input(BenchmarkId::new(m.name(), "ext0.1%"), &qs, |b, qs| {
+            group.bench_with_input(BenchmarkId::new(m.paper_name(), "ext0.1%"), &qs, |b, qs| {
                 b.iter(|| {
                     let mut n = 0;
                     for q in qs {
@@ -41,10 +41,10 @@ fn bench_extent_sweep(c: &mut Criterion) {
             100,
             7,
         );
-        for &m in Method::competition() {
+        for m in COMPETITION {
             let built = build_method(m, &d.coll);
             group.bench_with_input(
-                BenchmarkId::new(m.name(), format!("{}%", extent * 100.0)),
+                BenchmarkId::new(m.paper_name(), format!("{}%", extent * 100.0)),
                 &qs,
                 |b, qs| {
                     b.iter(|| {
@@ -65,8 +65,8 @@ fn bench_builds(c: &mut Criterion) {
     let d = &datasets(1.0)[0];
     let mut group = c.benchmark_group("build_ECLOG");
     group.sample_size(10);
-    for &m in Method::all() {
-        group.bench_function(m.name(), |b| {
+    for m in TABLE5 {
+        group.bench_function(m.paper_name(), |b| {
             b.iter(|| black_box(build_method(m, &d.coll).index.size_bytes()))
         });
     }

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
-use tir_bench::{build_method, datasets, Method};
+use tir_bench::{build_method, datasets, TABLE5};
 use tir_core::insert_batch;
 
 fn bench_insertions(c: &mut Criterion) {
@@ -12,8 +12,8 @@ fn bench_insertions(c: &mut Criterion) {
     let (offline, holdout) = d.coll.split_for_updates(0.10);
     let mut group = c.benchmark_group("insert_10pct_ECLOG");
     group.sample_size(10);
-    for &m in Method::all() {
-        group.bench_function(BenchmarkId::new(m.name(), holdout.len()), |b| {
+    for m in TABLE5 {
+        group.bench_function(BenchmarkId::new(m.paper_name(), holdout.len()), |b| {
             b.iter_batched(
                 || build_method(m, &offline).index,
                 |mut index| {
@@ -38,8 +38,8 @@ fn bench_deletions(c: &mut Criterion) {
         .collect();
     let mut group = c.benchmark_group("delete_10pct_ECLOG");
     group.sample_size(10);
-    for &m in Method::all() {
-        group.bench_function(BenchmarkId::new(m.name(), victims.len()), |b| {
+    for m in TABLE5 {
+        group.bench_function(BenchmarkId::new(m.paper_name(), victims.len()), |b| {
             b.iter_batched(
                 || build_method(m, &d.coll).index,
                 |mut index| {

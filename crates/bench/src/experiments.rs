@@ -10,7 +10,9 @@ use tir_datagen::{
     SELECTIVITY_LABELS,
 };
 
-use crate::harness::{build_method, datasets, throughput, Dataset, Method};
+use crate::harness::{
+    build_method, datasets, throughput, Dataset, COMPETITION, TABLE5, TIF_HINT_VARIANTS,
+};
 
 /// Run options shared by all experiments.
 #[derive(Debug, Clone, Copy)]
@@ -185,7 +187,7 @@ fn print_throughput_panel(
     }
     println!();
     for (mi, m) in methods.iter().enumerate() {
-        print!("{:<18}", m.name());
+        print!("{:<18}", m.paper_name());
         for qs in workloads {
             if qs.is_empty() {
                 print!(" {:>12}", "-");
@@ -295,7 +297,7 @@ pub fn fig10(o: &Opts) {
     ];
     for d in datasets(o.scale) {
         println!("\n-- {} --", d.name);
-        run_panels(&d, Method::tif_hint_variants(), o, &extents);
+        run_panels(&d, &TIF_HINT_VARIANTS, o, &extents);
     }
 }
 
@@ -311,12 +313,12 @@ pub fn table5(o: &Opts) {
         format!("{} [MiB]", ds[0].name),
         format!("{} [MiB]", ds[1].name),
     );
-    for &m in Method::all() {
+    for m in TABLE5 {
         let a = build_method(m, &ds[0].coll);
         let b = build_method(m, &ds[1].coll);
         println!(
             "{:<18} {:>12.3} {:>12.3} {:>12.2} {:>12.2}",
-            m.name(),
+            m.paper_name(),
             a.build_secs,
             b.build_secs,
             a.size_mib,
@@ -343,7 +345,7 @@ pub fn fig11(o: &Opts) {
     ];
     for d in datasets(o.scale) {
         println!("\n-- {} --", d.name);
-        run_panels(&d, Method::competition(), o, &extents);
+        run_panels(&d, &COMPETITION, o, &extents);
     }
 }
 
@@ -352,7 +354,7 @@ pub fn fig12(o: &Opts) {
     banner("Figure 12: synthetic dataset sweeps");
     // Laptop-scale default: the paper's defaults shrunk 100x.
     let base = SyntheticConfig::default().scaled(0.01 * o.scale);
-    let methods = Method::competition();
+    let methods = &COMPETITION;
 
     let sweep = |title: &str, configs: Vec<(String, SyntheticConfig)>| {
         println!("\n{title}");
@@ -376,7 +378,7 @@ pub fn fig12(o: &Opts) {
             })
             .collect();
         for (mi, m) in methods.iter().enumerate() {
-            print!("{:<18}", m.name());
+            print!("{:<18}", m.paper_name());
             for col in &cells {
                 print!(" {:>12.0}", col[mi]);
             }
@@ -486,8 +488,8 @@ pub fn table6(o: &Opts) {
         println!("\n-- {} --", d.name);
         println!("{:<18} {:>10} {:>10} {:>10}", "index", "1%", "5%", "10%");
         let (offline, holdout) = d.coll.split_for_updates(0.10);
-        for &m in Method::all() {
-            print!("{:<18}", m.name());
+        for m in TABLE5 {
+            print!("{:<18}", m.paper_name());
             for frac in [0.01, 0.05, 0.10] {
                 let take = ((d.coll.len() as f64 * frac).round() as usize).min(holdout.len());
                 let mut built = build_method(m, &offline);
@@ -506,8 +508,8 @@ pub fn table7(o: &Opts) {
     for d in datasets(o.scale) {
         println!("\n-- {} --", d.name);
         println!("{:<18} {:>10} {:>10} {:>10}", "index", "1%", "5%", "10%");
-        for &m in Method::all() {
-            print!("{:<18}", m.name());
+        for m in TABLE5 {
+            print!("{:<18}", m.paper_name());
             for frac in [0.01, 0.05, 0.10] {
                 let take = (d.coll.len() as f64 * frac).round() as usize;
                 let victims: Vec<&Object> = d.coll.objects().iter().take(take).collect();
@@ -519,7 +521,7 @@ pub fn table7(o: &Opts) {
                         found += 1;
                     }
                 }
-                assert_eq!(found, victims.len(), "{} lost deletes", m.name());
+                assert_eq!(found, victims.len(), "{m} lost deletes");
                 print!(" {:>10.4}", t0.elapsed().as_secs_f64());
             }
             println!();
@@ -711,7 +713,7 @@ pub fn serve(o: &Opts) {
             );
             records.push(Json::obj(vec![
                 ("dataset", Json::str(d.name)),
-                ("method", Json::str("irhint-perf")),
+                ("method", Json::str(Method::IrHintPerf.name())),
                 ("readers", Json::Int(readers as u64)),
                 ("queries", Json::Int(answered)),
                 ("qps", Json::Num(qps)),

@@ -7,72 +7,30 @@ use std::time::Instant;
 use tir_core::prelude::*;
 use tir_datagen::{eclog_like, wikipedia_like};
 
-/// Every index method of the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Method {
-    /// Base temporal inverted file (no temporal indexing).
-    Tif,
-    /// tIF+Slicing (Berberich et al.).
-    Slicing,
-    /// tIF+Sharding (Anand et al.).
-    Sharding,
-    /// tIF+HINT with binary-search intersections (Algorithm 3).
-    TifHintBs,
-    /// tIF+HINT with merge-sort intersections (Algorithm 4).
-    TifHintMs,
-    /// tIF+HINT+Slicing hybrid (Section 3.2).
-    Hybrid,
-    /// irHINT, performance variant (Section 4.1).
-    IrPerf,
-    /// irHINT, size variant (Section 4.2).
-    IrSize,
-}
+/// The Table 5–7 line-up: the paper's own methods and competitors,
+/// without the plain tIF baseline and the cTIF extension.
+pub const TABLE5: [Method; 7] = [
+    Method::Slicing,
+    Method::Sharding,
+    Method::TifHintBs,
+    Method::TifHintMs,
+    Method::Hybrid,
+    Method::IrHintPerf,
+    Method::IrHintSize,
+];
 
-impl Method {
-    /// All methods, in Table 5 order.
-    pub fn all() -> &'static [Method] {
-        &[
-            Method::Slicing,
-            Method::Sharding,
-            Method::TifHintBs,
-            Method::TifHintMs,
-            Method::Hybrid,
-            Method::IrPerf,
-            Method::IrSize,
-        ]
-    }
+/// The Figure 11/12 line-up: our best IR-first and both irHINT
+/// variants against the two competitors.
+pub const COMPETITION: [Method; 5] = [
+    Method::Slicing,
+    Method::Sharding,
+    Method::Hybrid,
+    Method::IrHintPerf,
+    Method::IrHintSize,
+];
 
-    /// The Figure 11/12 line-up: our best IR-first and both irHINT
-    /// variants against the two competitors.
-    pub fn competition() -> &'static [Method] {
-        &[
-            Method::Slicing,
-            Method::Sharding,
-            Method::Hybrid,
-            Method::IrPerf,
-            Method::IrSize,
-        ]
-    }
-
-    /// The three tIF+HINT variants compared in Section 5.3 / Figure 10.
-    pub fn tif_hint_variants() -> &'static [Method] {
-        &[Method::TifHintBs, Method::TifHintMs, Method::Hybrid]
-    }
-
-    /// Display name matching the paper.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Method::Tif => "tIF",
-            Method::Slicing => "tIF+Slicing",
-            Method::Sharding => "tIF+Sharding",
-            Method::TifHintBs => "tIF+HINT(bs)",
-            Method::TifHintMs => "tIF+HINT(ms)",
-            Method::Hybrid => "tIF+HINT+Slicing",
-            Method::IrPerf => "irHINT(perf)",
-            Method::IrSize => "irHINT(size)",
-        }
-    }
-}
+/// The three tIF+HINT variants compared in Section 5.3 / Figure 10.
+pub const TIF_HINT_VARIANTS: [Method; 3] = [Method::TifHintBs, Method::TifHintMs, Method::Hybrid];
 
 /// Build timing and size of a constructed index.
 pub struct BuildStats {
@@ -87,16 +45,7 @@ pub struct BuildStats {
 /// Builds one method over a collection, timing it.
 pub fn build_method(method: Method, coll: &Collection) -> BuildStats {
     let t0 = Instant::now();
-    let index: Box<dyn TemporalIrIndex> = match method {
-        Method::Tif => Box::new(Tif::build(coll)),
-        Method::Slicing => Box::new(TifSlicing::build(coll)),
-        Method::Sharding => Box::new(TifSharding::build(coll)),
-        Method::TifHintBs => Box::new(TifHint::build(coll, TifHintConfig::binary_search())),
-        Method::TifHintMs => Box::new(TifHint::build(coll, TifHintConfig::merge_sort())),
-        Method::Hybrid => Box::new(TifHintSlicing::build(coll)),
-        Method::IrPerf => Box::new(IrHintPerf::build(coll)),
-        Method::IrSize => Box::new(IrHintSize::build(coll)),
-    };
+    let index: Box<dyn TemporalIrIndex> = method.build(coll);
     let build_secs = t0.elapsed().as_secs_f64();
     let size_mib = index.size_bytes() as f64 / (1024.0 * 1024.0);
     BuildStats {
@@ -209,14 +158,14 @@ mod tests {
             let oracle = BruteForce::build(d.coll.objects());
             let queries = workload(&d.coll, &WorkloadSpec::default(), 10, 3);
             assert!(!queries.is_empty());
-            for &m in Method::all() {
+            for m in Method::ALL {
                 let built = build_method(m, &d.coll);
                 assert!(built.size_mib > 0.0);
                 for q in &queries {
                     let mut got = built.index.query(q);
                     got.sort_unstable();
                     got.dedup();
-                    assert_eq!(got, oracle.answer(q), "{} on {}", m.name(), d.name);
+                    assert_eq!(got, oracle.answer(q), "{m} on {}", d.name);
                 }
             }
         }
@@ -226,7 +175,7 @@ mod tests {
     fn throughput_positive() {
         let ds = datasets(0.05);
         let queries = workload(&ds[0].coll, &WorkloadSpec::default(), 50, 3);
-        let built = build_method(Method::IrPerf, &ds[0].coll);
+        let built = build_method(Method::IrHintPerf, &ds[0].coll);
         assert!(throughput(built.index.as_ref(), &queries) > 0.0);
     }
 }

@@ -19,5 +19,6 @@ pub mod experiments;
 pub mod harness;
 
 pub use harness::{
-    build_method, datasets, par_throughput, throughput, BuildStats, Dataset, Method,
+    build_method, datasets, par_throughput, throughput, BuildStats, Dataset, COMPETITION, TABLE5,
+    TIF_HINT_VARIANTS,
 };

@@ -3,8 +3,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::{fail, nest, Validate, Violation};
-use tir_core::{IrHintPerf, IrHintSize, Tif, TifHint, TifSharding, TifSlicing, IMPACT_STRIDE};
-use tir_hint::DivisionKind;
+use tir_core::{
+    CompressedTif, IrHintPerf, IrHintSize, Tif, TifHint, TifHintSlicing, TifSharding, TifSlicing,
+    IMPACT_STRIDE,
+};
+use tir_hint::{DivisionKind, Hint};
 use tir_invidx::{live, raw};
 
 fn kind_name(kind: DivisionKind) -> &'static str {
@@ -72,6 +75,86 @@ fn check_temporal_list(
     ids.iter().filter(|&&id| live(id)).count()
 }
 
+/// Reports every element whose counted live postings (`what` says how
+/// they were counted) disagree with the planner's frequency table.
+fn check_freqs(
+    prefix: &str,
+    what: &str,
+    counts: impl IntoIterator<Item = (u32, usize)>,
+    freq: impl Fn(u32) -> u32,
+    out: &mut Vec<Violation>,
+) {
+    for (e, count) in counts {
+        if count != freq(e) as usize {
+            fail(
+                out,
+                &format!("{prefix}/elem{e}"),
+                format!("{count} {what}, planner tracks freq {}", freq(e)),
+            );
+        }
+    }
+}
+
+/// Validates one element's postings HINT: sound in itself and as large
+/// as the planner's frequency for the element says.
+fn check_elem_hint(prefix: &str, h: &Hint, freq: u32, out: &mut Vec<Violation>) {
+    nest(prefix, h.validate(), out);
+    if h.len() != freq as usize {
+        fail(
+            out,
+            prefix,
+            format!(
+                "per-element HINT holds {} live intervals, planner tracks freq {freq}",
+                h.len()
+            ),
+        );
+    }
+}
+
+/// Validates slice `s` of a postings list replicated into every one of
+/// the `k` time slices its interval overlaps, collecting the live ids.
+/// `ends` is `None` for the hybrid's ⟨id, start⟩ copy, whose span is
+/// then only bounded below.
+fn check_slice_sublist(
+    path: &str,
+    (s, k): (u32, u32),
+    slice_of: impl Fn(u64) -> u32,
+    (ids, sts, ends): (&[u32], &[u64], Option<&[u64]>),
+    live_ids: &mut BTreeSet<u32>,
+    out: &mut Vec<Violation>,
+) {
+    if s >= k {
+        fail(
+            out,
+            path,
+            format!("slice index beyond the {k} configured slices"),
+        );
+    }
+    let clean_before = out.len();
+    check_temporal_list(path, ids, sts, ends.unwrap_or(sts), out);
+    if out.len() != clean_before {
+        return;
+    }
+    for i in 0..ids.len() {
+        // Each copy must sit inside its own interval's slice span.
+        let lo = slice_of(sts[i]);
+        let hi = ends.map_or(k.saturating_sub(1), |ends| slice_of(ends[i]));
+        if !(lo..=hi).contains(&s) {
+            fail(
+                out,
+                path,
+                format!(
+                    "id {}: copy outside its slice span [{lo}, {hi}]",
+                    raw(ids[i])
+                ),
+            );
+        }
+        if live(ids[i]) {
+            live_ids.insert(raw(ids[i]));
+        }
+    }
+}
+
 impl Validate for Tif {
     fn validate(&self) -> Vec<Violation> {
         let mut out = Vec::new();
@@ -117,54 +200,22 @@ impl Validate for TifSlicing {
         let mut out = Vec::new();
         let mut live_ids: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
         self.for_each_sublist(|e, s, sub| {
-            let path = format!("tif_slicing/elem{e}/slice{s}");
-            if s >= self.num_slices() {
-                fail(
-                    &mut out,
-                    &path,
-                    format!(
-                        "slice index beyond the {} configured slices",
-                        self.num_slices()
-                    ),
-                );
-            }
-            let clean_before = out.len();
-            check_temporal_list(&path, &sub.ids, &sub.sts, &sub.ends, &mut out);
-            if out.len() != clean_before {
-                return;
-            }
-            for i in 0..sub.ids.len() {
-                // A posting is replicated into every slice its interval
-                // overlaps, so each copy must sit inside its own span.
-                let (lo, hi) = (self.slice_of(sub.sts[i]), self.slice_of(sub.ends[i]));
-                if !(lo..=hi).contains(&s) {
-                    fail(
-                        &mut out,
-                        &path,
-                        format!(
-                            "id {}: copy outside its slice span [{lo}, {hi}]",
-                            raw(sub.ids[i])
-                        ),
-                    );
-                }
-                if live(sub.ids[i]) {
-                    live_ids.entry(e).or_default().insert(raw(sub.ids[i]));
-                }
-            }
+            check_slice_sublist(
+                &format!("tif_slicing/elem{e}/slice{s}"),
+                (s, self.num_slices()),
+                |t| self.slice_of(t),
+                (&sub.ids, &sub.sts, Some(&sub.ends)),
+                live_ids.entry(e).or_default(),
+                &mut out,
+            );
         });
-        for (&e, ids) in &live_ids {
-            if ids.len() != self.freq(e) as usize {
-                fail(
-                    &mut out,
-                    &format!("tif_slicing/elem{e}"),
-                    format!(
-                        "{} distinct live objects across slices, planner tracks freq {}",
-                        ids.len(),
-                        self.freq(e)
-                    ),
-                );
-            }
-        }
+        check_freqs(
+            "tif_slicing",
+            "distinct live objects across slices",
+            live_ids.iter().map(|(&e, ids)| (e, ids.len())),
+            |e| self.freq(e),
+            &mut out,
+        );
         out
     }
 }
@@ -252,18 +303,13 @@ impl Validate for TifSharding {
             }
             *live_count.entry(e).or_insert(0) += shard.ids.iter().filter(|&&id| live(id)).count();
         });
-        for (&e, &count) in &live_count {
-            if count != self.freq(e) as usize {
-                fail(
-                    &mut out,
-                    &format!("tif_sharding/elem{e}"),
-                    format!(
-                        "{count} live postings across shards, planner tracks freq {}",
-                        self.freq(e)
-                    ),
-                );
-            }
-        }
+        check_freqs(
+            "tif_sharding",
+            "live postings across shards",
+            live_count,
+            |e| self.freq(e),
+            &mut out,
+        );
         out
     }
 }
@@ -272,20 +318,107 @@ impl Validate for TifHint {
     fn validate(&self) -> Vec<Violation> {
         let mut out = Vec::new();
         self.for_each_hint(|e, h| {
-            let prefix = format!("tif_hint/elem{e}");
-            nest(&prefix, h.validate(), &mut out);
-            if h.len() != self.freq(e) as usize {
+            check_elem_hint(&format!("tif_hint/elem{e}"), h, self.freq(e), &mut out);
+        });
+        out
+    }
+}
+
+impl Validate for TifHintSlicing {
+    fn validate(&self) -> Vec<Violation> {
+        let mut out = Vec::new();
+        self.for_each_hint(|e, h| {
+            check_elem_hint(&format!("hybrid/elem{e}/hint"), h, self.freq(e), &mut out);
+        });
+        let mut live_ids: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
+        self.for_each_sublist(|e, s, ids, sts| {
+            check_slice_sublist(
+                &format!("hybrid/elem{e}/slice{s}"),
+                (s, self.num_slices()),
+                |t| self.slice_of(t),
+                (ids, sts, None),
+                live_ids.entry(e).or_default(),
+                &mut out,
+            );
+        });
+        // Tombstone hygiene across the two copies: a delete must reach
+        // every slice copy, so the distinct live ids of the sliced copy
+        // are exactly the live intervals the HINT copy counts.
+        check_freqs(
+            "hybrid",
+            "distinct live objects across slices",
+            live_ids.iter().map(|(&e, ids)| (e, ids.len())),
+            |e| self.freq(e),
+            &mut out,
+        );
+        out
+    }
+}
+
+impl Validate for CompressedTif {
+    fn validate(&self) -> Vec<Violation> {
+        let mut out = Vec::new();
+        let mut live_count: BTreeMap<u32, usize> = BTreeMap::new();
+        let mut seen_dead: BTreeSet<u32> = BTreeSet::new();
+        self.for_each_base(|e, ids, triples| {
+            let prefix = format!("ctif/elem{e}/base");
+            let Some(triples) = triples else {
+                fail(&mut out, &prefix, "id list without temporal triples".into());
+                return;
+            };
+            let clean_before = out.len();
+            nest(&prefix, ids.validate(), &mut out);
+            nest(&prefix, triples.validate(), &mut out);
+            if out.len() != clean_before {
+                return; // the production decoders below assume sound streams
+            }
+            let mut decoded = Vec::with_capacity(ids.len());
+            ids.for_each(|id| decoded.push(id));
+            let mut temporal = Vec::with_capacity(triples.len());
+            triples.for_each(|id, _, _| temporal.push(id));
+            if decoded != temporal {
                 fail(
                     &mut out,
                     &prefix,
                     format!(
-                        "per-element HINT holds {} live intervals, planner tracks freq {}",
-                        h.len(),
-                        self.freq(e)
+                        "id blocks hold {} ids, temporal triples {}: the two base copies disagree",
+                        decoded.len(),
+                        temporal.len()
                     ),
                 );
             }
+            let live = live_count.entry(e).or_insert(0);
+            for id in decoded {
+                if self.dead().contains(&id) {
+                    seen_dead.insert(id);
+                } else {
+                    *live += 1;
+                }
+            }
         });
+        self.for_each_overlay(|e, list| {
+            let path = format!("ctif/elem{e}/overlay");
+            *live_count.entry(e).or_insert(0) +=
+                check_temporal_list(&path, &list.ids, &list.sts, &list.ends, &mut out);
+        });
+        // Tombstone hygiene: the blacklist names base objects only —
+        // overlay entries carry their own tombstone bit.
+        for id in self.dead() {
+            if !seen_dead.contains(id) {
+                fail(
+                    &mut out,
+                    "ctif/dead",
+                    format!("blacklisted id {id} is in no base list"),
+                );
+            }
+        }
+        check_freqs(
+            "ctif",
+            "live postings across base and overlay",
+            live_count,
+            |e| self.freq(e),
+            &mut out,
+        );
         out
     }
 }
@@ -361,18 +494,13 @@ impl Validate for IrHintPerf {
                 }
             }
         });
-        for (&e, &count) in &orig_live {
-            if count != self.freq(e) as usize {
-                fail(
-                    &mut out,
-                    &format!("irhint_perf/elem{e}"),
-                    format!(
-                        "{count} live original postings across divisions, planner tracks freq {}",
-                        self.freq(e)
-                    ),
-                );
-            }
-        }
+        check_freqs(
+            "irhint_perf",
+            "live original postings across divisions",
+            orig_live,
+            |e| self.freq(e),
+            &mut out,
+        );
         out
     }
 }
@@ -435,18 +563,13 @@ impl Validate for IrHintSize {
                 }
             }
         });
-        for (&e, &count) in &orig_live {
-            if count != self.freq(e) as usize {
-                fail(
-                    &mut out,
-                    &format!("irhint_size/elem{e}"),
-                    format!(
-                        "{count} live original postings across divisions, planner tracks freq {}",
-                        self.freq(e)
-                    ),
-                );
-            }
-        }
+        check_freqs(
+            "irhint_size",
+            "live original postings across divisions",
+            orig_live,
+            |e| self.freq(e),
+            &mut out,
+        );
         out
     }
 }
@@ -455,55 +578,65 @@ impl Validate for IrHintSize {
 mod tests {
     use super::*;
     use tir_core::prelude::*;
-    use tir_core::TifHintConfig;
+    use tir_core::with_method;
+
+    fn violations_of(m: Method, coll: &Collection) -> Vec<Violation> {
+        with_method!(m, |I, build| build(coll).validate())
+    }
 
     #[test]
     fn clean_indexes_validate() {
         let coll = Collection::running_example();
-        assert!(Tif::build(&coll).validate().is_empty());
-        assert!(TifSlicing::build(&coll).validate().is_empty());
-        assert!(TifSharding::build(&coll).validate().is_empty());
-        assert!(TifHint::build(&coll, TifHintConfig::binary_search())
-            .validate()
-            .is_empty());
-        assert!(IrHintPerf::build(&coll).validate().is_empty());
-        assert!(IrHintSize::build(&coll).validate().is_empty());
+        for m in Method::ALL {
+            let v = violations_of(m, &coll);
+            assert!(v.is_empty(), "{m}: {v:?}");
+        }
     }
 
     #[test]
     fn indexes_validate_after_updates() {
+        fn updated<I: TemporalIrIndex + Validate>(
+            mut index: I,
+            coll: &Collection,
+        ) -> Vec<Violation> {
+            let victim = coll.objects()[0].clone();
+            index.insert(&Object {
+                id: 900,
+                interval: Interval { st: 2, end: 11 },
+                desc: victim.desc.clone(),
+            });
+            assert!(index.delete(&victim));
+            index.validate()
+        }
         let coll = Collection::running_example();
-        let victim = coll.objects()[0].clone();
-        let extra = Object {
-            id: 900,
-            interval: Interval { st: 2, end: 11 },
-            desc: victim.desc.clone(),
-        };
+        for m in Method::ALL {
+            let v = with_method!(m, |I, build| updated(build(&coll), &coll));
+            assert!(v.is_empty(), "{m}: {v:?}");
+        }
+    }
 
-        let mut tif = Tif::build(&coll);
-        tif.insert(&extra);
-        assert!(tif.delete(&victim));
-        let v = tif.validate();
-        assert!(v.is_empty(), "{v:?}");
-
-        let mut perf = IrHintPerf::build(&coll);
-        perf.insert(&extra);
-        assert!(perf.delete(&victim));
-        let v = perf.validate();
-        assert!(v.is_empty(), "{v:?}");
-
-        let mut size = IrHintSize::build(&coll);
-        size.insert(&extra);
-        assert!(size.delete(&victim));
-        let v = size.validate();
-        assert!(v.is_empty(), "{v:?}");
+    #[test]
+    fn new_validators_report_a_reused_live_id() {
+        // Re-inserting a live id is the one corruption the public API can
+        // cause: it duplicates the posting in the slice copy / overlay.
+        let coll = Collection::running_example();
+        let twice = Object::new(900, 2, 11, vec![0, 2]);
+        let mut hybrid = TifHintSlicing::build(&coll);
+        let mut ctif = CompressedTif::build(&coll);
+        for _ in 0..2 {
+            hybrid.insert(&twice);
+            ctif.insert(&twice);
+        }
+        assert!(!hybrid.validate().is_empty());
+        assert!(!ctif.validate().is_empty());
     }
 
     #[test]
     fn empty_collection_validates() {
         let coll = Collection::new(Vec::new());
-        assert!(Tif::build(&coll).validate().is_empty());
-        assert!(IrHintPerf::build(&coll).validate().is_empty());
-        assert!(IrHintSize::build(&coll).validate().is_empty());
+        for m in Method::ALL {
+            let v = violations_of(m, &coll);
+            assert!(v.is_empty(), "{m}: {v:?}");
+        }
     }
 }

@@ -3,8 +3,8 @@
 use crate::{fail, Validate, Violation};
 use tir_invidx::compress::BLOCK_LEN;
 use tir_invidx::{
-    live, raw, BlockPostings, CompactInverted, CompactTemporalInverted, CompressedPostings,
-    Dictionary, HybridPostings, InvertedIndex, PlanStats, PostingContainer,
+    live, raw, BlockPostings, CompactInverted, CompactTemporalInverted, CompressedTemporalPostings,
+    Dictionary, HybridPostings, PlanStats, PostingContainer,
 };
 
 impl Validate for Dictionary {
@@ -46,34 +46,6 @@ impl Validate for Dictionary {
                 }
             }
         }
-        out
-    }
-}
-
-impl Validate for InvertedIndex {
-    fn validate(&self) -> Vec<Violation> {
-        let mut out = Vec::new();
-        self.for_each_list(|e, list| {
-            let path = format!("invidx/elem{e}");
-            if !list.windows(2).all(|w| raw(w[0]) < raw(w[1])) {
-                fail(
-                    &mut out,
-                    &path,
-                    "postings not strictly ascending by raw id".into(),
-                );
-            }
-            let live_count = list.iter().filter(|&&id| live(id)).count();
-            if live_count > self.len() {
-                fail(
-                    &mut out,
-                    &path,
-                    format!(
-                        "{live_count} live postings but only {} live objects",
-                        self.len()
-                    ),
-                );
-            }
-        });
         out
     }
 }
@@ -436,60 +408,71 @@ impl Validate for PlanStats {
     }
 }
 
-impl Validate for CompressedPostings {
+/// Bounds-checked LEB128 read at `pos`: the production decoder indexes
+/// unchecked, so a validator must never reuse it on possibly corrupt
+/// bytes. `None` when the stream ends mid-varint or the value overflows
+/// 64 bits.
+fn checked_varint(data: &[u8], pos: &mut usize) -> Option<u64> {
+    let mut v = 0u64;
+    let mut shift = 0u32;
+    loop {
+        let &byte = data.get(*pos)?;
+        *pos += 1;
+        if shift >= 64 {
+            return None;
+        }
+        v |= u64::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            return Some(v);
+        }
+        shift += 7;
+    }
+}
+
+impl Validate for CompressedTemporalPostings {
     fn validate(&self) -> Vec<Violation> {
         let mut out = Vec::new();
         let data = self.raw_bytes();
         let mut pos = 0usize;
         let mut prev: Option<u64> = None;
         for i in 0..self.len() {
-            // Bounds-checked varint walk: the production decoder indexes
-            // unchecked, so a validator must never reuse it on possibly
-            // corrupt bytes.
-            let mut v = 0u64;
-            let mut shift = 0u32;
-            loop {
-                let Some(&byte) = data.get(pos) else {
-                    fail(
-                        &mut out,
-                        "compressed/stream",
-                        format!("stream truncated inside posting {i} of {}", self.len()),
-                    );
-                    return out;
-                };
-                pos += 1;
-                if shift >= 64 {
-                    fail(
-                        &mut out,
-                        "compressed/stream",
-                        format!("varint of posting {i} exceeds 64 bits"),
-                    );
-                    return out;
-                }
-                v |= ((byte & 0x7f) as u64) << shift;
-                if byte & 0x80 == 0 {
-                    break;
-                }
-                shift += 7;
-            }
+            let mut field = || checked_varint(data, &mut pos);
+            let (Some(delta), Some(st), Some(dur)) = (field(), field(), field()) else {
+                fail(
+                    &mut out,
+                    "compressed/stream",
+                    format!(
+                        "stream truncated or overlong varint inside posting {i} of {}",
+                        self.len()
+                    ),
+                );
+                return out;
+            };
             let acc = match prev {
-                None => v,
+                None => delta,
                 Some(p) => {
-                    if v == 0 {
+                    if delta == 0 {
                         fail(
                             &mut out,
                             "compressed/deltas",
                             format!("zero delta at posting {i}: ids not strictly ascending"),
                         );
                     }
-                    p.saturating_add(v)
+                    p.saturating_add(delta)
                 }
             };
-            if acc > u32::MAX as u64 {
+            if acc > u64::from(u32::MAX) {
                 fail(
                     &mut out,
                     "compressed/deltas",
                     format!("posting {i} decodes to {acc}, beyond the u32 id space"),
+                );
+            }
+            if st.checked_add(dur).is_none() {
+                fail(
+                    &mut out,
+                    "compressed/intervals",
+                    format!("posting {i}: start {st} + duration {dur} overflows"),
                 );
             }
             prev = Some(acc);
@@ -643,18 +626,13 @@ mod tests {
         d.intern_description(["a", "b", "c"]);
         assert!(d.validate().is_empty());
 
-        let mut inv = InvertedIndex::new();
-        inv.insert(1, &[0, 1]);
-        inv.insert(2, &[1]);
-        assert!(inv.validate().is_empty());
-
         let ci = CompactInverted::build(&mut [(0, 1), (0, 2), (1, 2)]);
         assert!(ci.validate().is_empty());
 
         let ct = CompactTemporalInverted::build(&mut [(0, 1, 5, 9), (1, 2, 0, 3)]);
         assert!(ct.validate().is_empty());
 
-        let cp = CompressedPostings::encode(&[1, 5, 1000]);
+        let cp = CompressedTemporalPostings::encode(&[1, 5, 1000], &[0, 7, 9], &[3, 7, 1 << 40]);
         assert!(cp.validate().is_empty());
 
         let ids: Vec<u32> = (0..300u32).map(|i| i * 3).collect();
@@ -665,10 +643,9 @@ mod tests {
     #[test]
     fn empty_structures_validate() {
         assert!(Dictionary::new().validate().is_empty());
-        assert!(InvertedIndex::new().validate().is_empty());
         assert!(CompactInverted::new().validate().is_empty());
         assert!(CompactTemporalInverted::new().validate().is_empty());
-        assert!(CompressedPostings::encode(&[]).validate().is_empty());
+        assert!(CompressedTemporalPostings::default().validate().is_empty());
         assert!(BlockPostings::encode(&[]).validate().is_empty());
         assert!(BlockPostings::default().validate().is_empty());
     }

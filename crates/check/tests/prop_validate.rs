@@ -3,8 +3,9 @@
 //! deliberately corrupted structure must report at least one violation.
 
 use proptest::prelude::*;
-use tir_check::Validate;
+use tir_check::{Validate, Violation};
 use tir_core::prelude::*;
+use tir_core::with_method;
 use tir_hint::{Hint, HintConfig, IntervalRecord};
 use tir_invidx::{BlockPostings, ContainerConfig, HybridPostings, Kernel, PlanStats};
 
@@ -39,6 +40,26 @@ fn arb_collection(max_objects: usize) -> impl Strategy<Value = Collection> {
             .collect();
         Collection::new(objects)
     })
+}
+
+/// Inserts `extra` under fresh ids, deletes the masked base objects,
+/// and validates what is left.
+fn updated<I: TemporalIrIndex + Validate>(
+    mut idx: I,
+    coll: &Collection,
+    extra: &Collection,
+    del_mask: &[bool],
+) -> Vec<Violation> {
+    for o in extra.objects() {
+        let o = Object::new(o.id + 1000, o.interval.st, o.interval.end, o.desc.clone());
+        idx.insert(&o);
+    }
+    for (o, &kill) in coll.objects().iter().zip(del_mask) {
+        if kill {
+            idx.delete(o);
+        }
+    }
+    idx.validate()
 }
 
 proptest! {
@@ -103,23 +124,15 @@ proptest! {
     }
 
     #[test]
-    fn tif_and_hybrid_containers_validate_after_random_updates(
+    fn every_method_validates_after_random_updates(
         coll in arb_collection(30),
         extra in arb_collection(8),
         del_mask in prop::collection::vec(any::<bool>(), 30),
     ) {
-        let mut idx = Tif::build(&coll);
-        for o in extra.objects() {
-            let o = Object::new(o.id + 1000, o.interval.st, o.interval.end, o.desc.clone());
-            idx.insert(&o);
+        for m in Method::ALL {
+            let v = with_method!(m, |I, build| updated(build(&coll), &coll, &extra, &del_mask));
+            prop_assert!(v.is_empty(), "{}: violations: {:?}", m, v);
         }
-        for (o, &kill) in coll.objects().iter().zip(del_mask.iter()) {
-            if kill {
-                idx.delete(o);
-            }
-        }
-        let v = idx.validate();
-        prop_assert!(v.is_empty(), "violations: {v:?}");
     }
 
     #[test]

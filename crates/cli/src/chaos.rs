@@ -294,7 +294,7 @@ fn run_schedule(seed: u64, rounds: u64, scale: f64) -> Result<Tally, String> {
                 workers: 2,
                 ..PoolConfig::default()
             },
-            method: "tif".into(),
+            method: Method::Tif.to_string(),
             ..ServerConfig::default()
         },
         None,

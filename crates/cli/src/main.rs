@@ -5,7 +5,7 @@
 //! tir stats   --input data.tsv
 //! tir query   --input data.tsv --method irhint-perf \
 //!             --from 100 --to 900 --elems foo,bar [--topk 10]
-//! tir bench   --input data.tsv [--queries N] [--json BENCH_query.json]
+//! tir bench   --kernels BENCH_kernels.json [--universe N]
 //! tir check   --input data.tsv
 //! tir serve   [--input data.tsv | --scale S] [--method M] [--port P]
 //! tir loadgen --addr host:port [--requests N] [--threads T]
@@ -24,16 +24,16 @@ use std::path::Path;
 use std::time::Instant;
 
 use tir_core::prelude::*;
-use tir_core::{RankedQuery, RankedTif};
-use tir_datagen::{workload, SyntheticConfig, WorkloadSpec};
+use tir_core::{with_method, RankedQuery, RankedTif};
+use tir_datagen::SyntheticConfig;
 use tir_persist::{
     Durability, DurabilityOptions, IndexKind, LoadMode, Persist, Recovered, SnapshotFile, TermLog,
     SNAPSHOT_NAME,
 };
 use tir_serve::epoch::Validator;
 use tir_serve::{
-    loadgen, spawn_server, spawn_server_durable, Json, LatencyHistogram, LoadgenConfig, PoolConfig,
-    ServeDict, ServerConfig, ServerHandle,
+    loadgen, spawn_server, spawn_server_durable, Json, LoadgenConfig, PoolConfig, ServeDict,
+    ServerConfig, ServerHandle,
 };
 
 use crate::io::{read_tsv, write_tsv, Corpus};
@@ -94,6 +94,12 @@ impl Opts {
             None => Ok(default),
         }
     }
+
+    /// `--method M`, or `default` when absent; an unknown spelling is an
+    /// error that lists the registry's methods.
+    fn method_or(&self, default: Method) -> Result<Method, String> {
+        self.get("method").map_or(Ok(default), str::parse)
+    }
 }
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -121,54 +127,45 @@ fn run(args: &[String]) -> Result<(), String> {
 }
 
 fn usage() -> String {
-    "usage: tir <gen|stats|query|bench|check|serve|loadgen|chaos|snapshot|recover> [--flags]\n\
-     gen      --out FILE [--cardinality N] [--seed K] [--scale S]\n\
-     stats    --input FILE\n\
-     query    --input FILE --from T --to T --elems a,b [--method M] [--topk K]\n\
-     bench    --input FILE [--queries N] [--methods a,b] [--json BENCH_query.json]\n\
-     bench    --kernels BENCH_kernels.json [--universe N]   (microbenchmark\n\
-              the four intersection kernels over a density grid; no corpus)\n\
-     check    --input FILE   (build every index, verify structural invariants)\n\
-     check    --file SNAPSHOT   (fsck an on-disk snapshot)\n\
-     serve    [--input FILE | --scale S [--seed K]] [--method M] [--port P]\n\
-              [--port-file PATH] [--workers N] [--queue-depth N] [--batch N]\n\
-              [--data-dir DIR [--snapshot-every N]]   (durable: WAL + snapshots;\n\
-              recovers the directory on restart; methods tif, tif-hint-*)\n\
-     loadgen  --addr HOST:PORT [--requests N] [--threads T] [--seed K]\n\
-              [--write-fraction F] [--insert-fraction F] [--elems N]\n\
-              [--durability N] [--deadline-ms MS] [--retries N] [--backoff-ms MS]\n\
-              [--json BENCH_serve.json]\n\
-     chaos    [--schedules N] [--seed K] [--rounds N] [--scale S]\n\
-              (seeded fault-injection schedules against a live durable\n\
-              server; model + oracle verified, kill-then-recover each)\n\
-     snapshot --out FILE [--input FILE | --scale S] [--method M] [--epoch N]\n\
-              (write a standalone snapshot file, then fsck it)\n\
-     recover  --data-dir DIR [--verify]   (replay snapshot + WAL, report the\n\
-              epoch reached; --verify adds fsck + brute-force oracle agreement)\n\
-     methods: tif, slicing, sharding, tif-hint-bs, tif-hint-ms, hybrid,\n\
-              irhint-perf (default), irhint-size, ctif"
-        .to_string()
+    let methods = Method::ALL.map(|m| match m {
+        Method::IrHintPerf => format!("{m} (default)"),
+        m => m.to_string(),
+    });
+    format!(
+        "usage: tir <gen|stats|query|bench|check|serve|loadgen|chaos|snapshot|recover> [--flags]\n\
+         gen      --out FILE [--cardinality N] [--seed K] [--scale S]\n\
+         stats    --input FILE\n\
+         query    --input FILE --from T --to T --elems a,b [--method M] [--topk K]\n\
+         bench    --kernels BENCH_kernels.json [--universe N]   (microbenchmark\n\
+                  the intersection kernels over a density grid; no corpus.\n\
+                  Per-method numbers: benchmark/ --workload lib_methods)\n\
+         check    --input FILE   (build every index, verify structural invariants)\n\
+         check    --file SNAPSHOT   (fsck an on-disk snapshot)\n\
+         serve    [--input FILE | --scale S [--seed K]] [--method M] [--port P]\n\
+                  [--port-file PATH] [--workers N] [--queue-depth N] [--batch N]\n\
+                  [--data-dir DIR [--snapshot-every N]]   (durable: WAL + snapshots;\n\
+                  recovers the directory on restart; methods {durable})\n\
+         loadgen  --addr HOST:PORT [--requests N] [--threads T] [--seed K]\n\
+                  [--write-fraction F] [--insert-fraction F] [--elems N]\n\
+                  [--durability N] [--deadline-ms MS] [--retries N] [--backoff-ms MS]\n\
+                  [--json BENCH_serve.json]\n\
+         chaos    [--schedules N] [--seed K] [--rounds N] [--scale S]\n\
+                  (seeded fault-injection schedules against a live durable\n\
+                  server; model + oracle verified, kill-then-recover each)\n\
+         snapshot --out FILE [--input FILE | --scale S] [--method M] [--epoch N]\n\
+                  (write a standalone snapshot file, then fsck it)\n\
+         recover  --data-dir DIR [--verify]   (replay snapshot + WAL, report the\n\
+                  epoch reached; --verify adds fsck + brute-force oracle agreement)\n\
+         methods: {methods}",
+        durable = persist_methods(),
+        methods = methods.join(", "),
+    )
 }
 
 fn load(opts: &Opts) -> Result<Corpus, String> {
     let path = opts.require("input")?;
     let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
     read_tsv(BufReader::new(file))
-}
-
-fn build_index(method: &str, coll: &Collection) -> Result<Box<dyn TemporalIrIndex>, String> {
-    Ok(match method {
-        "tif" => Box::new(Tif::build(coll)),
-        "slicing" => Box::new(TifSlicing::build(coll)),
-        "sharding" => Box::new(TifSharding::build(coll)),
-        "tif-hint-bs" => Box::new(TifHint::build(coll, TifHintConfig::binary_search())),
-        "tif-hint-ms" => Box::new(TifHint::build(coll, TifHintConfig::merge_sort())),
-        "hybrid" => Box::new(TifHintSlicing::build(coll)),
-        "irhint-perf" => Box::new(IrHintPerf::build(coll)),
-        "irhint-size" => Box::new(IrHintSize::build(coll)),
-        "ctif" => Box::new(CompressedTif::build(coll)),
-        other => return Err(format!("unknown method {other}")),
-    })
 }
 
 fn cmd_gen(opts: &Opts) -> Result<(), String> {
@@ -256,9 +253,9 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
         return Ok(());
     }
 
-    let method = opts.get("method").unwrap_or("irhint-perf");
+    let method = opts.method_or(Method::IrHintPerf)?;
     let t0 = Instant::now();
-    let index = build_index(method, &corpus.collection)?;
+    let index = method.build(&corpus.collection);
     let built = t0.elapsed();
     let t0 = Instant::now();
     let mut hits = index.query(&TimeTravelQuery::new(from, to, elems));
@@ -281,111 +278,12 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
 
 fn cmd_bench(opts: &Opts) -> Result<(), String> {
     warn_stale_binary();
-    if let Some(path) = opts.get("kernels") {
-        return cmd_bench_kernels(opts, path);
-    }
-    let corpus = load(opts)?;
-    let n: usize = opts.parse_or("queries", 200)?;
-    let json_path = opts.get("json").unwrap_or("BENCH_query.json");
-    let queries = workload(&corpus.collection, &WorkloadSpec::default(), n, 7);
-    if queries.is_empty() {
-        return Err("could not generate a workload for this corpus".into());
-    }
-    println!(
-        "{:<14} {:>10} {:>12} {:>12} {:>9} {:>9} {:>9}",
-        "method", "build [s]", "size [KiB]", "queries/s", "p50 [µs]", "p95 [µs]", "p99 [µs]"
-    );
-    let mut records = Vec::new();
-    let only = opts.get("methods");
-    for method in [
-        "tif",
-        "slicing",
-        "sharding",
-        "tif-hint-bs",
-        "tif-hint-ms",
-        "hybrid",
-        "irhint-perf",
-        "irhint-size",
-        "ctif",
-    ] {
-        if let Some(list) = only {
-            if !list.split(',').any(|m| m.trim() == method) {
-                continue;
-            }
-        }
-        let t0 = Instant::now();
-        let index = build_index(method, &corpus.collection)?;
-        let build = t0.elapsed().as_secs_f64();
-        // One scratch arena and one reply buffer for the whole loop:
-        // the measured path allocates nothing in steady state. One
-        // warm-up pass, then best-of-three timed passes — single-pass
-        // numbers on shared machines are dominated by scheduling noise.
-        let mut scratch = QueryScratch::default();
-        let mut hits: Vec<ObjectId> = Vec::new();
-        for q in &queries {
-            hits.clear();
-            index.query_into(q, &mut scratch, &mut hits);
-            std::hint::black_box(hits.len());
-        }
-        let mut hist = LatencyHistogram::new();
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let mut pass = LatencyHistogram::new();
-            let t0 = Instant::now();
-            let mut total = 0usize;
-            for q in &queries {
-                let tq = Instant::now();
-                hits.clear();
-                index.query_into(q, &mut scratch, &mut hits);
-                total += hits.len();
-                pass.record(tq.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
-            }
-            let elapsed = t0.elapsed().as_secs_f64();
-            std::hint::black_box(total);
-            if elapsed < best {
-                best = elapsed;
-                hist = pass;
-            }
-        }
-        if std::env::var_os("TIR_BENCH_DEBUG").is_some() {
-            eprintln!("{method}: {:?}", tir_invidx::global_stats());
-        }
-        let qps = queries.len() as f64 / best.max(1e-9);
-        let (p50, p95, p99) = (
-            hist.quantile(0.50) as f64 / 1_000.0,
-            hist.quantile(0.95) as f64 / 1_000.0,
-            hist.quantile(0.99) as f64 / 1_000.0,
-        );
-        println!(
-            "{:<14} {:>10.3} {:>12} {:>12.0} {:>9.1} {:>9.1} {:>9.1}",
-            method,
-            build,
-            index.size_bytes() / 1024,
-            qps,
-            p50,
-            p95,
-            p99
-        );
-        records.push(Json::obj(vec![
-            ("method", Json::str(method)),
-            ("build_s", Json::Num(build)),
-            ("size_bytes", Json::Int(index.size_bytes() as u64)),
-            ("qps", Json::Num(qps)),
-            ("p50_us", Json::Num(p50)),
-            ("p95_us", Json::Num(p95)),
-            ("p99_us", Json::Num(p99)),
-        ]));
-    }
-    let doc = Json::obj(vec![
-        ("tool", Json::str("tir bench")),
-        ("git_rev", Json::str(git_rev())),
-        ("queries", Json::Int(queries.len() as u64)),
-        ("cardinality", Json::Int(corpus.collection.len() as u64)),
-        ("methods", Json::Arr(records)),
-    ]);
-    std::fs::write(json_path, format!("{doc}\n")).map_err(|e| format!("{json_path}: {e}"))?;
-    eprintln!("wrote {json_path}");
-    Ok(())
+    let path = opts.get("kernels").ok_or(
+        "tir bench measures the kernel grid only (--kernels PATH); per-method build, size \
+         and throughput numbers come from the repo benchmark: cargo run --release \
+         --manifest-path benchmark/Cargo.toml -- --workload lib_methods",
+    )?;
+    cmd_bench_kernels(opts, path)
 }
 
 /// Short git revision of the checkout that produced this run, with a
@@ -551,116 +449,81 @@ fn cmd_bench_kernels(opts: &Opts, json_path: &str) -> Result<(), String> {
             let mut out = Vec::new();
             let mut blk = Vec::new();
             let mut scratch = QueryScratch::default();
-            // (kernel, ns/call, scanned/call, |postings| for the row)
-            let mut measured: Vec<(String, u64, u64, u64)> = Vec::new();
-            let clamp = |ns: u128| ns.min(u128::from(u64::MAX)) as u64;
-
-            let t0 = Instant::now();
-            for _ in 0..cell_reps {
-                out.clear();
-                intersect_merge_into(&cands, &postings, &mut out);
-                std::hint::black_box(out.len());
-            }
-            let per_call = t0.elapsed().as_nanos() / u128::from(cell_reps);
-            measured.push((
-                "merge".into(),
-                clamp(per_call),
-                work as u64,
-                postings.len() as u64,
-            ));
-
-            let t0 = Instant::now();
-            for _ in 0..cell_reps {
-                out.clear();
-                // Forced: the grid exists to measure the vector kernel even
-                // in cells below the production dispatch gate.
-                tir_invidx::simd::merge_into_forced(&cands, &postings, &mut out);
-                std::hint::black_box(out.len());
-            }
-            let per_call = t0.elapsed().as_nanos() / u128::from(cell_reps);
-            measured.push((
-                "simd-merge".into(),
-                clamp(per_call),
-                work as u64,
-                postings.len() as u64,
-            ));
-
-            let t0 = Instant::now();
-            for _ in 0..cell_reps {
-                out.clear();
-                intersect_gallop_into(&cands, &postings, &mut out);
-                std::hint::black_box(out.len());
-            }
-            let per_call = t0.elapsed().as_nanos() / u128::from(cell_reps);
-            measured.push((
-                "gallop".into(),
-                clamp(per_call),
-                cands.len() as u64,
-                postings.len() as u64,
-            ));
-
-            let t0 = Instant::now();
-            for _ in 0..cell_reps {
-                out.clear();
-                tir_invidx::simd::gallop_into_forced(&cands, &postings, &mut out);
-                std::hint::black_box(out.len());
-            }
-            let per_call = t0.elapsed().as_nanos() / u128::from(cell_reps);
-            measured.push((
-                "simd-gallop".into(),
-                clamp(per_call),
-                cands.len() as u64,
-                postings.len() as u64,
-            ));
-
-            let t0 = Instant::now();
-            for _ in 0..cell_reps {
-                out.clear();
-                tir_invidx::intersect_gallop_rev_into(&cands, &postings, &mut out);
-                std::hint::black_box(out.len());
-            }
-            let per_call = t0.elapsed().as_nanos() / u128::from(cell_reps);
-            measured.push((
-                "gallop-rev".into(),
-                clamp(per_call),
-                postings.len() as u64,
-                postings.len() as u64,
-            ));
-
-            let mut block_scanned = 1u64;
-            let t0 = Instant::now();
-            for _ in 0..cell_reps {
-                out.clear();
-                let st = blocks.intersect_into(&cands, &mut out, &mut blk);
-                block_scanned = st.scanned.max(1);
-                std::hint::black_box(out.len());
-            }
-            let per_call = t0.elapsed().as_nanos() / u128::from(cell_reps);
-            measured.push((
-                "blocks".into(),
-                clamp(per_call),
-                block_scanned,
-                postings.len() as u64,
-            ));
-
-            for (label_container, n_post) in [
-                (&container, postings.len()),
-                (&run_container, clustered.len()),
-            ] {
+            // ns/call of `kernel`, which appends its hits to the buffer
+            // it is handed (cleared before every call).
+            let mut time = |kernel: &mut dyn FnMut(&mut Vec<u32>)| -> u64 {
                 let t0 = Instant::now();
                 for _ in 0..cell_reps {
-                    scratch.reset();
-                    scratch.cands.extend_from_slice(&cands);
-                    scratch.intersect(tir_invidx::Postings::Container(label_container));
                     out.clear();
-                    scratch.take_into(&mut out);
+                    kernel(&mut out);
                     std::hint::black_box(out.len());
                 }
                 let per_call = t0.elapsed().as_nanos() / u128::from(cell_reps);
+                per_call.min(u128::from(u64::MAX)) as u64
+            };
+            let (n_cands, n_post) = (cands.len() as u64, postings.len() as u64);
+            let mut block_scanned = 1u64;
+            // (kernel, ns/call, scanned/call, |postings| for the row).
+            // Forced SIMD variants: the grid exists to measure the vector
+            // kernels even in cells below the production dispatch gate.
+            let mut measured: Vec<(String, u64, u64, u64)> = vec![
+                (
+                    "merge".into(),
+                    time(&mut |o| intersect_merge_into(&cands, &postings, o)),
+                    work as u64,
+                    n_post,
+                ),
+                (
+                    "simd-merge".into(),
+                    time(&mut |o| {
+                        tir_invidx::simd::merge_into_forced(&cands, &postings, o);
+                    }),
+                    work as u64,
+                    n_post,
+                ),
+                (
+                    "gallop".into(),
+                    time(&mut |o| intersect_gallop_into(&cands, &postings, o)),
+                    n_cands,
+                    n_post,
+                ),
+                (
+                    "simd-gallop".into(),
+                    time(&mut |o| {
+                        tir_invidx::simd::gallop_into_forced(&cands, &postings, o);
+                    }),
+                    n_cands,
+                    n_post,
+                ),
+                (
+                    "gallop-rev".into(),
+                    time(&mut |o| tir_invidx::intersect_gallop_rev_into(&cands, &postings, o)),
+                    n_post,
+                    n_post,
+                ),
+                (
+                    "blocks".into(),
+                    time(&mut |o| {
+                        block_scanned = blocks.intersect_into(&cands, o, &mut blk).scanned.max(1);
+                    }),
+                    block_scanned,
+                    n_post,
+                ),
+            ];
+            for (container, n_post) in [
+                (&container, postings.len()),
+                (&run_container, clustered.len()),
+            ] {
+                let ns_call = time(&mut |o| {
+                    scratch.reset();
+                    scratch.cands.extend_from_slice(&cands);
+                    scratch.intersect(tir_invidx::Postings::Container(container));
+                    scratch.take_into(o);
+                });
                 let stats = scratch.last_stats();
                 measured.push((
                     format!("planner:{}", chosen_kernel(&stats)),
-                    clamp(per_call),
+                    ns_call,
                     stats.scanned.max(1),
                     n_post as u64,
                 ));
@@ -706,25 +569,14 @@ fn cmd_bench_kernels(opts: &Opts, json_path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds every validatable index over the collection and collects the
+/// Builds every method's index over the collection and collects the
 /// structural violations each one reports, tagged by method name.
 fn validate_all(coll: &Collection) -> Vec<(&'static str, Vec<tir_check::Violation>)> {
     use tir_check::Validate;
-    vec![
-        ("tif", Tif::build(coll).validate()),
-        ("slicing", TifSlicing::build(coll).validate()),
-        ("sharding", TifSharding::build(coll).validate()),
-        (
-            "tif-hint-bs",
-            TifHint::build(coll, TifHintConfig::binary_search()).validate(),
-        ),
-        (
-            "tif-hint-ms",
-            TifHint::build(coll, TifHintConfig::merge_sort()).validate(),
-        ),
-        ("irhint-perf", IrHintPerf::build(coll).validate()),
-        ("irhint-size", IrHintSize::build(coll).validate()),
-    ]
+    Method::ALL
+        .iter()
+        .map(|&m| (m.name(), with_method!(m, |I, build| build(coll).validate())))
+        .collect()
 }
 
 /// `tir check --file SNAPSHOT`: fsck one on-disk snapshot — open-time
@@ -830,18 +682,18 @@ fn serve_index<I>(
     corpus: Corpus,
     config: ServerConfig,
     port_file: Option<&str>,
-    validator: Option<Validator<I>>,
 ) -> Result<(), String>
 where
-    I: TemporalIrIndex + Clone + Send + Sync + 'static,
+    I: TemporalIrIndex + tir_check::Validate + Clone + Send + Sync + 'static,
 {
     let catalog = corpus.collection.objects().to_vec();
+    let validator = checking_validator();
     let handle = spawn_server(index, catalog, corpus.dictionary, config, validator)
         .map_err(|e| format!("bind: {e}"))?;
     run_server(handle, port_file)
 }
 
-fn server_config(opts: &Opts, method: &str) -> Result<ServerConfig, String> {
+fn server_config(opts: &Opts, method: Method) -> Result<ServerConfig, String> {
     let port: u16 = opts.parse_or("port", 0)?;
     let host = opts.get("host").unwrap_or("127.0.0.1");
     Ok(ServerConfig {
@@ -892,10 +744,9 @@ fn serve_durable<I, F>(
     build: F,
     config: ServerConfig,
     port_file: Option<&str>,
-    validator: Option<Validator<I>>,
 ) -> Result<(), String>
 where
-    I: TemporalIrIndex + Persist + Clone + Send + Sync + 'static,
+    I: TemporalIrIndex + Persist + tir_check::Validate + Clone + Send + Sync + 'static,
     F: FnOnce(&Collection) -> I,
 {
     let (index, dict, durability) = if Durability::exists(dir) {
@@ -939,10 +790,41 @@ where
         ServeDict::durable(dict, log),
         durability,
         config,
-        validator,
+        checking_validator(),
     )
     .map_err(|e| format!("bind: {e}"))?;
     run_server(handle, port_file)
+}
+
+/// Statically dispatches on the methods that have a snapshot format
+/// (a `Persist` impl) — the one place the CLI knows which those are;
+/// `with_method!` semantics, the trailing arm takes every other method.
+macro_rules! with_persist_method {
+    ($method:expr, |$I:ident, $build:ident| $body:expr, $other:pat => $fallback:expr) => {
+        with_method!(
+            $method,
+            [Tif, TifHintBs, TifHintMs],
+            |$I, $build| $body,
+            $other => $fallback
+        )
+    };
+}
+
+/// CLI names of the methods `with_persist_method!` dispatches.
+fn persist_methods() -> String {
+    let names: Vec<&str> = Method::ALL
+        .iter()
+        .filter(|&&m| with_persist_method!(m, |I, build| true, _ => false))
+        .map(|m| m.name())
+        .collect();
+    names.join(", ")
+}
+
+fn no_snapshot_format(method: Method) -> String {
+    format!(
+        "method {method} has no snapshot format (supported: {})",
+        persist_methods()
+    )
 }
 
 fn cmd_serve_durable(opts: &Opts, dir: &Path) -> Result<(), String> {
@@ -955,56 +837,35 @@ fn cmd_serve_durable(opts: &Opts, dir: &Path) -> Result<(), String> {
     };
     // An existing directory dictates the method: the snapshot knows what
     // wrote it, and a conflicting --method is an operator error.
-    let existing = if Durability::exists(dir) {
-        Some(snapshot_kind(dir)?)
-    } else {
-        None
-    };
-    let method = match (existing, opts.get("method")) {
-        (Some(kind), Some(m)) if m != kind.method_name() => {
-            return Err(format!(
-                "{} already holds a {} snapshot; --method {m} conflicts",
-                dir.display(),
-                kind.method_name()
-            ));
+    let requested = opts.get("method").map(str::parse::<Method>).transpose()?;
+    let method = if Durability::exists(dir) {
+        let kind = snapshot_kind(dir)?;
+        match (kind.method(), requested) {
+            (Some(held), Some(m)) if m != held => {
+                return Err(format!(
+                    "{} already holds a {held} snapshot; --method {m} conflicts",
+                    dir.display()
+                ));
+            }
+            (Some(held), _) => held,
+            (None, _) => {
+                return Err(format!(
+                    "{} holds a {} snapshot, which is not a served method",
+                    dir.display(),
+                    kind.method_name()
+                ));
+            }
         }
-        (Some(kind), _) => kind.method_name().to_string(),
-        (None, m) => m.unwrap_or("tif").to_string(),
+    } else {
+        requested.unwrap_or(Method::Tif)
     };
-    let config = server_config(opts, &method)?;
+    let config = server_config(opts, method)?;
     let port_file = opts.get("port-file");
-    match method.as_str() {
-        "tif" => serve_durable(
-            opts,
-            dir,
-            d_opts,
-            Tif::build,
-            config,
-            port_file,
-            checking_validator(),
-        ),
-        "tif-hint-bs" => serve_durable(
-            opts,
-            dir,
-            d_opts,
-            |c| TifHint::build(c, TifHintConfig::binary_search()),
-            config,
-            port_file,
-            checking_validator(),
-        ),
-        "tif-hint-ms" => serve_durable(
-            opts,
-            dir,
-            d_opts,
-            |c| TifHint::build(c, TifHintConfig::merge_sort()),
-            config,
-            port_file,
-            checking_validator(),
-        ),
-        other => Err(format!(
-            "method {other} cannot serve durably (supported: tif, tif-hint-bs, tif-hint-ms)"
-        )),
-    }
+    with_persist_method!(
+        method,
+        |I, build| serve_durable(opts, dir, d_opts, build, config, port_file),
+        other => Err(no_snapshot_format(other))
+    )
 }
 
 fn cmd_serve(opts: &Opts) -> Result<(), String> {
@@ -1012,71 +873,21 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         return cmd_serve_durable(opts, Path::new(dir));
     }
     let corpus = serve_corpus(opts)?;
-    let method = opts.get("method").unwrap_or("irhint-perf");
+    let method = opts.method_or(Method::IrHintPerf)?;
     let config = server_config(opts, method)?;
     let port_file = opts.get("port-file");
     eprintln!(
         "building {method} over {} objects...",
         corpus.collection.len()
     );
-    let coll = &corpus.collection;
     // Static dispatch per method so each serving stack is monomorphic,
-    // with a tir-check post-swap validator wherever one exists (hybrid
-    // and ctif have no `Validate` impl and serve unchecked).
-    match method {
-        "tif" => serve_index(
-            Tif::build(coll),
-            corpus,
-            config,
-            port_file,
-            checking_validator(),
-        ),
-        "slicing" => serve_index(
-            TifSlicing::build(coll),
-            corpus,
-            config,
-            port_file,
-            checking_validator(),
-        ),
-        "sharding" => serve_index(
-            TifSharding::build(coll),
-            corpus,
-            config,
-            port_file,
-            checking_validator(),
-        ),
-        "tif-hint-bs" => serve_index(
-            TifHint::build(coll, TifHintConfig::binary_search()),
-            corpus,
-            config,
-            port_file,
-            checking_validator(),
-        ),
-        "tif-hint-ms" => serve_index(
-            TifHint::build(coll, TifHintConfig::merge_sort()),
-            corpus,
-            config,
-            port_file,
-            checking_validator(),
-        ),
-        "hybrid" => serve_index(TifHintSlicing::build(coll), corpus, config, port_file, None),
-        "irhint-perf" => serve_index(
-            IrHintPerf::build(coll),
-            corpus,
-            config,
-            port_file,
-            checking_validator(),
-        ),
-        "irhint-size" => serve_index(
-            IrHintSize::build(coll),
-            corpus,
-            config,
-            port_file,
-            checking_validator(),
-        ),
-        "ctif" => serve_index(CompressedTif::build(coll), corpus, config, port_file, None),
-        other => Err(format!("unknown method {other}")),
-    }
+    // with the tir-check post-swap validator behind every one.
+    with_method!(method, |I, build| serve_index(
+        build(&corpus.collection),
+        corpus,
+        config,
+        port_file
+    ))
 }
 
 /// `tir snapshot`: build an index over a corpus and write it as a
@@ -1085,40 +896,21 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
 fn cmd_snapshot(opts: &Opts) -> Result<(), String> {
     let out = opts.require("out")?;
     let corpus = serve_corpus(opts)?;
-    let method = opts.get("method").unwrap_or("tif");
+    let method = opts.method_or(Method::Tif)?;
     let epoch: u64 = opts.parse_or("epoch", 0)?;
     let path = Path::new(out);
-    let catalog = corpus.collection.objects();
-    let dict = &corpus.dictionary;
-    let write = |r: std::io::Result<()>| r.map_err(|e| format!("{out}: {e}"));
-    match method {
-        "tif" => write(tir_persist::write_snapshot(
+    with_persist_method!(
+        method,
+        |I, build| tir_persist::write_snapshot(
             path,
             epoch,
-            dict,
-            catalog,
-            &Tif::build(&corpus.collection),
-        ))?,
-        "tif-hint-bs" => write(tir_persist::write_snapshot(
-            path,
-            epoch,
-            dict,
-            catalog,
-            &TifHint::build(&corpus.collection, TifHintConfig::binary_search()),
-        ))?,
-        "tif-hint-ms" => write(tir_persist::write_snapshot(
-            path,
-            epoch,
-            dict,
-            catalog,
-            &TifHint::build(&corpus.collection, TifHintConfig::merge_sort()),
-        ))?,
-        other => {
-            return Err(format!(
-                "method {other} has no snapshot format (supported: tif, tif-hint-bs, tif-hint-ms)"
-            ));
-        }
-    }
+            &corpus.dictionary,
+            corpus.collection.objects(),
+            &build(&corpus.collection),
+        )
+        .map_err(|e| format!("{out}: {e}")),
+        other => Err(no_snapshot_format(other))
+    )?;
     let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
     eprintln!(
         "wrote {out} ({method}, {} objects, {} KiB)",
@@ -1155,33 +947,14 @@ where
     // brute-force scan of the recovered catalog, over a query grid
     // spanning the catalog's domain and element range.
     let catalog = r.durability.catalog_sorted();
-    let oracle = BruteForce::build(&catalog);
-    let (mut dmin, mut dmax, mut emax) = (u64::MAX, 0u64, 0u32);
-    for o in &catalog {
-        dmin = dmin.min(o.interval.st);
-        dmax = dmax.max(o.interval.end);
-        emax = emax.max(o.desc.iter().copied().max().unwrap_or(0));
+    let grid = tir_check::oracle_query_grid(&catalog, 16, 0);
+    if let Some(v) = tir_check::diff_against_oracle(&r.index, &catalog, &grid).first() {
+        return Err(format!("oracle divergence: {v}"));
     }
-    if dmin > dmax {
-        (dmin, dmax) = (0, 0);
-    }
-    let span = (dmax - dmin).max(1);
-    let mut checked = 0usize;
-    for k in 0..16u64 {
-        let st = dmin + span * k / 17;
-        let end = (st + span / (1 + k % 5)).min(dmax);
-        let elems: Vec<u32> = (0..=(k as u32 % 3))
-            .map(|j| (k as u32 * 7 + j) % (emax + 1))
-            .collect();
-        let q = TimeTravelQuery::new(st, end, elems);
-        let mut got = r.index.query(&q);
-        got.sort_unstable();
-        if got != oracle.answer(&q) {
-            return Err(format!("oracle divergence on {q:?}"));
-        }
-        checked += 1;
-    }
-    println!("verified    {checked} queries against the brute-force oracle");
+    println!(
+        "verified    {} queries against the brute-force oracle",
+        grid.len()
+    );
     Ok(())
 }
 
@@ -1194,11 +967,15 @@ fn cmd_recover(opts: &Opts) -> Result<(), String> {
         fsck_data_dir(dir)?;
         println!("fsck        clean");
     }
-    match snapshot_kind(dir)? {
-        IndexKind::Tif => recover_and_report::<Tif>(opts, dir),
-        IndexKind::TifHintBs | IndexKind::TifHintMs => recover_and_report::<TifHint>(opts, dir),
-        IndexKind::BruteForce => recover_and_report::<BruteForce>(opts, dir),
-        IndexKind::CompactTemporal => {
+    let kind = snapshot_kind(dir)?;
+    match kind.method() {
+        Some(method) => with_persist_method!(
+            method,
+            |I, build| recover_and_report::<I>(opts, dir),
+            other => Err(no_snapshot_format(other))
+        ),
+        None if kind == IndexKind::BruteForce => recover_and_report::<BruteForce>(opts, dir),
+        None => {
             Err("snapshot holds a bare compact postings structure; nothing to recover into".into())
         }
     }
@@ -1274,28 +1051,6 @@ mod tests {
     fn opts_rejects_positional() {
         let args: Vec<String> = vec!["oops".into()];
         assert!(Opts::parse(&args).is_err());
-    }
-
-    #[test]
-    fn build_index_knows_all_methods() {
-        let coll = Collection::running_example();
-        for m in [
-            "tif",
-            "slicing",
-            "sharding",
-            "tif-hint-bs",
-            "tif-hint-ms",
-            "hybrid",
-            "irhint-perf",
-            "irhint-size",
-            "ctif",
-        ] {
-            let idx = build_index(m, &coll).unwrap();
-            let mut hits = idx.query(&TimeTravelQuery::new(5, 9, vec![0, 2]));
-            hits.sort_unstable();
-            assert_eq!(hits, vec![1, 3, 6], "{m}");
-        }
-        assert!(build_index("nope", &coll).is_err());
     }
 
     fn abc_dictionary() -> tir_invidx::Dictionary {

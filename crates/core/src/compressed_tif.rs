@@ -15,6 +15,7 @@ use std::collections::{HashMap, HashSet};
 use crate::collection::Collection;
 use crate::freq::FreqTable;
 use crate::index_trait::TemporalIrIndex;
+use crate::method::Method;
 use crate::postings::TemporalList;
 use crate::types::{Object, ObjectId, TimeTravelQuery};
 use tir_invidx::compress::{BlockPostings, CompressedTemporalPostings};
@@ -75,18 +76,40 @@ impl CompressedTif {
                 .map(|c| c.size_bytes() + 16)
                 .sum::<usize>()
     }
+
+    /// Document frequency of an element as tracked by the planner.
+    pub fn freq(&self, e: u32) -> u32 {
+        self.freqs.get(e)
+    }
+
+    /// Calls `f(element, ids, triples)` for every compressed base list,
+    /// in unspecified element order (introspection for validators).
+    pub fn for_each_base(
+        &self,
+        mut f: impl FnMut(u32, &BlockPostings, Option<&CompressedTemporalPostings>),
+    ) {
+        for (&e, ids) in &self.base_ids {
+            f(e, ids, self.base_temporal.get(&e));
+        }
+    }
+
+    /// Calls `f(element, list)` for every overlay list, in unspecified
+    /// element order (introspection for validators).
+    pub fn for_each_overlay(&self, mut f: impl FnMut(u32, &TemporalList)) {
+        for (&e, list) in &self.overlay {
+            f(e, list);
+        }
+    }
+
+    /// The base objects deleted so far (introspection for validators).
+    pub fn dead(&self) -> &HashSet<ObjectId> {
+        &self.dead
+    }
 }
 
 impl TemporalIrIndex for CompressedTif {
     fn name(&self) -> &'static str {
-        "cTIF"
-    }
-
-    fn query(&self, q: &TimeTravelQuery) -> Vec<ObjectId> {
-        let mut scratch = QueryScratch::default();
-        let mut out = Vec::new();
-        self.query_into(q, &mut scratch, &mut out);
-        out
+        Method::Ctif.paper_name()
     }
 
     fn query_into(&self, q: &TimeTravelQuery, scratch: &mut QueryScratch, out: &mut Vec<ObjectId>) {

@@ -9,6 +9,7 @@ use std::collections::HashMap;
 use crate::collection::Collection;
 use crate::freq::FreqTable;
 use crate::index_trait::TemporalIrIndex;
+use crate::method::Method;
 use crate::types::{Object, ObjectId, TimeTravelQuery, Timestamp};
 use tir_hint::{DivisionOrder, Hint, HintConfig, IntervalRecord};
 use tir_invidx::planner::{Kernel, QueryScratch};
@@ -115,7 +116,7 @@ impl TifHintSlicing {
 
     /// Slice index of a raw timestamp (clamped to the domain).
     #[inline]
-    fn slice_of(&self, t: Timestamp) -> u32 {
+    pub fn slice_of(&self, t: Timestamp) -> u32 {
         let t = t.clamp(self.domain_min, self.domain_max);
         let span = (self.domain_max - self.domain_min) as u128 + 1;
         // analyze:allow(unguarded-cast): quotient is < k, and k is already a u32
@@ -167,18 +168,40 @@ impl TifHintSlicing {
     pub fn m(&self) -> u32 {
         self.m
     }
+
+    /// Number of slices of the sliced copy.
+    pub fn num_slices(&self) -> u32 {
+        self.k
+    }
+
+    /// Document frequency of an element as tracked by the planner.
+    pub fn freq(&self, e: u32) -> u32 {
+        self.freqs.get(e)
+    }
+
+    /// Calls `f(element, hint)` for every per-element HINT, in
+    /// unspecified element order (introspection for validators).
+    pub fn for_each_hint(&self, mut f: impl FnMut(u32, &Hint)) {
+        for (&e, h) in &self.hints {
+            f(e, h);
+        }
+    }
+
+    /// Calls `f(element, slice, ids, starts)` for every materialized
+    /// sub-list of the sliced copy, slices ascending per element
+    /// (introspection for validators).
+    pub fn for_each_sublist(&self, mut f: impl FnMut(u32, u32, &[u32], &[Timestamp])) {
+        for (&e, sc) in &self.slices {
+            for (s, sub) in (sc.first..).zip(&sc.subs) {
+                f(e, s, &sub.ids, &sub.sts);
+            }
+        }
+    }
 }
 
 impl TemporalIrIndex for TifHintSlicing {
     fn name(&self) -> &'static str {
-        "tIF+HINT+Slicing"
-    }
-
-    fn query(&self, q: &TimeTravelQuery) -> Vec<ObjectId> {
-        let mut scratch = QueryScratch::default();
-        let mut out = Vec::new();
-        self.query_into(q, &mut scratch, &mut out);
-        out
+        Method::Hybrid.paper_name()
     }
 
     fn query_into(&self, q: &TimeTravelQuery, scratch: &mut QueryScratch, out: &mut Vec<ObjectId>) {

@@ -8,7 +8,7 @@ use tir_invidx::QueryScratch;
 ///
 /// Contract shared by all implementations:
 ///
-/// * `query` returns the exact answer set of Definition 2.1, with **every
+/// * a query returns the exact answer set of Definition 2.1, with **every
 ///   qualifying id exactly once**, in unspecified order;
 /// * a query whose `elems` is empty returns an empty result (the paper's
 ///   queries always carry at least one element);
@@ -20,19 +20,21 @@ pub trait TemporalIrIndex {
     /// Short stable name used in benchmark tables (e.g. `"tIF+Slicing"`).
     fn name(&self) -> &'static str;
 
-    /// Answers a time-travel IR query.
-    fn query(&self, q: &TimeTravelQuery) -> Vec<ObjectId>;
-
     /// Answers a query through a reusable [`QueryScratch`], appending the
-    /// answer set to `out`. Steady-state callers that hold one scratch
-    /// and one output buffer per worker (the serve pool, bench loops)
-    /// thereby amortize every intermediate allocation; per-query planner
-    /// counters land in [`QueryScratch::last_stats`]. The default
-    /// delegates to [`Self::query`]; every index in this crate overrides
-    /// both methods so neither falls through to the other.
-    fn query_into(&self, q: &TimeTravelQuery, scratch: &mut QueryScratch, out: &mut Vec<ObjectId>) {
-        let _ = scratch;
-        out.extend(self.query(q));
+    /// answer set to `out` — the one query entry point every index
+    /// implements. Steady-state callers that hold one scratch and one
+    /// output buffer per worker (the serve pool, bench loops) thereby
+    /// amortize every intermediate allocation; per-query planner counters
+    /// land in [`QueryScratch::last_stats`].
+    fn query_into(&self, q: &TimeTravelQuery, scratch: &mut QueryScratch, out: &mut Vec<ObjectId>);
+
+    /// Answers a query into a fresh vector: [`Self::query_into`] with a
+    /// throwaway scratch, for one-off callers.
+    fn query(&self, q: &TimeTravelQuery) -> Vec<ObjectId> {
+        let mut scratch = QueryScratch::default();
+        let mut out = Vec::new();
+        self.query_into(q, &mut scratch, &mut out);
+        out
     }
 
     /// Adds one object.
@@ -56,30 +58,17 @@ pub trait TemporalIrIndex {
     }
 }
 
-/// A heap-allocated index behind the common trait, shareable across
-/// threads — the snapshot currency of the serving layer (`tir-serve`
-/// wraps one per epoch in an `Arc`).
-pub type SharedIndex = Box<dyn TemporalIrIndex + Send + Sync>;
-
 // Compile-time `Send + Sync` audit: every index implementation must be
 // safely shareable across reader threads (queries take `&self`) and
 // transferable to the single-writer applier thread of the serving layer.
-// A new index type that smuggles in `Rc`/`RefCell`/raw-pointer state
-// breaks this `const` block at compile time, not in a stress test.
+// The nine registry methods are audited by `Method::build`, whose return
+// type demands both of every row; the types outside the registry are
+// pinned here. An index that smuggles in `Rc`/`RefCell`/raw-pointer
+// state breaks the build, not a stress test.
 const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = {
-    assert_send_sync::<crate::compressed_tif::CompressedTif>();
-    assert_send_sync::<crate::hybrid::TifHintSlicing>();
-    assert_send_sync::<crate::irhint_perf::IrHintPerf>();
-    assert_send_sync::<crate::irhint_size::IrHintSize>();
     assert_send_sync::<crate::oracle::BruteForce>();
     assert_send_sync::<crate::ranked::RankedTif>();
-    assert_send_sync::<crate::sharding::TifSharding>();
-    assert_send_sync::<crate::slicing::TifSlicing>();
-    assert_send_sync::<crate::tif::Tif>();
-    assert_send_sync::<crate::tif_hint::TifHint>();
-    assert_send_sync::<SharedIndex>();
-    assert_send_sync::<std::sync::Arc<dyn TemporalIrIndex + Send + Sync>>();
 };
 
 /// Inserts a batch of objects (the paper's insertion experiments use 1%,

@@ -10,6 +10,7 @@ use std::collections::HashMap;
 use crate::collection::Collection;
 use crate::freq::FreqTable;
 use crate::index_trait::TemporalIrIndex;
+use crate::method::Method;
 use crate::types::{ElemId, Object, ObjectId, TimeTravelQuery, Timestamp};
 use tir_hint::layout::refine_mode;
 use tir_hint::{CheckMode, DivisionKind, Domain, Layout};
@@ -245,14 +246,7 @@ fn kind_of(original: bool, ends_inside: bool) -> DivisionKind {
 
 impl TemporalIrIndex for IrHintPerf {
     fn name(&self) -> &'static str {
-        "irHINT(perf)"
-    }
-
-    fn query(&self, q: &TimeTravelQuery) -> Vec<ObjectId> {
-        let mut scratch = QueryScratch::default();
-        let mut out = Vec::new();
-        self.query_into(q, &mut scratch, &mut out);
-        out
+        Method::IrHintPerf.paper_name()
     }
 
     fn query_into(&self, q: &TimeTravelQuery, scratch: &mut QueryScratch, out: &mut Vec<ObjectId>) {

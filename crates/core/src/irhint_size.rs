@@ -10,6 +10,7 @@ use std::collections::HashMap;
 use crate::collection::Collection;
 use crate::freq::FreqTable;
 use crate::index_trait::TemporalIrIndex;
+use crate::method::Method;
 use crate::types::{ElemId, Object, ObjectId, TimeTravelQuery};
 use tir_hint::{CheckMode, Hint, HintConfig, IntervalRecord};
 use tir_invidx::planner::{Kernel, Postings, QueryScratch};
@@ -171,14 +172,7 @@ impl IrHintSize {
 
 impl TemporalIrIndex for IrHintSize {
     fn name(&self) -> &'static str {
-        "irHINT(size)"
-    }
-
-    fn query(&self, q: &TimeTravelQuery) -> Vec<ObjectId> {
-        let mut scratch = QueryScratch::default();
-        let mut out = Vec::new();
-        self.query_into(q, &mut scratch, &mut out);
-        out
+        Method::IrHintSize.paper_name()
     }
 
     fn query_into(&self, q: &TimeTravelQuery, scratch: &mut QueryScratch, out: &mut Vec<ObjectId>) {

@@ -1,18 +1,11 @@
 //! Temporal-IR joins (extension; Section 7 names joins as future work).
 //!
-//! Two flavours over a pair of collections `A`, `B`:
-//!
-//! * [`temporal_common_elements_join`] — all pairs `(a, b)` whose
-//!   intervals overlap and whose descriptions share at least
-//!   `min_common` elements (e.g. "sessions that listened to ≥ 2 of the
-//!   same tracks at the same time");
-//! * [`temporal_join_with_elements`] — all overlapping pairs where *both*
-//!   descriptions contain a given element set (e.g. "co-occurring
-//!   revisions that both mention 'elections'"); the element predicate is
-//!   pushed down through inverted postings before the interval sweep.
+//! [`temporal_common_elements_join`] over a pair of collections `A`, `B`
+//! returns all pairs `(a, b)` whose intervals overlap and whose
+//! descriptions share at least `min_common` elements (e.g. "sessions
+//! that listened to ≥ 2 of the same tracks at the same time").
 
 use crate::collection::Collection;
-use crate::postings::build_lists;
 use crate::types::{ElemId, ObjectId};
 use tir_hint::{forward_scan_join, IntervalRecord};
 
@@ -80,72 +73,6 @@ pub fn temporal_common_elements_join(
                 common,
             });
         }
-    });
-    out.sort_unstable();
-    out
-}
-
-/// All overlapping `(a, b)` pairs where both descriptions contain every
-/// element of `required`, sorted by `(left, right)`.
-///
-/// The element predicate is evaluated first through each side's postings
-/// lists, so the interval sweep runs only over the qualifying objects —
-/// the join-side analogue of intersecting postings before the temporal
-/// check.
-pub fn temporal_join_with_elements(
-    a: &Collection,
-    b: &Collection,
-    required: &[ElemId],
-) -> Vec<JoinPair> {
-    if required.is_empty() {
-        return Vec::new();
-    }
-    let filter = |coll: &Collection| -> Vec<IntervalRecord> {
-        // Intersect the postings of all required elements.
-        let lists = build_lists(coll.objects());
-        let mut req = required.to_vec();
-        req.sort_unstable();
-        req.dedup();
-        let mut iter = req.iter();
-        // `required` is non-empty (checked above), so dedup keeps >= 1.
-        let Some(first) = iter.next() else {
-            return Vec::new();
-        };
-        let mut ids: Vec<u32> = match lists.get(first) {
-            Some(l) => l.ids.clone(),
-            None => return Vec::new(),
-        };
-        for e in iter {
-            let mut next = Vec::new();
-            if let Some(l) = lists.get(e) {
-                tir_invidx::intersect_merge_into(&ids, &l.ids, &mut next);
-            }
-            ids = next;
-            if ids.is_empty() {
-                return Vec::new();
-            }
-        }
-        ids.iter()
-            .map(|&id| {
-                let o = coll.get(id);
-                IntervalRecord {
-                    id,
-                    st: o.interval.st,
-                    end: o.interval.end,
-                }
-            })
-            .collect()
-    };
-    let ra = filter(a);
-    let rb = filter(b);
-    let mut out = Vec::new();
-    forward_scan_join(&ra, &rb, |la, rb_id| {
-        let common = common_count(&a.get(la).desc, &b.get(rb_id).desc);
-        out.push(JoinPair {
-            left: la,
-            right: rb_id,
-            common,
-        });
     });
     out.sort_unstable();
     out
@@ -233,31 +160,6 @@ mod tests {
                 oracle(&a, &b, min_common)
             );
         }
-    }
-
-    #[test]
-    fn element_constrained_join() {
-        let (a, b) = (coll_a(), coll_b());
-        // Pairs where both sides contain element 2.
-        let got = temporal_join_with_elements(&a, &b, &[2]);
-        let want: Vec<JoinPair> = oracle(&a, &b, 1)
-            .into_iter()
-            .filter(|p| a.get(p.left).desc.contains(&2) && b.get(p.right).desc.contains(&2))
-            .collect();
-        assert_eq!(got, want);
-        // Element 9: only a3 × b3 overlap-wise.
-        let got = temporal_join_with_elements(&a, &b, &[9]);
-        assert_eq!(
-            got,
-            vec![JoinPair {
-                left: 3,
-                right: 3,
-                common: 1
-            }]
-        );
-        // Unknown element: empty.
-        assert!(temporal_join_with_elements(&a, &b, &[42]).is_empty());
-        assert!(temporal_join_with_elements(&a, &b, &[]).is_empty());
     }
 
     #[test]

@@ -17,13 +17,18 @@
 //! | [`TifHintSlicing`] | dual-copy hybrid | §3.2 |
 //! | [`IrHintPerf`] | time-first, tIF per division | §4.1, Alg. 5 |
 //! | [`IrHintSize`] | time-first, decoupled dual structure | §4.2, Alg. 6 |
+//! | [`CompressedTif`] | block-compressed base + uncompressed overlay | §7 (future work) |
 //!
-//! Extensions beyond the paper: [`CompressedTif`] explores the
-//! compression future-work direction (delta/varint base + uncompressed
-//! overlay), and [`ranked`] adds relevance-ranked top-k retrieval.
+//! Those nine rows are the closed set [`Method`] enumerates: the registry
+//! names each method (CLI spelling and paper name), builds it with the
+//! paper-tuned defaults behind `dyn` ([`Method::build`]), and dispatches
+//! statically to the concrete type ([`with_method!`]). All indexes
+//! implement [`TemporalIrIndex`] — one required query entry point,
+//! `query_into`, with `query` provided over it — and agree exactly with
+//! the [`BruteForce`] oracle.
 //!
-//! All indexes implement [`TemporalIrIndex`] and agree exactly with the
-//! [`BruteForce`] oracle.
+//! Extensions beyond the paper: [`ranked`] adds relevance-ranked top-k
+//! retrieval and [`joins`] a temporal-IR join.
 //!
 //! ```
 //! use tir_core::prelude::*;
@@ -47,6 +52,7 @@ pub mod index_trait;
 pub mod irhint_perf;
 pub mod irhint_size;
 pub mod joins;
+pub mod method;
 pub mod oracle;
 pub mod postings;
 pub mod ranked;
@@ -59,10 +65,11 @@ pub mod types;
 pub use collection::{Collection, CollectionStats};
 pub use compressed_tif::CompressedTif;
 pub use hybrid::TifHintSlicing;
-pub use index_trait::{delete_batch, insert_batch, SharedIndex, TemporalIrIndex};
+pub use index_trait::{delete_batch, insert_batch, TemporalIrIndex};
 pub use irhint_perf::IrHintPerf;
 pub use irhint_size::IrHintSize;
-pub use joins::{temporal_common_elements_join, temporal_join_with_elements, JoinPair};
+pub use joins::{temporal_common_elements_join, JoinPair};
+pub use method::Method;
 pub use oracle::BruteForce;
 pub use ranked::{RankedQuery, RankedTif, ScoredHit};
 pub use sharding::{ShardView, ShardingConfig, TifSharding, IMPACT_STRIDE};
@@ -77,9 +84,10 @@ pub mod prelude {
     pub use crate::collection::{Collection, CollectionStats};
     pub use crate::compressed_tif::CompressedTif;
     pub use crate::hybrid::TifHintSlicing;
-    pub use crate::index_trait::{delete_batch, insert_batch, SharedIndex, TemporalIrIndex};
+    pub use crate::index_trait::{delete_batch, insert_batch, TemporalIrIndex};
     pub use crate::irhint_perf::IrHintPerf;
     pub use crate::irhint_size::IrHintSize;
+    pub use crate::method::Method;
     pub use crate::oracle::BruteForce;
     pub use crate::ranked::{RankedQuery, RankedTif, ScoredHit};
     pub use crate::sharding::TifSharding;

@@ -3,6 +3,7 @@
 
 use crate::index_trait::TemporalIrIndex;
 use crate::types::{Object, ObjectId, TimeTravelQuery};
+use tir_invidx::QueryScratch;
 
 /// Sequential scan over the stored objects; `O(n)` per query.
 #[derive(Debug, Clone, Default)]
@@ -32,18 +33,7 @@ impl BruteForce {
 
     /// Sorted answer to a query — the canonical expected value.
     pub fn answer(&self, q: &TimeTravelQuery) -> Vec<ObjectId> {
-        if q.elems.is_empty() {
-            return Vec::new();
-        }
-        let mut out: Vec<ObjectId> = self
-            .objects
-            .iter()
-            .zip(&self.deleted)
-            .filter(|(o, &dead)| !dead && q.matches(o))
-            .map(|(o, _)| o.id)
-            .collect();
-        out.sort_unstable();
-        out
+        self.query(q)
     }
 }
 
@@ -52,8 +42,24 @@ impl TemporalIrIndex for BruteForce {
         "brute-force"
     }
 
-    fn query(&self, q: &TimeTravelQuery) -> Vec<ObjectId> {
-        self.answer(q)
+    fn query_into(
+        &self,
+        q: &TimeTravelQuery,
+        _scratch: &mut QueryScratch,
+        out: &mut Vec<ObjectId>,
+    ) {
+        if q.elems.is_empty() {
+            return;
+        }
+        let start = out.len();
+        out.extend(
+            self.objects
+                .iter()
+                .zip(&self.deleted)
+                .filter(|(o, &dead)| !dead && q.matches(o))
+                .map(|(o, _)| o.id),
+        );
+        out[start..].sort_unstable();
     }
 
     fn insert(&mut self, o: &Object) {

@@ -9,6 +9,7 @@ use std::collections::HashMap;
 use crate::collection::Collection;
 use crate::freq::FreqTable;
 use crate::index_trait::TemporalIrIndex;
+use crate::method::Method;
 use crate::types::{Object, ObjectId, TimeTravelQuery, Timestamp};
 use tir_invidx::planner::{Kernel, QueryScratch};
 use tir_invidx::{live, TOMBSTONE};
@@ -266,14 +267,7 @@ fn build_shards(entries: &[(Timestamp, Timestamp, u32)], config: ShardingConfig)
 
 impl TemporalIrIndex for TifSharding {
     fn name(&self) -> &'static str {
-        "tIF+Sharding"
-    }
-
-    fn query(&self, q: &TimeTravelQuery) -> Vec<ObjectId> {
-        let mut scratch = QueryScratch::default();
-        let mut out = Vec::new();
-        self.query_into(q, &mut scratch, &mut out);
-        out
+        Method::Sharding.paper_name()
     }
 
     fn query_into(&self, q: &TimeTravelQuery, scratch: &mut QueryScratch, out: &mut Vec<ObjectId>) {

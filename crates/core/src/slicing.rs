@@ -8,6 +8,7 @@ use std::collections::HashMap;
 use crate::collection::Collection;
 use crate::freq::FreqTable;
 use crate::index_trait::TemporalIrIndex;
+use crate::method::Method;
 use crate::postings::TemporalList;
 use crate::types::{Object, ObjectId, TimeTravelQuery, Timestamp};
 use tir_invidx::live;
@@ -154,14 +155,7 @@ impl TifSlicing {
 
 impl TemporalIrIndex for TifSlicing {
     fn name(&self) -> &'static str {
-        "tIF+Slicing"
-    }
-
-    fn query(&self, q: &TimeTravelQuery) -> Vec<ObjectId> {
-        let mut scratch = QueryScratch::default();
-        let mut out = Vec::new();
-        self.query_into(q, &mut scratch, &mut out);
-        out
+        Method::Slicing.paper_name()
     }
 
     fn query_into(&self, q: &TimeTravelQuery, scratch: &mut QueryScratch, out: &mut Vec<ObjectId>) {

@@ -6,6 +6,7 @@ use std::collections::HashMap;
 use crate::collection::Collection;
 use crate::freq::FreqTable;
 use crate::index_trait::TemporalIrIndex;
+use crate::method::Method;
 use crate::postings::{build_lists, TemporalList};
 use crate::types::{Object, ObjectId, TimeTravelQuery};
 use tir_invidx::planner::{Kernel, Postings, QueryScratch};
@@ -109,14 +110,7 @@ impl Tif {
 
 impl TemporalIrIndex for Tif {
     fn name(&self) -> &'static str {
-        "tIF"
-    }
-
-    fn query(&self, q: &TimeTravelQuery) -> Vec<ObjectId> {
-        let mut scratch = QueryScratch::default();
-        let mut out = Vec::new();
-        self.query_into(q, &mut scratch, &mut out);
-        out
+        Method::Tif.paper_name()
     }
 
     fn query_into(&self, q: &TimeTravelQuery, scratch: &mut QueryScratch, out: &mut Vec<ObjectId>) {

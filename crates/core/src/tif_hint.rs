@@ -13,6 +13,7 @@ use std::collections::HashMap;
 use crate::collection::Collection;
 use crate::freq::FreqTable;
 use crate::index_trait::TemporalIrIndex;
+use crate::method::Method;
 use crate::types::{Object, ObjectId, TimeTravelQuery, Timestamp};
 use tir_hint::{CheckMode, DivisionOrder, Hint, HintConfig, IntervalRecord};
 use tir_invidx::planner::{Kernel, QueryScratch};
@@ -223,16 +224,10 @@ impl TifHint {
 impl TemporalIrIndex for TifHint {
     fn name(&self) -> &'static str {
         match self.config.strategy {
-            IntersectStrategy::BinarySearch => "tIF+HINT(bs)",
-            IntersectStrategy::MergeSort => "tIF+HINT(ms)",
+            IntersectStrategy::BinarySearch => Method::TifHintBs,
+            IntersectStrategy::MergeSort => Method::TifHintMs,
         }
-    }
-
-    fn query(&self, q: &TimeTravelQuery) -> Vec<ObjectId> {
-        let mut scratch = QueryScratch::default();
-        let mut out = Vec::new();
-        self.query_into(q, &mut scratch, &mut out);
-        out
+        .paper_name()
     }
 
     fn query_into(&self, q: &TimeTravelQuery, scratch: &mut QueryScratch, out: &mut Vec<ObjectId>) {

@@ -62,6 +62,7 @@ fn all_indexes(coll: &Collection) -> Vec<Box<dyn TemporalIrIndex>> {
         Box::new(TifHintSlicing::build_with_params(coll, 4, 5)),
         Box::new(IrHintPerf::build_with_m(coll, 6)),
         Box::new(IrHintSize::build_with_m(coll, 6)),
+        Box::new(CompressedTif::build(coll)),
     ]
 }
 

@@ -8,8 +8,7 @@
 //!   cache-miss optimizations, plus incremental inserts and logical
 //!   deletes;
 //! * [`Grid1D`] — the flat 1D-grid underlying the Slicing technique;
-//! * [`IntervalTree`], [`SegmentTree`], [`TimelineIndex`],
-//!   [`PeriodIndex`] — the classical baselines of the paper's related
+//! * [`IntervalTree`] — the classical baseline of the paper's related
 //!   work (Section 6.2);
 //! * [`allen`] — Allen-relationship queries on HINT;
 //! * [`join`] — interval overlap joins (plane sweep, grid, index-NL);
@@ -32,9 +31,6 @@ pub mod interval_tree;
 pub mod join;
 pub mod layout;
 pub mod partition;
-pub mod period_index;
-pub mod segment_tree;
-pub mod timeline;
 
 pub use allen::{brute_force_allen, AllenRelation};
 pub use domain::Domain;
@@ -44,9 +40,6 @@ pub use interval_tree::IntervalTree;
 pub use join::{brute_force_join, forward_scan_join, grid_join, hint_inl_join};
 pub use layout::{CheckMode, DivisionKind, Layout};
 pub use partition::{DivisionOrder, DivisionView, TOMBSTONE};
-pub use period_index::PeriodIndex;
-pub use segment_tree::SegmentTree;
-pub use timeline::TimelineIndex;
 
 /// An interval with an attached object id — the unit every index in this
 /// crate stores.

@@ -1,13 +1,11 @@
-//! Property tests for the extension modules: Allen-relationship queries,
-//! interval joins, and the additional baselines (segment tree, timeline,
-//! period index) against their oracles.
+//! Property tests for the extension modules: Allen-relationship queries
+//! and interval joins against their oracles.
 
 use proptest::prelude::*;
 use tir_hint::allen::brute_force_allen;
 use tir_hint::{
-    brute_force_join, brute_force_overlap, forward_scan_join, grid_join, hint_inl_join,
-    AllenRelation, DivisionOrder, Hint, HintConfig, IntervalRecord, PeriodIndex, SegmentTree,
-    TimelineIndex,
+    brute_force_join, forward_scan_join, grid_join, hint_inl_join, AllenRelation, DivisionOrder,
+    Hint, HintConfig, IntervalRecord,
 };
 
 fn arb_records(max_len: usize, domain: u64) -> impl Strategy<Value = Vec<IntervalRecord>> {
@@ -71,60 +69,6 @@ proptest! {
         hint_inl_join(&a, &hint, |x, y| inl.push((x, y)));
         inl.sort_unstable();
         prop_assert_eq!(&inl, &want, "hint INL join");
-    }
-
-    #[test]
-    fn segment_tree_stabbing_matches_oracle(
-        recs in arb_records(80, 500),
-        t in 0u64..550,
-    ) {
-        let tree = SegmentTree::build(&recs);
-        let mut got = tree.stab_query(t);
-        let n = got.len();
-        got.sort_unstable();
-        got.dedup();
-        prop_assert_eq!(n, got.len());
-        prop_assert_eq!(got, brute_force_overlap(&recs, t, t));
-    }
-
-    #[test]
-    fn timeline_matches_oracle(
-        recs in arb_records(80, 500),
-        (qa, qb) in (0u64..550, 0u64..550),
-        every in 1usize..40,
-    ) {
-        let (q_st, q_end) = (qa.min(qb), qa.max(qb));
-        let idx = TimelineIndex::build_with_checkpoints(&recs, every);
-        let mut got = idx.range_query(q_st, q_end);
-        let n = got.len();
-        got.sort_unstable();
-        got.dedup();
-        prop_assert_eq!(n, got.len());
-        prop_assert_eq!(got, brute_force_overlap(&recs, q_st, q_end));
-    }
-
-    #[test]
-    fn period_index_matches_oracle(
-        recs in arb_records(80, 500),
-        (qa, qb) in (0u64..550, 0u64..550),
-        k in 1u32..20,
-        (da, db) in (1u64..600, 1u64..600),
-    ) {
-        let (q_st, q_end) = (qa.min(qb), qa.max(qb));
-        let (d_min, d_max) = (da.min(db), da.max(db));
-        let idx = PeriodIndex::build(&recs, k);
-        let mut got = idx.range_duration_query(q_st, q_end, d_min, d_max);
-        got.sort_unstable();
-        got.dedup();
-        let want: Vec<u32> = brute_force_overlap(&recs, q_st, q_end)
-            .into_iter()
-            .filter(|&id| {
-                let r = recs[id as usize];
-                let dur = r.end - r.st + 1;
-                dur >= d_min && dur <= d_max
-            })
-            .collect();
-        prop_assert_eq!(got, want);
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Compressed postings lists: delta + LEB128 varint encoding, plus
-//! stream-vbyte [`BlockPostings`] with per-block skip bounds.
+//! Compressed postings lists: stream-vbyte [`BlockPostings`] with
+//! per-block skip bounds for id lists, delta + LEB128 varint triples
+//! ([`CompressedTemporalPostings`]) for time-aware lists.
 //!
 //! The paper leaves inverted-file compression as future work (Section 7);
 //! this module provides the standard techniques so the IR-first indexes
 //! can trade CPU for space. Lists are immutable once encoded — dynamic
 //! updates go to an uncompressed overlay (see `tir-core`'s
-//! `CompressedTif`). [`CompressedPostings`] is the byte-at-a-time varint
-//! form; [`BlockPostings`] re-arranges the same deltas into the
+//! `CompressedTif`). [`BlockPostings`] arranges id deltas in the
 //! stream-vbyte layout (control bytes and data bytes in separate
 //! streams, [`BLOCK_LEN`] ids per block with its first/last id kept
 //! uncompressed) so blocks decode through the SSSE3 kernel in
@@ -43,130 +43,6 @@ fn get_varint(data: &[u8], pos: &mut usize) -> u64 {
             return v;
         }
         shift += 7;
-    }
-}
-
-/// A compressed id-sorted postings list: ids are delta-encoded varints.
-#[derive(Debug, Clone, Default)]
-pub struct CompressedPostings {
-    data: Vec<u8>,
-    len: u32,
-}
-
-impl CompressedPostings {
-    /// Encodes a sorted, duplicate-free id list.
-    pub fn encode(ids: &[u32]) -> Self {
-        debug_assert!(
-            ids.windows(2).all(|w| w[0] < w[1]),
-            "ids must be strictly ascending"
-        );
-        let mut data = Vec::with_capacity(ids.len() * 2);
-        let mut prev = 0u32;
-        for (i, &id) in ids.iter().enumerate() {
-            let delta = if i == 0 { id } else { id - prev };
-            put_varint(&mut data, delta as u64);
-            prev = id;
-        }
-        data.shrink_to_fit();
-        CompressedPostings {
-            data,
-            // analyze:allow(unguarded-cast): posting count is bounded by the u32 id space
-            len: ids.len() as u32,
-        }
-    }
-
-    /// Number of encoded postings.
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// True if no posting is encoded.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Decodes into `out` (cleared first).
-    pub fn decode_into(&self, out: &mut Vec<u32>) {
-        out.clear();
-        out.reserve(self.len as usize);
-        let mut pos = 0;
-        let mut acc = 0u32;
-        for i in 0..self.len {
-            // analyze:allow(unguarded-cast): deltas were encoded from u32 ids, so each fits on decode
-            let delta = get_varint(&self.data, &mut pos) as u32;
-            acc = if i == 0 { delta } else { acc + delta };
-            out.push(acc);
-        }
-    }
-
-    /// Iterates the decoded ids without materializing them.
-    pub fn iter(&self) -> CompressedIter<'_> {
-        CompressedIter {
-            data: &self.data,
-            pos: 0,
-            remaining: self.len,
-            acc: 0,
-            first: true,
-        }
-    }
-
-    /// Streaming intersection with a sorted candidate set; appends every
-    /// candidate present in this list to `out`.
-    pub fn intersect_into(&self, cands: &[u32], out: &mut Vec<u32>) {
-        let mut ci = 0usize;
-        for id in self.iter() {
-            while ci < cands.len() && cands[ci] < id {
-                ci += 1;
-            }
-            if ci == cands.len() {
-                return;
-            }
-            if cands[ci] == id {
-                out.push(id);
-                ci += 1;
-            }
-        }
-    }
-
-    /// Encoded size in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.data.capacity() + std::mem::size_of::<Self>()
-    }
-
-    /// The raw encoded bytes (introspection for validators, which
-    /// re-walk the varint stream with bounds checking).
-    pub fn raw_bytes(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-/// Iterator over a [`CompressedPostings`].
-#[derive(Debug)]
-pub struct CompressedIter<'a> {
-    data: &'a [u8],
-    pos: usize,
-    remaining: u32,
-    acc: u32,
-    first: bool,
-}
-
-impl Iterator for CompressedIter<'_> {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        // analyze:allow(unguarded-cast): deltas were encoded from u32 ids, so each fits on decode
-        let delta = get_varint(self.data, &mut self.pos) as u32;
-        self.acc = if self.first { delta } else { self.acc + delta };
-        self.first = false;
-        Some(self.acc)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining as usize, Some(self.remaining as usize))
     }
 }
 
@@ -524,45 +400,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn roundtrip() {
-        let ids = vec![0u32, 1, 127, 128, 300, 1_000_000, 1_000_001];
-        let c = CompressedPostings::encode(&ids);
-        let mut out = Vec::new();
-        c.decode_into(&mut out);
-        assert_eq!(out, ids);
-        assert_eq!(c.iter().collect::<Vec<_>>(), ids);
-        assert_eq!(c.len(), ids.len());
-    }
-
-    #[test]
-    fn empty_list() {
-        let c = CompressedPostings::encode(&[]);
-        assert!(c.is_empty());
-        assert_eq!(c.iter().count(), 0);
-    }
-
-    #[test]
-    fn compresses_dense_lists() {
-        let ids: Vec<u32> = (0..10_000).collect();
-        let c = CompressedPostings::encode(&ids);
-        assert!(
-            c.size_bytes() < ids.len() * 2,
-            "dense deltas should take ~1 byte each, got {}",
-            c.size_bytes()
-        );
-    }
-
-    #[test]
-    fn streaming_intersection() {
-        let ids: Vec<u32> = (0..1000).map(|i| i * 3).collect();
-        let c = CompressedPostings::encode(&ids);
-        let cands = vec![0u32, 2, 3, 9, 10, 2997, 3000];
-        let mut out = Vec::new();
-        c.intersect_into(&cands, &mut out);
-        assert_eq!(out, vec![0, 3, 9, 2997]);
-    }
-
-    #[test]
     fn temporal_roundtrip() {
         let ids = vec![5u32, 9, 1000];
         let sts = vec![100u64, 0, 1 << 40];
@@ -628,7 +465,7 @@ mod tests {
     }
 
     #[test]
-    fn block_matches_varint_form_on_large_deltas() {
+    fn block_roundtrip_on_large_deltas() {
         let ids: Vec<u32> = (0..500u32)
             .scan(3u32, |acc, i| {
                 *acc = acc.wrapping_add(1 + i * 8191 % 100_000);
@@ -637,10 +474,9 @@ mod tests {
             .collect();
         assert!(ids.windows(2).all(|w| w[0] < w[1]));
         let bp = BlockPostings::encode(&ids);
-        let cp = CompressedPostings::encode(&ids);
         let mut got = Vec::new();
         bp.for_each(|id| got.push(id));
-        assert_eq!(got, cp.iter().collect::<Vec<_>>());
+        assert_eq!(got, ids);
     }
 
     #[test]

@@ -160,13 +160,6 @@ pub fn intersect_adaptive_into(cands: &[u32], postings: &[u32], out: &mut Vec<u3
     }
 }
 
-/// Binary-search membership test in a clean sorted candidate set — the
-/// per-object probe of Algorithm 3.
-#[inline]
-pub fn contains_sorted(cands: &[u32], id: u32) -> bool {
-    cands.binary_search(&id).is_ok()
-}
-
 /// Marks `hits[i] = true` for every candidate `cands[i]` that has a live
 /// posting. Used when a candidate may occur in several postings runs (e.g.
 /// replicated slice sub-lists) and must still be emitted once.
@@ -269,19 +262,6 @@ pub fn mark_hits_gallop_rev(cands: &[u32], postings: &[u32], hits: &mut [bool]) 
     }
 }
 
-/// Merges many sorted id runs into one sorted, deduplicated vector.
-/// Tombstoned entries are dropped.
-pub fn kway_merge_dedup(runs: &[&[u32]]) -> Vec<u32> {
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    let mut all = Vec::with_capacity(total);
-    for run in runs {
-        all.extend(run.iter().copied().filter(|&id| live(id)));
-    }
-    all.sort_unstable();
-    all.dedup();
-    all
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,20 +313,5 @@ mod tests {
         let mut out = Vec::new();
         intersect_gallop_into(&cands, &postings, &mut out);
         assert_eq!(out, vec![0, 2999 * 3, 9999 * 3]);
-    }
-
-    #[test]
-    fn kway_merge_dedups_and_drops_dead() {
-        let a = [1u32, 4, 9];
-        let b = [2u32, 4 | TOMBSTONE, 9];
-        let got = kway_merge_dedup(&[&a, &b]);
-        assert_eq!(got, vec![1, 2, 4, 9]);
-    }
-
-    #[test]
-    fn contains_sorted_works() {
-        assert!(contains_sorted(&[1, 5, 9], 5));
-        assert!(!contains_sorted(&[1, 5, 9], 4));
-        assert!(!contains_sorted(&[], 4));
     }
 }

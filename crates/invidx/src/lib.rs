@@ -4,8 +4,6 @@
 //!
 //! * [`Dictionary`] — string-to-element-id interning with document
 //!   frequencies;
-//! * [`InvertedIndex`] — a corpus-level inverted index for classic
-//!   containment search;
 //! * [`CompactInverted`] / [`CompactTemporalInverted`] — flat,
 //!   low-overhead per-division indexes used inside irHINT partitions;
 //! * [`kernels`] — merge / galloping / adaptive sorted-set intersection
@@ -17,9 +15,9 @@
 //!   by density and run structure at build/compaction time;
 //! * [`planner`] — the cost-based conjunction planner and reusable
 //!   [`QueryScratch`] arena with per-query kernel counters;
-//! * [`compress`] — delta/varint compressed postings and stream-vbyte
-//!   [`BlockPostings`] with per-block skip bounds (the paper's
-//!   compression future-work direction).
+//! * [`compress`] — stream-vbyte [`BlockPostings`] with per-block skip
+//!   bounds and delta/varint temporal postings (the paper's compression
+//!   future-work direction).
 
 // `deny`, not `forbid`, so the audited [`simd`] module can locally
 // allow intrinsics — the same carve-out `tir-persist` uses for its mmap
@@ -33,21 +31,16 @@ pub mod compress;
 pub mod container;
 pub mod dict;
 pub mod kernels;
-pub mod plain;
 pub mod planner;
-pub mod sigfile;
 pub mod simd;
 
 pub use compact::{CompactInverted, CompactTemporalInverted, TemporalPostings};
-pub use compress::{BlockPostings, CompressedPostings, CompressedTemporalPostings};
+pub use compress::{BlockPostings, CompressedTemporalPostings};
 pub use container::{ContainerConfig, DenseBits, HybridPostings, PostingContainer, RunSet};
 pub use dict::Dictionary;
 pub use kernels::{
-    contains_sorted, intersect_adaptive_into, intersect_gallop_into, intersect_gallop_rev_into,
-    intersect_merge_into, kway_merge_dedup, live, mark_hits, mark_hits_gallop,
-    mark_hits_gallop_rev, raw, TOMBSTONE,
+    intersect_adaptive_into, intersect_gallop_into, intersect_gallop_rev_into,
+    intersect_merge_into, live, mark_hits, mark_hits_gallop, mark_hits_gallop_rev, raw, TOMBSTONE,
 };
-pub use plain::InvertedIndex;
 pub use planner::{global_stats, Kernel, PlanStats, Postings, QueryScratch};
-pub use sigfile::{Signature, SignatureFile};
 pub use simd::SimdLevel;

@@ -898,30 +898,6 @@ impl Drop for QueryScratch {
     }
 }
 
-/// Standalone planned intersection for call sites without a scratch
-/// (e.g. the corpus-level [`crate::InvertedIndex`]): merge-or-gallop by
-/// ratio, counted into the process-wide totals.
-pub fn intersect_ids_into(cands: &[u32], ids: &[u32], out: &mut Vec<u32>) -> Kernel {
-    let mut stats = PlanStats::default();
-    let kernel = if cands.len().saturating_mul(GALLOP_RATIO) < ids.len() {
-        simd::gallop_into(cands, ids, out);
-        stats.note(Kernel::Gallop, cands.len() as u64);
-        Kernel::Gallop
-    } else if ids.len().saturating_mul(GALLOP_RATIO) < cands.len() {
-        crate::kernels::intersect_gallop_rev_into(cands, ids, out);
-        stats.note(Kernel::Gallop, ids.len() as u64);
-        Kernel::Gallop
-    } else if simd::merge_into(cands, ids, out) {
-        stats.note(Kernel::SimdMerge, (cands.len() + ids.len()) as u64);
-        Kernel::SimdMerge
-    } else {
-        stats.note(Kernel::Merge, (cands.len() + ids.len()) as u64);
-        Kernel::Merge
-    };
-    flush_global(&stats);
-    kernel
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1209,9 +1185,12 @@ mod tests {
     #[test]
     fn global_counters_accumulate() {
         let before = global_stats();
-        let mut out = Vec::new();
-        intersect_ids_into(&[1, 2, 3], &[2, 3, 4], &mut out);
-        assert_eq!(out, vec![2, 3]);
+        let mut s = QueryScratch::default();
+        assert_eq!(
+            seq(&mut s, &[1, 2, 3], &[Postings::Ids(&[2, 3, 4])]),
+            vec![2, 3]
+        );
+        drop(s); // a scratch flushes its counters when the query finishes
         let after = global_stats();
         assert!(after.scanned > before.scanned);
         assert_eq!(after.kernel_scanned_sum(), after.scanned);

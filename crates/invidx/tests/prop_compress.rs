@@ -1,37 +1,10 @@
 //! Property tests for the compressed postings lists.
 
 use proptest::prelude::*;
-use std::collections::BTreeSet;
-use tir_invidx::compress::{CompressedPostings, CompressedTemporalPostings};
-
-fn sorted_ids(max: u32, len: usize) -> impl Strategy<Value = Vec<u32>> {
-    prop::collection::btree_set(0..max, 0..len).prop_map(|s| s.into_iter().collect())
-}
+use tir_invidx::compress::CompressedTemporalPostings;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn roundtrip(ids in sorted_ids(2_000_000, 300)) {
-        let c = CompressedPostings::encode(&ids);
-        let mut out = Vec::new();
-        c.decode_into(&mut out);
-        prop_assert_eq!(&out, &ids);
-        prop_assert_eq!(c.iter().collect::<Vec<_>>(), ids);
-    }
-
-    #[test]
-    fn intersect_matches_set_model(
-        ids in sorted_ids(5000, 200),
-        cands in sorted_ids(5000, 200),
-    ) {
-        let c = CompressedPostings::encode(&ids);
-        let set: BTreeSet<u32> = ids.iter().copied().collect();
-        let want: Vec<u32> = cands.iter().copied().filter(|x| set.contains(x)).collect();
-        let mut out = Vec::new();
-        c.intersect_into(&cands, &mut out);
-        prop_assert_eq!(out, want);
-    }
 
     #[test]
     fn temporal_roundtrip(
@@ -48,11 +21,5 @@ proptest! {
             .map(|(&id, &(st, d))| (id, st, st + d))
             .collect();
         prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn compressed_never_larger_than_eight_bytes_per_id(ids in sorted_ids(u32::MAX, 300)) {
-        let c = CompressedPostings::encode(&ids);
-        prop_assert!(c.size_bytes() <= ids.len() * 8 + 64);
     }
 }

@@ -5,8 +5,8 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use tir_invidx::{
     intersect_adaptive_into, intersect_gallop_into, intersect_merge_into, CompactInverted,
-    CompactTemporalInverted, ContainerConfig, HybridPostings, InvertedIndex, PostingContainer,
-    Postings, QueryScratch, TOMBSTONE,
+    CompactTemporalInverted, ContainerConfig, HybridPostings, PostingContainer, Postings,
+    QueryScratch, TOMBSTONE,
 };
 
 fn sorted_unique(max: u32, len: usize) -> impl Strategy<Value = Vec<u32>> {
@@ -256,23 +256,4 @@ proptest! {
         }
     }
 
-    #[test]
-    fn inverted_index_containment_matches_model(
-        descs in prop::collection::vec(prop::collection::btree_set(0u32..12, 1..6), 1..40),
-        query in prop::collection::btree_set(0u32..12, 1..4),
-    ) {
-        let objects: Vec<(u32, Vec<u32>)> = descs
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (i as u32, d.iter().copied().collect()))
-            .collect();
-        let idx = InvertedIndex::build(objects.iter().map(|(id, d)| (*id, d.as_slice())));
-        let q: Vec<u32> = query.iter().copied().collect();
-        let want: Vec<u32> = objects
-            .iter()
-            .filter(|(_, d)| q.iter().all(|e| d.contains(e)))
-            .map(|(id, _)| *id)
-            .collect();
-        prop_assert_eq!(idx.containment_query(&q), want);
-    }
 }

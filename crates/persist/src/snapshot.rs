@@ -37,7 +37,7 @@ use std::fs::File;
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use tir_core::{BruteForce, Object, Tif, TifHint, TifHintConfig, TimeTravelQuery};
+use tir_core::{BruteForce, Method, Object, Tif, TifHint, TifHintConfig, TimeTravelQuery};
 use tir_invidx::{live, raw, CompactTemporalInverted, Dictionary, Kernel, QueryScratch};
 
 use crate::cols::{put_u32, put_u64, U32Col, U64Col};
@@ -130,14 +130,23 @@ impl IndexKind {
         }
     }
 
+    /// The registry method this kind snapshots; `None` for the two
+    /// kinds that are not served methods.
+    pub fn method(&self) -> Option<Method> {
+        match self {
+            IndexKind::Tif => Some(Method::Tif),
+            IndexKind::TifHintBs => Some(Method::TifHintBs),
+            IndexKind::TifHintMs => Some(Method::TifHintMs),
+            IndexKind::CompactTemporal | IndexKind::BruteForce => None,
+        }
+    }
+
     /// The CLI method name of this kind.
     pub fn method_name(&self) -> &'static str {
-        match self {
-            IndexKind::Tif => "tif",
-            IndexKind::TifHintBs => "tif-hint-bs",
-            IndexKind::TifHintMs => "tif-hint-ms",
-            IndexKind::CompactTemporal => "compact-temporal",
-            IndexKind::BruteForce => "brute-force",
+        match (self.method(), self) {
+            (Some(m), _) => m.name(),
+            (None, IndexKind::CompactTemporal) => "compact-temporal",
+            (None, _) => "brute-force",
         }
     }
 }

@@ -1,5 +1,5 @@
 //! Minimal JSON serialization for the machine-readable benchmark
-//! artifacts (`BENCH_serve.json`, `BENCH_query.json`).
+//! artifacts (`BENCH_serve.json`, `BENCH_kernels.json`).
 //!
 //! The workspace is deliberately dependency-free, so instead of serde
 //! this is a tiny value tree with a `Display` that emits valid JSON

@@ -405,9 +405,14 @@ mod tests {
         fn name(&self) -> &'static str {
             "PanicOnMagic"
         }
-        fn query(&self, q: &TimeTravelQuery) -> Vec<ObjectId> {
+        fn query_into(
+            &self,
+            q: &TimeTravelQuery,
+            scratch: &mut QueryScratch,
+            out: &mut Vec<ObjectId>,
+        ) {
             assert_ne!(q.interval.st, MAGIC_START, "injected query panic");
-            self.0.query(q)
+            self.0.query_into(q, scratch, out);
         }
         fn insert(&mut self, o: &Object) {
             self.0.insert(o);

@@ -34,7 +34,7 @@ use std::process::Command;
 
 use tir_check::Validate;
 use tir_core::prelude::*;
-use tir_core::TifHintConfig;
+use tir_core::with_method;
 use tir_hint::{Grid1D, Hint, HintConfig, IntervalRecord, IntervalTree};
 
 /// Library crates the attribute and source rules apply to. Binaries
@@ -505,15 +505,9 @@ fn fsck() -> Result<(), String> {
         ("example", Collection::running_example()),
         ("synthetic", synthetic),
     ] {
-        check(tag, Tif::build(&coll).validate());
-        check(tag, TifSlicing::build(&coll).validate());
-        check(tag, TifSharding::build(&coll).validate());
-        check(
-            tag,
-            TifHint::build(&coll, TifHintConfig::binary_search()).validate(),
-        );
-        check(tag, IrHintPerf::build(&coll).validate());
-        check(tag, IrHintSize::build(&coll).validate());
+        for m in Method::ALL {
+            check(tag, with_method!(m, |I, build| build(&coll).validate()));
+        }
 
         let records: Vec<IntervalRecord> = coll
             .objects()

@@ -22,16 +22,8 @@ fn main() {
     let q = TimeTravelQuery::new(5, 9, vec![0, 2]);
 
     // 3. Every index answers it identically (objects o2, o4, o7).
-    let indexes: Vec<Box<dyn TemporalIrIndex>> = vec![
-        Box::new(Tif::build(&coll)),
-        Box::new(TifSlicing::build_with_slices(&coll, 4)),
-        Box::new(TifSharding::build(&coll)),
-        Box::new(TifHint::build(&coll, TifHintConfig::merge_sort())),
-        Box::new(TifHintSlicing::build_with_params(&coll, 3, 4)),
-        Box::new(IrHintPerf::build(&coll)),
-        Box::new(IrHintSize::build(&coll)),
-    ];
-    for idx in &indexes {
+    for method in Method::ALL {
+        let idx = method.build(&coll);
         let mut hits = idx.query(&q);
         hits.sort_unstable();
         println!("{:<18} -> {:?}", idx.name(), hits);

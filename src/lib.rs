@@ -10,7 +10,8 @@
 //!
 //! * [`hint`] — the HINT interval index and baselines;
 //! * [`invidx`] — the inverted-index substrate;
-//! * [`core`] — the object model and the seven temporal-IR indexes;
+//! * [`core`] — the object model, the nine temporal-IR indexes and their
+//!   [`Method`] registry;
 //! * [`datagen`] — synthetic / real-world-shaped data and query workloads.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.

@@ -8,17 +8,8 @@ use temporal_ir::datagen::{
     SyntheticConfig, WorkloadSpec,
 };
 
-fn all_indexes(coll: &Collection) -> Vec<Box<dyn TemporalIrIndex>> {
-    vec![
-        Box::new(Tif::build(coll)),
-        Box::new(TifSlicing::build(coll)),
-        Box::new(TifSharding::build(coll)),
-        Box::new(TifHint::build(coll, TifHintConfig::binary_search())),
-        Box::new(TifHint::build(coll, TifHintConfig::merge_sort())),
-        Box::new(TifHintSlicing::build(coll)),
-        Box::new(IrHintPerf::build(coll)),
-        Box::new(IrHintSize::build(coll)),
-    ]
+fn all_indexes(coll: &Collection) -> Vec<Box<dyn TemporalIrIndex + Send + Sync>> {
+    Method::ALL.iter().map(|m| m.build(coll)).collect()
 }
 
 fn assert_all_agree(coll: &Collection, queries: &[TimeTravelQuery], ctx: &str) {
@@ -175,33 +166,27 @@ fn queries_past_the_indexed_domain_are_safe() {
 
 #[test]
 fn batch_insert_override_equals_one_by_one() {
-    // The irHINT variants override insert_batch with a merge-rebuild; it
-    // must be indistinguishable from the default per-object path.
+    // The irHINT variants override insert_batch with a merge-rebuild; for
+    // every method the batch path must be indistinguishable from the
+    // per-object one.
     let coll = generate(&SyntheticConfig::default().scaled(0.001));
     let (offline, batch) = coll.split_for_updates(0.2);
     let queries = workload(&coll, &WorkloadSpec::default(), 25, 19);
 
-    let mut batched_perf = IrHintPerf::build(&offline);
-    batched_perf.insert_batch(&batch);
-    let mut single_perf = IrHintPerf::build(&offline);
-    for o in &batch {
-        single_perf.insert(o);
+    let mut batched = all_indexes(&offline);
+    let mut single = all_indexes(&offline);
+    for idx in batched.iter_mut() {
+        idx.insert_batch(&batch);
     }
-    let mut batched_size = IrHintSize::build(&offline);
-    batched_size.insert_batch(&batch);
-    let mut single_size = IrHintSize::build(&offline);
-    for o in &batch {
-        single_size.insert(o);
+    for idx in single.iter_mut() {
+        for o in &batch {
+            idx.insert(o);
+        }
     }
     let oracle = BruteForce::build(coll.objects());
     for q in &queries {
         let want = oracle.answer(q);
-        for idx in [
-            &batched_perf as &dyn TemporalIrIndex,
-            &single_perf,
-            &batched_size,
-            &single_size,
-        ] {
+        for idx in batched.iter().chain(&single) {
             let mut got = idx.query(q);
             got.sort_unstable();
             assert_eq!(got, want, "{} q={q:?}", idx.name());

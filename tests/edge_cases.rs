@@ -4,17 +4,8 @@
 
 use temporal_ir::core::prelude::*;
 
-fn build_all(coll: &Collection) -> Vec<Box<dyn TemporalIrIndex>> {
-    vec![
-        Box::new(Tif::build(coll)),
-        Box::new(TifSlicing::build(coll)),
-        Box::new(TifSharding::build(coll)),
-        Box::new(TifHint::build(coll, TifHintConfig::binary_search())),
-        Box::new(TifHint::build(coll, TifHintConfig::merge_sort())),
-        Box::new(TifHintSlicing::build(coll)),
-        Box::new(IrHintPerf::build(coll)),
-        Box::new(IrHintSize::build(coll)),
-    ]
+fn build_all(coll: &Collection) -> Vec<Box<dyn TemporalIrIndex + Send + Sync>> {
+    Method::ALL.iter().map(|m| m.build(coll)).collect()
 }
 
 #[test]
