@@ -12,7 +12,6 @@
 
 use std::path::Path;
 
-use tir_persist::snapshot::section;
 use tir_persist::{LoadMode, SnapshotError, SnapshotFile};
 
 use crate::{fail, Violation};
@@ -228,62 +227,6 @@ pub fn validate_snapshot_file(snap: &SnapshotFile) -> Vec<Violation> {
             }
         }
         Err(e) => out.push(violation_of(e)),
-    }
-
-    // HINT partition directory, when present: parallel columns plus a
-    // strictly ascending element order.
-    if let Some(bytes) = snap.section_bytes(section::HINT_ELEMS) {
-        let n = bytes.len() / 4;
-        let elems = snap.u32_col(section::HINT_ELEMS);
-        let offs = snap.u32_col(section::HINT_DIV_OFFS);
-        match (elems, offs) {
-            (Ok(elems), Ok(offs)) => {
-                if offs.len() != n + 1 {
-                    fail(
-                        &mut out,
-                        "snapshot/hint/offs",
-                        format!("{n} elements need {} offsets, found {}", n + 1, offs.len()),
-                    );
-                }
-                for i in 1..elems.len() {
-                    if elems.get(i - 1) >= elems.get(i) {
-                        fail(
-                            &mut out,
-                            &format!("snapshot/hint/elems[{i}]"),
-                            "element directory not strictly ascending".to_string(),
-                        );
-                    }
-                }
-                let total = if offs.is_empty() {
-                    0
-                } else {
-                    offs.get(offs.len() - 1) as usize
-                };
-                for (name, id) in [
-                    ("levels", section::HINT_DIV_LEVELS),
-                    ("keys", section::HINT_DIV_KEYS),
-                    ("lens", section::HINT_DIV_LENS),
-                ] {
-                    match snap.u32_col(id) {
-                        Ok(col) if col.len() != total => fail(
-                            &mut out,
-                            &format!("snapshot/hint/{name}"),
-                            format!("{} entries for {total} divisions", col.len()),
-                        ),
-                        Ok(_) => {}
-                        Err(e) => out.push(violation_of(e)),
-                    }
-                }
-            }
-            (elems, offs) => {
-                if let Err(e) = elems {
-                    out.push(violation_of(e));
-                }
-                if let Err(e) = offs {
-                    out.push(violation_of(e));
-                }
-            }
-        }
     }
 
     out

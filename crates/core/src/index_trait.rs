@@ -81,3 +81,29 @@ pub fn insert_batch<I: TemporalIrIndex + ?Sized>(index: &mut I, batch: &[Object]
 pub fn delete_batch<I: TemporalIrIndex + ?Sized>(index: &mut I, batch: &[Object]) -> usize {
     batch.iter().filter(|o| index.delete(o)).count()
 }
+
+/// One write to an index — the unit the serving queue carries, the WAL
+/// logs and recovery replays.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum WriteOp {
+    /// Insert one object (its id must not be live; admission control is
+    /// the caller's job, e.g. the server's catalog).
+    Insert(Object),
+    /// Logically delete one object (passed whole so any index can locate
+    /// its postings).
+    Delete(Object),
+}
+
+/// Applies `ops` in order — the one write loop behind the in-memory
+/// store, the durable engine and WAL replay. Returns how many deletes
+/// found their object alive.
+pub fn apply_ops<I: TemporalIrIndex + ?Sized>(index: &mut I, ops: &[WriteOp]) -> u64 {
+    let mut deleted = 0;
+    for op in ops {
+        match op {
+            WriteOp::Insert(o) => index.insert(o),
+            WriteOp::Delete(o) => deleted += u64::from(index.delete(o)),
+        }
+    }
+    deleted
+}

@@ -65,7 +65,7 @@ pub mod types;
 pub use collection::{Collection, CollectionStats};
 pub use compressed_tif::CompressedTif;
 pub use hybrid::TifHintSlicing;
-pub use index_trait::{delete_batch, insert_batch, TemporalIrIndex};
+pub use index_trait::{apply_ops, delete_batch, insert_batch, TemporalIrIndex, WriteOp};
 pub use irhint_perf::IrHintPerf;
 pub use irhint_size::IrHintSize;
 pub use joins::{temporal_common_elements_join, JoinPair};
@@ -84,7 +84,7 @@ pub mod prelude {
     pub use crate::collection::{Collection, CollectionStats};
     pub use crate::compressed_tif::CompressedTif;
     pub use crate::hybrid::TifHintSlicing;
-    pub use crate::index_trait::{delete_batch, insert_batch, TemporalIrIndex};
+    pub use crate::index_trait::{apply_ops, delete_batch, insert_batch, TemporalIrIndex, WriteOp};
     pub use crate::irhint_perf::IrHintPerf;
     pub use crate::irhint_size::IrHintSize;
     pub use crate::method::Method;

@@ -5,14 +5,18 @@
 //! The durable write path (`tir-persist`) and the serving stack
 //! (`tir-serve`) call into a small set of named **fault sites** at the
 //! exact points where the real world fails: just before a WAL record is
-//! written, before an fsync, around a snapshot rename, when a worker
-//! dequeues a batch, when a connection is about to answer. In production
-//! nothing is installed and every probe is a single atomic load that
-//! returns [`FaultAction::None`]. Under `tir chaos` (or a test), a
-//! [`FaultPlan`] is [`install`]ed and each site visit is mapped — purely
-//! and deterministically from `(seed, site, visit)` — to an injected
+//! written, before an fsync, before the fsynced batch is applied, around
+//! a snapshot rename, before covered WAL segments are pruned, when a
+//! worker dequeues a batch, when a connection is about to answer. Every
+//! durable step has exactly one probe, and this is the only injection
+//! registry in the workspace. In production nothing is installed and
+//! every probe is a single atomic load that returns
+//! [`FaultAction::None`]. Under `tir chaos` a seeded [`FaultPlan`] is
+//! [`install`]ed and each site visit is mapped — purely and
+//! deterministically from `(seed, site, visit)` — to an injected
 //! outcome: an I/O error shaped like ENOSPC/EIO, a short write, a stall,
-//! or a dropped connection.
+//! or a dropped connection. Tests that crash one named step (the
+//! crash-recovery sweep, the degraded-mode test) install a [`OneShot`].
 //!
 //! Determinism is the point. A plan is a pure function of the site and a
 //! per-site visit counter (reset on [`install`]), so replaying the same
@@ -63,10 +67,17 @@ pub enum FaultSite {
     ApplierDelay,
     /// Connection handler, once per request (injected disconnect).
     ConnDrop,
+    /// `Durability::apply_batch`, after the WAL fsync and before the
+    /// batch is applied to the index (a crash that leaves a durable
+    /// record nobody was told about).
+    Apply,
+    /// `Durability::write_snapshot`, after the rename and directory fsync
+    /// and before covered WAL segments are pruned.
+    WalPrune,
 }
 
 /// Number of distinct [`FaultSite`]s (size of the visit-counter table).
-const SITE_COUNT: usize = 8;
+const SITE_COUNT: usize = 10;
 
 impl FaultSite {
     /// Every site, in declaration order.
@@ -79,6 +90,8 @@ impl FaultSite {
         FaultSite::WorkerStall,
         FaultSite::ApplierDelay,
         FaultSite::ConnDrop,
+        FaultSite::Apply,
+        FaultSite::WalPrune,
     ];
 
     /// Stable lower-case name, used in injected error messages and logs.
@@ -92,20 +105,15 @@ impl FaultSite {
             FaultSite::WorkerStall => "worker-stall",
             FaultSite::ApplierDelay => "applier-delay",
             FaultSite::ConnDrop => "conn-drop",
+            FaultSite::Apply => "apply",
+            FaultSite::WalPrune => "wal-prune",
         }
     }
 
+    /// Declaration order. Seeded schedules hash this, so new sites are
+    /// appended after the existing ones, never inserted between them.
     fn idx(self) -> usize {
-        match self {
-            FaultSite::WalAppend => 0,
-            FaultSite::WalSync => 1,
-            FaultSite::SnapshotWrite => 2,
-            FaultSite::SnapshotRename => 3,
-            FaultSite::TermLogAppend => 4,
-            FaultSite::WorkerStall => 5,
-            FaultSite::ApplierDelay => 6,
-            FaultSite::ConnDrop => 7,
-        }
+        self as usize
     }
 }
 
@@ -145,6 +153,29 @@ pub struct NoFaults;
 impl FaultPlan for NoFaults {
     fn action(&self, _site: FaultSite, _visit: u64) -> FaultAction {
         FaultAction::None
+    }
+}
+
+/// Fires `action` at exactly one `(site, visit)`; every other probe
+/// passes. What the crash-recovery and degraded-mode tests arm to fail
+/// one named step of the durable write path.
+#[derive(Debug, Clone, Copy)]
+pub struct OneShot {
+    /// The site to fail.
+    pub site: FaultSite,
+    /// The zero-based visit of `site` at which to fail.
+    pub visit: u64,
+    /// What to inject there.
+    pub action: FaultAction,
+}
+
+impl FaultPlan for OneShot {
+    fn action(&self, site: FaultSite, visit: u64) -> FaultAction {
+        if site == self.site && visit == self.visit {
+            self.action
+        } else {
+            FaultAction::None
+        }
     }
 }
 
@@ -237,6 +268,8 @@ impl FaultPlan for SeededPlan {
                     FaultAction::None
                 }
             }
+            // Crash-sweep sites: armed by name in tests, never scheduled.
+            FaultSite::Apply | FaultSite::WalPrune => FaultAction::None,
         }
     }
 }
@@ -253,16 +286,7 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 static PLAN: RwLock<Option<Arc<dyn FaultPlan>>> = RwLock::new(None);
 
 /// Per-site visit counters, reset on `install`.
-static VISITS: [AtomicU64; SITE_COUNT] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
+static VISITS: [AtomicU64; SITE_COUNT] = [const { AtomicU64::new(0) }; SITE_COUNT];
 
 /// Count of non-[`FaultAction::None`] decisions since the last `install`.
 static INJECTED: AtomicU64 = AtomicU64::new(0);
@@ -445,6 +469,42 @@ mod tests {
     }
 
     #[test]
+    fn existing_seeds_keep_their_schedules() {
+        // Digest of every seeded decision over the eight sites schedules
+        // may pick, taken before `Apply`/`WalPrune` were appended: a
+        // chaos failure stays re-runnable from its seed across this
+        // crate's history.
+        fn code(a: FaultAction) -> u64 {
+            match a {
+                FaultAction::None => 0,
+                FaultAction::Error => 1,
+                FaultAction::ShortWrite => 2,
+                FaultAction::Drop => 3,
+                FaultAction::Stall(ms) => 16 + ms,
+            }
+        }
+        let mut digest = 0u64;
+        for seed in 0..256u64 {
+            let plan = SeededPlan::new(seed);
+            let io = plan.io_fault().map_or(0, |(site, visit, a)| {
+                1 + site.idx() as u64 * 1000 + visit * 10 + code(a)
+            });
+            digest = mix(digest ^ io);
+            for site in &FaultSite::ALL[..8] {
+                for visit in 0..16 {
+                    digest = mix(digest ^ code(plan.action(*site, visit)));
+                }
+            }
+            for site in &FaultSite::ALL[8..] {
+                for visit in 0..16 {
+                    assert_eq!(plan.action(*site, visit), FaultAction::None);
+                }
+            }
+        }
+        assert_eq!(digest, 5_492_718_479_322_468_171);
+    }
+
+    #[test]
     fn io_fault_fires_exactly_once() {
         for seed in 0..64u64 {
             let plan = SeededPlan::new(seed);
@@ -472,17 +532,12 @@ mod tests {
         assert_eq!(check(FaultSite::WalSync), FaultAction::None);
         assert!(fire(FaultSite::WalSync).is_ok());
 
-        struct FailSecondSync;
-        impl FaultPlan for FailSecondSync {
-            fn action(&self, site: FaultSite, visit: u64) -> FaultAction {
-                if site == FaultSite::WalSync && visit == 1 {
-                    FaultAction::Error
-                } else {
-                    FaultAction::None
-                }
-            }
-        }
-        install(Arc::new(FailSecondSync));
+        let fail_second_sync = OneShot {
+            site: FaultSite::WalSync,
+            visit: 1,
+            action: FaultAction::Error,
+        };
+        install(Arc::new(fail_second_sync));
         assert!(fire(FaultSite::WalSync).is_ok());
         let err = fire(FaultSite::WalSync).expect_err("second sync fails");
         assert!(is_injected(&err));
@@ -491,7 +546,7 @@ mod tests {
         assert_eq!(injected_count(), 1);
 
         // install resets the visit counters: the same plan fires again.
-        install(Arc::new(FailSecondSync));
+        install(Arc::new(fail_second_sync));
         assert_eq!(visits(FaultSite::WalSync), 0);
         assert!(fire(FaultSite::WalSync).is_ok());
         assert!(fire(FaultSite::WalSync).is_err());

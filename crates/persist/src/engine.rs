@@ -1,7 +1,7 @@
 //! The durability engine: the one place that owns the WAL-before-apply
 //! ordering, snapshot atomicity, and recovery.
 //!
-//! Both the server's durable applier and the crash-recovery property
+//! Both the server's applier and the crash-recovery property
 //! tests drive this type, so the ordering logic under test is exactly
 //! the ordering in production:
 //!
@@ -21,8 +21,8 @@
 //!    WAL semantics — recovery never loses an ack, it may complete an
 //!    almost-acknowledged write).
 //!
-//! Kill points ([`crate::kill`]) sit between every pair of steps; the
-//! property tests arm each in turn and assert oracle-exact recovery.
+//! Every step is preceded by one `tir-fault` probe; the property tests
+//! arm each in turn and assert oracle-exact recovery.
 
 use std::collections::HashMap;
 use std::fs;
@@ -31,10 +31,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use tir_core::{Object, TemporalIrIndex};
+use tir_core::{apply_ops, Object, TemporalIrIndex};
+use tir_fault::FaultSite;
 use tir_invidx::Dictionary;
 
-use crate::kill::{self, KillPoint};
 use crate::mmap::LoadMode;
 use crate::snapshot::{write_snapshot, Persist, SnapshotFile};
 use crate::termlog::TermLog;
@@ -183,7 +183,8 @@ impl Durability {
         let mut epoch = snapshot_epoch;
         let replayed = replay.batches.len() as u64;
         for (e, ops) in &replay.batches {
-            apply_ops(&mut index, &mut catalog, ops);
+            apply_ops(&mut index, ops);
+            mirror_ops(&mut catalog, ops);
             epoch = *e;
         }
 
@@ -243,7 +244,7 @@ impl Durability {
 
     /// The canonical durable-apply ordering: WAL append → fsync → apply
     /// → epoch advance. Returns the epoch the batch produced. On error
-    /// (real I/O failure or an armed kill point) nothing was applied and
+    /// (real I/O failure or an injected fault) nothing was applied and
     /// the epoch did not advance — the caller must treat the store as
     /// dead and not acknowledge the batch.
     pub fn apply_batch<I: TemporalIrIndex>(
@@ -252,12 +253,11 @@ impl Durability {
         ops: &[WalOp],
     ) -> io::Result<ApplyOutcome> {
         let next = self.epoch + 1;
-        kill::fire(KillPoint::BeforeWalAppend)?;
         self.wal.append(next, ops)?;
-        kill::fire(KillPoint::BeforeWalSync)?;
         self.wal.sync()?;
-        kill::fire(KillPoint::BeforeApply)?;
-        let deleted = apply_ops(index, &mut self.catalog, ops);
+        tir_fault::fire(FaultSite::Apply)?;
+        let deleted = apply_ops(index, ops);
+        mirror_ops(&mut self.catalog, ops);
         self.epoch = next;
         let w = self.wal.stats();
         self.stats.wal_records.store(w.records, Ordering::SeqCst);
@@ -274,19 +274,17 @@ impl Durability {
     /// WAL segments: tmp write + fsync → rename → directory fsync →
     /// prune.
     pub fn write_snapshot<I: Persist>(&mut self, index: &I, dict: &Dictionary) -> io::Result<()> {
-        kill::fire(KillPoint::BeforeSnapshotWrite)?;
-        tir_fault::fire(tir_fault::FaultSite::SnapshotWrite)?;
+        tir_fault::fire(FaultSite::SnapshotWrite)?;
         let tmp = self.dir.join(SNAPSHOT_TMP);
         let catalog = self.catalog_sorted();
         write_snapshot(&tmp, self.epoch, dict, &catalog, index)?;
-        kill::fire(KillPoint::BeforeSnapshotRename)?;
         // Fault site: a torn publish — the temp snapshot is fully written
         // but the rename never happens, so recovery must keep using the
         // previous snapshot and ignore the stale temp file.
-        tir_fault::fire(tir_fault::FaultSite::SnapshotRename)?;
+        tir_fault::fire(FaultSite::SnapshotRename)?;
         fs::rename(&tmp, self.dir.join(SNAPSHOT_NAME))?;
         fs::File::open(&self.dir)?.sync_all()?;
-        kill::fire(KillPoint::AfterSnapshotRename)?;
+        tir_fault::fire(FaultSite::WalPrune)?;
         self.last_snapshot_epoch = self.epoch;
         self.stats
             .snapshot_epoch
@@ -312,29 +310,15 @@ impl Durability {
     }
 }
 
-/// Applies ops to an index and the catalog mirror; returns how many
-/// deletes hit a live object.
-fn apply_ops<I: TemporalIrIndex>(
-    index: &mut I,
-    catalog: &mut HashMap<u32, Object>,
-    ops: &[WalOp],
-) -> u64 {
-    let mut deleted = 0u64;
+/// Keeps the catalog mirror (what the next snapshot writes) in step with
+/// ops just applied to the index.
+fn mirror_ops(catalog: &mut HashMap<u32, Object>, ops: &[WalOp]) {
     for op in ops {
         match op {
-            WalOp::Insert(o) => {
-                index.insert(o);
-                catalog.insert(o.id, o.clone());
-            }
-            WalOp::Delete(o) => {
-                if index.delete(o) {
-                    deleted += 1;
-                }
-                catalog.remove(&o.id);
-            }
-        }
+            WalOp::Insert(o) => catalog.insert(o.id, o.clone()),
+            WalOp::Delete(o) => catalog.remove(&o.id),
+        };
     }
-    deleted
 }
 
 #[cfg(test)]
@@ -417,32 +401,6 @@ mod tests {
         assert_eq!(r.epoch, 4);
         assert_eq!(r.replayed, 0, "everything was in the snapshot");
         assert_eq!(r.durability.live(), 4);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[cfg(feature = "testing")]
-    #[test]
-    fn kill_before_sync_loses_the_batch_cleanly() {
-        let dir = scratch_dir("killsync");
-        let mut index = Tif::default();
-        let dict = Dictionary::new();
-        let mut d = Durability::create(&dir, &index, &dict, &[], DurabilityOptions::default())
-            .expect("create");
-        d.apply_batch(&mut index, &[WalOp::Insert(obj(1, 0, 5, &[0]))])
-            .expect("apply");
-        crate::kill::arm(KillPoint::BeforeWalSync, 0);
-        let err = d
-            .apply_batch(&mut index, &[WalOp::Insert(obj(2, 0, 5, &[0]))])
-            .expect_err("armed point fires");
-        assert!(crate::kill::is_simulated_crash(&err));
-        crate::kill::disarm();
-        assert_eq!(d.epoch(), 1, "failed batch did not advance the epoch");
-        drop(d);
-        let r: Recovered<Tif> =
-            Durability::recover(&dir, DurabilityOptions::default()).expect("recover");
-        // The unsynced record may or may not have reached disk (the OS
-        // may flush without fsync); both end states are consistent.
-        assert!(r.epoch == 1 || r.epoch == 2, "epoch {}", r.epoch);
         let _ = fs::remove_dir_all(&dir);
     }
 }

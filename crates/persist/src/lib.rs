@@ -7,9 +7,8 @@
 //!
 //! * **Snapshots** — a versioned, checksummed, little-endian on-disk
 //!   format ([`snapshot`]) storing the dictionary, the object catalog,
-//!   the canonical SoA postings columns, and (for HINT-backed indexes) a
-//!   partition directory, each in its own 64-byte-aligned section with a
-//!   CRC32. A snapshot is written via the [`Persist`] trait and loaded
+//!   and the canonical SoA postings columns, each in its own
+//!   64-byte-aligned section with a CRC32. A snapshot is written via the [`Persist`] trait and loaded
 //!   either *fully* (rebuilding the native in-memory index) or
 //!   *zero-copy* through the safe mmap wrapper in [`mmap`] — the
 //!   [`snapshot::MappedPostings`] view answers time-travel queries
@@ -24,16 +23,19 @@
 //!   acknowledged epoch — and exactly the epochs whose records are
 //!   durable.
 //!
-//! The only `unsafe` in the crate (and the workspace) lives in the
-//! audited [`mmap`] wrapper module; everything else is `#![deny]`-ed and
-//! the `unsafe-code` rule of `tir-analyze` enforces the containment
+//! The only `unsafe` in the crate lives in the audited [`mmap`] wrapper
+//! module (one of the workspace's two such modules, with
+//! `tir-invidx`'s `simd`); everything else is `#![deny]`-ed and the
+//! `unsafe-code` rule of `tir-analyze` enforces the containment
 //! statically.
 //!
-//! Crash discipline is testable: with the `testing` feature, [`kill`]
-//! exposes deterministic kill points that abort the durable apply path
-//! at every step boundary, and the crash-recovery proptests replay
-//! `mixed_stream` ops demanding exact `BruteForce`-oracle agreement
-//! after recovery at every point.
+//! Crash discipline is testable: every step of the durable apply and
+//! snapshot paths is preceded by one `tir-fault` probe, and the
+//! crash-recovery proptests arm each in turn (`tir_fault::OneShot`)
+//! while replaying `mixed_stream` ops, demanding exact
+//! `BruteForce`-oracle agreement after recovery at every point. The ops
+//! themselves are `tir_core::WriteOp` ([`WalOp`] is that type) and are
+//! applied by `tir_core::apply_ops`, live and on replay alike.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,7 +43,6 @@
 pub mod cols;
 pub mod crc;
 pub mod engine;
-pub mod kill;
 pub mod mmap;
 pub mod snapshot;
 pub mod termlog;
@@ -52,7 +53,6 @@ pub use crc::{crc32, Crc32};
 pub use engine::{
     ApplyOutcome, Durability, DurabilityOptions, PersistStats, Recovered, SNAPSHOT_NAME,
 };
-pub use kill::KillPoint;
 pub use mmap::{Bytes, LoadMode};
 pub use snapshot::{
     write_snapshot, IndexKind, MappedPostings, Persist, SnapshotError, SnapshotFile, SnapshotMeta,

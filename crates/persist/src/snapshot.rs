@@ -17,7 +17,6 @@
 //! | 10/11/12 | dictionary term offsets / UTF-8 blob / frequencies | `u32 / u8 / u32` |
 //! | 20–24 | catalog ids / starts / ends / desc offsets / desc elems | `u32 / u64 / u64 / u32 / u32` |
 //! | 30–34 | canonical postings: elems / offsets / ids / starts / ends | `u32 / u32 / u32 / u64 / u64` |
-//! | 40–44 | HINT partition directory: elems / division offsets / packed level·kind / keys / lengths | `u32 ×5` |
 //!
 //! The **canonical postings** sections hold every live posting sorted by
 //! `(element, id)` — exactly the [`CompactTemporalInverted`] layout — so
@@ -89,16 +88,6 @@ pub mod section {
     pub const POST_STS: u32 = 33;
     /// Postings: lifespan ends, parallel to ids.
     pub const POST_ENDS: u32 = 34;
-    /// HINT directory: elements with a per-element HINT.
-    pub const HINT_ELEMS: u32 = 40;
-    /// HINT directory: per-element division offsets (`elems+1` × u32).
-    pub const HINT_DIV_OFFS: u32 = 41;
-    /// HINT directory: packed `level·4 + kind` per division.
-    pub const HINT_DIV_LEVELS: u32 = 42;
-    /// HINT directory: partition key `j` per division.
-    pub const HINT_DIV_KEYS: u32 = 43;
-    /// HINT directory: stored entry count per division.
-    pub const HINT_DIV_LENS: u32 = 44;
 }
 
 /// What kind of index a snapshot stores — the format tag dispatched on
@@ -421,7 +410,6 @@ pub fn write_snapshot<P: Persist>(
     w.section(section::POST_STS, &psts)?;
     w.section(section::POST_ENDS, &pends)?;
 
-    index.persist_extras(&mut w)?;
     w.finish(index.kind(), epoch, catalog.len() as u64)
 }
 
@@ -896,11 +884,6 @@ pub trait Persist: Sized {
         out: &mut Vec<(u32, u32, u64, u64)>,
     );
 
-    /// Writes any sections beyond the canonical ones (default: none).
-    fn persist_extras(&self, _w: &mut SnapshotWriter) -> io::Result<()> {
-        Ok(())
-    }
-
     /// Rebuilds the native in-memory index from a verified snapshot —
     /// the full-load path.
     fn restore(snap: &SnapshotFile) -> Result<Self, SnapshotError>;
@@ -981,47 +964,6 @@ impl Persist for TifHint {
                 }
             }
         });
-    }
-
-    fn persist_extras(&self, w: &mut SnapshotWriter) -> io::Result<()> {
-        // The HINT partition directory: for every element, its division
-        // inventory (packed level·4+kind, partition key, stored length).
-        // fsck uses it to cross-check the rebuilt hierarchy.
-        let mut per_elem: Vec<(u32, Vec<(u32, u32, u32)>)> = Vec::new();
-        self.for_each_hint(|e, h| {
-            let mut divs = Vec::new();
-            h.for_each_division(|view, _dead| {
-                let kind = match view.kind {
-                    tir_hint::DivisionKind::OrigIn => 0u32,
-                    tir_hint::DivisionKind::OrigAft => 1,
-                    tir_hint::DivisionKind::ReplIn => 2,
-                    tir_hint::DivisionKind::ReplAft => 3,
-                };
-                divs.push((view.level * 4 + kind, view.j, view.ids.len() as u32));
-            });
-            per_elem.push((e, divs));
-        });
-        per_elem.sort_unstable_by_key(|(e, _)| *e);
-
-        let (mut elems, mut offs) = (Vec::new(), Vec::new());
-        let (mut levels, mut keys, mut lens) = (Vec::new(), Vec::new(), Vec::new());
-        put_u32(&mut offs, 0);
-        let mut total = 0u32;
-        for (e, divs) in &per_elem {
-            put_u32(&mut elems, *e);
-            for &(lvl, j, len) in divs {
-                put_u32(&mut levels, lvl);
-                put_u32(&mut keys, j);
-                put_u32(&mut lens, len);
-            }
-            total += divs.len() as u32;
-            put_u32(&mut offs, total);
-        }
-        w.section(section::HINT_ELEMS, &elems)?;
-        w.section(section::HINT_DIV_OFFS, &offs)?;
-        w.section(section::HINT_DIV_LEVELS, &levels)?;
-        w.section(section::HINT_DIV_KEYS, &keys)?;
-        w.section(section::HINT_DIV_LENS, &lens)
     }
 
     fn restore(snap: &SnapshotFile) -> Result<TifHint, SnapshotError> {

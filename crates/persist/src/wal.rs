@@ -43,7 +43,10 @@ use tir_core::Object;
 
 use crate::cols::{put_u32, put_u64, read_u32, read_u64};
 use crate::crc::crc32;
-use crate::kill::{self, KillPoint};
+
+/// One logged write operation: the workspace's one write op, under the
+/// name this crate's callers use.
+pub use tir_core::WriteOp as WalOp;
 
 /// First 4 bytes of every WAL record.
 pub const RECORD_MAGIC: [u8; 4] = *b"TIRW";
@@ -54,25 +57,6 @@ pub const DEFAULT_SEGMENT_BYTES: u64 = 4 << 20;
 /// Refuse records claiming payloads past this bound (corrupt length
 /// fields would otherwise drive huge allocations during replay).
 const MAX_PAYLOAD: u32 = 256 << 20;
-
-/// One logged write operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WalOp {
-    /// Insert an object.
-    Insert(Object),
-    /// Delete an object (identified by id; the interval/desc travel along
-    /// so indexes that need them for unindexing have them).
-    Delete(Object),
-}
-
-impl WalOp {
-    /// The object inside.
-    pub fn object(&self) -> &Object {
-        match self {
-            WalOp::Insert(o) | WalOp::Delete(o) => o,
-        }
-    }
-}
 
 /// Running WAL counters (mirrored into STATS by the server).
 #[derive(Debug, Clone, Copy, Default)]
@@ -256,23 +240,14 @@ impl Wal {
         let crc = crc32(&rec[4..]);
         put_u32(&mut rec, crc);
 
-        // Kill point: a torn tail — only a prefix of the record lands.
-        if let Err(e) = kill::fire(KillPoint::MidWalAppend) {
-            let cut = rec.len() / 2;
-            self.active.write_all(&rec[..cut])?;
-            // analyze:allow(error-swallow): simulated crash path — the kill error is returned either way; the sync only makes the torn prefix durable for the recovery test
-            let _ = self.active.sync_all();
-            return Err(e);
-        }
         // Fault site: an injected ENOSPC-style failure, or a short write
-        // that lands a torn prefix of the record and then fails — the
-        // live-process twin of the MidWalAppend kill point above.
+        // that lands a torn prefix of the record and then fails.
         match tir_fault::check(tir_fault::FaultSite::WalAppend) {
             tir_fault::FaultAction::ShortWrite => {
                 let cut = rec.len() / 2;
                 self.active.write_all(&rec[..cut])?;
                 self.active_len += cut as u64;
-                // analyze:allow(error-swallow): injected-fault path — the injected error is returned either way; the sync only makes the torn prefix durable for the chaos recovery step
+                // analyze:allow(error-swallow): injected-fault path — the injected error is returned either way; the sync only makes the torn prefix durable for the recovery that follows
                 let _ = self.active.sync_all();
                 return Err(tir_fault::injected_error(tir_fault::FaultSite::WalAppend));
             }

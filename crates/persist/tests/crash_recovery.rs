@@ -1,9 +1,9 @@
 //! Crash-recovery property test: replay a `mixed_stream` write workload
-//! through the durability engine with a kill point armed at every step
+//! through the durability engine with a fault armed at every step
 //! boundary, then recover and demand **exact** `BruteForce`-oracle
 //! agreement at the recovered epoch.
 //!
-//! Each proptest case sweeps all seven kill points plus a no-kill
+//! Each proptest case sweeps all seven [`CRASH_POINTS`] plus a no-fault
 //! control over the same generated workload, so every (workload ×
 //! crash-site) combination recovers or the test names the point that
 //! broke. Recovery semantics checked:
@@ -16,21 +16,36 @@
 //! * the recovered directory accepts new batches and survives a second
 //!   recovery (no lingering torn state).
 //!
-//! NOTE: the kill-point registry is process-global, so this binary holds
+//! NOTE: the fault registry is process-global, so this binary holds
 //! exactly one `#[test]` (the proptest macro expands to one fn); adding
 //! another test that drives the engine here would race the armed state.
 
 use std::collections::HashMap;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use tir_core::prelude::*;
 use tir_datagen::{mixed_stream, MixedSpec, Op, SyntheticConfig, WorkloadSpec};
+use tir_fault::{FaultAction, FaultSite, OneShot};
 use tir_invidx::Dictionary;
-use tir_persist::kill::{self, ALL_KILL_POINTS};
 use tir_persist::wal::WalOp;
 use tir_persist::{Durability, DurabilityOptions, Persist, Recovered};
+
+/// Every step of the durable apply and snapshot paths, in path order:
+/// before the WAL append, mid-record (a torn tail), before the fsync,
+/// before the apply, before the snapshot temp write, before the rename,
+/// and after the rename before the WAL is pruned.
+const CRASH_POINTS: [(FaultSite, FaultAction); 7] = [
+    (FaultSite::WalAppend, FaultAction::Error),
+    (FaultSite::WalAppend, FaultAction::ShortWrite),
+    (FaultSite::WalSync, FaultAction::Error),
+    (FaultSite::Apply, FaultAction::Error),
+    (FaultSite::SnapshotWrite, FaultAction::Error),
+    (FaultSite::SnapshotRename, FaultAction::Error),
+    (FaultSite::WalPrune, FaultAction::Error),
+];
 
 fn corpus(seed: u64) -> Collection {
     let mut cfg = SyntheticConfig::default().scaled(0.001);
@@ -120,12 +135,12 @@ fn assert_matches_oracle<I: TemporalIrIndex>(
 }
 
 /// One full cycle: create → apply-until-crash → recover → verify →
-/// append → recover again. `kill` is `None` for the control run.
+/// append → recover again. `kill_at` is `None` for the control run.
 fn run_case<I, F>(
     tag: &str,
     coll: &Collection,
     build: F,
-    kill_at: Option<(kill::KillPoint, u64)>,
+    kill_at: Option<OneShot>,
     seed: u64,
     batch: usize,
 ) where
@@ -148,9 +163,9 @@ fn run_case<I, F>(
         Durability::create(&dir, &index, &dict, coll.objects(), opts).expect("create data dir");
 
     let batches = batches_for(coll, seed, batch);
-    kill::disarm();
-    if let Some((point, countdown)) = kill_at {
-        kill::arm(point, countdown);
+    tir_fault::clear();
+    if let Some(plan) = kill_at {
+        tir_fault::install(Arc::new(plan));
     }
 
     let mut acked = 0u64;
@@ -161,7 +176,7 @@ fn run_case<I, F>(
         match d.apply_batch(&mut index, ops) {
             Ok(out) => acked = out.epoch,
             Err(e) => {
-                assert!(kill::is_simulated_crash(&e), "real I/O error: {e}");
+                assert!(tir_fault::is_injected(&e), "real I/O error: {e}");
                 crashed = true;
                 break;
             }
@@ -169,12 +184,12 @@ fn run_case<I, F>(
         // Flush-barrier behavior: periodic snapshots (a kill can also
         // land inside this path; the batch itself was already acked).
         if let Err(e) = d.maybe_snapshot(&index, &dict) {
-            assert!(kill::is_simulated_crash(&e), "real I/O error: {e}");
+            assert!(tir_fault::is_injected(&e), "real I/O error: {e}");
             crashed = true;
             break;
         }
     }
-    kill::disarm();
+    tir_fault::clear();
     assert!(
         crashed || kill_at.is_none() || acked == batches.len() as u64,
         "{tag}: armed point never fired and the run still fell short"
@@ -234,24 +249,24 @@ proptest! {
         let coll = corpus(seed % 17 + 1);
         // Control: no kill, the full workload lands.
         run_case("control", &coll, Tif::build, None, seed, batch);
-        for (i, point) in ALL_KILL_POINTS.iter().enumerate() {
+        for (i, &(site, action)) in CRASH_POINTS.iter().enumerate() {
             run_case(
                 &format!("kill{}", i + 1),
                 &coll,
                 Tif::build,
-                Some((*point, countdown)),
+                Some(OneShot { site, visit: countdown, action }),
                 seed,
                 batch,
             );
         }
         // Periodically run the HINT-backed index through the same sweep.
         if hint_case == 0 {
-            for (i, point) in ALL_KILL_POINTS.iter().enumerate() {
+            for (i, &(site, action)) in CRASH_POINTS.iter().enumerate() {
                 run_case(
                     &format!("hint-kill{}", i + 1),
                     &coll,
                     |c| TifHint::build(c, TifHintConfig::binary_search()),
-                    Some((*point, countdown)),
+                    Some(OneShot { site, visit: countdown, action }),
                     seed,
                     batch,
                 );

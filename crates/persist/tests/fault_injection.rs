@@ -11,27 +11,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use tir_core::prelude::*;
-use tir_fault::{FaultAction, FaultPlan, FaultSite};
+use tir_fault::{FaultAction, FaultSite, OneShot};
 use tir_invidx::Dictionary;
 use tir_persist::wal::WalOp;
 use tir_persist::{Durability, DurabilityOptions, Recovered};
-
-/// Fires `action` at exactly one `(site, visit)`; everything else passes.
-struct OneShot {
-    site: FaultSite,
-    visit: u64,
-    action: FaultAction,
-}
-
-impl FaultPlan for OneShot {
-    fn action(&self, site: FaultSite, visit: u64) -> FaultAction {
-        if site == self.site && visit == self.visit {
-            self.action
-        } else {
-            FaultAction::None
-        }
-    }
-}
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tir-faultinj-{}-{name}", std::process::id()));

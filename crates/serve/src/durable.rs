@@ -1,48 +1,13 @@
-//! The durable applier: the epoch-store write path with a WAL in front.
-//!
-//! [`EpochStore::new_durable`] spawns this applier instead of the
-//! in-memory one. The reader side is untouched — snapshots publish
-//! through the same mutex and queries never learn the difference. The
-//! write side changes its contract: a batch is acknowledged only after
-//! [`Durability::apply_batch`] appended it to the WAL **and** fsynced, so
-//! an `OK` that reached a client survives `kill -9`.
-//!
-//! Barriers map onto durability actions:
-//!
-//! * [`EpochStore::flush`] — applies everything enqueued before it, then
-//!   runs [`Durability::maybe_snapshot`] (the `snapshot_every` policy
-//!   fires at flush barriers, not on every batch).
-//! * [`EpochStore::force_snapshot`] — writes a snapshot unconditionally.
-//! * Shutdown (the store dropping its sender) — final snapshot, so a
-//!   clean restart replays no WAL at all.
-//!
-//! If the disk fails (a real I/O error, an injected `tir-fault`, or an
-//! armed kill point in tests), the applier **degrades instead of
-//! dying**: it latches the shared [`HealthFlag`] to `degraded`, keeps
-//! draining the queue, and from then on discards writes (counted in
-//! [`EpochStats::degraded_writes`]) and NAKs barriers with
-//! [`Rejected::Degraded`]. Readers keep serving the last published —
-//! which is also the last acknowledged — epoch: the failed batch was
-//! never applied to the master, so nothing unacknowledged ever becomes
-//! visible. The latch is one-way; only a restart on healthy I/O clears
-//! it. No ack ever lies: every op acknowledged `OK` before the fault is
-//! durable, every op after it is explicitly refused.
+//! The server's dictionary, optionally backed by a durable term log.
 //!
 //! Terms are durable *before* any op referencing them: the server
 //! interns new terms through [`ServeDict`], which appends to the
-//! `terms.log` sidecar (fsynced) before the write op can be enqueued.
+//! `terms.log` sidecar (fsynced) before the write op can be enqueued on
+//! the [`EpochStore`](crate::epoch::EpochStore), so no WAL record can
+//! ever name a term id that recovery cannot resolve.
 
-use std::sync::mpsc::{sync_channel, Receiver};
-use std::sync::{Arc, Mutex};
-
-use tir_core::TemporalIrIndex;
 use tir_invidx::Dictionary;
-use tir_persist::{Durability, Persist, TermLog, WalOp};
-
-use crate::epoch::{
-    Cmd, EpochConfig, EpochStats, EpochStore, HealthFlag, Rejected, Snapshot, Validator, WriteOp,
-};
-use crate::witness::lock;
+use tir_persist::TermLog;
 
 /// The server's dictionary plus an optional durable term log. One lock
 /// guards both so a term id can never be enqueued before the log entry
@@ -86,236 +51,14 @@ impl ServeDict {
     }
 }
 
-impl<I: TemporalIrIndex + Persist + Clone + Send + Sync + 'static> EpochStore<I> {
-    /// Wraps a recovered (or freshly created) durable state and spawns
-    /// the durable applier thread. `durability` must already own the
-    /// data directory; `index` must be at `durability.epoch()`.
-    pub fn new_durable(
-        index: I,
-        dict: Arc<Mutex<ServeDict>>,
-        durability: Durability,
-        config: EpochConfig<I>,
-    ) -> EpochStore<I> {
-        let stats = Arc::new(EpochStats::default());
-        let epoch = durability.epoch();
-        let live = durability.live() as u64;
-        let current = Arc::new(Mutex::new(Arc::new(Snapshot {
-            epoch,
-            live,
-            index: index.clone(),
-        })));
-        let (tx, rx) = sync_channel(config.queue_depth.max(1));
-        let health = Arc::new(HealthFlag::default());
-        let mut applier = DurableApplier {
-            master: index,
-            rx,
-            publish: Arc::clone(&current),
-            max_batch: config.max_batch.max(1),
-            validator: config.validator,
-            stats: Arc::clone(&stats),
-            durability,
-            dict,
-            health: Arc::clone(&health),
-        };
-        let handle = std::thread::Builder::new()
-            .name("tir-durable-applier".into())
-            .spawn(move || applier.run())
-            .expect("spawning the durable applier thread");
-        EpochStore {
-            current,
-            tx: Some(tx),
-            applier: Some(handle),
-            stats,
-            health,
-        }
-    }
-}
-
-struct DurableApplier<I> {
-    master: I,
-    rx: Receiver<Cmd>,
-    publish: Arc<Mutex<Arc<Snapshot<I>>>>,
-    max_batch: usize,
-    validator: Option<Validator<I>>,
-    stats: Arc<EpochStats>,
-    durability: Durability,
-    dict: Arc<Mutex<ServeDict>>,
-    /// Shared with the store front end; latched on durability failure.
-    health: Arc<HealthFlag>,
-}
-
-impl<I: TemporalIrIndex + Persist + Clone> DurableApplier<I> {
-    fn run(&mut self) {
-        while let Ok(first) = self.rx.recv() {
-            let mut batch = vec![first];
-            while batch.len() < self.max_batch {
-                match self.rx.try_recv() {
-                    Ok(cmd) => batch.push(cmd),
-                    Err(_) => break,
-                }
-            }
-            tir_fault::stall(tir_fault::FaultSite::ApplierDelay);
-            if self.health.is_degraded() {
-                // Read-only mode: keep draining so barriers get an
-                // explicit NAK instead of a hang, discard writes.
-                self.reject(batch);
-            } else {
-                self.apply(batch);
-            }
-        }
-        // Clean shutdown: one last snapshot so restart replays nothing.
-        // A degraded applier skips it — the disk already failed once,
-        // and recovery from snapshot + WAL replay reaches the same
-        // acknowledged state.
-        if !self.health.is_degraded() && self.durability.epoch() > self.durability.snapshot_epoch()
-        {
-            let dict = lock(&self.dict);
-            if let Err(e) = self.durability.write_snapshot(&self.master, dict.dict()) {
-                eprintln!("tir-serve: shutdown snapshot failed: {e} (WAL replay will recover)");
-            }
-        }
-    }
-
-    /// Degraded-mode drain: count discarded writes, NAK barriers.
-    fn reject(&mut self, batch: Vec<Cmd>) {
-        use std::sync::atomic::Ordering;
-        for cmd in batch {
-            match cmd {
-                Cmd::Write(_) => {
-                    // analyze:allow(atomic-ordering): monotonic stat counter, read only for reporting
-                    self.stats.degraded_writes.fetch_add(1, Ordering::Relaxed);
-                }
-                Cmd::Flush(ack) | Cmd::Snapshot(ack) => {
-                    let _ = ack.send(Err(Rejected::Degraded));
-                }
-            }
-        }
-    }
-
-    fn apply(&mut self, batch: Vec<Cmd>) {
-        use std::sync::atomic::Ordering;
-
-        let mut flush_acks = Vec::new();
-        let mut want_snapshot = false;
-        let mut ops: Vec<WalOp> = Vec::new();
-        let mut inserts = 0u64;
-        let mut delete_ops = 0u64;
-        for cmd in batch {
-            match cmd {
-                Cmd::Write(WriteOp::Insert(o)) => {
-                    inserts += 1;
-                    ops.push(WalOp::Insert(o));
-                }
-                Cmd::Write(WriteOp::Delete(o)) => {
-                    delete_ops += 1;
-                    ops.push(WalOp::Delete(o));
-                }
-                Cmd::Flush(ack) => flush_acks.push(ack),
-                Cmd::Snapshot(ack) => {
-                    want_snapshot = true;
-                    flush_acks.push(ack);
-                }
-            }
-        }
-
-        if !ops.is_empty() {
-            let wrote = ops.len() as u64;
-            let deleted = match self.durability.apply_batch(&mut self.master, &ops) {
-                Ok(out) => out.deleted,
-                Err(e) => {
-                    eprintln!(
-                        "tir-serve: durable apply failed: {e}; degrading to read-only \
-                         ({} write(s) in the failed batch discarded)",
-                        ops.len()
-                    );
-                    self.degrade(ops.len() as u64, flush_acks);
-                    return;
-                }
-            };
-            // analyze:allow(atomic-ordering): monotonic stat counters, read only for reporting
-            self.stats.inserts.fetch_add(inserts, Ordering::Relaxed);
-            // analyze:allow(atomic-ordering): monotonic stat counter, read only for reporting
-            self.stats.deletes.fetch_add(deleted, Ordering::Relaxed);
-            // analyze:allow(atomic-ordering): monotonic stat counter, read only for reporting
-            self.stats
-                .missed_deletes
-                .fetch_add(delete_ops - deleted, Ordering::Relaxed);
-            if let Some(validator) = &self.validator {
-                let violations = validator(&self.master) as u64;
-                if violations > 0 {
-                    // analyze:allow(atomic-ordering): stat counter; publication order is carried by the snapshot mutex
-                    self.stats
-                        .violations
-                        .fetch_add(violations, Ordering::Relaxed);
-                    eprintln!(
-                        "tir-serve: epoch {}: {} structural violation(s) in rebuilt snapshot",
-                        self.durability.epoch(),
-                        violations
-                    );
-                }
-            }
-            let next = Arc::new(Snapshot {
-                epoch: self.durability.epoch(),
-                live: self.durability.live() as u64,
-                index: self.master.clone(),
-            });
-            *lock(&self.publish) = next;
-            // analyze:allow(atomic-ordering): gauge trailing the publish mutex above; readers need no ordering from it
-            self.stats
-                .epochs
-                .store(self.durability.epoch(), Ordering::Relaxed);
-            // analyze:allow(atomic-ordering): high-water gauge, read only for reporting
-            self.stats.max_batch.fetch_max(wrote, Ordering::Relaxed);
-        }
-
-        // Snapshot policy runs at barriers (the batch is already durable
-        // in the WAL either way).
-        if want_snapshot || !flush_acks.is_empty() {
-            let result = {
-                let dict = lock(&self.dict);
-                if want_snapshot {
-                    self.durability
-                        .write_snapshot(&self.master, dict.dict())
-                        .map(|_| ())
-                } else {
-                    self.durability
-                        .maybe_snapshot(&self.master, dict.dict())
-                        .map(|_| ())
-                }
-            };
-            if let Err(e) = result {
-                eprintln!("tir-serve: snapshot failed: {e}; degrading to read-only");
-                self.degrade(0, flush_acks);
-                return;
-            }
-        }
-        for ack in flush_acks {
-            let _ = ack.send(Ok(self.durability.epoch()));
-        }
-    }
-
-    /// Latches read-only mode: counts the writes of the failed batch as
-    /// discarded (they were never applied, so the published epoch still
-    /// equals the acknowledged one) and NAKs the batch's barriers.
-    fn degrade(&mut self, discarded: u64, acks: Vec<crate::epoch::BarrierAck>) {
-        use std::sync::atomic::Ordering;
-        self.health.set_degraded();
-        // analyze:allow(atomic-ordering): monotonic stat counter, read only for reporting
-        self.stats
-            .degraded_writes
-            .fetch_add(discarded, Ordering::Relaxed);
-        for ack in acks {
-            let _ = ack.send(Err(Rejected::Degraded));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::epoch::{EpochConfig, EpochStore, WriteOp};
     use std::path::{Path, PathBuf};
-    use tir_core::{Object, Tif, TimeTravelQuery};
-    use tir_persist::{DurabilityOptions, Recovered};
+    use std::sync::{Arc, Mutex};
+    use tir_core::{Object, TemporalIrIndex, Tif, TimeTravelQuery};
+    use tir_persist::{Durability, DurabilityOptions, Recovered};
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("tir-durable-{}-{name}", std::process::id()));

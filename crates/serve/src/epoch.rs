@@ -5,7 +5,7 @@
 //! ever blocking on writers (queries take `&self` on every
 //! [`TemporalIrIndex`]). A single **applier thread** owns the only mutable
 //! copy of the index ("the master"): it drains the bounded write queue,
-//! coalesces the drained commands into one batch, applies them to the
+//! coalesces the drained commands into one batch, commits it to the
 //! master, optionally validates the result, and atomically publishes a
 //! clone of the master as the next epoch. Old snapshots stay alive for as
 //! long as some reader holds their `Arc` — there is no reclamation
@@ -18,16 +18,53 @@
 //! visible to subsequent [`EpochStore::snapshot`] calls — this is the
 //! monotonicity contract the stress tests check (an id inserted before a
 //! snapshot was taken is never missing from it).
+//!
+//! ## The optional journal
+//!
+//! [`EpochStore::new_durable`] runs the same applier with a journal
+//! (`tir-persist`'s [`Durability`]) switched on. The reader side is
+//! untouched; the commit step changes from [`apply_ops`] on the master to
+//! [`Durability::apply_batch`] — WAL append, fsync, then that same loop —
+//! so a batch is published and acknowledged only once it is durable, and
+//! an `OK` that reached a client survives `kill -9`. Barriers map onto
+//! durability actions:
+//!
+//! * [`EpochStore::flush`] — after the batch commits, runs the
+//!   `snapshot_every` policy (it fires at flush barriers, not on every
+//!   batch).
+//! * [`EpochStore::force_snapshot`] — writes a snapshot unconditionally.
+//! * Shutdown (the store dropping its sender) — a final snapshot, so a
+//!   clean restart replays no WAL at all.
+//!
+//! If the disk fails (a real I/O error or an injected `tir-fault`), the
+//! applier **degrades instead of dying**: it latches the store's health
+//! to `degraded`, keeps draining the queue, and from then on discards
+//! writes (counted in [`EpochStats::degraded_writes`]) and NAKs barriers
+//! with [`Rejected::Degraded`]. Readers keep serving the last published —
+//! which is also the last acknowledged — epoch: the failed batch was
+//! never applied to the master, so nothing unacknowledged ever becomes
+//! visible. The latch is one-way; only a restart on healthy I/O clears
+//! it. No ack ever lies: every op acknowledged `OK` before the fault is
+//! durable, every op after it is explicitly refused. A store without a
+//! journal has nothing that can fail and never degrades.
 
+use std::io;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use tir_core::{Object, TemporalIrIndex};
+use tir_core::{apply_ops, TemporalIrIndex};
+use tir_invidx::Dictionary;
+use tir_persist::{Durability, Persist};
 
+use crate::durable::ServeDict;
 use crate::protocol::HealthStatus;
 use crate::witness::lock;
+
+/// A write command: the workspace's one write op, re-exported under the
+/// path this crate's callers use.
+pub use tir_core::WriteOp;
 
 /// An immutable published version of the index.
 #[derive(Debug)]
@@ -67,10 +104,10 @@ impl std::fmt::Display for Rejected {
 /// A plain two-state `AtomicU8` — `HealthStatus::Draining` is a
 /// server-level state, not a store-level one.
 #[derive(Debug, Default)]
-pub(crate) struct HealthFlag(AtomicU8);
+struct HealthFlag(AtomicU8);
 
 impl HealthFlag {
-    pub(crate) fn status(&self) -> HealthStatus {
+    fn status(&self) -> HealthStatus {
         if self.0.load(Ordering::SeqCst) == 0 {
             HealthStatus::Ok
         } else {
@@ -78,38 +115,26 @@ impl HealthFlag {
         }
     }
 
-    pub(crate) fn set_degraded(&self) {
+    fn set_degraded(&self) {
         self.0.store(1, Ordering::SeqCst);
     }
 
-    pub(crate) fn is_degraded(&self) -> bool {
+    fn is_degraded(&self) -> bool {
         self.0.load(Ordering::SeqCst) != 0
     }
 }
 
-/// A write command.
-#[derive(Debug, Clone)]
-pub enum WriteOp {
-    /// Insert one object (its id must not be live; admission control is
-    /// the caller's job, e.g. the server's catalog).
-    Insert(Object),
-    /// Logically delete one object (passed whole so any index can locate
-    /// its postings).
-    Delete(Object),
-}
-
-/// Applier-thread commands. `pub(crate)` so the durable applier
-/// ([`crate::durable`]) can drain the same queue with the same protocol.
 /// Barrier acknowledgment payload: the epoch reached, or the rejection
-/// that made the barrier impossible (a degraded durable applier NAKs
-/// instead of silently dropping the ack channel).
-pub(crate) type BarrierAck = SyncSender<Result<u64, Rejected>>;
+/// that made the barrier impossible (a degraded applier NAKs instead of
+/// silently dropping the ack channel).
+type BarrierAck = SyncSender<Result<u64, Rejected>>;
 
-pub(crate) enum Cmd {
+/// Applier-thread commands.
+enum Cmd {
     Write(WriteOp),
     Flush(BarrierAck),
-    /// Durable servers write a snapshot now; the in-memory applier treats
-    /// it as a flush barrier (there is nothing more durable to do).
+    /// A flush barrier that also makes a journaled store write a snapshot
+    /// now (without a journal there is nothing more durable to do).
     Snapshot(BarrierAck),
 }
 
@@ -163,20 +188,31 @@ pub struct EpochStats {
 
 /// The epoch-snapshot store. See the module docs for the protocol.
 pub struct EpochStore<I> {
-    pub(crate) current: Arc<Mutex<Arc<Snapshot<I>>>>,
-    pub(crate) tx: Option<SyncSender<Cmd>>,
-    pub(crate) applier: Option<JoinHandle<()>>,
-    pub(crate) stats: Arc<EpochStats>,
-    pub(crate) health: Arc<HealthFlag>,
+    current: Arc<Mutex<Arc<Snapshot<I>>>>,
+    tx: Option<SyncSender<Cmd>>,
+    applier: Option<JoinHandle<()>>,
+    stats: Arc<EpochStats>,
+    health: Arc<HealthFlag>,
 }
 
 impl<I: TemporalIrIndex + Clone + Send + Sync + 'static> EpochStore<I> {
     /// Wraps a freshly built index and spawns the applier thread.
     /// `live` is the number of live objects in `index`.
     pub fn new(index: I, live: u64, config: EpochConfig<I>) -> EpochStore<I> {
+        Self::with_journal(index, 0, live, config, None)
+    }
+
+    fn with_journal(
+        index: I,
+        epoch: u64,
+        live: u64,
+        config: EpochConfig<I>,
+        journal: Option<Journal<I>>,
+    ) -> EpochStore<I> {
         let stats = Arc::new(EpochStats::default());
+        let health = Arc::new(HealthFlag::default());
         let current = Arc::new(Mutex::new(Arc::new(Snapshot {
-            epoch: 0,
+            epoch,
             live,
             index: index.clone(),
         })));
@@ -184,12 +220,14 @@ impl<I: TemporalIrIndex + Clone + Send + Sync + 'static> EpochStore<I> {
         let mut applier = Applier {
             master: index,
             live,
-            epoch: 0,
+            epoch,
             rx,
             publish: Arc::clone(&current),
             max_batch: config.max_batch.max(1),
             validator: config.validator,
             stats: Arc::clone(&stats),
+            health: Arc::clone(&health),
+            journal,
         };
         let handle = std::thread::Builder::new()
             .name("tir-epoch-applier".into())
@@ -200,7 +238,7 @@ impl<I: TemporalIrIndex + Clone + Send + Sync + 'static> EpochStore<I> {
             tx: Some(tx),
             applier: Some(handle),
             stats,
-            health: Arc::new(HealthFlag::default()),
+            health,
         }
     }
 
@@ -238,9 +276,9 @@ impl<I: TemporalIrIndex + Clone + Send + Sync + 'static> EpochStore<I> {
         Ok(epoch)
     }
 
-    /// Snapshot barrier: on a durable store ([`crate::durable`]) this
-    /// forces a durable snapshot and returns the epoch it captured; on an
-    /// in-memory store it degrades to [`EpochStore::flush`].
+    /// Snapshot barrier: on a durable store ([`EpochStore::new_durable`])
+    /// this forces a durable snapshot and returns the epoch it captured;
+    /// on an in-memory store it is a plain flush barrier.
     pub fn force_snapshot(&self) -> Result<u64, Rejected> {
         let tx = self.tx.as_ref().ok_or(Rejected::Closed)?;
         let (ack_tx, ack_rx) = sync_channel(1);
@@ -272,6 +310,50 @@ impl<I> Drop for EpochStore<I> {
     }
 }
 
+impl<I: TemporalIrIndex + Persist + Clone + Send + Sync + 'static> EpochStore<I> {
+    /// Wraps a recovered (or freshly created) durable state and spawns
+    /// the applier thread with the journal on. `durability` must already
+    /// own the data directory; `index` must be at `durability.epoch()`.
+    pub fn new_durable(
+        index: I,
+        dict: Arc<Mutex<ServeDict>>,
+        durability: Durability,
+        config: EpochConfig<I>,
+    ) -> EpochStore<I> {
+        let (epoch, live) = (durability.epoch(), durability.live() as u64);
+        let journal = Journal {
+            durability,
+            dict,
+            snapshot_fn: |d, index, dict, force| {
+                if force {
+                    d.write_snapshot(index, dict)
+                } else {
+                    d.maybe_snapshot(index, dict).map(|_| ())
+                }
+            },
+        };
+        Self::with_journal(index, epoch, live, config, Some(journal))
+    }
+}
+
+/// The durable side of a store built by [`EpochStore::new_durable`].
+struct Journal<I> {
+    durability: Durability,
+    /// Snapshots embed the dictionary; shared with the server front end.
+    dict: Arc<Mutex<ServeDict>>,
+    /// [`Durability::write_snapshot`] (`force`) or
+    /// [`Durability::maybe_snapshot`] for this `I`, captured where
+    /// `I: Persist` is known so the applier itself needs no such bound.
+    snapshot_fn: fn(&mut Durability, &I, &Dictionary, bool) -> io::Result<()>,
+}
+
+impl<I> Journal<I> {
+    fn snapshot(&mut self, index: &I, force: bool) -> io::Result<()> {
+        let dict = lock(&self.dict);
+        (self.snapshot_fn)(&mut self.durability, index, dict.dict(), force)
+    }
+}
+
 struct Applier<I> {
     master: I,
     live: u64,
@@ -281,6 +363,9 @@ struct Applier<I> {
     max_batch: usize,
     validator: Option<Validator<I>>,
     stats: Arc<EpochStats>,
+    /// Shared with the store front end; latched on durability failure.
+    health: Arc<HealthFlag>,
+    journal: Option<Journal<I>>,
 }
 
 impl<I: TemporalIrIndex + Clone> Applier<I> {
@@ -295,39 +380,86 @@ impl<I: TemporalIrIndex + Clone> Applier<I> {
                     Err(_) => break,
                 }
             }
-            self.apply(batch);
+            tir_fault::stall(tir_fault::FaultSite::ApplierDelay);
+            let (mut ops, mut acks, mut want_snapshot) = (Vec::new(), Vec::new(), false);
+            for cmd in batch {
+                match cmd {
+                    Cmd::Write(op) => ops.push(op),
+                    Cmd::Flush(ack) => acks.push(ack),
+                    Cmd::Snapshot(ack) => {
+                        want_snapshot = true;
+                        acks.push(ack);
+                    }
+                }
+            }
+            if self.health.is_degraded() {
+                // Read-only mode: keep draining so barriers get an
+                // explicit NAK instead of a hang, discard writes.
+                self.reject(ops.len(), acks);
+            } else {
+                self.apply(&ops, acks, want_snapshot);
+            }
+        }
+        // Clean shutdown of a journaled store: one last snapshot so
+        // restart replays nothing. A degraded applier skips it — the disk
+        // already failed once, and recovery from snapshot + WAL replay
+        // reaches the same acknowledged state.
+        if let Some(journal) = &mut self.journal {
+            if !self.health.is_degraded() && self.epoch > journal.durability.snapshot_epoch() {
+                if let Err(e) = journal.snapshot(&self.master, true) {
+                    eprintln!("tir-serve: shutdown snapshot failed: {e} (WAL replay will recover)");
+                }
+            }
         }
     }
 
-    fn apply(&mut self, batch: Vec<Cmd>) {
-        let mut acks: Vec<BarrierAck> = Vec::new();
-        let mut wrote = 0u64;
-        for cmd in batch {
-            match cmd {
-                Cmd::Write(WriteOp::Insert(o)) => {
-                    self.master.insert(&o);
-                    self.live += 1;
-                    wrote += 1;
-                    // analyze:allow(atomic-ordering): monotonic stat counter, read only for reporting
-                    self.stats.inserts.fetch_add(1, Ordering::Relaxed);
-                }
-                Cmd::Write(WriteOp::Delete(o)) => {
-                    wrote += 1;
-                    if self.master.delete(&o) {
-                        self.live -= 1;
-                        // analyze:allow(atomic-ordering): monotonic stat counter, read only for reporting
-                        self.stats.deletes.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        // analyze:allow(atomic-ordering): monotonic stat counter, read only for reporting
-                        self.stats.missed_deletes.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                // In-memory store: a snapshot barrier is just a flush.
-                Cmd::Flush(ack) | Cmd::Snapshot(ack) => acks.push(ack),
-            }
+    /// Counts `writes` as discarded and NAKs `acks`: what a degraded
+    /// store answers, and how a failed batch is refused — it was never
+    /// applied, so the published epoch still equals the acknowledged one.
+    fn reject(&self, writes: usize, acks: Vec<BarrierAck>) {
+        // analyze:allow(atomic-ordering): monotonic stat counter, read only for reporting
+        self.stats
+            .degraded_writes
+            .fetch_add(writes as u64, Ordering::Relaxed);
+        for ack in acks {
+            let _ = ack.send(Err(Rejected::Degraded));
         }
-        if wrote > 0 {
+    }
+
+    fn apply(&mut self, ops: &[WriteOp], acks: Vec<BarrierAck>, want_snapshot: bool) {
+        if !ops.is_empty() {
+            // Commit: straight onto the master, or through the journal
+            // (WAL append → fsync → the same loop) when there is one.
+            let deleted = match &mut self.journal {
+                None => apply_ops(&mut self.master, ops),
+                Some(journal) => match journal.durability.apply_batch(&mut self.master, ops) {
+                    Ok(out) => out.deleted,
+                    Err(e) => {
+                        eprintln!(
+                            "tir-serve: durable apply failed: {e}; degrading to read-only \
+                             ({} write(s) in the failed batch discarded)",
+                            ops.len()
+                        );
+                        self.health.set_degraded();
+                        return self.reject(ops.len(), acks);
+                    }
+                },
+            };
+            let wrote = ops.len() as u64;
+            let inserts = ops
+                .iter()
+                .filter(|op| matches!(op, WriteOp::Insert(_)))
+                .count() as u64;
             self.epoch += 1;
+            self.live = self.live + inserts - deleted;
+            // analyze:allow(atomic-ordering): monotonic stat counter, read only for reporting
+            self.stats.inserts.fetch_add(inserts, Ordering::Relaxed);
+            // analyze:allow(atomic-ordering): monotonic stat counter, read only for reporting
+            self.stats.deletes.fetch_add(deleted, Ordering::Relaxed);
+            // analyze:allow(atomic-ordering): monotonic stat counter, read only for reporting
+            self.stats
+                .missed_deletes
+                .fetch_add(wrote - inserts - deleted, Ordering::Relaxed);
             if let Some(validator) = &self.validator {
                 let violations = validator(&self.master) as u64;
                 if violations > 0 {
@@ -352,8 +484,20 @@ impl<I: TemporalIrIndex + Clone> Applier<I> {
             // analyze:allow(atomic-ordering): high-water gauge, read only for reporting
             self.stats.max_batch.fetch_max(wrote, Ordering::Relaxed);
         }
-        // Acks go out only after everything enqueued before the flush
-        // (which sits earlier in the same batch) is published.
+        // Snapshot policy runs at barriers (the batch is already durable
+        // in the WAL either way).
+        let snapshot = match &mut self.journal {
+            Some(journal) if !acks.is_empty() => journal.snapshot(&self.master, want_snapshot),
+            _ => Ok(()),
+        };
+        if let Err(e) = snapshot {
+            eprintln!("tir-serve: snapshot failed: {e}; degrading to read-only");
+            self.health.set_degraded();
+            return self.reject(0, acks);
+        }
+        // Acks go out only after everything enqueued before the barrier
+        // (which sits earlier in the same batch) is committed and
+        // published.
         for ack in acks {
             let _ = ack.send(Ok(self.epoch));
         }
@@ -363,7 +507,7 @@ impl<I: TemporalIrIndex + Clone> Applier<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tir_core::{BruteForce, Collection, TimeTravelQuery};
+    use tir_core::{BruteForce, Collection, Object, TimeTravelQuery};
 
     fn store() -> EpochStore<BruteForce> {
         let coll = Collection::running_example();

@@ -8,14 +8,17 @@
 //!
 //! * **[`epoch`]** — the [`EpochStore`](epoch::EpochStore): readers grab
 //!   an `Arc` snapshot and never block; a single applier thread coalesces
-//!   insert/delete batches, applies them to its private master copy,
+//!   insert/delete batches, commits them to its private master copy,
 //!   optionally validates the result (`tir-check` hook), and atomically
-//!   swaps in the next epoch.
-//! * **[`durable`]** — the same store with a write-ahead log in front
+//!   swaps in the next epoch. The same applier runs with a journal
+//!   switched on
 //!   ([`EpochStore::new_durable`](epoch::EpochStore::new_durable),
-//!   `tir-persist`): a batch is acknowledged only after its WAL record is
-//!   fsynced, snapshots land on flush barriers and shutdown, and restart
-//!   recovers to last-snapshot + WAL replay.
+//!   `tir-persist`): a batch is then published and acknowledged only
+//!   after its WAL record is fsynced, snapshots land on flush barriers
+//!   and shutdown, a failing disk latches the store read-only, and
+//!   restart recovers to last-snapshot + WAL replay. [`durable`] holds
+//!   the dictionary whose new terms reach `terms.log` before any op
+//!   naming them is enqueued.
 //! * **[`pool`]** — the [`QueryPool`](pool::QueryPool): a worker pool
 //!   with per-shard dispatch (element-hashed), query batching (one
 //!   snapshot grab per batch), and explicit `Overloaded` backpressure

@@ -291,7 +291,7 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::epoch::{EpochConfig, WriteOp};
     use tir_core::{BruteForce, Collection, Object};
@@ -394,12 +394,13 @@ mod tests {
         }
     }
 
-    /// A [`BruteForce`] wrapper whose query panics on one magic time
-    /// range — stands in for any latent bug a hostile query can reach.
+    /// A [`BruteForce`] wrapper that panics on one magic start time, in
+    /// a query or an insert — stands in for any latent bug a hostile
+    /// request can reach on a worker or on the applier.
     #[derive(Clone)]
-    struct PanicOnMagic(BruteForce);
+    pub(crate) struct PanicOnMagic(pub(crate) BruteForce);
 
-    const MAGIC_START: u64 = 777_777;
+    pub(crate) const MAGIC_START: u64 = 777_777;
 
     impl TemporalIrIndex for PanicOnMagic {
         fn name(&self) -> &'static str {
@@ -415,6 +416,7 @@ mod tests {
             self.0.query_into(q, scratch, out);
         }
         fn insert(&mut self, o: &Object) {
+            assert_ne!(o.interval.st, MAGIC_START, "injected insert panic");
             self.0.insert(o);
         }
         fn delete(&mut self, o: &Object) -> bool {
@@ -445,11 +447,12 @@ mod tests {
             pool.execute(poisoned).expect_err("panic kills the reply"),
             Rejected::Closed
         );
-        assert_eq!(pool.stats().worker_panics.load(Ordering::Relaxed), 1);
-        // The respawned worker still answers on the same queue.
+        // The respawned worker still answers on the same queue — and its
+        // answer orders this thread after the supervisor's panic count.
         let reply = pool
             .execute(TimeTravelQuery::new(5, 9, vec![0, 2]))
             .expect("respawned worker answers");
+        assert_eq!(pool.stats().worker_panics.load(Ordering::Relaxed), 1);
         let mut ids = reply.ids;
         ids.sort_unstable();
         assert_eq!(ids, vec![1, 3, 6]);

@@ -319,6 +319,17 @@ where
     }
 }
 
+/// How a refused query, write or barrier reads on the wire.
+impl From<Rejected> for Response {
+    fn from(rejected: Rejected) -> Response {
+        match rejected {
+            Rejected::Overloaded => Response::Overloaded,
+            Rejected::Degraded => Response::Degraded,
+            Rejected::Closed => Response::Err("server shutting down".into()),
+        }
+    }
+}
+
 fn handle<I>(shared: &Shared<I>, req: Request) -> Response
 where
     I: TemporalIrIndex + Clone + Send + Sync + 'static,
@@ -351,8 +362,7 @@ where
                         Response::Hits(ids)
                     }
                     Ok(QueryOutcome::TimedOut) => Response::Timeout,
-                    Err(Rejected::Overloaded) => Response::Overloaded,
-                    Err(_) => Response::Err("server shutting down".into()),
+                    Err(rejected) => rejected.into(),
                 },
             }
         }
@@ -382,7 +392,6 @@ where
                 return Response::Err(format!("id {id} already live"));
             }
             match shared.store.enqueue(WriteOp::Insert(object.clone())) {
-                Err(Rejected::Degraded) => Response::Degraded,
                 Ok(()) => {
                     catalog.insert(id, object);
                     drop(catalog);
@@ -394,8 +403,7 @@ where
                     shared.domain_max.fetch_max(to, Ordering::Relaxed);
                     Response::Ok
                 }
-                Err(Rejected::Overloaded) => Response::Overloaded,
-                Err(Rejected::Closed) => Response::Err("server shutting down".into()),
+                Err(rejected) => rejected.into(),
             }
         }
         Request::Delete { id } => {
@@ -405,29 +413,20 @@ where
             };
             match shared.store.enqueue(WriteOp::Delete(object.clone())) {
                 Ok(()) => Response::Ok,
-                Err(Rejected::Overloaded) => {
+                Err(rejected) => {
                     catalog.insert(id, object); // not deleted after all
-                    Response::Overloaded
+                    rejected.into()
                 }
-                Err(Rejected::Degraded) => {
-                    catalog.insert(id, object); // not deleted after all
-                    Response::Degraded
-                }
-                Err(Rejected::Closed) => Response::Err("server shutting down".into()),
             }
         }
-        Request::Flush => match shared.store.flush() {
-            Ok(epoch) => Response::Epoch(epoch),
-            Err(Rejected::Overloaded) => Response::Overloaded,
-            Err(Rejected::Degraded) => Response::Degraded,
-            Err(Rejected::Closed) => Response::Err("server shutting down".into()),
-        },
-        Request::Snapshot => match shared.store.force_snapshot() {
-            Ok(epoch) => Response::Epoch(epoch),
-            Err(Rejected::Overloaded) => Response::Overloaded,
-            Err(Rejected::Degraded) => Response::Degraded,
-            Err(Rejected::Closed) => Response::Err("server shutting down".into()),
-        },
+        Request::Flush => shared
+            .store
+            .flush()
+            .map_or_else(Response::from, Response::Epoch),
+        Request::Snapshot => shared
+            .store
+            .force_snapshot()
+            .map_or_else(Response::from, Response::Epoch),
         Request::Health => Response::Health(if shared.shutdown.load(Ordering::SeqCst) {
             HealthStatus::Draining
         } else {
@@ -569,6 +568,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::tests::{PanicOnMagic, MAGIC_START};
     use tir_core::{BruteForce, Collection};
 
     fn example_server() -> ServerHandle {
@@ -744,6 +744,33 @@ mod tests {
         server.stop();
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&copy);
+    }
+
+    #[test]
+    fn delete_refused_by_a_closed_store_keeps_the_id_live() {
+        let coll = Collection::running_example();
+        let mut dict = Dictionary::new();
+        dict.intern("a");
+        let server = spawn_server(
+            PanicOnMagic(BruteForce::build(coll.objects())),
+            coll.objects().to_vec(),
+            dict,
+            ServerConfig::default(),
+            None,
+        )
+        .expect("server spawns");
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        // The applier dies applying this insert; the barrier then returns.
+        let poisoned = format!("INSERT 8 {MAGIC_START} {} a", MAGIC_START + 1);
+        assert_eq!(roundtrip(&mut stream, &mut reader, &poisoned), "OK");
+        let closed = "ERR server shutting down";
+        assert_eq!(roundtrip(&mut stream, &mut reader, "FLUSH"), closed);
+        // A refused DELETE deleted nothing: asking again is refused the
+        // same way, not answered MISSING.
+        assert_eq!(roundtrip(&mut stream, &mut reader, "DELETE 1"), closed);
+        assert_eq!(roundtrip(&mut stream, &mut reader, "DELETE 1"), closed);
+        server.stop();
     }
 
     #[test]

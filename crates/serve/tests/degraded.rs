@@ -11,28 +11,11 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use tir_core::{BruteForce, Collection, Object, TemporalIrIndex, TimeTravelQuery};
-use tir_fault::{FaultAction, FaultPlan, FaultSite};
+use tir_fault::{FaultAction, FaultSite, OneShot};
 use tir_invidx::Dictionary;
 use tir_persist::{Durability, DurabilityOptions, Recovered, TermLog};
 use tir_serve::epoch::{EpochConfig, EpochStore, WriteOp};
 use tir_serve::{HealthStatus, Rejected, ServeDict};
-
-/// Fires `action` at exactly one `(site, visit)`; everything else passes.
-struct OneShot {
-    site: FaultSite,
-    visit: u64,
-    action: FaultAction,
-}
-
-impl FaultPlan for OneShot {
-    fn action(&self, site: FaultSite, visit: u64) -> FaultAction {
-        if site == self.site && visit == self.visit {
-            self.action
-        } else {
-            FaultAction::None
-        }
-    }
-}
 
 #[test]
 fn durability_failure_latches_read_only_and_recovery_keeps_acked_state() {
