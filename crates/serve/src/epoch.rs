@@ -6,10 +6,46 @@
 //! [`TemporalIrIndex`]). A single **applier thread** owns the only mutable
 //! copy of the index ("the master"): it drains the bounded write queue,
 //! coalesces the drained commands into one batch, commits it to the
-//! master, optionally validates the result, and atomically publishes a
-//! clone of the master as the next epoch. Old snapshots stay alive for as
-//! long as some reader holds their `Arc` — there is no reclamation
-//! protocol to get wrong.
+//! master, optionally validates the result, and atomically publishes the
+//! master itself as the next epoch. Old snapshots stay alive for as long
+//! as some reader holds their `Arc`.
+//!
+//! ## Two copies, leapfrogging
+//!
+//! The store keeps two copies of the index: the applier's master and the
+//! one inside the published snapshot. Publishing *moves* the master into
+//! the next `Arc<Snapshot>` — O(1), no clone — and the swap hands the
+//! applier the epoch it just retired. Once the batch's barriers are
+//! acked, the applier takes that retired copy back with
+//! [`Arc::try_unwrap`] and replays the same ops onto it ([`apply_ops`] is
+//! a pure function of state and op), which makes it the next master. A
+//! batch therefore costs two applies of what it touched instead of a
+//! copy of everything.
+//!
+//! The applier never waits for readers. If one still pins the retired
+//! epoch, the applier keeps that `Arc` and the ops it missed and tries
+//! once more when the next batch arrives; if it is pinned even then, the
+//! applier lets it go and clones the published copy, which is what every
+//! epoch used to cost. A pinned snapshot is never written to: the only
+//! way back to `&mut` is `try_unwrap`, which succeeds only for the last
+//! holder. [`EpochStats::publish_reused`] and
+//! [`EpochStats::publish_cloned`] count which way each master was made.
+//!
+//! ## Publish cadence
+//!
+//! With the clone gone an epoch costs microseconds, so the applier is
+//! back at the queue before a lone writer has sent the rest of its
+//! group, and the group reaches it as one batch or as several, whichever
+//! way the scheduler interleaves the two threads — each batch a publish,
+//! a replay and (journaled) an fsync. The applier therefore starts
+//! epochs at least `EPOCH_GAP` (750 µs) apart: a command that arrives
+//! sooner after the last publish waits out the rest of the gap while the
+//! queue fills behind it, and the whole group commits as one batch. A
+//! batch that is already full never waits, and neither does a store that
+//! has been idle for longer than the gap, so the cadence costs a barrier
+//! at most the gap and caps nothing but the publish rate (under 1400
+//! epochs a second). This is the only place the applier sleeps; it is
+//! waiting for writers, never for readers.
 //!
 //! Backpressure is explicit: the write queue is a `sync_channel`, and
 //! [`EpochStore::enqueue`] returns [`Rejected::Overloaded`] instead of
@@ -53,6 +89,7 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use tir_core::{apply_ops, TemporalIrIndex};
 use tir_invidx::Dictionary;
@@ -168,8 +205,16 @@ impl<I> Default for EpochConfig<I> {
 /// Counters exported by [`EpochStore::stats`].
 #[derive(Debug, Default)]
 pub struct EpochStats {
-    /// Epoch swaps performed (equals the latest published epoch).
+    /// The latest epoch this applier published (0 until its first
+    /// publish). An absolute epoch number, not a count of swaps: a
+    /// recovered durable store resumes from its recovered epoch.
     pub epochs: AtomicU64,
+    /// Masters made by replaying a batch onto the retired copy — one
+    /// bump per epoch, here or in `publish_cloned`.
+    pub publish_reused: AtomicU64,
+    /// Masters made by cloning the published copy, because a reader
+    /// still pinned the retired epoch when the next batch arrived.
+    pub publish_cloned: AtomicU64,
     /// Inserts applied.
     pub inserts: AtomicU64,
     /// Deletes applied (found alive).
@@ -218,9 +263,10 @@ impl<I: TemporalIrIndex + Clone + Send + Sync + 'static> EpochStore<I> {
         })));
         let (tx, rx) = sync_channel(config.queue_depth.max(1));
         let mut applier = Applier {
-            master: index,
+            master: Master::Ready(index),
             live,
             epoch,
+            published_at: None,
             rx,
             publish: Arc::clone(&current),
             max_batch: config.max_batch.max(1),
@@ -354,10 +400,32 @@ impl<I> Journal<I> {
     }
 }
 
+/// The applier's own copy of the index, between publishes.
+enum Master<I> {
+    /// At the published epoch: the next batch commits here.
+    Ready(I),
+    /// A reader still pinned the copy the last publish retired. The
+    /// applier holds that epoch and the ops published since, and tries
+    /// to reclaim it once more when the next batch arrives.
+    Pinned(Arc<Snapshot<I>>, Vec<WriteOp>),
+    /// Moved into the published snapshot and not yet replaced: the state
+    /// inside `Applier::apply` between publish and catch-up.
+    Published,
+}
+
+/// Least distance between one publish and the start of the next epoch
+/// (see "Publish cadence" in the module docs). Longer than a closed-loop
+/// client needs to send a group of writes and its barrier over loopback,
+/// so such a group commits as one batch; short against the milliseconds
+/// the per-epoch clone used to cost.
+const EPOCH_GAP: Duration = Duration::from_micros(750);
+
 struct Applier<I> {
-    master: I,
+    master: Master<I>,
     live: u64,
     epoch: u64,
+    /// When this applier last published; `None` until it has.
+    published_at: Option<Instant>,
     rx: Receiver<Cmd>,
     publish: Arc<Mutex<Arc<Snapshot<I>>>>,
     max_batch: usize,
@@ -370,19 +438,25 @@ struct Applier<I> {
 
 impl<I: TemporalIrIndex + Clone> Applier<I> {
     fn run(&mut self) {
+        let (mut batch, mut ops, mut acks) = (Vec::new(), Vec::new(), Vec::new());
         // Block for the first command; then coalesce whatever else is
         // already queued (up to max_batch) into the same epoch swap.
         while let Ok(first) = self.rx.recv() {
-            let mut batch = vec![first];
-            while batch.len() < self.max_batch {
-                match self.rx.try_recv() {
-                    Ok(cmd) => batch.push(cmd),
-                    Err(_) => break,
-                }
+            batch.push(first);
+            self.drain_queue(&mut batch);
+            // Publish cadence: too soon after the last publish, let the
+            // queue fill for the rest of the gap — unless the batch is
+            // full already.
+            let gap_left = self
+                .published_at
+                .and_then(|at| EPOCH_GAP.checked_sub(at.elapsed()));
+            if let (Some(wait), true) = (gap_left, batch.len() < self.max_batch) {
+                std::thread::sleep(wait);
+                self.drain_queue(&mut batch);
             }
             tir_fault::stall(tir_fault::FaultSite::ApplierDelay);
-            let (mut ops, mut acks, mut want_snapshot) = (Vec::new(), Vec::new(), false);
-            for cmd in batch {
+            let mut want_snapshot = false;
+            for cmd in batch.drain(..) {
                 match cmd {
                     Cmd::Write(op) => ops.push(op),
                     Cmd::Flush(ack) => acks.push(ack),
@@ -395,10 +469,11 @@ impl<I: TemporalIrIndex + Clone> Applier<I> {
             if self.health.is_degraded() {
                 // Read-only mode: keep draining so barriers get an
                 // explicit NAK instead of a hang, discard writes.
-                self.reject(ops.len(), acks);
+                self.reject(ops.len(), &mut acks);
             } else {
-                self.apply(&ops, acks, want_snapshot);
+                self.apply(&ops, &mut acks, want_snapshot);
             }
+            ops.clear();
         }
         // Clean shutdown of a journaled store: one last snapshot so
         // restart replays nothing. A degraded applier skips it — the disk
@@ -406,9 +481,20 @@ impl<I: TemporalIrIndex + Clone> Applier<I> {
         // reaches the same acknowledged state.
         if let Some(journal) = &mut self.journal {
             if !self.health.is_degraded() && self.epoch > journal.durability.snapshot_epoch() {
-                if let Err(e) = journal.snapshot(&self.master, true) {
+                let published = Arc::clone(&lock(&self.publish));
+                if let Err(e) = journal.snapshot(&published.index, true) {
                     eprintln!("tir-serve: shutdown snapshot failed: {e} (WAL replay will recover)");
                 }
+            }
+        }
+    }
+
+    /// Moves what is queued right now into `batch`, up to `max_batch`.
+    fn drain_queue(&self, batch: &mut Vec<Cmd>) {
+        while batch.len() < self.max_batch {
+            match self.rx.try_recv() {
+                Ok(cmd) => batch.push(cmd),
+                Err(_) => break,
             }
         }
     }
@@ -416,23 +502,25 @@ impl<I: TemporalIrIndex + Clone> Applier<I> {
     /// Counts `writes` as discarded and NAKs `acks`: what a degraded
     /// store answers, and how a failed batch is refused — it was never
     /// applied, so the published epoch still equals the acknowledged one.
-    fn reject(&self, writes: usize, acks: Vec<BarrierAck>) {
+    fn reject(&self, writes: usize, acks: &mut Vec<BarrierAck>) {
         // analyze:allow(atomic-ordering): monotonic stat counter, read only for reporting
         self.stats
             .degraded_writes
             .fetch_add(writes as u64, Ordering::Relaxed);
-        for ack in acks {
+        for ack in acks.drain(..) {
             let _ = ack.send(Err(Rejected::Degraded));
         }
     }
 
-    fn apply(&mut self, ops: &[WriteOp], acks: Vec<BarrierAck>, want_snapshot: bool) {
+    fn apply(&mut self, ops: &[WriteOp], acks: &mut Vec<BarrierAck>, want_snapshot: bool) {
+        let mut retired = None;
         if !ops.is_empty() {
+            let mut master = self.take_master();
             // Commit: straight onto the master, or through the journal
             // (WAL append → fsync → the same loop) when there is one.
             let deleted = match &mut self.journal {
-                None => apply_ops(&mut self.master, ops),
-                Some(journal) => match journal.durability.apply_batch(&mut self.master, ops) {
+                None => apply_ops(&mut master, ops),
+                Some(journal) => match journal.durability.apply_batch(&mut master, ops) {
                     Ok(out) => out.deleted,
                     Err(e) => {
                         eprintln!(
@@ -440,6 +528,8 @@ impl<I: TemporalIrIndex + Clone> Applier<I> {
                              ({} write(s) in the failed batch discarded)",
                             ops.len()
                         );
+                        // Nothing was applied: still at the published epoch.
+                        self.master = Master::Ready(master);
                         self.health.set_degraded();
                         return self.reject(ops.len(), acks);
                     }
@@ -461,7 +551,7 @@ impl<I: TemporalIrIndex + Clone> Applier<I> {
                 .missed_deletes
                 .fetch_add(wrote - inserts - deleted, Ordering::Relaxed);
             if let Some(validator) = &self.validator {
-                let violations = validator(&self.master) as u64;
+                let violations = validator(&master) as u64;
                 if violations > 0 {
                     // analyze:allow(atomic-ordering): stat counter; publication order is carried by the snapshot mutex
                     self.stats
@@ -476,38 +566,83 @@ impl<I: TemporalIrIndex + Clone> Applier<I> {
             let next = Arc::new(Snapshot {
                 epoch: self.epoch,
                 live: self.live,
-                index: self.master.clone(),
+                index: master,
             });
-            *lock(&self.publish) = next;
+            retired = Some(std::mem::replace(&mut *lock(&self.publish), next));
+            self.published_at = Some(Instant::now());
             // analyze:allow(atomic-ordering): gauge trailing the publish mutex above; readers need no ordering from it
             self.stats.epochs.store(self.epoch, Ordering::Relaxed);
             // analyze:allow(atomic-ordering): high-water gauge, read only for reporting
             self.stats.max_batch.fetch_max(wrote, Ordering::Relaxed);
         }
         // Snapshot policy runs at barriers (the batch is already durable
-        // in the WAL either way).
+        // in the WAL either way), on the published copy.
         let snapshot = match &mut self.journal {
-            Some(journal) if !acks.is_empty() => journal.snapshot(&self.master, want_snapshot),
+            Some(journal) if !acks.is_empty() => {
+                let published = Arc::clone(&lock(&self.publish));
+                journal.snapshot(&published.index, want_snapshot)
+            }
             _ => Ok(()),
         };
-        if let Err(e) = snapshot {
-            eprintln!("tir-serve: snapshot failed: {e}; degrading to read-only");
-            self.health.set_degraded();
-            return self.reject(0, acks);
+        match snapshot {
+            // Acks go out only after everything enqueued before the
+            // barrier (which sits earlier in the same batch) is committed
+            // and published.
+            Ok(()) => {
+                for ack in acks.drain(..) {
+                    let _ = ack.send(Ok(self.epoch));
+                }
+            }
+            Err(e) => {
+                eprintln!("tir-serve: snapshot failed: {e}; degrading to read-only");
+                self.health.set_degraded();
+                self.reject(0, acks);
+            }
         }
-        // Acks go out only after everything enqueued before the barrier
-        // (which sits earlier in the same batch) is committed and
-        // published.
-        for ack in acks {
-            let _ = ack.send(Ok(self.epoch));
+        // Off the ack path: turn the retired copy into the next master.
+        if let Some(retired) = retired {
+            self.master = match Arc::try_unwrap(retired) {
+                Ok(snap) => Master::Ready(self.catch_up(snap.index, ops)),
+                Err(pinned) => Master::Pinned(pinned, ops.to_vec()),
+            };
         }
+    }
+
+    /// The copy the next batch commits to, at the published epoch. A
+    /// retired copy that was pinned gets its second and last reclaim
+    /// attempt here; if a reader still holds it, the published copy is
+    /// cloned instead — the applier never waits for readers.
+    fn take_master(&mut self) -> I {
+        match std::mem::replace(&mut self.master, Master::Published) {
+            Master::Ready(index) => return index,
+            Master::Pinned(retired, missed) => {
+                if let Ok(snap) = Arc::try_unwrap(retired) {
+                    return self.catch_up(snap.index, &missed);
+                }
+            }
+            Master::Published => {}
+        }
+        // analyze:allow(atomic-ordering): monotonic stat counter, read only for reporting
+        self.stats.publish_cloned.fetch_add(1, Ordering::Relaxed);
+        // Clone outside the publish lock: readers must not wait for it.
+        let published = Arc::clone(&lock(&self.publish));
+        published.index.clone()
+    }
+
+    /// Replays `ops` — what was published since `index` was retired —
+    /// onto the reclaimed copy, bringing it to the published epoch.
+    fn catch_up(&self, mut index: I, ops: &[WriteOp]) -> I {
+        apply_ops(&mut index, ops);
+        // analyze:allow(atomic-ordering): monotonic stat counter, read only for reporting
+        self.stats.publish_reused.fetch_add(1, Ordering::Relaxed);
+        index
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tir_core::{BruteForce, Collection, Object, TimeTravelQuery};
+    use tir_core::{BruteForce, Collection, Object, Tif, TimeTravelQuery};
 
     fn store() -> EpochStore<BruteForce> {
         let coll = Collection::running_example();
@@ -628,5 +763,140 @@ mod tests {
             .expect("enqueue");
         s.flush().expect("flush");
         assert_eq!(s.stats().violations.load(Ordering::Relaxed), 2);
+    }
+
+    /// A `Tif` store over the running example, and the catalog it holds.
+    fn tif_store() -> (EpochStore<Tif>, Vec<Object>) {
+        let coll = Collection::running_example();
+        let store = EpochStore::new(Tif::build(&coll), coll.len() as u64, EpochConfig::default());
+        (store, coll.objects().to_vec())
+    }
+
+    fn assert_exact(snap: &Snapshot<Tif>, model: &[Object]) {
+        let grid = tir_check::oracle_query_grid(model, 16, snap.epoch);
+        let diverged = tir_check::diff_against_oracle(&snap.index, model, &grid);
+        assert!(diverged.is_empty(), "epoch {}: {diverged:?}", snap.epoch);
+        assert_eq!(snap.live, model.len() as u64);
+    }
+
+    /// Commits `op` as one epoch, mirrors it in `model` and checks the
+    /// published copy against the oracle. The snapshot it takes is gone
+    /// on return, so this pins nothing.
+    fn commit_exact(s: &EpochStore<Tif>, model: &mut Vec<Object>, op: WriteOp) -> u64 {
+        match &op {
+            WriteOp::Insert(o) => model.push(o.clone()),
+            WriteOp::Delete(o) => model.retain(|m| m.id != o.id),
+        }
+        s.enqueue(op).expect("enqueue");
+        let epoch = s.flush().expect("flush");
+        let snap = s.snapshot();
+        assert_eq!(snap.epoch, epoch);
+        assert_exact(&snap, model);
+        epoch
+    }
+
+    /// `(publish_reused, publish_cloned)` once the applier is done
+    /// catching up: an empty flush queues behind that step.
+    fn publish_counts(s: &EpochStore<Tif>) -> (u64, u64) {
+        s.flush().expect("flush");
+        let stats = s.stats();
+        (
+            stats.publish_reused.load(Ordering::Relaxed),
+            stats.publish_cloned.load(Ordering::Relaxed),
+        )
+    }
+
+    #[test]
+    fn unpinned_epochs_leapfrog_without_cloning_and_both_copies_stay_exact() {
+        let (s, mut model) = tif_store();
+        // One op per epoch, so consecutive epochs are served by
+        // alternating copies; each delete removes the previous insert,
+        // which only the *other* copy applied first-hand.
+        for round in 0..8u32 {
+            let o = Object::new(100 + round, 2 + u64::from(round), 9, vec![0, 2]);
+            let epoch = commit_exact(&s, &mut model, WriteOp::Insert(o.clone()));
+            assert_eq!(epoch, u64::from(2 * round + 1));
+            if round % 2 == 1 {
+                commit_exact(&s, &mut model, WriteOp::Delete(o));
+            } else {
+                let ghost = Object::new(9_000 + round, 0, 1, vec![1]);
+                commit_exact(&s, &mut model, WriteOp::Delete(ghost));
+            }
+        }
+        assert_eq!(publish_counts(&s), (16, 0));
+    }
+
+    #[test]
+    fn a_group_sent_inside_the_gap_is_one_epoch_and_epochs_keep_their_distance() {
+        let (s, mut model) = tif_store();
+        commit_exact(
+            &s,
+            &mut model,
+            WriteOp::Insert(Object::new(50, 1, 4, vec![0])),
+        );
+        // Each group starts right behind a publish, so the applier waits
+        // out the gap before it takes the group's first command: every
+        // publish is a full gap behind the one before it, a lower bound
+        // no scheduler delay can break.
+        const GROUPS: u32 = 6;
+        let begun = Instant::now();
+        let mut one_epoch_groups = 0;
+        let mut before = s.snapshot().epoch;
+        for g in 0..GROUPS {
+            for k in 0..4 {
+                let o = Object::new(200 + 4 * g + k, u64::from(k), 9, vec![0, 1]);
+                model.push(o.clone());
+                s.enqueue(WriteOp::Insert(o)).expect("enqueue");
+            }
+            let epoch = s.flush().expect("flush");
+            one_epoch_groups += u32::from(epoch == before + 1);
+            before = epoch;
+        }
+        assert!(begun.elapsed() >= EPOCH_GAP * (GROUPS - 1));
+        assert_exact(&s.snapshot(), &model);
+        // Four in-process enqueues take microseconds, the gap hundreds:
+        // short of a descheduled test thread, a group is one epoch.
+        assert!(one_epoch_groups >= GROUPS / 2, "{one_epoch_groups}");
+    }
+
+    #[test]
+    fn pinned_epoch_is_never_mutated_and_the_applier_clones_instead_of_waiting() {
+        let (s, mut model) = tif_store();
+        let at_pin = model.clone();
+        let pinned = s.snapshot();
+        // Two epochs go by under the pin: the reclaim fails after the
+        // first and again when the second batch arrives, so the second
+        // master is a clone of the published copy.
+        commit_exact(
+            &s,
+            &mut model,
+            WriteOp::Insert(Object::new(8, 5, 6, vec![0, 2])),
+        );
+        commit_exact(&s, &mut model, WriteOp::Delete(at_pin[1].clone()));
+        assert_eq!(publish_counts(&s), (1, 1));
+        assert_eq!(pinned.epoch, 0);
+        assert_exact(&pinned, &at_pin);
+        drop(pinned);
+
+        // The deferred retry: a pin that outlives the publish but is gone
+        // by the next batch costs no clone.
+        let at_pin = model.clone();
+        let pinned = s.snapshot();
+        commit_exact(
+            &s,
+            &mut model,
+            WriteOp::Insert(Object::new(9, 1, 12, vec![1, 2])),
+        );
+        // Past the first reclaim attempt, which the pin made fail.
+        assert_eq!(publish_counts(&s), (1, 1));
+        assert_exact(&pinned, &at_pin);
+        drop(pinned);
+        commit_exact(&s, &mut model, WriteOp::Delete(at_pin[0].clone()));
+        commit_exact(
+            &s,
+            &mut model,
+            WriteOp::Insert(Object::new(10, 0, 3, vec![0])),
+        );
+        assert_eq!(publish_counts(&s), (4, 1));
     }
 }

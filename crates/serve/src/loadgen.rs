@@ -185,6 +185,12 @@ pub struct LoadgenReport {
     pub blocks_decoded: u64,
     /// Elements scanned by intersection kernels during the run.
     pub elems_scanned: u64,
+    /// Epochs during the run whose master the applier made by replaying
+    /// the batch onto the retired copy.
+    pub publish_reused: u64,
+    /// Epochs during the run whose master was a clone of the published
+    /// copy, because a reader still pinned the retired one.
+    pub publish_cloned: u64,
 }
 
 impl LoadgenReport {
@@ -224,6 +230,8 @@ impl LoadgenReport {
             ("kern_run_intersect", Json::Int(self.kern_run_intersect)),
             ("blocks_decoded", Json::Int(self.blocks_decoded)),
             ("elems_scanned", Json::Int(self.elems_scanned)),
+            ("publish_reused", Json::Int(self.publish_reused)),
+            ("publish_cloned", Json::Int(self.publish_cloned)),
         ])
     }
 
@@ -236,7 +244,8 @@ impl LoadgenReport {
              outcomes    ok {} | hits {} | rejected {} | missing {} | errors {}\n\
              resilience  timeouts {} | retries {} | degraded {} | wrong {}\n\
              kernels     merge {} | simd-merge {} | gallop {} | bitmap-probe {} | word-AND {} \
-             | run {} | blocks {} | scanned {}",
+             | run {} | blocks {} | scanned {}\n\
+             publish     reused {} | cloned {}",
             self.requests,
             self.elapsed_s,
             self.threads,
@@ -262,7 +271,9 @@ impl LoadgenReport {
             self.kern_word_and,
             self.kern_run_intersect,
             self.blocks_decoded,
-            self.elems_scanned
+            self.elems_scanned,
+            self.publish_reused,
+            self.publish_cloned
         );
         if self.flushes > 0 {
             s.push_str(&format!(
@@ -327,11 +338,11 @@ impl Connection {
     }
 }
 
-/// Conjunction-planner kernel counters scraped from a STATS reply.
-/// Servers predating the planner simply omit the keys; every field
-/// then reads 0 and the report shows an all-zero kernel mix.
+/// Server-side counters scraped from a STATS reply: the
+/// conjunction-planner kernel mix and how the applier made each epoch's
+/// master. A server that omits a key reads 0 for it.
 #[derive(Debug, Clone, Copy, Default)]
-struct KernelCounters {
+struct ServerCounters {
     merge: u64,
     simd_merge: u64,
     gallop: u64,
@@ -340,10 +351,12 @@ struct KernelCounters {
     run_intersect: u64,
     blocks_decoded: u64,
     scanned: u64,
+    publish_reused: u64,
+    publish_cloned: u64,
 }
 
-impl KernelCounters {
-    fn from_stats(pairs: &[(String, String)]) -> KernelCounters {
+impl ServerCounters {
+    fn from_stats(pairs: &[(String, String)]) -> ServerCounters {
         let get = |key: &str| -> u64 {
             pairs
                 .iter()
@@ -351,7 +364,7 @@ impl KernelCounters {
                 .and_then(|(_, v)| v.parse().ok())
                 .unwrap_or(0)
         };
-        KernelCounters {
+        ServerCounters {
             merge: get("kern_merge"),
             simd_merge: get("kern_simd_merge"),
             gallop: get("kern_gallop"),
@@ -360,13 +373,15 @@ impl KernelCounters {
             run_intersect: get("kern_run_intersect"),
             blocks_decoded: get("blocks_decoded"),
             scanned: get("elems_scanned"),
+            publish_reused: get("publish_reused"),
+            publish_cloned: get("publish_cloned"),
         }
     }
 
     /// Counter delta since `earlier` (saturating: a restarted server
     /// yields zeros, not nonsense).
-    fn since(&self, earlier: &KernelCounters) -> KernelCounters {
-        KernelCounters {
+    fn since(&self, earlier: &ServerCounters) -> ServerCounters {
+        ServerCounters {
             merge: self.merge.saturating_sub(earlier.merge),
             simd_merge: self.simd_merge.saturating_sub(earlier.simd_merge),
             gallop: self.gallop.saturating_sub(earlier.gallop),
@@ -375,15 +390,17 @@ impl KernelCounters {
             run_intersect: self.run_intersect.saturating_sub(earlier.run_intersect),
             blocks_decoded: self.blocks_decoded.saturating_sub(earlier.blocks_decoded),
             scanned: self.scanned.saturating_sub(earlier.scanned),
+            publish_reused: self.publish_reused.saturating_sub(earlier.publish_reused),
+            publish_cloned: self.publish_cloned.saturating_sub(earlier.publish_cloned),
         }
     }
 }
 
-/// One STATS round-trip for its kernel counters only.
-fn fetch_kernels(addr: &str) -> Result<KernelCounters, String> {
+/// One STATS round-trip for its counters only.
+fn fetch_counters(addr: &str) -> Result<ServerCounters, String> {
     let mut conn = Connection::open(addr)?;
     match conn.call("STATS")? {
-        Response::Stats(pairs) => Ok(KernelCounters::from_stats(&pairs)),
+        Response::Stats(pairs) => Ok(ServerCounters::from_stats(&pairs)),
         other => Err(format!("expected STATS, got {other:?}")),
     }
 }
@@ -396,8 +413,8 @@ struct ServerInfo {
     domain_min: u64,
     domain_max: u64,
     terms: Vec<String>,
-    /// Kernel counters at discovery time — the "before" snapshot.
-    kernels: KernelCounters,
+    /// Counters at discovery time — the "before" snapshot.
+    counters: ServerCounters,
 }
 
 fn discover(addr: &str) -> Result<ServerInfo, String> {
@@ -420,7 +437,7 @@ fn discover(addr: &str) -> Result<ServerInfo, String> {
             Some((lo.parse().ok()?, hi.parse().ok()?))
         })
         .ok_or("STATS lacks domain")?;
-    let kernels = KernelCounters::from_stats(&stats);
+    let counters = ServerCounters::from_stats(&stats);
     let terms = match conn.call("ELEMS 256")? {
         Response::Elems(terms) => terms,
         other => return Err(format!("expected ELEMS, got {other:?}")),
@@ -435,7 +452,7 @@ fn discover(addr: &str) -> Result<ServerInfo, String> {
         domain_min,
         domain_max,
         terms,
-        kernels,
+        counters,
     })
 }
 
@@ -698,11 +715,11 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
     }
     let elapsed_s = t0.elapsed().as_secs_f64();
     let issued = totals.histogram.count();
-    // Second STATS snapshot: the delta is the kernel work this run drove.
+    // Second STATS snapshot: the delta is the server work this run drove.
     // A server that died mid-run already surfaced as transport errors, so
     // a failed snapshot degrades to zeros instead of failing the report.
-    let kernels = fetch_kernels(&cfg.addr)
-        .map(|after| after.since(&info.kernels))
+    let counters = fetch_counters(&cfg.addr)
+        .map(|after| after.since(&info.counters))
         .unwrap_or_default();
 
     Ok(LoadgenReport {
@@ -730,14 +747,16 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
         method: info.method.clone(),
         size_bytes: info.size_bytes,
         threads: cfg.threads,
-        kern_merge: kernels.merge,
-        kern_simd_merge: kernels.simd_merge,
-        kern_gallop: kernels.gallop,
-        kern_bitmap_probe: kernels.bitmap_probe,
-        kern_word_and: kernels.word_and,
-        kern_run_intersect: kernels.run_intersect,
-        blocks_decoded: kernels.blocks_decoded,
-        elems_scanned: kernels.scanned,
+        kern_merge: counters.merge,
+        kern_simd_merge: counters.simd_merge,
+        kern_gallop: counters.gallop,
+        kern_bitmap_probe: counters.bitmap_probe,
+        kern_word_and: counters.word_and,
+        kern_run_intersect: counters.run_intersect,
+        blocks_decoded: counters.blocks_decoded,
+        elems_scanned: counters.scanned,
+        publish_reused: counters.publish_reused,
+        publish_cloned: counters.publish_cloned,
     })
 }
 

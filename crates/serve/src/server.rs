@@ -497,6 +497,14 @@ where
                     "degraded_writes",
                     estats.degraded_writes.load(Ordering::Relaxed).to_string(),
                 ),
+                (
+                    "publish_reused",
+                    estats.publish_reused.load(Ordering::Relaxed).to_string(),
+                ),
+                (
+                    "publish_cloned",
+                    estats.publish_cloned.load(Ordering::Relaxed).to_string(),
+                ),
             ]
             .into_iter()
             .map(|(k, v)| (k.to_string(), v))

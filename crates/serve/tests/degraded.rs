@@ -1,13 +1,15 @@
 //! Degraded-mode test: a durability failure must latch the store
 //! read-only — queries keep serving the last acked epoch, writes and
-//! barriers answer `Degraded`, nothing unacked survives recovery, and
-//! the directory recovers to exactly the acknowledged state.
+//! barriers answer `Degraded`, the failed batch touches neither of the
+//! store's two index copies, and the directory recovers to the
+//! acknowledged state.
 //!
 //! NOTE: the fault registry is process-global, so this binary holds
 //! exactly one `#[test]`.
 
 use std::fs;
 use std::path::PathBuf;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use tir_core::{BruteForce, Collection, Object, TemporalIrIndex, TimeTravelQuery};
@@ -19,6 +21,15 @@ use tir_serve::{HealthStatus, Rejected, ServeDict};
 
 #[test]
 fn durability_failure_latches_read_only_and_recovery_keeps_acked_state() {
+    // Where in `Durability::apply_batch` the batch dies. All three leave
+    // both of the store's copies at the acked epoch; they differ only in
+    // whether the refused write may legitimately resurface on recovery.
+    for site in [FaultSite::WalAppend, FaultSite::WalSync, FaultSite::Apply] {
+        fails_at(site);
+    }
+}
+
+fn fails_at(site: FaultSite) {
     let dir: PathBuf =
         std::env::temp_dir().join(format!("tir-serve-degraded-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
@@ -42,17 +53,27 @@ fn durability_failure_latches_read_only_and_recovery_keeps_acked_state() {
         EpochConfig::default(),
     );
 
-    // One clean acked write establishes epoch 1.
-    store
-        .enqueue(WriteOp::Insert(Object::new(8, 5, 6, vec![0, 2])))
-        .expect("clean enqueue");
-    assert_eq!(store.flush().expect("clean flush"), 1);
+    // Three clean acked epochs, so each of the store's two copies has
+    // been master and published at least once before the fault.
+    let extra = Object::new(20, 5, 6, vec![0, 2]);
+    for (epoch, op) in [
+        WriteOp::Insert(Object::new(8, 5, 6, vec![0, 2])),
+        WriteOp::Insert(extra.clone()),
+        WriteOp::Delete(extra),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        store.enqueue(op).expect("clean enqueue");
+        assert_eq!(store.flush().expect("clean flush"), epoch as u64 + 1);
+    }
     assert_eq!(store.health(), HealthStatus::Ok);
 
-    // The next WAL append fails (simulated ENOSPC before any byte
-    // lands): the write's batch must degrade the store, not ack a lie.
+    // The next batch fails inside the journal (simulated ENOSPC, fsync
+    // error, or a crash point after the fsync): it must degrade the
+    // store, not ack a lie.
     tir_fault::install(Arc::new(OneShot {
-        site: FaultSite::WalAppend,
+        site,
         visit: 0,
         action: FaultAction::Error,
     }));
@@ -61,7 +82,8 @@ fn durability_failure_latches_read_only_and_recovery_keeps_acked_state() {
         .expect("enqueue before the fault is admitted");
     assert_eq!(
         store.flush().expect_err("durability failed"),
-        Rejected::Degraded
+        Rejected::Degraded,
+        "{site:?}"
     );
     assert_eq!(store.health(), HealthStatus::Degraded);
 
@@ -78,21 +100,23 @@ fn durability_failure_latches_read_only_and_recovery_keeps_acked_state() {
             .expect_err("degraded store refuses barriers"),
         Rejected::Degraded
     );
-    // analyze:allow(atomic-ordering): test-side stat read
-    assert!(
-        store
-            .stats()
-            .degraded_writes
-            .load(std::sync::atomic::Ordering::Relaxed)
-            >= 1,
-        "the discarded write must be counted"
+    let stats = store.stats();
+    // analyze:allow(atomic-ordering): test-side stat reads
+    let (discarded, reused, cloned) = (
+        stats.degraded_writes.load(Ordering::Relaxed),
+        stats.publish_reused.load(Ordering::Relaxed),
+        stats.publish_cloned.load(Ordering::Relaxed),
     );
+    assert!(discarded >= 1, "the discarded write must be counted");
+    // The failed batch found the master caught up with epoch 3 and
+    // consumed neither copy: no publish, no clone.
+    assert_eq!((reused, cloned), (3, 0), "{site:?}");
 
     // Queries keep serving the last acked epoch: id 8 is there, id 9
     // (whose durability failed) is not.
     let snap = store.snapshot();
     assert_eq!(
-        snap.epoch, 1,
+        snap.epoch, 3,
         "published epoch never exceeds the acked epoch"
     );
     let mut got = snap.index.query(&TimeTravelQuery::new(5, 9, vec![0, 2]));
@@ -107,12 +131,16 @@ fn durability_failure_latches_read_only_and_recovery_keeps_acked_state() {
     tir_fault::clear();
     drop(store); // degraded shutdown must not write a snapshot
 
-    // Recovery lands on the acked state exactly.
+    // Recovery lands on the acked state — exactly, when the record never
+    // reached the WAL; a record that did (a failed fsync may still have
+    // landed it, `Apply` fires after the fsync) replays as one more epoch.
     let r: Recovered<BruteForce> = Durability::recover(&dir, opts).expect("recover");
-    assert_eq!(r.epoch, 1);
     let ids: Vec<u32> = r.durability.catalog_sorted().iter().map(|o| o.id).collect();
     assert!(ids.contains(&8));
-    assert!(!ids.contains(&9), "the unacked write must not resurrect");
-    assert!(!ids.contains(&10));
+    assert!(!ids.contains(&20) && !ids.contains(&10));
+    assert_eq!(r.epoch, 3 + u64::from(ids.contains(&9)), "{site:?}");
+    if site == FaultSite::WalAppend {
+        assert!(!ids.contains(&9), "the unacked write must not resurrect");
+    }
     let _ = fs::remove_dir_all(&dir);
 }

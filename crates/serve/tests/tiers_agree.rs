@@ -2,12 +2,15 @@
 //! script driven through [`EpochStore::new`] (no journal) and
 //! [`EpochStore::new_durable`] (WAL + snapshots) must reach the same
 //! epoch and live count at every barrier, answer exactly like the
-//! `BruteForce` oracle at each, and end with the same applier counters —
-//! they are one applier, with or without a journal.
+//! `BruteForce` oracle at each, and end with the same applier counters,
+//! down to how each epoch's master was made — they are one applier, with
+//! or without a journal.
 //!
 //! Batch boundaries are forced, not hoped for: the validator hook parks
 //! the applier inside every epoch swap until the driver releases it, so
 //! a group of `k` writes always commits as `[w1]` then `[w2..wk]`.
+
+mod common;
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -15,7 +18,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 
 use tir_core::prelude::*;
-use tir_datagen::{mixed_stream, MixedSpec, Op, SyntheticConfig, WorkloadSpec};
+use tir_datagen::SyntheticConfig;
 use tir_invidx::Dictionary;
 use tir_persist::{Durability, DurabilityOptions, TermLog};
 use tir_serve::epoch::{EpochConfig, EpochStore};
@@ -53,26 +56,7 @@ fn gated_config() -> (EpochConfig<Tif>, Gate) {
 /// `false` = `flush`): seeded inserts and live deletes, plus one delete
 /// of an id that was never inserted.
 fn script(coll: &Collection) -> Vec<(Vec<WriteOp>, bool)> {
-    let spec = MixedSpec {
-        write_fraction: 1.0,
-        insert_fraction: 0.6,
-        query: WorkloadSpec::default(),
-    };
-    let mut catalog: HashMap<u32, Object> =
-        coll.objects().iter().map(|o| (o.id, o.clone())).collect();
-    let mut ops: Vec<WriteOp> = mixed_stream(coll, &spec, 30, 29)
-        .into_iter()
-        .map(|op| match op {
-            Op::Insert(o) => {
-                catalog.insert(o.id, o.clone());
-                WriteOp::Insert(o)
-            }
-            Op::Delete(id) => WriteOp::Delete(catalog.remove(&id).expect("live id")),
-            Op::Query(_) => unreachable!("write_fraction = 1.0"),
-        })
-        .collect();
-    assert!(ops.iter().any(|op| matches!(op, WriteOp::Delete(_))));
-    ops.insert(7, WriteOp::Delete(Object::new(9_999_999, 0, 1, vec![0])));
+    let mut ops = common::write_stream(coll, 30, 29);
     let mut groups = Vec::new();
     for (i, size) in [1usize, 4, 6, 2, 9, 1, 8].into_iter().enumerate() {
         groups.push((ops.drain(..size).collect(), i % 3 == 2));
@@ -82,8 +66,9 @@ fn script(coll: &Collection) -> Vec<(Vec<WriteOp>, bool)> {
 }
 
 /// What one tier did: `(epoch, live)` at every barrier, then the
-/// `inserts / deletes / missed_deletes / max_batch` counters.
-type Trace = (Vec<(u64, u64)>, [u64; 4]);
+/// `inserts / deletes / missed_deletes / max_batch / publish_reused /
+/// publish_cloned` counters.
+type Trace = (Vec<(u64, u64)>, [u64; 6]);
 
 fn drive(store: &EpochStore<Tif>, gate: &Gate, coll: &Collection) -> Trace {
     let mut model: HashMap<u32, Object> =
@@ -122,9 +107,19 @@ fn drive(store: &EpochStore<Tif>, gate: &Gate, coll: &Collection) -> Trace {
         assert!(diverged.is_empty(), "epoch {epoch}: {diverged:?}");
         barriers.push((epoch, snap.live));
     }
+    // The last ack goes out before the applier catches its retired copy
+    // up; an empty flush queues behind that step.
+    store.flush().expect("flush barrier");
     let s = store.stats();
-    let stats = [&s.inserts, &s.deletes, &s.missed_deletes, &s.max_batch]
-        .map(|counter| counter.load(Ordering::SeqCst));
+    let stats = [
+        &s.inserts,
+        &s.deletes,
+        &s.missed_deletes,
+        &s.max_batch,
+        &s.publish_reused,
+        &s.publish_cloned,
+    ]
+    .map(|counter| counter.load(Ordering::SeqCst));
     (barriers, stats)
 }
 
@@ -159,11 +154,13 @@ fn journaled_and_plain_stores_agree_at_every_barrier() {
     let journaled_trace = drive(&journaled, &gate, &coll);
 
     assert_eq!(plain_trace, journaled_trace);
-    let (barriers, [inserts, deletes, missed, max_batch]) = plain_trace;
-    // 7 groups, 5 of them longer than one write: 12 epochs.
+    let (barriers, [inserts, deletes, missed, max_batch, reused, cloned]) = plain_trace;
+    // 7 groups, 5 of them longer than one write: 12 epochs, none of
+    // them pinned when it was retired.
     assert_eq!(barriers.last().map(|b| b.0), Some(12));
     assert_eq!(inserts + deletes + missed, 31);
     assert_eq!((missed, max_batch), (1, 8));
+    assert_eq!((reused, cloned), (12, 0));
 
     drop(journaled);
     let _ = std::fs::remove_dir_all(&dir);
