@@ -96,7 +96,8 @@ pub struct Config {
     /// growth sink (caller-owned output buffers, arena borrows).
     pub growth_sinks: Vec<String>,
     /// Function names rooting the `panic-reachability` walk: the serve
-    /// accept loop and the worker pool's thread body.
+    /// accept loop, from which connection threads run each request —
+    /// queries included — to completion.
     pub serve_roots: Vec<String>,
     /// Path suffixes of the files allowed to contain (per-site
     /// justified) `unsafe` — the audited mmap wrapper. Everywhere else
@@ -156,7 +157,7 @@ impl Default for Config {
             hot_path_cuts: s(&["query"]),
             scratch_arenas: s(&["QueryScratch"]),
             growth_sinks: s(&["QueryScratch", "Vec", "String"]),
-            serve_roots: s(&["accept_loop", "worker_loop"]),
+            serve_roots: s(&["accept_loop"]),
             unsafe_audited_paths: s(&["persist/src/mmap.rs", "invidx/src/simd.rs"]),
             taint_crates: None,
             taint_sources: s(&["read_u32", "read_u64", "get"]),

@@ -3,14 +3,15 @@
 //! The line-local `panic-path` rule keeps `.unwrap()` and friends out of
 //! library code generally, but it judges sites one at a time and accepts
 //! a messaged `.expect("…")`. The serving stack has a stricter
-//! obligation: a panic anywhere reachable from the accept loop or a
-//! worker thread kills that thread — connections drop or a pool shard
-//! goes permanently dark — so *messaged* expects are errors there too,
+//! obligation: a panic anywhere reachable from the accept loop kills
+//! the accept thread or the connection thread it spawned — which now
+//! also runs the query — so *messaged* expects are errors there too,
 //! and the judgment has to be transitive.
 //!
 //! This rule walks the workspace call graph from
-//! [`crate::Config::serve_roots`] (`accept_loop` and `worker_loop` by
-//! default) and flags every reachable `.unwrap()` / `.expect()` /
+//! [`crate::Config::serve_roots`] (`accept_loop` by default; the
+//! connection threads and the query path hang off it) and flags every
+//! reachable `.unwrap()` / `.expect()` /
 //! `panic!` / `todo!` / `unimplemented!` / `unreachable!`, printing the
 //! full call chain from the root so the report is actionable.
 //!

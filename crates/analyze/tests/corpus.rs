@@ -429,14 +429,14 @@ fn blocking_justified_allow_silences_bare_allow_fires() {
 
 #[test]
 fn panic_reach_fires_with_full_chain() {
-    let src = "fn worker_loop(rx: &Receiver<Job>) {\n    helper();\n}\nfn helper(x: Option<u32>) {\n    x.unwrap();\n}\n";
+    let src = "fn accept_loop(listener: &TcpListener) {\n    helper();\n}\nfn helper(x: Option<u32>) {\n    x.unwrap();\n}\n";
     let diags: Vec<_> = analyze_snippet(src)
         .into_iter()
         .filter(|d| d.rule == "panic-reachability")
         .collect();
     assert_eq!(diags.len(), 1, "{diags:?}");
     let msg = &diags[0].message;
-    assert!(msg.contains("worker_loop (snippet.rs:1)"), "{msg}");
+    assert!(msg.contains("accept_loop (snippet.rs:1)"), "{msg}");
     assert!(msg.contains("helper (snippet.rs:4)"), "{msg}");
 }
 
@@ -457,7 +457,7 @@ fn panic_reach_silent_off_the_serving_roots() {
 
 #[test]
 fn panic_reach_silent_on_fixed_form() {
-    let src = "fn worker_loop(rx: &Receiver<Job>) {\n    if helper().is_none() { return; }\n}\nfn helper() -> Option<u32> {\n    None\n}\n";
+    let src = "fn accept_loop(listener: &TcpListener) {\n    if helper().is_none() { return; }\n}\nfn helper() -> Option<u32> {\n    None\n}\n";
     assert!(rules_fired(src).is_empty());
 }
 
@@ -619,7 +619,7 @@ mod tests {
         let v = data.clone();
     }
     mod nested {
-        fn worker_loop(x: Option<u32>) {
+        fn accept_loop(x: Option<u32>) {
             x.unwrap();
         }
     }
@@ -969,7 +969,7 @@ fn fn_item_allow_suppresses_reach_rule_in_whole_body() {
     // so the allow sits on the fn item owning that site and must cover
     // every line of its body.
     let src = "\
-fn worker_loop(x: Option<u32>) {
+fn accept_loop(x: Option<u32>) {
     helper(x);
 }
 // analyze:allow(panic-reachability): poison propagation — invariants are gone, die loudly

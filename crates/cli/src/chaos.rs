@@ -100,10 +100,13 @@ impl Client {
     /// or stalled past the read timeout — the caller reconnects and
     /// treats the in-flight op as uncertain.
     fn call(&mut self, request: &str) -> Result<Response, String> {
+        // One write per request: the server must never wake on a line
+        // whose terminator is still in flight.
+        self.line.clear();
+        self.line.push_str(request);
+        self.line.push('\n');
         self.writer
-            .write_all(request.as_bytes())
-            .and_then(|_| self.writer.write_all(b"\n"))
-            .and_then(|_| self.writer.flush())
+            .write_all(self.line.as_bytes())
             .map_err(|e| format!("send: {e}"))?;
         self.line.clear();
         let n = self

@@ -142,7 +142,7 @@ fn usage() -> String {
          check    --input FILE   (build every index, verify structural invariants)\n\
          check    --file SNAPSHOT   (fsck an on-disk snapshot)\n\
          serve    [--input FILE | --scale S [--seed K]] [--method M] [--port P]\n\
-                  [--port-file PATH] [--workers N] [--queue-depth N] [--batch N]\n\
+                  [--port-file PATH] [--workers N] [--queue-depth N]\n\
                   [--data-dir DIR [--snapshot-every N]]   (durable: WAL + snapshots;\n\
                   recovers the directory on restart; methods {durable})\n\
          loadgen  --addr HOST:PORT [--requests N] [--threads T] [--seed K]\n\
@@ -701,7 +701,6 @@ fn server_config(opts: &Opts, method: Method) -> Result<ServerConfig, String> {
         pool: PoolConfig {
             workers: opts.parse_or("workers", PoolConfig::default().workers)?,
             queue_depth: opts.parse_or("queue-depth", PoolConfig::default().queue_depth)?,
-            max_batch: opts.parse_or("batch", PoolConfig::default().max_batch)?,
         },
         write_queue_depth: opts.parse_or("write-queue", 1024)?,
         max_write_batch: opts.parse_or("write-batch", 256)?,

@@ -23,7 +23,7 @@ pub trait TemporalIrIndex {
     /// Answers a query through a reusable [`QueryScratch`], appending the
     /// answer set to `out` — the one query entry point every index
     /// implements. Steady-state callers that hold one scratch and one
-    /// output buffer per worker (the serve pool, bench loops) thereby
+    /// output buffer per loop (the serve pool's permits, bench loops) thereby
     /// amortize every intermediate allocation; per-query planner counters
     /// land in [`QueryScratch::last_stats`].
     fn query_into(&self, q: &TimeTravelQuery, scratch: &mut QueryScratch, out: &mut Vec<ObjectId>);

@@ -7,7 +7,7 @@
 //! exact points where the real world fails: just before a WAL record is
 //! written, before an fsync, before the fsynced batch is applied, around
 //! a snapshot rename, before covered WAL segments are pruned, when a
-//! worker dequeues a batch, when a connection is about to answer. Every
+//! query has taken its permit, when a connection is about to answer. Every
 //! durable step has exactly one probe, and this is the only injection
 //! registry in the workspace. In production nothing is installed and
 //! every probe is a single atomic load that returns
@@ -47,7 +47,7 @@ use std::time::Duration;
 /// A named point in the stack where a fault can be injected.
 ///
 /// I/O sites live in `tir-persist` (the durable write path); serving
-/// sites live in `tir-serve` (workers, the applier, connections).
+/// sites live in `tir-serve` (queries, the applier, connections).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
     /// `Wal::append`, before the record bytes reach the segment file.
@@ -61,7 +61,8 @@ pub enum FaultSite {
     SnapshotRename,
     /// `TermLog::append`, before a new dictionary term is persisted.
     TermLogAppend,
-    /// Query worker, once per dequeued batch (injected stall).
+    /// Query path, once per query with its permit in hand (injected
+    /// stall).
     WorkerStall,
     /// Epoch applier, once per applied batch (injected delay).
     ApplierDelay,
@@ -242,7 +243,7 @@ impl FaultPlan for SeededPlan {
                 _ => FaultAction::None,
             },
             FaultSite::WorkerStall => {
-                // Stall roughly one batch in 4..8, for 1..=12 ms.
+                // Stall roughly one query in 4..8, for 1..=12 ms.
                 let r = h(self.seed, site, visit);
                 if r.is_multiple_of(4 + self.seed % 5) {
                     FaultAction::Stall(1 + (r >> 32) % 12)

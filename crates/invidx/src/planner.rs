@@ -292,9 +292,9 @@ pub const WORD_AND_DENSITY_DEN: usize = 32;
 /// 8 MiB of bits); bigger universes fall back to binary-search probes.
 pub const MAX_PROBE_UNIVERSE: u32 = 1 << 26;
 
-/// Reusable per-worker query state: candidate/output buffers, the plan
+/// Reusable query state: candidate/output buffers, the plan
 /// order, a candidate bitmap, and the per-query kernel counters. Holding
-/// one per serve worker (or bench loop) makes steady-state queries
+/// one per serve query permit (or bench loop) makes steady-state queries
 /// allocation-free apart from the reply vector.
 #[derive(Debug, Default)]
 pub struct QueryScratch {
@@ -353,7 +353,7 @@ impl QueryScratch {
         self.last
     }
 
-    /// Arms (or clears) a per-query deadline. The serve worker sets this
+    /// Arms (or clears) a per-query deadline. The serve pool sets this
     /// before `query_into`; conjunction steps then probe the wall clock
     /// once per [`DEADLINE_PROBE_EVERY`] scanned elements and, on
     /// expiry, drop every candidate so the rest of the plan collapses to

@@ -19,10 +19,11 @@
 //!   restart recovers to last-snapshot + WAL replay. [`durable`] holds
 //!   the dictionary whose new terms reach `terms.log` before any op
 //!   naming them is enqueued.
-//! * **[`pool`]** — the [`QueryPool`](pool::QueryPool): a worker pool
-//!   with per-shard dispatch (element-hashed), query batching (one
-//!   snapshot grab per batch), and explicit `Overloaded` backpressure
-//!   from bounded queues.
+//! * **[`pool`]** — the [`QueryPool`](pool::QueryPool): an admission
+//!   gate, not a thread pool. A query runs to completion on the thread
+//!   that asked, holding one of `workers` permits (each a reusable
+//!   scratch arena); a bounded number of callers wait for a permit and
+//!   the next one gets explicit `Overloaded` backpressure.
 //! * **[`server`]/[`loadgen`]** — a TCP front end speaking the
 //!   line-oriented [`protocol`] (`QUERY`/`INSERT`/`DELETE`/`STATS`…) and
 //!   a closed-loop load generator reporting throughput and p50/p95/p99

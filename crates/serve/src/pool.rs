@@ -1,41 +1,38 @@
-//! Worker-pool query executor with per-shard dispatch and backpressure.
+//! Run-to-completion query executor behind an admission gate.
 //!
-//! `workers` OS threads each own a bounded request queue. A query is
-//! dispatched to the worker chosen by hashing its rarest-first element
-//! (per-shard dispatch: queries over the same elements land on the same
-//! worker, which keeps that worker's recently traversed postings warm in
-//! its core's cache). A full queue rejects with
-//! [`Rejected::Overloaded`](crate::epoch::Rejected) — the system degrades
-//! by shedding load, never by queueing unboundedly.
+//! A query runs on the thread that asked for it — for `tir serve`, the
+//! connection thread that parsed the request. No thread, channel or
+//! wake-up sits between the request and the index walk; what the pool
+//! adds is admission. A caller first takes a **permit** from the gate:
+//! one of `workers` reusable [`QueryScratch`] arenas behind one mutex
+//! and condvar. At most `workers` queries run at once, at most
+//! `workers × queue_depth` callers wait for a permit, and the next
+//! caller is refused with
+//! [`Rejected::Overloaded`](crate::epoch::Rejected) — the system
+//! degrades by shedding load, never by queueing unboundedly. The gate is
+//! held only to pop or push a scratch, never while a query runs.
 //!
-//! Each worker drains up to `max_batch` queued requests, grabs **one**
-//! epoch snapshot for the whole batch, and answers every query against
-//! it, amortizing the snapshot acquisition and giving batch-mates a
-//! consistent view.
-//!
-//! Deadlines: a job may carry an absolute deadline. The worker checks it
-//! at dequeue (a job that waited out its budget in the queue is answered
-//! [`QueryOutcome::TimedOut`] without touching the index) and arms the
-//! [`QueryScratch`] deadline so heavy plans are abandoned mid-flight via
-//! the planner's progress probe. A query that completes is answered
+//! Deadlines: a query may carry an absolute deadline. It is checked once
+//! the permit is granted (a caller that waited out its budget at the gate
+//! is answered [`QueryOutcome::TimedOut`] without touching the index) and
+//! armed on the [`QueryScratch`] so heavy plans are abandoned mid-flight
+//! via the planner's progress probe. A query that completes is answered
 //! normally even if the clock passed the deadline — the full answer is
 //! correct and already paid for.
 //!
-//! Panics: each worker thread runs under a respawn-in-place supervisor.
-//! A query that panics kills the in-flight job (its client sees a closed
-//! reply channel), bumps [`PoolStats::worker_panics`], and re-enters the
-//! worker loop with a fresh scratch on the same thread and queue — one
-//! poisoned query can never silently shrink the pool.
+//! Panics: the index walk runs under `catch_unwind`. A query that panics
+//! answers [`Rejected::Closed`], bumps [`PoolStats::worker_panics`], and
+//! hands a fresh scratch back to the gate — one poisoned query can never
+//! shrink the pool or take its connection thread down.
 
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Instant;
 
 use tir_core::{ObjectId, QueryScratch, TemporalIrIndex, TimeTravelQuery};
 
 use crate::epoch::{EpochStore, Rejected};
+use crate::witness::{lock, wait};
 
 /// An answered query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,31 +43,23 @@ pub struct QueryReply {
     pub ids: Vec<ObjectId>,
 }
 
-/// What came back for a submitted query.
+/// What came back for an executed query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryOutcome {
     /// The query completed; here is its answer.
     Answered(QueryReply),
-    /// The job's deadline expired (in queue or mid-plan) before the
-    /// answer was complete; any partial answer was discarded.
+    /// The deadline expired (waiting for a permit or mid-plan) before
+    /// the answer was complete; any partial answer was discarded.
     TimedOut,
 }
 
-struct Job {
-    query: TimeTravelQuery,
-    deadline: Option<std::time::Instant>,
-    reply: SyncSender<QueryOutcome>,
-}
-
-/// Tuning knobs of the pool.
+/// Shape of the admission gate.
 #[derive(Debug, Clone, Copy)]
 pub struct PoolConfig {
-    /// Number of worker threads.
+    /// Queries that may run at once (permits).
     pub workers: usize,
-    /// Bounded per-worker queue depth.
+    /// Callers that may wait per permit before the next is refused.
     pub queue_depth: usize,
-    /// Maximum queries answered against one snapshot grab.
-    pub max_batch: usize,
 }
 
 impl Default for PoolConfig {
@@ -78,7 +67,6 @@ impl Default for PoolConfig {
         PoolConfig {
             workers: 4,
             queue_depth: 256,
-            max_batch: 32,
         }
     }
 }
@@ -88,114 +76,59 @@ impl Default for PoolConfig {
 pub struct PoolStats {
     /// Queries answered.
     pub served: AtomicU64,
-    /// Queries rejected because a worker queue was full.
+    /// Queries refused because the gate's waiting room was full.
     pub overloaded: AtomicU64,
-    /// Snapshot grabs (= batches executed).
-    pub batches: AtomicU64,
-    /// Largest batch answered against a single snapshot.
-    pub max_batch: AtomicU64,
-    /// Queries answered `TIMEOUT` (deadline expired in queue or
+    /// Queries answered `TIMEOUT` (deadline expired at the gate or
     /// mid-plan).
     pub timeouts: AtomicU64,
-    /// Worker panics caught by the respawn supervisor.
+    /// Query panics caught on the calling thread.
     pub worker_panics: AtomicU64,
 }
 
-/// The executor. Submitting is cheap and non-blocking; results come back
-/// on per-request channels.
+fn bump(counter: &AtomicU64) {
+    // analyze:allow(atomic-ordering): monotonic stat counter, read only for reporting
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
+/// The gate's state: a permit *is* an idle scratch.
+struct Gate {
+    idle: Vec<QueryScratch>,
+    waiting: usize,
+}
+
+/// The executor: runs each query on its caller, at most `workers` at a
+/// time.
 pub struct QueryPool<I> {
-    txs: Vec<SyncSender<Job>>,
-    handles: Vec<JoinHandle<()>>,
-    stats: Arc<PoolStats>,
-    _marker: std::marker::PhantomData<fn() -> I>,
+    store: Arc<EpochStore<I>>,
+    gate: Mutex<Gate>,
+    freed: Condvar,
+    workers: usize,
+    max_waiting: usize,
+    stats: PoolStats,
 }
 
 impl<I: TemporalIrIndex + Clone + Send + Sync + 'static> QueryPool<I> {
-    /// Spawns the worker threads over a shared [`EpochStore`].
+    /// Builds the gate over a shared [`EpochStore`]. Spawns nothing.
     pub fn new(store: Arc<EpochStore<I>>, config: PoolConfig) -> QueryPool<I> {
         let workers = config.workers.max(1);
-        let stats = Arc::new(PoolStats::default());
-        let mut txs = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let (tx, rx) = sync_channel::<Job>(config.queue_depth.max(1));
-            let store = Arc::clone(&store);
-            let stats = Arc::clone(&stats);
-            let max_batch = config.max_batch.max(1);
-            let handle = std::thread::Builder::new()
-                .name(format!("tir-query-{w}"))
-                .spawn(move || {
-                    // Respawn-in-place supervisor: a panicking query
-                    // must not shrink the pool. The queue and shard
-                    // routing survive; only the scratch is rebuilt.
-                    loop {
-                        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            worker_loop(&rx, &store, &stats, max_batch)
-                        }));
-                        match run {
-                            Ok(()) => break, // queue closed: clean exit
-                            Err(_) => {
-                                // analyze:allow(atomic-ordering): monotonic stat counter, read only for reporting
-                                stats.worker_panics.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                })
-                .expect("spawning a query worker thread");
-            txs.push(tx);
-            handles.push(handle);
-        }
         QueryPool {
-            txs,
-            handles,
-            stats,
-            _marker: std::marker::PhantomData,
+            store,
+            gate: Mutex::new(Gate {
+                // After warm-up, the only steady-state allocation per
+                // query is the reply vector handed to the caller.
+                idle: (0..workers).map(|_| QueryScratch::default()).collect(),
+                waiting: 0,
+            }),
+            freed: Condvar::new(),
+            workers,
+            max_waiting: workers.saturating_mul(config.queue_depth.max(1)),
+            stats: PoolStats::default(),
         }
     }
 
-    /// Shard routing: hash of the first (lowest-id) query element. All
-    /// queries over an element set sharing that element serialize onto
-    /// one worker, trading a little balance for cache locality.
-    fn shard(&self, q: &TimeTravelQuery) -> usize {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        q.elems.first().copied().unwrap_or(0).hash(&mut h);
-        (h.finish() % self.txs.len() as u64) as usize
-    }
-
-    /// Submits a query; the outcome arrives on the returned channel.
-    /// `Err(Overloaded)` means the target worker's queue is full.
-    pub fn submit(&self, query: TimeTravelQuery) -> Result<Receiver<QueryOutcome>, Rejected> {
-        self.submit_with_deadline(query, None)
-    }
-
-    /// Submits a query carrying an absolute deadline (see the module
-    /// docs for the exact semantics).
-    pub fn submit_with_deadline(
-        &self,
-        query: TimeTravelQuery,
-        deadline: Option<std::time::Instant>,
-    ) -> Result<Receiver<QueryOutcome>, Rejected> {
-        let shard = self.shard(&query);
-        let (reply_tx, reply_rx) = sync_channel(1);
-        let job = Job {
-            query,
-            deadline,
-            reply: reply_tx,
-        };
-        match self.txs[shard].try_send(job) {
-            Ok(()) => Ok(reply_rx),
-            Err(TrySendError::Full(_)) => {
-                // analyze:allow(atomic-ordering): monotonic stat counter, read only for reporting
-                self.stats.overloaded.fetch_add(1, Ordering::Relaxed);
-                Err(Rejected::Overloaded)
-            }
-            Err(TrySendError::Disconnected(_)) => Err(Rejected::Closed),
-        }
-    }
-
-    /// Submits and waits for the answer (the closed-loop client path).
-    /// A closed reply channel (shutdown, or a worker panic that killed
-    /// the in-flight job) surfaces as [`Rejected::Closed`].
+    /// Runs a query to completion on the calling thread.
+    /// [`Rejected::Overloaded`] means the gate's waiting room is full;
+    /// [`Rejected::Closed`] that the query panicked.
     pub fn execute(&self, query: TimeTravelQuery) -> Result<QueryReply, Rejected> {
         match self.execute_with_deadline(query, None)? {
             QueryOutcome::Answered(reply) => Ok(reply),
@@ -204,14 +137,83 @@ impl<I: TemporalIrIndex + Clone + Send + Sync + 'static> QueryPool<I> {
         }
     }
 
-    /// Submits with a deadline and waits for the outcome.
+    /// [`QueryPool::execute`] with an absolute deadline (see the module
+    /// docs for the exact semantics).
     pub fn execute_with_deadline(
         &self,
         query: TimeTravelQuery,
-        deadline: Option<std::time::Instant>,
+        deadline: Option<Instant>,
     ) -> Result<QueryOutcome, Rejected> {
-        let rx = self.submit_with_deadline(query, deadline)?;
-        rx.recv().map_err(|_| Rejected::Closed)
+        let mut scratch = self.acquire()?;
+        let outcome = self.run(&query, deadline, &mut scratch);
+        let mut gate = lock(&self.gate);
+        gate.idle.push(scratch);
+        let wake = gate.waiting > 0;
+        drop(gate);
+        if wake {
+            // Asked first: an unconditional notify is a syscall per query.
+            self.freed.notify_one();
+        }
+        outcome
+    }
+
+    /// Takes a permit, waiting for one if the waiting room has space.
+    fn acquire(&self) -> Result<QueryScratch, Rejected> {
+        let mut gate = lock(&self.gate);
+        let mut queued = false;
+        loop {
+            if let Some(scratch) = gate.idle.pop() {
+                gate.waiting -= usize::from(queued);
+                return Ok(scratch);
+            }
+            if !queued {
+                if gate.waiting >= self.max_waiting {
+                    bump(&self.stats.overloaded);
+                    return Err(Rejected::Overloaded);
+                }
+                gate.waiting += 1;
+                queued = true;
+            }
+            // analyze:allow(blocking-under-lock): a condvar wait releases the gate while parked; permits return without it held
+            gate = wait(&self.freed, gate);
+        }
+    }
+
+    /// The query itself, permit in hand and gate released.
+    fn run(
+        &self,
+        query: &TimeTravelQuery,
+        deadline: Option<Instant>,
+        scratch: &mut QueryScratch,
+    ) -> Result<QueryOutcome, Rejected> {
+        // Chaos hook: simulate a slow query; it and the callers waiting
+        // behind its permit then find their deadlines expired.
+        tir_fault::stall(tir_fault::FaultSite::WorkerStall);
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            bump(&self.stats.timeouts);
+            return Ok(QueryOutcome::TimedOut);
+        }
+        scratch.set_deadline(deadline);
+        let snap = self.store.snapshot();
+        let mut ids: Vec<ObjectId> = Vec::new();
+        let walk = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            snap.index.query_into(query, scratch, &mut ids);
+        }));
+        if walk.is_err() {
+            // The arena may be half-written: the permit goes back fresh.
+            *scratch = QueryScratch::default();
+            bump(&self.stats.worker_panics);
+            return Err(Rejected::Closed);
+        }
+        if scratch.timed_out() {
+            bump(&self.stats.timeouts);
+            return Ok(QueryOutcome::TimedOut);
+        }
+        bump(&self.stats.served);
+        Ok(QueryOutcome::Answered(QueryReply {
+            epoch: snap.epoch,
+            ids,
+        }))
     }
 
     /// Live counters.
@@ -219,74 +221,9 @@ impl<I: TemporalIrIndex + Clone + Send + Sync + 'static> QueryPool<I> {
         &self.stats
     }
 
-    /// Number of worker threads.
+    /// Number of permits.
     pub fn workers(&self) -> usize {
-        self.txs.len()
-    }
-}
-
-impl<I> Drop for QueryPool<I> {
-    fn drop(&mut self) {
-        self.txs.clear(); // closes every queue; workers drain and exit
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn worker_loop<I>(rx: &Receiver<Job>, store: &EpochStore<I>, stats: &PoolStats, max_batch: usize)
-where
-    I: TemporalIrIndex + Clone + Send + Sync + 'static,
-{
-    // Per-worker reusable arena: after warm-up, the only steady-state
-    // allocation per query is the reply vector handed to the client.
-    let mut scratch = QueryScratch::default();
-    while let Ok(first) = rx.recv() {
-        let mut batch = vec![first];
-        while batch.len() < max_batch {
-            match rx.try_recv() {
-                Ok(job) => batch.push(job),
-                Err(_) => break,
-            }
-        }
-        // Chaos hook: simulate a slow worker once per batch; deadlined
-        // jobs then expire in-queue and answer TIMEOUT at dequeue.
-        tir_fault::stall(tir_fault::FaultSite::WorkerStall);
-        let snap = store.snapshot();
-        // analyze:allow(atomic-ordering): monotonic stat counter, read only for reporting
-        stats.batches.fetch_add(1, Ordering::Relaxed);
-        // analyze:allow(atomic-ordering): high-water gauge, read only for reporting
-        stats
-            .max_batch
-            .fetch_max(batch.len() as u64, Ordering::Relaxed);
-        for job in batch {
-            if let Some(deadline) = job.deadline {
-                if std::time::Instant::now() >= deadline {
-                    // analyze:allow(atomic-ordering): monotonic stat counter, read only for reporting
-                    stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                    // A client that hung up before its answer is not an error.
-                    let _ = job.reply.send(QueryOutcome::TimedOut);
-                    continue;
-                }
-            }
-            scratch.set_deadline(job.deadline);
-            let mut ids: Vec<ObjectId> = Vec::new();
-            snap.index.query_into(&job.query, &mut scratch, &mut ids);
-            let outcome = if scratch.timed_out() {
-                // analyze:allow(atomic-ordering): monotonic stat counter, read only for reporting
-                stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                QueryOutcome::TimedOut
-            } else {
-                // analyze:allow(atomic-ordering): monotonic stat counter; replies synchronize via the channel
-                stats.served.fetch_add(1, Ordering::Relaxed);
-                QueryOutcome::Answered(QueryReply {
-                    epoch: snap.epoch,
-                    ids,
-                })
-            };
-            // A client that hung up before its answer is not an error.
-            let _ = job.reply.send(outcome);
-        }
+        self.workers
     }
 }
 
@@ -294,117 +231,105 @@ where
 pub(crate) mod tests {
     use super::*;
     use crate::epoch::{EpochConfig, WriteOp};
+    use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
     use tir_core::{BruteForce, Collection, Object};
 
-    fn pool_over_example() -> (Arc<EpochStore<BruteForce>>, QueryPool<BruteForce>) {
-        let coll = Collection::running_example();
-        let store = Arc::new(EpochStore::new(
-            BruteForce::build(coll.objects()),
-            coll.len() as u64,
-            EpochConfig::default(),
-        ));
-        let pool = QueryPool::new(Arc::clone(&store), PoolConfig::default());
-        (store, pool)
+    fn pool_over<I>(index: I, config: PoolConfig) -> QueryPool<I>
+    where
+        I: TemporalIrIndex + Clone + Send + Sync + 'static,
+    {
+        let live = Collection::running_example().len() as u64;
+        let store = EpochStore::new(index, live, EpochConfig::default());
+        QueryPool::new(Arc::new(store), config)
+    }
+
+    pub(crate) fn example_index() -> BruteForce {
+        BruteForce::build(Collection::running_example().objects())
+    }
+
+    fn sorted(mut ids: Vec<ObjectId>) -> Vec<ObjectId> {
+        ids.sort_unstable();
+        ids
     }
 
     #[test]
     fn answers_match_direct_queries() {
-        let (_store, pool) = pool_over_example();
+        let pool = pool_over(example_index(), PoolConfig::default());
         let reply = pool
             .execute(TimeTravelQuery::new(5, 9, vec![0, 2]))
             .expect("execute");
-        let mut ids = reply.ids;
-        ids.sort_unstable();
-        assert_eq!(ids, vec![1, 3, 6]);
+        assert_eq!(sorted(reply.ids), vec![1, 3, 6]);
         assert_eq!(reply.epoch, 0);
     }
 
     #[test]
     fn sees_writes_after_flush() {
-        let (store, pool) = pool_over_example();
-        store
-            .enqueue(WriteOp::Insert(Object::new(8, 5, 6, vec![0, 2])))
-            .expect("enqueue");
-        store.flush().expect("flush");
+        let pool = pool_over(example_index(), PoolConfig::default());
+        let insert = WriteOp::Insert(Object::new(8, 5, 6, vec![0, 2]));
+        pool.store.enqueue(insert).expect("enqueue");
+        pool.store.flush().expect("flush");
         let reply = pool
             .execute(TimeTravelQuery::new(5, 9, vec![0, 2]))
             .expect("execute");
-        let mut ids = reply.ids;
-        ids.sort_unstable();
-        assert_eq!(ids, vec![1, 3, 6, 8]);
+        assert_eq!(sorted(reply.ids), vec![1, 3, 6, 8]);
         assert!(reply.epoch >= 1);
     }
 
     #[test]
-    fn same_element_routes_to_same_shard() {
-        let (_store, pool) = pool_over_example();
-        let a = TimeTravelQuery::new(0, 5, vec![0, 2]);
-        let b = TimeTravelQuery::new(9, 12, vec![0, 1]);
-        assert_eq!(pool.shard(&a), pool.shard(&b));
-    }
-
-    #[test]
     fn many_concurrent_submitters() {
-        let (_store, pool) = pool_over_example();
-        let pool = Arc::new(pool);
-        let mut joins = Vec::new();
-        for t in 0..8 {
-            let pool = Arc::clone(&pool);
-            joins.push(std::thread::spawn(move || {
-                for i in 0..200 {
-                    let q = TimeTravelQuery::new(5, 9, vec![(t + i) % 3]);
-                    match pool.execute(q) {
-                        Ok(reply) => {
-                            // Exactly-once ids.
-                            let mut ids = reply.ids.clone();
-                            ids.sort_unstable();
-                            ids.dedup();
-                            assert_eq!(ids.len(), reply.ids.len());
+        let pool = pool_over(example_index(), PoolConfig::default());
+        std::thread::scope(|s| {
+            for t in 0..8 {
+                let pool = &pool;
+                s.spawn(move || {
+                    for i in 0..200 {
+                        let q = TimeTravelQuery::new(5, 9, vec![(t + i) % 3]);
+                        match pool.execute(q) {
+                            Ok(reply) => {
+                                // Exactly-once ids.
+                                let mut ids = reply.ids.clone();
+                                ids.sort_unstable();
+                                ids.dedup();
+                                assert_eq!(ids.len(), reply.ids.len());
+                            }
+                            Err(Rejected::Overloaded) => {} // legal under load
+                            Err(e) => panic!("pool rejected: {e}"),
                         }
-                        Err(Rejected::Overloaded) => {} // legal under load
-                        Err(e) => panic!("pool rejected: {e}"),
                     }
-                }
-            }));
-        }
-        for j in joins {
-            j.join().expect("submitter thread");
-        }
+                });
+            }
+        });
         assert!(pool.stats().served.load(Ordering::Relaxed) > 0);
+        // Every permit came back and nobody is still counted as waiting.
+        let gate = lock(&pool.gate);
+        assert_eq!((gate.idle.len(), gate.waiting), (pool.workers(), 0));
     }
 
     #[test]
     fn already_expired_deadline_answers_timeout() {
-        let (_store, pool) = pool_over_example();
+        let pool = pool_over(example_index(), PoolConfig::default());
         let q = TimeTravelQuery::new(5, 9, vec![0, 2]);
         let outcome = pool
-            .execute_with_deadline(q.clone(), Some(std::time::Instant::now()))
+            .execute_with_deadline(q.clone(), Some(Instant::now()))
             .expect("execute");
         assert_eq!(outcome, QueryOutcome::TimedOut);
         assert_eq!(pool.stats().timeouts.load(Ordering::Relaxed), 1);
         // A generous deadline answers normally.
-        let later = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        let later = Instant::now() + std::time::Duration::from_secs(60);
         match pool.execute_with_deadline(q, Some(later)).expect("execute") {
-            QueryOutcome::Answered(reply) => {
-                let mut ids = reply.ids;
-                ids.sort_unstable();
-                assert_eq!(ids, vec![1, 3, 6]);
-            }
+            QueryOutcome::Answered(reply) => assert_eq!(sorted(reply.ids), vec![1, 3, 6]),
             QueryOutcome::TimedOut => panic!("a 60s deadline must not expire"),
         }
     }
 
-    /// A [`BruteForce`] wrapper that panics on one magic start time, in
-    /// a query or an insert — stands in for any latent bug a hostile
-    /// request can reach on a worker or on the applier.
+    /// A [`BruteForce`] that shows a test's hook the start time of every
+    /// query and insert before running it.
     #[derive(Clone)]
-    pub(crate) struct PanicOnMagic(pub(crate) BruteForce);
+    pub(crate) struct Hooked(BruteForce, Arc<dyn Fn(u64) + Send + Sync>);
 
-    pub(crate) const MAGIC_START: u64 = 777_777;
-
-    impl TemporalIrIndex for PanicOnMagic {
+    impl TemporalIrIndex for Hooked {
         fn name(&self) -> &'static str {
-            "PanicOnMagic"
+            "Hooked"
         }
         fn query_into(
             &self,
@@ -412,11 +337,11 @@ pub(crate) mod tests {
             scratch: &mut QueryScratch,
             out: &mut Vec<ObjectId>,
         ) {
-            assert_ne!(q.interval.st, MAGIC_START, "injected query panic");
+            self.1(q.interval.st);
             self.0.query_into(q, scratch, out);
         }
         fn insert(&mut self, o: &Object) {
-            assert_ne!(o.interval.st, MAGIC_START, "injected insert panic");
+            self.1(o.interval.st);
             self.0.insert(o);
         }
         fn delete(&mut self, o: &Object) -> bool {
@@ -427,34 +352,108 @@ pub(crate) mod tests {
         }
     }
 
+    pub(crate) const MAGIC_START: u64 = 777_777;
+
+    /// Panics on one magic start time — stands in for any latent bug a
+    /// hostile request can reach on a connection thread or the applier.
+    pub(crate) fn panic_on_magic(index: BruteForce) -> Hooked {
+        Hooked(
+            index,
+            Arc::new(|st| assert_ne!(st, MAGIC_START, "injected panic")),
+        )
+    }
+
+    /// An index whose every query reports on the returned receiver that
+    /// it is inside the index, then parks there until the test sends it a
+    /// token: a permit held for exactly as long as the test says.
+    pub(crate) fn parked_index() -> (Hooked, Receiver<()>, SyncSender<()>) {
+        let (entered, entered_rx) = sync_channel(8);
+        let (release, tokens) = sync_channel::<()>(8);
+        let tokens = Mutex::new(tokens);
+        let park = move |_| {
+            entered.send(()).expect("test listens");
+            let tokens = tokens.lock().expect("token lock");
+            tokens.recv().expect("test releases every parked query");
+        };
+        (Hooked(example_index(), Arc::new(park)), entered_rx, release)
+    }
+
+    /// One permit, one place to wait.
+    pub(crate) const ONE_BY_ONE: PoolConfig = PoolConfig {
+        workers: 1,
+        queue_depth: 1,
+    };
+
+    fn parked_pool() -> (QueryPool<Hooked>, Receiver<()>, SyncSender<()>) {
+        let (index, entered, release) = parked_index();
+        (pool_over(index, ONE_BY_ONE), entered, release)
+    }
+
+    fn wait_until_waiting(pool: &QueryPool<Hooked>, n: usize) {
+        while lock(&pool.gate).waiting != n {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
-    fn worker_panic_is_caught_and_the_worker_respawns() {
-        let coll = Collection::running_example();
-        let store = Arc::new(EpochStore::new(
-            PanicOnMagic(BruteForce::build(coll.objects())),
-            coll.len() as u64,
-            EpochConfig::default(),
-        ));
-        let pool = QueryPool::new(
-            Arc::clone(&store),
-            PoolConfig {
-                workers: 1, // one shard: the poisoned and clean queries share a worker
-                ..PoolConfig::default()
-            },
-        );
+    fn second_caller_waits_and_the_third_is_overloaded() {
+        let (pool, entered, release) = parked_pool();
+        let q = TimeTravelQuery::new(5, 9, vec![0, 2]);
+        std::thread::scope(|s| {
+            let first = s.spawn(|| pool.execute(q.clone()));
+            entered.recv().expect("first query holds the permit");
+            let second = s.spawn(|| pool.execute(TimeTravelQuery::new(5, 9, vec![1])));
+            wait_until_waiting(&pool, 1);
+            assert_eq!(pool.execute(q.clone()), Err(Rejected::Overloaded));
+            assert_eq!(pool.stats().overloaded.load(Ordering::Relaxed), 1);
+            assert!(entered.try_recv().is_err(), "the waiter has not run");
+            for _ in 0..2 {
+                release.send(()).expect("release");
+            }
+            let first = first.join().expect("first caller").expect("answered");
+            let second = second.join().expect("second caller").expect("answered");
+            assert_eq!(sorted(first.ids), vec![1, 3, 6]);
+            let direct = example_index().query(&TimeTravelQuery::new(5, 9, vec![1]));
+            assert_eq!(sorted(second.ids), sorted(direct));
+        });
+        assert_eq!(pool.stats().served.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn deadline_that_expires_at_the_gate_never_touches_the_index() {
+        let (pool, entered, release) = parked_pool();
+        let q = TimeTravelQuery::new(5, 9, vec![0, 2]);
+        std::thread::scope(|s| {
+            let first = s.spawn(|| pool.execute(q.clone()));
+            entered.recv().expect("first query holds the permit");
+            let deadline = Instant::now() + std::time::Duration::from_millis(200);
+            let (pool, q) = (&pool, &q);
+            let second = s.spawn(move || pool.execute_with_deadline(q.clone(), Some(deadline)));
+            wait_until_waiting(pool, 1);
+            // The budget runs out while the caller is still at the gate.
+            std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+            release.send(()).expect("release");
+            first.join().expect("first caller").expect("answered");
+            let second = second.join().expect("second caller");
+            assert_eq!(second, Ok(QueryOutcome::TimedOut));
+        });
+        assert!(entered.try_recv().is_err(), "the timed-out query ran");
+        assert_eq!(pool.stats().timeouts.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn query_panic_is_caught_and_the_permit_comes_back() {
+        // One permit: the poisoned and the clean query need the same one.
+        let pool = pool_over(panic_on_magic(example_index()), ONE_BY_ONE);
         let poisoned = TimeTravelQuery::new(MAGIC_START, MAGIC_START + 1, vec![0]);
         assert_eq!(
-            pool.execute(poisoned).expect_err("panic kills the reply"),
+            pool.execute(poisoned).expect_err("the panic is the answer"),
             Rejected::Closed
         );
-        // The respawned worker still answers on the same queue — and its
-        // answer orders this thread after the supervisor's panic count.
+        assert_eq!(pool.stats().worker_panics.load(Ordering::Relaxed), 1);
         let reply = pool
             .execute(TimeTravelQuery::new(5, 9, vec![0, 2]))
-            .expect("respawned worker answers");
-        assert_eq!(pool.stats().worker_panics.load(Ordering::Relaxed), 1);
-        let mut ids = reply.ids;
-        ids.sort_unstable();
-        assert_eq!(ids, vec![1, 3, 6]);
+            .expect("the only permit came back");
+        assert_eq!(sorted(reply.ids), vec![1, 3, 6]);
     }
 }

@@ -34,8 +34,8 @@
 //! generators count each separately.
 //!
 //! Deadline semantics: `DEADLINE <ms>` starts ticking when the server
-//! dispatches the query. A worker answers `TIMEOUT` if the deadline has
-//! passed when it dequeues the job, or if the mid-plan progress probe
+//! dispatches the query. The answer is `TIMEOUT` if the deadline has
+//! passed when the query is admitted, or if the mid-plan progress probe
 //! sees it expire; a query that *completes* is answered normally even if
 //! the clock has passed the deadline, because the full answer is correct
 //! and already paid for.
@@ -271,43 +271,89 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 
 /// Formats a response as its wire line (no trailing newline).
 pub fn format_response(r: &Response) -> String {
+    let mut line = String::new();
+    write_response(r, &mut line);
+    line
+}
+
+/// Appends a response's wire line (no trailing newline) to `out`: the
+/// server's reply path, which reuses one buffer per connection.
+pub fn write_response(r: &Response, out: &mut String) {
     match r {
         Response::Hits(ids) => {
-            let mut s = format!("HITS {}", ids.len());
-            for id in ids {
-                s.push(' ');
-                s.push_str(&id.to_string());
+            out.push_str("HITS ");
+            push_decimal(out, ids.len() as u64);
+            for &id in ids {
+                out.push(' ');
+                push_decimal(out, u64::from(id));
             }
-            s
         }
-        Response::Ok => "OK".into(),
-        Response::Missing => "MISSING".into(),
-        Response::Overloaded => "OVERLOADED".into(),
-        Response::Timeout => "TIMEOUT".into(),
-        Response::Degraded => "DEGRADED".into(),
-        Response::Health(h) => format!("HEALTH {}", h.as_str()),
-        Response::Epoch(n) => format!("EPOCH {n}"),
+        Response::Ok => out.push_str("OK"),
+        Response::Missing => out.push_str("MISSING"),
+        Response::Overloaded => out.push_str("OVERLOADED"),
+        Response::Timeout => out.push_str("TIMEOUT"),
+        Response::Degraded => out.push_str("DEGRADED"),
+        Response::Health(h) => {
+            out.push_str("HEALTH ");
+            out.push_str(h.as_str());
+        }
+        Response::Epoch(n) => {
+            out.push_str("EPOCH ");
+            push_decimal(out, *n);
+        }
         Response::Stats(pairs) => {
-            let mut s = "STATS".to_string();
+            out.push_str("STATS");
             for (k, v) in pairs {
-                s.push(' ');
-                s.push_str(k);
-                s.push('=');
-                s.push_str(v);
+                out.push(' ');
+                out.push_str(k);
+                out.push('=');
+                out.push_str(v);
             }
-            s
         }
         Response::Elems(terms) => {
-            let mut s = "ELEMS".to_string();
+            out.push_str("ELEMS");
             for t in terms {
-                s.push(' ');
-                s.push_str(t);
+                out.push(' ');
+                out.push_str(t);
             }
-            s
         }
-        Response::Bye => "BYE".into(),
-        Response::Err(msg) => format!("ERR {}", msg.replace('\n', " ")),
+        Response::Bye => out.push_str("BYE"),
+        Response::Err(msg) => {
+            out.push_str("ERR ");
+            out.extend(msg.chars().map(|c| if c == '\n' { ' ' } else { c }));
+        }
     }
+}
+
+/// Appends `v` in decimal, without the `String` that `to_string` makes.
+fn push_decimal(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20]; // u64::MAX has 20 digits
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+}
+
+/// One `HITS` id: decimal digits only, within `u32`.
+fn parse_hit(tok: &str) -> Option<ObjectId> {
+    let mut v = 0u64;
+    for b in tok.bytes() {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            return None;
+        }
+        v = v * 10 + u64::from(digit);
+        if v > u64::from(ObjectId::MAX) {
+            return None;
+        }
+    }
+    ObjectId::try_from(v).ok()
 }
 
 /// Parses a response line (the loadgen side).
@@ -324,9 +370,13 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
                 .ok_or("HITS without a count")?
                 .parse()
                 .map_err(|_| "bad HITS count".to_string())?;
-            let ids: Vec<ObjectId> = toks
-                .map(|t| t.parse().map_err(|_| format!("bad id '{t}'")))
-                .collect::<Result<_, _>>()?;
+            // Sized from the declared count, but never past what the
+            // line can hold (an id costs it two bytes at least), so a
+            // hostile count cannot allocate.
+            let mut ids: Vec<ObjectId> = Vec::with_capacity(n.min(rest.len() / 2));
+            for tok in toks {
+                ids.push(parse_hit(tok).ok_or_else(|| format!("bad id '{tok}'"))?);
+            }
             if ids.len() != n {
                 return Err(format!("HITS count {n} but {} ids", ids.len()));
             }
@@ -445,6 +495,7 @@ mod tests {
     fn response_roundtrip() {
         for r in [
             Response::Hits(vec![1, 3, 6]),
+            Response::Hits(vec![0, 9, 10, u32::MAX]),
             Response::Hits(vec![]),
             Response::Ok,
             Response::Missing,
@@ -472,7 +523,24 @@ mod tests {
     #[test]
     fn hits_count_must_match() {
         assert!(parse_response("HITS 2 1").is_err());
+        assert!(parse_response("HITS 1 1 2").is_err());
         assert!(parse_response("HITS x").is_err());
+        assert!(parse_response("HITS").is_err());
+        // A count no line could hold is a mismatch, not an allocation.
+        assert!(parse_response("HITS 18446744073709551615 7").is_err());
+    }
+
+    #[test]
+    fn hits_ids_must_be_decimal_u32() {
+        for bad in ["HITS 1 x", "HITS 1 -3", "HITS 2 1 2x", "HITS 1 1.5"] {
+            assert!(parse_response(bad).is_err(), "{bad:?} has a non-digit id");
+        }
+        assert!(parse_response("HITS 1 4294967296").is_err(), "u32 overflow");
+        assert!(parse_response("HITS 1 99999999999999999999999").is_err());
+        assert_eq!(
+            parse_response("HITS 4 0 9 10 4294967295"),
+            Ok(Response::Hits(vec![0, 9, 10, u32::MAX]))
+        );
     }
 
     #[test]

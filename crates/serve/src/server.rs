@@ -1,12 +1,14 @@
 //! The `tir serve` TCP front end.
 //!
 //! One thread per connection reads request lines ([`crate::protocol`]),
-//! resolves element strings through the shared dictionary, and dispatches:
-//! queries go through the [`QueryPool`] (per-shard, batched, backpressured),
-//! writes are admission-checked against the **catalog** (the map of live
-//! objects, authoritative for id liveness ahead of the applied snapshots)
-//! and enqueued on the [`EpochStore`]'s bounded write queue. Both reject
-//! with `OVERLOADED` instead of queueing unboundedly.
+//! resolves element strings through the shared dictionary, and runs the
+//! request to completion: a query takes a permit at the [`QueryPool`]'s
+//! admission gate and walks the index on this same thread, and the reply
+//! leaves as one `write`. Writes are admission-checked against the
+//! **catalog** (the map of live objects, authoritative for id liveness
+//! ahead of the applied snapshots) and enqueued on the [`EpochStore`]'s
+//! bounded write queue. Both reject with `OVERLOADED` instead of queueing
+//! unboundedly.
 //!
 //! A `QUERY` naming an element unknown to the dictionary answers
 //! `HITS 0`: no object can carry it, and a serving system should not
@@ -15,10 +17,11 @@
 //! Robustness on the wire: request lines are read through a hard
 //! [`MAX_LINE_BYTES`] cap (an unterminated or oversize line answers one
 //! `ERR` and closes the connection instead of buffering unboundedly),
-//! `QUERY ... DEADLINE <ms>` budgets are enforced in the worker pool
-//! (late answers become `TIMEOUT`), and a durability failure latches the
-//! store read-only: queries keep serving the last acked epoch while
-//! writes and barriers answer `DEGRADED` (`HEALTH` reports the state).
+//! `QUERY ... DEADLINE <ms>` budgets are enforced at the gate and
+//! mid-plan (late answers become `TIMEOUT`), and a durability failure
+//! latches the store read-only: queries keep serving the last acked
+//! epoch while writes and barriers answer `DEGRADED` (`HEALTH` reports
+//! the state).
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -33,9 +36,8 @@ use tir_persist::{Durability, Persist, PersistStats};
 
 use crate::durable::ServeDict;
 use crate::epoch::{EpochConfig, EpochStore, Rejected, Validator, WriteOp};
-use crate::pool::QueryOutcome;
-use crate::pool::{PoolConfig, QueryPool};
-use crate::protocol::{format_response, parse_request, HealthStatus, Request, Response};
+use crate::pool::{PoolConfig, QueryOutcome, QueryPool};
+use crate::protocol::{parse_request, write_response, HealthStatus, Request, Response};
 use crate::witness::lock;
 
 /// Hard cap on one protocol request line (bytes, excluding nothing —
@@ -266,6 +268,7 @@ where
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     let mut buf = Vec::new();
+    let mut reply = String::new();
     loop {
         buf.clear();
         // Bounded read: at most MAX_LINE_BYTES + 1 bytes are pulled, so
@@ -274,49 +277,50 @@ where
         if n == 0 {
             return Ok(()); // client hung up
         }
-        if buf.len() as u64 > MAX_LINE_BYTES && !buf.ends_with(b"\n") {
+        let (response, hang_up) = if buf.len() as u64 > MAX_LINE_BYTES && !buf.ends_with(b"\n") {
             // The line is torn mid-stream; resyncing on the next newline
             // would misparse its tail, so answer once and hang up.
-            let resp = Response::Err(format!("request line exceeds {MAX_LINE_BYTES} bytes"));
-            writer.write_all(format_response(&resp).as_bytes())?;
-            writer.write_all(b"\n")?;
-            writer.flush()?;
-            return Ok(());
-        }
-        let Ok(text) = std::str::from_utf8(&buf) else {
-            let resp = Response::Err("request line is not UTF-8".into());
-            writer.write_all(format_response(&resp).as_bytes())?;
-            writer.write_all(b"\n")?;
-            writer.flush()?;
-            return Ok(());
-        };
-        let trimmed = text.trim_end_matches(['\n', '\r']);
-        if trimmed.is_empty() {
-            continue;
-        }
-        // Chaos hook: a seeded plan can hang up mid-conversation here,
-        // exercising client-side reconnect + retry.
-        if tir_fault::drop_conn(tir_fault::FaultSite::ConnDrop) {
-            return Ok(());
-        }
-        let response = match parse_request(trimmed) {
-            Ok(req) => {
-                let is_shutdown = matches!(req, Request::Shutdown);
-                let resp = handle(shared, req);
-                if is_shutdown {
-                    writer.write_all(format_response(&resp).as_bytes())?;
-                    writer.write_all(b"\n")?;
-                    writer.flush()?;
-                    return Ok(());
-                }
-                resp
+            let msg = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+            (Response::Err(msg), true)
+        } else if let Ok(text) = std::str::from_utf8(&buf) {
+            let trimmed = text.trim_end_matches(['\n', '\r']);
+            if trimmed.is_empty() {
+                continue;
             }
-            Err(msg) => Response::Err(msg),
+            // Chaos hook: a seeded plan can hang up mid-conversation here,
+            // exercising client-side reconnect + retry.
+            if tir_fault::drop_conn(tir_fault::FaultSite::ConnDrop) {
+                return Ok(());
+            }
+            match parse_request(trimmed) {
+                Ok(req) => {
+                    let is_shutdown = matches!(req, Request::Shutdown);
+                    (handle(shared, req), is_shutdown)
+                }
+                Err(msg) => (Response::Err(msg), false),
+            }
+        } else {
+            (Response::Err("request line is not UTF-8".into()), true)
         };
-        writer.write_all(format_response(&response).as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
+        write_reply(&mut writer, &mut reply, &response)?;
+        if hang_up {
+            return Ok(());
+        }
     }
+}
+
+/// Sends one reply as one `write`: the line is built, newline included,
+/// in the connection's reusable buffer first. A reply split over two
+/// writes would wake a `TCP_NODELAY` client on a line it cannot finish.
+fn write_reply(
+    writer: &mut impl Write,
+    line: &mut String,
+    response: &Response,
+) -> std::io::Result<()> {
+    line.clear();
+    write_response(response, line);
+    line.push('\n');
+    writer.write_all(line.as_bytes())
 }
 
 /// How a refused query, write or barrier reads on the wire.
@@ -341,8 +345,8 @@ where
             elems,
             deadline_ms,
         } => {
-            // The deadline clock starts at dispatch: queue wait counts
-            // against the budget, which is what a client experiences.
+            // The deadline clock starts at dispatch: waiting at the gate
+            // counts against the budget, which is what a client experiences.
             let deadline = deadline_ms
                 .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms));
             let resolved: Option<Vec<u32>> = {
@@ -436,8 +440,10 @@ where
             let snap = shared.store.snapshot();
             let estats = shared.store.stats();
             let pstats = shared.pool.stats();
-            // analyze:allow(atomic-ordering): every load below is a stat/gauge read for a point-in-time report; torn cross-counter views are acceptable
-            let pairs: Vec<(String, String)> = [
+            // analyze:allow(atomic-ordering): a stat read for a point-in-time report; torn cross-counter views are acceptable
+            let count = |c: &AtomicU64| c.load(Ordering::Relaxed).to_string();
+            // analyze:allow(atomic-ordering): advisory gauges read for the same report
+            let mut pairs: Vec<(String, String)> = [
                 ("method", shared.method.clone()),
                 ("health", shared.store.health().as_str().to_string()),
                 ("epoch", snap.epoch.to_string()),
@@ -456,60 +462,22 @@ where
                     ),
                 ),
                 ("workers", shared.pool.workers().to_string()),
-                ("served", pstats.served.load(Ordering::Relaxed).to_string()),
-                (
-                    "overloaded",
-                    pstats.overloaded.load(Ordering::Relaxed).to_string(),
-                ),
-                (
-                    "batches",
-                    pstats.batches.load(Ordering::Relaxed).to_string(),
-                ),
-                (
-                    "timeouts",
-                    pstats.timeouts.load(Ordering::Relaxed).to_string(),
-                ),
-                (
-                    "worker_panics",
-                    pstats.worker_panics.load(Ordering::Relaxed).to_string(),
-                ),
-                (
-                    "inserts",
-                    estats.inserts.load(Ordering::Relaxed).to_string(),
-                ),
-                (
-                    "deletes",
-                    estats.deletes.load(Ordering::Relaxed).to_string(),
-                ),
-                (
-                    "missed_deletes",
-                    estats.missed_deletes.load(Ordering::Relaxed).to_string(),
-                ),
-                (
-                    "violations",
-                    estats.violations.load(Ordering::Relaxed).to_string(),
-                ),
-                (
-                    "flushes",
-                    estats.flushes.load(Ordering::Relaxed).to_string(),
-                ),
-                (
-                    "degraded_writes",
-                    estats.degraded_writes.load(Ordering::Relaxed).to_string(),
-                ),
-                (
-                    "publish_reused",
-                    estats.publish_reused.load(Ordering::Relaxed).to_string(),
-                ),
-                (
-                    "publish_cloned",
-                    estats.publish_cloned.load(Ordering::Relaxed).to_string(),
-                ),
+                ("served", count(&pstats.served)),
+                ("overloaded", count(&pstats.overloaded)),
+                ("timeouts", count(&pstats.timeouts)),
+                ("worker_panics", count(&pstats.worker_panics)),
+                ("inserts", count(&estats.inserts)),
+                ("deletes", count(&estats.deletes)),
+                ("missed_deletes", count(&estats.missed_deletes)),
+                ("violations", count(&estats.violations)),
+                ("flushes", count(&estats.flushes)),
+                ("degraded_writes", count(&estats.degraded_writes)),
+                ("publish_reused", count(&estats.publish_reused)),
+                ("publish_cloned", count(&estats.publish_cloned)),
             ]
             .into_iter()
             .map(|(k, v)| (k.to_string(), v))
             .collect();
-            let mut pairs = pairs;
             // Durability block: all-SeqCst counters owned by tir-persist.
             pairs.push(("durable".into(), shared.persist.is_some().to_string()));
             if let Some(p) = &shared.persist {
@@ -576,26 +544,33 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::tests::{PanicOnMagic, MAGIC_START};
+    use crate::pool::tests::{
+        example_index, panic_on_magic, parked_index, MAGIC_START, ONE_BY_ONE,
+    };
+    use crate::protocol::{format_response, parse_response};
     use tir_core::{BruteForce, Collection};
 
-    fn example_server() -> ServerHandle {
-        let coll = Collection::running_example();
+    /// A server over the running example (`a`, `b`, `c` interned) behind
+    /// `index`, which must hold exactly that collection.
+    fn serve_example<I>(index: I, pool: PoolConfig) -> ServerHandle
+    where
+        I: TemporalIrIndex + Clone + Send + Sync + 'static,
+    {
         let mut dict = Dictionary::new();
         for name in ["a", "b", "c"] {
             dict.intern(name);
         }
-        spawn_server(
-            BruteForce::build(coll.objects()),
-            coll.objects().to_vec(),
-            dict,
-            ServerConfig {
-                method: "brute-force".into(),
-                ..Default::default()
-            },
-            None,
-        )
-        .expect("server spawns")
+        let config = ServerConfig {
+            pool,
+            method: "brute-force".into(),
+            ..Default::default()
+        };
+        let catalog = Collection::running_example().objects().to_vec();
+        spawn_server(index, catalog, dict, config, None).expect("server spawns")
+    }
+
+    fn example_server() -> ServerHandle {
+        serve_example(example_index(), PoolConfig::default())
     }
 
     fn roundtrip(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, req: &str) -> String {
@@ -756,17 +731,7 @@ mod tests {
 
     #[test]
     fn delete_refused_by_a_closed_store_keeps_the_id_live() {
-        let coll = Collection::running_example();
-        let mut dict = Dictionary::new();
-        dict.intern("a");
-        let server = spawn_server(
-            PanicOnMagic(BruteForce::build(coll.objects())),
-            coll.objects().to_vec(),
-            dict,
-            ServerConfig::default(),
-            None,
-        )
-        .expect("server spawns");
+        let server = serve_example(panic_on_magic(example_index()), PoolConfig::default());
         let mut stream = TcpStream::connect(server.addr()).expect("connect");
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
         // The applier dies applying this insert; the barrier then returns.
@@ -779,6 +744,111 @@ mod tests {
         assert_eq!(roundtrip(&mut stream, &mut reader, "DELETE 1"), closed);
         assert_eq!(roundtrip(&mut stream, &mut reader, "DELETE 1"), closed);
         server.stop();
+    }
+
+    #[test]
+    fn query_panic_answers_closed_and_the_connection_lives_on() {
+        let server = serve_example(panic_on_magic(example_index()), PoolConfig::default());
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let poisoned = format!("QUERY {MAGIC_START} {} a", MAGIC_START + 1);
+        assert_eq!(
+            roundtrip(&mut stream, &mut reader, &poisoned),
+            "ERR server shutting down"
+        );
+        // The panic unwound on this connection's thread and stopped there.
+        assert_eq!(
+            roundtrip(&mut stream, &mut reader, "QUERY 5 9 a"),
+            "HITS 3 1 3 6"
+        );
+        let stats = roundtrip(&mut stream, &mut reader, "STATS");
+        assert!(stats.contains("worker_panics=1"), "{stats}");
+        server.stop();
+    }
+
+    #[test]
+    fn more_callers_than_the_gate_holds_are_overloaded_on_the_wire() {
+        let (index, entered, release) = parked_index();
+        let server = serve_example(index, ONE_BY_ONE);
+        let addr = server.addr();
+        let (replies_tx, replies) = std::sync::mpsc::channel();
+        let mut clients = Vec::new();
+        for i in 0..3 {
+            let replies_tx = replies_tx.clone();
+            clients.push(std::thread::spawn(move || {
+                let mut stream = TcpStream::connect(addr).expect("connect");
+                let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+                let reply = roundtrip(&mut stream, &mut reader, "QUERY 5 9 a,c");
+                replies_tx.send(reply).expect("test listens");
+            }));
+            if i == 0 {
+                entered.recv().expect("first query holds the only permit");
+            }
+        }
+        // Of the two latecomers one waits at the gate (whichever got
+        // there first) and the other is refused at once — nothing else
+        // can answer while the permit is parked.
+        assert_eq!(replies.recv().expect("reply"), "OVERLOADED");
+        for _ in 0..2 {
+            release.send(()).expect("release");
+        }
+        for _ in 0..2 {
+            assert_eq!(replies.recv().expect("reply"), "HITS 3 1 3 6");
+        }
+        for c in clients {
+            c.join().expect("client thread");
+        }
+        server.stop();
+    }
+
+    /// Counts `write` calls and keeps the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_reply_is_one_write_of_one_whole_line() {
+        let mut line = String::new();
+        for response in [
+            Response::Hits(vec![0, 9, 10, u32::MAX]),
+            Response::Hits(vec![]),
+            Response::Ok,
+            Response::Missing,
+            Response::Overloaded,
+            Response::Timeout,
+            Response::Degraded,
+            Response::Epoch(u64::MAX),
+            Response::Stats(vec![("epoch".into(), "7".into())]),
+            Response::Elems(vec!["e1".into(), "e2".into()]),
+            Response::Health(HealthStatus::Draining),
+            Response::Bye,
+            Response::Err("two\nlines".into()),
+        ] {
+            let mut wire = CountingWriter::default();
+            write_reply(&mut wire, &mut line, &response).expect("write");
+            assert_eq!(wire.writes, 1, "{response:?}");
+            let text = String::from_utf8(wire.bytes).expect("utf-8");
+            let body = text.strip_suffix('\n').expect("newline-terminated");
+            assert!(!body.contains('\n'), "{body:?}");
+            assert_eq!(body, format_response(&response));
+            match response {
+                Response::Err(_) => assert_eq!(body, "ERR two lines"),
+                other => assert_eq!(parse_response(body), Ok(other)),
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Lock acquisition helper + dynamic lock-order witness.
 //!
-//! Every mutex in the serving stack is taken through [`lock`], which
-//! does two jobs:
+//! Every mutex in the serving stack is taken through [`lock`] (and, where
+//! a holder parks on a condvar, [`wait`]), which does two jobs:
 //!
 //! 1. **Poison policy** — a poisoned mutex (a holder panicked) means the
 //!    serving invariants no longer hold, so propagating the panic is
@@ -32,14 +32,14 @@
 //! program-wide invariant, not a per-run accident.
 
 #[cfg(debug_assertions)]
-pub(crate) use tracked::lock;
+pub(crate) use tracked::{lock, wait};
 
 #[cfg(not(debug_assertions))]
-pub(crate) use plain::lock;
+pub(crate) use plain::{lock, wait};
 
 #[cfg(not(debug_assertions))]
 mod plain {
-    use std::sync::{Mutex, MutexGuard};
+    use std::sync::{Condvar, Mutex, MutexGuard};
 
     /// Poison-tolerant acquire (release build: no witness overhead).
     pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -47,6 +47,13 @@ mod plain {
         // analyze:allow(panic-reachability): poison policy — a poisoned serving
         // mutex means the invariants are gone; propagating the panic is correct
         m.lock()
+            .expect("serving mutex poisoned by a panicked thread")
+    }
+
+    /// `Condvar::wait` under the same poison policy as [`lock`].
+    pub(crate) fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+        // analyze:allow(panic-reachability): poison policy, as in `lock`
+        cv.wait(guard)
             .expect("serving mutex poisoned by a panicked thread")
     }
 }
@@ -57,7 +64,7 @@ mod tracked {
     use std::collections::HashMap;
     use std::ops::{Deref, DerefMut};
     use std::panic::Location;
-    use std::sync::{Mutex, MutexGuard, OnceLock};
+    use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 
     /// A lock identity: the mutex's address.
     type LockId = usize;
@@ -117,8 +124,12 @@ mod tracked {
     /// drop. Transparent via `Deref`/`DerefMut`.
     pub(crate) struct TrackedGuard<'a, T> {
         inner: MutexGuard<'a, T>,
-        id: LockId,
+        held: HeldEntry,
     }
+
+    /// The guard's entry in the held stack; dropping it removes the
+    /// entry. Its own type so [`wait`] can take the guard apart.
+    struct HeldEntry(LockId);
 
     impl<T> Deref for TrackedGuard<'_, T> {
         type Target = T;
@@ -133,9 +144,9 @@ mod tracked {
         }
     }
 
-    impl<T> Drop for TrackedGuard<'_, T> {
+    impl Drop for HeldEntry {
         fn drop(&mut self) {
-            let id = self.id;
+            let id = self.0;
             HELD.with(|held| {
                 let mut held = held.borrow_mut();
                 if let Some(pos) = held.iter().rposition(|&(h, _)| h == id) {
@@ -165,7 +176,23 @@ mod tracked {
             .lock()
             .expect("serving mutex poisoned by a panicked thread");
         HELD.with(|held| held.borrow_mut().push((id, site)));
-        TrackedGuard { inner, id }
+        TrackedGuard {
+            inner,
+            held: HeldEntry(id),
+        }
+    }
+
+    /// `Condvar::wait` for a tracked guard, under the same poison policy
+    /// as [`lock`]. The mutex stays on the held stack while its holder is
+    /// parked — a parked thread acquires nothing, and waking re-takes
+    /// the same mutex under the same held set, so no new edge can form.
+    pub(crate) fn wait<'a, T>(cv: &Condvar, guard: TrackedGuard<'a, T>) -> TrackedGuard<'a, T> {
+        let TrackedGuard { inner, held } = guard;
+        // analyze:allow(panic-reachability): poison policy, as in `lock`
+        let inner = cv
+            .wait(inner)
+            .expect("serving mutex poisoned by a panicked thread");
+        TrackedGuard { inner, held }
     }
 
     /// Checks the acquisition of `id` at `site` against every held lock
@@ -309,6 +336,26 @@ mod tracked {
                 let _g2 = lock(&m); // would self-deadlock without the witness
             });
             assert!(msg.contains("relocking"), "{msg}");
+        }
+
+        #[test]
+        fn wait_hands_back_a_guard_that_is_still_tracked() {
+            let pair = Arc::new((Mutex::new(false), Condvar::new()));
+            let waiter = {
+                let pair = Arc::clone(&pair);
+                std::thread::spawn(move || {
+                    let mut ready = lock(&pair.0);
+                    while !*ready {
+                        ready = wait(&pair.1, ready);
+                    }
+                    assert_eq!(held_count(), 1, "held across the wait");
+                    drop(ready);
+                    assert_eq!(held_count(), 0, "and unregistered once on drop");
+                })
+            };
+            *lock(&pair.0) = true;
+            pair.1.notify_one();
+            waiter.join().expect("waiter thread");
         }
 
         #[test]

@@ -30,7 +30,6 @@ fn readers_racing_writer_trip_no_witness() {
         PoolConfig {
             workers: 4,
             queue_depth: 256,
-            max_batch: 16,
         },
     ));
 
