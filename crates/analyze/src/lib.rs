@@ -24,7 +24,7 @@
 //! | `unguarded-cast` | narrowing `as` casts in hot-path crates without a fits-proof annotation |
 //! | `unbounded-channel` | `std::sync::mpsc::channel()` (no backpressure) |
 //! | `blocking-under-lock` | channel/thread/socket/I-O waits or nested acquisitions inside a lock-held region |
-//! | `unsafe-code` | any `unsafe` token; non-suppressible outside the audited mmap wrapper, per-site justified inside it |
+//! | `unsafe-code` | any `unsafe` token; non-suppressible outside the audited SIMD module, per-site justified inside it |
 //!
 //! Whole-program rules, judged over the workspace call graph (and the
 //! per-function dataflow results) in [`Analysis::finish`]:
@@ -100,7 +100,7 @@ pub struct Config {
     /// queries included — to completion.
     pub serve_roots: Vec<String>,
     /// Path suffixes of the files allowed to contain (per-site
-    /// justified) `unsafe` — the audited mmap wrapper. Everywhere else
+    /// justified) `unsafe` — the audited SIMD module. Everywhere else
     /// `unsafe-code` fires non-suppressibly.
     pub unsafe_audited_paths: Vec<String>,
     /// Crates the `untrusted-length` taint audit applies to (`None` =
@@ -158,7 +158,7 @@ impl Default for Config {
             scratch_arenas: s(&["QueryScratch"]),
             growth_sinks: s(&["QueryScratch", "Vec", "String"]),
             serve_roots: s(&["accept_loop"]),
-            unsafe_audited_paths: s(&["persist/src/mmap.rs", "invidx/src/simd.rs"]),
+            unsafe_audited_paths: s(&["invidx/src/simd.rs"]),
             taint_crates: None,
             taint_sources: s(&["read_u32", "read_u64", "get"]),
             taint_guards: s(&[

@@ -26,10 +26,7 @@ use std::time::Instant;
 use tir_core::prelude::*;
 use tir_core::{with_method, RankedQuery, RankedTif};
 use tir_datagen::SyntheticConfig;
-use tir_persist::{
-    Durability, DurabilityOptions, IndexKind, LoadMode, Persist, Recovered, SnapshotFile, TermLog,
-    SNAPSHOT_NAME,
-};
+use tir_persist::{Durability, DurabilityOptions, Recovered, SnapshotFile, TermLog, SNAPSHOT_NAME};
 use tir_serve::epoch::Validator;
 use tir_serve::{
     loadgen, spawn_server, spawn_server_durable, Json, LoadgenConfig, PoolConfig, ServeDict,
@@ -95,10 +92,10 @@ impl Opts {
         }
     }
 
-    /// `--method M`, or `default` when absent; an unknown spelling is an
-    /// error that lists the registry's methods.
-    fn method_or(&self, default: Method) -> Result<Method, String> {
-        self.get("method").map_or(Ok(default), str::parse)
+    /// `--method M`, if given; an unknown spelling is an error that lists
+    /// the registry's methods.
+    fn method(&self) -> Result<Option<Method>, String> {
+        self.get("method").map(str::parse).transpose()
     }
 }
 
@@ -126,9 +123,12 @@ fn run(args: &[String]) -> Result<(), String> {
     }
 }
 
+/// What `--method` means when absent: the paper's contribution.
+const DEFAULT_METHOD: Method = Method::IrHintPerf;
+
 fn usage() -> String {
     let methods = Method::ALL.map(|m| match m {
-        Method::IrHintPerf => format!("{m} (default)"),
+        DEFAULT_METHOD => format!("{m} (default)"),
         m => m.to_string(),
     });
     format!(
@@ -144,7 +144,7 @@ fn usage() -> String {
          serve    [--input FILE | --scale S [--seed K]] [--method M] [--port P]\n\
                   [--port-file PATH] [--workers N] [--queue-depth N]\n\
                   [--data-dir DIR [--snapshot-every N]]   (durable: WAL + snapshots;\n\
-                  recovers the directory on restart; methods {durable})\n\
+                  recovers the directory on restart)\n\
          loadgen  --addr HOST:PORT [--requests N] [--threads T] [--seed K]\n\
                   [--write-fraction F] [--insert-fraction F] [--elems N]\n\
                   [--durability N] [--deadline-ms MS] [--retries N] [--backoff-ms MS]\n\
@@ -157,7 +157,6 @@ fn usage() -> String {
          recover  --data-dir DIR [--verify]   (replay snapshot + WAL, report the\n\
                   epoch reached; --verify adds fsck + brute-force oracle agreement)\n\
          methods: {methods}",
-        durable = persist_methods(),
         methods = methods.join(", "),
     )
 }
@@ -253,7 +252,7 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
         return Ok(());
     }
 
-    let method = opts.method_or(Method::IrHintPerf)?;
+    let method = opts.method()?.unwrap_or(DEFAULT_METHOD);
     let t0 = Instant::now();
     let index = method.build(&corpus.collection);
     let built = t0.elapsed();
@@ -585,15 +584,11 @@ fn cmd_check_file(path: &str) -> Result<(), String> {
     let p = Path::new(path);
     let violations = tir_check::validate_snapshot(p);
     if violations.is_empty() {
-        let snap = SnapshotFile::open(p, LoadMode::Heap).map_err(|e| format!("{path}: {e}"))?;
+        let snap = SnapshotFile::open(p).map_err(|e| format!("{path}: {e}"))?;
         let m = snap.meta();
         println!(
-            "{path}: ok ({} @ epoch {}, {} live, {} postings, {} terms)",
-            m.kind.method_name(),
-            m.epoch,
-            m.live,
-            m.postings,
-            m.dict_len
+            "{path}: ok ({} @ epoch {}, {} live)",
+            m.method, m.epoch, m.live
         );
         return Ok(());
     }
@@ -708,12 +703,11 @@ fn server_config(opts: &Opts, method: Method) -> Result<ServerConfig, String> {
     })
 }
 
-/// Index kind recorded in the data directory's current snapshot.
-fn snapshot_kind(dir: &Path) -> Result<IndexKind, String> {
+/// The method the data directory's current snapshot is tagged with.
+fn snapshot_method(dir: &Path) -> Result<Method, String> {
     let path = dir.join(SNAPSHOT_NAME);
-    let snap = SnapshotFile::open(&path, LoadMode::Heap)
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(snap.meta().kind)
+    let snap = SnapshotFile::open(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+    Ok(snap.meta().method)
 }
 
 /// Fscks the data directory's snapshot; any violation refuses the load.
@@ -745,7 +739,7 @@ fn serve_durable<I, F>(
     port_file: Option<&str>,
 ) -> Result<(), String>
 where
-    I: TemporalIrIndex + Persist + tir_check::Validate + Clone + Send + Sync + 'static,
+    I: TemporalIrIndex + tir_check::Validate + Clone + Send + Sync + 'static,
     F: FnOnce(&Collection) -> I,
 {
     let (index, dict, durability) = if Durability::exists(dir) {
@@ -795,37 +789,6 @@ where
     run_server(handle, port_file)
 }
 
-/// Statically dispatches on the methods that have a snapshot format
-/// (a `Persist` impl) — the one place the CLI knows which those are;
-/// `with_method!` semantics, the trailing arm takes every other method.
-macro_rules! with_persist_method {
-    ($method:expr, |$I:ident, $build:ident| $body:expr, $other:pat => $fallback:expr) => {
-        with_method!(
-            $method,
-            [Tif, TifHintBs, TifHintMs],
-            |$I, $build| $body,
-            $other => $fallback
-        )
-    };
-}
-
-/// CLI names of the methods `with_persist_method!` dispatches.
-fn persist_methods() -> String {
-    let names: Vec<&str> = Method::ALL
-        .iter()
-        .filter(|&&m| with_persist_method!(m, |I, build| true, _ => false))
-        .map(|m| m.name())
-        .collect();
-    names.join(", ")
-}
-
-fn no_snapshot_format(method: Method) -> String {
-    format!(
-        "method {method} has no snapshot format (supported: {})",
-        persist_methods()
-    )
-}
-
 fn cmd_serve_durable(opts: &Opts, dir: &Path) -> Result<(), String> {
     let d_opts = DurabilityOptions {
         snapshot_every: opts.parse_or(
@@ -836,35 +799,24 @@ fn cmd_serve_durable(opts: &Opts, dir: &Path) -> Result<(), String> {
     };
     // An existing directory dictates the method: the snapshot knows what
     // wrote it, and a conflicting --method is an operator error.
-    let requested = opts.get("method").map(str::parse::<Method>).transpose()?;
+    let requested = opts.method()?;
     let method = if Durability::exists(dir) {
-        let kind = snapshot_kind(dir)?;
-        match (kind.method(), requested) {
-            (Some(held), Some(m)) if m != held => {
-                return Err(format!(
-                    "{} already holds a {held} snapshot; --method {m} conflicts",
-                    dir.display()
-                ));
-            }
-            (Some(held), _) => held,
-            (None, _) => {
-                return Err(format!(
-                    "{} holds a {} snapshot, which is not a served method",
-                    dir.display(),
-                    kind.method_name()
-                ));
-            }
+        let held = snapshot_method(dir)?;
+        if let Some(m) = requested.filter(|&m| m != held) {
+            return Err(format!(
+                "{} already holds a {held} snapshot; --method {m} conflicts",
+                dir.display()
+            ));
         }
+        held
     } else {
-        requested.unwrap_or(Method::Tif)
+        requested.unwrap_or(DEFAULT_METHOD)
     };
     let config = server_config(opts, method)?;
     let port_file = opts.get("port-file");
-    with_persist_method!(
-        method,
-        |I, build| serve_durable(opts, dir, d_opts, build, config, port_file),
-        other => Err(no_snapshot_format(other))
-    )
+    with_method!(method, |I, build| serve_durable(
+        opts, dir, d_opts, build, config, port_file
+    ))
 }
 
 fn cmd_serve(opts: &Opts) -> Result<(), String> {
@@ -872,7 +824,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         return cmd_serve_durable(opts, Path::new(dir));
     }
     let corpus = serve_corpus(opts)?;
-    let method = opts.method_or(Method::IrHintPerf)?;
+    let method = opts.method()?.unwrap_or(DEFAULT_METHOD);
     let config = server_config(opts, method)?;
     let port_file = opts.get("port-file");
     eprintln!(
@@ -889,27 +841,23 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     ))
 }
 
-/// `tir snapshot`: build an index over a corpus and write it as a
-/// standalone snapshot file, then fsck the result — a one-shot exporter
-/// for the `tir check --file` / mmap-load tooling.
+/// `tir snapshot`: build an index over a corpus and write the snapshot
+/// a data directory of it would start from, then fsck the result — a
+/// one-shot exporter for the `tir check --file` tooling.
 fn cmd_snapshot(opts: &Opts) -> Result<(), String> {
     let out = opts.require("out")?;
     let corpus = serve_corpus(opts)?;
-    let method = opts.method_or(Method::Tif)?;
+    let method = opts.method()?.unwrap_or(DEFAULT_METHOD);
     let epoch: u64 = opts.parse_or("epoch", 0)?;
     let path = Path::new(out);
-    with_persist_method!(
-        method,
-        |I, build| tir_persist::write_snapshot(
-            path,
-            epoch,
-            &corpus.dictionary,
-            corpus.collection.objects(),
-            &build(&corpus.collection),
-        )
-        .map_err(|e| format!("{out}: {e}")),
-        other => Err(no_snapshot_format(other))
-    )?;
+    with_method!(method, |I, build| tir_persist::write_snapshot(
+        path,
+        epoch,
+        &corpus.dictionary,
+        corpus.collection.objects(),
+        &build(&corpus.collection),
+    ))
+    .map_err(|e| format!("{out}: {e}"))?;
     let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
     eprintln!(
         "wrote {out} ({method}, {} objects, {} KiB)",
@@ -925,7 +873,7 @@ fn cmd_snapshot(opts: &Opts) -> Result<(), String> {
 /// catalog.
 fn recover_and_report<I>(opts: &Opts, dir: &Path) -> Result<(), String>
 where
-    I: Persist + TemporalIrIndex,
+    I: TemporalIrIndex + 'static,
 {
     let r: Recovered<I> = Durability::recover(dir, DurabilityOptions::default())
         .map_err(|e| format!("recover {}: {e}", dir.display()))?;
@@ -966,18 +914,9 @@ fn cmd_recover(opts: &Opts) -> Result<(), String> {
         fsck_data_dir(dir)?;
         println!("fsck        clean");
     }
-    let kind = snapshot_kind(dir)?;
-    match kind.method() {
-        Some(method) => with_persist_method!(
-            method,
-            |I, build| recover_and_report::<I>(opts, dir),
-            other => Err(no_snapshot_format(other))
-        ),
-        None if kind == IndexKind::BruteForce => recover_and_report::<BruteForce>(opts, dir),
-        None => {
-            Err("snapshot holds a bare compact postings structure; nothing to recover into".into())
-        }
-    }
+    with_method!(snapshot_method(dir)?, |I, build| recover_and_report::<I>(
+        opts, dir
+    ))
 }
 
 fn cmd_loadgen(opts: &Opts) -> Result<(), String> {

@@ -3,11 +3,12 @@
 
 use crate::types::{ElemId, Interval, Object, ObjectId, Timestamp};
 
-/// An immutable collection of objects with ids `0..len`, plus the element
-/// frequency table of the global dictionary.
+/// An immutable collection of objects ordered by strictly ascending id,
+/// plus the element frequency table of the global dictionary.
 ///
-/// The `id == position` invariant keeps oracle checks and update workloads
-/// O(1); generators produce ids in that form.
+/// Generators produce the dense form `0..len`, where [`Collection::get`]
+/// is one array access; a catalog that survived deletes (holes, ids far
+/// above `len`) is just as valid an input to every index builder.
 #[derive(Debug, Clone)]
 pub struct Collection {
     objects: Vec<Object>,
@@ -17,8 +18,8 @@ pub struct Collection {
 }
 
 impl Collection {
-    /// Wraps objects (ids must equal their position) into a collection,
-    /// computing the domain span and element frequencies.
+    /// Wraps objects (ids strictly ascending) into a collection, computing
+    /// the domain span and element frequencies.
     pub fn new(objects: Vec<Object>) -> Self {
         Self::with_domain_hint(objects, Timestamp::MAX, 0)
     }
@@ -35,7 +36,10 @@ impl Collection {
         let mut domain_max = max_hint;
         let mut max_elem = 0u32;
         for (i, o) in objects.iter().enumerate() {
-            assert_eq!(o.id as usize, i, "object ids must equal their position");
+            assert!(
+                i == 0 || objects[i - 1].id < o.id,
+                "object ids must be strictly ascending"
+            );
             domain_min = domain_min.min(o.interval.st);
             domain_max = domain_max.max(o.interval.end);
             if let Some(&e) = o.desc.last() {
@@ -65,9 +69,18 @@ impl Collection {
         &self.objects
     }
 
-    /// Object by id.
+    /// Object by id; panics if the collection holds no such object.
     pub fn get(&self, id: ObjectId) -> &Object {
-        &self.objects[id as usize]
+        // Ascending ids put object `id` at position `id` or before it.
+        match self.objects.get(id as usize) {
+            Some(o) if o.id == id => o,
+            _ => {
+                let upto = self.objects.len().min(id as usize);
+                let pos = self.objects[..upto].partition_point(|o| o.id < id);
+                assert!(pos < upto && self.objects[pos].id == id, "no object {id}");
+                &self.objects[pos]
+            }
+        }
     }
 
     /// Number of objects.
@@ -252,8 +265,25 @@ mod tests {
     }
 
     #[test]
+    fn sparse_ids_are_addressable() {
+        let coll = Collection::new(vec![
+            Object::new(0, 0, 1, vec![0]),
+            Object::new(5, 2, 3, vec![1]),
+            Object::new(4_000_000, 4, 9, vec![0, 1]),
+        ]);
+        for o in coll.objects() {
+            assert_eq!(coll.get(o.id), o);
+        }
+        assert_eq!(coll.freq(1), 2);
+        assert_eq!(coll.domain(), Interval::new(0, 9));
+    }
+
+    #[test]
     #[should_panic]
-    fn rejects_misnumbered_ids() {
-        let _ = Collection::new(vec![Object::new(5, 0, 1, vec![0])]);
+    fn rejects_descending_ids() {
+        let _ = Collection::new(vec![
+            Object::new(5, 0, 1, vec![0]),
+            Object::new(5, 0, 1, vec![0]),
+        ]);
     }
 }

@@ -6,7 +6,7 @@
 //! cross-index tests — goes through [`Method`], so adding or retuning a
 //! method is an edit to this file alone. Callers that can work behind
 //! `dyn` use [`Method::build`]; callers that need the concrete type (to
-//! require `Validate`, `Persist`, `Clone`, …) use [`crate::with_method!`].
+//! require `Validate`, `Clone`, `'static`, …) use [`crate::with_method!`].
 
 use std::fmt;
 use std::str::FromStr;
@@ -129,48 +129,8 @@ impl FromStr for Method {
 ///     assert!(with_method!(m, |I, build| footprint::<I>(build(&coll))) > 0);
 /// }
 /// ```
-///
-/// A bracketed variant list restricts the dispatch to methods whose
-/// type satisfies a narrower bound; the trailing arm covers the rest:
-/// `with_method!(m, [Tif, TifHintBs], |I, build| …, other => …)`.
 #[macro_export]
 macro_rules! with_method {
-    // The table: one row per method — concrete type, tuned constructor.
-    (@row Tif, $($rest:tt)*) => {
-        $crate::with_method!(@bind $crate::Tif, $crate::Tif::build, $($rest)*)
-    };
-    (@row Slicing, $($rest:tt)*) => {
-        $crate::with_method!(@bind $crate::TifSlicing, $crate::TifSlicing::build, $($rest)*)
-    };
-    (@row Sharding, $($rest:tt)*) => {
-        $crate::with_method!(@bind $crate::TifSharding, $crate::TifSharding::build, $($rest)*)
-    };
-    (@row TifHintBs, $($rest:tt)*) => {
-        $crate::with_method!(
-            @bind $crate::TifHint,
-            |c: &$crate::Collection| $crate::TifHint::build(c, $crate::TifHintConfig::binary_search()),
-            $($rest)*
-        )
-    };
-    (@row TifHintMs, $($rest:tt)*) => {
-        $crate::with_method!(
-            @bind $crate::TifHint,
-            |c: &$crate::Collection| $crate::TifHint::build(c, $crate::TifHintConfig::merge_sort()),
-            $($rest)*
-        )
-    };
-    (@row Hybrid, $($rest:tt)*) => {
-        $crate::with_method!(@bind $crate::TifHintSlicing, $crate::TifHintSlicing::build, $($rest)*)
-    };
-    (@row IrHintPerf, $($rest:tt)*) => {
-        $crate::with_method!(@bind $crate::IrHintPerf, $crate::IrHintPerf::build, $($rest)*)
-    };
-    (@row IrHintSize, $($rest:tt)*) => {
-        $crate::with_method!(@bind $crate::IrHintSize, $crate::IrHintSize::build, $($rest)*)
-    };
-    (@row Ctif, $($rest:tt)*) => {
-        $crate::with_method!(@bind $crate::CompressedTif, $crate::CompressedTif::build, $($rest)*)
-    };
     (@bind $ty:ty, $ctor:expr, $I:ident, $build:ident, $body:expr) => {{
         #[allow(dead_code)]
         type $I = $ty;
@@ -178,22 +138,44 @@ macro_rules! with_method {
         let $build = $ctor;
         $body
     }};
+    // The table: one row per method — concrete type, tuned constructor.
     ($method:expr, |$I:ident, $build:ident| $body:expr) => {
-        $crate::with_method!(
-            $method,
-            [Tif, Slicing, Sharding, TifHintBs, TifHintMs, Hybrid, IrHintPerf, IrHintSize, Ctif],
-            |$I, $build| $body
-        )
-    };
-    (
-        $method:expr,
-        [$($variant:ident),+],
-        |$I:ident, $build:ident| $body:expr
-        $(, $other:pat => $fallback:expr)?
-    ) => {
         match $method {
-            $($crate::Method::$variant => $crate::with_method!(@row $variant, $I, $build, $body),)+
-            $($other => $fallback,)?
+            $crate::Method::Tif => {
+                $crate::with_method!(@bind $crate::Tif, $crate::Tif::build, $I, $build, $body)
+            }
+            $crate::Method::Slicing => $crate::with_method!(
+                @bind $crate::TifSlicing, $crate::TifSlicing::build, $I, $build, $body
+            ),
+            $crate::Method::Sharding => $crate::with_method!(
+                @bind $crate::TifSharding, $crate::TifSharding::build, $I, $build, $body
+            ),
+            $crate::Method::TifHintBs => $crate::with_method!(
+                @bind $crate::TifHint,
+                |c: &$crate::Collection| {
+                    $crate::TifHint::build(c, $crate::TifHintConfig::binary_search())
+                },
+                $I, $build, $body
+            ),
+            $crate::Method::TifHintMs => $crate::with_method!(
+                @bind $crate::TifHint,
+                |c: &$crate::Collection| {
+                    $crate::TifHint::build(c, $crate::TifHintConfig::merge_sort())
+                },
+                $I, $build, $body
+            ),
+            $crate::Method::Hybrid => $crate::with_method!(
+                @bind $crate::TifHintSlicing, $crate::TifHintSlicing::build, $I, $build, $body
+            ),
+            $crate::Method::IrHintPerf => $crate::with_method!(
+                @bind $crate::IrHintPerf, $crate::IrHintPerf::build, $I, $build, $body
+            ),
+            $crate::Method::IrHintSize => $crate::with_method!(
+                @bind $crate::IrHintSize, $crate::IrHintSize::build, $I, $build, $body
+            ),
+            $crate::Method::Ctif => $crate::with_method!(
+                @bind $crate::CompressedTif, $crate::CompressedTif::build, $I, $build, $body
+            ),
         }
     };
 }
@@ -224,13 +206,5 @@ mod tests {
             hits.sort_unstable();
             assert_eq!(hits, vec![1, 3, 6], "{m}");
         }
-    }
-
-    #[test]
-    fn restricted_dispatch_falls_through() {
-        let coll = Collection::running_example();
-        let sized = |m: Method| with_method!(m, [Tif, Ctif], |I, build| Some(build(&coll).size_bytes()), _ => None);
-        assert!(sized(Method::Tif).is_some());
-        assert!(sized(Method::Hybrid).is_none());
     }
 }

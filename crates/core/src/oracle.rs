@@ -21,16 +21,6 @@ impl BruteForce {
         }
     }
 
-    /// Calls `f` for every live (non-deleted) object — introspection for
-    /// snapshot writers and validators.
-    pub fn for_each_live(&self, mut f: impl FnMut(&Object)) {
-        for (o, &dead) in self.objects.iter().zip(&self.deleted) {
-            if !dead {
-                f(o);
-            }
-        }
-    }
-
     /// Sorted answer to a query — the canonical expected value.
     pub fn answer(&self, q: &TimeTravelQuery) -> Vec<ObjectId> {
         self.query(q)

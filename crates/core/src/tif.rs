@@ -49,35 +49,6 @@ impl Tif {
         }
     }
 
-    /// Rebuilds the index from canonical `(elem, id, st, end)` postings
-    /// tuples — the snapshot-restore path. Unlike [`Tif::build`], object
-    /// ids need not be dense positions: tuples may describe any surviving
-    /// subset after inserts and deletes. Tuples must name live postings
-    /// only (no tombstone bits) and be sorted by `(elem, id)`.
-    pub fn from_postings(tuples: &[(u32, u32, u64, u64)]) -> Self {
-        let mut lists: HashMap<u32, TemporalList> = HashMap::new();
-        let mut counts: Vec<u32> = Vec::new();
-        let mut universe = 0u32;
-        for &(e, id, st, end) in tuples {
-            lists.entry(e).or_default().insert(id, st, end);
-            if e as usize >= counts.len() {
-                counts.resize(e as usize + 1, 0);
-            }
-            counts[e as usize] += 1;
-            universe = universe.max(id.saturating_add(1));
-        }
-        let hybrid = HybridPostings::from_lists(
-            lists.iter().map(|(&e, l)| (e, l.ids.as_slice())),
-            universe,
-            ContainerConfig::default(),
-        );
-        Tif {
-            lists,
-            hybrid,
-            freqs: FreqTable::from_counts(&counts),
-        }
-    }
-
     /// The hybrid container directory backing non-seed intersections
     /// (introspection for validators).
     pub fn containers(&self) -> &HybridPostings {

@@ -132,56 +132,6 @@ impl TifHint {
         }
     }
 
-    /// Rebuilds the index from canonical `(elem, id, st, end)` postings
-    /// tuples and an explicit time domain — the snapshot-restore path.
-    /// Unlike [`TifHint::build`], object ids need not be dense positions.
-    /// Tuples must name live postings only (no tombstone bits).
-    pub fn from_postings(
-        tuples: &[(u32, u32, u64, u64)],
-        domain: (Timestamp, Timestamp),
-        config: TifHintConfig,
-    ) -> Self {
-        let mut per_elem: HashMap<u32, Vec<IntervalRecord>> = HashMap::new();
-        let mut counts: Vec<u32> = Vec::new();
-        for &(e, id, st, end) in tuples {
-            per_elem
-                .entry(e)
-                .or_default()
-                .push(IntervalRecord { id, st, end });
-            if e as usize >= counts.len() {
-                counts.resize(e as usize + 1, 0);
-            }
-            counts[e as usize] += 1;
-        }
-        let hint_cfg = Self::hint_config(config);
-        let hints = per_elem
-            .into_iter()
-            .map(|(e, recs)| {
-                (
-                    e,
-                    Hint::build_with_domain(&recs, domain.0, domain.1, hint_cfg),
-                )
-            })
-            .collect();
-        TifHint {
-            hints,
-            freqs: FreqTable::from_counts(&counts),
-            domain_min: domain.0,
-            domain_max: domain.1,
-            config,
-        }
-    }
-
-    /// The time domain the per-element HINTs were built over.
-    pub fn domain(&self) -> (Timestamp, Timestamp) {
-        (self.domain_min, self.domain_max)
-    }
-
-    /// The full configuration (strategy and `m`).
-    pub fn config(&self) -> TifHintConfig {
-        self.config
-    }
-
     fn hint_config(config: TifHintConfig) -> HintConfig {
         match config.strategy {
             IntersectStrategy::BinarySearch => HintConfig {

@@ -20,9 +20,8 @@
 //!   future-work direction).
 
 // `deny`, not `forbid`, so the audited [`simd`] module can locally
-// allow intrinsics — the same carve-out `tir-persist` uses for its mmap
-// wrapper. The `unsafe-code` analyze rule pins the allowlist to exactly
-// these two files.
+// allow intrinsics. The `unsafe-code` analyze rule pins the allowlist to
+// exactly that file.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -24,11 +24,6 @@ impl<'a> U32Col<'a> {
         self.0.len() / 4
     }
 
-    /// True if the column has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
     /// Element `i`; panics past the end like slice indexing.
     pub fn get(&self, i: usize) -> u32 {
         let b = &self.0[i * 4..i * 4 + 4];
@@ -40,29 +35,6 @@ impl<'a> U32Col<'a> {
         self.0
             .chunks_exact(4)
             .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Binary search in an ascending column, with `slice::binary_search`
-    /// semantics.
-    pub fn binary_search(&self, x: u32) -> Result<usize, usize> {
-        let (mut lo, mut hi) = (0usize, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let v = self.get(mid);
-            if v < x {
-                lo = mid + 1;
-            } else if v > x {
-                hi = mid;
-            } else {
-                return Ok(mid);
-            }
-        }
-        Err(lo)
-    }
-
-    /// Copies the column onto the heap (cold paths only).
-    pub fn to_vec(&self) -> Vec<u32> {
-        self.iter().collect()
     }
 }
 
@@ -85,27 +57,10 @@ impl<'a> U64Col<'a> {
         self.0.len() / 8
     }
 
-    /// True if the column has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
     /// Element `i`; panics past the end like slice indexing.
     pub fn get(&self, i: usize) -> u64 {
         let b = &self.0[i * 8..i * 8 + 8];
         u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
-    }
-
-    /// Iterates the column in order.
-    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.0
-            .chunks_exact(8)
-            .map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    /// Copies the column onto the heap (cold paths only).
-    pub fn to_vec(&self) -> Vec<u64> {
-        self.iter().collect()
     }
 }
 
@@ -138,7 +93,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn u32_roundtrip_and_search() {
+    fn u32_roundtrip() {
         let vals = [3u32, 9, 12, 900, 7_000_000];
         let mut buf = Vec::new();
         for &v in &vals {
@@ -146,11 +101,8 @@ mod tests {
         }
         let col = U32Col::new(&buf).expect("aligned");
         assert_eq!(col.len(), vals.len());
-        assert_eq!(col.to_vec(), vals);
-        assert_eq!(col.binary_search(12), Ok(2));
-        assert_eq!(col.binary_search(13), Err(3));
-        assert_eq!(col.binary_search(0), Err(0));
-        assert_eq!(col.binary_search(8_000_000), Err(5));
+        assert_eq!(col.iter().collect::<Vec<u32>>(), vals);
+        assert_eq!(col.get(3), 900);
     }
 
     #[test]
@@ -161,8 +113,9 @@ mod tests {
             put_u64(&mut buf, v);
         }
         let col = U64Col::new(&buf).expect("aligned");
-        assert_eq!(col.to_vec(), vals);
+        assert_eq!(col.len(), vals.len());
         assert_eq!(col.get(1), u64::MAX);
+        assert_eq!(col.get(3), 1 << 40);
     }
 
     #[test]

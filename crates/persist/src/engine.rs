@@ -13,7 +13,8 @@
 //!    `snapshot.tir.tmp`, `fsync`, rename over `snapshot.tir`, `fsync`
 //!    the directory, then prune covered WAL segments. A crash at any
 //!    point leaves either the old or the new snapshot intact.
-//! 3. [`Durability::recover`] — load the snapshot, replay `terms.log`,
+//! 3. [`Durability::recover`] — verify the snapshot, read its catalog,
+//!    build the method its header names over it, replay `terms.log`,
 //!    replay WAL records above the snapshot epoch (truncating a torn
 //!    tail), and reopen the WAL for appending. The recovered epoch is
 //!    **at least** the last acknowledged one: a batch that reached the
@@ -24,6 +25,7 @@
 //! Every step is preceded by one `tir-fault` probe; the property tests
 //! arm each in turn and assert oracle-exact recovery.
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::fs;
 use std::io;
@@ -31,12 +33,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use tir_core::{apply_ops, Object, TemporalIrIndex};
+use tir_core::{apply_ops, with_method, Collection, Method, Object, TemporalIrIndex};
 use tir_fault::FaultSite;
 use tir_invidx::Dictionary;
 
-use crate::mmap::LoadMode;
-use crate::snapshot::{write_snapshot, Persist, SnapshotFile};
+use crate::snapshot::{write_snapshot, SnapshotError, SnapshotFile};
 use crate::termlog::TermLog;
 use crate::wal::{Wal, WalOp, DEFAULT_SEGMENT_BYTES};
 
@@ -133,7 +134,7 @@ impl Durability {
     /// Initializes a fresh data directory around an index that already
     /// holds `catalog` (possibly empty): writes snapshot at epoch 0 and
     /// opens an empty WAL.
-    pub fn create<I: Persist>(
+    pub fn create<I: TemporalIrIndex>(
         dir: &Path,
         index: &I,
         dict: &Dictionary,
@@ -156,24 +157,21 @@ impl Durability {
     }
 
     /// Recovers `dir` to last-snapshot + WAL replay. See the module docs
-    /// for the exact semantics.
-    pub fn recover<I: Persist + TemporalIrIndex>(
+    /// for the exact semantics. `I` must be the type of the method the
+    /// snapshot is tagged with; any other is refused, not rebuilt.
+    pub fn recover<I: TemporalIrIndex + 'static>(
         dir: &Path,
         opts: DurabilityOptions,
     ) -> io::Result<Recovered<I>> {
-        // The snapshot restores onto the heap here: recovery rebuilds
-        // the native mutable index (zero-copy serving is the separate
-        // `MappedPostings` read path).
-        let snap = SnapshotFile::open(&dir.join(SNAPSHOT_NAME), LoadMode::Heap)?;
-        let snapshot_epoch = snap.meta().epoch;
-        let mut index = I::restore(&snap)?;
+        let snap = SnapshotFile::open(&dir.join(SNAPSHOT_NAME))?;
+        let (method, snapshot_epoch) = (snap.meta().method, snap.meta().epoch);
         let mut dict = snap.dictionary()?;
-        let mut catalog: HashMap<u32, Object> = snap
-            .catalog_objects()?
-            .into_iter()
-            .map(|o| (o.id, o))
-            .collect();
+        let coll = Collection::new(snap.catalog_objects()?);
         drop(snap);
+        let mut index: I = build_as(method, &coll)?;
+        let mut catalog: HashMap<u32, Object> =
+            coll.objects().iter().map(|o| (o.id, o.clone())).collect();
+        drop(coll);
 
         // Terms first: WAL ops reference term ids, which the sidecar log
         // made durable before any referencing op could be enqueued.
@@ -273,11 +271,14 @@ impl Durability {
     /// Writes a durable snapshot of the current state and prunes covered
     /// WAL segments: tmp write + fsync → rename → directory fsync →
     /// prune.
-    pub fn write_snapshot<I: Persist>(&mut self, index: &I, dict: &Dictionary) -> io::Result<()> {
+    pub fn write_snapshot<I: TemporalIrIndex>(
+        &mut self,
+        index: &I,
+        dict: &Dictionary,
+    ) -> io::Result<()> {
         tir_fault::fire(FaultSite::SnapshotWrite)?;
         let tmp = self.dir.join(SNAPSHOT_TMP);
-        let catalog = self.catalog_sorted();
-        write_snapshot(&tmp, self.epoch, dict, &catalog, index)?;
+        write_snapshot(&tmp, self.epoch, dict, self.catalog.values(), index)?;
         // Fault site: a torn publish — the temp snapshot is fully written
         // but the rename never happens, so recovery must keep using the
         // previous snapshot and ignore the stale temp file.
@@ -299,7 +300,11 @@ impl Durability {
 
     /// Snapshots iff `snapshot_every` epochs elapsed since the last one.
     /// Returns true if a snapshot was written.
-    pub fn maybe_snapshot<I: Persist>(&mut self, index: &I, dict: &Dictionary) -> io::Result<bool> {
+    pub fn maybe_snapshot<I: TemporalIrIndex>(
+        &mut self,
+        index: &I,
+        dict: &Dictionary,
+    ) -> io::Result<bool> {
         if self.opts.snapshot_every == 0
             || self.epoch - self.last_snapshot_epoch < self.opts.snapshot_every
         {
@@ -308,6 +313,28 @@ impl Durability {
         self.write_snapshot(index, dict)?;
         Ok(true)
     }
+}
+
+/// Builds `method` over `coll` with its registry constructor, provided
+/// that constructor returns the `I` the caller asked for.
+fn build_as<I: 'static>(method: Method, coll: &Collection) -> Result<I, SnapshotError> {
+    with_method!(method, |M, build| {
+        // Downcasting the constructor rather than its result means a
+        // mismatch costs no build.
+        let build: fn(&Collection) -> M = build;
+        (&build as &dyn Any)
+            .downcast_ref::<fn(&Collection) -> I>()
+            .map(|build| build(coll))
+    })
+    .ok_or_else(|| {
+        SnapshotError::corrupt(
+            "snapshot/header",
+            format!(
+                "snapshot stores {method}, not the requested kind {}",
+                std::any::type_name::<I>()
+            ),
+        )
+    })
 }
 
 /// Keeps the catalog mirror (what the next snapshot writes) in step with

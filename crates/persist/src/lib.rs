@@ -6,14 +6,12 @@
 //! Two cooperating halves:
 //!
 //! * **Snapshots** — a versioned, checksummed, little-endian on-disk
-//!   format ([`snapshot`]) storing the dictionary, the object catalog,
-//!   and the canonical SoA postings columns, each in its own
-//!   64-byte-aligned section with a CRC32. A snapshot is written via the [`Persist`] trait and loaded
-//!   either *fully* (rebuilding the native in-memory index) or
-//!   *zero-copy* through the safe mmap wrapper in [`mmap`] — the
-//!   [`snapshot::MappedPostings`] view answers time-travel queries
-//!   straight out of the mapped columns without deserializing a single
-//!   posting onto the heap.
+//!   format ([`snapshot`]) storing the dictionary and the object catalog,
+//!   each column in its own CRC32-guarded section, plus a header tag
+//!   naming the `tir_core::Method` that was serving. No postings and no
+//!   per-index code: every method's index is a deterministic function of
+//!   the catalog, so [`Durability::recover`] rebuilds the tagged method
+//!   over the decoded catalog with the registry's own constructor.
 //! * **The write-ahead log** ([`wal`]) — appended and fsynced *before* a
 //!   batch is applied, one CRC32-guarded record per epoch, with
 //!   size-based segment rotation and truncate-on-torn-tail replay.
@@ -23,12 +21,6 @@
 //!   acknowledged epoch — and exactly the epochs whose records are
 //!   durable.
 //!
-//! The only `unsafe` in the crate lives in the audited [`mmap`] wrapper
-//! module (one of the workspace's two such modules, with
-//! `tir-invidx`'s `simd`); everything else is `#![deny]`-ed and the
-//! `unsafe-code` rule of `tir-analyze` enforces the containment
-//! statically.
-//!
 //! Crash discipline is testable: every step of the durable apply and
 //! snapshot paths is preceded by one `tir-fault` probe, and the
 //! crash-recovery proptests arm each in turn (`tir_fault::OneShot`)
@@ -37,26 +29,20 @@
 //! themselves are `tir_core::WriteOp` ([`WalOp`] is that type) and are
 //! applied by `tir_core::apply_ops`, live and on replay alike.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cols;
+mod cols;
 pub mod crc;
 pub mod engine;
-pub mod mmap;
 pub mod snapshot;
 pub mod termlog;
 pub mod wal;
 
-pub use cols::{U32Col, U64Col};
 pub use crc::{crc32, Crc32};
 pub use engine::{
     ApplyOutcome, Durability, DurabilityOptions, PersistStats, Recovered, SNAPSHOT_NAME,
 };
-pub use mmap::{Bytes, LoadMode};
-pub use snapshot::{
-    write_snapshot, IndexKind, MappedPostings, Persist, SnapshotError, SnapshotFile, SnapshotMeta,
-    SnapshotWriter, FORMAT_VERSION,
-};
+pub use snapshot::{write_snapshot, SnapshotError, SnapshotFile, SnapshotMeta, FORMAT_VERSION};
 pub use termlog::TermLog;
 pub use wal::{WalOp, WalStats};

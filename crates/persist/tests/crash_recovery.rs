@@ -4,9 +4,10 @@
 //! agreement at the recovered epoch.
 //!
 //! Each proptest case sweeps all seven [`CRASH_POINTS`] plus a no-fault
-//! control over the same generated workload, so every (workload ×
-//! crash-site) combination recovers or the test names the point that
-//! broke. Recovery semantics checked:
+//! control over the same generated workload, taking the method of each
+//! run from `Method::ALL` in rotation from a drawn start, so every
+//! (workload × crash-site) combination recovers or the test names the
+//! method and point that broke. Recovery semantics checked:
 //!
 //! * the recovered epoch is **at least** the last acknowledged one and
 //!   at most the last attempted one (a batch that was fsynced but died
@@ -27,11 +28,12 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use tir_core::prelude::*;
+use tir_core::with_method;
 use tir_datagen::{mixed_stream, MixedSpec, Op, SyntheticConfig, WorkloadSpec};
 use tir_fault::{FaultAction, FaultSite, OneShot};
 use tir_invidx::Dictionary;
 use tir_persist::wal::WalOp;
-use tir_persist::{Durability, DurabilityOptions, Persist, Recovered};
+use tir_persist::{Durability, DurabilityOptions, Recovered};
 
 /// Every step of the durable apply and snapshot paths, in path order:
 /// before the WAL append, mid-record (a torn tail), before the fsync,
@@ -135,7 +137,8 @@ fn assert_matches_oracle<I: TemporalIrIndex>(
 }
 
 /// One full cycle: create → apply-until-crash → recover → verify →
-/// append → recover again. `kill_at` is `None` for the control run.
+/// append → recover again. `kill_at` is `None` for the control run
+/// (`kill0`).
 fn run_case<I, F>(
     tag: &str,
     coll: &Collection,
@@ -144,7 +147,7 @@ fn run_case<I, F>(
     seed: u64,
     batch: usize,
 ) where
-    I: Persist + TemporalIrIndex,
+    I: TemporalIrIndex + 'static,
     F: Fn(&Collection) -> I,
 {
     let dir: PathBuf = std::env::temp_dir().join(format!(
@@ -244,33 +247,19 @@ proptest! {
         seed in 0..1_000_000u64,
         countdown in 0..12u64,
         batch in 1..4usize,
-        hint_case in 0..4u32,
+        first in 0..Method::ALL.len(),
     ) {
         let coll = corpus(seed % 17 + 1);
-        // Control: no kill, the full workload lands.
-        run_case("control", &coll, Tif::build, None, seed, batch);
-        for (i, &(site, action)) in CRASH_POINTS.iter().enumerate() {
-            run_case(
-                &format!("kill{}", i + 1),
-                &coll,
-                Tif::build,
-                Some(OneShot { site, visit: countdown, action }),
-                seed,
-                batch,
-            );
-        }
-        // Periodically run the HINT-backed index through the same sweep.
-        if hint_case == 0 {
-            for (i, &(site, action)) in CRASH_POINTS.iter().enumerate() {
-                run_case(
-                    &format!("hint-kill{}", i + 1),
-                    &coll,
-                    |c| TifHint::build(c, TifHintConfig::binary_search()),
-                    Some(OneShot { site, visit: countdown, action }),
-                    seed,
-                    batch,
-                );
-            }
+        // The no-fault control, then every crash point, each on the next
+        // method round the registry: a case covers eight of the nine.
+        let control = std::iter::once(None);
+        let kills = CRASH_POINTS.iter().map(|&(site, action)| {
+            Some(OneShot { site, visit: countdown, action })
+        });
+        for (k, plan) in control.chain(kills).enumerate() {
+            let method = Method::ALL[(first + k) % Method::ALL.len()];
+            let tag = format!("{method}-kill{k}");
+            with_method!(method, |I, build| run_case::<I, _>(&tag, &coll, build, plan, seed, batch));
         }
     }
 }

@@ -1,20 +1,28 @@
-//! Snapshot format roundtrips: every `Persist` index writes a snapshot,
-//! restores from it (heap and mmap), and answers an oracle-checked query
-//! grid identically before and after. Corruption anywhere in the file
-//! must be detected at open time.
+//! Snapshot roundtrips: for every registry method, a data directory whose
+//! catalog has holes and ids far above its length is written, opened and
+//! recovered, and the rebuilt index must be `Validate`-clean and
+//! oracle-equal. Corruption anywhere in the file must be detected at
+//! open time, and a CRC-valid file whose catalog breaks an in-memory
+//! invariant must be rejected by the decoder, never panic.
 
 use std::fs;
 use std::path::PathBuf;
 
+use tir_check::Validate;
 use tir_core::prelude::*;
+use tir_core::with_method;
 use tir_datagen::SyntheticConfig;
-use tir_invidx::{CompactTemporalInverted, Dictionary};
-use tir_persist::{write_snapshot, IndexKind, LoadMode, Persist, SnapshotError, SnapshotFile};
+use tir_invidx::Dictionary;
+use tir_persist::{
+    write_snapshot, Durability, DurabilityOptions, Recovered, SnapshotError, SnapshotFile, WalOp,
+    SNAPSHOT_NAME,
+};
 
 fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("tir-snap-rt-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("tir-snap-rt-{}-{name}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).expect("scratch dir");
-    dir.join(name)
+    dir
 }
 
 fn corpus() -> Collection {
@@ -26,198 +34,117 @@ fn corpus() -> Collection {
 
 fn dict_for(coll: &Collection) -> Dictionary {
     // A synthetic dictionary covering every element id in the corpus.
-    let max_elem = coll
-        .objects()
-        .iter()
-        .flat_map(|o| o.desc.iter().copied())
-        .max()
-        .unwrap_or(0);
     let mut d = Dictionary::new();
-    for e in 0..=max_elem {
+    for e in 0..coll.dict_size() as u32 {
         assert_eq!(d.intern(&format!("term-{e}")), e);
-    }
-    for o in coll.objects() {
-        for &e in &o.desc {
+        for _ in 0..coll.freq(e) {
             d.bump_freq(e);
         }
     }
     d
 }
 
-fn query_grid(coll: &Collection) -> Vec<TimeTravelQuery> {
-    let d = coll.domain();
-    let span = d.end - d.st;
-    let mut qs = Vec::new();
-    for (i, frac) in [(1u64, 100u64), (3, 50), (7, 10), (11, 4)]
-        .iter()
-        .enumerate()
-    {
-        let st = d.st + span * frac.0 / 13;
-        let end = (st + span / frac.1.max(1)).min(d.end);
-        qs.push(TimeTravelQuery::new(
-            st,
-            end,
-            vec![i as u32, (i + 1) as u32],
-        ));
-        qs.push(TimeTravelQuery::new(st, end, vec![(i * 2) as u32]));
-    }
-    qs.push(TimeTravelQuery::new(d.st, d.end, vec![0, 1, 2]));
-    qs
-}
-
-/// Writes, restores (both modes), and oracle-checks one index type.
-fn roundtrip<I, F>(name: &str, build: F, kind: IndexKind)
+/// One method through create → delete a third, insert far above `len` →
+/// snapshot → open → recover.
+fn roundtrip<I>(method: Method, build: impl Fn(&Collection) -> I)
 where
-    I: Persist + TemporalIrIndex,
-    F: Fn(&Collection) -> I,
+    I: TemporalIrIndex + Validate + 'static,
 {
     let coll = corpus();
-    let index = build(&coll);
     let dict = dict_for(&coll);
-    let oracle = BruteForce::build(coll.objects());
-    let path = scratch(&format!("{name}.tir"));
-    write_snapshot(&path, 42, &dict, coll.objects(), &index).expect("write snapshot");
-
-    for mode in [LoadMode::Heap, LoadMode::Mmap] {
-        let snap = SnapshotFile::open(&path, mode).expect("open snapshot");
-        assert_eq!(snap.meta().kind, kind);
-        assert_eq!(snap.meta().epoch, 42);
-        assert_eq!(snap.meta().live, coll.len() as u64);
-        assert_eq!(snap.is_mapped(), mode == LoadMode::Mmap && cfg!(unix));
-
-        // Dictionary and catalog columns roundtrip exactly.
-        let rdict = snap.dictionary().expect("dictionary");
-        assert_eq!(rdict.len(), dict.len());
-        assert_eq!(rdict.lookup("term-1"), Some(1));
-        let rcat = snap.catalog_objects().expect("catalog");
-        assert_eq!(rcat.len(), coll.len());
-
-        // The restored native index answers the grid like the oracle.
-        let restored = I::restore(&snap).expect("restore");
-        for q in query_grid(&coll) {
-            let mut got = restored.query(&q);
-            got.sort_unstable();
-            assert_eq!(got, oracle.answer(&q), "{name}/{mode:?} diverged on {q:?}");
-        }
-    }
-    let _ = fs::remove_file(&path);
-}
-
-#[test]
-fn tif_roundtrips() {
-    roundtrip("tif", Tif::build, IndexKind::Tif);
-}
-
-#[test]
-fn tif_hint_bs_roundtrips() {
-    roundtrip(
-        "tif-hint-bs",
-        |c| TifHint::build(c, TifHintConfig::binary_search()),
-        IndexKind::TifHintBs,
-    );
-}
-
-#[test]
-fn tif_hint_ms_roundtrips() {
-    roundtrip(
-        "tif-hint-ms",
-        |c| TifHint::build(c, TifHintConfig::merge_sort()),
-        IndexKind::TifHintMs,
-    );
-}
-
-#[test]
-fn brute_force_roundtrips() {
-    roundtrip(
-        "brute-force",
-        |c| BruteForce::build(c.objects()),
-        IndexKind::BruteForce,
-    );
-}
-
-#[test]
-fn compact_roundtrips() {
-    let coll = corpus();
-    let mut tuples: Vec<(u32, u32, u64, u64)> = coll
+    let dir = scratch(method.name());
+    let opts = DurabilityOptions::default();
+    let mut index = build(&coll);
+    let mut d = Durability::create(&dir, &index, &dict, coll.objects(), opts).expect("create");
+    let mut ops: Vec<WalOp> = coll
         .objects()
         .iter()
-        .flat_map(|o| {
-            o.desc
-                .iter()
-                .map(move |&e| (e, o.id, o.interval.st, o.interval.end))
-        })
+        .step_by(3)
+        .map(|o| WalOp::Delete(o.clone()))
         .collect();
-    let index = CompactTemporalInverted::build(&mut tuples);
-    let dict = dict_for(&coll);
-    let path = scratch("compact.tir");
-    write_snapshot(&path, 7, &dict, coll.objects(), &index).expect("write");
-    let snap = SnapshotFile::open(&path, LoadMode::Mmap).expect("open");
-    assert_eq!(snap.meta().kind, IndexKind::CompactTemporal);
-    let restored = CompactTemporalInverted::restore(&snap).expect("restore");
-    assert_eq!(restored.elements(), index.elements());
-    assert_eq!(restored.all_ids(), index.all_ids());
-    assert_eq!(restored.all_sts(), index.all_sts());
-    let _ = fs::remove_file(&path);
+    for (k, o) in coll.objects().iter().step_by(40).enumerate() {
+        let mut o = o.clone();
+        o.id = 4_000_000 + 1000 * k as u32;
+        ops.push(WalOp::Insert(o));
+    }
+    d.apply_batch(&mut index, &ops).expect("apply");
+    d.write_snapshot(&index, &dict).expect("snapshot");
+    let live = d.catalog_sorted();
+    assert!(live.len() < coll.len() && live.last().expect("non-empty").id > 4_000_000);
+    drop(d);
+
+    let snap = SnapshotFile::open(&dir.join(SNAPSHOT_NAME)).expect("open snapshot");
+    assert_eq!(snap.meta().method, method);
+    assert_eq!(snap.meta().epoch, 1);
+    assert_eq!(snap.meta().live, live.len() as u64);
+    let rdict = snap.dictionary().expect("dictionary");
+    assert_eq!(rdict.len(), dict.len());
+    assert_eq!(rdict.lookup("term-1"), Some(1));
+    assert_eq!(rdict.freq(1), dict.freq(1));
+    assert_eq!(snap.catalog_objects().expect("catalog"), live);
+
+    let r: Recovered<I> = Durability::recover(&dir, opts).expect("recover");
+    assert_eq!((r.epoch, r.replayed), (1, 0), "{method}");
+    assert_eq!(r.index.name(), method.paper_name());
+    assert_eq!(r.durability.catalog_sorted(), live);
+    let violations = r.index.validate();
+    assert!(violations.is_empty(), "{method}: {violations:?}");
+    let grid = tir_check::oracle_query_grid(&live, 48, 7);
+    let diverged = tir_check::diff_against_oracle(&r.index, &live, &grid);
+    assert!(diverged.is_empty(), "{method}: {diverged:?}");
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn snapshot_compacts_tombstones_away() {
-    // Deleted postings must not survive a snapshot: write → restore must
-    // agree with the post-delete oracle, and the canonical postings
-    // count shrinks.
+fn every_method_roundtrips_a_catalog_with_holes() {
+    for method in Method::ALL {
+        with_method!(method, |I, build| roundtrip::<I>(method, build));
+    }
+}
+
+#[test]
+fn recovery_through_a_mismatching_type_is_refused() {
     let coll = corpus();
-    let mut index = Tif::build(&coll);
-    let mut oracle = BruteForce::build(coll.objects());
-    let mut live: Vec<Object> = coll.objects().to_vec();
-    for k in 0..coll.len() / 3 {
-        let o = live.remove((k * 7) % live.len());
-        assert!(index.delete(&o));
-        assert!(oracle.delete(&o));
-    }
-    let path = scratch("tombstones.tir");
-    write_snapshot(&path, 1, &dict_for(&coll), &live, &index).expect("write");
-    let snap = SnapshotFile::open(&path, LoadMode::Heap).expect("open");
-    assert_eq!(snap.meta().live, live.len() as u64);
-    let restored = Tif::restore(&snap).expect("restore");
-    assert!(
-        restored.num_postings() < index.num_postings(),
-        "snapshot kept tombstoned postings"
-    );
-    for q in query_grid(&coll) {
-        let mut got = restored.query(&q);
-        got.sort_unstable();
-        assert_eq!(got, oracle.answer(&q));
-    }
-    let _ = fs::remove_file(&path);
+    let dir = scratch("mismatch");
+    let opts = DurabilityOptions::default();
+    let index = Tif::build(&coll);
+    Durability::create(&dir, &index, &Dictionary::new(), coll.objects(), opts).expect("create");
+    let err = Durability::recover::<TifHint>(&dir, opts).expect_err("tif dir as TifHint");
+    assert!(err.to_string().contains("snapshot stores tif"), "{err}");
+    // The oracle is not a registry method: nothing could rebuild it.
+    let oracle = BruteForce::build(coll.objects());
+    let oracle_dir = scratch("oracle");
+    assert!(Durability::create(&oracle_dir, &oracle, &Dictionary::new(), &[], opts).is_err());
+    let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&oracle_dir);
 }
 
 #[test]
 fn every_corrupted_byte_region_is_detected() {
     let coll = corpus();
     let index = Tif::build(&coll);
-    let path = scratch("corrupt.tir");
+    let path = scratch("corrupt").join("corrupt.tir");
     write_snapshot(&path, 1, &dict_for(&coll), coll.objects(), &index).expect("write");
     let clean = fs::read(&path).expect("read");
     // Flip one byte in every CRC-covered region: the header, each
     // section-table entry, and the head/middle/tail of every section
-    // payload. (Alignment padding between sections is deliberately not
-    // covered — nothing reads it.)
+    // payload.
     let mut positions: Vec<usize> = vec![0, 9, 13, 20, 33, 40];
     let n_sections = u32::from_le_bytes(clean[32..36].try_into().unwrap()) as usize;
+    assert_eq!(n_sections, 8);
     for i in 0..n_sections {
         let base = 64 + i * 32;
         positions.extend([base, base + 8, base + 16, base + 24]);
         let off = u64::from_le_bytes(clean[base + 8..base + 16].try_into().unwrap()) as usize;
         let len = u64::from_le_bytes(clean[base + 16..base + 24].try_into().unwrap()) as usize;
-        if len > 0 {
-            positions.extend([off, off + len / 2, off + len - 1]);
-        }
+        assert!(len > 0, "section {i} is empty");
+        positions.extend([off, off + len / 2, off + len - 1]);
     }
     for pos in positions {
         let mut bad = clean.clone();
         bad[pos] ^= 0x40;
         fs::write(&path, &bad).expect("write corrupted");
-        match SnapshotFile::open(&path, LoadMode::Heap) {
+        match SnapshotFile::open(&path) {
             Err(SnapshotError::Corrupt { .. }) => {}
             Err(other) => panic!("byte {pos}: wrong error kind {other}"),
             Ok(_) => panic!("byte {pos}: corruption not detected"),
@@ -226,40 +153,75 @@ fn every_corrupted_byte_region_is_detected() {
     // Truncation too.
     fs::write(&path, &clean[..clean.len() / 2]).expect("truncate");
     assert!(matches!(
-        SnapshotFile::open(&path, LoadMode::Heap),
+        SnapshotFile::open(&path),
         Err(SnapshotError::Corrupt { .. })
     ));
     let _ = fs::remove_file(&path);
 }
 
 #[test]
-fn unknown_version_and_kind_are_rejected() {
+fn unknown_version_and_method_are_rejected() {
     let coll = corpus();
     let index = Tif::build(&coll);
-    let path = scratch("skew.tir");
+    let path = scratch("skew").join("skew.tir");
     write_snapshot(&path, 1, &dict_for(&coll), coll.objects(), &index).expect("write");
     let clean = fs::read(&path).expect("read");
 
-    // Version bump: rejected even with a recomputed CRC? The CRC guards
-    // the header, so a bare flip is caught; a "future" file with a valid
-    // CRC must still be refused — patch version AND fix the CRC.
-    let mut future = clean.clone();
-    future[8] = 99;
-    let crc = {
-        let mut c = tir_persist::Crc32::new();
-        c.update(&future[0..44]);
-        c.update(&[0, 0, 0, 0]);
-        c.update(&future[48..832]);
-        c.finish()
-    };
-    future[44..48].copy_from_slice(&crc.to_le_bytes());
-    fs::write(&path, &future).expect("write future");
-    let err = SnapshotFile::open(&path, LoadMode::Heap).expect_err("future version");
-    assert!(err.to_string().contains("version"), "{err}");
-
-    // Wrong-kind restore: a Tif snapshot refuses to restore as TifHint.
-    fs::write(&path, &clean).expect("restore clean");
-    let snap = SnapshotFile::open(&path, LoadMode::Heap).expect("open");
-    assert!(TifHint::restore(&snap).is_err());
+    // The CRC guards the header, so a bare flip is caught; a file from
+    // another format version (the previous one, or a future one) or with
+    // a tag this build has no method for carries a *valid* CRC and must
+    // still be refused — patch the field AND fix the CRC.
+    for (at, value, expect) in [
+        (8, 1, "version"),
+        (8, 99, "version"),
+        (12, 99, "method tag"),
+    ] {
+        let mut patched = clean.clone();
+        patched[at] = value;
+        let crc = {
+            let mut c = tir_persist::Crc32::new();
+            c.update(&patched[0..44]);
+            c.update(&[0, 0, 0, 0]);
+            c.update(&patched[48..320]);
+            c.finish()
+        };
+        patched[44..48].copy_from_slice(&crc.to_le_bytes());
+        fs::write(&path, &patched).expect("write patched");
+        let err = SnapshotFile::open(&path).expect_err("skewed header");
+        assert!(err.to_string().contains(expect), "{err}");
+    }
     let _ = fs::remove_file(&path);
+}
+
+#[test]
+fn malformed_catalog_rows_are_corrupt_not_panics() {
+    // Rows `Object::new` / `Collection::new` would assert on, written by
+    // the real writer from struct-literal objects: every CRC is valid.
+    let obj = |id: u32, st: u64, end: u64, desc: &[u32]| Object {
+        id,
+        interval: Interval { st, end },
+        desc: desc.to_vec(),
+    };
+    let good = obj(1, 0, 9, &[0, 2]);
+    for (bad, at) in [
+        (obj(2, 9, 3, &[0]), "snapshot/catalog/object[2]"),
+        (obj(1 << 31, 0, 1, &[0]), "snapshot/catalog/ids[1]"),
+        (obj(1, 0, 1, &[0]), "snapshot/catalog/ids[1]"),
+        (obj(2, 0, 1, &[2, 1]), "snapshot/catalog/object[2]"),
+        (obj(2, 0, 1, &[1, 1]), "snapshot/catalog/object[2]"),
+    ] {
+        let dir = scratch("malformed");
+        let path = dir.join(SNAPSHOT_NAME);
+        let catalog = [good.clone(), bad];
+        write_snapshot(&path, 0, &Dictionary::new(), &catalog, &Tif::default()).expect("write");
+        let snap = SnapshotFile::open(&path).expect("CRC-valid");
+        match snap.catalog_objects() {
+            Err(SnapshotError::Corrupt { at: got, .. }) => assert_eq!(got, at),
+            other => panic!("{at}: expected Corrupt, got {other:?}"),
+        }
+        let err = Durability::recover::<Tif>(&dir, DurabilityOptions::default())
+            .expect_err("recovery must refuse the catalog");
+        assert!(err.to_string().contains(at), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

@@ -92,8 +92,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use tir_core::{apply_ops, TemporalIrIndex};
-use tir_invidx::Dictionary;
-use tir_persist::{Durability, Persist};
+use tir_persist::Durability;
 
 use crate::durable::ServeDict;
 use crate::protocol::HealthStatus;
@@ -247,12 +246,26 @@ impl<I: TemporalIrIndex + Clone + Send + Sync + 'static> EpochStore<I> {
         Self::with_journal(index, 0, live, config, None)
     }
 
+    /// Wraps a recovered (or freshly created) durable state and spawns
+    /// the applier thread with the journal on. `durability` must already
+    /// own the data directory; `index` must be at `durability.epoch()`.
+    pub fn new_durable(
+        index: I,
+        dict: Arc<Mutex<ServeDict>>,
+        durability: Durability,
+        config: EpochConfig<I>,
+    ) -> EpochStore<I> {
+        let (epoch, live) = (durability.epoch(), durability.live() as u64);
+        let journal = Journal { durability, dict };
+        Self::with_journal(index, epoch, live, config, Some(journal))
+    }
+
     fn with_journal(
         index: I,
         epoch: u64,
         live: u64,
         config: EpochConfig<I>,
-        journal: Option<Journal<I>>,
+        journal: Option<Journal>,
     ) -> EpochStore<I> {
         let stats = Arc::new(EpochStats::default());
         let health = Arc::new(HealthFlag::default());
@@ -356,47 +369,25 @@ impl<I> Drop for EpochStore<I> {
     }
 }
 
-impl<I: TemporalIrIndex + Persist + Clone + Send + Sync + 'static> EpochStore<I> {
-    /// Wraps a recovered (or freshly created) durable state and spawns
-    /// the applier thread with the journal on. `durability` must already
-    /// own the data directory; `index` must be at `durability.epoch()`.
-    pub fn new_durable(
-        index: I,
-        dict: Arc<Mutex<ServeDict>>,
-        durability: Durability,
-        config: EpochConfig<I>,
-    ) -> EpochStore<I> {
-        let (epoch, live) = (durability.epoch(), durability.live() as u64);
-        let journal = Journal {
-            durability,
-            dict,
-            snapshot_fn: |d, index, dict, force| {
-                if force {
-                    d.write_snapshot(index, dict)
-                } else {
-                    d.maybe_snapshot(index, dict).map(|_| ())
-                }
-            },
-        };
-        Self::with_journal(index, epoch, live, config, Some(journal))
-    }
-}
-
 /// The durable side of a store built by [`EpochStore::new_durable`].
-struct Journal<I> {
+struct Journal {
     durability: Durability,
     /// Snapshots embed the dictionary; shared with the server front end.
     dict: Arc<Mutex<ServeDict>>,
-    /// [`Durability::write_snapshot`] (`force`) or
-    /// [`Durability::maybe_snapshot`] for this `I`, captured where
-    /// `I: Persist` is known so the applier itself needs no such bound.
-    snapshot_fn: fn(&mut Durability, &I, &Dictionary, bool) -> io::Result<()>,
 }
 
-impl<I> Journal<I> {
-    fn snapshot(&mut self, index: &I, force: bool) -> io::Result<()> {
+impl Journal {
+    /// Writes a snapshot now (`force`) or when the engine's
+    /// `snapshot_every` policy says one is due.
+    fn snapshot<I: TemporalIrIndex>(&mut self, index: &I, force: bool) -> io::Result<()> {
         let dict = lock(&self.dict);
-        (self.snapshot_fn)(&mut self.durability, index, dict.dict(), force)
+        if force {
+            self.durability.write_snapshot(index, dict.dict())
+        } else {
+            self.durability
+                .maybe_snapshot(index, dict.dict())
+                .map(|_| ())
+        }
     }
 }
 
@@ -433,7 +424,7 @@ struct Applier<I> {
     stats: Arc<EpochStats>,
     /// Shared with the store front end; latched on durability failure.
     health: Arc<HealthFlag>,
-    journal: Option<Journal<I>>,
+    journal: Option<Journal>,
 }
 
 impl<I: TemporalIrIndex + Clone> Applier<I> {

@@ -32,7 +32,7 @@ use std::thread::JoinHandle;
 
 use tir_core::{Object, TemporalIrIndex, TimeTravelQuery};
 use tir_invidx::Dictionary;
-use tir_persist::{Durability, Persist, PersistStats};
+use tir_persist::{Durability, PersistStats};
 
 use crate::durable::ServeDict;
 use crate::epoch::{EpochConfig, EpochStore, Rejected, Validator, WriteOp};
@@ -163,7 +163,7 @@ pub fn spawn_server_durable<I>(
     validator: Option<Validator<I>>,
 ) -> std::io::Result<ServerHandle>
 where
-    I: TemporalIrIndex + Persist + Clone + Send + Sync + 'static,
+    I: TemporalIrIndex + Clone + Send + Sync + 'static,
 {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
@@ -548,7 +548,7 @@ mod tests {
         example_index, panic_on_magic, parked_index, MAGIC_START, ONE_BY_ONE,
     };
     use crate::protocol::{format_response, parse_response};
-    use tir_core::{BruteForce, Collection};
+    use tir_core::{Collection, Tif};
 
     /// A server over the running example (`a`, `b`, `c` interned) behind
     /// `index`, which must hold exactly that collection.
@@ -663,7 +663,7 @@ mod tests {
         for name in ["a", "b", "c"] {
             dict.intern(name);
         }
-        let index = BruteForce::build(coll.objects());
+        let index = Tif::build(&coll);
         let durability = Durability::create(
             &dir,
             &index,
@@ -678,7 +678,7 @@ mod tests {
             ServeDict::durable(dict, log),
             durability,
             ServerConfig {
-                method: "brute-force".into(),
+                method: "tif".into(),
                 ..Default::default()
             },
             None,
@@ -713,7 +713,7 @@ mod tests {
             let entry = entry.expect("entry");
             std::fs::copy(entry.path(), copy.join(entry.file_name())).expect("copy");
         }
-        let r: Recovered<BruteForce> =
+        let r: Recovered<Tif> =
             Durability::recover(&copy, DurabilityOptions::default()).expect("recover");
         assert_eq!(r.epoch, 1);
         assert_eq!(r.replayed, 0, "the forced snapshot covers the write");

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
-use tir_core::{BruteForce, Collection, Object, TemporalIrIndex, TimeTravelQuery};
+use tir_core::{Collection, Object, TemporalIrIndex, Tif, TimeTravelQuery};
 use tir_fault::{FaultAction, FaultSite, OneShot};
 use tir_invidx::Dictionary;
 use tir_persist::{Durability, DurabilityOptions, Recovered, TermLog};
@@ -39,7 +39,7 @@ fn fails_at(site: FaultSite) {
     for name in ["a", "b", "c"] {
         dict.intern(name);
     }
-    let index = BruteForce::build(coll.objects());
+    let index = Tif::build(&coll);
     let opts = DurabilityOptions {
         segment_bytes: 1 << 20,
         snapshot_every: 0,
@@ -134,7 +134,7 @@ fn fails_at(site: FaultSite) {
     // Recovery lands on the acked state — exactly, when the record never
     // reached the WAL; a record that did (a failed fsync may still have
     // landed it, `Apply` fires after the fsync) replays as one more epoch.
-    let r: Recovered<BruteForce> = Durability::recover(&dir, opts).expect("recover");
+    let r: Recovered<Tif> = Durability::recover(&dir, opts).expect("recover");
     let ids: Vec<u32> = r.durability.catalog_sorted().iter().map(|o| o.id).collect();
     assert!(ids.contains(&8));
     assert!(!ids.contains(&20) && !ids.contains(&10));

@@ -1,6 +1,7 @@
-//! Differential test of the two store tiers: the same seeded write
-//! script driven through [`EpochStore::new`] (no journal) and
-//! [`EpochStore::new_durable`] (WAL + snapshots) must reach the same
+//! Differential test of the two store tiers, for every registry method:
+//! the same seeded write script driven through [`EpochStore::new`] (no
+//! journal) and [`EpochStore::new_durable`] (WAL + snapshots) must reach
+//! the same
 //! epoch and live count at every barrier, answer exactly like the
 //! `BruteForce` oracle at each, and end with the same applier counters,
 //! down to how each epoch's master was made — they are one applier, with
@@ -18,6 +19,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 
 use tir_core::prelude::*;
+use tir_core::with_method;
 use tir_datagen::SyntheticConfig;
 use tir_invidx::Dictionary;
 use tir_persist::{Durability, DurabilityOptions, TermLog};
@@ -38,11 +40,11 @@ impl Gate {
     }
 }
 
-fn gated_config() -> (EpochConfig<Tif>, Gate) {
+fn gated_config<I>() -> (EpochConfig<I>, Gate) {
     let (entered_tx, entered) = sync_channel(1);
     let (release, release_rx) = sync_channel::<()>(1);
     let config = EpochConfig {
-        validator: Some(Box::new(move |_: &Tif| {
+        validator: Some(Box::new(move |_: &I| {
             entered_tx.send(()).expect("driver alive");
             release_rx.recv().expect("driver alive");
             0
@@ -70,7 +72,10 @@ fn script(coll: &Collection) -> Vec<(Vec<WriteOp>, bool)> {
 /// publish_cloned` counters.
 type Trace = (Vec<(u64, u64)>, [u64; 6]);
 
-fn drive(store: &EpochStore<Tif>, gate: &Gate, coll: &Collection) -> Trace {
+fn drive<I>(store: &EpochStore<I>, gate: &Gate, coll: &Collection) -> Trace
+where
+    I: TemporalIrIndex + Clone + Send + Sync + 'static,
+{
     let mut model: HashMap<u32, Object> =
         coll.objects().iter().map(|o| (o.id, o.clone())).collect();
     let mut barriers = Vec::new();
@@ -123,20 +128,17 @@ fn drive(store: &EpochStore<Tif>, gate: &Gate, coll: &Collection) -> Trace {
     (barriers, stats)
 }
 
-#[test]
-fn journaled_and_plain_stores_agree_at_every_barrier() {
-    let mut cfg = SyntheticConfig::default().scaled(0.001);
-    cfg.desc_size = 3;
-    cfg.seed = 29;
-    let coll = tir_datagen::generate(&cfg);
-
+fn tiers_agree<I>(method: Method, coll: &Collection, build: impl Fn(&Collection) -> I)
+where
+    I: TemporalIrIndex + Clone + Send + Sync + 'static,
+{
     let (config, gate) = gated_config();
-    let plain = EpochStore::new(Tif::build(&coll), coll.len() as u64, config);
-    let plain_trace = drive(&plain, &gate, &coll);
+    let plain = EpochStore::new(build(coll), coll.len() as u64, config);
+    let plain_trace = drive(&plain, &gate, coll);
 
     let dir = std::env::temp_dir().join(format!("tir-serve-tiers-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let index = Tif::build(&coll);
+    let index = build(coll);
     let dict = Dictionary::new();
     let opts = DurabilityOptions {
         snapshot_every: 2, // the flush barriers snapshot too
@@ -151,17 +153,28 @@ fn journaled_and_plain_stores_agree_at_every_barrier() {
         durability,
         config,
     );
-    let journaled_trace = drive(&journaled, &gate, &coll);
+    let journaled_trace = drive(&journaled, &gate, coll);
 
-    assert_eq!(plain_trace, journaled_trace);
+    assert_eq!(plain_trace, journaled_trace, "{method}");
     let (barriers, [inserts, deletes, missed, max_batch, reused, cloned]) = plain_trace;
     // 7 groups, 5 of them longer than one write: 12 epochs, none of
     // them pinned when it was retired.
     assert_eq!(barriers.last().map(|b| b.0), Some(12));
     assert_eq!(inserts + deletes + missed, 31);
     assert_eq!((missed, max_batch), (1, 8));
-    assert_eq!((reused, cloned), (12, 0));
+    assert_eq!((reused, cloned), (12, 0), "{method}");
 
     drop(journaled);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn journaled_and_plain_stores_agree_at_every_barrier() {
+    let mut cfg = SyntheticConfig::default().scaled(0.001);
+    cfg.desc_size = 3;
+    cfg.seed = 29;
+    let coll = tir_datagen::generate(&cfg);
+    for method in Method::ALL {
+        with_method!(method, |I, build| tiers_agree::<I>(method, &coll, build));
+    }
 }

@@ -31,6 +31,23 @@ fn assert_all_agree(coll: &Collection, queries: &[TimeTravelQuery], ctx: &str) {
     }
 }
 
+/// The same objects as a catalog looks after deletes and later inserts:
+/// every third id a hole, the upper half renumbered far above `len`.
+fn with_sparse_ids(coll: &Collection) -> Collection {
+    let half = coll.len() as u32 / 2;
+    let survivors = coll.objects().iter().filter(|o| o.id % 3 != 0).cloned();
+    Collection::new(
+        survivors
+            .map(|mut o| {
+                if o.id > half {
+                    o.id += 4_000_000;
+                }
+                o
+            })
+            .collect(),
+    )
+}
+
 #[test]
 fn agree_on_synthetic_default_shape() {
     let coll = generate(&SyntheticConfig::default().scaled(0.002));
@@ -56,6 +73,8 @@ fn agree_on_synthetic_default_shape() {
     }
     assert!(queries.len() >= 50);
     assert_all_agree(&coll, &queries, "synthetic");
+    // No builder may assume `id == position`.
+    assert_all_agree(&with_sparse_ids(&coll), &queries, "synthetic, sparse ids");
 }
 
 #[test]
