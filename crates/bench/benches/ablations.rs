@@ -3,10 +3,7 @@
 //! * HINT division ordering: beneficial sorting vs insertion order vs
 //!   id order (what the sorting optimization buys);
 //! * storage optimization on/off (endpoint elision);
-//! * irHINT `m`: IR-aware heuristic vs the interval-only cost model;
-//! * per-division subdivision refinement: the checks saved by
-//!   `compfirst`/`complast` show up as the gap between small and large
-//!   extents.
+//! * irHINT `m`: IR-aware heuristic vs the interval-only cost model.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -61,64 +58,6 @@ fn bench_division_order(c: &mut Criterion) {
                 let mut n = 0;
                 for &(a, z) in &qs {
                     n += hint.range_query(a, z).len();
-                }
-                black_box(n)
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_bottom_up_traversal(c: &mut Criterion) {
-    // Quantifies the compfirst/complast comparison elision (Section 2.3's
-    // bottom-up traversal) against the conventional traversal.
-    let recs = records();
-    let hint = Hint::build(&recs, HintConfig::default());
-    let qs: Vec<(u64, u64)> = (0..256u64)
-        .map(|i| {
-            let st = (i * 7_919_993) % (DOMAIN - 100_000);
-            (st, st + 100_000)
-        })
-        .collect();
-    let mut group = c.benchmark_group("hint_traversal");
-    group.bench_function("bottom_up", |b| {
-        b.iter(|| {
-            let mut n = 0;
-            for &(a, z) in &qs {
-                n += hint.range_query(a, z).len();
-            }
-            black_box(n)
-        })
-    });
-    group.bench_function("conventional", |b| {
-        b.iter(|| {
-            let mut n = 0;
-            for &(a, z) in &qs {
-                n += hint.range_query_conventional(a, z).len();
-            }
-            black_box(n)
-        })
-    });
-    group.finish();
-}
-
-fn bench_tif_hint_m_source(c: &mut Criterion) {
-    // Section 5.2: the per-list cost model picks m too large for
-    // postings HINTs; fixed m=5 wins for the merge-sort variant.
-    let d = &datasets(0.5)[0];
-    let qs = workload(&d.coll, &WorkloadSpec::default(), 100, 7);
-    let fixed = tir_core::TifHint::build(&d.coll, tir_core::TifHintConfig::merge_sort());
-    let modeled = tir_core::TifHint::build_with_per_list_cost_model(
-        &d.coll,
-        tir_core::IntersectStrategy::MergeSort,
-    );
-    let mut group = c.benchmark_group("tif_hint_m_source");
-    for (name, idx) in [("fixed_m5", &fixed), ("per_list_cost_model", &modeled)] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut n = 0;
-                for q in &qs {
-                    n += idx.query(q).len();
                 }
                 black_box(n)
             })
@@ -188,6 +127,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_division_order, bench_irhint_m_choice, bench_bottom_up_traversal, bench_tif_hint_m_source, bench_parallel_scaling
+    targets = bench_division_order, bench_irhint_m_choice, bench_parallel_scaling
 }
 criterion_main!(benches);

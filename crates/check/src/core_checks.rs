@@ -10,25 +10,6 @@ use tir_core::{
 use tir_hint::{DivisionKind, Hint};
 use tir_invidx::{live, raw};
 
-fn kind_name(kind: DivisionKind) -> &'static str {
-    match kind {
-        DivisionKind::OrigIn => "O_in",
-        DivisionKind::OrigAft => "O_aft",
-        DivisionKind::ReplIn => "R_in",
-        DivisionKind::ReplAft => "R_aft",
-    }
-}
-
-fn kind_code_name(code: u8) -> &'static str {
-    match code {
-        0 => "O_in",
-        1 => "O_aft",
-        2 => "R_in",
-        3 => "R_aft",
-        _ => "unknown_kind",
-    }
-}
-
 /// Validates one time-aware postings list (parallel arrays sorted by raw
 /// object id, proper intervals). Returns the live-entry count.
 fn check_temporal_list(
@@ -429,7 +410,7 @@ impl Validate for IrHintPerf {
         let domain = self.domain();
         let mut orig_live: BTreeMap<u32, usize> = BTreeMap::new();
         self.for_each_division(|level, j, kind, div| {
-            let prefix = format!("irhint_perf/level{level}/partition{j}/{}", kind_name(kind));
+            let prefix = format!("irhint_perf/level{level}/partition{j}/{}", kind.label());
             let nested = div.validate();
             let clean = nested.is_empty();
             nest(&prefix, nested, &mut out);
@@ -439,15 +420,14 @@ impl Validate for IrHintPerf {
             }
             let fc = domain.partition_first_cell(level, j);
             let lc = domain.partition_last_cell(level, j);
-            let original = matches!(kind, DivisionKind::OrigIn | DivisionKind::OrigAft);
-            let inside = matches!(kind, DivisionKind::OrigIn | DivisionKind::ReplIn);
+            let (original, inside) = (!kind.is_replica(), kind.ends_inside());
             let offsets = div.offsets();
             for (ei, &e) in div.elements().iter().enumerate() {
                 let (from, to) = (offsets[ei] as usize, offsets[ei + 1] as usize);
                 for p in from..to {
                     let id = div.all_ids()[p];
-                    let cs = domain.cell(div.all_sts()[p]);
-                    let ce = domain.cell(div.all_ends()[p]);
+                    let [sts, ends] = div.columns();
+                    let (cs, ce) = (domain.cell(sts[p]), domain.cell(ends[p]));
                     if original && !(fc..=lc).contains(&cs) {
                         fail(
                             &mut out,
@@ -513,15 +493,9 @@ impl Validate for IrHintSize {
         // Live object ids stored in each interval-store division; every
         // live posting of the decoupled inverted side must reference one
         // of them (cross-structure agreement).
-        let mut div_live: BTreeMap<(u32, u32, u8), BTreeSet<u32>> = BTreeMap::new();
+        let mut div_live: BTreeMap<(u32, u32, DivisionKind), BTreeSet<u32>> = BTreeMap::new();
         self.hint().for_each_division(|div, _dead| {
-            let code = match div.kind {
-                DivisionKind::OrigIn => 0u8,
-                DivisionKind::OrigAft => 1,
-                DivisionKind::ReplIn => 2,
-                DivisionKind::ReplAft => 3,
-            };
-            let set = div_live.entry((div.level, div.j, code)).or_default();
+            let set = div_live.entry((div.level, div.j, div.kind)).or_default();
             for &id in div.ids {
                 if live(id) {
                     set.insert(raw(id));
@@ -530,15 +504,15 @@ impl Validate for IrHintSize {
         });
 
         let mut orig_live: BTreeMap<u32, usize> = BTreeMap::new();
-        self.for_each_division_index(|level, j, code, inv| {
-            let prefix = format!("irhint_size/level{level}/partition{j}/{}", kind_code_name(code));
+        self.for_each_division_index(|level, j, kind, inv| {
+            let prefix = format!("irhint_size/level{level}/partition{j}/{}", kind.label());
             let nested = inv.validate();
             let clean = nested.is_empty();
             nest(&prefix, nested, &mut out);
             if !clean {
                 return;
             }
-            let stored = div_live.get(&(level, j, code));
+            let stored = div_live.get(&(level, j, kind));
             let offsets = inv.offsets();
             for (ei, &e) in inv.elements().iter().enumerate() {
                 let (from, to) = (offsets[ei] as usize, offsets[ei + 1] as usize);
@@ -557,7 +531,7 @@ impl Validate for IrHintSize {
                             ),
                         );
                     }
-                    if code <= 1 {
+                    if !kind.is_replica() {
                         *orig_live.entry(e).or_insert(0) += 1;
                     }
                 }

@@ -3,26 +3,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::{fail, Validate, Violation};
-use tir_hint::{DivisionKind, DivisionOrder, Grid1D, Hint, IntervalTree, TOMBSTONE};
-
-#[inline]
-fn hraw(id: u32) -> u32 {
-    id & !TOMBSTONE
-}
-
-#[inline]
-fn hlive(id: u32) -> bool {
-    id & TOMBSTONE == 0
-}
-
-fn kind_name(kind: DivisionKind) -> &'static str {
-    match kind {
-        DivisionKind::OrigIn => "O_in",
-        DivisionKind::OrigAft => "O_aft",
-        DivisionKind::ReplIn => "R_in",
-        DivisionKind::ReplAft => "R_aft",
-    }
-}
+use tir_hint::{DivisionKind, DivisionOrder, Grid1D, Hint, IntervalTree};
+// The same bit as `tir_hint::TOMBSTONE`; `tir-core` asserts they agree.
+use tir_invidx::{live, raw};
 
 /// Mirrors the crate-private `kept_endpoints` of `tir-hint`: which of the
 /// two endpoint arrays each subdivision stores under the storage
@@ -83,9 +66,9 @@ impl Validate for Hint {
         let mut repl_ids: BTreeSet<u32> = BTreeSet::new();
 
         self.for_each_division(|div, dead| {
-            let path = format!("hint/level{}/partition{}/{}", div.level, div.j, kind_name(div.kind));
+            let path = format!("hint/level{}/partition{}/{}", div.level, div.j, div.kind.label());
             let n = div.ids.len();
-            let actual_dead = div.ids.iter().filter(|&&id| !hlive(id)).count();
+            let actual_dead = div.ids.iter().filter(|&&id| !live(id)).count();
             if actual_dead != dead {
                 fail(
                     &mut out,
@@ -127,7 +110,7 @@ impl Validate for Hint {
                     DivisionKind::ReplAft => {}
                 },
                 DivisionOrder::ById => {
-                    if !div.ids.windows(2).all(|w| hraw(w[0]) < hraw(w[1])) {
+                    if !div.ids.windows(2).all(|w| raw(w[0]) < raw(w[1])) {
                         fail(&mut out, &path, "ids not sorted".into());
                     }
                 }
@@ -136,8 +119,7 @@ impl Validate for Hint {
 
             let fc = domain.partition_first_cell(div.level, div.j);
             let lc = domain.partition_last_cell(div.level, div.j);
-            let original =
-                matches!(div.kind, DivisionKind::OrigIn | DivisionKind::OrigAft);
+            let original = !div.kind.is_replica();
             for i in 0..n {
                 let id = div.ids[i];
                 if keep_st && keep_end && div.sts[i] > div.ends[i] {
@@ -146,7 +128,7 @@ impl Validate for Hint {
                         &path,
                         format!(
                             "id {}: inverted interval [{}, {}]",
-                            hraw(id),
+                            raw(id),
                             div.sts[i],
                             div.ends[i]
                         ),
@@ -160,7 +142,7 @@ impl Validate for Hint {
                             &path,
                             format!(
                                 "id {}: original with start cell {cs} outside partition [{fc}, {lc}]",
-                                hraw(id)
+                                raw(id)
                             ),
                         );
                     }
@@ -170,21 +152,21 @@ impl Validate for Hint {
                             &path,
                             format!(
                                 "id {}: replica with start cell {cs} not before partition [{fc}, {lc}]",
-                                hraw(id)
+                                raw(id)
                             ),
                         );
                     }
                 }
                 if keep_end {
                     let ce = domain.cell(div.ends[i]);
-                    let inside = matches!(div.kind, DivisionKind::OrigIn | DivisionKind::ReplIn);
+                    let inside = div.kind.ends_inside();
                     if inside && ce > lc {
                         fail(
                             &mut out,
                             &path,
                             format!(
                                 "id {}: *_in entry with end cell {ce} after partition [{fc}, {lc}]",
-                                hraw(id)
+                                raw(id)
                             ),
                         );
                     }
@@ -194,7 +176,7 @@ impl Validate for Hint {
                             &path,
                             format!(
                                 "id {}: R_in entry with end cell {ce} before partition [{fc}, {lc}]",
-                                hraw(id)
+                                raw(id)
                             ),
                         );
                     }
@@ -204,12 +186,12 @@ impl Validate for Hint {
                             &path,
                             format!(
                                 "id {}: *_aft entry with end cell {ce} inside partition [{fc}, {lc}]",
-                                hraw(id)
+                                raw(id)
                             ),
                         );
                     }
                 }
-                if hlive(id) {
+                if live(id) {
                     if original {
                         *orig_count.entry(id).or_insert(0) += 1;
                     } else {

@@ -3,8 +3,8 @@
 use crate::{fail, Validate, Violation};
 use tir_invidx::compress::BLOCK_LEN;
 use tir_invidx::{
-    live, raw, BlockPostings, CompactInverted, CompactTemporalInverted, CompressedTemporalPostings,
-    Dictionary, HybridPostings, PlanStats, PostingContainer,
+    live, raw, BlockPostings, CompressedTemporalPostings, Dictionary, FlatInverted, HybridPostings,
+    PlanStats, PostingContainer,
 };
 
 impl Validate for Dictionary {
@@ -121,52 +121,32 @@ fn check_flat_directory(
     }
 }
 
-impl Validate for CompactInverted {
-    fn validate(&self) -> Vec<Violation> {
-        let mut out = Vec::new();
-        check_flat_directory(
-            "compact",
-            self.elements(),
-            self.offsets(),
-            self.all_ids(),
-            &mut out,
-            |_, _| {},
-        );
-        out
-    }
-}
-
-impl Validate for CompactTemporalInverted {
+impl<const W: usize> Validate for FlatInverted<W> {
     fn validate(&self) -> Vec<Violation> {
         let mut out = Vec::new();
         let n = self.all_ids().len();
-        if self.all_sts().len() != n || self.all_ends().len() != n {
+        if self.columns().iter().any(|col| col.len() != n) {
+            let lens: Vec<usize> = self.columns().iter().map(Vec::len).collect();
             fail(
                 &mut out,
-                "compact_temporal/columns",
-                format!(
-                    "parallel columns disagree: {n} ids, {} starts, {} ends",
-                    self.all_sts().len(),
-                    self.all_ends().len()
-                ),
+                "compact/columns",
+                format!("parallel columns disagree: {n} ids, endpoint columns of {lens:?}"),
             );
             return out;
         }
-        for i in 0..n {
-            if self.all_sts()[i] > self.all_ends()[i] {
-                fail(
-                    &mut out,
-                    "compact_temporal/intervals",
-                    format!(
-                        "entry {i}: inverted interval [{}, {}]",
-                        self.all_sts()[i],
-                        self.all_ends()[i]
-                    ),
-                );
+        if let [sts, ends] = self.columns().as_slice() {
+            for (i, (st, end)) in sts.iter().zip(ends).enumerate() {
+                if st > end {
+                    fail(
+                        &mut out,
+                        "compact/intervals",
+                        format!("entry {i}: inverted interval [{st}, {end}]"),
+                    );
+                }
             }
         }
         check_flat_directory(
-            "compact_temporal",
+            "compact",
             self.elements(),
             self.offsets(),
             self.all_ids(),
@@ -626,10 +606,10 @@ mod tests {
         d.intern_description(["a", "b", "c"]);
         assert!(d.validate().is_empty());
 
-        let ci = CompactInverted::build(&mut [(0, 1), (0, 2), (1, 2)]);
+        let ci = FlatInverted::build(&mut [(0, 1, []), (0, 2, []), (1, 2, [])]);
         assert!(ci.validate().is_empty());
 
-        let ct = CompactTemporalInverted::build(&mut [(0, 1, 5, 9), (1, 2, 0, 3)]);
+        let ct = FlatInverted::build(&mut [(0, 1, [5, 9]), (1, 2, [0, 3])]);
         assert!(ct.validate().is_empty());
 
         let cp = CompressedTemporalPostings::encode(&[1, 5, 1000], &[0, 7, 9], &[3, 7, 1 << 40]);
@@ -643,8 +623,8 @@ mod tests {
     #[test]
     fn empty_structures_validate() {
         assert!(Dictionary::new().validate().is_empty());
-        assert!(CompactInverted::new().validate().is_empty());
-        assert!(CompactTemporalInverted::new().validate().is_empty());
+        assert!(FlatInverted::<0>::new().validate().is_empty());
+        assert!(FlatInverted::<2>::new().validate().is_empty());
         assert!(CompressedTemporalPostings::default().validate().is_empty());
         assert!(BlockPostings::encode(&[]).validate().is_empty());
         assert!(BlockPostings::default().validate().is_empty());

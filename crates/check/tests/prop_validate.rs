@@ -121,6 +121,12 @@ proptest! {
         idx.testing_corrupt();
         let v = idx.validate();
         prop_assert!(!v.is_empty(), "corrupted parallel arrays went unnoticed");
+        // The same flat store without endpoint columns, broken where it
+        // can break: the offset directory.
+        let mut idx = IrHintSize::build_with_m(&coll, m);
+        idx.testing_corrupt();
+        let v = idx.validate();
+        prop_assert!(!v.is_empty(), "corrupted offsets went unnoticed");
     }
 
     #[test]

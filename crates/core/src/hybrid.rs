@@ -10,6 +10,7 @@ use crate::collection::Collection;
 use crate::freq::FreqTable;
 use crate::index_trait::TemporalIrIndex;
 use crate::method::Method;
+use crate::slicing::SlicedList;
 use crate::types::{Object, ObjectId, TimeTravelQuery, Timestamp};
 use tir_hint::{DivisionOrder, Hint, HintConfig, IntervalRecord};
 use tir_invidx::planner::{Kernel, QueryScratch};
@@ -48,18 +49,11 @@ impl IdStList {
     }
 }
 
-/// Sparse sliced copy of one postings list.
-#[derive(Debug, Clone, Default)]
-struct SlicedCopy {
-    first: u32,
-    subs: Vec<IdStList>,
-}
-
 /// The tIF+HINT+Slicing hybrid index.
 #[derive(Debug, Clone)]
 pub struct TifHintSlicing {
     hints: HashMap<u32, Hint>,
-    slices: HashMap<u32, SlicedCopy>,
+    slices: HashMap<u32, SlicedList<IdStList>>,
     freqs: FreqTable,
     domain_min: Timestamp,
     domain_max: Timestamp,
@@ -117,38 +111,13 @@ impl TifHintSlicing {
     /// Slice index of a raw timestamp (clamped to the domain).
     #[inline]
     pub fn slice_of(&self, t: Timestamp) -> u32 {
-        let t = t.clamp(self.domain_min, self.domain_max);
-        let span = (self.domain_max - self.domain_min) as u128 + 1;
-        // analyze:allow(unguarded-cast): quotient is < k, and k is already a u32
-        (((t - self.domain_min) as u128 * self.k as u128) / span) as u32
+        tir_hint::slice_of(t, self.domain_min, self.domain_max, self.k)
     }
 
     fn place_slice(&mut self, e: u32, id: u32, st: Timestamp, end: Timestamp) {
-        let lo = self.slice_of(st);
-        let hi = self.slice_of(end);
-        let sc = self.slices.entry(e).or_default();
-        if sc.subs.is_empty() {
-            sc.first = lo;
-            sc.subs
-                .resize_with((hi - lo + 1) as usize, IdStList::default);
-        } else {
-            if lo < sc.first {
-                let grow = (sc.first - lo) as usize;
-                let mut fresh: Vec<IdStList> = Vec::with_capacity(grow + sc.subs.len());
-                fresh.resize_with(grow, IdStList::default);
-                fresh.append(&mut sc.subs);
-                sc.subs = fresh;
-                sc.first = lo;
-            }
-            // analyze:allow(unguarded-cast): per-element slice count is bounded by k: u32
-            let last = sc.first + sc.subs.len() as u32 - 1;
-            if hi > last {
-                sc.subs
-                    .resize_with(sc.subs.len() + (hi - last) as usize, IdStList::default);
-            }
-        }
-        for s in lo..=hi {
-            sc.subs[(s - sc.first) as usize].insert(id, st);
+        let (lo, hi) = (self.slice_of(st), self.slice_of(end));
+        for sub in self.slices.entry(e).or_default().cover(lo, hi) {
+            sub.insert(id, st);
         }
     }
 
@@ -158,7 +127,7 @@ impl TifHintSlicing {
         let slice_entries: usize = self
             .slices
             .values()
-            .flat_map(|sc| sc.subs.iter())
+            .flat_map(|sc| sc.subs())
             .map(|l| l.ids.len())
             .sum();
         hint_entries + slice_entries
@@ -192,9 +161,7 @@ impl TifHintSlicing {
     /// (introspection for validators).
     pub fn for_each_sublist(&self, mut f: impl FnMut(u32, u32, &[u32], &[Timestamp])) {
         for (&e, sc) in &self.slices {
-            for (s, sub) in (sc.first..).zip(&sc.subs) {
-                f(e, s, &sub.ids, &sub.sts);
-            }
+            sc.iter().for_each(|(s, sub)| f(e, s, &sub.ids, &sub.sts));
         }
     }
 }
@@ -235,10 +202,7 @@ impl TemporalIrIndex for TifHintSlicing {
             scratch.begin_mark(cands.len());
             if let Some(sc) = self.slices.get(&e) {
                 for s in s_lo..=s_hi {
-                    if s < sc.first {
-                        continue;
-                    }
-                    if let Some(sub) = sc.subs.get((s - sc.first) as usize) {
+                    if let Some(sub) = sc.sub(s) {
                         scratch.mark(&cands, &sub.ids);
                     }
                 }
@@ -288,15 +252,10 @@ impl TemporalIrIndex for TifHintSlicing {
                 found |= h.delete(&rec);
             }
             if let Some(sc) = self.slices.get_mut(&e) {
-                for s in lo..=hi {
-                    if s < sc.first {
-                        continue;
-                    }
-                    if let Some(sub) = sc.subs.get_mut((s - sc.first) as usize) {
-                        if let Ok(p) = sub.ids.binary_search_by_key(&o.id, |&x| raw(x)) {
-                            if live(sub.ids[p]) {
-                                sub.ids[p] |= TOMBSTONE;
-                            }
+                for sub in sc.existing_mut(lo, hi) {
+                    if let Ok(p) = sub.ids.binary_search_by_key(&o.id, |&x| raw(x)) {
+                        if live(sub.ids[p]) {
+                            sub.ids[p] |= TOMBSTONE;
                         }
                     }
                 }
@@ -315,8 +274,8 @@ impl TemporalIrIndex for TifHintSlicing {
             .slices
             .values()
             .map(|sc| {
-                sc.subs.iter().map(IdStList::size_bytes).sum::<usize>()
-                    + sc.subs.capacity() * std::mem::size_of::<IdStList>()
+                sc.subs().iter().map(IdStList::size_bytes).sum::<usize>()
+                    + sc.slots() * std::mem::size_of::<IdStList>()
                     + 16
             })
             .sum();

@@ -5,36 +5,24 @@
 //! information is stored once per division entry, shrinking the index at
 //! the cost of probing two structures per division (Algorithm 6).
 
-use std::collections::HashMap;
-
 use crate::collection::Collection;
 use crate::freq::FreqTable;
 use crate::index_trait::TemporalIrIndex;
 use crate::method::Method;
-use crate::types::{ElemId, Object, ObjectId, TimeTravelQuery};
-use tir_hint::{CheckMode, Hint, HintConfig, IntervalRecord};
+use crate::types::{Object, ObjectId, TimeTravelQuery};
+use tir_hint::{DivisionKind, Hierarchy, Hint, HintConfig, IntervalRecord};
 use tir_invidx::planner::{Kernel, Postings, QueryScratch};
-use tir_invidx::{live, CompactInverted};
-
-type DivKey = (u32, u32, u8);
-
-#[inline]
-fn kind_u8(kind: tir_hint::DivisionKind) -> u8 {
-    match kind {
-        tir_hint::DivisionKind::OrigIn => 0,
-        tir_hint::DivisionKind::OrigAft => 1,
-        tir_hint::DivisionKind::ReplIn => 2,
-        tir_hint::DivisionKind::ReplAft => 3,
-    }
-}
+use tir_invidx::CompactInverted;
 
 /// The size-focused irHINT index.
 #[derive(Debug, Clone)]
 pub struct IrHintSize {
     /// Interval store: a full-featured HINT over all objects.
     hint: Hint,
-    /// Per-division inverted indexes (element → object ids).
-    inv: HashMap<DivKey, CompactInverted>,
+    /// Per-division inverted indexes (element → object ids): the same
+    /// hierarchy over the same domain, so a division of one is the division
+    /// of the other.
+    inv: Hierarchy<CompactInverted>,
     freqs: FreqTable,
 }
 
@@ -48,66 +36,49 @@ pub fn choose_m_ir(n: usize, per_part: usize) -> u32 {
     (parts.log2().ceil() as u32).clamp(2, 20)
 }
 
+fn record(o: &Object) -> IntervalRecord {
+    IntervalRecord {
+        id: o.id,
+        st: o.interval.st,
+        end: o.interval.end,
+    }
+}
+
 impl IrHintSize {
     /// Builds with `m` chosen by the IR-aware cost heuristic
     /// [`choose_m_ir`] (smaller per-partition target than the performance
     /// variant: its per-division probes are cheaper, so finer partitions
     /// pay off).
     pub fn build(coll: &Collection) -> Self {
-        Self::build_inner(coll, Some(choose_m_ir(coll.len(), 128)))
-    }
-
-    /// Builds with `m` chosen by the interval-only HINT cost model
-    /// (kept for the ablation study).
-    pub fn build_cost_model(coll: &Collection) -> Self {
-        Self::build_inner(coll, None)
+        Self::build_with_m(coll, choose_m_ir(coll.len(), 128))
     }
 
     /// Builds with an explicit number of levels.
     pub fn build_with_m(coll: &Collection, m: u32) -> Self {
-        Self::build_inner(coll, Some(m))
+        let records: Vec<IntervalRecord> = coll.objects().iter().map(record).collect();
+        let d = coll.domain();
+        let hint = Hint::build_with_domain(&records, d.st, d.end, HintConfig::with_m(m));
+        let mut index = IrHintSize {
+            inv: Hierarchy::new(hint.domain()),
+            hint,
+            freqs: FreqTable::from_counts(coll.freqs()),
+        };
+        index.place_batch(coll.objects());
+        index
     }
 
-    fn build_inner(coll: &Collection, m: Option<u32>) -> Self {
-        let records: Vec<IntervalRecord> = coll
-            .objects()
-            .iter()
-            .map(|o| IntervalRecord {
-                id: o.id,
-                st: o.interval.st,
-                end: o.interval.end,
-            })
-            .collect();
-        let d = coll.domain();
-        let cfg = HintConfig {
-            m,
-            ..HintConfig::default()
-        };
-        let hint = Hint::build_with_domain(&records, d.st, d.end, cfg);
-
-        let mut buffers: HashMap<DivKey, Vec<(u32, u32)>> = HashMap::new();
-        for o in coll.objects() {
-            let rec = IntervalRecord {
-                id: o.id,
-                st: o.interval.st,
-                end: o.interval.end,
-            };
-            hint.divisions_of(&rec, |level, j, kind| {
-                let buf = buffers.entry((level, j, kind_u8(kind))).or_default();
-                for &e in &o.desc {
-                    buf.push((e, o.id));
-                }
-            });
-        }
-        let inv = buffers
-            .into_iter()
-            .map(|(key, mut buf)| (key, CompactInverted::build(&mut buf)))
-            .collect();
-        IrHintSize {
-            hint,
-            inv,
-            freqs: FreqTable::from_counts(coll.freqs()),
-        }
+    /// Inverted side of a batch: one merge-rebuild per touched division (a
+    /// build is a merge into empty divisions).
+    fn place_batch(&mut self, batch: &[Object]) {
+        let mut buf: Vec<(u32, u32, [u64; 0])> = Vec::new();
+        let spans = batch.iter().map(|o| (o.interval.st, o.interval.end));
+        self.inv.place_batch(spans, |inv, _kind, items| {
+            buf.clear();
+            for o in items.iter().map(|&i| &batch[i as usize]) {
+                buf.extend(o.desc.iter().map(|&e| (e, o.id, [])));
+            }
+            inv.merge_in(&mut buf);
+        });
     }
 
     /// The number of levels minus one.
@@ -117,11 +88,10 @@ impl IrHintSize {
 
     /// Total inverted postings (ids only) plus interval entries.
     pub fn num_postings(&self) -> usize {
+        let mut n = self.hint.num_entries();
         self.inv
-            .values()
-            .map(CompactInverted::num_postings)
-            .sum::<usize>()
-            + self.hint.num_entries()
+            .for_each_division(|inv, _, _, _| n += inv.num_postings());
+        n
     }
 
     /// Document frequency of an element as tracked by the planner.
@@ -134,39 +104,25 @@ impl IrHintSize {
         &self.hint
     }
 
-    /// Calls `f(level, j, kind code, inverted index)` for every
-    /// materialized division inverted index, in unspecified order
-    /// (introspection for validators). Kind codes follow
-    /// `OrigIn=0, OrigAft=1, ReplIn=2, ReplAft=3`.
-    pub fn for_each_division_index(&self, mut f: impl FnMut(u32, u32, u8, &CompactInverted)) {
-        for (&(level, j, k), inv) in &self.inv {
-            f(level, j, k, inv);
-        }
+    /// Calls `f(level, j, kind, inverted index)` for every materialized
+    /// division inverted index, in `(level, j, kind)` order (introspection
+    /// for validators).
+    pub fn for_each_division_index(
+        &self,
+        mut f: impl FnMut(u32, u32, DivisionKind, &CompactInverted),
+    ) {
+        self.inv
+            .for_each_division(|inv, level, j, kind| f(level, j, kind, inv));
     }
 
-    /// `QueryIF` (Algorithm 6): intersect the division's temporal
-    /// candidates (already sorted in `scratch.cands`) with the postings
-    /// of every query element.
-    fn query_if(
-        &self,
-        key: DivKey,
-        scratch: &mut QueryScratch,
-        plan: &[ElemId],
-        out: &mut Vec<ObjectId>,
-    ) {
-        let Some(inv) = self.inv.get(&key) else {
-            // No inverted index for this division: it contributes nothing,
-            // and the candidates must not leak into the next division.
-            scratch.cands.clear();
-            return;
-        };
-        for &e in plan {
-            if scratch.cands.is_empty() {
-                return;
-            }
-            scratch.intersect(Postings::Ids(inv.postings(e)));
+    /// Deliberately breaks the offset invariant of the first non-empty
+    /// division index — used by `tir-check`'s property tests to prove the
+    /// validator notices.
+    #[cfg(feature = "testing")]
+    pub fn testing_corrupt(&mut self) {
+        if let Some((inv, _)) = self.inv.divisions_mut().find(|(d, _)| !d.is_empty()) {
+            inv.testing_corrupt_offsets();
         }
-        out.append(&mut scratch.cands);
     }
 }
 
@@ -189,75 +145,56 @@ impl TemporalIrIndex for IrHintSize {
             // Step 1 (range query on the interval store): collect the
             // division's temporally qualifying object ids.
             scratch.cands.clear();
-            for (i, &id) in view.ids.iter().enumerate() {
-                if !live(id) {
-                    continue;
-                }
-                let ok = match mode {
-                    CheckMode::None => true,
-                    CheckMode::Start => view.sts[i] <= q_end,
-                    CheckMode::End => view.ends[i] >= q_st,
-                    CheckMode::Both => view.sts[i] <= q_end && view.ends[i] >= q_st,
-                };
-                if ok {
-                    scratch.cands.push(id);
-                }
-            }
+            mode.for_each_admitted(view.ids, view.sts, view.ends, q_st, q_end, |id| {
+                scratch.cands.push(id)
+            });
             scratch.note(Kernel::Merge, view.ids.len() as u64);
             if scratch.cands.is_empty() {
                 return;
             }
             scratch.cands.sort_unstable();
-            // Step 2: intersect with the division's inverted index.
-            self.query_if(
-                (view.level, view.j, kind_u8(view.kind)),
-                scratch,
-                &plan,
-                out,
-            );
+            // Step 2, `QueryIF` (Algorithm 6): intersect with the postings
+            // of every query element in the division's inverted index.
+            let Some(inv) = self.inv.division(view.level, view.j, view.kind) else {
+                // No inverted index for this division: it contributes
+                // nothing, and the candidates must not leak into the next.
+                scratch.cands.clear();
+                return;
+            };
+            for &e in &plan {
+                if scratch.cands.is_empty() {
+                    return;
+                }
+                scratch.intersect(Postings::Ids(inv.postings(e).ids));
+            }
+            out.append(&mut scratch.cands);
         });
         scratch.plan = plan;
         scratch.take_into(out);
     }
 
     fn insert(&mut self, o: &Object) {
-        let rec = IntervalRecord {
-            id: o.id,
-            st: o.interval.st,
-            end: o.interval.end,
-        };
-        self.hint.insert(&rec);
-        let inv = &mut self.inv;
-        let desc = &o.desc;
-        self.hint.divisions_of(&rec, |level, j, kind| {
-            let e_inv = inv.entry((level, j, kind_u8(kind))).or_default();
-            for &e in desc {
-                e_inv.insert(e, o.id);
+        self.hint.insert(&record(o));
+        self.inv.place(o.interval.st, o.interval.end, |inv, _kind| {
+            for &e in &o.desc {
+                inv.insert(e, o.id, []);
             }
         });
-        for &e in desc {
+        for &e in &o.desc {
             self.freqs.bump(e);
         }
     }
 
     fn delete(&mut self, o: &Object) -> bool {
-        let rec = IntervalRecord {
-            id: o.id,
-            st: o.interval.st,
-            end: o.interval.end,
-        };
-        let found = self.hint.delete(&rec);
-        let inv = &mut self.inv;
-        let desc = &o.desc;
-        self.hint.divisions_of(&rec, |level, j, kind| {
-            if let Some(e_inv) = inv.get_mut(&(level, j, kind_u8(kind))) {
-                for &e in desc {
-                    e_inv.tombstone(e, o.id);
+        let found = self.hint.delete(&record(o));
+        self.inv
+            .place_existing(o.interval.st, o.interval.end, |inv, _kind| {
+                for &e in &o.desc {
+                    inv.tombstone(e, o.id);
                 }
-            }
-        });
+            });
         if found {
-            for &e in desc {
+            for &e in &o.desc {
                 self.freqs.drop_one(e);
             }
         }
@@ -266,38 +203,20 @@ impl TemporalIrIndex for IrHintSize {
 
     fn size_bytes(&self) -> usize {
         self.hint.size_bytes()
-            + self
-                .inv
-                .values()
-                .map(|i| i.size_bytes() + std::mem::size_of::<CompactInverted>() + 24)
-                .sum::<usize>()
+            + self.inv.size_bytes(CompactInverted::size_bytes)
             + self.freqs.size_bytes()
     }
 
     fn insert_batch(&mut self, batch: &[Object]) {
         // Interval store: per-record inserts (one entry per division);
         // inverted part: one merge-rebuild per touched division.
-        let mut buffers: HashMap<DivKey, Vec<(u32, u32)>> = HashMap::new();
         for o in batch {
-            let rec = IntervalRecord {
-                id: o.id,
-                st: o.interval.st,
-                end: o.interval.end,
-            };
-            self.hint.insert(&rec);
-            self.hint.divisions_of(&rec, |level, j, kind| {
-                let buf = buffers.entry((level, j, kind_u8(kind))).or_default();
-                for &e in &o.desc {
-                    buf.push((e, o.id));
-                }
-            });
+            self.hint.insert(&record(o));
             for &e in &o.desc {
                 self.freqs.bump(e);
             }
         }
-        for (key, mut buf) in buffers {
-            self.inv.entry(key).or_default().merge_in(&mut buf);
-        }
+        self.place_batch(batch);
     }
 }
 
@@ -342,8 +261,18 @@ mod tests {
     #[test]
     fn size_variant_is_smaller_than_perf_variant() {
         // The whole point of Section 4.2: temporal data stored once per
-        // division entry instead of once per (entry, element).
-        let coll = Collection::running_example();
+        // division entry instead of once per (entry, element). Sixteen
+        // copies of the running example, so postings and not the fixed cost
+        // of a materialized partition (four division slots in each of the
+        // two hierarchies) decide the comparison.
+        let example = Collection::running_example();
+        let copies = (0..16).flat_map(|c| {
+            let objects = example.objects().iter();
+            objects.map(move |o| {
+                Object::new(o.id + 8 * c, o.interval.st, o.interval.end, o.desc.clone())
+            })
+        });
+        let coll = Collection::new(copies.collect());
         let size = IrHintSize::build_with_m(&coll, 3);
         let perf = IrHintPerf::build_with_m(&coll, 3);
         assert!(

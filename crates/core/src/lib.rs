@@ -27,8 +27,8 @@
 //! `query_into`, with `query` provided over it — and agree exactly with
 //! the [`BruteForce`] oracle.
 //!
-//! Extensions beyond the paper: [`ranked`] adds relevance-ranked top-k
-//! retrieval and [`joins`] a temporal-IR join.
+//! Extension beyond the paper: [`ranked`] adds relevance-ranked top-k
+//! retrieval (`tir rank`).
 //!
 //! ```
 //! use tir_core::prelude::*;
@@ -44,6 +44,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+// Ids read from `tir_hint` division views are tested with
+// `tir_invidx::{live, raw}` throughout this crate; the two crates do not
+// depend on each other, so the tombstone bits they define agree here.
+const _: () = assert!(tir_hint::TOMBSTONE == tir_invidx::TOMBSTONE);
+
 pub mod collection;
 pub mod compressed_tif;
 pub mod freq;
@@ -51,7 +56,6 @@ pub mod hybrid;
 pub mod index_trait;
 pub mod irhint_perf;
 pub mod irhint_size;
-pub mod joins;
 pub mod method;
 pub mod oracle;
 pub mod postings;
@@ -68,7 +72,6 @@ pub use hybrid::TifHintSlicing;
 pub use index_trait::{apply_ops, delete_batch, insert_batch, TemporalIrIndex, WriteOp};
 pub use irhint_perf::IrHintPerf;
 pub use irhint_size::IrHintSize;
-pub use joins::{temporal_common_elements_join, JoinPair};
 pub use method::Method;
 pub use oracle::BruteForce;
 pub use ranked::{RankedQuery, RankedTif, ScoredHit};

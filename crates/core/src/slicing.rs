@@ -18,52 +18,66 @@ use tir_invidx::planner::{Kernel, QueryScratch};
 /// the highest-throughput plateau.
 pub const DEFAULT_SLICES: u32 = 50;
 
-/// A postings list divided into per-slice sub-lists. Sparse: only the
+/// A postings list divided into per-slice sub-lists `L` — the one slice
+/// container, shared with the hybrid's `⟨id, start⟩` copy. Sparse: only the
 /// slices between the first and last covered one are materialized.
 #[derive(Debug, Clone, Default)]
-struct SlicedList {
+pub(crate) struct SlicedList<L> {
     first: u32,
-    subs: Vec<TemporalList>,
+    subs: Vec<L>,
 }
 
-impl SlicedList {
-    fn ensure_covers(&mut self, lo: u32, hi: u32) {
+impl<L: Default> SlicedList<L> {
+    /// Materializes slices `lo..=hi` and returns their sub-lists.
+    pub(crate) fn cover(&mut self, lo: u32, hi: u32) -> &mut [L] {
         if self.subs.is_empty() {
             self.first = lo;
-            self.subs
-                .resize_with((hi - lo + 1) as usize, TemporalList::default);
-            return;
+            self.subs.resize_with((hi - lo + 1) as usize, L::default);
+        } else {
+            if lo < self.first {
+                let grow = (self.first - lo) as usize;
+                let mut fresh: Vec<L> = Vec::with_capacity(grow + self.subs.len());
+                fresh.resize_with(grow, L::default);
+                fresh.append(&mut self.subs);
+                self.subs = fresh;
+                self.first = lo;
+            }
+            let want = (hi - self.first) as usize + 1;
+            if want > self.subs.len() {
+                self.subs.resize_with(want, L::default);
+            }
         }
-        if lo < self.first {
-            let grow = (self.first - lo) as usize;
-            let mut fresh: Vec<TemporalList> = Vec::with_capacity(grow + self.subs.len());
-            fresh.resize_with(grow, TemporalList::default);
-            fresh.append(&mut self.subs);
-            self.subs = fresh;
-            self.first = lo;
-        }
-        // analyze:allow(unguarded-cast): per-element slice count is bounded by k: u32
-        let last = self.first + self.subs.len() as u32 - 1;
-        if hi > last {
-            self.subs.resize_with(
-                self.subs.len() + (hi - last) as usize,
-                TemporalList::default,
-            );
-        }
+        &mut self.subs[(lo - self.first) as usize..=(hi - self.first) as usize]
+    }
+}
+
+impl<L> SlicedList<L> {
+    /// The sub-list of slice `s`, if materialized.
+    pub(crate) fn sub(&self, s: u32) -> Option<&L> {
+        self.subs.get(s.checked_sub(self.first)? as usize)
     }
 
-    fn sub(&self, s: u32) -> Option<&TemporalList> {
-        if s < self.first {
-            return None;
-        }
-        self.subs.get((s - self.first) as usize)
+    /// The already materialized sub-lists among slices `lo..=hi`.
+    pub(crate) fn existing_mut(&mut self, lo: u32, hi: u32) -> &mut [L] {
+        let n = self.subs.len();
+        let from = (lo.saturating_sub(self.first) as usize).min(n);
+        let to = ((hi + 1).saturating_sub(self.first) as usize).clamp(from, n);
+        &mut self.subs[from..to]
     }
 
-    fn size_bytes(&self) -> usize {
-        self.subs
-            .iter()
-            .map(|l| l.size_bytes() + std::mem::size_of::<TemporalList>())
-            .sum()
+    /// Every materialized `(slice, sub-list)`, slices ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, &L)> {
+        (self.first..).zip(&self.subs)
+    }
+
+    /// The materialized sub-lists, slices ascending.
+    pub(crate) fn subs(&self) -> &[L] {
+        &self.subs
+    }
+
+    /// Sub-list slots allocated (at least `subs().len()`).
+    pub(crate) fn slots(&self) -> usize {
+        self.subs.capacity()
     }
 }
 
@@ -73,7 +87,7 @@ pub struct TifSlicing {
     domain_min: Timestamp,
     domain_max: Timestamp,
     k: u32,
-    lists: HashMap<u32, SlicedList>,
+    lists: HashMap<u32, SlicedList<TemporalList>>,
     freqs: FreqTable,
 }
 
@@ -103,10 +117,7 @@ impl TifSlicing {
     /// Slice index of a raw timestamp (clamped to the domain).
     #[inline]
     pub fn slice_of(&self, t: Timestamp) -> u32 {
-        let t = t.clamp(self.domain_min, self.domain_max);
-        let span = (self.domain_max - self.domain_min) as u128 + 1;
-        // analyze:allow(unguarded-cast): quotient is < k, and k is already a u32
-        (((t - self.domain_min) as u128 * self.k as u128) / span) as u32
+        tir_hint::slice_of(t, self.domain_min, self.domain_max, self.k)
     }
 
     /// Number of slices.
@@ -118,7 +129,7 @@ impl TifSlicing {
     pub fn num_postings(&self) -> usize {
         self.lists
             .values()
-            .flat_map(|sl| sl.subs.iter())
+            .flat_map(|sl| sl.subs())
             .map(TemporalList::len)
             .sum()
     }
@@ -133,10 +144,7 @@ impl TifSlicing {
     /// validators).
     pub fn for_each_sublist(&self, mut f: impl FnMut(u32, u32, &TemporalList)) {
         for (&e, sl) in &self.lists {
-            for (i, sub) in sl.subs.iter().enumerate() {
-                // analyze:allow(unguarded-cast): sub-list index is bounded by k: u32
-                f(e, sl.first + i as u32, sub);
-            }
+            sl.iter().for_each(|(s, sub)| f(e, s, sub));
         }
     }
 
@@ -144,10 +152,8 @@ impl TifSlicing {
         let lo = self.slice_of(o.interval.st);
         let hi = self.slice_of(o.interval.end);
         for &e in &o.desc {
-            let sl = self.lists.entry(e).or_default();
-            sl.ensure_covers(lo, hi);
-            for s in lo..=hi {
-                sl.subs[(s - sl.first) as usize].insert(o.id, o.interval.st, o.interval.end);
+            for sub in self.lists.entry(e).or_default().cover(lo, hi) {
+                sub.insert(o.id, o.interval.st, o.interval.end);
             }
         }
     }
@@ -226,12 +232,8 @@ impl TemporalIrIndex for TifSlicing {
         for &e in &o.desc {
             if let Some(sl) = self.lists.get_mut(&e) {
                 let mut found = false;
-                for s in lo..=hi {
-                    if s >= sl.first {
-                        if let Some(sub) = sl.subs.get_mut((s - sl.first) as usize) {
-                            found |= sub.tombstone(o.id);
-                        }
-                    }
+                for sub in sl.existing_mut(lo, hi) {
+                    found |= sub.tombstone(o.id);
                 }
                 if found {
                     self.freqs.drop_one(e);
@@ -245,7 +247,13 @@ impl TemporalIrIndex for TifSlicing {
     fn size_bytes(&self) -> usize {
         self.lists
             .values()
-            .map(|sl| sl.size_bytes() + std::mem::size_of::<SlicedList>() + 16)
+            .map(|sl| {
+                let subs = sl.subs().iter();
+                subs.map(|l| l.size_bytes() + std::mem::size_of::<TemporalList>())
+                    .sum::<usize>()
+                    + std::mem::size_of::<SlicedList<TemporalList>>()
+                    + 16
+            })
             .sum::<usize>()
             + self.freqs.size_bytes()
     }
@@ -262,13 +270,11 @@ impl TemporalIrIndex for TifSlicing {
 /// into them.
 pub fn tune_num_slices(coll: &Collection, candidates: &[u32], max_blowup: f64, extent: f64) -> u32 {
     let d = coll.domain();
-    let span = (d.end - d.st) as u128 + 1;
     let base: u64 = coll.objects().iter().map(|o| o.desc.len() as u64).sum();
     let mut best = (f64::INFINITY, 1u32);
     for &k in candidates {
         assert!(k >= 1);
-        // analyze:allow(unguarded-cast): quotient is < k, a u32 candidate value
-        let slice_of = |t: Timestamp| -> u32 { (((t - d.st) as u128 * k as u128) / span) as u32 };
+        let slice_of = |t: Timestamp| tir_hint::slice_of(t, d.st, d.end, k);
         let mut postings: u64 = 0;
         for o in coll.objects() {
             let copies = (slice_of(o.interval.end) - slice_of(o.interval.st) + 1) as u64;

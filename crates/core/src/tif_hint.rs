@@ -15,9 +15,9 @@ use crate::freq::FreqTable;
 use crate::index_trait::TemporalIrIndex;
 use crate::method::Method;
 use crate::types::{Object, ObjectId, TimeTravelQuery, Timestamp};
-use tir_hint::{CheckMode, DivisionOrder, Hint, HintConfig, IntervalRecord};
+use tir_hint::{DivisionOrder, Hint, HintConfig, IntervalRecord};
 use tir_invidx::planner::{Kernel, QueryScratch};
-use tir_invidx::{live, raw};
+use tir_invidx::raw;
 
 /// How candidate sets are intersected with the per-element HINTs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,41 +87,6 @@ impl TifHint {
         let hints = per_elem
             .into_iter()
             .map(|(e, recs)| (e, Hint::build_with_domain(&recs, d.st, d.end, hint_cfg)))
-            .collect();
-        TifHint {
-            hints,
-            freqs: FreqTable::from_counts(coll.freqs()),
-            domain_min: d.st,
-            domain_max: d.end,
-            config,
-        }
-    }
-
-    /// Builds with the HINT cost model applied *per postings list* —
-    /// Section 5.2 evaluates this option and finds it inferior to fixed
-    /// small `m` (the model was designed for interval-only workloads);
-    /// kept for the ablation benches.
-    pub fn build_with_per_list_cost_model(coll: &Collection, strategy: IntersectStrategy) -> Self {
-        let mut per_elem: HashMap<u32, Vec<IntervalRecord>> = HashMap::new();
-        for o in coll.objects() {
-            let rec = IntervalRecord {
-                id: o.id,
-                st: o.interval.st,
-                end: o.interval.end,
-            };
-            for &e in &o.desc {
-                per_elem.entry(e).or_default().push(rec);
-            }
-        }
-        let d = coll.domain();
-        let config = TifHintConfig { strategy, m: 0 };
-        let base = Self::hint_config(config);
-        let hints = per_elem
-            .into_iter()
-            .map(|(e, recs)| {
-                let cfg = HintConfig { m: None, ..base };
-                (e, Hint::build_with_domain(&recs, d.st, d.end, cfg))
-            })
             .collect();
         TifHint {
             hints,
@@ -220,20 +185,18 @@ impl TemporalIrIndex for TifHint {
                     if let Some(h) = self.hints.get(&e) {
                         h.visit_relevant(q_st, q_end, |view, mode| {
                             probed += view.ids.len() as u64;
-                            for (i, &id) in view.ids.iter().enumerate() {
-                                if !live(id) {
-                                    continue;
-                                }
-                                let ok = match mode {
-                                    CheckMode::None => true,
-                                    CheckMode::Start => view.sts[i] <= q_end,
-                                    CheckMode::End => view.ends[i] >= q_st,
-                                    CheckMode::Both => view.sts[i] <= q_end && view.ends[i] >= q_st,
-                                };
-                                if ok && scratch.probe_take(id) {
-                                    cands.push(id);
-                                }
-                            }
+                            mode.for_each_admitted(
+                                view.ids,
+                                view.sts,
+                                view.ends,
+                                q_st,
+                                q_end,
+                                |id| {
+                                    if scratch.probe_take(id) {
+                                        cands.push(id);
+                                    }
+                                },
+                            );
                         });
                     }
                     scratch.note_probed(probed);

@@ -116,17 +116,27 @@ proptest! {
             0..15,
         ),
         delete_every in 2usize..5,
+        batch_len in 1usize..5,
         queries in prop::collection::vec(arb_query(), 1..8),
     ) {
         let mut oracle = BruteForce::build(coll.objects());
         let mut indexes = all_indexes(&coll);
-        // Interleave inserts (fresh ids) and deletes of existing objects.
+        // Interleave inserts (fresh ids) and deletes of existing objects;
+        // every other chunk of `batch_len` inserts goes through
+        // `insert_batch` (the per-division merge path), the rest one by one.
         let base = coll.len() as u32;
+        let mut pending: Vec<Object> = Vec::new();
         for (i, (a, b, desc)) in extra.iter().enumerate() {
             let o = Object::new(base + i as u32, *a.min(b), *a.max(b), desc.iter().copied().collect());
             oracle.insert(&o);
-            for idx in indexes.iter_mut() {
-                idx.insert(&o);
+            if (i / batch_len) % 2 == 0 {
+                pending.push(o);
+            } else {
+                for idx in indexes.iter_mut() {
+                    idx.insert_batch(&pending);
+                    idx.insert(&o);
+                }
+                pending.clear();
             }
             if i % delete_every == 0 {
                 let victim = coll.get((i as u32 * 7) % base);
@@ -135,6 +145,9 @@ proptest! {
                     prop_assert_eq!(idx.delete(victim), expect, "{} delete disagrees", idx.name());
                 }
             }
+        }
+        for idx in indexes.iter_mut() {
+            idx.insert_batch(&pending);
         }
         for idx in &indexes {
             for q in &queries {

@@ -9,6 +9,18 @@
 
 use crate::IntervalRecord;
 
+/// The equal-width slicing policy, written once: index of the cell (of `k`
+/// over the raw domain `[min, max]`) that holds timestamp `t`, clamped to
+/// the domain. Shared by [`Grid1D`] and the sliced postings lists of
+/// `tir-core`.
+#[inline]
+pub fn slice_of(t: u64, min: u64, max: u64, k: u32) -> u32 {
+    let t = t.clamp(min, max);
+    let span = (max - min) as u128 + 1;
+    // analyze:allow(unguarded-cast): quotient is < k, and k is already a u32
+    (((t - min) as u128 * k as u128) / span) as u32
+}
+
 /// Flat 1D-grid over `[min, max]` with `k` cells.
 #[derive(Debug, Clone)]
 pub struct Grid1D {
@@ -53,10 +65,7 @@ impl Grid1D {
     /// Cell index of a raw timestamp (clamped to the domain).
     #[inline]
     pub fn cell_of(&self, t: u64) -> u32 {
-        let t = t.clamp(self.min, self.max);
-        let span = (self.max - self.min) as u128 + 1;
-        // analyze:allow(unguarded-cast): quotient is < k, and k is already a u32
-        (((t - self.min) as u128 * self.k as u128) / span) as u32
+        slice_of(t, self.min, self.max, self.k)
     }
 
     /// Inserts an interval into every cell it overlaps.

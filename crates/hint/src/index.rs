@@ -1,9 +1,10 @@
-//! The HINT interval index: sparse hierarchical partitions over a
-//! discretized time domain, with bottom-up range queries.
+//! The HINT interval index: a [`Hierarchy`] whose divisions store interval
+//! columns, with bottom-up range queries.
 
 use crate::domain::Domain;
-use crate::layout::{CheckMode, DivisionKind, Layout, PartitionChecks};
-use crate::partition::{kept_endpoints, DivisionOrder, DivisionView, Partition, TOMBSTONE};
+use crate::hierarchy::Hierarchy;
+use crate::layout::{CheckMode, DivisionKind};
+use crate::partition::{kept_endpoints, Division, DivisionOrder, DivisionView, TOMBSTONE};
 use crate::IntervalRecord;
 
 /// Build-time configuration of a [`Hint`] index.
@@ -48,34 +49,6 @@ impl HintConfig {
     }
 }
 
-/// Sparse storage of one hierarchy level: partitions sorted by their index
-/// within the level. Only non-empty partitions are materialized, which is
-/// both the skewness & sparsity optimization of the HINT paper and the
-/// reason per-term HINTs (Section 3 of the temporal-IR paper) stay small.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Level {
-    pub(crate) keys: Vec<u32>,
-    pub(crate) parts: Vec<Partition>,
-}
-
-impl Level {
-    #[inline]
-    fn position(&self, j: u32) -> Result<usize, usize> {
-        self.keys.binary_search(&j)
-    }
-
-    fn get_or_insert(&mut self, j: u32) -> &mut Partition {
-        match self.position(j) {
-            Ok(i) => &mut self.parts[i],
-            Err(i) => {
-                self.keys.insert(i, j);
-                self.parts.insert(i, Partition::default());
-                &mut self.parts[i]
-            }
-        }
-    }
-}
-
 /// The hierarchical interval index of Christodoulou et al., as summarized
 /// in Section 2.3 of the temporal-IR paper.
 ///
@@ -93,12 +66,10 @@ impl Level {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Hint {
-    pub(crate) domain: Domain,
-    pub(crate) layout: Layout,
-    pub(crate) levels: Vec<Level>,
-    pub(crate) order: DivisionOrder,
-    pub(crate) storage_opt: bool,
-    pub(crate) live: usize,
+    tree: Hierarchy<Division>,
+    order: DivisionOrder,
+    storage_opt: bool,
+    live: usize,
 }
 
 impl Hint {
@@ -128,74 +99,40 @@ impl Hint {
             .m
             .unwrap_or_else(|| crate::cost::choose_m(records, domain_min, domain_max));
         let domain = Domain::new(domain_min, domain_max.max(domain_min), m);
-        let mut index = Hint {
-            domain,
-            layout: Layout::new(m),
-            levels: (0..=m).map(|_| Level::default()).collect(),
-            order: config.order,
-            storage_opt: config.storage_opt,
-            live: 0,
-        };
-        index.bulk_place(records);
-        index.sort_divisions();
-        index
-    }
-
-    /// Bulk-loads records: buffers every assignment, sorts each level once
-    /// by partition, and appends grouped — `O(E log E)` instead of the
-    /// `O(E · P)` of repeated sorted-vector insertion.
-    fn bulk_place(&mut self, records: &[IntervalRecord]) {
-        let domain = self.domain;
-        let layout = self.layout;
-        let storage_opt = self.storage_opt;
-        let mut bufs: Vec<Vec<(u32, u8, IntervalRecord)>> =
-            (0..self.levels.len()).map(|_| Vec::new()).collect();
         for r in records {
             assert!(r.id & TOMBSTONE == 0, "ids must be < 2^31");
             assert!(r.st <= r.end, "invalid interval");
-            let a = domain.cell(r.st);
-            let b = domain.cell(r.end);
-            layout.assign(a, b, |level, j, original| {
-                let ends_inside = b <= domain.partition_last_cell(level, j);
-                let kind = division_kind(original, ends_inside);
-                bufs[level as usize].push((j, kind_code(kind), *r));
-            });
         }
-        for (li, mut buf) in bufs.into_iter().enumerate() {
-            buf.sort_unstable_by_key(|&(j, k, r)| (j, k, r.id));
-            let level = &mut self.levels[li];
-            for (j, k, r) in buf {
-                if level.keys.last() != Some(&j) {
-                    level.keys.push(j);
-                    level.parts.push(Partition::default());
-                }
-                let kind = kind_from_code(k);
-                let (keep_st, keep_end) = kept_endpoints(kind, storage_opt);
-                // The branch above guarantees a partition for `j` exists.
-                if let Some(part) = level.parts.last_mut() {
-                    part.division_mut(kind).insert(
-                        r.id,
-                        r.st,
-                        r.end,
-                        DivisionOrder::Insertion,
-                        kind,
-                        keep_st,
-                        keep_end,
-                    );
-                }
+        // Bulk load: every division receives its records in input order,
+        // then is sorted once.
+        let mut tree: Hierarchy<Division> = Hierarchy::new(domain);
+        let spans = records.iter().map(|r| (r.st, r.end));
+        tree.place_batch(spans, |d, kind, items| {
+            let (keep_st, keep_end) = kept_endpoints(kind, config.storage_opt);
+            for r in items.iter().map(|&i| &records[i as usize]) {
+                let order = DivisionOrder::Insertion;
+                d.insert(r.id, r.st, r.end, order, kind, keep_st, keep_end);
             }
+        });
+        for (d, kind) in tree.divisions_mut() {
+            sort_division(d, config.order, kind);
         }
-        self.live += records.len();
+        Hint {
+            tree,
+            order: config.order,
+            storage_opt: config.storage_opt,
+            live: records.len(),
+        }
     }
 
     /// The discretized domain this index covers.
     pub fn domain(&self) -> Domain {
-        self.domain
+        self.tree.domain()
     }
 
     /// Number of hierarchy levels (`m + 1`).
     pub fn num_levels(&self) -> usize {
-        self.levels.len()
+        self.tree.num_levels()
     }
 
     /// The ordering configured for subdivision entries.
@@ -211,41 +148,15 @@ impl Hint {
     /// The partition indexes materialized at `level`, ascending (empty
     /// for out-of-range levels). Introspection for validators.
     pub fn level_keys(&self, level: u32) -> &[u32] {
-        self.levels
-            .get(level as usize)
-            .map(|l| l.keys.as_slice())
-            .unwrap_or(&[])
+        self.tree.level_keys(level)
     }
 
     /// Visits every materialized division (empty ones included) with its
     /// view and tombstone count, in `(level, j, kind)` order.
     /// Introspection for validators and serializers.
     pub fn for_each_division(&self, mut f: impl FnMut(DivisionView<'_>, usize)) {
-        for (li, level) in self.levels.iter().enumerate() {
-            for (pi, &j) in level.keys.iter().enumerate() {
-                let part = &level.parts[pi];
-                for kind in [
-                    DivisionKind::OrigIn,
-                    DivisionKind::OrigAft,
-                    DivisionKind::ReplIn,
-                    DivisionKind::ReplAft,
-                ] {
-                    let d = part.division(kind);
-                    f(
-                        DivisionView {
-                            ids: &d.ids,
-                            sts: &d.sts,
-                            ends: &d.ends,
-                            kind,
-                            // analyze:allow(unguarded-cast): level index is bounded by m <= 20
-                            level: li as u32,
-                            j,
-                        },
-                        d.dead as usize,
-                    );
-                }
-            }
-        }
+        self.tree
+            .for_each_division(|d, level, j, kind| f(d.view(kind, level, j), d.dead as usize));
     }
 
     /// Deliberately desynchronizes a division's `dead` counter from its
@@ -253,21 +164,8 @@ impl Hint {
     /// validator notices. Picks the first non-empty division.
     #[cfg(feature = "testing")]
     pub fn testing_corrupt_dead_counter(&mut self) {
-        for level in &mut self.levels {
-            for part in &mut level.parts {
-                for kind in [
-                    DivisionKind::OrigIn,
-                    DivisionKind::OrigAft,
-                    DivisionKind::ReplIn,
-                    DivisionKind::ReplAft,
-                ] {
-                    let d = part.division_mut(kind);
-                    if !d.is_empty() {
-                        d.dead += 1;
-                        return;
-                    }
-                }
-            }
+        if let Some((d, _)) = self.tree.divisions_mut().find(|(d, _)| !d.is_empty()) {
+            d.dead += 1;
         }
     }
 
@@ -283,28 +181,23 @@ impl Hint {
 
     /// Number of materialized (non-empty) partitions over all levels.
     pub fn num_partitions(&self) -> usize {
-        self.levels.iter().map(|l| l.keys.len()).sum()
+        self.tree.num_partitions()
     }
 
     /// Total number of stored entries, counting replication.
     pub fn num_entries(&self) -> usize {
-        self.levels
-            .iter()
-            .flat_map(|l| l.parts.iter())
-            .map(|p| p.len())
-            .sum()
+        let mut n = 0;
+        self.tree.for_each_division(|d, _, _, _| n += d.len());
+        n
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Approximate heap footprint in bytes. Spare partition slots are left
+    /// out, as this index has always reported (the committed per-term HINT
+    /// sizes and the gated `index_bytes` are in these terms; ROADMAP item 2
+    /// records what the slack is worth).
     pub fn size_bytes(&self) -> usize {
-        let parts: usize = self
-            .levels
-            .iter()
-            .flat_map(|l| l.parts.iter())
-            .map(|p| p.size_bytes() + std::mem::size_of::<Partition>())
-            .sum();
-        let keys: usize = self.levels.iter().map(|l| l.keys.capacity() * 4).sum();
-        parts + keys + std::mem::size_of::<Self>()
+        self.tree.size_bytes(Division::size_bytes) + std::mem::size_of::<Self>()
+            - self.tree.spare_partitions() * std::mem::size_of::<[Division; 4]>()
     }
 
     /// Inserts one interval, maintaining subdivision order incrementally.
@@ -312,19 +205,9 @@ impl Hint {
         assert!(r.id & TOMBSTONE == 0, "ids must be < 2^31");
         assert!(r.st <= r.end, "invalid interval");
         let (order, storage_opt) = (self.order, self.storage_opt);
-        let domain = self.domain;
-        let a = domain.cell(r.st);
-        let b = domain.cell(r.end);
-        let layout = self.layout;
-        let levels = &mut self.levels;
-        layout.assign(a, b, |level, j, original| {
-            let ends_inside = b <= domain.partition_last_cell(level, j);
-            let kind = division_kind(original, ends_inside);
+        self.tree.place(r.st, r.end, |d, kind| {
             let (keep_st, keep_end) = kept_endpoints(kind, storage_opt);
-            levels[level as usize]
-                .get_or_insert(j)
-                .division_mut(kind)
-                .insert(r.id, r.st, r.end, order, kind, keep_st, keep_end);
+            d.insert(r.id, r.st, r.end, order, kind, keep_st, keep_end);
         });
         self.live += 1;
     }
@@ -335,21 +218,11 @@ impl Hint {
     /// The caller must pass the same record that was inserted; the index
     /// uses its endpoints to locate the partitions that store it.
     pub fn delete(&mut self, r: &IntervalRecord) -> bool {
-        let domain = self.domain;
-        let a = domain.cell(r.st);
-        let b = domain.cell(r.end);
-        let layout = self.layout;
-        let levels = &mut self.levels;
         let mut found = false;
-        layout.assign(a, b, |level, j, original| {
-            let ends_inside = b <= domain.partition_last_cell(level, j);
-            let kind = division_kind(original, ends_inside);
-            let level = &mut levels[level as usize];
-            if let Ok(i) = level.position(j) {
-                let hit = level.parts[i].division_mut(kind).tombstone(r.id);
-                if original {
-                    found = hit;
-                }
+        self.tree.place_existing(r.st, r.end, |d, kind| {
+            let hit = d.tombstone(r.id);
+            if !kind.is_replica() {
+                found = hit;
             }
         });
         if found {
@@ -366,83 +239,17 @@ impl Hint {
         out
     }
 
-    /// Conventional top-down traversal: identical answers, but the
-    /// bottom-up `compfirst`/`complast` elision is disabled, so boundary
-    /// partitions pay endpoint comparisons at every level. Kept for the
-    /// ablation benches quantifying the bottom-up optimization.
-    pub fn range_query_conventional(&self, q_st: u64, q_end: u64) -> Vec<u32> {
-        assert!(q_st <= q_end, "invalid query range");
-        let mut out = Vec::new();
-        let qa = self.domain.cell(q_st);
-        let qb = self.domain.cell(q_end);
-        let order = self.order;
-        self.layout
-            .for_each_relevant_level_conventional(qa, qb, |level, f, l, fc, lc, mc| {
-                let lvl = &self.levels[level as usize];
-                let lo = lvl.keys.partition_point(|&k| k < f);
-                for i in lo..lvl.keys.len() {
-                    let j = lvl.keys[i];
-                    if j > l {
-                        break;
-                    }
-                    let checks = pick_checks(j, f, l, fc, lc, mc);
-                    lvl.parts[i].query_into(
-                        checks.originals,
-                        checks.replicas,
-                        order,
-                        q_st,
-                        q_end,
-                        &mut out,
-                    );
-                }
-            });
-        out
-    }
-
     /// As [`Self::range_query`] but reusing an output buffer.
     pub fn range_query_into(&self, q_st: u64, q_end: u64, out: &mut Vec<u32>) {
-        assert!(q_st <= q_end, "invalid query range");
-        let qa = self.domain.cell(q_st);
-        let qb = self.domain.cell(q_end);
         let order = self.order;
-        self.layout
-            .for_each_relevant_level(qa, qb, |level, f, l, fc, lc, mc| {
-                let lvl = &self.levels[level as usize];
-                debug_assert!(
-                    lvl.keys.windows(2).take(32).all(|w| w[0] < w[1]),
-                    "level {level} keys must be strictly ascending for binary search"
-                );
-                let lo = lvl.keys.partition_point(|&k| k < f);
-                for i in lo..lvl.keys.len() {
-                    let j = lvl.keys[i];
-                    if j > l {
-                        break;
-                    }
-                    let checks = pick_checks(j, f, l, fc, lc, mc);
-                    lvl.parts[i].query_into(
-                        checks.originals,
-                        checks.replicas,
-                        order,
-                        q_st,
-                        q_end,
-                        out,
-                    );
-                }
+        self.tree
+            .for_each_relevant(q_st, q_end, |d, _level, _j, kind, mode| {
+                d.query_into(mode, kind, order, q_st, q_end, out)
             });
     }
 
-    /// Counts live intervals overlapping the query without materializing
-    /// ids (used by selectivity estimation in the benchmark harness).
-    pub fn range_count(&self, q_st: u64, q_end: u64) -> usize {
-        // Simple and correct; a dedicated counting path would avoid the
-        // buffer but is not needed by the reproduction.
-        let mut buf = Vec::new();
-        self.range_query_into(q_st, q_end, &mut buf);
-        buf.len()
-    }
-
-    /// Visits every relevant division of the query together with the
-    /// endpoint checks it requires.
+    /// Visits every non-empty relevant division of the query together with
+    /// the endpoint checks it requires.
     ///
     /// This is the extension hook used by the composite indexes of the
     /// paper: Algorithm 3 interleaves candidate-membership tests with the
@@ -452,134 +259,16 @@ impl Hint {
     where
         F: FnMut(DivisionView<'_>, CheckMode),
     {
-        assert!(q_st <= q_end, "invalid query range");
-        let qa = self.domain.cell(q_st);
-        let qb = self.domain.cell(q_end);
-        self.layout
-            .for_each_relevant_level(qa, qb, |level, fst, lst, fc, lc, mc| {
-                let lvl = &self.levels[level as usize];
-                let lo = lvl.keys.partition_point(|&k| k < fst);
-                for i in lo..lvl.keys.len() {
-                    let j = lvl.keys[i];
-                    if j > lst {
-                        break;
-                    }
-                    let checks = pick_checks(j, fst, lst, fc, lc, mc);
-                    let part = &lvl.parts[i];
-                    for kind in [
-                        DivisionKind::OrigIn,
-                        DivisionKind::OrigAft,
-                        DivisionKind::ReplIn,
-                        DivisionKind::ReplAft,
-                    ] {
-                        let is_replica =
-                            matches!(kind, DivisionKind::ReplIn | DivisionKind::ReplAft);
-                        let mode = if is_replica {
-                            match checks.replicas {
-                                Some(rm) => crate::layout::refine_mode(rm, kind),
-                                None => continue,
-                            }
-                        } else {
-                            crate::layout::refine_mode(checks.originals, kind)
-                        };
-                        let d = part.division(kind);
-                        if d.is_empty() {
-                            continue;
-                        }
-                        f(
-                            DivisionView {
-                                ids: &d.ids,
-                                sts: &d.sts,
-                                ends: &d.ends,
-                                kind,
-                                level,
-                                j,
-                            },
-                            mode,
-                        );
-                    }
+        self.tree
+            .for_each_relevant(q_st, q_end, |d, level, j, kind, mode| {
+                if !d.is_empty() {
+                    f(d.view(kind, level, j), mode);
                 }
             });
     }
-
-    /// Enumerates the divisions `(level, j, kind)` that (would) store `r`
-    /// under this index's domain — the hook composite indexes use to keep
-    /// sibling per-division structures aligned with the hierarchy.
-    pub fn divisions_of(&self, r: &IntervalRecord, mut f: impl FnMut(u32, u32, DivisionKind)) {
-        let domain = self.domain;
-        let a = domain.cell(r.st);
-        let b = domain.cell(r.end);
-        self.layout.assign(a, b, |level, j, original| {
-            let ends_inside = b <= domain.partition_last_cell(level, j);
-            f(level, j, division_kind(original, ends_inside));
-        });
-    }
-
-    fn sort_divisions(&mut self) {
-        if self.order == DivisionOrder::Insertion {
-            return;
-        }
-        for level in &mut self.levels {
-            for part in &mut level.parts {
-                for kind in [
-                    DivisionKind::OrigIn,
-                    DivisionKind::OrigAft,
-                    DivisionKind::ReplIn,
-                    DivisionKind::ReplAft,
-                ] {
-                    sort_division(part.division_mut(kind), self.order, kind);
-                }
-            }
-        }
-    }
 }
 
-fn kind_code(kind: DivisionKind) -> u8 {
-    match kind {
-        DivisionKind::OrigIn => 0,
-        DivisionKind::OrigAft => 1,
-        DivisionKind::ReplIn => 2,
-        DivisionKind::ReplAft => 3,
-    }
-}
-
-fn kind_from_code(code: u8) -> DivisionKind {
-    match code {
-        0 => DivisionKind::OrigIn,
-        1 => DivisionKind::OrigAft,
-        2 => DivisionKind::ReplIn,
-        _ => DivisionKind::ReplAft,
-    }
-}
-
-fn division_kind(original: bool, ends_inside: bool) -> DivisionKind {
-    match (original, ends_inside) {
-        (true, true) => DivisionKind::OrigIn,
-        (true, false) => DivisionKind::OrigAft,
-        (false, true) => DivisionKind::ReplIn,
-        (false, false) => DivisionKind::ReplAft,
-    }
-}
-
-#[inline]
-fn pick_checks(
-    j: u32,
-    f: u32,
-    l: u32,
-    fc: PartitionChecks,
-    lc: PartitionChecks,
-    mc: PartitionChecks,
-) -> PartitionChecks {
-    if j == f {
-        fc
-    } else if j == l {
-        lc
-    } else {
-        mc
-    }
-}
-
-fn sort_division(d: &mut crate::partition::Division, order: DivisionOrder, kind: DivisionKind) {
+fn sort_division(d: &mut Division, order: DivisionOrder, kind: DivisionKind) {
     use crate::partition::{sort_key, SortKey};
     let n = d.ids.len();
     if n <= 1 {
@@ -766,33 +455,6 @@ mod tests {
         let hint = Hint::build(&[], HintConfig::default());
         assert!(hint.is_empty());
         assert!(hint.range_query(0, 100).is_empty());
-    }
-
-    #[test]
-    fn visit_relevant_reconstructs_range_query() {
-        let recs = sample();
-        let hint = Hint::build(&recs, HintConfig::with_m(4));
-        for (q_st, q_end) in [(0u64, 0u64), (3, 9), (5, 5), (0, 15), (9, 14)] {
-            let mut got = Vec::new();
-            hint.visit_relevant(q_st, q_end, |view, mode| {
-                for (i, &id) in view.ids.iter().enumerate() {
-                    if id & TOMBSTONE != 0 {
-                        continue;
-                    }
-                    let ok = match mode {
-                        CheckMode::None => true,
-                        CheckMode::Start => view.sts[i] <= q_end,
-                        CheckMode::End => view.ends[i] >= q_st,
-                        CheckMode::Both => view.sts[i] <= q_end && view.ends[i] >= q_st,
-                    };
-                    if ok {
-                        got.push(id);
-                    }
-                }
-            });
-            got.sort_unstable();
-            assert_eq!(got, brute_force_overlap(&recs, q_st, q_end));
-        }
     }
 
     #[test]

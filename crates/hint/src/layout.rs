@@ -1,10 +1,11 @@
-//! The HINT hierarchy layout: interval-to-partition assignment and the
-//! per-level relevant-partition walk of a range query.
-//!
-//! This module is deliberately independent of any concrete partition
-//! payload so that composite indexes (e.g. irHINT, which stores an inverted
-//! index per division) can reuse the exact same partitioning and
-//! duplicate-avoidance machinery as the plain interval index.
+//! The HINT hierarchy geometry: interval-to-partition assignment, the
+//! per-level relevant-partition roles of a range query, and the two small
+//! vocabularies every division payload is written against —
+//! [`DivisionKind`] (which of a partition's four subdivisions) and
+//! [`CheckMode`] (which endpoint comparisons a query still owes there).
+//! [`crate::hierarchy::Hierarchy`] is the only caller of the two walks.
+
+use crate::partition::TOMBSTONE;
 
 /// Which raw-endpoint comparisons a division requires for a given query.
 ///
@@ -24,16 +25,41 @@ pub enum CheckMode {
 }
 
 impl CheckMode {
-    /// True if the mode requires looking at interval start points.
+    /// The one endpoint predicate: calls `f(id)` for every live id of the
+    /// parallel columns whose endpoints satisfy this mode for the query
+    /// `[q_st, q_end]`, in column order. A column the mode does not need
+    /// is never read, so elided (empty) endpoint columns are fine.
     #[inline]
-    pub fn needs_start(self) -> bool {
-        matches!(self, CheckMode::Start | CheckMode::Both)
-    }
-
-    /// True if the mode requires looking at interval end points.
-    #[inline]
-    pub fn needs_end(self) -> bool {
-        matches!(self, CheckMode::End | CheckMode::Both)
+    pub fn for_each_admitted(
+        self,
+        ids: &[u32],
+        sts: &[u64],
+        ends: &[u64],
+        q_st: u64,
+        q_end: u64,
+        mut f: impl FnMut(u32),
+    ) {
+        let n = ids.len();
+        let mut emit = |i: usize, admitted: bool| {
+            if admitted && ids[i] & TOMBSTONE == 0 {
+                f(ids[i]);
+            }
+        };
+        match self {
+            CheckMode::None => (0..n).for_each(|i| emit(i, true)),
+            CheckMode::Start => {
+                let sts = &sts[..n];
+                (0..n).for_each(|i| emit(i, sts[i] <= q_end));
+            }
+            CheckMode::End => {
+                let ends = &ends[..n];
+                (0..n).for_each(|i| emit(i, ends[i] >= q_st));
+            }
+            CheckMode::Both => {
+                let (sts, ends) = (&sts[..n], &ends[..n]);
+                (0..n).for_each(|i| emit(i, sts[i] <= q_end && ends[i] >= q_st));
+            }
+        }
     }
 }
 
@@ -41,7 +67,8 @@ impl CheckMode {
 ///
 /// Originals start inside the partition; replicas start before it.
 /// `In` divisions end inside the partition, `Aft` divisions end after it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Declaration order is storage order ([`DivisionKind::index`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DivisionKind {
     /// Originals ending inside the partition (`P^{O_in}`).
     OrigIn,
@@ -51,6 +78,60 @@ pub enum DivisionKind {
     ReplIn,
     /// Replicas ending after the partition (`P^{R_aft}`).
     ReplAft,
+}
+
+impl DivisionKind {
+    /// The four kinds in storage order (`index()` ascending): originals
+    /// before replicas, so a walk that skips replicas stops early.
+    pub const ALL: [DivisionKind; 4] = [
+        DivisionKind::OrigIn,
+        DivisionKind::OrigAft,
+        DivisionKind::ReplIn,
+        DivisionKind::ReplAft,
+    ];
+
+    /// Classifies one assignment: `original` — the interval starts inside
+    /// the partition; `ends_inside` — it also ends inside it.
+    #[inline]
+    pub fn of(original: bool, ends_inside: bool) -> Self {
+        match (original, ends_inside) {
+            (true, true) => DivisionKind::OrigIn,
+            (true, false) => DivisionKind::OrigAft,
+            (false, true) => DivisionKind::ReplIn,
+            (false, false) => DivisionKind::ReplAft,
+        }
+    }
+
+    /// Position of this kind in [`Self::ALL`] and in a partition's
+    /// division array.
+    #[inline]
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
+    /// The paper's name for the subdivision, as validators print it.
+    pub fn label(self) -> &'static str {
+        match self {
+            DivisionKind::OrigIn => "O_in",
+            DivisionKind::OrigAft => "O_aft",
+            DivisionKind::ReplIn => "R_in",
+            DivisionKind::ReplAft => "R_aft",
+        }
+    }
+
+    /// True for the two replica kinds (the interval starts before the
+    /// partition).
+    #[inline]
+    pub fn is_replica(self) -> bool {
+        matches!(self, DivisionKind::ReplIn | DivisionKind::ReplAft)
+    }
+
+    /// True for the two `*_in` kinds (the interval ends inside the
+    /// partition).
+    #[inline]
+    pub fn ends_inside(self) -> bool {
+        matches!(self, DivisionKind::OrigIn | DivisionKind::ReplIn)
+    }
 }
 
 /// Refines a partition-level check mode to a subdivision, exploiting what
@@ -160,30 +241,6 @@ impl Layout {
         &self,
         qa: u32,
         qb: u32,
-        f: impl FnMut(u32, u32, u32, PartitionChecks, PartitionChecks, PartitionChecks),
-    ) {
-        self.walk_relevant(qa, qb, true, f)
-    }
-
-    /// As [`Self::for_each_relevant_level`] but *without* the bottom-up
-    /// comparison elision: the `compfirst`/`complast` flags stay set at
-    /// every level, so boundary partitions are always compared. This is
-    /// the conventional top-down traversal the HINT paper improves upon;
-    /// kept for the ablation benches.
-    pub fn for_each_relevant_level_conventional(
-        &self,
-        qa: u32,
-        qb: u32,
-        f: impl FnMut(u32, u32, u32, PartitionChecks, PartitionChecks, PartitionChecks),
-    ) {
-        self.walk_relevant(qa, qb, false, f)
-    }
-
-    fn walk_relevant(
-        &self,
-        qa: u32,
-        qb: u32,
-        elide_comparisons: bool,
         mut f: impl FnMut(u32, u32, u32, PartitionChecks, PartitionChecks, PartitionChecks),
     ) {
         debug_assert!(qa <= qb);
@@ -234,13 +291,11 @@ impl Layout {
 
             f(level, first, last, first_checks, last_checks, middle_checks);
 
-            if elide_comparisons {
-                if first & 1 == 0 {
-                    compfirst = false;
-                }
-                if last & 1 == 1 {
-                    complast = false;
-                }
+            if first & 1 == 0 {
+                compfirst = false;
+            }
+            if last & 1 == 1 {
+                complast = false;
             }
         }
     }
@@ -348,6 +403,17 @@ mod tests {
         // level 2: compfirst cleared (4 even); last 7 odd cleared complast too
         assert_eq!(first_modes[1].1.originals, CheckMode::None);
         assert_eq!(first_modes[2].1.originals, CheckMode::None);
+    }
+
+    #[test]
+    fn kind_tables_agree() {
+        for (i, kind) in DivisionKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind.index(), i);
+            assert_eq!(
+                DivisionKind::of(!kind.is_replica(), kind.ends_inside()),
+                kind
+            );
+        }
     }
 
     #[test]

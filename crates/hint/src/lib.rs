@@ -10,10 +10,9 @@
 //! * [`Grid1D`] — the flat 1D-grid underlying the Slicing technique;
 //! * [`IntervalTree`] — the classical baseline of the paper's related
 //!   work (Section 6.2);
-//! * [`allen`] — Allen-relationship queries on HINT;
-//! * [`join`] — interval overlap joins (plane sweep, grid, index-NL);
-//! * [`layout`] — the reusable partition-assignment / relevant-partition
-//!   machinery that composite indexes (irHINT) build on.
+//! * [`Hierarchy`] — the payload-agnostic HINT hierarchy (placement rule
+//!   and query walk) that [`Hint`] and both irHINT variants instantiate;
+//!   DESIGN.md "HINT hierarchy and division stores" has the one-page map.
 //!
 //! All indexes answer *range (overlap) queries* over closed intervals:
 //! given `[q_st, q_end]`, return every stored interval `i` with
@@ -22,22 +21,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod allen;
 pub mod cost;
 pub mod domain;
 pub mod grid;
+pub mod hierarchy;
 pub mod index;
 pub mod interval_tree;
-pub mod join;
 pub mod layout;
 pub mod partition;
 
-pub use allen::{brute_force_allen, AllenRelation};
 pub use domain::Domain;
-pub use grid::Grid1D;
+pub use grid::{slice_of, Grid1D};
+pub use hierarchy::Hierarchy;
 pub use index::{Hint, HintConfig};
 pub use interval_tree::IntervalTree;
-pub use join::{brute_force_join, forward_scan_join, grid_join, hint_inl_join};
 pub use layout::{CheckMode, DivisionKind, Layout};
 pub use partition::{DivisionOrder, DivisionView, TOMBSTONE};
 

@@ -1,16 +1,16 @@
-//! Partition payload of the plain interval HINT: four subdivisions stored
-//! as structures of arrays.
+//! Division payload of the plain interval HINT: one subdivision stored as
+//! a structure of arrays.
 //!
-//! The layout realizes three of the HINT paper's optimizations at once:
+//! The layout realizes two of the HINT paper's optimizations (the
+//! subdivisions themselves are the hierarchy's, [`crate::hierarchy`]):
 //!
-//! * **subdivisions** — originals/replicas × ends-inside/ends-after;
 //! * **storage optimization** — each subdivision keeps only the endpoint
 //!   arrays that some query may compare (`O_in`: both, `O_aft`: start,
 //!   `R_in`: end, `R_aft`: neither);
 //! * **cache-miss optimization** — ids live in their own array, so
 //!   comparison-free divisions are reported without touching endpoints.
 
-use crate::layout::{refine_mode, CheckMode, DivisionKind};
+use crate::layout::{CheckMode, DivisionKind};
 
 /// Tombstone marker: deleted entries have this bit set in their stored id.
 /// Object ids must therefore be `< 2^31`.
@@ -71,6 +71,19 @@ impl Division {
     #[inline]
     pub(crate) fn is_empty(&self) -> bool {
         self.ids.is_empty()
+    }
+
+    /// The read-only view of this division as the `kind` subdivision of
+    /// partition `(level, j)`.
+    pub(crate) fn view(&self, kind: DivisionKind, level: u32, j: u32) -> DivisionView<'_> {
+        DivisionView {
+            ids: &self.ids,
+            sts: &self.sts,
+            ends: &self.ends,
+            kind,
+            level,
+            j,
+        }
     }
 
     /// Inserts `(id, st, end)` keeping the configured order. `keep_st` /
@@ -257,85 +270,6 @@ pub(crate) fn kept_endpoints(kind: DivisionKind, storage_opt: bool) -> (bool, bo
         DivisionKind::OrigAft => (true, false),
         DivisionKind::ReplIn => (false, true),
         DivisionKind::ReplAft => (false, false),
-    }
-}
-
-/// A HINT partition: the four subdivisions.
-#[derive(Debug, Clone, Default)]
-pub struct Partition {
-    pub(crate) orig_in: Division,
-    pub(crate) orig_aft: Division,
-    pub(crate) repl_in: Division,
-    pub(crate) repl_aft: Division,
-}
-
-impl Partition {
-    #[inline]
-    pub(crate) fn division_mut(&mut self, kind: DivisionKind) -> &mut Division {
-        match kind {
-            DivisionKind::OrigIn => &mut self.orig_in,
-            DivisionKind::OrigAft => &mut self.orig_aft,
-            DivisionKind::ReplIn => &mut self.repl_in,
-            DivisionKind::ReplAft => &mut self.repl_aft,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn division(&self, kind: DivisionKind) -> &Division {
-        match kind {
-            DivisionKind::OrigIn => &self.orig_in,
-            DivisionKind::OrigAft => &self.orig_aft,
-            DivisionKind::ReplIn => &self.repl_in,
-            DivisionKind::ReplAft => &self.repl_aft,
-        }
-    }
-
-    /// Runs the partition-level query: `orig_mode` applies to both original
-    /// subdivisions (after refinement); `repl_mode` likewise for replicas,
-    /// with `None` meaning replicas are skipped entirely.
-    pub(crate) fn query_into(
-        &self,
-        orig_mode: CheckMode,
-        repl_mode: Option<CheckMode>,
-        order: DivisionOrder,
-        q_st: u64,
-        q_end: u64,
-        out: &mut Vec<u32>,
-    ) {
-        use DivisionKind::*;
-        self.orig_in.query_into(
-            refine_mode(orig_mode, OrigIn),
-            OrigIn,
-            order,
-            q_st,
-            q_end,
-            out,
-        );
-        self.orig_aft.query_into(
-            refine_mode(orig_mode, OrigAft),
-            OrigAft,
-            order,
-            q_st,
-            q_end,
-            out,
-        );
-        if let Some(rm) = repl_mode {
-            self.repl_in
-                .query_into(refine_mode(rm, ReplIn), ReplIn, order, q_st, q_end, out);
-            self.repl_aft
-                .query_into(refine_mode(rm, ReplAft), ReplAft, order, q_st, q_end, out);
-        }
-    }
-
-    pub(crate) fn size_bytes(&self) -> usize {
-        self.orig_in.size_bytes()
-            + self.orig_aft.size_bytes()
-            + self.repl_in.size_bytes()
-            + self.repl_aft.size_bytes()
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.orig_in.len() + self.orig_aft.len() + self.repl_in.len() + self.repl_aft.len()
     }
 }
 

@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 use tir_hint::{
-    brute_force_overlap, DivisionOrder, Grid1D, Hint, HintConfig, IntervalRecord, IntervalTree,
+    brute_force_overlap, DivisionOrder, Domain, Grid1D, Hierarchy, Hint, HintConfig,
+    IntervalRecord, IntervalTree,
 };
 
 fn arb_records(max_len: usize, domain: u64) -> impl Strategy<Value = Vec<IntervalRecord>> {
@@ -44,6 +45,51 @@ proptest! {
         let hint = Hint::build(&recs, cfg);
         for (qs, qe) in queries {
             let mut got = hint.range_query(qs, qe);
+            let n = got.len();
+            got.sort_unstable();
+            got.dedup();
+            prop_assert_eq!(n, got.len(), "duplicates");
+            prop_assert_eq!(got, brute_force_overlap(&recs, qs, qe));
+        }
+    }
+
+    /// The hierarchy alone, with the plainest payload there is: the
+    /// placement rule stores every record in exactly one original division,
+    /// and the walk's divisions, filtered by the check mode it hands out,
+    /// are the oracle's answer with no duplicate — whatever mix of bulk and
+    /// single placement built the levels.
+    #[test]
+    fn hierarchy_walk_reconstructs_range_query(
+        recs in arb_records(120, 1000),
+        bulk in 0usize..120,
+        queries in prop::collection::vec(arb_query(1100), 1..20),
+        m in 0u32..8,
+    ) {
+        let mut h: Hierarchy<Vec<(u32, u64, u64)>> = Hierarchy::new(Domain::new(0, 999, m));
+        let (built, inserted) = recs.split_at(bulk.min(recs.len()));
+        h.place_batch(built.iter().map(|r| (r.st, r.end)), |d, _, items| {
+            d.extend(items.iter().map(|&i| built[i as usize]).map(|r| (r.id, r.st, r.end)));
+        });
+        for r in inserted {
+            h.place(r.st, r.end, |d, _| d.push((r.id, r.st, r.end)));
+        }
+
+        let mut originals = vec![0usize; recs.len()];
+        h.for_each_division(|d, _, _, kind| {
+            if !kind.is_replica() {
+                d.iter().for_each(|&(id, _, _)| originals[id as usize] += 1);
+            }
+        });
+        prop_assert!(originals.iter().all(|&n| n == 1), "originals per record: {:?}", originals);
+
+        for (qs, qe) in queries {
+            let mut got = Vec::new();
+            h.for_each_relevant(qs, qe, |d, _, _, _, mode| {
+                let ids: Vec<u32> = d.iter().map(|e| e.0).collect();
+                let sts: Vec<u64> = d.iter().map(|e| e.1).collect();
+                let ends: Vec<u64> = d.iter().map(|e| e.2).collect();
+                mode.for_each_admitted(&ids, &sts, &ends, qs, qe, |id| got.push(id));
+            });
             let n = got.len();
             got.sort_unstable();
             got.dedup();

@@ -4,8 +4,9 @@
 //!
 //! * [`Dictionary`] — string-to-element-id interning with document
 //!   frequencies;
-//! * [`CompactInverted`] / [`CompactTemporalInverted`] — flat,
-//!   low-overhead per-division indexes used inside irHINT partitions;
+//! * [`FlatInverted`] — the flat, low-overhead per-division index used
+//!   inside irHINT partitions, id-only ([`CompactInverted`]) or carrying
+//!   `[start, end]` ([`CompactTemporalInverted`]);
 //! * [`kernels`] — merge / galloping / adaptive sorted-set intersection
 //!   primitives, tombstone-aware;
 //! * [`simd`] — runtime-dispatched SSE2/SSSE3/AVX2 variants of the hot
@@ -33,7 +34,7 @@ pub mod kernels;
 pub mod planner;
 pub mod simd;
 
-pub use compact::{CompactInverted, CompactTemporalInverted, TemporalPostings};
+pub use compact::{CompactInverted, CompactTemporalInverted, FlatInverted, TemporalPostings};
 pub use compress::{BlockPostings, CompressedTemporalPostings};
 pub use container::{ContainerConfig, DenseBits, HybridPostings, PostingContainer, RunSet};
 pub use dict::Dictionary;

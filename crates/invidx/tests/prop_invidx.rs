@@ -1,12 +1,11 @@
-//! Property tests: intersection kernels against a naive set model, compact
-//! indexes against a hash-map model.
+//! Property tests: intersection kernels against a naive set model, the flat
+//! per-division store against a map model.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use tir_invidx::{
-    intersect_adaptive_into, intersect_gallop_into, intersect_merge_into, CompactInverted,
-    CompactTemporalInverted, ContainerConfig, HybridPostings, PostingContainer, Postings,
-    QueryScratch, TOMBSTONE,
+    intersect_adaptive_into, intersect_gallop_into, intersect_merge_into, ContainerConfig,
+    FlatInverted, HybridPostings, PostingContainer, Postings, QueryScratch, TOMBSTONE,
 };
 
 fn sorted_unique(max: u32, len: usize) -> impl Strategy<Value = Vec<u32>> {
@@ -33,6 +32,75 @@ fn tombstoned(ids: &[u32], dead: &[bool]) -> (Vec<u32>, BTreeSet<u32>) {
         .copied()
         .collect();
     (raw, live)
+}
+
+/// One op of [`flat_store_model`]: `0` rebuilds the store from the batch,
+/// `1` inserts it entry by entry, `2` merges it in, `3` tombstones its keys.
+type FlatOp = (u8, Vec<(u32, u32, u64, u64)>);
+
+/// Drives one [`FlatInverted`] instantiation through `ops` beside a
+/// `BTreeMap` model keyed by `(element, raw id)`. After every op each
+/// element's postings are the model's, in raw-id order, tombstone bits and
+/// endpoints included, and every column is parallel to the ids.
+fn flat_store_model<const W: usize>(ops: &[FlatOp]) -> Result<(), TestCaseError> {
+    let mut store = FlatInverted::<W>::new();
+    let mut model: BTreeMap<(u32, u32), (bool, [u64; W])> = BTreeMap::new();
+    for (op, batch) in ops {
+        if *op == 0 {
+            model.clear();
+        }
+        // Descriptions are sets: an `(element, id)` already stored (live or
+        // tombstoned) is never added twice.
+        let mut fresh: Vec<(u32, u32, [u64; W])> = Vec::new();
+        for &(e, id, a, b) in batch {
+            let span = std::array::from_fn(|c| if c == 0 { a.min(b) } else { a.max(b) });
+            if *op != 3 && !model.contains_key(&(e, id)) {
+                model.insert((e, id), (true, span));
+                fresh.push((e, id, span));
+            }
+        }
+        match *op {
+            0 => store = FlatInverted::build(&mut fresh),
+            1 => fresh
+                .iter()
+                .for_each(|&(e, id, span)| store.insert(e, id, span)),
+            2 => store.merge_in(&mut fresh),
+            _ => {
+                for &(e, id, _, _) in batch {
+                    let was_live = model
+                        .get_mut(&(e, id))
+                        .is_some_and(|m| std::mem::take(&mut m.0));
+                    prop_assert_eq!(store.tombstone(e, id), was_live, "tombstone({}, {})", e, id);
+                }
+            }
+        }
+        prop_assert_eq!(store.num_postings(), model.len());
+        prop_assert_eq!(store.offsets().len(), store.elements().len() + 1);
+        for col in store.columns() {
+            prop_assert_eq!(
+                col.len(),
+                store.all_ids().len(),
+                "column not parallel to ids"
+            );
+        }
+        for e in 0..13u32 {
+            let p = store.postings(e);
+            let want: Vec<_> = model.range((e, 0)..=(e, u32::MAX)).collect();
+            prop_assert_eq!(p.ids.len(), want.len(), "elem {}", e);
+            for (i, (&(_, id), &(live, span))) in want.into_iter().enumerate() {
+                prop_assert_eq!(
+                    p.ids[i],
+                    if live { id } else { id | TOMBSTONE },
+                    "elem {}",
+                    e
+                );
+                if W == 2 {
+                    prop_assert_eq!([p.sts[i], p.ends[i]].as_slice(), span.as_slice());
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -161,63 +229,14 @@ proptest! {
     }
 
     #[test]
-    fn compact_inverted_matches_model(
-        pairs in prop::collection::vec((0u32..20, 0u32..200), 0..150),
+    fn flat_store_matches_model(
+        ops in prop::collection::vec(
+            (0u8..4, prop::collection::vec((0u32..12, 0u32..64, 0u64..100, 0u64..100), 1..24)),
+            1..12,
+        ),
     ) {
-        // Dedup (elem, id) pairs — descriptions are sets.
-        let set: BTreeSet<(u32, u32)> = pairs.into_iter().collect();
-        let mut buf: Vec<(u32, u32)> = set.iter().copied().collect();
-        let idx = CompactInverted::build(&mut buf);
-        let mut model: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        for &(e, id) in &set {
-            model.entry(e).or_default().push(id);
-        }
-        for e in 0..21 {
-            let want = model.get(&e).cloned().unwrap_or_default();
-            prop_assert_eq!(idx.postings(e), want.as_slice());
-        }
-    }
-
-    #[test]
-    fn compact_inverted_incremental_matches_build(
-        pairs in prop::collection::vec((0u32..15, 0u32..100), 0..100),
-    ) {
-        let set: BTreeSet<(u32, u32)> = pairs.into_iter().collect();
-        let mut buf: Vec<(u32, u32)> = set.iter().copied().collect();
-        let built = CompactInverted::build(&mut buf);
-        let mut inc = CompactInverted::new();
-        // insert in arbitrary (reversed) order
-        for &(e, id) in set.iter().rev() {
-            inc.insert(e, id);
-        }
-        for e in 0..16 {
-            prop_assert_eq!(built.postings(e), inc.postings(e));
-        }
-    }
-
-    #[test]
-    fn compact_temporal_parallel_arrays_consistent(
-        entries in prop::collection::vec((0u32..10, 0u32..50, 0u64..100, 0u64..100), 0..80),
-    ) {
-        let mut seen = BTreeSet::new();
-        let mut buf: Vec<(u32, u32, u64, u64)> = Vec::new();
-        for (e, id, a, b) in entries {
-            if seen.insert((e, id)) {
-                buf.push((e, id, a.min(b), a.max(b)));
-            }
-        }
-        let model = buf.clone();
-        let idx = CompactTemporalInverted::build(&mut buf);
-        for e in 0..11u32 {
-            let p = idx.postings(e);
-            prop_assert_eq!(p.ids.len(), p.sts.len());
-            prop_assert_eq!(p.ids.len(), p.ends.len());
-            for (i, &id) in p.ids.iter().enumerate() {
-                let want = model.iter().find(|&&(me, mid, _, _)| me == e && mid == id).unwrap();
-                prop_assert_eq!(p.sts[i], want.2);
-                prop_assert_eq!(p.ends[i], want.3);
-            }
-        }
+        flat_store_model::<0>(&ops)?;
+        flat_store_model::<2>(&ops)?;
     }
 
     #[test]

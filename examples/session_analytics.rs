@@ -1,6 +1,6 @@
 //! Beyond boolean search: the library's extension features on one
-//! workload — Allen-relationship analytics, temporal joins, relevance
-//! ranking and compressed indexing over a fleet of support-chat sessions.
+//! workload — relevance ranking and compressed indexing over a fleet of
+//! support-chat sessions.
 //!
 //! ```text
 //! cargo run --release --example session_analytics
@@ -9,8 +9,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use temporal_ir::core::prelude::*;
-use temporal_ir::core::{temporal_common_elements_join, CompressedTif, RankedQuery, RankedTif};
-use temporal_ir::hint::{AllenRelation, DivisionOrder, Hint, HintConfig, IntervalRecord};
+use temporal_ir::core::{CompressedTif, RankedQuery, RankedTif};
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(2024);
@@ -27,51 +26,6 @@ fn main() {
         sessions.push(Object::new(id, st, st + len, topics));
     }
     let coll = Collection::new(sessions);
-
-    // ----- Allen analytics on the interval substrate -------------------
-    // "Which sessions ran entirely within the Tuesday maintenance window,
-    //  which ones were cut exactly at its start?"
-    let records: Vec<IntervalRecord> = coll
-        .objects()
-        .iter()
-        .map(|o| IntervalRecord {
-            id: o.id,
-            st: o.interval.st,
-            end: o.interval.end,
-        })
-        .collect();
-    let hint = Hint::build(
-        &records,
-        HintConfig {
-            m: Some(8),
-            order: DivisionOrder::Beneficial,
-            storage_opt: false,
-        },
-    );
-    let window = (2 * 24 * 60u64, 2 * 24 * 60 + 180); // Tuesday, 3h
-    let during = hint.allen_query(AllenRelation::During, window.0, window.1);
-    let meets = hint.allen_query(AllenRelation::Meets, window.0, window.1);
-    let overlaps = hint.allen_query(AllenRelation::Overlaps, window.0, window.1);
-    println!(
-        "maintenance window: {} sessions fully inside, {} ended exactly at its start, {} ran into it",
-        during.len(),
-        meets.len(),
-        overlaps.len()
-    );
-
-    // ----- Temporal join ------------------------------------------------
-    // "Concurrent session pairs sharing >= 2 topics" (self-join on a
-    // thinned sample to keep the demo quick).
-    let sample = Collection::new(
-        coll.objects()
-            .iter()
-            .take(2_000)
-            .cloned()
-            .collect::<Vec<_>>(),
-    );
-    let pairs = temporal_common_elements_join(&sample, &sample, 2);
-    let off_diagonal = pairs.iter().filter(|p| p.left != p.right).count();
-    println!("concurrent pairs sharing >=2 topics (2K-session sample): {off_diagonal}");
 
     // ----- Relevance ranking --------------------------------------------
     // "Most relevant sessions about topics {3, 17, 42} on Wednesday" —
