@@ -8,7 +8,7 @@ use tir_core::{
     IMPACT_STRIDE,
 };
 use tir_hint::{DivisionKind, Hint};
-use tir_invidx::{live, raw};
+use tir_invidx::{live, raw, ElemBitmaps};
 
 /// Validates one time-aware postings list (parallel arrays sorted by raw
 /// object id, proper intervals). Returns the live-entry count.
@@ -72,6 +72,72 @@ fn check_freqs(
                 &format!("{prefix}/elem{e}"),
                 format!("{count} {what}, planner tracks freq {}", freq(e)),
             );
+        }
+    }
+}
+
+/// What an irHINT's dense-element bitmaps must hold, recomputed from the
+/// divisions alone: for every element that has a bitmap, one bit per live
+/// posting in an *original* division — plus the largest id any posting
+/// carries, which the bitmaps' universe must cover.
+struct BitmapAudit {
+    members: BTreeMap<u32, Vec<u64>>,
+    max_id: Option<u32>,
+}
+
+impl BitmapAudit {
+    fn new(bitmaps: &ElemBitmaps) -> Self {
+        BitmapAudit {
+            members: bitmaps.iter().map(|(e, _, _)| (e, Vec::new())).collect(),
+            max_id: None,
+        }
+    }
+
+    /// Records the postings one division stores for element `e`.
+    fn list(&mut self, e: u32, ids: &[u32], original: bool) {
+        self.max_id = self.max_id.max(ids.iter().map(|&id| raw(id)).max());
+        let Some(words) = self.members.get_mut(&e).filter(|_| original) else {
+            return;
+        };
+        for id in ids.iter().filter(|&&id| live(id)).map(|&id| raw(id)) {
+            let w = id as usize / 64;
+            if w >= words.len() {
+                words.resize(w + 1, 0);
+            }
+            words[w] |= 1 << (id % 64);
+        }
+    }
+
+    /// Reports every disagreement between the bitmaps and the postings.
+    fn finish(self, prefix: &str, bitmaps: &ElemBitmaps, out: &mut Vec<Violation>) {
+        nest(prefix, bitmaps.validate(), out);
+        if let Some(id) = self.max_id.filter(|&id| id >= bitmaps.universe()) {
+            fail(
+                out,
+                &format!("{prefix}/bitmaps"),
+                format!(
+                    "universe {} does not cover stored id {id}",
+                    bitmaps.universe()
+                ),
+            );
+        }
+        let word = |words: &[u64], w: usize| words.get(w).copied().unwrap_or(0);
+        for (e, _, got) in bitmaps.iter() {
+            let want = &self.members[&e];
+            let differs = (0..got.len().max(want.len())).find(|&w| word(got, w) != word(want, w));
+            if let Some(w) = differs {
+                let bit = (word(got, w) ^ word(want, w)).trailing_zeros();
+                let (has, lacks) = if word(got, w) >> bit & 1 == 1 {
+                    ("its bit set", "no live original posting")
+                } else {
+                    ("a live original posting", "no bit")
+                };
+                fail(
+                    out,
+                    &format!("{prefix}/bitmaps/elem{e}"),
+                    format!("id {} has {has} but {lacks}", w * 64 + bit as usize),
+                );
+            }
         }
     }
 }
@@ -409,6 +475,7 @@ impl Validate for IrHintPerf {
         let mut out = Vec::new();
         let domain = self.domain();
         let mut orig_live: BTreeMap<u32, usize> = BTreeMap::new();
+        let mut audit = BitmapAudit::new(self.bitmaps());
         self.for_each_division(|level, j, kind, div| {
             let prefix = format!("irhint_perf/level{level}/partition{j}/{}", kind.label());
             let nested = div.validate();
@@ -472,8 +539,10 @@ impl Validate for IrHintPerf {
                         *orig_live.entry(e).or_insert(0) += 1;
                     }
                 }
+                audit.list(e, &div.all_ids()[from..to], original);
             }
         });
+        audit.finish("irhint_perf", self.bitmaps(), &mut out);
         check_freqs(
             "irhint_perf",
             "live original postings across divisions",
@@ -504,6 +573,7 @@ impl Validate for IrHintSize {
         });
 
         let mut orig_live: BTreeMap<u32, usize> = BTreeMap::new();
+        let mut audit = BitmapAudit::new(self.bitmaps());
         self.for_each_division_index(|level, j, kind, inv| {
             let prefix = format!("irhint_size/level{level}/partition{j}/{}", kind.label());
             let nested = inv.validate();
@@ -516,6 +586,7 @@ impl Validate for IrHintSize {
             let offsets = inv.offsets();
             for (ei, &e) in inv.elements().iter().enumerate() {
                 let (from, to) = (offsets[ei] as usize, offsets[ei + 1] as usize);
+                audit.list(e, &inv.all_ids()[from..to], !kind.is_replica());
                 for p in from..to {
                     let id = inv.all_ids()[p];
                     if !live(id) {
@@ -537,6 +608,7 @@ impl Validate for IrHintSize {
                 }
             }
         });
+        audit.finish("irhint_size", self.bitmaps(), &mut out);
         check_freqs(
             "irhint_size",
             "live original postings across divisions",

@@ -3,8 +3,8 @@
 use crate::{fail, Validate, Violation};
 use tir_invidx::compress::BLOCK_LEN;
 use tir_invidx::{
-    live, raw, BlockPostings, CompressedTemporalPostings, Dictionary, FlatInverted, HybridPostings,
-    PlanStats, PostingContainer,
+    live, raw, BlockPostings, CompressedTemporalPostings, Dictionary, ElemBitmaps, FlatInverted,
+    HybridPostings, PlanStats, PostingContainer, ELEM_BITMAP_DEN,
 };
 
 impl Validate for Dictionary {
@@ -153,6 +153,55 @@ impl<const W: usize> Validate for FlatInverted<W> {
             &mut out,
             |_, _| {},
         );
+        out
+    }
+}
+
+/// The sidecar on its own: a strictly ascending directory, cached counts
+/// that are the popcounts, no bit at or past the universe, and no bitmap
+/// kept for an element more than twice as sparse as the density rule asks.
+/// That the bits are the *right* ones is the owning index's validator's job.
+impl Validate for ElemBitmaps {
+    fn validate(&self) -> Vec<Violation> {
+        let mut out = Vec::new();
+        let universe = u64::from(self.universe());
+        let mut prev = None;
+        for (e, count, words) in self.iter() {
+            let path = format!("bitmaps/elem{e}");
+            if prev >= Some(e) {
+                fail(&mut out, &path, "directory not strictly ascending".into());
+            }
+            prev = Some(e);
+            let popcount: u64 = words.iter().map(|w| u64::from(w.count_ones())).sum();
+            if popcount != u64::from(count) {
+                fail(
+                    &mut out,
+                    &path,
+                    format!("cached count {count}, popcount {popcount}"),
+                );
+            }
+            let past = (0..words.len() as u64 * 64)
+                .rev()
+                .take_while(|&id| id >= universe)
+                .any(|id| words[(id / 64) as usize] >> (id % 64) & 1 == 1);
+            if past {
+                fail(
+                    &mut out,
+                    &path,
+                    format!("bit set at or past the universe {universe}"),
+                );
+            }
+            if popcount * 2 * u64::from(ELEM_BITMAP_DEN) < universe {
+                fail(
+                    &mut out,
+                    &path,
+                    format!(
+                        "kept at {popcount} of universe {universe}: sparser than 1/{}                          should have no bitmap",
+                        2 * ELEM_BITMAP_DEN
+                    ),
+                );
+            }
+        }
         out
     }
 }

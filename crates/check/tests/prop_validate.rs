@@ -127,6 +127,23 @@ proptest! {
         idx.testing_corrupt();
         let v = idx.validate();
         prop_assert!(!v.is_empty(), "corrupted offsets went unnoticed");
+        // One flipped bit in a dense-element bitmap: the divisions are
+        // sound, the sidecar no longer says what they say. Element 0 is
+        // given to every object, so it is dense and has a bitmap.
+        let with_0 = |o: &Object| {
+            let desc = o.desc.iter().copied().chain([0]).collect();
+            Object::new(o.id, o.interval.st, o.interval.end, desc)
+        };
+        let coll = Collection::new(coll.objects().iter().map(with_0).collect());
+        let mut perf = IrHintPerf::build_with_m(&coll, m);
+        let mut size = IrHintSize::build_with_m(&coll, m);
+        prop_assert!(perf.testing_corrupt_bitmap() && size.testing_corrupt_bitmap());
+        for v in [perf.validate(), size.validate()] {
+            prop_assert!(
+                v.iter().any(|v| v.path.contains("/bitmaps/")),
+                "flipped bitmap bit went unnoticed: {:?}", v
+            );
+        }
     }
 
     #[test]

@@ -400,16 +400,18 @@ fn chosen_kernel(stats: &PlanStats) -> &'static str {
 /// over a candidate-density × postings-density grid (synthetic ids, no
 /// corpus needed) and write per-cell ns/element to `PATH`.
 ///
-/// Seven timings per cell: the raw scalar `merge` and `gallop` array
-/// kernels, their dispatched vector counterparts `simd-merge` and
-/// `simd-gallop` (which fall back to scalar below `SIMD_MIN_LEN` or
-/// without CPU support — the `TIR_SIMD` env var caps dispatch), `blocks`
-/// (stream-vbyte block decode + merge with skip bounds), and two
-/// `planner:*` rows — a [`QueryScratch::intersect`] against a
-/// [`PostingContainer`] built from the Bernoulli sample and one built
-/// from a clustered run-shaped sample, each labeled with whichever
-/// kernel the cost model picked. CI runs this as a smoke test; the JSON
-/// makes kernel-mix regressions diffable.
+/// Nine timings per cell: the raw scalar `merge`, `gallop` and
+/// `gallop-rev` array kernels, the dispatched vector counterparts
+/// `simd-merge` and `simd-gallop` (which fall back to scalar below
+/// `SIMD_MIN_LEN` or without CPU support — the `TIR_SIMD` env var caps
+/// dispatch), `blocks` (stream-vbyte block decode + merge with skip
+/// bounds), and three planner rows — a [`QueryScratch::intersect`] against
+/// a [`PostingContainer`] built from the Bernoulli sample, one built from
+/// a clustered run-shaped sample (`planner:*`), and the Bernoulli sample
+/// as the present-only words irHINT's dense-element bitmaps hand the
+/// planner (`planner:bits-*`), each labeled with whichever kernel the cost
+/// model picked. CI runs this as a smoke test; the JSON makes kernel-mix
+/// regressions diffable.
 fn cmd_bench_kernels(opts: &Opts, json_path: &str) -> Result<(), String> {
     use tir_invidx::{
         intersect_gallop_into, intersect_merge_into, BlockPostings, ContainerConfig,
@@ -437,6 +439,10 @@ fn cmd_bench_kernels(opts: &Opts, json_path: &str) -> Result<(), String> {
             let run_container =
                 PostingContainer::from_sorted(&clustered, universe, ContainerConfig::default());
             let blocks = BlockPostings::encode(&postings);
+            let mut words = vec![0u64; (universe as usize).div_ceil(64)];
+            for &id in &postings {
+                words[id as usize / 64] |= 1 << (id % 64);
+            }
             let work = (cands.len() + postings.len()).max(1);
             let cell_reps = if reps > 0 {
                 reps
@@ -509,19 +515,30 @@ fn cmd_bench_kernels(opts: &Opts, json_path: &str) -> Result<(), String> {
                     n_post,
                 ),
             ];
-            for (container, n_post) in [
-                (&container, postings.len()),
-                (&run_container, clustered.len()),
+            use tir_invidx::Postings;
+            for (label, side, n_post) in [
+                ("planner:", Postings::Container(&container), postings.len()),
+                (
+                    "planner:",
+                    Postings::Container(&run_container),
+                    clustered.len(),
+                ),
+                ("planner:bits-", Postings::Bits(&words), postings.len()),
             ] {
                 let ns_call = time(&mut |o| {
                     scratch.reset();
                     scratch.cands.extend_from_slice(&cands);
-                    scratch.intersect(tir_invidx::Postings::Container(container));
+                    scratch.intersect(side);
                     scratch.take_into(o);
                 });
                 let stats = scratch.last_stats();
+                let mut kernel = chosen_kernel(&stats);
+                if label == "planner:bits-" {
+                    // `planner:bits-probe` or `planner:bits-word-and`.
+                    kernel = kernel.trim_start_matches("bitmap-");
+                }
                 measured.push((
-                    format!("planner:{}", chosen_kernel(&stats)),
+                    format!("{label}{kernel}"),
                     ns_call,
                     stats.scanned.max(1),
                     n_post as u64,

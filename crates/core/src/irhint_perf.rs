@@ -3,16 +3,19 @@
 //! inverted file* of its objects. Queries traverse the hierarchy bottom-up
 //! and run a condition-specialized `QueryTemporalIF` in each relevant
 //! division; HINT's duplicate avoidance makes the per-division outputs
-//! disjoint.
+//! disjoint. Beside the hierarchy sits one index-wide membership bitmap per
+//! dense element ([`ElemBitmaps`]): a non-seed query term that has one is
+//! an O(1) probe per candidate instead of a search through every relevant
+//! division's list.
 
 use crate::collection::Collection;
 use crate::freq::FreqTable;
 use crate::index_trait::TemporalIrIndex;
 use crate::method::Method;
-use crate::types::{ElemId, Object, ObjectId, TimeTravelQuery, Timestamp};
+use crate::types::{ElemId, Interval, Object, ObjectId, TimeTravelQuery};
 use tir_hint::{CheckMode, DivisionKind, Domain, Hierarchy};
 use tir_invidx::planner::{Kernel, Postings, QueryScratch};
-use tir_invidx::CompactTemporalInverted;
+use tir_invidx::{CompactTemporalInverted, ElemBitmaps, FlatInverted};
 
 /// The performance-focused irHINT index.
 #[derive(Debug, Clone)]
@@ -20,6 +23,45 @@ pub struct IrHintPerf {
     /// One temporal inverted file per division.
     tree: Hierarchy<CompactTemporalInverted>,
     freqs: FreqTable,
+    /// Accelerator only: every bit is derivable from `tree`'s live
+    /// original postings, and answers are the same without it.
+    bitmaps: ElemBitmaps,
+}
+
+/// Gives a bitmap to each of `elems` that the density rule now admits and
+/// that has none, filled from the live postings of the original divisions
+/// (an object is an original in exactly one division). One pass over the
+/// hierarchy however many elements are promoted, none if none is.
+pub(crate) fn promote_dense<const W: usize>(
+    bitmaps: &mut ElemBitmaps,
+    tree: &Hierarchy<FlatInverted<W>>,
+    freqs: &FreqTable,
+    elems: impl IntoIterator<Item = ElemId>,
+) {
+    let mut fresh: Vec<ElemId> = elems
+        .into_iter()
+        .filter(|&e| bitmaps.qualifies(freqs.get(e)) && bitmaps.bitmap(e).is_none())
+        .collect();
+    if fresh.is_empty() {
+        return;
+    }
+    fresh.sort_unstable();
+    fresh.dedup();
+    for &e in &fresh {
+        bitmaps.promote(e);
+    }
+    tree.for_each_division(|div, _level, _j, kind| {
+        if !kind.is_replica() && !div.is_empty() {
+            for &e in &fresh {
+                bitmaps.fill_from_postings(e, div.postings(e).ids);
+            }
+        }
+    });
+}
+
+/// The id universe of a collection: its largest object id plus one.
+pub(crate) fn universe_of(coll: &Collection) -> u32 {
+    coll.objects().last().map_or(0, |o| o.id + 1)
 }
 
 impl IrHintPerf {
@@ -43,8 +85,11 @@ impl IrHintPerf {
         let mut index = IrHintPerf {
             tree: Hierarchy::new(Domain::new(d.st, d.end, m)),
             freqs: FreqTable::from_counts(coll.freqs()),
+            bitmaps: ElemBitmaps::with_universe(universe_of(coll)),
         };
         index.place_batch(coll.objects());
+        let dict = (0..).take(coll.dict_size());
+        promote_dense(&mut index.bitmaps, &index.tree, &index.freqs, dict);
         index
     }
 
@@ -97,6 +142,18 @@ impl IrHintPerf {
             .for_each_division(|div, level, j, kind| f(level, j, kind, div));
     }
 
+    /// The dense-element bitmaps (introspection for validators).
+    pub fn bitmaps(&self) -> &ElemBitmaps {
+        &self.bitmaps
+    }
+
+    /// Drops every dense-element bitmap. Answers do not change: queries
+    /// search the divisions' own lists until an `insert_batch` promotes
+    /// again.
+    pub fn drop_bitmaps(&mut self) {
+        self.bitmaps.drop_all();
+    }
+
     /// Deliberately breaks the parallel-array invariant of the first
     /// non-empty division — used by `tir-check`'s property tests to prove
     /// the validator notices.
@@ -106,16 +163,26 @@ impl IrHintPerf {
             div.testing_corrupt_parallel();
         }
     }
+
+    /// Flips one bit of the first dense-element bitmap (false if there is
+    /// none) — the bitmap then disagrees with the postings, which
+    /// `tir-check` must report.
+    #[cfg(feature = "testing")]
+    pub fn testing_corrupt_bitmap(&mut self) -> bool {
+        self.bitmaps.testing_flip_bit()
+    }
 }
 
 /// `QueryTemporalIF` (Algorithm 5): Algorithm 1 on one division's tIF
-/// with the temporal comparisons reduced to `mode`.
+/// with the temporal comparisons reduced to `mode`, and with the
+/// index-wide bitmap standing in for the division's list wherever a
+/// non-seed element has one.
 fn query_temporal_if(
     div: &CompactTemporalInverted,
+    bitmaps: &ElemBitmaps,
     plan: &[ElemId],
     mode: CheckMode,
-    q_st: Timestamp,
-    q_end: Timestamp,
+    q: Interval,
     scratch: &mut QueryScratch,
     out: &mut Vec<ObjectId>,
 ) {
@@ -129,17 +196,20 @@ fn query_temporal_if(
         return;
     }
     scratch.cands.clear();
-    mode.for_each_admitted(p.ids, p.sts, p.ends, q_st, q_end, |id| {
-        scratch.cands.push(id)
-    });
+    mode.admit_into(p.ids, p.sts, p.ends, q.st, q.end, &mut scratch.cands);
     scratch.note(Kernel::Merge, p.ids.len() as u64);
     for &e in rest {
-        if scratch.cands.is_empty() {
-            return;
+        if scratch.is_empty() {
+            break;
         }
-        scratch.intersect(Postings::Ids(div.postings(e).ids));
+        scratch.intersect(match bitmaps.bitmap(e) {
+            Some(words) => Postings::Bits(words),
+            None => Postings::Ids(div.postings(e).ids),
+        });
     }
-    out.append(&mut scratch.cands);
+    // Dense candidates against a bitmap leave the planner in bitmap form;
+    // the next division must find it empty and in array form again.
+    scratch.drain_into(out);
 }
 
 impl TemporalIrIndex for IrHintPerf {
@@ -156,11 +226,11 @@ impl TemporalIrIndex for IrHintPerf {
         // The plan is borrowed across the division visits while the
         // scratch is mutated, so move it out and restore it after.
         let plan = std::mem::take(&mut scratch.plan);
-        let (q_st, q_end) = (q.interval.st, q.interval.end);
+        let span = q.interval;
         self.tree
-            .for_each_relevant(q_st, q_end, |div, _level, _j, _kind, mode| {
+            .for_each_relevant(span.st, span.end, |div, _level, _j, _kind, mode| {
                 if !div.is_empty() {
-                    query_temporal_if(div, &plan, mode, q_st, q_end, scratch, out);
+                    query_temporal_if(div, &self.bitmaps, &plan, mode, span, scratch, out);
                 }
             });
         scratch.plan = plan;
@@ -177,6 +247,7 @@ impl TemporalIrIndex for IrHintPerf {
         for &e in &o.desc {
             self.freqs.bump(e);
         }
+        self.bitmaps.add_object(o.id, &o.desc);
     }
 
     fn delete(&mut self, o: &Object) -> bool {
@@ -193,19 +264,27 @@ impl TemporalIrIndex for IrHintPerf {
             for &e in &o.desc {
                 self.freqs.drop_one(e);
             }
+            self.bitmaps.remove_object(o.id, &o.desc);
         }
         any
     }
 
     fn size_bytes(&self) -> usize {
-        self.tree.size_bytes(CompactTemporalInverted::size_bytes) + self.freqs.size_bytes()
+        self.tree.size_bytes(CompactTemporalInverted::size_bytes)
+            + self.freqs.size_bytes()
+            + self.bitmaps.size_bytes()
     }
 
     fn insert_batch(&mut self, batch: &[Object]) {
         self.place_batch(batch);
-        for e in batch.iter().flat_map(|o| &o.desc) {
-            self.freqs.bump(*e);
+        for o in batch {
+            for &e in &o.desc {
+                self.freqs.bump(e);
+            }
+            self.bitmaps.add_object(o.id, &o.desc);
         }
+        let elems = batch.iter().flat_map(|o| o.desc.iter().copied());
+        promote_dense(&mut self.bitmaps, &self.tree, &self.freqs, elems);
     }
 }
 

@@ -3,16 +3,20 @@
 //! store of HINT (with all its optimizations, beneficial sorting included)
 //! and a traditional inverted index holding only object ids. The temporal
 //! information is stored once per division entry, shrinking the index at
-//! the cost of probing two structures per division (Algorithm 6).
+//! the cost of probing two structures per division (Algorithm 6). As in the
+//! performance variant, dense elements also get one index-wide membership
+//! bitmap ([`ElemBitmaps`]) that a division's candidates are probed against
+//! before they are sorted for the sparse elements' lists.
 
 use crate::collection::Collection;
 use crate::freq::FreqTable;
 use crate::index_trait::TemporalIrIndex;
+use crate::irhint_perf::{promote_dense, universe_of};
 use crate::method::Method;
 use crate::types::{Object, ObjectId, TimeTravelQuery};
 use tir_hint::{DivisionKind, Hierarchy, Hint, HintConfig, IntervalRecord};
 use tir_invidx::planner::{Kernel, Postings, QueryScratch};
-use tir_invidx::CompactInverted;
+use tir_invidx::{CompactInverted, ElemBitmaps};
 
 /// The size-focused irHINT index.
 #[derive(Debug, Clone)]
@@ -24,6 +28,9 @@ pub struct IrHintSize {
     /// of the other.
     inv: Hierarchy<CompactInverted>,
     freqs: FreqTable,
+    /// Accelerator only: every bit is derivable from `inv`'s live original
+    /// postings, and answers are the same without it.
+    bitmaps: ElemBitmaps,
 }
 
 /// IR-aware choice of the number of HINT levels for composite indexes:
@@ -62,8 +69,11 @@ impl IrHintSize {
             inv: Hierarchy::new(hint.domain()),
             hint,
             freqs: FreqTable::from_counts(coll.freqs()),
+            bitmaps: ElemBitmaps::with_universe(universe_of(coll)),
         };
         index.place_batch(coll.objects());
+        let dict = (0..).take(coll.dict_size());
+        promote_dense(&mut index.bitmaps, &index.inv, &index.freqs, dict);
         index
     }
 
@@ -115,6 +125,18 @@ impl IrHintSize {
             .for_each_division(|inv, level, j, kind| f(level, j, kind, inv));
     }
 
+    /// The dense-element bitmaps (introspection for validators).
+    pub fn bitmaps(&self) -> &ElemBitmaps {
+        &self.bitmaps
+    }
+
+    /// Drops every dense-element bitmap. Answers do not change: queries
+    /// search the divisions' own lists until an `insert_batch` promotes
+    /// again.
+    pub fn drop_bitmaps(&mut self) {
+        self.bitmaps.drop_all();
+    }
+
     /// Deliberately breaks the offset invariant of the first non-empty
     /// division index — used by `tir-check`'s property tests to prove the
     /// validator notices.
@@ -123,6 +145,14 @@ impl IrHintSize {
         if let Some((inv, _)) = self.inv.divisions_mut().find(|(d, _)| !d.is_empty()) {
             inv.testing_corrupt_offsets();
         }
+    }
+
+    /// Flips one bit of the first dense-element bitmap (false if there is
+    /// none) — the bitmap then disagrees with the postings, which
+    /// `tir-check` must report.
+    #[cfg(feature = "testing")]
+    pub fn testing_corrupt_bitmap(&mut self) -> bool {
+        self.bitmaps.testing_flip_bit()
     }
 }
 
@@ -142,32 +172,45 @@ impl TemporalIrIndex for IrHintSize {
         let plan = std::mem::take(&mut scratch.plan);
         let (q_st, q_end) = (q.interval.st, q.interval.end);
         self.hint.visit_relevant(q_st, q_end, |view, mode| {
+            // A division with no inverted index holds no posting, so it
+            // contributes nothing — and costs a lookup, not a scan.
+            let Some(inv) = self.inv.division(view.level, view.j, view.kind) else {
+                return;
+            };
             // Step 1 (range query on the interval store): collect the
             // division's temporally qualifying object ids.
             scratch.cands.clear();
-            mode.for_each_admitted(view.ids, view.sts, view.ends, q_st, q_end, |id| {
-                scratch.cands.push(id)
-            });
+            mode.admit_into(
+                view.ids,
+                view.sts,
+                view.ends,
+                q_st,
+                q_end,
+                &mut scratch.cands,
+            );
             scratch.note(Kernel::Merge, view.ids.len() as u64);
-            if scratch.cands.is_empty() {
-                return;
-            }
-            scratch.cands.sort_unstable();
             // Step 2, `QueryIF` (Algorithm 6): intersect with the postings
-            // of every query element in the division's inverted index.
-            let Some(inv) = self.inv.division(view.level, view.j, view.kind) else {
-                // No inverted index for this division: it contributes
-                // nothing, and the candidates must not leak into the next.
-                scratch.cands.clear();
-                return;
-            };
+            // of every query element. Elements with an index-wide bitmap go
+            // first: a probe needs no order, so only its survivors are
+            // sorted for the lists of the division's inverted index.
             for &e in &plan {
-                if scratch.cands.is_empty() {
-                    return;
+                if scratch.is_empty() {
+                    break;
                 }
-                scratch.intersect(Postings::Ids(inv.postings(e).ids));
+                if let Some(words) = self.bitmaps.bitmap(e) {
+                    scratch.intersect(Postings::Bits(words));
+                }
             }
-            out.append(&mut scratch.cands);
+            scratch.sort_candidates();
+            for &e in &plan {
+                if scratch.is_empty() {
+                    break;
+                }
+                if self.bitmaps.bitmap(e).is_none() {
+                    scratch.intersect(Postings::Ids(inv.postings(e).ids));
+                }
+            }
+            scratch.drain_into(out);
         });
         scratch.plan = plan;
         scratch.take_into(out);
@@ -183,6 +226,7 @@ impl TemporalIrIndex for IrHintSize {
         for &e in &o.desc {
             self.freqs.bump(e);
         }
+        self.bitmaps.add_object(o.id, &o.desc);
     }
 
     fn delete(&mut self, o: &Object) -> bool {
@@ -197,6 +241,7 @@ impl TemporalIrIndex for IrHintSize {
             for &e in &o.desc {
                 self.freqs.drop_one(e);
             }
+            self.bitmaps.remove_object(o.id, &o.desc);
         }
         found
     }
@@ -205,6 +250,7 @@ impl TemporalIrIndex for IrHintSize {
         self.hint.size_bytes()
             + self.inv.size_bytes(CompactInverted::size_bytes)
             + self.freqs.size_bytes()
+            + self.bitmaps.size_bytes()
     }
 
     fn insert_batch(&mut self, batch: &[Object]) {
@@ -215,8 +261,11 @@ impl TemporalIrIndex for IrHintSize {
             for &e in &o.desc {
                 self.freqs.bump(e);
             }
+            self.bitmaps.add_object(o.id, &o.desc);
         }
         self.place_batch(batch);
+        let elems = batch.iter().flat_map(|o| o.desc.iter().copied());
+        promote_dense(&mut self.bitmaps, &self.inv, &self.freqs, elems);
     }
 }
 
@@ -281,6 +330,60 @@ mod tests {
             size.size_bytes(),
             perf.size_bytes()
         );
+    }
+
+    /// The life of a dense-element bitmap, the same in both variants.
+    fn bitmap_lifecycle<I: TemporalIrIndex>(
+        build: fn(&Collection, u32) -> I,
+        bitmaps: fn(&I) -> &ElemBitmaps,
+    ) {
+        let ids_of = |idx: &I, e: u32| -> Option<Vec<u32>> {
+            let words = bitmaps(idx).bitmap(e)?;
+            let ids = 0..words.len() as u32 * 64;
+            Some(
+                ids.filter(|id| words[*id as usize / 64] >> (id % 64) & 1 == 1)
+                    .collect(),
+            )
+        };
+        let with =
+            |id: u32, desc: Vec<u32>| Object::new(id, u64::from(id), u64::from(id) + 9, desc);
+        // Element 0 is in every object, 1 in none, 2..7 in a fifth each.
+        let coll = Collection::new((0..64).map(|i| with(i, vec![0, 2 + i % 5])).collect());
+        let mut idx = build(&coll, 3);
+        assert_eq!(ids_of(&idx, 0), Some((0..64).collect()));
+        assert_eq!(ids_of(&idx, 1), None);
+        // Built at build; a single insert sets bits but never promotes...
+        for id in 64..80 {
+            idx.insert(&with(id, vec![0, 1]));
+        }
+        assert_eq!(ids_of(&idx, 0), Some((0..80).collect()));
+        assert_eq!(
+            ids_of(&idx, 1),
+            None,
+            "16 of 80 is dense, but promotion is lazy"
+        );
+        // ...a batch does, from the live postings (64 is deleted first)...
+        assert!(idx.delete(&with(64, vec![0, 1])));
+        idx.insert_batch(&[with(80, vec![1])]);
+        assert_eq!(ids_of(&idx, 1), Some((65..=80).collect()));
+        // ...and deletes clear bits, then demote once the element is twice
+        // too sparse: 6 of 81 ids is not (96 >= 81), 5 is.
+        for id in 65..75 {
+            assert!(idx.delete(&with(id, vec![0, 1])));
+        }
+        assert_eq!(ids_of(&idx, 1), Some((75..=80).collect()));
+        assert!(idx.delete(&with(75, vec![0, 1])));
+        assert_eq!(ids_of(&idx, 1), None);
+        let q = TimeTravelQuery::new(0, 200, vec![0, 1]);
+        let mut got = idx.query(&q);
+        got.sort_unstable();
+        assert_eq!(got, (76..80).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn bitmaps_are_promoted_lazily_and_demoted_with_hysteresis() {
+        bitmap_lifecycle(IrHintSize::build_with_m, IrHintSize::bitmaps);
+        bitmap_lifecycle(IrHintPerf::build_with_m, IrHintPerf::bitmaps);
     }
 
     #[test]

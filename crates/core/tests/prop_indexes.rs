@@ -29,6 +29,35 @@ fn arb_collection(max_objects: usize) -> impl Strategy<Value = Collection> {
     })
 }
 
+/// A skewed dictionary over a universe of a few hundred ids: elements 0..3
+/// are in about half the objects each (far above the 1/8 a dense-element
+/// bitmap asks for), elements 3..DICT + 30 in a few percent each (far below
+/// it). [`arb_query`] draws from 0..DICT + 2, so its queries mix dense and
+/// sparse terms every way: sparse seed with dense rest, all dense, all
+/// sparse, unknown.
+fn arb_skewed_collection(max_objects: usize) -> impl Strategy<Value = Collection> {
+    prop::collection::vec(
+        (
+            0..DOMAIN,
+            0..DOMAIN,
+            prop::collection::btree_set(0..3u32, 0..3),
+            prop::collection::btree_set(3..DICT + 30, 1..3),
+        ),
+        100..max_objects,
+    )
+    .prop_map(|raw| {
+        let objects = raw
+            .into_iter()
+            .enumerate()
+            .map(|(i, (a, b, dense, sparse))| {
+                let desc = dense.into_iter().chain(sparse).collect();
+                Object::new(i as u32, a.min(b), a.max(b), desc)
+            })
+            .collect();
+        Collection::new(objects)
+    })
+}
+
 fn arb_query() -> impl Strategy<Value = TimeTravelQuery> {
     (
         0..DOMAIN + 100,
@@ -110,24 +139,37 @@ proptest! {
 
     #[test]
     fn every_index_survives_update_sequences(
-        coll in arb_collection(40),
+        (skewed, plain_coll, skewed_coll) in
+            (any::<bool>(), arb_collection(40), arb_skewed_collection(240)),
         extra in prop::collection::vec(
             (0..DOMAIN, 0..DOMAIN, prop::collection::btree_set(0..DICT, 1..4)),
             0..15,
         ),
         delete_every in 2usize..5,
         batch_len in 1usize..5,
+        // From insert `jump_at` on, ids jump past the universe: not at all
+        // (the dense-element bitmaps grow word by word), by a few hundred
+        // (they stretch), or by thousands (every element is left too sparse
+        // for one).
+        (jump_at, jump_scale, jump_by) in (0usize..8, 0u32..3, 1u32..5),
         queries in prop::collection::vec(arb_query(), 1..8),
     ) {
+        let coll = if skewed { skewed_coll } else { plain_coll };
+        let jump = [0, 100, 2000][jump_scale as usize] * jump_by;
         let mut oracle = BruteForce::build(coll.objects());
         let mut indexes = all_indexes(&coll);
+        // The two irHINTs once more as themselves, so the state the
+        // sequence leaves can be queried with its bitmaps dropped.
+        let mut perf = IrHintPerf::build_with_m(&coll, 6);
+        let mut size = IrHintSize::build_with_m(&coll, 6);
         // Interleave inserts (fresh ids) and deletes of existing objects;
         // every other chunk of `batch_len` inserts goes through
         // `insert_batch` (the per-division merge path), the rest one by one.
         let base = coll.len() as u32;
         let mut pending: Vec<Object> = Vec::new();
         for (i, (a, b, desc)) in extra.iter().enumerate() {
-            let o = Object::new(base + i as u32, *a.min(b), *a.max(b), desc.iter().copied().collect());
+            let id = base + i as u32 + if i >= jump_at { jump } else { 0 };
+            let o = Object::new(id, *a.min(b), *a.max(b), desc.iter().copied().collect());
             oracle.insert(&o);
             if (i / batch_len) % 2 == 0 {
                 pending.push(o);
@@ -136,6 +178,10 @@ proptest! {
                     idx.insert_batch(&pending);
                     idx.insert(&o);
                 }
+                perf.insert_batch(&pending);
+                perf.insert(&o);
+                size.insert_batch(&pending);
+                size.insert(&o);
                 pending.clear();
             }
             if i % delete_every == 0 {
@@ -144,11 +190,26 @@ proptest! {
                 for idx in indexes.iter_mut() {
                     prop_assert_eq!(idx.delete(victim), expect, "{} delete disagrees", idx.name());
                 }
+                prop_assert_eq!(perf.delete(victim), expect);
+                prop_assert_eq!(size.delete(victim), expect);
             }
         }
         for idx in indexes.iter_mut() {
             idx.insert_batch(&pending);
         }
+        perf.insert_batch(&pending);
+        size.insert_batch(&pending);
+        // Accelerator only: the bitmaps change no answer, present or dropped.
+        let mut bare_perf = perf.clone();
+        let mut bare_size = size.clone();
+        bare_perf.drop_bitmaps();
+        bare_size.drop_bitmaps();
+        indexes.extend::<[Box<dyn TemporalIrIndex>; 4]>([
+            Box::new(perf),
+            Box::new(size),
+            Box::new(bare_perf),
+            Box::new(bare_size),
+        ]);
         for idx in &indexes {
             for q in &queries {
                 check(idx.as_ref(), &oracle, q)?;

@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use tir_hint::{
-    brute_force_overlap, DivisionOrder, Domain, Grid1D, Hierarchy, Hint, HintConfig,
-    IntervalRecord, IntervalTree,
+    brute_force_overlap, CheckMode, DivisionOrder, Domain, Grid1D, Hierarchy, Hint, HintConfig,
+    IntervalRecord, IntervalTree, TOMBSTONE,
 };
 
 fn arb_records(max_len: usize, domain: u64) -> impl Strategy<Value = Vec<IntervalRecord>> {
@@ -88,13 +88,51 @@ proptest! {
                 let ids: Vec<u32> = d.iter().map(|e| e.0).collect();
                 let sts: Vec<u64> = d.iter().map(|e| e.1).collect();
                 let ends: Vec<u64> = d.iter().map(|e| e.2).collect();
-                mode.for_each_admitted(&ids, &sts, &ends, qs, qe, |id| got.push(id));
+                mode.admit_into(&ids, &sts, &ends, qs, qe, &mut got);
             });
             let n = got.len();
             got.sort_unstable();
             got.dedup();
             prop_assert_eq!(n, got.len(), "duplicates");
             prop_assert_eq!(got, brute_force_overlap(&recs, qs, qe));
+        }
+    }
+
+    /// Both forms of the endpoint predicate — the compaction after whatever
+    /// the buffer already held, and the per-id visitor — admit exactly what
+    /// each mode's predicate admits, in column order, tombstones excluded,
+    /// and never read a column the mode does not need, so callers whose
+    /// store elides it (or has none: the id-only `W = 0` postings) pass an
+    /// empty slice.
+    #[test]
+    fn admission_matches_the_four_predicates(
+        column in prop::collection::vec((0u32..1000, any::<bool>(), 0u64..100, 0u64..100), 0..200),
+        (qs, qe) in arb_query(100),
+        held in prop::collection::vec(any::<u32>(), 0..4),
+    ) {
+        let ids: Vec<u32> = column.iter().map(|&(id, dead, _, _)| if dead { id | TOMBSTONE } else { id }).collect();
+        let sts: Vec<u64> = column.iter().map(|c| c.2).collect();
+        let ends: Vec<u64> = column.iter().map(|c| c.3).collect();
+        type Predicate = fn(u64, u64, u64, u64) -> bool;
+        let modes: [(CheckMode, &[u64], &[u64], Predicate); 4] = [
+            (CheckMode::None, &[], &[], |_, _, _, _| true),
+            (CheckMode::Start, &sts, &[], |st, _, _, qe| st <= qe),
+            (CheckMode::End, &[], &ends, |_, end, qs, _| end >= qs),
+            (CheckMode::Both, &sts, &ends, |st, end, qs, qe| st <= qe && end >= qs),
+        ];
+        for (mode, sts_col, ends_col, admits) in modes {
+            let mut want = held.clone();
+            want.extend(
+                (0..ids.len())
+                    .filter(|&i| ids[i] & TOMBSTONE == 0 && admits(sts[i], ends[i], qs, qe))
+                    .map(|i| ids[i]),
+            );
+            let mut got = held.clone();
+            mode.admit_into(&ids, sts_col, ends_col, qs, qe, &mut got);
+            prop_assert_eq!(&got, &want, "{:?}", mode);
+            let mut got = held.clone();
+            mode.for_each_admitted(&ids, sts_col, ends_col, qs, qe, |id| got.push(id));
+            prop_assert_eq!(&got, &want, "{:?}", mode);
         }
     }
 

@@ -16,6 +16,8 @@
 //!   by density and run structure at build/compaction time;
 //! * [`planner`] — the cost-based conjunction planner and reusable
 //!   [`QueryScratch`] arena with per-query kernel counters;
+//! * [`ElemBitmaps`] — global membership bitmaps for an index's few dense
+//!   elements, an accelerator beside per-division postings;
 //! * [`compress`] — stream-vbyte [`BlockPostings`] with per-block skip
 //!   bounds and delta/varint temporal postings (the paper's compression
 //!   future-work direction).
@@ -30,6 +32,7 @@ pub mod compact;
 pub mod compress;
 pub mod container;
 pub mod dict;
+pub mod elem_bitmaps;
 pub mod kernels;
 pub mod planner;
 pub mod simd;
@@ -38,6 +41,7 @@ pub use compact::{CompactInverted, CompactTemporalInverted, FlatInverted, Tempor
 pub use compress::{BlockPostings, CompressedTemporalPostings};
 pub use container::{ContainerConfig, DenseBits, HybridPostings, PostingContainer, RunSet};
 pub use dict::Dictionary;
+pub use elem_bitmaps::{ElemBitmaps, ELEM_BITMAP_DEN};
 pub use kernels::{
     intersect_adaptive_into, intersect_gallop_into, intersect_gallop_rev_into,
     intersect_merge_into, live, mark_hits, mark_hits_gallop, mark_hits_gallop_rev, raw, TOMBSTONE,

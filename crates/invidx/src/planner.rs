@@ -7,7 +7,9 @@
 //!
 //! * sorted array vs sorted array → **merge** or **gallop**, picked by the
 //!   size ratio ([`crate::kernels::GALLOP_RATIO`]);
-//! * anything vs a dense bitmap container → **bitmap-probe** (O(1)
+//! * anything vs a bitmap (a dense container, or the present-only
+//!   [`Postings::Bits`] view of an index-wide
+//!   [`crate::ElemBitmaps`] entry) → **bitmap-probe** (O(1)
 //!   membership per candidate), or **word-AND** when the candidate set is
 //!   itself dense enough to be worth materializing as a bitmap, after
 //!   which consecutive dense steps AND whole 64-bit words;
@@ -23,7 +25,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::compress::BlockPostings;
-use crate::container::{DenseBits, PostingContainer, RunSet};
+use crate::container::{PostingContainer, RunSet};
 use crate::kernels::{live, mark_hits, raw, GALLOP_RATIO};
 use crate::simd;
 
@@ -280,6 +282,11 @@ pub enum Postings<'a> {
     /// Stream-vbyte block-compressed postings, decoded (and skipped)
     /// block-at-a-time.
     Blocks(&'a BlockPostings),
+    /// A present-only bitmap: bit `id % 64` of word `id / 64` is set iff
+    /// `id` is a live member, ids past the slice are absent — the
+    /// [`crate::ElemBitmaps`] view. Candidates need not be sorted for this
+    /// operand.
+    Bits(&'a [u64]),
 }
 
 /// The candidate set becomes worth materializing as a bitmap once it
@@ -425,9 +432,31 @@ impl QueryScratch {
         match side {
             Postings::Ids(ids) => self.intersect_ids(ids),
             Postings::Container(PostingContainer::Sparse { ids, .. }) => self.intersect_ids(ids),
-            Postings::Container(PostingContainer::Dense(d)) => self.intersect_dense(d),
+            Postings::Container(PostingContainer::Dense(d)) => self.intersect_bitmap(
+                d.universe() as usize,
+                d.present_words().len(),
+                |c| d.contains_live(c),
+                |dst| simd::and_words(dst, d.present_words(), d.deleted_words()),
+            ),
             Postings::Container(PostingContainer::Runs(r)) => self.intersect_runs(r),
             Postings::Blocks(bp) => self.intersect_blocks(bp),
+            Postings::Bits(words) => self.intersect_bitmap(
+                words.len() * 64,
+                words.len(),
+                |c| {
+                    words
+                        .get(c as usize / 64)
+                        .is_some_and(|w| (w >> (c % 64)) & 1 == 1)
+                },
+                |dst| {
+                    let mut count = 0u64;
+                    for (d, &w) in dst.iter_mut().zip(words) {
+                        *d &= w;
+                        count += u64::from(d.count_ones());
+                    }
+                    count
+                },
+            ),
         }
     }
 
@@ -471,17 +500,23 @@ impl QueryScratch {
         std::mem::swap(&mut self.cands, &mut self.next);
     }
 
-    fn intersect_dense(&mut self, d: &DenseBits) {
-        let words = d.present_words();
+    /// One step against a bitmap over `[0, universe)` stored in `words`
+    /// 64-bit words: `contains_live(id)` is its membership test and
+    /// `and_into(dst)` ANDs its live bits into the common prefix of `dst`,
+    /// returning the popcount of the result.
+    #[inline]
+    fn intersect_bitmap(
+        &mut self,
+        universe: usize,
+        words: usize,
+        contains_live: impl Fn(u32) -> bool,
+        and_into: impl Fn(&mut [u64]) -> u64,
+    ) {
         if self.bits_live {
             // Word-AND with the incoming bitmap; ids beyond its universe
             // cannot match, so the tail of the candidate bitmap clears.
-            let keep = self.bits_words.min(words.len());
-            let count = simd::and_words(
-                &mut self.bits[..keep],
-                &words[..keep],
-                &d.deleted_words()[..keep],
-            );
+            let keep = self.bits_words.min(words);
+            let count = and_into(&mut self.bits[..keep]);
             for w in keep..self.bits_words {
                 self.bits[w] = 0;
             }
@@ -490,21 +525,21 @@ impl QueryScratch {
             self.stats.note(Kernel::WordAnd, keep as u64);
             return;
         }
-        if self.cands.len().saturating_mul(WORD_AND_DENSITY_DEN) >= d.universe() as usize {
+        if self.cands.len().saturating_mul(WORD_AND_DENSITY_DEN) >= universe {
             // Dense candidates: materialize them as a bitmap once, then
             // this and consecutive dense steps run word-at-a-time.
-            let w = words.len();
+            let w = words;
             if self.bits.len() < w {
                 self.bits.resize(w, 0);
             }
             let build = self.cands.len();
             self.bits[..w].fill(0);
             for &c in &self.cands {
-                if c < d.universe() {
+                if (c as usize) < universe {
                     self.bits[c as usize / 64] |= 1u64 << (c % 64);
                 }
             }
-            let count = simd::and_words(&mut self.bits[..w], words, d.deleted_words());
+            let count = and_into(&mut self.bits[..w]);
             self.bits_words = w;
             self.bits_count = count;
             self.bits_live = true;
@@ -513,7 +548,7 @@ impl QueryScratch {
             // Sparse candidates: O(1) probe per candidate.
             self.next.clear();
             for &c in &self.cands {
-                if d.contains_live(c) {
+                if contains_live(c) {
                     self.next.push(c);
                 }
             }
@@ -675,9 +710,11 @@ impl QueryScratch {
         }
     }
 
-    /// Finishes the query: materializes the candidate set (ascending if
-    /// the planner ended in bitmap form) into `out` and flushes counters.
-    pub fn take_into(&mut self, out: &mut Vec<u32>) {
+    /// Moves the candidate set (ascending if the planner ended in bitmap
+    /// form) to the end of `out` and leaves the scratch empty and in array
+    /// form, ready to be seeded again — how a plan that runs once per
+    /// partition hands over one partition's answers mid-query.
+    pub fn drain_into(&mut self, out: &mut Vec<u32>) {
         if self.bits_live {
             for w in 0..self.bits_words {
                 let mut m = self.bits[w];
@@ -688,10 +725,28 @@ impl QueryScratch {
                     m &= m - 1;
                 }
             }
+            self.bits_words = 0;
+            self.bits_count = 0;
             self.bits_live = false;
+            self.cands.clear();
         } else {
             out.append(&mut self.cands);
         }
+    }
+
+    /// Puts array-form candidates in ascending order, which every operand
+    /// but [`Postings::Bits`] requires. The bitmap form has no order to
+    /// restore.
+    pub fn sort_candidates(&mut self) {
+        if !self.bits_live {
+            self.cands.sort_unstable();
+        }
+    }
+
+    /// Finishes the query: [`QueryScratch::drain_into`] `out`, then flushes
+    /// the counters.
+    pub fn take_into(&mut self, out: &mut Vec<u32>) {
+        self.drain_into(out);
         self.finish_query();
     }
 
@@ -918,40 +973,54 @@ mod tests {
         out
     }
 
+    /// A present-only bitmap of `ids`, as [`crate::ElemBitmaps`] hands out.
+    fn bits_of(ids: &[u32], universe: u32) -> Vec<u64> {
+        let mut words = vec![0u64; (universe as usize).div_ceil(64)];
+        for &id in ids {
+            words[id as usize / 64] |= 1 << (id % 64);
+        }
+        words
+    }
+
     #[test]
     fn expired_deadline_collapses_the_plan_and_flags_timeout() {
         let big: Vec<u32> = (0..20_000u32).map(|i| i * 2).collect();
-        let mut s = QueryScratch::default();
+        // Wide enough that 20K candidates stay in array form, so a plan of
+        // `Bits` steps only ever probes.
+        let big_bits = bits_of(&big, 1 << 20);
+        for side in [Postings::Ids(&big), Postings::Bits(&big_bits)] {
+            let mut s = QueryScratch::default();
 
-        // A deadline already in the past: the first step past the probe
-        // threshold must flag the timeout and empty the candidates.
-        s.set_deadline(Some(std::time::Instant::now()));
-        s.reset();
-        s.cands.extend_from_slice(&big);
-        s.intersect(Postings::Ids(&big)); // accrues > DEADLINE_PROBE_EVERY
-        s.intersect(Postings::Ids(&big)); // probe fires here at the latest
-        assert!(s.timed_out());
-        assert!(s.is_empty(), "expired plan must hold no candidates");
+            // A deadline already in the past: the first step past the probe
+            // threshold must flag the timeout and empty the candidates.
+            s.set_deadline(Some(std::time::Instant::now()));
+            s.reset();
+            s.cands.extend_from_slice(&big);
+            s.intersect(side); // accrues > DEADLINE_PROBE_EVERY
+            s.intersect(side); // probe fires here at the latest
+            assert!(s.timed_out(), "{side:?}");
+            assert!(s.is_empty(), "expired plan must hold no candidates");
 
-        // Disarming restores normal behavior on the same scratch.
-        s.set_deadline(None);
-        s.reset();
-        s.cands.extend_from_slice(&[2, 4, 6]);
-        s.intersect(Postings::Ids(&big));
-        assert!(!s.timed_out());
-        let mut out = Vec::new();
-        s.take_into(&mut out);
-        assert_eq!(out, vec![2, 4, 6]);
+            // Disarming restores normal behavior on the same scratch.
+            s.set_deadline(None);
+            s.reset();
+            s.cands.extend_from_slice(&[2, 4, 6]);
+            s.intersect(side);
+            assert!(!s.timed_out());
+            let mut out = Vec::new();
+            s.take_into(&mut out);
+            assert_eq!(out, vec![2, 4, 6]);
 
-        // A generous deadline never fires even on heavy plans.
-        s.set_deadline(Some(
-            std::time::Instant::now() + std::time::Duration::from_secs(600),
-        ));
-        s.reset();
-        s.cands.extend_from_slice(&big);
-        s.intersect(Postings::Ids(&big));
-        s.intersect(Postings::Ids(&big));
-        assert!(!s.timed_out());
+            // A generous deadline never fires even on heavy plans.
+            s.set_deadline(Some(
+                std::time::Instant::now() + std::time::Duration::from_secs(600),
+            ));
+            s.reset();
+            s.cands.extend_from_slice(&big);
+            s.intersect(side);
+            s.intersect(side);
+            assert!(!s.timed_out());
+        }
     }
 
     #[test]
@@ -975,37 +1044,63 @@ mod tests {
         let dense_ids: Vec<u32> = (0..128).map(|i| i * 2).collect();
         let c = PostingContainer::from_sorted(&dense_ids, 256, cfg);
         assert!(c.is_dense());
-
-        // Sparse candidates: bitmap-probe.
-        let mut s = QueryScratch::default();
-        let got = seq(&mut s, &[2, 3, 500], &[Postings::Container(&c)]);
-        assert_eq!(got, vec![2]);
-        assert_eq!(s.last_stats().bitmap_probe_steps, 1);
-
-        // Dense candidates: word-AND, result extracted ascending.
         let cands: Vec<u32> = (0..64).map(|i| i * 4).collect();
-        let got = seq(&mut s, &cands, &[Postings::Container(&c)]);
-        assert_eq!(got, cands);
-        assert_eq!(s.last_stats().word_and_steps, 1);
-
-        // Word-AND chains across consecutive dense steps, then
-        // downshifts cleanly on a sparse side.
         let fours = PostingContainer::from_sorted(&cands, 256, cfg);
         assert!(fours.is_dense());
-        let got = seq(
-            &mut s,
-            &(0..256).collect::<Vec<_>>(),
-            &[
-                Postings::Container(&c),
-                Postings::Container(&fours),
-                Postings::Ids(&[4, 5, 6, 8, 500]),
-            ],
-        );
-        assert_eq!(got, vec![4, 8]);
-        let st = s.last_stats();
-        assert_eq!(st.word_and_steps, 2);
-        assert_eq!(st.bitmap_probe_steps, 1);
-        assert_eq!(st.kernel_scanned_sum(), st.scanned);
+        // The same two sets as present-only words: one code path, so the
+        // same kernels and the same answers.
+        let (c_bits, fours_bits) = (bits_of(&dense_ids, 256), bits_of(&cands, 256));
+        let operands = [
+            (Postings::Container(&c), Postings::Container(&fours)),
+            (Postings::Bits(&c_bits), Postings::Bits(&fours_bits)),
+        ];
+        for (evens, fours) in operands {
+            // Sparse candidates: bitmap-probe, in whatever order they came.
+            let mut s = QueryScratch::default();
+            let got = seq(&mut s, &[500, 3, 2], &[evens]);
+            assert_eq!(got, vec![2]);
+            assert_eq!(s.last_stats().bitmap_probe_steps, 1);
+
+            // Dense candidates: word-AND, result extracted ascending.
+            let got = seq(&mut s, &cands, &[evens]);
+            assert_eq!(got, cands);
+            assert_eq!(s.last_stats().word_and_steps, 1);
+
+            // Word-AND chains across consecutive dense steps, then
+            // downshifts cleanly on a sparse side.
+            let got = seq(
+                &mut s,
+                &(0..256).collect::<Vec<_>>(),
+                &[evens, fours, Postings::Ids(&[4, 5, 6, 8, 500])],
+            );
+            assert_eq!(got, vec![4, 8]);
+            let st = s.last_stats();
+            assert_eq!(st.word_and_steps, 2);
+            assert_eq!(st.bitmap_probe_steps, 1);
+            assert_eq!(st.kernel_scanned_sum(), st.scanned);
+        }
+    }
+
+    #[test]
+    fn drain_hands_over_mid_query_and_leaves_array_form() {
+        let evens = bits_of(&(0..128).map(|i| i * 2).collect::<Vec<_>>(), 256);
+        let mut s = QueryScratch::default();
+        s.reset();
+        let mut out = Vec::new();
+        // First partition ends in bitmap form (dense candidates)...
+        s.cands.extend(0..64);
+        s.intersect(Postings::Bits(&evens));
+        s.drain_into(&mut out);
+        assert!(s.is_empty() && s.cands.is_empty());
+        // ...and the second, seeded afresh, must not see its leftovers.
+        s.cands.extend_from_slice(&[7, 8, 300]);
+        s.intersect(Postings::Ids(&[8, 300]));
+        s.drain_into(&mut out);
+        let want: Vec<u32> = (0..32).map(|i| i * 2).chain([8, 300]).collect();
+        assert_eq!(out, want);
+        // Counters are still the one query's: nothing was flushed between.
+        s.reset();
+        assert_eq!(s.last_stats().steps(), 2);
     }
 
     #[test]

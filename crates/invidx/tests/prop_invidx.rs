@@ -1,11 +1,12 @@
 //! Property tests: intersection kernels against a naive set model, the flat
-//! per-division store against a map model.
+//! per-division store and the dense-element bitmaps against map models.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use tir_invidx::{
     intersect_adaptive_into, intersect_gallop_into, intersect_merge_into, ContainerConfig,
-    FlatInverted, HybridPostings, PostingContainer, Postings, QueryScratch, TOMBSTONE,
+    ElemBitmaps, FlatInverted, HybridPostings, PostingContainer, Postings, QueryScratch,
+    ELEM_BITMAP_DEN, TOMBSTONE,
 };
 
 fn sorted_unique(max: u32, len: usize) -> impl Strategy<Value = Vec<u32>> {
@@ -139,7 +140,7 @@ proptest! {
     fn planner_scratch_agrees_with_set_model(
         seed in sorted_unique(2048, 400),
         lists in prop::collection::vec(
-            (sorted_unique(2048, 400), prop::collection::vec(any::<bool>(), 400), any::<bool>()),
+            (sorted_unique(2048, 400), prop::collection::vec(any::<bool>(), 400), 0u8..3),
             0..5,
         ),
         den in 1u32..64,
@@ -151,13 +152,23 @@ proptest! {
         scratch.cands.extend_from_slice(&seed);
 
         let mut model: BTreeSet<u32> = seed.iter().copied().collect();
-        for (ids, dead, as_container) in &lists {
+        for (ids, dead, form) in &lists {
             let (raw, live) = tombstoned(ids, dead);
-            if *as_container {
-                let c = PostingContainer::from_sorted(&raw, UNIVERSE, cfg);
-                scratch.intersect(Postings::Container(&c));
-            } else {
-                scratch.intersect(Postings::Ids(&raw));
+            match form {
+                0 => scratch.intersect(Postings::Ids(&raw)),
+                1 => {
+                    let c = PostingContainer::from_sorted(&raw, UNIVERSE, cfg);
+                    scratch.intersect(Postings::Container(&c));
+                }
+                _ => {
+                    // Present-only words: the live ids, and possibly fewer
+                    // words than the candidates' universe.
+                    let mut words = vec![0u64; live.last().map_or(0, |&id| id as usize / 64 + 1)];
+                    for &id in &live {
+                        words[id as usize / 64] |= 1 << (id % 64);
+                    }
+                    scratch.intersect(Postings::Bits(&words));
+                }
             }
             model = model.intersection(&live).copied().collect();
         }
@@ -237,6 +248,82 @@ proptest! {
     ) {
         flat_store_model::<0>(&ops)?;
         flat_store_model::<2>(&ops)?;
+    }
+
+    /// The sidecar against a map model through arbitrary sequences of
+    /// objects going live (near ids and far ones, which grow the universe
+    /// and demote), objects deleted, elements promoted from postings that
+    /// arrive in several tombstone-carrying chunks, and everything dropped.
+    #[test]
+    fn elem_bitmaps_match_model(
+        ops in prop::collection::vec(
+            (0u8..8, 0u32..40, prop::collection::btree_set(0u32..5, 1..4), any::<bool>()),
+            1..80,
+        ),
+    ) {
+        let mut bitmaps = ElemBitmaps::with_universe(0);
+        let mut objects: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
+        let mut universe = 0u32;
+        let mut next_id = 0u32;
+        for (op, pick, desc, far) in ops {
+            let members = |objects: &BTreeMap<u32, BTreeSet<u32>>, e: u32| -> BTreeSet<u32> {
+                objects.iter().filter(|(_, d)| d.contains(&e)).map(|(&id, _)| id).collect()
+            };
+            match op {
+                // An object goes live under a fresh id: mostly the next
+                // one, now and then one far past the universe.
+                0..=3 => {
+                    next_id += if far && op == 0 { 200 + pick * 40 } else { 1 + pick % 3 };
+                    let elems: Vec<u32> = desc.iter().copied().collect();
+                    bitmaps.add_object(next_id, &elems);
+                    objects.insert(next_id, desc);
+                    universe = universe.max(next_id + 1);
+                }
+                // A live object is deleted.
+                4 | 5 => {
+                    if let Some(&id) = objects.keys().nth(pick as usize % objects.len().max(1)) {
+                        let elems: Vec<u32> = objects[&id].iter().copied().collect();
+                        bitmaps.remove_object(id, &elems);
+                        objects.remove(&id);
+                    }
+                }
+                // The owner's lazy promotion pass: every element the rule
+                // admits gets a bitmap, filled from its postings in two
+                // chunks with tombstoned strangers mixed in.
+                6 => {
+                    for e in 0..5 {
+                        let ids = members(&objects, e);
+                        if bitmaps.bitmap(e).is_none() && bitmaps.qualifies(ids.len() as u32) {
+                            bitmaps.promote(e);
+                            let mut postings: Vec<u32> = ids.iter().copied().collect();
+                            postings.push((universe + 7) | TOMBSTONE);
+                            let (a, b) = postings.split_at(postings.len() / 2);
+                            bitmaps.fill_from_postings(e, b);
+                            bitmaps.fill_from_postings(e, a);
+                        }
+                    }
+                }
+                _ => bitmaps.drop_all(),
+            }
+
+            prop_assert_eq!(bitmaps.universe(), universe);
+            let mut last = None;
+            for (e, count, words) in bitmaps.iter() {
+                prop_assert!(last < Some(e), "directory not strictly ascending");
+                last = Some(e);
+                let got: BTreeSet<u32> = (0..words.len() as u32 * 64)
+                    .filter(|id| words[*id as usize / 64] >> (id % 64) & 1 == 1)
+                    .collect();
+                prop_assert_eq!(&got, &members(&objects, e), "element {}", e);
+                prop_assert_eq!(count as usize, got.len());
+                prop_assert_eq!(bitmaps.bitmap(e), Some(words));
+                // Kept only while at most twice as sparse as promotion asks.
+                prop_assert!(
+                    u64::from(count) * 2 * u64::from(ELEM_BITMAP_DEN) >= u64::from(universe),
+                    "element {} kept with {} of {} ids", e, count, universe
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@ use temporal_ir::datagen::{
     eclog_like, generate, selectivity_binned, wikipedia_like, workload, ElemSource, Extent,
     SyntheticConfig, WorkloadSpec,
 };
+use temporal_ir::invidx::ElemBitmaps;
 
 fn all_indexes(coll: &Collection) -> Vec<Box<dyn TemporalIrIndex + Send + Sync>> {
     Method::ALL.iter().map(|m| m.build(coll)).collect()
@@ -48,6 +49,53 @@ fn with_sparse_ids(coll: &Collection) -> Collection {
     )
 }
 
+/// `dense100k` in miniature — the benchmark's served corpus, 50 objects per
+/// dictionary term — so a dozen terms are dense enough for irHINT's
+/// index-wide bitmaps and the universe is thousands of ids, not dozens.
+fn dense_terms() -> Collection {
+    let mut cfg = SyntheticConfig::default().scaled(0.1);
+    cfg.cardinality = 4_000;
+    cfg.dict_size = 80;
+    cfg.seed = 11;
+    generate(&cfg)
+}
+
+/// Queries over [`dense_terms`] whose terms are all dense, whose terms are
+/// all sparse, and — drawn from a seed object's description — whose rare
+/// seed term is followed by dense ones, at a selective and a broad extent.
+fn dense_terms_queries(coll: &Collection) -> Vec<TimeTravelQuery> {
+    let mut queries = Vec::new();
+    for extent in [Extent::Fraction(0.001), Extent::Fraction(0.1)] {
+        for (source, num_elems) in [
+            (ElemSource::SeedObject, 3),
+            (ElemSource::SeedObject, 5),
+            (
+                ElemSource::FreqBin {
+                    lo_pct: 12.5,
+                    hi_pct: 100.0,
+                },
+                3,
+            ),
+            (
+                ElemSource::FreqBin {
+                    lo_pct: 0.0,
+                    hi_pct: 5.0,
+                },
+                2,
+            ),
+        ] {
+            let spec = WorkloadSpec {
+                extent,
+                num_elems,
+                source,
+            };
+            queries.extend(workload(coll, &spec, 8, 23));
+        }
+    }
+    assert!(queries.len() >= 48);
+    queries
+}
+
 #[test]
 fn agree_on_synthetic_default_shape() {
     let coll = generate(&SyntheticConfig::default().scaled(0.002));
@@ -75,6 +123,16 @@ fn agree_on_synthetic_default_shape() {
     assert_all_agree(&coll, &queries, "synthetic");
     // No builder may assume `id == position`.
     assert_all_agree(&with_sparse_ids(&coll), &queries, "synthetic, sparse ids");
+    // Dense terms answered from irHINT's bitmaps — and, once the ids are
+    // sparse, from no bitmap: 4K objects are not dense in 4M ids.
+    let dense = dense_terms();
+    let queries = dense_terms_queries(&dense);
+    assert_all_agree(&dense, &queries, "dense terms");
+    assert_all_agree(
+        &with_sparse_ids(&dense),
+        &queries,
+        "dense terms, sparse ids",
+    );
 }
 
 #[test]
@@ -124,37 +182,104 @@ fn agree_on_selectivity_binned_workloads() {
     assert_all_agree(&coll, &queries, "selectivity");
 }
 
-#[test]
-fn agree_after_90_10_update_split() {
-    // The Table 6 protocol: index 90% offline, insert the rest, then
-    // delete some — answers must track the oracle throughout.
-    let coll = generate(&SyntheticConfig::default().scaled(0.001));
-    let (offline, batch) = coll.split_for_updates(0.10);
-
-    let mut indexes = all_indexes(&offline);
+/// The Table 6 protocol: index `offline`, insert `batch` — the first half
+/// one object at a time, the rest in one `insert_batch` — then delete every
+/// 7th original object; answers must track the oracle throughout.
+fn assert_agree_after_updates(
+    offline: &Collection,
+    batch: &[Object],
+    queries: &[TimeTravelQuery],
+    ctx: &str,
+) {
+    let mut indexes = all_indexes(offline);
     let mut oracle = BruteForce::build(offline.objects());
-    for o in &batch {
+    let (singles, merged) = batch.split_at(batch.len() / 2);
+    for o in batch {
         oracle.insert(o);
-        for idx in indexes.iter_mut() {
-            idx.insert(o);
-        }
     }
-    // Delete every 7th original object.
+    for idx in indexes.iter_mut() {
+        singles.iter().for_each(|o| idx.insert(o));
+        idx.insert_batch(merged);
+    }
     for i in (0..offline.len()).step_by(7) {
         let victim = offline.get(i as u32);
         assert!(oracle.delete(victim));
         for idx in indexes.iter_mut() {
-            assert!(idx.delete(victim), "{} failed to delete {i}", idx.name());
+            assert!(
+                idx.delete(victim),
+                "[{ctx}] {} failed to delete {i}",
+                idx.name()
+            );
         }
     }
-    let queries = workload(&coll, &WorkloadSpec::default(), 25, 31);
     for idx in &indexes {
-        for q in &queries {
+        for q in queries {
             let mut got = idx.query(q);
             got.sort_unstable();
-            assert_eq!(got, oracle.answer(q), "{} after updates", idx.name());
+            assert_eq!(
+                got,
+                oracle.answer(q),
+                "[{ctx}] {} after updates",
+                idx.name()
+            );
         }
     }
+}
+
+#[test]
+fn agree_after_90_10_update_split() {
+    let coll = generate(&SyntheticConfig::default().scaled(0.001));
+    let (offline, batch) = coll.split_for_updates(0.10);
+    let queries = workload(&coll, &WorkloadSpec::default(), 25, 31);
+    assert_agree_after_updates(&offline, &batch, &queries, "synthetic");
+
+    // Dense terms, and ids that leave the universe behind halfway through
+    // the single inserts: irHINT's bitmaps take set bits in arrival order,
+    // stretch over the gap, lose the terms the wider universe leaves too
+    // sparse, take a merged batch, and clear bits for the deletes.
+    let coll = dense_terms();
+    let (offline, mut batch) = coll.split_for_updates(0.10);
+    let gap = coll.len() as u32;
+    batch[100..].iter_mut().for_each(|o| o.id += gap);
+    let queries = dense_terms_queries(&coll);
+    assert_agree_after_updates(&offline, &batch, &queries, "dense terms");
+}
+
+/// One object with an id in the millions must cost an irHINT nothing: the
+/// id universe is `max_id + 1`, no term of a 4K-object corpus is dense in
+/// it, so the bitmaps go instead of growing to cover it.
+#[test]
+fn far_id_insert_drops_dense_bitmaps() {
+    let coll = dense_terms();
+    let queries = dense_terms_queries(&coll);
+    let far = Object::new(4_000_000, 10, 20, coll.get(0).desc.clone());
+    let mut oracle = BruteForce::build(coll.objects());
+    oracle.insert(&far);
+
+    fn check<I: TemporalIrIndex>(
+        mut index: I,
+        bitmaps: fn(&I) -> &ElemBitmaps,
+        far: &Object,
+        oracle: &BruteForce,
+        queries: &[TimeTravelQuery],
+    ) {
+        let (n, bytes) = (bitmaps(&index).iter().count(), bitmaps(&index).size_bytes());
+        assert!(n >= 8 && bytes >= n * 4_000 / 8, "{n} bitmaps, {bytes} B");
+        let hierarchy_bytes = index.size_bytes() - bytes;
+        index.insert(far);
+        assert_eq!(bitmaps(&index).iter().count(), 0, "{}", index.name());
+        let grown = index.size_bytes() as f64 / hierarchy_bytes as f64;
+        assert!(grown < 1.02, "{}: {grown:.3}x its hierarchy", index.name());
+        for q in queries {
+            let mut got = index.query(q);
+            got.sort_unstable();
+            assert_eq!(got, oracle.answer(q), "{} q={q:?}", index.name());
+        }
+    }
+    let perf = IrHintPerf::build(&coll);
+    check(perf, IrHintPerf::bitmaps, &far, &oracle, &queries);
+    let size = IrHintSize::build(&coll);
+    check(size, IrHintSize::bitmaps, &far, &oracle, &queries);
 }
 
 #[test]
