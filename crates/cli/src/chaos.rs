@@ -2,7 +2,9 @@
 //! in-process durable server, verified against a model + BruteForce
 //! oracle.
 //!
-//! Each schedule boots a small durable `tif` server in this process,
+//! Each schedule boots a small durable server in this process — seed `s`
+//! serves `Method::ALL[s % 9]`, so a failing seed reproduces on its own
+//! and any nine consecutive seeds cover every method —
 //! installs a [`tir_fault::SeededPlan`] (one seeded I/O fault on the
 //! durable write path plus recurring worker stalls, applier delays, and
 //! connection drops), and drives it over real TCP loopback with rounds
@@ -37,6 +39,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tir_core::prelude::*;
+use tir_core::with_method;
 use tir_datagen::SyntheticConfig;
 use tir_fault::{FaultAction, FaultPlan, FaultSite, SeededPlan};
 use tir_invidx::Dictionary;
@@ -241,12 +244,17 @@ pub fn cmd_chaos(opts: &Opts) -> Result<(), String> {
     }
     let t0 = Instant::now();
     for seed in base_seed..base_seed + schedules {
-        let tally = run_schedule(seed, rounds, scale).map_err(|e| {
+        let method = Method::ALL[(seed % Method::ALL.len() as u64) as usize];
+        let tally = with_method!(method, |I, build| run_schedule::<I>(
+            seed, rounds, scale, method, build
+        ))
+        .map_err(|e| {
             tir_fault::clear();
-            format!("schedule seed {seed}: {e}")
+            format!("schedule seed {seed} ({method}): {e}")
         })?;
         println!(
-            "seed {seed:3}: {} requests | timeouts {} | drops {} | injected-errs {} | degraded {} | recovery verified",
+            "seed {seed:3}: {:<11} | {} requests | timeouts {} | drops {} | injected-errs {} | degraded {} | recovery verified",
+            method.name(),
             tally.requests,
             tally.timeouts,
             tally.drops,
@@ -261,7 +269,16 @@ pub fn cmd_chaos(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn run_schedule(seed: u64, rounds: u64, scale: f64) -> Result<Tally, String> {
+fn run_schedule<I>(
+    seed: u64,
+    rounds: u64,
+    scale: f64,
+    method: Method,
+    build: impl FnOnce(&Collection) -> I,
+) -> Result<Tally, String>
+where
+    I: TemporalIrIndex + Clone + Send + Sync + 'static,
+{
     let start = Instant::now();
     let overrun = |what: &str| format!("wall budget exceeded during {what} (possible hang)");
     let dir: PathBuf =
@@ -279,7 +296,7 @@ fn run_schedule(seed: u64, rounds: u64, scale: f64) -> Result<Tally, String> {
         dictionary.intern(&format!("e{e}"));
     }
 
-    let index = Tif::build(&coll);
+    let index = build(&coll);
     let d_opts = DurabilityOptions {
         segment_bytes: 4 << 10, // small segments: faults hit rotations too
         snapshot_every: 3,
@@ -297,7 +314,7 @@ fn run_schedule(seed: u64, rounds: u64, scale: f64) -> Result<Tally, String> {
                 workers: 2,
                 ..PoolConfig::default()
             },
-            method: Method::Tif.to_string(),
+            method: method.to_string(),
             ..ServerConfig::default()
         },
         None,
@@ -365,8 +382,7 @@ fn run_schedule(seed: u64, rounds: u64, scale: f64) -> Result<Tally, String> {
         return Err(overrun("teardown"));
     }
 
-    let r: Recovered<Tif> =
-        Durability::recover(&dir, d_opts).map_err(|e| format!("recover: {e}"))?;
+    let r: Recovered<I> = Durability::recover(&dir, d_opts).map_err(|e| format!("recover: {e}"))?;
 
     // Reconcile the recovered catalog with the model, id-wise.
     let recovered = r.durability.catalog_sorted();

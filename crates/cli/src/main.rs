@@ -410,8 +410,9 @@ fn chosen_kernel(stats: &PlanStats) -> &'static str {
 /// a clustered run-shaped sample (`planner:*`), and the Bernoulli sample
 /// as the present-only words irHINT's dense-element bitmaps hand the
 /// planner (`planner:bits-*`), each labeled with whichever kernel the cost
-/// model picked. CI runs this as a smoke test; the JSON makes kernel-mix
-/// regressions diffable.
+/// model picked. After the grid come the reply-path rows
+/// ([`bench_reply_kernels`]). CI runs this as a smoke test; the JSON makes
+/// kernel-mix regressions diffable.
 fn cmd_bench_kernels(opts: &Opts, json_path: &str) -> Result<(), String> {
     use tir_invidx::{
         intersect_gallop_into, intersect_merge_into, BlockPostings, ContainerConfig,
@@ -570,6 +571,7 @@ fn cmd_bench_kernels(opts: &Opts, json_path: &str) -> Result<(), String> {
             }
         }
     }
+    bench_reply_kernels(&mut rng, reps, &mut records);
     let doc = Json::obj(vec![
         ("tool", Json::str("tir bench --kernels")),
         ("git_rev", Json::str(git_rev())),
@@ -583,6 +585,97 @@ fn cmd_bench_kernels(opts: &Opts, json_path: &str) -> Result<(), String> {
     std::fs::write(json_path, format!("{doc}\n")).map_err(|e| format!("{json_path}: {e}"))?;
     eprintln!("wrote {json_path}");
     Ok(())
+}
+
+/// The reply-path rows of the kernel grid: what it costs per id to put an
+/// answer in order (`reply:order-ids`, with `reply:sort-unstable` as the
+/// comparison sort it replaced), to write it as a `HITS` line
+/// (`reply:format-hits`) and to parse that line back
+/// (`reply:parse-hits`). Answers are 16 to 32 K distinct ids of a
+/// 100 K-id universe, as `serve_range`'s are, handed over as 1, 8 or 32
+/// ascending runs — one per division an irHINT walk reported from; the
+/// line is the same whatever the runs, so it is timed once per size.
+fn bench_reply_kernels(rng: &mut KernelRng, reps: u32, records: &mut Vec<Json>) {
+    use tir_serve::protocol::{format_response, parse_response, write_response, Response};
+    const UNIVERSE: u32 = 100_000;
+    println!(
+        "{:<8} {:<8} {:<22} {:>12} {:>12}",
+        "ids", "runs", "kernel", "ns/call", "ns/id"
+    );
+    let mut universe: Vec<u32> = (0..UNIVERSE).collect();
+    let mut arena = Vec::new();
+    for n in [16usize, 256, 4096, 32_768] {
+        // A partial Fisher–Yates draw: the first `n` slots end up a
+        // uniform sample without repeats.
+        for i in 0..n {
+            let j = i + (rng.next_u64() % (u64::from(UNIVERSE) - i as u64)) as usize;
+            universe.swap(i, j);
+        }
+        let cell_reps = if reps > 0 {
+            reps
+        } else {
+            (4_000_000 / n).clamp(20, 20_000) as u32
+        };
+        let time = |step: &mut dyn FnMut()| -> u64 {
+            let t0 = Instant::now();
+            for _ in 0..cell_reps {
+                step();
+            }
+            let per_call = t0.elapsed().as_nanos() / u128::from(cell_reps);
+            per_call.min(u128::from(u64::MAX)) as u64
+        };
+        let mut emit = |kernel: &str, runs: usize, ns_call: u64| {
+            let ns_id = ns_call as f64 / n as f64;
+            println!("{n:<8} {runs:<8} {kernel:<22} {ns_call:>12} {ns_id:>12.2}");
+            records.push(Json::obj(vec![
+                ("kernel", Json::str(kernel)),
+                ("ids", Json::Int(n as u64)),
+                ("runs", Json::Int(runs as u64)),
+                ("reps", Json::Int(u64::from(cell_reps))),
+                ("ns_per_call", Json::Int(ns_call)),
+                ("ns_per_elem", Json::Num(ns_id)),
+            ]));
+        };
+        for runs in [1usize, 8, 32] {
+            let mut by_run: Vec<Vec<u32>> = vec![Vec::new(); runs];
+            for &id in &universe[..n] {
+                by_run[(rng.next_u64() % runs as u64) as usize].push(id);
+            }
+            for run in &mut by_run {
+                run.sort_unstable();
+            }
+            let answer = by_run.concat();
+            let mut ids = answer.clone();
+            // Both rows pay the same copy that restores the input.
+            let ordered = time(&mut || {
+                ids.copy_from_slice(&answer);
+                tir_invidx::order_ids_ascending(&mut ids, &mut arena);
+                std::hint::black_box(&ids);
+            });
+            emit("reply:order-ids", runs, ordered);
+            let sorted = time(&mut || {
+                ids.copy_from_slice(&answer);
+                ids.sort_unstable();
+                std::hint::black_box(&ids);
+            });
+            emit("reply:sort-unstable", runs, sorted);
+        }
+        let mut ascending = universe[..n].to_vec();
+        ascending.sort_unstable();
+        let hits = Response::Hits(ascending);
+        let mut line = Vec::new();
+        let formatted = time(&mut || {
+            line.clear();
+            write_response(std::hint::black_box(&hits), &mut line);
+            std::hint::black_box(&line);
+        });
+        emit("reply:format-hits", 1, formatted);
+        let text = format_response(&hits);
+        let parsed = time(&mut || {
+            std::hint::black_box(parse_response(std::hint::black_box(&text)).is_ok());
+        });
+        emit("reply:parse-hits", 1, parsed);
+    }
 }
 
 /// Builds every method's index over the collection and collects the

@@ -262,6 +262,88 @@ pub fn mark_hits_gallop_rev(cands: &[u32], postings: &[u32], hits: &mut [bool]) 
     }
 }
 
+/// The span rule of [`order_ids_ascending`]: the bitmap pass runs when
+/// the answer's id span, in 64-bit words, is at most this many times the
+/// answer's length; wider spans go to the comparison sort, whose cost
+/// does not depend on the span. Swept on answers of 8 ascending runs
+/// (ns per id, bitmap pass / `sort_unstable`, best of five; EXPERIMENTS.md
+/// "Reply path" has every row):
+///
+/// | ids · words per id | 1 | 2 | 4 | 8 | 16 | 32 |
+/// |---|---|---|---|---|---|---|
+/// | 64 | 2.7 / 4.5 | 3.3 / 6.2 | 4.0 / 4.8 | 5.5 / 4.8 | 8.9 / 4.7 | 15.1 / 5.6 |
+/// | 1 024 | 2.4 / 7.3 | 2.9 / 7.5 | 3.5 / 7.4 | 5.0 / 7.5 | 12.3 / 7.6 | 21.2 / 7.3 |
+/// | 16 384 | 5.7 / 11.6 | 9.4 / 11.5 | 12.3 / 11.5 | 15.9 / 11.6 | 22.3 / 11.6 | 30.5 / 11.5 |
+///
+/// The drain walks every word of the span, so the pass loses once most
+/// are empty — past 4–8 words per id for short answers, and near 4 for
+/// long ones, whose arena no longer fits the second-level cache. At 4
+/// the pass wins every row but the last (−7 %), the served mean is level
+/// with 1 and 2 (in situ, same section), and the arena holds at most 32
+/// bytes per reported id.
+pub const ORDER_SPAN_WORDS_PER_ID: usize = 4;
+
+/// Puts an answer — exactly-once ids in any order — into ascending order
+/// without comparing ids with each other. An answer that already ascends
+/// (every tIF answer) is returned as it is. Otherwise, when the span
+/// rule ([`ORDER_SPAN_WORDS_PER_ID`]) holds, one bit per id is set in
+/// `arena` (offset by the smallest id, so only the span counts, not the
+/// ids' magnitude) and the words are drained in order; else the ids are
+/// `sort_unstable`d.
+///
+/// `arena` must be all-zero on entry and is all-zero on return, whatever
+/// its length. A bit found already set means an id came twice: the
+/// answer then takes the comparison sort with the duplicate kept, so the
+/// callers' exactly-once checks still see it.
+pub fn order_ids_ascending(ids: &mut [u32], arena: &mut Vec<u64>) {
+    if ids.is_sorted() {
+        return;
+    }
+    let (mut lo, mut hi) = (u32::MAX, 0);
+    for &id in ids.iter() {
+        lo = lo.min(id);
+        hi = hi.max(id);
+    }
+    let span_words = ((hi - lo) / 64) as usize + 1;
+    if span_words > ids.len().saturating_mul(ORDER_SPAN_WORDS_PER_ID) {
+        ids.sort_unstable();
+        return;
+    }
+    if arena.len() < span_words {
+        arena.resize(span_words, 0);
+    }
+    let words = &mut arena[..span_words];
+    let mut twice = 0u64;
+    for &id in ids.iter() {
+        let at = id - lo;
+        let bit = 1u64 << (at % 64);
+        let word = &mut words[(at / 64) as usize];
+        twice |= *word & bit;
+        *word |= bit;
+    }
+    if twice != 0 {
+        words.fill(0);
+        ids.sort_unstable();
+        return;
+    }
+    let mut filled = 0usize;
+    let mut base = lo;
+    for word in words {
+        let mut m = *word;
+        if m != 0 {
+            *word = 0;
+            while m != 0 {
+                ids[filled] = base + m.trailing_zeros();
+                filled += 1;
+                m &= m - 1;
+            }
+        }
+        // The last word's successor may not fit a u32; it is never read.
+        base = base.wrapping_add(64);
+    }
+    debug_assert_eq!(filled, ids.len(), "arena was not all-zero on entry");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,5 +395,91 @@ mod tests {
         let mut out = Vec::new();
         intersect_gallop_into(&cands, &postings, &mut out);
         assert_eq!(out, vec![0, 2999 * 3, 9999 * 3]);
+    }
+
+    /// Orders `input` on `arena` and checks it against the comparison
+    /// sort, and that the arena is left all-zero at whatever length.
+    fn check_order(input: &[u32], arena: &mut Vec<u64>) {
+        let mut want = input.to_vec();
+        want.sort_unstable();
+        let mut got = input.to_vec();
+        order_ids_ascending(&mut got, arena);
+        assert_eq!(got, want, "input {input:?}");
+        assert!(arena.iter().all(|&w| w == 0), "arena dirty after {input:?}");
+    }
+
+    #[test]
+    fn ordering_matches_the_comparison_sort() {
+        let mut arena = Vec::new();
+        check_order(&[], &mut arena);
+        check_order(&[7], &mut arena);
+        check_order(&[u32::MAX], &mut arena);
+        let ascending: Vec<u32> = (0..500).map(|i| i * 3).collect();
+        check_order(&ascending, &mut arena);
+        assert!(
+            arena.is_empty(),
+            "an ascending answer never touches the arena"
+        );
+        let descending: Vec<u32> = ascending.iter().rev().copied().collect();
+        check_order(&descending, &mut arena);
+        assert!(
+            !arena.is_empty(),
+            "a dense descending answer takes the bitmap pass"
+        );
+        // k ascending runs laid end to end, as a walk over k divisions
+        // reports them; residues mod k keep the ids distinct.
+        for k in [2u32, 7, 32] {
+            let runs: Vec<u32> = (0..k)
+                .flat_map(|r| (0..200).map(move |i| i * k + (k - 1 - r)))
+                .collect();
+            check_order(&runs, &mut arena);
+        }
+        // Word boundaries: ids 63, 64, 127, 128 around the base.
+        check_order(&[128, 64, 63, 127, 0, 1, 65], &mut arena);
+        check_order(&[1_000_063, 1_000_000, 1_000_064, 1_000_001], &mut arena);
+    }
+
+    #[test]
+    fn ordering_counts_the_span_not_the_magnitude() {
+        // A renumbered catalog (ids past 4,000,000 beside small ones):
+        // too wide a span for the answer's length, so the comparison sort
+        // — and an arena that stays as small as it was.
+        let mut arena = Vec::new();
+        let sparse: Vec<u32> = (0..300)
+            .map(|i| if i % 2 == 0 { 4_000_900 - i } else { i })
+            .collect();
+        check_order(&sparse, &mut arena);
+        assert!(arena.is_empty(), "the fallback never grows the arena");
+        // The same ids all past 4,000,000: a narrow span, the bitmap pass,
+        // and an arena sized by the span alone.
+        let far: Vec<u32> = (0..300).map(|i| 4_000_900 - i * 2).collect();
+        check_order(&far, &mut arena);
+        assert!((1..=10).contains(&arena.len()), "{} words", arena.len());
+        // Ids up to u32::MAX: neither the base nor the word count wraps.
+        let top: Vec<u32> = (0..200).map(|i| u32::MAX - 199 + (i * 7) % 200).collect();
+        check_order(&top, &mut arena);
+        check_order(&[u32::MAX, 0], &mut arena);
+        check_order(&[u32::MAX, u32::MAX - 1, u32::MAX - 64], &mut arena);
+    }
+
+    #[test]
+    fn ordering_keeps_an_id_that_came_twice() {
+        // An index reporting an id twice is a bug its callers must keep
+        // seeing: the duplicate survives, on either path, and the bits the
+        // pass had set by then are cleared again.
+        let mut arena = Vec::new();
+        let mut dense: Vec<u32> = (0..400).rev().collect();
+        dense.push(123);
+        check_order(&dense, &mut arena);
+        let mut got = dense.clone();
+        order_ids_ascending(&mut got, &mut arena);
+        assert_eq!(got.iter().filter(|&&id| id == 123).count(), 2);
+        assert!(
+            !got.windows(2).all(|w| w[0] < w[1]),
+            "not strictly ascending"
+        );
+        check_order(&[9, 9], &mut arena);
+        check_order(&[5, 4_000_000, 5, 3], &mut arena);
+        check_order(&[u32::MAX, 1, u32::MAX], &mut arena);
     }
 }

@@ -750,6 +750,14 @@ impl QueryScratch {
         self.finish_query();
     }
 
+    /// Puts a finished query's answer in ascending order on this scratch's
+    /// word arena, which is idle (all-zero) between queries and is left
+    /// so: [`crate::kernels::order_ids_ascending`].
+    pub fn order_answer_ids(&mut self, ids: &mut [u32]) {
+        debug_assert!(!self.bits_live && self.loaded.is_empty(), "mid-query");
+        crate::kernels::order_ids_ascending(ids, &mut self.bits);
+    }
+
     #[inline]
     fn bit(&self, id: u32) -> bool {
         let w = id as usize / 64;

@@ -8,8 +8,8 @@
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use tir_invidx::{
-    intersect_gallop_into, intersect_merge_into, simd, BlockPostings, ContainerConfig,
-    PostingContainer, Postings, QueryScratch, TOMBSTONE,
+    intersect_gallop_into, intersect_merge_into, order_ids_ascending, simd, BlockPostings,
+    ContainerConfig, PostingContainer, Postings, QueryScratch, TOMBSTONE,
 };
 
 fn sorted_unique(max: u32, len: usize) -> impl Strategy<Value = Vec<u32>> {
@@ -229,6 +229,49 @@ proptest! {
             let want: Vec<u32> =
                 cands.iter().copied().filter(|c| model.contains(c)).collect();
             prop_assert_eq!(&out, &want);
+        }
+    }
+
+    /// The comparison-free ordering pass against `sort_unstable`: distinct
+    /// ids dealt into 1..=9 ascending runs, at a base anywhere in `u32`,
+    /// over spans on both sides of the span rule — optionally with ids
+    /// repeated, which must come back repeated. One arena serves every
+    /// case of the sequence and must be all-zero between them.
+    #[test]
+    fn order_ids_matches_sort_unstable(
+        cases in prop::collection::vec(
+            (
+                prop::collection::btree_set(0..200_000u32, 0..300),
+                1..10usize,
+                any::<u32>(),
+                1..40u32,
+                any::<u64>(),
+                0..3usize,
+            ),
+            1..6,
+        ),
+    ) {
+        let mut arena = Vec::new();
+        for (set, runs, base, stretch, deal, repeats) in cases {
+            // `stretch` widens the span past the rule for some cases; the
+            // base is pulled down so the largest id still fits.
+            let top = 200_000u64 * u64::from(stretch);
+            let base = u64::from(base).min(u64::from(u32::MAX) - top) as u32;
+            let mut by_run = vec![Vec::new(); runs];
+            let mut deal = deal;
+            for &id in &set {
+                deal = deal.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                by_run[(deal >> 33) as usize % runs].push(base + id * stretch);
+            }
+            let mut ids = by_run.concat();
+            for r in 0..repeats.min(ids.len()) {
+                ids.push(ids[r * 7 % ids.len()]);
+            }
+            let mut want = ids.clone();
+            want.sort_unstable();
+            order_ids_ascending(&mut ids, &mut arena);
+            prop_assert_eq!(&ids, &want);
+            prop_assert!(arena.iter().all(|&w| w == 0), "arena left dirty");
         }
     }
 }

@@ -39,7 +39,11 @@ use crate::witness::{lock, wait};
 pub struct QueryReply {
     /// Epoch of the snapshot that answered.
     pub epoch: u64,
-    /// The answer set (unsorted, exactly-once ids).
+    /// The answer set: strictly ascending, so exactly-once, ids — the
+    /// order a `HITS` line carries. The pool puts them in order while it
+    /// holds the permit (`QueryScratch::order_answer_ids`); an index that
+    /// reports an id twice breaks the contract visibly, with the
+    /// duplicate kept.
     pub ids: Vec<ObjectId>,
 }
 
@@ -115,7 +119,8 @@ impl<I: TemporalIrIndex + Clone + Send + Sync + 'static> QueryPool<I> {
             store,
             gate: Mutex::new(Gate {
                 // After warm-up, the only steady-state allocation per
-                // query is the reply vector handed to the caller.
+                // query is the reply vector handed to the caller: it is
+                // put in order on the permit's own word arena.
                 idle: (0..workers).map(|_| QueryScratch::default()).collect(),
                 waiting: 0,
             }),
@@ -198,6 +203,9 @@ impl<I: TemporalIrIndex + Clone + Send + Sync + 'static> QueryPool<I> {
         let mut ids: Vec<ObjectId> = Vec::new();
         let walk = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             snap.index.query_into(query, scratch, &mut ids);
+            if !scratch.timed_out() {
+                scratch.order_answer_ids(&mut ids);
+            }
         }));
         if walk.is_err() {
             // The arena may be half-written: the permit goes back fresh.
@@ -247,18 +255,13 @@ pub(crate) mod tests {
         BruteForce::build(Collection::running_example().objects())
     }
 
-    fn sorted(mut ids: Vec<ObjectId>) -> Vec<ObjectId> {
-        ids.sort_unstable();
-        ids
-    }
-
     #[test]
     fn answers_match_direct_queries() {
         let pool = pool_over(example_index(), PoolConfig::default());
         let reply = pool
             .execute(TimeTravelQuery::new(5, 9, vec![0, 2]))
             .expect("execute");
-        assert_eq!(sorted(reply.ids), vec![1, 3, 6]);
+        assert_eq!(reply.ids, vec![1, 3, 6]);
         assert_eq!(reply.epoch, 0);
     }
 
@@ -271,7 +274,7 @@ pub(crate) mod tests {
         let reply = pool
             .execute(TimeTravelQuery::new(5, 9, vec![0, 2]))
             .expect("execute");
-        assert_eq!(sorted(reply.ids), vec![1, 3, 6, 8]);
+        assert_eq!(reply.ids, vec![1, 3, 6, 8]);
         assert!(reply.epoch >= 1);
     }
 
@@ -286,11 +289,8 @@ pub(crate) mod tests {
                         let q = TimeTravelQuery::new(5, 9, vec![(t + i) % 3]);
                         match pool.execute(q) {
                             Ok(reply) => {
-                                // Exactly-once ids.
-                                let mut ids = reply.ids.clone();
-                                ids.sort_unstable();
-                                ids.dedup();
-                                assert_eq!(ids.len(), reply.ids.len());
+                                // In order, so exactly once.
+                                assert!(reply.ids.windows(2).all(|w| w[0] < w[1]));
                             }
                             Err(Rejected::Overloaded) => {} // legal under load
                             Err(e) => panic!("pool rejected: {e}"),
@@ -317,7 +317,7 @@ pub(crate) mod tests {
         // A generous deadline answers normally.
         let later = Instant::now() + std::time::Duration::from_secs(60);
         match pool.execute_with_deadline(q, Some(later)).expect("execute") {
-            QueryOutcome::Answered(reply) => assert_eq!(sorted(reply.ids), vec![1, 3, 6]),
+            QueryOutcome::Answered(reply) => assert_eq!(reply.ids, vec![1, 3, 6]),
             QueryOutcome::TimedOut => panic!("a 60s deadline must not expire"),
         }
     }
@@ -412,9 +412,9 @@ pub(crate) mod tests {
             }
             let first = first.join().expect("first caller").expect("answered");
             let second = second.join().expect("second caller").expect("answered");
-            assert_eq!(sorted(first.ids), vec![1, 3, 6]);
-            let direct = example_index().query(&TimeTravelQuery::new(5, 9, vec![1]));
-            assert_eq!(sorted(second.ids), sorted(direct));
+            assert_eq!(first.ids, vec![1, 3, 6]);
+            let direct = example_index().answer(&TimeTravelQuery::new(5, 9, vec![1]));
+            assert_eq!(second.ids, direct);
         });
         assert_eq!(pool.stats().served.load(Ordering::Relaxed), 2);
     }
@@ -454,6 +454,6 @@ pub(crate) mod tests {
         let reply = pool
             .execute(TimeTravelQuery::new(5, 9, vec![0, 2]))
             .expect("the only permit came back");
-        assert_eq!(sorted(reply.ids), vec![1, 3, 6]);
+        assert_eq!(reply.ids, vec![1, 3, 6]);
     }
 }

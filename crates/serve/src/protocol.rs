@@ -27,6 +27,12 @@
 //!           | ERR <message>           malformed or rejected request
 //! ```
 //!
+//! The ids of a `HITS` line are strictly ascending, so each appears once:
+//! the query pool hands the server its answers in that order
+//! ([`crate::pool::QueryReply::ids`]), [`write_response`] asserts it in
+//! debug builds, and load generators count a line that breaks it as a
+//! wrong answer. `<n>` is the number of ids that follow.
+//!
 //! Element tokens are dictionary *strings* (e.g. `e42` for generated
 //! corpora); empty element tokens are a hard protocol error, mirroring
 //! the CLI's strict `--elems` parsing. `OVERLOADED`, `TIMEOUT` and
@@ -271,79 +277,134 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 
 /// Formats a response as its wire line (no trailing newline).
 pub fn format_response(r: &Response) -> String {
-    let mut line = String::new();
+    let mut line = Vec::new();
     write_response(r, &mut line);
-    line
+    String::from_utf8(line).expect("a response line is ASCII tokens and pieces of `str`")
 }
 
 /// Appends a response's wire line (no trailing newline) to `out`: the
-/// server's reply path, which reuses one buffer per connection.
-pub fn write_response(r: &Response, out: &mut String) {
+/// server's reply path, which reuses one byte buffer per connection.
+pub fn write_response(r: &Response, out: &mut Vec<u8>) {
     match r {
-        Response::Hits(ids) => {
-            out.push_str("HITS ");
-            push_decimal(out, ids.len() as u64);
-            for &id in ids {
-                out.push(' ');
-                push_decimal(out, u64::from(id));
-            }
-        }
-        Response::Ok => out.push_str("OK"),
-        Response::Missing => out.push_str("MISSING"),
-        Response::Overloaded => out.push_str("OVERLOADED"),
-        Response::Timeout => out.push_str("TIMEOUT"),
-        Response::Degraded => out.push_str("DEGRADED"),
+        Response::Hits(ids) => write_hits(ids, out),
+        Response::Ok => out.extend_from_slice(b"OK"),
+        Response::Missing => out.extend_from_slice(b"MISSING"),
+        Response::Overloaded => out.extend_from_slice(b"OVERLOADED"),
+        Response::Timeout => out.extend_from_slice(b"TIMEOUT"),
+        Response::Degraded => out.extend_from_slice(b"DEGRADED"),
         Response::Health(h) => {
-            out.push_str("HEALTH ");
-            out.push_str(h.as_str());
+            out.extend_from_slice(b"HEALTH ");
+            out.extend_from_slice(h.as_str().as_bytes());
         }
         Response::Epoch(n) => {
-            out.push_str("EPOCH ");
-            push_decimal(out, *n);
+            let mut token = [0u8; 6 + U64_DIGITS];
+            token[..6].copy_from_slice(b"EPOCH ");
+            let end = put_decimal(&mut token, 6, *n);
+            out.extend_from_slice(&token[..end]);
         }
         Response::Stats(pairs) => {
-            out.push_str("STATS");
+            out.extend_from_slice(b"STATS");
             for (k, v) in pairs {
-                out.push(' ');
-                out.push_str(k);
-                out.push('=');
-                out.push_str(v);
+                out.push(b' ');
+                out.extend_from_slice(k.as_bytes());
+                out.push(b'=');
+                out.extend_from_slice(v.as_bytes());
             }
         }
         Response::Elems(terms) => {
-            out.push_str("ELEMS");
+            out.extend_from_slice(b"ELEMS");
             for t in terms {
-                out.push(' ');
-                out.push_str(t);
+                out.push(b' ');
+                out.extend_from_slice(t.as_bytes());
             }
         }
-        Response::Bye => out.push_str("BYE"),
+        Response::Bye => out.extend_from_slice(b"BYE"),
         Response::Err(msg) => {
-            out.push_str("ERR ");
-            out.extend(msg.chars().map(|c| if c == '\n' { ' ' } else { c }));
+            out.extend_from_slice(b"ERR ");
+            // A newline is one byte in UTF-8 and no part of any other char.
+            out.extend(msg.bytes().map(|b| if b == b'\n' { b' ' } else { b }));
         }
     }
 }
 
-/// Appends `v` in decimal, without the `String` that `to_string` makes.
-fn push_decimal(out: &mut String, mut v: u64) {
-    let mut digits = [0u8; 20]; // u64::MAX has 20 digits
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (v % 10) as u8;
+/// `0x01` in every byte of a word.
+const EACH_BYTE: u64 = 0x0101_0101_0101_0101;
+
+/// Decimal digits of `u64::MAX`.
+const U64_DIGITS: usize = 20;
+
+/// Decimal digits of `ObjectId::MAX`, plus the blank before them.
+const HIT_BYTES: usize = 11;
+
+/// Writes `v` in decimal into `buf` from index `at` on and returns the
+/// index after its last digit: the general writer, for the few numbers
+/// of a line that are not short ids.
+fn put_decimal(buf: &mut [u8], at: usize, mut v: u64) -> usize {
+    let end = at + v.checked_ilog10().map_or(1, |log| log as usize + 1);
+    for digit in buf[at..end].iter_mut().rev() {
+        *digit = b'0' + (v % 10) as u8;
         v /= 10;
-        if v == 0 {
-            break;
+    }
+    end
+}
+
+/// The eight decimal digits of `v < 10^8`, one per byte and the most
+/// significant in the lowest: `v` is split into two four-digit halves,
+/// those into four pairs, those into eight digits, every lane of a step
+/// divided by one multiplication and shift.
+#[inline]
+fn eight_digits(v: u32) -> u64 {
+    debug_assert!(v < 100_000_000);
+    let fours = u64::from(v / 10_000) | (u64::from(v % 10_000) << 32);
+    // x * 10486 >> 20 == x / 100 for x < 10^4; x * 103 >> 10 == x / 10
+    // for x < 100 (`lane_divisions_are_exact` tries every x).
+    let tops = ((fours * 10_486) >> 20) & 0x0000_007f_0000_007f;
+    let pairs = tops | ((fours - tops * 100) << 16);
+    let tens = ((pairs * 103) >> 10) & 0x000f_000f_000f_000f;
+    tens | ((pairs - tens * 10) << 8)
+}
+
+/// The `HITS` arm: room for the widest possible line is made once, every
+/// token is written through an index, and the line is cut to what was
+/// used. An id below 10^8 is one eight-byte store of its digits, leading
+/// zeros shifted out — the bytes past its last digit are the next
+/// token's to overwrite; a longer id takes the general writer.
+fn write_hits(ids: &[ObjectId], out: &mut Vec<u8>) {
+    debug_assert!(
+        ids.windows(2).all(|w| w[0] < w[1]),
+        "HITS ids must be strictly ascending"
+    );
+    let start = out.len();
+    out.resize(start + 5 + U64_DIGITS + HIT_BYTES * ids.len(), 0);
+    let line = &mut out[start..];
+    line[..5].copy_from_slice(b"HITS ");
+    let mut at = put_decimal(line, 5, ids.len() as u64);
+    for &id in ids {
+        line[at] = b' ';
+        at += 1;
+        if id < 100_000_000 {
+            let digits = eight_digits(id);
+            let zeros = (digits.trailing_zeros() as usize / 8).min(7);
+            let text = (digits | (EACH_BYTE * 0x30)) >> (8 * zeros);
+            line[at..at + 8].copy_from_slice(&text.to_le_bytes());
+            at += 8 - zeros;
+        } else {
+            at = put_decimal(line, at, u64::from(id));
         }
     }
-    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+    out.truncate(start + at);
+}
+
+/// The blanks `split_ascii_whitespace` splits on.
+#[inline]
+fn is_blank(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\n' | b'\x0C' | b'\r')
 }
 
 /// One `HITS` id: decimal digits only, within `u32`.
-fn parse_hit(tok: &str) -> Option<ObjectId> {
+fn parse_hit(tok: &[u8]) -> Option<ObjectId> {
     let mut v = 0u64;
-    for b in tok.bytes() {
+    for &b in tok {
         let digit = b.wrapping_sub(b'0');
         if digit > 9 {
             return None;
@@ -356,6 +417,87 @@ fn parse_hit(tok: &str) -> Option<ObjectId> {
     ObjectId::try_from(v).ok()
 }
 
+/// The eight bytes at the start of a `HITS` id: the word with every
+/// digit turned into its value (and a space into 0x10), and how many
+/// digits lead it, 0 to 8.
+#[inline]
+fn leading_digits(word: [u8; 8]) -> (u64, usize) {
+    let nibbles = u64::from_le_bytes(word) ^ (EACH_BYTE * 0x30);
+    // The high bit of each byte that is not 0..=9 (no carry crosses a
+    // byte: at most 0x7f + 0x76).
+    let low7 = nibbles & (EACH_BYTE * 0x7f);
+    let not_digit = ((low7 + EACH_BYTE * 0x76) | nibbles) & (EACH_BYTE * 0x80);
+    (nibbles, not_digit.trailing_zeros() as usize / 8)
+}
+
+/// The number that the first `digits` (1 to 7) bytes of `nibbles` spell.
+/// The token's last digit is shifted into the top byte — the bytes below
+/// fill with zeros, which read as leading zeros — and pairs are folded,
+/// then fours, then all eight; what a product carries past bit 63 is
+/// never part of the number.
+#[inline]
+fn fold_digits(nibbles: u64, digits: usize) -> ObjectId {
+    let v = nibbles << (8 * (8 - digits));
+    let v = (v.wrapping_mul(2561) >> 8) & 0x00ff_00ff_00ff_00ff;
+    let v = (v.wrapping_mul(6_553_601) >> 16) & 0x0000_ffff_0000_ffff;
+    (v.wrapping_mul(42_949_672_960_001) >> 32) as ObjectId
+}
+
+/// The `HITS` arm of [`parse_response`]; `rest` is the line after the
+/// verb's one space.
+fn parse_hits(rest: &str) -> Result<Response, String> {
+    let bytes = rest.as_bytes();
+    // The token from the first non-blank byte at or after `at`: ends on
+    // blanks (ASCII), so both are char boundaries of `rest`.
+    let token_from = |at: usize| -> Option<(usize, usize)> {
+        let start = at + bytes[at..].iter().position(|&b| !is_blank(b))?;
+        let len = bytes[start..].iter().position(|&b| is_blank(b));
+        Some((start, len.map_or(bytes.len(), |len| start + len)))
+    };
+    let (start, mut at) = token_from(0).ok_or("HITS without a count")?;
+    let n: usize = rest[start..at]
+        .parse()
+        .map_err(|_| "bad HITS count".to_string())?;
+    // Sized from the declared count, but never past what the
+    // line can hold (an id costs it two bytes at least), so a
+    // hostile count cannot allocate.
+    let mut ids: Vec<ObjectId> = Vec::with_capacity(n.min(rest.len() / 2));
+    // Digits of the last short id. Ascending ids keep one width for long
+    // stretches, so the step to the next token is this number and the
+    // load after it does not wait for this one's digits to be counted.
+    let mut width = usize::MAX;
+    loop {
+        // The server's own lines: one space, then a short id and the
+        // next token's space inside one eight-byte word.
+        if let Some(&word) = bytes.get(at + 1..).and_then(<[u8]>::first_chunk::<8>) {
+            if bytes[at] == b' ' {
+                let (nibbles, digits) = leading_digits(word);
+                if digits == width && word[width] == b' ' {
+                    ids.push(fold_digits(nibbles, width));
+                    at += 1 + width;
+                    continue;
+                }
+                if (1..8).contains(&digits) && digits != width {
+                    width = digits; // and read the same word again
+                    continue;
+                }
+            }
+        }
+        // Everything else — long ids, tabs, runs of blanks, the line's
+        // tail — a byte at a time.
+        let Some((start, end)) = token_from(at) else {
+            break;
+        };
+        let tok = &rest[start..end];
+        ids.push(parse_hit(tok.as_bytes()).ok_or_else(|| format!("bad id '{tok}'"))?);
+        at = end;
+    }
+    if ids.len() != n {
+        return Err(format!("HITS count {n} but {} ids", ids.len()));
+    }
+    Ok(Response::Hits(ids))
+}
+
 /// Parses a response line (the loadgen side).
 pub fn parse_response(line: &str) -> Result<Response, String> {
     let (verb, rest) = match line.split_once(' ') {
@@ -363,25 +505,7 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
         None => (line, ""),
     };
     match verb {
-        "HITS" => {
-            let mut toks = rest.split_ascii_whitespace();
-            let n: usize = toks
-                .next()
-                .ok_or("HITS without a count")?
-                .parse()
-                .map_err(|_| "bad HITS count".to_string())?;
-            // Sized from the declared count, but never past what the
-            // line can hold (an id costs it two bytes at least), so a
-            // hostile count cannot allocate.
-            let mut ids: Vec<ObjectId> = Vec::with_capacity(n.min(rest.len() / 2));
-            for tok in toks {
-                ids.push(parse_hit(tok).ok_or_else(|| format!("bad id '{tok}'"))?);
-            }
-            if ids.len() != n {
-                return Err(format!("HITS count {n} but {} ids", ids.len()));
-            }
-            Ok(Response::Hits(ids))
-        }
+        "HITS" => parse_hits(rest),
         "OK" => Ok(Response::Ok),
         "MISSING" => Ok(Response::Missing),
         "OVERLOADED" => Ok(Response::Overloaded),
@@ -557,5 +681,263 @@ mod tests {
             parse_response("HEALTH degraded").expect("health"),
             Response::Health(HealthStatus::Degraded)
         );
+    }
+
+    // ----- differential tests against the parser and formatter that the
+    // word-at-a-time ones replaced, kept here as reference models -----
+
+    /// The token-at-a-time `HITS` parser (`rest` follows the verb's space).
+    fn reference_parse_hits(rest: &str) -> Result<Response, String> {
+        let mut toks = rest.split_ascii_whitespace();
+        let n: usize = toks
+            .next()
+            .ok_or("HITS without a count")?
+            .parse()
+            .map_err(|_| "bad HITS count".to_string())?;
+        let mut ids: Vec<ObjectId> = Vec::with_capacity(n.min(rest.len() / 2));
+        for tok in toks {
+            ids.push(parse_hit(tok.as_bytes()).ok_or_else(|| format!("bad id '{tok}'"))?);
+        }
+        if ids.len() != n {
+            return Err(format!("HITS count {n} but {} ids", ids.len()));
+        }
+        Ok(Response::Hits(ids))
+    }
+
+    fn reference_parse_response(line: &str) -> Result<Response, String> {
+        match line.split_once(' ') {
+            Some(("HITS", rest)) => reference_parse_hits(rest),
+            None if line == "HITS" => reference_parse_hits(""),
+            _ => parse_response(line),
+        }
+    }
+
+    /// The `char`-at-a-time decimal writer.
+    fn reference_push_decimal(out: &mut String, mut v: u64) {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        out.extend(digits[at..].iter().map(|&d| char::from(d)));
+    }
+
+    fn reference_format_hits(ids: &[ObjectId]) -> String {
+        let mut out = String::from("HITS ");
+        reference_push_decimal(&mut out, ids.len() as u64);
+        for &id in ids {
+            out.push(' ');
+            reference_push_decimal(&mut out, u64::from(id));
+        }
+        out
+    }
+
+    #[test]
+    fn lane_divisions_are_exact() {
+        for x in 0..10_000u64 {
+            assert_eq!((x * 10_486) >> 20, x / 100, "{x}");
+        }
+        for x in 0..100u64 {
+            assert_eq!((x * 103) >> 10, x / 10, "{x}");
+        }
+    }
+
+    /// Ids on both sides of every power of ten, id 0 and `u32::MAX`.
+    fn ids_around_powers_of_ten() -> Vec<ObjectId> {
+        let mut ids = vec![0, 1, u32::MAX - 1, u32::MAX];
+        let mut power = 10u32;
+        loop {
+            ids.extend([power - 1, power, power + 1]);
+            match power.checked_mul(10) {
+                Some(next) => power = next,
+                None => break,
+            }
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
+    #[test]
+    fn formatter_matches_the_reference_byte_for_byte() {
+        let ids = ids_around_powers_of_ten();
+        assert!(ids.len() > 28 && ids[0] == 0 && ids.last() == Some(&u32::MAX));
+        // Every window: each id is somewhere the first token of a line,
+        // the last, and followed by a shorter and a longer one.
+        for from in 0..ids.len() {
+            for to in from..=ids.len() {
+                let set = &ids[from..to];
+                let line = format_response(&Response::Hits(set.to_vec()));
+                assert_eq!(line, reference_format_hits(set));
+                assert_eq!(parse_response(&line), Ok(Response::Hits(set.to_vec())));
+            }
+        }
+        // The count takes the general writer on its own: a long line.
+        let many: Vec<ObjectId> = (0..12_345).map(|i| i * 7).collect();
+        let line = format_response(&Response::Hits(many.clone()));
+        assert_eq!(line, reference_format_hits(&many));
+        assert_eq!(parse_response(&line), Ok(Response::Hits(many)));
+        // Appending leaves what the buffer already held alone.
+        let mut buf = b"kept ".to_vec();
+        write_response(&Response::Hits(vec![7, 80]), &mut buf);
+        assert_eq!(buf, b"kept HITS 2 7 80");
+        write_response(&Response::Epoch(u64::MAX), &mut buf);
+        assert_eq!(buf, b"kept HITS 2 7 80EPOCH 18446744073709551615");
+    }
+
+    /// Splitmix64: the mutation loop's own stream, seeded per case.
+    fn mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// One hostile edit of a (so far) valid line. Every edit keeps the
+    /// line UTF-8, as `parse_response` is only ever handed a `str`.
+    fn mutate(line: &mut String, rng: &mut u64) {
+        let r = mix(rng);
+        // ASCII lines only grow non-ASCII chars through edit 1, which
+        // inserts whole chars; positions are re-snapped to boundaries.
+        let mut pos = (mix(rng) % (line.len() as u64 + 1)) as usize;
+        while !line.is_char_boundary(pos) {
+            pos -= 1;
+        }
+        // Token boundaries, for the edits that swap a whole token.
+        let tokens: Vec<(usize, usize)> = {
+            let mut found = Vec::new();
+            let mut start = None;
+            for (i, b) in line.bytes().enumerate() {
+                match (start, b == b' ') {
+                    (None, false) => start = Some(i),
+                    (Some(s), true) => {
+                        found.push((s, i));
+                        start = None;
+                    }
+                    _ => {}
+                }
+            }
+            if let Some(s) = start {
+                found.push((s, line.len()));
+            }
+            found
+        };
+        let some_token = |rng: &mut u64, skip: usize| {
+            (tokens.len() > skip)
+                .then(|| tokens[skip + (mix(rng) % (tokens.len() - skip) as u64) as usize])
+        };
+        match r % 9 {
+            // A digit (or anything) becomes a non-digit.
+            0 if pos < line.len() => {
+                // '°' ends in 0xB0, a digit's bit pattern under a high bit.
+                const JUNK: [&str; 8] = ["x", "-", "+", ".", ":", "\u{e9}", "/", "\u{b0}"];
+                let end = pos + line[pos..].chars().next().map_or(0, char::len_utf8);
+                line.replace_range(pos..end, JUNK[(mix(rng) % 8) as usize]);
+            }
+            // A blank appears: doubled spaces, tabs, the other blanks.
+            1 => {
+                const BLANKS: [&str; 6] = [" ", "  ", "\t", "\r", "\x0c", "\n"];
+                line.insert_str(pos, BLANKS[(mix(rng) % 6) as usize]);
+            }
+            // A space becomes a tab.
+            2 => {
+                if let Some(at) = line[pos..].find(' ') {
+                    line.replace_range(pos + at..pos + at + 1, "\t");
+                }
+            }
+            // The tail is cut off.
+            3 => line.truncate(pos),
+            // An id becomes one of 7 to 11 digits, or sits at the edge
+            // of `u32`.
+            4 | 5 => {
+                if let Some((s, e)) = some_token(rng, 2) {
+                    const EDGE: [&str; 5] = [
+                        "4294967294",
+                        "4294967295",
+                        "4294967296",
+                        "0000000",
+                        "00000000042",
+                    ];
+                    let token = match mix(rng) % 10 {
+                        k @ 0..=4 => {
+                            let digits = 7 + k as usize;
+                            let v = mix(rng) % 10u64.pow(digits as u32);
+                            format!("{v:0digits$}")
+                        }
+                        k => EDGE[(k - 5) as usize].to_string(),
+                    };
+                    line.replace_range(s..e, &token);
+                }
+            }
+            // The count is off by one, or no line could hold it.
+            6 | 7 => {
+                if let Some(&(s, e)) = tokens.get(1) {
+                    let count = match (line[s..e].parse::<u64>(), mix(rng) % 4) {
+                        (Ok(n), 0) => n.saturating_add(1).to_string(),
+                        (Ok(n), 1) => n.saturating_sub(1).to_string(),
+                        (_, 2) => "18446744073709551615".to_string(),
+                        _ => "99999999999999999999".to_string(),
+                    };
+                    line.replace_range(s..e, &count);
+                }
+            }
+            // A digit is dropped or doubled inside a token.
+            _ => {
+                if let Some((s, e)) = some_token(rng, 1) {
+                    if mix(rng).is_multiple_of(2) && e - s > 1 {
+                        line.remove(s);
+                    } else {
+                        line.insert(s, '9');
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The new `HITS` parser accepts and rejects exactly what the
+        /// token-wise one does, with the same answer or the same message;
+        /// and no edit of a response line makes `parse_request` panic.
+        #[test]
+        fn hits_parser_matches_the_reference_on_mutated_lines(
+            widths in proptest::prop::collection::vec((1..=10u32, proptest::prelude::any::<u32>()), 0..48),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            // Ids of every width, ascending.
+            let mut ids: Vec<ObjectId> = widths
+                .iter()
+                .map(|&(digits, r)| {
+                    let below = 10u64.pow(digits).min(u64::from(u32::MAX) + 1);
+                    let from = if digits == 1 { 0 } else { 10u64.pow(digits - 1) };
+                    (from + u64::from(r) % (below - from)) as ObjectId
+                })
+                .collect();
+            ids.sort_unstable();
+            ids.dedup();
+            let mut line = format_response(&Response::Hits(ids.clone()));
+            assert_eq!(line, reference_format_hits(&ids));
+            assert_eq!(parse_response(&line), Ok(Response::Hits(ids)));
+            let mut rng = seed;
+            for _ in 0..1 + mix(&mut rng) % 4 {
+                mutate(&mut line, &mut rng);
+                assert_eq!(
+                    parse_response(&line),
+                    reference_parse_response(&line),
+                    "{line:?}"
+                );
+                // Whatever it says, it says without panicking.
+                let _ = parse_request(&line);
+                let _ = parse_request(&line.replacen("HITS", "QUERY", 1));
+                let _ = parse_request(&line.replacen("HITS", "DELETE", 1));
+            }
+        }
     }
 }

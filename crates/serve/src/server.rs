@@ -268,7 +268,7 @@ where
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     let mut buf = Vec::new();
-    let mut reply = String::new();
+    let mut reply = Vec::new();
     loop {
         buf.clear();
         // Bounded read: at most MAX_LINE_BYTES + 1 bytes are pulled, so
@@ -314,13 +314,13 @@ where
 /// writes would wake a `TCP_NODELAY` client on a line it cannot finish.
 fn write_reply(
     writer: &mut impl Write,
-    line: &mut String,
+    line: &mut Vec<u8>,
     response: &Response,
 ) -> std::io::Result<()> {
     line.clear();
     write_response(response, line);
-    line.push('\n');
-    writer.write_all(line.as_bytes())
+    line.push(b'\n');
+    writer.write_all(line)
 }
 
 /// How a refused query, write or barrier reads on the wire.
@@ -360,11 +360,7 @@ where
                     .pool
                     .execute_with_deadline(TimeTravelQuery::new(from, to, ids), deadline)
                 {
-                    Ok(QueryOutcome::Answered(reply)) => {
-                        let mut ids = reply.ids;
-                        ids.sort_unstable();
-                        Response::Hits(ids)
-                    }
+                    Ok(QueryOutcome::Answered(reply)) => Response::Hits(reply.ids),
                     Ok(QueryOutcome::TimedOut) => Response::Timeout,
                     Err(rejected) => rejected.into(),
                 },
@@ -821,7 +817,7 @@ mod tests {
 
     #[test]
     fn every_reply_is_one_write_of_one_whole_line() {
-        let mut line = String::new();
+        let mut line = Vec::new();
         for response in [
             Response::Hits(vec![0, 9, 10, u32::MAX]),
             Response::Hits(vec![]),

@@ -1,4 +1,8 @@
-//! Shared by the integration tests that drive a seeded write script.
+//! Shared by the integration tests that drive a seeded write script or
+//! serve a renumbered catalog.
+
+// Each test binary that includes this module uses its own part of it.
+#![allow(dead_code)]
 
 use std::collections::HashMap;
 
@@ -30,4 +34,22 @@ pub fn write_stream(coll: &Collection, n: usize, seed: u64) -> Vec<WriteOp> {
     assert!(ops.iter().any(|op| matches!(op, WriteOp::Delete(_))));
     ops.insert(7, WriteOp::Delete(Object::new(9_999_999, 0, 1, vec![0])));
     ops
+}
+
+/// The same objects as a catalog looks after deletes and later inserts:
+/// every third id a hole, the upper half renumbered far above `len` (the
+/// Tier-1 cross-index tests' shape).
+pub fn with_sparse_ids(coll: &Collection) -> Collection {
+    let half = coll.objects().iter().map(|o| o.id).max().unwrap_or(0) / 2;
+    let survivors = coll.objects().iter().filter(|o| o.id % 3 != 0).cloned();
+    Collection::new(
+        survivors
+            .map(|mut o| {
+                if o.id > half {
+                    o.id += 4_000_000;
+                }
+                o
+            })
+            .collect(),
+    )
 }
