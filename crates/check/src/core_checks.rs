@@ -3,12 +3,14 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::{fail, nest, Validate, Violation};
-use tir_core::{
-    CompressedTif, IrHintPerf, IrHintSize, Tif, TifHint, TifHintSlicing, TifSharding, TifSlicing,
-    IMPACT_STRIDE,
-};
+use tir_core::hybrid::DualCopy;
+use tir_core::postings::TemporalList;
+use tir_core::sharding::Shard;
+use tir_core::slicing::{SliceGrid, SlicedList};
+use tir_core::tif_hint::HintParams;
+use tir_core::{CompressedTif, IrHintPerf, IrHintSize, PerTerm, TermPartition, IMPACT_STRIDE};
 use tir_hint::{DivisionKind, Hint};
-use tir_invidx::{live, raw, ElemBitmaps};
+use tir_invidx::{live, raw, ElemBitmaps, HybridPostings};
 
 /// Validates one time-aware postings list (parallel arrays sorted by raw
 /// object id, proper intervals). Returns the live-entry count.
@@ -142,263 +144,246 @@ impl BitmapAudit {
     }
 }
 
-/// Validates one element's postings HINT: sound in itself and as large
-/// as the planner's frequency for the element says.
-fn check_elem_hint(prefix: &str, h: &Hint, freq: u32, out: &mut Vec<Violation>) {
-    nest(prefix, h.validate(), out);
-    if h.len() != freq as usize {
-        fail(
-            out,
-            prefix,
-            format!(
-                "per-element HINT holds {} live intervals, planner tracks freq {freq}",
-                h.len()
-            ),
-        );
+/// Validates one term's slice copies — each replicated into every one of
+/// the grid's slices its interval overlaps — and returns the number of
+/// distinct live ids. `W = 1` is the hybrid's ⟨id, start⟩ copy, whose span
+/// is only bounded below.
+fn check_sliced<const W: usize>(
+    path: &str,
+    grid: &SliceGrid,
+    sliced: &SlicedList<W>,
+    out: &mut Vec<Violation>,
+) -> usize {
+    let k = grid.num_slices();
+    let mut live_ids = BTreeSet::new();
+    for (s, sub) in sliced.iter() {
+        let path = format!("{path}/slice{s}");
+        if s >= k {
+            fail(
+                out,
+                &path,
+                format!("slice index beyond the {k} configured slices"),
+            );
+        }
+        let (ids, sts, ends) = (&sub.ids, sub.sts(), sub.cols.get(1));
+        let clean_before = out.len();
+        check_temporal_list(&path, ids, sts, ends.map_or(sts, |e| e), out);
+        if out.len() != clean_before {
+            continue;
+        }
+        for i in 0..ids.len() {
+            // Each copy must sit inside its own interval's slice span.
+            let lo = grid.slice_of(sts[i]);
+            let hi = ends.map_or(k.saturating_sub(1), |ends| grid.slice_of(ends[i]));
+            if !(lo..=hi).contains(&s) {
+                fail(
+                    out,
+                    &path,
+                    format!(
+                        "id {}: copy outside its slice span [{lo}, {hi}]",
+                        raw(ids[i])
+                    ),
+                );
+            }
+            if live(ids[i]) {
+                live_ids.insert(raw(ids[i]));
+            }
+        }
     }
+    live_ids.len()
 }
 
-/// Validates slice `s` of a postings list replicated into every one of
-/// the `k` time slices its interval overlaps, collecting the live ids.
-/// `ends` is `None` for the hybrid's ⟨id, start⟩ copy, whose span is
-/// then only bounded below.
-fn check_slice_sublist(
-    path: &str,
-    (s, k): (u32, u32),
-    slice_of: impl Fn(u64) -> u32,
-    (ids, sts, ends): (&[u32], &[u64], Option<&[u64]>),
-    live_ids: &mut BTreeSet<u32>,
-    out: &mut Vec<Violation>,
-) {
-    if s >= k {
+/// Validates one shard; returns its live-entry count.
+fn check_shard(path: &str, shard: &Shard, out: &mut Vec<Violation>) -> usize {
+    let n = shard.ids.len();
+    if shard.sts.len() != n || shard.ends.len() != n {
         fail(
             out,
             path,
-            format!("slice index beyond the {k} configured slices"),
+            format!(
+                "parallel columns disagree: {n} ids, {} starts, {} ends",
+                shard.sts.len(),
+                shard.ends.len()
+            ),
         );
+        return 0;
     }
-    let clean_before = out.len();
-    check_temporal_list(path, ids, sts, ends.unwrap_or(sts), out);
-    if out.len() != clean_before {
-        return;
+    if !shard.sts.windows(2).all(|w| w[0] <= w[1]) {
+        fail(out, path, "starts not ascending".into());
     }
-    for i in 0..ids.len() {
-        // Each copy must sit inside its own interval's slice span.
-        let lo = slice_of(sts[i]);
-        let hi = ends.map_or(k.saturating_sub(1), |ends| slice_of(ends[i]));
-        if !(lo..=hi).contains(&s) {
+    for k in 0..n {
+        if shard.sts[k] > shard.ends[k] {
             fail(
                 out,
                 path,
                 format!(
-                    "id {}: copy outside its slice span [{lo}, {hi}]",
-                    raw(ids[i])
+                    "id {}: inverted interval [{}, {}]",
+                    raw(shard.ids[k]),
+                    shard.sts[k],
+                    shard.ends[k]
                 ),
             );
         }
-        if live(ids[i]) {
-            live_ids.insert(raw(ids[i]));
+    }
+    if shard.staircase {
+        if !shard.ends.windows(2).all(|w| w[0] <= w[1]) {
+            fail(out, path, "staircase shard with ends not ascending".into());
         }
-    }
-}
-
-impl Validate for Tif {
-    fn validate(&self) -> Vec<Violation> {
-        let mut out = Vec::new();
-        self.for_each_list(|e, list| {
-            let path = format!("tif/elem{e}");
-            let live_count = check_temporal_list(&path, &list.ids, &list.sts, &list.ends, &mut out);
-            if live_count != self.freq(e) as usize {
-                fail(
-                    &mut out,
-                    &path,
-                    format!(
-                        "{live_count} live postings, planner tracks freq {}",
-                        self.freq(e)
-                    ),
-                );
-            }
-            // The hybrid container mirror must agree list-for-list with
-            // the temporal lists the planner intersects against.
-            match self.containers().get(e) {
-                None if live_count > 0 => fail(
-                    &mut out,
-                    &path,
-                    format!("{live_count} live postings but no hybrid container"),
+        if !shard.impact.is_empty() {
+            fail(out, path, "staircase shard carries an impact list".into());
+        }
+    } else {
+        let want_blocks = n.div_ceil(IMPACT_STRIDE);
+        if shard.impact.len() != want_blocks {
+            fail(
+                out,
+                path,
+                format!(
+                    "impact list has {} blocks for {n} entries (want {want_blocks})",
+                    shard.impact.len()
                 ),
-                Some(c) if c.cardinality() as usize != live_count => fail(
-                    &mut out,
-                    &path,
-                    format!(
-                        "hybrid container holds {} live ids, temporal list {live_count}",
-                        c.cardinality()
-                    ),
-                ),
-                _ => {}
-            }
-        });
-        out.extend(self.containers().validate());
-        out
-    }
-}
-
-impl Validate for TifSlicing {
-    fn validate(&self) -> Vec<Violation> {
-        let mut out = Vec::new();
-        let mut live_ids: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
-        self.for_each_sublist(|e, s, sub| {
-            check_slice_sublist(
-                &format!("tif_slicing/elem{e}/slice{s}"),
-                (s, self.num_slices()),
-                |t| self.slice_of(t),
-                (&sub.ids, &sub.sts, Some(&sub.ends)),
-                live_ids.entry(e).or_default(),
-                &mut out,
             );
-        });
-        check_freqs(
-            "tif_slicing",
-            "distinct live objects across slices",
-            live_ids.iter().map(|(&e, ids)| (e, ids.len())),
-            |e| self.freq(e),
-            &mut out,
-        );
-        out
-    }
-}
-
-impl Validate for TifSharding {
-    fn validate(&self) -> Vec<Violation> {
-        let mut out = Vec::new();
-        let mut shard_no: BTreeMap<u32, usize> = BTreeMap::new();
-        let mut live_count: BTreeMap<u32, usize> = BTreeMap::new();
-        self.for_each_shard(|e, shard| {
-            let i = shard_no.entry(e).or_insert(0);
-            let path = format!("tif_sharding/elem{e}/shard{i}");
-            *i += 1;
-            let n = shard.ids.len();
-            if shard.sts.len() != n || shard.ends.len() != n {
-                fail(
-                    &mut out,
-                    &path,
-                    format!(
-                        "parallel columns disagree: {n} ids, {} starts, {} ends",
-                        shard.sts.len(),
-                        shard.ends.len()
-                    ),
-                );
-                return;
-            }
-            if !shard.sts.windows(2).all(|w| w[0] <= w[1]) {
-                fail(&mut out, &path, "starts not ascending".into());
-            }
-            for k in 0..n {
-                if shard.sts[k] > shard.ends[k] {
+        } else {
+            for (b, chunk) in shard.ends.chunks(IMPACT_STRIDE).enumerate() {
+                let max = chunk.iter().copied().max().unwrap_or(0);
+                if shard.impact[b] != max {
                     fail(
-                        &mut out,
-                        &path,
+                        out,
+                        path,
                         format!(
-                            "id {}: inverted interval [{}, {}]",
-                            raw(shard.ids[k]),
-                            shard.sts[k],
-                            shard.ends[k]
+                            "impact block {b} caches {}, block maximum end is {max}",
+                            shard.impact[b]
                         ),
                     );
                 }
             }
-            if shard.staircase {
-                if !shard.ends.windows(2).all(|w| w[0] <= w[1]) {
-                    fail(
-                        &mut out,
-                        &path,
-                        "staircase shard with ends not ascending".into(),
-                    );
-                }
-                if !shard.impact.is_empty() {
-                    fail(
-                        &mut out,
-                        &path,
-                        "staircase shard carries an impact list".into(),
-                    );
-                }
-            } else {
-                let want_blocks = n.div_ceil(IMPACT_STRIDE);
-                if shard.impact.len() != want_blocks {
-                    fail(
-                        &mut out,
-                        &path,
-                        format!(
-                            "impact list has {} blocks for {n} entries (want {want_blocks})",
-                            shard.impact.len()
-                        ),
-                    );
-                } else {
-                    for (b, chunk) in shard.ends.chunks(IMPACT_STRIDE).enumerate() {
-                        let max = chunk.iter().copied().max().unwrap_or(0);
-                        if shard.impact[b] != max {
-                            fail(
-                                &mut out,
-                                &path,
-                                format!(
-                                    "impact block {b} caches {}, block maximum end is {max}",
-                                    shard.impact[b]
-                                ),
-                            );
-                        }
-                    }
-                }
-            }
-            *live_count.entry(e).or_insert(0) += shard.ids.iter().filter(|&&id| live(id)).count();
-        });
-        check_freqs(
-            "tif_sharding",
-            "live postings across shards",
-            live_count,
-            |e| self.freq(e),
-            &mut out,
-        );
-        out
+        }
     }
+    shard.ids.iter().filter(|&&id| live(id)).count()
 }
 
-impl Validate for TifHint {
-    fn validate(&self) -> Vec<Violation> {
-        let mut out = Vec::new();
-        self.for_each_hint(|e, h| {
-            check_elem_hint(&format!("tif_hint/elem{e}"), h, self.freq(e), &mut out);
-        });
-        out
-    }
+/// What the generic IR-first walk asks of a policy: validate one term.
+trait CheckTerm: TermPartition {
+    /// Validates the structure of term `e` under `path`; returns how many
+    /// live objects it holds.
+    fn check_term(
+        &self,
+        shared: &Self::Shared,
+        e: u32,
+        path: &str,
+        out: &mut Vec<Violation>,
+    ) -> usize;
+
+    /// Validates the state the terms share.
+    fn check_shared(_shared: &Self::Shared, _out: &mut Vec<Violation>) {}
 }
 
-impl Validate for TifHintSlicing {
+/// Every IR-first index: each term sound in itself and holding as many live
+/// objects as the planner's frequency table says, then the shared state.
+impl<P: CheckTerm> Validate for PerTerm<P> {
     fn validate(&self) -> Vec<Violation> {
         let mut out = Vec::new();
-        self.for_each_hint(|e, h| {
-            check_elem_hint(&format!("hybrid/elem{e}/hint"), h, self.freq(e), &mut out);
-        });
-        let mut live_ids: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
-        self.for_each_sublist(|e, s, ids, sts| {
-            check_slice_sublist(
-                &format!("hybrid/elem{e}/slice{s}"),
-                (s, self.num_slices()),
-                |t| self.slice_of(t),
-                (ids, sts, None),
-                live_ids.entry(e).or_default(),
-                &mut out,
+        let method = P::method(self.shared());
+        self.for_each_term(|e, term| {
+            let path = format!("{method}/elem{e}");
+            let (count, freq) = (
+                term.check_term(self.shared(), e, &path, &mut out),
+                self.freq(e),
             );
+            if count != freq as usize {
+                fail(
+                    &mut out,
+                    &path,
+                    format!("{count} live objects stored, planner tracks freq {freq}"),
+                );
+            }
         });
+        P::check_shared(self.shared(), &mut out);
+        out
+    }
+}
+
+impl CheckTerm for TemporalList {
+    fn check_term(
+        &self,
+        containers: &HybridPostings,
+        e: u32,
+        path: &str,
+        out: &mut Vec<Violation>,
+    ) -> usize {
+        let live_count = check_temporal_list(path, &self.ids, self.sts(), self.ends(), out);
+        // The hybrid container mirror must agree list-for-list with
+        // the temporal lists the planner intersects against.
+        match containers.get(e) {
+            None if live_count > 0 => fail(
+                out,
+                path,
+                format!("{live_count} live postings but no hybrid container"),
+            ),
+            Some(c) if c.cardinality() as usize != live_count => fail(
+                out,
+                path,
+                format!(
+                    "hybrid container holds {} live ids, temporal list {live_count}",
+                    c.cardinality()
+                ),
+            ),
+            _ => {}
+        }
+        live_count
+    }
+
+    fn check_shared(containers: &HybridPostings, out: &mut Vec<Violation>) {
+        out.extend(containers.validate());
+    }
+}
+
+impl CheckTerm for SlicedList<2> {
+    fn check_term(&self, grid: &SliceGrid, _: u32, path: &str, out: &mut Vec<Violation>) -> usize {
+        check_sliced(path, grid, self, out)
+    }
+}
+
+impl CheckTerm for Vec<Shard> {
+    fn check_term(&self, _: &(), _: u32, path: &str, out: &mut Vec<Violation>) -> usize {
+        let shards = self.iter().enumerate();
+        shards
+            .map(|(i, shard)| check_shard(&format!("{path}/shard{i}"), shard, out))
+            .sum()
+    }
+}
+
+impl CheckTerm for Hint {
+    fn check_term(&self, _: &HintParams, _: u32, path: &str, out: &mut Vec<Violation>) -> usize {
+        nest(path, self.validate(), out);
+        self.len()
+    }
+}
+
+impl CheckTerm for DualCopy {
+    fn check_term(
+        &self,
+        (_, grid): &(HintParams, SliceGrid),
+        _: u32,
+        path: &str,
+        out: &mut Vec<Violation>,
+    ) -> usize {
+        nest(&format!("{path}/hint"), self.hint.validate(), out);
         // Tombstone hygiene across the two copies: a delete must reach
         // every slice copy, so the distinct live ids of the sliced copy
         // are exactly the live intervals the HINT copy counts.
-        check_freqs(
-            "hybrid",
-            "distinct live objects across slices",
-            live_ids.iter().map(|(&e, ids)| (e, ids.len())),
-            |e| self.freq(e),
-            &mut out,
-        );
-        out
+        let sliced = check_sliced(path, grid, &self.slices, out);
+        if self.hint.len() != sliced {
+            fail(
+                out,
+                path,
+                format!(
+                    "HINT copy holds {} live intervals, sliced copy {sliced} distinct live objects",
+                    self.hint.len()
+                ),
+            );
+        }
+        sliced
     }
 }
 
@@ -446,7 +431,7 @@ impl Validate for CompressedTif {
         self.for_each_overlay(|e, list| {
             let path = format!("ctif/elem{e}/overlay");
             *live_count.entry(e).or_insert(0) +=
-                check_temporal_list(&path, &list.ids, &list.sts, &list.ends, &mut out);
+                check_temporal_list(&path, &list.ids, list.sts(), list.ends(), &mut out);
         });
         // Tombstone hygiene: the blacklist names base objects only —
         // overlay entries carry their own tombstone bit.

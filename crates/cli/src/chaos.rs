@@ -134,6 +134,8 @@ struct Model {
     pending: Vec<Op>,
     /// Ops whose fate is unknown until recovery, keyed by object id.
     uncertain: HashMap<u32, Op>,
+    /// Ids whose delete is durable: free for an `INSERT` to take again.
+    retired: Vec<u32>,
 }
 
 #[derive(Clone)]
@@ -160,6 +162,7 @@ impl Model {
                 }
                 Op::Delete(o) => {
                     self.confirmed.remove(&o.id);
+                    self.retired.push(o.id);
                 }
             }
         }
@@ -230,6 +233,7 @@ struct Tally {
     drops: u64,
     degraded: bool,
     injected_errs: u64,
+    reused_ids: u64,
 }
 
 /// `tir chaos`: run `--schedules` seeded fault schedules; any oracle
@@ -253,9 +257,10 @@ pub fn cmd_chaos(opts: &Opts) -> Result<(), String> {
             format!("schedule seed {seed} ({method}): {e}")
         })?;
         println!(
-            "seed {seed:3}: {:<11} | {} requests | timeouts {} | drops {} | injected-errs {} | degraded {} | recovery verified",
+            "seed {seed:3}: {:<11} | {} requests | reused ids {} | timeouts {} | drops {} | injected-errs {} | degraded {} | recovery verified",
             method.name(),
             tally.requests,
+            tally.reused_ids,
             tally.timeouts,
             tally.drops,
             tally.injected_errs,
@@ -472,7 +477,8 @@ fn drive(
         }
         let r0 = mix(seed ^ mix(round));
 
-        // --- Writes: 3 per round; one in three rounds mints a fresh
+        // --- Writes: 3 per round — inserts (fresh ids, or the id of a
+        // deleted object) and deletes; one in three rounds mints a fresh
         // term to exercise the term-log fault site. ---
         for w in 0..3u64 {
             let r = mix(r0 ^ w);
@@ -492,8 +498,17 @@ fn drive(
                 let victim = settled[(r >> 8) as usize % settled.len()].clone();
                 (format!("DELETE {}", victim.id), Op::Delete(victim))
             } else {
-                let id = *next_id;
-                *next_id += 1;
+                // The second write of a round re-uses the id of a durably
+                // deleted object, if there is one; the rest mint fresh ids.
+                let id = if w == 1 && !model.retired.is_empty() {
+                    tally.reused_ids += 1;
+                    model
+                        .retired
+                        .swap_remove((r >> 8) as usize % model.retired.len())
+                } else {
+                    *next_id += 1;
+                    *next_id - 1
+                };
                 let st = domain_st + r % span;
                 let end = (st + (r >> 16) % (span / 16).max(1)).min(domain_st + span);
                 let mut elems = vec![

@@ -181,7 +181,7 @@ impl TemporalIrIndex for CompressedTif {
             self.overlay
                 .entry(e)
                 .or_default()
-                .insert(o.id, o.interval.st, o.interval.end);
+                .insert(o.id, [o.interval.st, o.interval.end]);
             self.freqs.bump(e);
         }
     }

@@ -13,6 +13,7 @@ use crate::freq::FreqTable;
 use crate::index_trait::TemporalIrIndex;
 use crate::irhint_perf::{promote_dense, universe_of};
 use crate::method::Method;
+use crate::per_term::record;
 use crate::types::{Object, ObjectId, TimeTravelQuery};
 use tir_hint::{DivisionKind, Hierarchy, Hint, HintConfig, IntervalRecord};
 use tir_invidx::planner::{Kernel, Postings, QueryScratch};
@@ -41,14 +42,6 @@ pub fn choose_m_ir(n: usize, per_part: usize) -> u32 {
     let parts = (n as f64 / per_part.max(1) as f64).max(1.0);
     // analyze:allow(unguarded-cast): log2 of a value >= 1.0 is finite and non-negative, far below u32::MAX
     (parts.log2().ceil() as u32).clamp(2, 20)
-}
-
-fn record(o: &Object) -> IntervalRecord {
-    IntervalRecord {
-        id: o.id,
-        st: o.interval.st,
-        end: o.interval.end,
-    }
 }
 
 impl IrHintSize {

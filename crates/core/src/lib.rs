@@ -7,14 +7,17 @@
 //!
 //! ## Index implementations
 //!
+//! The first six are one skeleton, [`PerTerm`], over what a term's
+//! postings are ([`TermPartition`]); the next two are time-first.
+//!
 //! | Type | Approach | Paper section |
 //! |------|----------|---------------|
-//! | [`Tif`] | base temporal inverted file | §2.2, Alg. 1 |
-//! | [`TifSlicing`] | vertical time-slice partitioning | §2.2 |
-//! | [`TifSharding`] | staircase shards + impact lists | §2.2 |
-//! | [`TifHint`] (binary-search) | per-element HINTs, Alg. 3 | §3.1 |
-//! | [`TifHint`] (merge-sort) | id-sorted per-element HINTs, Alg. 4 | §3.1 |
-//! | [`TifHintSlicing`] | dual-copy hybrid | §3.2 |
+//! | [`Tif`] | base temporal inverted file: a term is one id-sorted list | §2.2, Alg. 1 |
+//! | [`TifSlicing`] | a term's list cut into vertical time slices | §2.2 |
+//! | [`TifSharding`] | a term's list cut into staircase shards + impact lists | §2.2 |
+//! | [`TifHint`] (binary-search) | a term is a HINT, Alg. 3 | §3.1 |
+//! | [`TifHint`] (merge-sort) | a term is an id-sorted HINT, Alg. 4 | §3.1 |
+//! | [`TifHintSlicing`] | dual-copy hybrid: a term is a HINT plus slices | §3.2 |
 //! | [`IrHintPerf`] | time-first, tIF per division | §4.1, Alg. 5 |
 //! | [`IrHintSize`] | time-first, decoupled dual structure | §4.2, Alg. 6 |
 //! | [`CompressedTif`] | block-compressed base + uncompressed overlay | §7 (future work) |
@@ -58,6 +61,7 @@ pub mod irhint_perf;
 pub mod irhint_size;
 pub mod method;
 pub mod oracle;
+pub mod per_term;
 pub mod postings;
 pub mod ranked;
 pub mod sharding;
@@ -74,9 +78,10 @@ pub use irhint_perf::IrHintPerf;
 pub use irhint_size::IrHintSize;
 pub use method::Method;
 pub use oracle::BruteForce;
+pub use per_term::{PerTerm, TermPartition};
 pub use ranked::{RankedQuery, RankedTif, ScoredHit};
-pub use sharding::{ShardView, ShardingConfig, TifSharding, IMPACT_STRIDE};
-pub use slicing::{tune_num_slices, TifSlicing};
+pub use sharding::{TifSharding, IMPACT_STRIDE};
+pub use slicing::TifSlicing;
 pub use tif::Tif;
 pub use tif_hint::{IntersectStrategy, TifHint, TifHintConfig};
 pub use tir_invidx::{Kernel, PlanStats, QueryScratch};

@@ -1,0 +1,238 @@
+//! The IR-first skeleton: one postings structure per term, one algorithm.
+//!
+//! Sections 2.2–3.2 of the paper describe tIF, tIF+Slicing, tIF+Sharding,
+//! tIF+HINT and tIF+HINT+Slicing as *one* evaluation plan — order `q.d` by
+//! ascending frequency, answer the time-travel part on the least frequent
+//! term, intersect the survivors with every other term — crossed with how
+//! a term's postings are organised in time. [`PerTerm`] is that plan;
+//! a [`TermPartition`] is one organisation.
+
+use std::collections::HashMap;
+use std::fmt::Debug;
+
+use crate::collection::Collection;
+use crate::freq::FreqTable;
+use crate::index_trait::TemporalIrIndex;
+use crate::method::Method;
+use crate::types::{ElemId, Interval, Object, ObjectId, TimeTravelQuery};
+use tir_hint::IntervalRecord;
+use tir_invidx::planner::{Kernel, Postings, QueryScratch};
+
+/// How one term's postings are organised in time — all that varies between
+/// the IR-first methods.
+pub trait TermPartition: Clone + Debug + Sized {
+    /// What every term of one index shares: the time domain, slice count,
+    /// HINT parameters, tIF's container directory.
+    type Shared: Clone + Debug;
+
+    /// The registry method an index over this policy is.
+    fn method(shared: &Self::Shared) -> Method;
+
+    /// One term's structure over its postings, given in ascending id order
+    /// (none for a term first seen by an insert).
+    fn build(shared: &Self::Shared, records: &[IntervalRecord]) -> Self;
+
+    /// Adds one posting of term `e`.
+    fn insert(&mut self, shared: &mut Self::Shared, e: ElemId, r: &IntervalRecord);
+
+    /// Logically deletes the posting of `r`; returns true if found alive.
+    fn tombstone(&mut self, shared: &mut Self::Shared, e: ElemId, r: &IntervalRecord) -> bool;
+
+    /// The seed step, on the plan's least frequent term: appends to
+    /// `scratch.cands` every live id whose interval overlaps `q`, each once
+    /// and in the order [`Self::restrict`] expects. Returns the number of
+    /// postings scanned.
+    fn seed_into(&self, shared: &Self::Shared, q: Interval, scratch: &mut QueryScratch) -> u64;
+
+    /// One conjunction step: keeps the candidates this term (`e`) also holds.
+    fn restrict(&self, shared: &Self::Shared, e: ElemId, q: Interval, scratch: &mut QueryScratch);
+
+    /// Heap footprint of this term in bytes, its own header included.
+    fn size_bytes(&self) -> usize;
+
+    /// Heap footprint of the shared state in bytes.
+    fn shared_size_bytes(_shared: &Self::Shared) -> usize {
+        0
+    }
+}
+
+/// An IR-first index: a term map of `P`s, the planner's frequency table,
+/// and the state all terms share.
+#[derive(Debug, Clone, Default)]
+pub struct PerTerm<P: TermPartition> {
+    pub(crate) terms: HashMap<ElemId, P>,
+    pub(crate) freqs: FreqTable,
+    pub(crate) shared: P::Shared,
+}
+
+pub(crate) fn record(o: &Object) -> IntervalRecord {
+    IntervalRecord {
+        id: o.id,
+        st: o.interval.st,
+        end: o.interval.end,
+    }
+}
+
+impl<P: TermPartition> PerTerm<P> {
+    /// Groups the collection's postings per term and builds each term's
+    /// structure under `shared`.
+    pub(crate) fn build_with(coll: &Collection, shared: P::Shared) -> Self {
+        let mut per_elem: HashMap<ElemId, Vec<IntervalRecord>> = HashMap::new();
+        for o in coll.objects() {
+            let rec = record(o);
+            for &e in &o.desc {
+                per_elem.entry(e).or_default().push(rec);
+            }
+        }
+        let build = |(e, recs): (ElemId, Vec<_>)| (e, P::build(&shared, &recs));
+        PerTerm {
+            terms: per_elem.into_iter().map(build).collect(),
+            freqs: FreqTable::from_counts(coll.freqs()),
+            shared,
+        }
+    }
+
+    /// Document frequency of an element as tracked by the planner.
+    pub fn freq(&self, e: ElemId) -> u32 {
+        self.freqs.get(e)
+    }
+
+    /// The state every term shares (introspection for validators).
+    pub fn shared(&self) -> &P::Shared {
+        &self.shared
+    }
+
+    /// Calls `f(element, term)` for every term, in unspecified element
+    /// order (introspection for validators).
+    pub fn for_each_term(&self, mut f: impl FnMut(ElemId, &P)) {
+        self.terms.iter().for_each(|(&e, term)| f(e, term));
+    }
+}
+
+impl<P: TermPartition> TemporalIrIndex for PerTerm<P> {
+    fn name(&self) -> &'static str {
+        P::method(&self.shared).paper_name()
+    }
+
+    fn query_into(&self, q: &TimeTravelQuery, scratch: &mut QueryScratch, out: &mut Vec<ObjectId>) {
+        scratch.reset();
+        self.freqs.plan_into(&q.elems, &mut scratch.plan);
+        if scratch.plan.is_empty() {
+            return;
+        }
+        if let Some(term) = self.terms.get(&scratch.plan[0]) {
+            let scanned = term.seed_into(&self.shared, q.interval, scratch);
+            scratch.note(Kernel::Merge, scanned);
+        }
+        for i in 1..scratch.plan.len() {
+            if scratch.is_empty() {
+                break;
+            }
+            let e = scratch.plan[i];
+            match self.terms.get(&e) {
+                Some(term) => term.restrict(&self.shared, e, q.interval, scratch),
+                // A term no object ever contained: nothing survives.
+                None => scratch.intersect(Postings::Ids(&[])),
+            }
+        }
+        scratch.take_into(out);
+    }
+
+    fn insert(&mut self, o: &Object) {
+        let rec = record(o);
+        for &e in &o.desc {
+            let term = self.terms.entry(e);
+            let term = term.or_insert_with(|| P::build(&self.shared, &[]));
+            term.insert(&mut self.shared, e, &rec);
+            self.freqs.bump(e);
+        }
+    }
+
+    fn delete(&mut self, o: &Object) -> bool {
+        let (rec, mut any) = (record(o), false);
+        for &e in &o.desc {
+            if let Some(term) = self.terms.get_mut(&e) {
+                if term.tombstone(&mut self.shared, e, &rec) {
+                    self.freqs.drop_one(e);
+                    any = true;
+                }
+            }
+        }
+        any
+    }
+
+    // Each method keeps the formula it has always reported (the gated
+    // `index_bytes` is in these terms; making them true is ROADMAP item 7).
+    // Their conventions, in one place: every method adds a guessed 16 bytes
+    // per hash entry here, and the hybrid — once two maps — a second 16 in
+    // its term; tIF counts lists at capacity plus a header each, and its
+    // whole container directory as shared state; tIF+Slicing counts a header
+    // per *materialized* sub-list (`subs.len()`), the hybrid per *allocated*
+    // slot (`subs.capacity()`); tIF+Sharding counts shard headers at
+    // capacity; per-term HINTs leave out spare partition slots.
+    fn size_bytes(&self) -> usize {
+        let terms = self.terms.values().map(|t| t.size_bytes() + 16);
+        terms.sum::<usize>() + P::shared_size_bytes(&self.shared) + self.freqs.size_bytes()
+    }
+}
+
+/// The contract every policy and parameter set is held to, instantiated by
+/// each policy's own tests.
+#[cfg(test)]
+pub(crate) mod contract {
+    use super::*;
+    use crate::oracle::BruteForce;
+
+    fn sorted_once<P: TermPartition>(
+        idx: &PerTerm<P>,
+        q: &TimeTravelQuery,
+        what: &str,
+    ) -> Vec<u32> {
+        let mut got = idx.query(q);
+        let n = got.len();
+        got.sort_unstable();
+        got.dedup();
+        assert_eq!(n, got.len(), "duplicates {what} q={q:?}");
+        got
+    }
+
+    /// Figure 1's query, the oracle over every interval of the running
+    /// example's domain × seven element sets, then an insert, a delete and
+    /// a repeated delete followed by the oracle again.
+    pub(crate) fn holds<P: TermPartition>(what: &str, build: impl Fn(&Collection) -> PerTerm<P>) {
+        let coll = Collection::running_example();
+        let mut idx = build(&coll);
+        let mut bf = BruteForce::build(coll.objects());
+        let fig1 = TimeTravelQuery::new(5, 9, vec![0, 2]);
+        assert_eq!(sorted_once(&idx, &fig1, what), vec![1, 3, 6], "{what}");
+        let elem_sets = [
+            vec![0],
+            vec![1],
+            vec![2],
+            vec![0, 2],
+            vec![1, 2],
+            vec![0, 1, 2],
+            vec![5],
+        ];
+        for round in 0..2 {
+            for st in 0..16u64 {
+                for end in st..16 {
+                    for elems in &elem_sets {
+                        let q = TimeTravelQuery::new(st, end, elems.clone());
+                        assert_eq!(sorted_once(&idx, &q, what), bf.answer(&q), "{what} q={q:?}");
+                    }
+                }
+            }
+            if round == 0 {
+                let o = Object::new(8, 2, 13, vec![0, 1, 2]);
+                idx.insert(&o);
+                bf.insert(&o);
+                for victim in [3, 6] {
+                    assert!(idx.delete(coll.get(victim)), "{what}");
+                    bf.delete(coll.get(victim));
+                    assert!(!idx.delete(coll.get(victim)), "{what}: idempotent");
+                }
+            }
+        }
+    }
+}

@@ -3,20 +3,34 @@
 use crate::types::{Object, ObjectId, Timestamp};
 use tir_invidx::{live, raw, TOMBSTONE};
 
-/// A time-aware postings list `I[e]`: parallel arrays of
-/// `⟨o.id, [o.tst, o.tend]⟩` entries sorted by (raw) object id, as in the
-/// base temporal inverted file of Section 2.2.
-#[derive(Debug, Clone, Default)]
-pub struct TemporalList {
+/// An id-sorted column list: object ids (raw-id order, tombstone high bit
+/// marks logical deletes) plus `W` parallel endpoint columns. `W = 2`
+/// keeps `[start, end]` — the time-aware postings list `I[e]` of the base
+/// temporal inverted file (Section 2.2, [`TemporalList`]); `W = 1` keeps
+/// the start alone — the hybrid's `⟨o.id, o.tst⟩` slice copy
+/// (Section 3.2). At most one entry per raw id: the tombstone-aware
+/// kernels stop at the first raw match.
+#[derive(Debug, Clone)]
+pub struct ColumnList<const W: usize> {
     /// Object ids (tombstone high bit marks logical deletes).
     pub ids: Vec<u32>,
-    /// Interval starts.
-    pub sts: Vec<Timestamp>,
-    /// Interval ends.
-    pub ends: Vec<Timestamp>,
+    /// Endpoint columns parallel to `ids`: starts, then (`W = 2`) ends.
+    pub cols: [Vec<Timestamp>; W],
 }
 
-impl TemporalList {
+/// A time-aware postings list `I[e]` of `⟨o.id, [o.tst, o.tend]⟩` entries.
+pub type TemporalList = ColumnList<2>;
+
+impl<const W: usize> Default for ColumnList<W> {
+    fn default() -> Self {
+        ColumnList {
+            ids: Vec::new(),
+            cols: std::array::from_fn(|_| Vec::new()),
+        }
+    }
+}
+
+impl<const W: usize> ColumnList<W> {
     /// Number of entries, including tombstoned ones.
     #[inline]
     pub fn len(&self) -> usize {
@@ -29,19 +43,29 @@ impl TemporalList {
         self.ids.is_empty()
     }
 
-    /// Appends or inserts keeping raw-id order.
-    pub fn insert(&mut self, id: ObjectId, st: Timestamp, end: Timestamp) {
-        match self.ids.last() {
-            Some(&last) if raw(last) > id => {
-                let pos = self.ids.partition_point(|&x| raw(x) <= id);
-                self.ids.insert(pos, id);
-                self.sts.insert(pos, st);
-                self.ends.insert(pos, end);
+    /// Interval starts, parallel to `ids`.
+    #[inline]
+    pub fn sts(&self) -> &[Timestamp] {
+        &self.cols[0]
+    }
+
+    /// Appends or inserts keeping raw-id order. An entry already stored
+    /// under `id` — the tombstone a delete left — is revived in place with
+    /// the new endpoints, so a re-used id never occupies two slots.
+    pub fn insert(&mut self, id: ObjectId, span: [Timestamp; W]) {
+        let pos = match self.ids.last() {
+            Some(&last) if raw(last) >= id => self.ids.partition_point(|&x| raw(x) < id),
+            _ => self.ids.len(),
+        };
+        if self.ids.get(pos).is_some_and(|&x| raw(x) == id) {
+            self.ids[pos] = id;
+            for (col, v) in self.cols.iter_mut().zip(span) {
+                col[pos] = v;
             }
-            _ => {
-                self.ids.push(id);
-                self.sts.push(st);
-                self.ends.push(end);
+        } else {
+            self.ids.insert(pos, id);
+            for (col, v) in self.cols.iter_mut().zip(span) {
+                col.insert(pos, v);
             }
         }
     }
@@ -57,33 +81,36 @@ impl TemporalList {
         false
     }
 
-    /// Appends to `out` every live id whose interval overlaps
-    /// `[q_st, q_end]` — the temporal filter applied to the least-frequent
-    /// element's list in Algorithm 1. Output order follows the list (i.e.
-    /// ascending by id).
-    pub fn filter_overlap_into(&self, q_st: Timestamp, q_end: Timestamp, out: &mut Vec<ObjectId>) {
-        for i in 0..self.ids.len() {
-            if live(self.ids[i]) && self.sts[i] <= q_end && self.ends[i] >= q_st {
-                out.push(self.ids[i]);
-            }
-        }
-    }
-
     /// Heap footprint in bytes.
     pub fn size_bytes(&self) -> usize {
-        self.ids.capacity() * 4 + (self.sts.capacity() + self.ends.capacity()) * 8
+        self.ids.capacity() * 4 + self.cols.iter().map(|c| c.capacity() * 8).sum::<usize>()
+    }
+}
+
+impl TemporalList {
+    /// Interval ends, parallel to `ids`.
+    #[inline]
+    pub fn ends(&self) -> &[Timestamp] {
+        &self.cols[1]
     }
 
-    /// [`TemporalList::filter_overlap_into`] as a planner seed step:
-    /// returns the number of entries scanned so the caller can charge the
-    /// temporal filter pass to its query counters.
+    /// Appends to `out` every live id whose interval overlaps
+    /// `[q_st, q_end]` — the temporal filter applied to the least-frequent
+    /// element's list in Algorithm 1 — and returns the number of entries
+    /// scanned, which the caller charges to its query counters. Output
+    /// order follows the list (i.e. ascending by id).
     pub fn seed_overlap_into(
         &self,
         q_st: Timestamp,
         q_end: Timestamp,
         out: &mut Vec<ObjectId>,
     ) -> usize {
-        self.filter_overlap_into(q_st, q_end, out);
+        let [sts, ends] = &self.cols;
+        for i in 0..self.ids.len() {
+            if live(self.ids[i]) && sts[i] <= q_end && ends[i] >= q_st {
+                out.push(self.ids[i]);
+            }
+        }
         self.ids.len()
     }
 }
@@ -98,7 +125,7 @@ pub fn build_lists(objects: &[Object]) -> std::collections::HashMap<u32, Tempora
             lists
                 .entry(e)
                 .or_default()
-                .insert(o.id, o.interval.st, o.interval.end);
+                .insert(o.id, [o.interval.st, o.interval.end]);
         }
     }
     lists
@@ -111,36 +138,57 @@ mod tests {
     #[test]
     fn insert_keeps_sorted() {
         let mut l = TemporalList::default();
-        l.insert(5, 50, 55);
-        l.insert(2, 20, 25);
-        l.insert(9, 90, 95);
+        l.insert(5, [50, 55]);
+        l.insert(2, [20, 25]);
+        l.insert(9, [90, 95]);
         assert_eq!(l.ids, vec![2, 5, 9]);
-        assert_eq!(l.sts, vec![20, 50, 90]);
+        assert_eq!(l.sts(), [20, 50, 90]);
     }
 
     #[test]
-    fn filter_overlap() {
+    fn seed_overlap() {
         let mut l = TemporalList::default();
-        l.insert(1, 0, 10);
-        l.insert(2, 20, 30);
-        l.insert(3, 5, 25);
+        l.insert(1, [0, 10]);
+        l.insert(2, [20, 30]);
+        l.insert(3, [5, 25]);
         let mut out = Vec::new();
-        l.filter_overlap_into(8, 22, &mut out);
+        assert_eq!(l.seed_overlap_into(8, 22, &mut out), 3);
         assert_eq!(out, vec![1, 2, 3]);
         out.clear();
-        l.filter_overlap_into(11, 19, &mut out);
+        l.seed_overlap_into(11, 19, &mut out);
         assert_eq!(out, vec![3]);
     }
 
     #[test]
     fn tombstone_then_filter() {
         let mut l = TemporalList::default();
-        l.insert(1, 0, 10);
-        l.insert(2, 5, 15);
+        l.insert(1, [0, 10]);
+        l.insert(2, [5, 15]);
         assert!(l.tombstone(1));
         assert!(!l.tombstone(1));
         let mut out = Vec::new();
-        l.filter_overlap_into(0, 100, &mut out);
+        l.seed_overlap_into(0, 100, &mut out);
         assert_eq!(out, vec![2]);
+    }
+
+    #[test]
+    fn reinsert_revives_the_dead_slot_in_place() {
+        // First, middle and last position, both widths.
+        for id in [1u32, 2, 3] {
+            let mut l = TemporalList::default();
+            let mut s = ColumnList::<1>::default();
+            for i in 1..=3u32 {
+                l.insert(i, [10, 20]);
+                s.insert(i, [10]);
+            }
+            assert!(l.tombstone(id) && s.tombstone(id));
+            l.insert(id, [30, 40]);
+            s.insert(id, [30]);
+            assert_eq!(l.ids, vec![1, 2, 3], "one live entry per raw id");
+            assert_eq!(s.ids, vec![1, 2, 3]);
+            let p = (id - 1) as usize;
+            assert_eq!((l.sts()[p], l.ends()[p], s.sts()[p]), (30, 40, 30));
+            assert!(l.tombstone(id) && !l.tombstone(id));
+        }
     }
 }

@@ -103,7 +103,7 @@ impl RankedTif {
                 if !live(list.ids[i]) {
                     continue;
                 }
-                let (st, end) = (list.sts[i], list.ends[i]);
+                let (st, end) = (list.sts()[i], list.ends()[i]);
                 if st > q_end || end < q_st {
                     continue;
                 }

@@ -4,30 +4,33 @@
 //! temporal range maps to a contiguous run of entries. No replication, no
 //! de-duplication. Impact lists accelerate shard scans.
 
-use std::collections::HashMap;
-
 use crate::collection::Collection;
-use crate::freq::FreqTable;
-use crate::index_trait::TemporalIrIndex;
 use crate::method::Method;
-use crate::types::{Object, ObjectId, TimeTravelQuery, Timestamp};
-use tir_invidx::planner::{Kernel, QueryScratch};
+use crate::per_term::{PerTerm, TermPartition};
+use crate::types::{ElemId, Interval, Timestamp};
+use tir_hint::IntervalRecord;
+use tir_invidx::planner::QueryScratch;
 use tir_invidx::{live, TOMBSTONE};
 
 /// Entries per impact-list block.
 pub const IMPACT_STRIDE: usize = 64;
 
-/// One shard: entries sorted by start; `staircase` records whether ends
-/// are also non-decreasing (ideal shards are, cost-merged ones may not
-/// be). The impact list stores the maximum end per block of
-/// [`IMPACT_STRIDE`] entries so scans skip blocks that cannot qualify.
+/// One shard: entries sorted by start (read-only outside this module:
+/// an index hands out `&Shard` only).
 #[derive(Debug, Clone, Default)]
-struct Shard {
-    ids: Vec<u32>,
-    sts: Vec<Timestamp>,
-    ends: Vec<Timestamp>,
-    staircase: bool,
-    impact: Vec<Timestamp>,
+pub struct Shard {
+    /// Object ids (tombstone high bit marks logical deletes).
+    pub ids: Vec<u32>,
+    /// Interval starts, non-decreasing.
+    pub sts: Vec<Timestamp>,
+    /// Interval ends; non-decreasing iff `staircase`.
+    pub ends: Vec<Timestamp>,
+    /// Whether ends are sorted too (ideal shards are, cost-merged ones may
+    /// not be).
+    pub staircase: bool,
+    /// Relaxed shards only: the maximum end per block of [`IMPACT_STRIDE`]
+    /// entries, so scans skip blocks that cannot qualify.
+    pub impact: Vec<Timestamp>,
 }
 
 impl Shard {
@@ -85,112 +88,39 @@ impl Shard {
     }
 }
 
-/// Build/merge configuration for [`TifSharding`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShardingConfig {
-    /// Cap on shards per postings list; `None` uses the cost heuristic
-    /// `⌈sqrt(list length)⌉` (bounded to 512), approximating the
-    /// cost-aware merging of ideal shards in Anand et al.
-    pub max_shards_per_list: Option<usize>,
+/// Ceiling on the shards of one postings list. A build merges the ideal
+/// shards down to `⌈√n⌉` of them ([`shard_cap`], approximating the
+/// cost-aware merging of Anand et al.) and never keeps more than this; an
+/// insert that opens a new shard re-merges the list only once it holds
+/// twice this many, because re-merging is a full rebuild of the list.
+const MAX_SHARDS_PER_LIST: usize = 512;
+
+/// The shard budget of a list of `n` postings.
+fn shard_cap(n: usize) -> usize {
+    ((n as f64).sqrt().ceil() as usize).clamp(1, MAX_SHARDS_PER_LIST)
 }
 
-/// The tIF+Sharding index.
-#[derive(Debug, Clone)]
-pub struct TifSharding {
-    lists: HashMap<u32, Vec<Shard>>,
-    freqs: FreqTable,
-    config: ShardingConfig,
+/// The `(start, end, id)` entries of a shard, in stored order.
+fn entries_of(s: &Shard) -> impl Iterator<Item = (Timestamp, Timestamp, u32)> + '_ {
+    let spans = s.sts.iter().zip(&s.ends);
+    spans.zip(&s.ids).map(|((&st, &end), &id)| (st, end, id))
 }
+
+/// The tIF+Sharding index: a term holds its postings list cut into shards.
+pub type TifSharding = PerTerm<Vec<Shard>>;
 
 impl TifSharding {
-    /// Builds with the default cost-heuristic shard cap.
+    /// Builds with the cost-heuristic shard cap.
     pub fn build(coll: &Collection) -> Self {
-        Self::build_with_config(coll, ShardingConfig::default())
+        Self::build_with(coll, ())
     }
-
-    /// Builds with an explicit configuration.
-    pub fn build_with_config(coll: &Collection, config: ShardingConfig) -> Self {
-        // Group postings per element first.
-        let mut per_elem: HashMap<u32, Vec<(Timestamp, Timestamp, u32)>> = HashMap::new();
-        for o in coll.objects() {
-            for &e in &o.desc {
-                per_elem
-                    .entry(e)
-                    .or_default()
-                    .push((o.interval.st, o.interval.end, o.id));
-            }
-        }
-        let mut lists = HashMap::with_capacity(per_elem.len());
-        for (e, mut entries) in per_elem {
-            entries.sort_unstable();
-            lists.insert(e, build_shards(&entries, config));
-        }
-        TifSharding {
-            lists,
-            freqs: FreqTable::from_counts(coll.freqs()),
-            config,
-        }
-    }
-
-    /// Number of shards of an element's list (0 if unknown).
-    pub fn num_shards(&self, e: u32) -> usize {
-        self.lists.get(&e).map(Vec::len).unwrap_or(0)
-    }
-
-    /// Total stored postings (no replication in sharding).
-    pub fn num_postings(&self) -> usize {
-        self.lists
-            .values()
-            .flat_map(|s| s.iter())
-            .map(Shard::len)
-            .sum()
-    }
-
-    /// Document frequency of an element as tracked by the planner.
-    pub fn freq(&self, e: u32) -> u32 {
-        self.freqs.get(e)
-    }
-
-    /// Calls `f(element, shard)` for every shard, in unspecified element
-    /// order (introspection for validators).
-    pub fn for_each_shard(&self, mut f: impl FnMut(u32, ShardView<'_>)) {
-        for (&e, shards) in &self.lists {
-            for s in shards {
-                f(
-                    e,
-                    ShardView {
-                        ids: &s.ids,
-                        sts: &s.sts,
-                        ends: &s.ends,
-                        staircase: s.staircase,
-                        impact: &s.impact,
-                    },
-                );
-            }
-        }
-    }
-}
-
-/// A read-only view of one shard (introspection for validators).
-#[derive(Debug, Clone, Copy)]
-pub struct ShardView<'a> {
-    /// Object ids (tombstone high bit marks logical deletes).
-    pub ids: &'a [u32],
-    /// Interval starts, non-decreasing.
-    pub sts: &'a [Timestamp],
-    /// Interval ends; non-decreasing iff `staircase`.
-    pub ends: &'a [Timestamp],
-    /// Whether the shard satisfies the staircase property.
-    pub staircase: bool,
-    /// Per-[`IMPACT_STRIDE`]-block maximum end (relaxed shards only).
-    pub impact: &'a [Timestamp],
 }
 
 /// Greedy first-fit decomposition into ideal (staircase) shards — with the
 /// entries sorted by start, placing each into the first shard whose tail
 /// end is not larger yields the minimal number of staircase shards — then
-/// cost-aware merging down to the configured cap.
-fn build_shards(entries: &[(Timestamp, Timestamp, u32)], config: ShardingConfig) -> Vec<Shard> {
+/// cost-aware merging down to `cap` shards.
+fn build_shards(entries: &[(Timestamp, Timestamp, u32)], cap: usize) -> Vec<Shard> {
     debug_assert!(entries.windows(2).all(|w| w[0] <= w[1]));
     let mut shards: Vec<Shard> = Vec::new();
     for &(st, end, id) in entries {
@@ -213,9 +143,6 @@ fn build_shards(entries: &[(Timestamp, Timestamp, u32)], config: ShardingConfig)
         shard.sts.push(st);
         shard.ends.push(end);
     }
-    let cap = config
-        .max_shards_per_list
-        .unwrap_or_else(|| ((entries.len() as f64).sqrt().ceil() as usize).clamp(1, 512));
     while shards.len() > cap {
         // Merge the two smallest shards: cheapest extra scan cost.
         let (mut a, mut b) = (0, 1);
@@ -230,21 +157,7 @@ fn build_shards(entries: &[(Timestamp, Timestamp, u32)], config: ShardingConfig)
         let (a, b) = (a.min(b), a.max(b));
         let small = shards.swap_remove(b);
         let big = &mut shards[a];
-        let mut merged: Vec<(Timestamp, Timestamp, u32)> = big
-            .sts
-            .iter()
-            .zip(&big.ends)
-            .zip(&big.ids)
-            .map(|((&s, &e), &i)| (s, e, i))
-            .chain(
-                small
-                    .sts
-                    .iter()
-                    .zip(&small.ends)
-                    .zip(&small.ids)
-                    .map(|((&s, &e), &i)| (s, e, i)),
-            )
-            .collect();
+        let mut merged: Vec<_> = entries_of(big).chain(entries_of(&small)).collect();
         merged.sort_unstable();
         big.ids = merged.iter().map(|&(_, _, i)| i).collect();
         big.sts = merged.iter().map(|&(s, _, _)| s).collect();
@@ -265,175 +178,115 @@ fn build_shards(entries: &[(Timestamp, Timestamp, u32)], config: ShardingConfig)
     shards
 }
 
-impl TemporalIrIndex for TifSharding {
-    fn name(&self) -> &'static str {
-        Method::Sharding.paper_name()
+impl TermPartition for Vec<Shard> {
+    type Shared = ();
+
+    fn method(_: &()) -> Method {
+        Method::Sharding
     }
 
-    fn query_into(&self, q: &TimeTravelQuery, scratch: &mut QueryScratch, out: &mut Vec<ObjectId>) {
-        scratch.reset();
-        self.freqs.plan_into(&q.elems, &mut scratch.plan);
-        if scratch.plan.is_empty() {
-            return;
-        }
-        let (q_st, q_end) = (q.interval.st, q.interval.end);
+    fn build(_: &(), records: &[IntervalRecord]) -> Self {
+        let mut entries: Vec<_> = records.iter().map(|r| (r.st, r.end, r.id)).collect();
+        entries.sort_unstable();
+        build_shards(&entries, shard_cap(entries.len()))
+    }
 
-        let first = scratch.plan[0];
+    fn insert(&mut self, _: &mut (), _: ElemId, r: &IntervalRecord) {
+        let (st, end, id) = (r.st, r.end, r.id);
+        // First shard where inserting keeps both orders (staircase) or
+        // at least the start order (relaxed).
+        for s in self.iter_mut() {
+            let pos = s.sts.partition_point(|&x| x <= st);
+            let stair_ok = s.staircase
+                && (pos == 0 || s.ends[pos - 1] <= end)
+                && (pos == s.len() || end <= s.ends[pos]);
+            if stair_ok || !s.staircase {
+                s.ids.insert(pos, id);
+                s.sts.insert(pos, st);
+                s.ends.insert(pos, end);
+                if !s.staircase {
+                    s.rebuild_impact();
+                }
+                return;
+            }
+        }
+        self.push(Shard {
+            ids: vec![id],
+            sts: vec![st],
+            ends: vec![end],
+            staircase: true,
+            impact: Vec::new(),
+        });
+        if self.len() > MAX_SHARDS_PER_LIST * 2 {
+            let mut all: Vec<_> = self.iter().flat_map(entries_of).collect();
+            all.sort_unstable();
+            *self = build_shards(&all, shard_cap(all.len()));
+        }
+    }
+
+    fn tombstone(&mut self, _: &mut (), _: ElemId, r: &IntervalRecord) -> bool {
+        for s in self.iter_mut() {
+            // Entries with this start form a contiguous run.
+            let lo = s.sts.partition_point(|&x| x < r.st);
+            let hi = s.sts.partition_point(|&x| x <= r.st);
+            for i in lo..hi {
+                if s.ids[i] == r.id {
+                    s.ids[i] |= TOMBSTONE;
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    fn seed_into(&self, _: &(), q: Interval, scratch: &mut QueryScratch) -> u64 {
         let mut scanned = 0u64;
-        if let Some(shards) = self.lists.get(&first) {
-            for s in shards {
-                s.for_each_qualifying(q_st, q_end, |i| {
-                    scanned += 1;
-                    scratch.cands.push(s.ids[i] & !TOMBSTONE);
-                });
-            }
+        for s in self {
+            s.for_each_qualifying(q.st, q.end, |i| {
+                scanned += 1;
+                scratch.cands.push(s.ids[i] & !TOMBSTONE);
+            });
         }
-        scratch.note(Kernel::Merge, scanned);
-
-        // Remaining elements: probe the candidate set with each shard's
-        // qualifying ids; take-once probes replace the per-round
-        // binary-search scans and candidate re-sorts.
-        for pi in 1..scratch.plan.len() {
-            if scratch.cands.is_empty() {
-                break;
-            }
-            let e = scratch.plan[pi];
-            let mut cands = std::mem::take(&mut scratch.cands);
-            scratch.load_candidates(&cands, 0);
-            cands.clear();
-            let mut probed = 0u64;
-            if let Some(shards) = self.lists.get(&e) {
-                for s in shards {
-                    s.for_each_qualifying(q_st, q_end, |i| {
-                        probed += 1;
-                        let id = s.ids[i] & !TOMBSTONE;
-                        if scratch.probe_take(id) {
-                            cands.push(id);
-                        }
-                    });
-                }
-            }
-            scratch.note_probed(probed);
-            scratch.end_probe();
-            scratch.cands = cands;
-        }
-        scratch.take_into(out);
+        scanned
     }
 
-    fn insert(&mut self, o: &Object) {
-        for &e in &o.desc {
-            let shards = self.lists.entry(e).or_default();
-            let (st, end, id) = (o.interval.st, o.interval.end, o.id);
-            // First shard where inserting keeps both orders (staircase) or
-            // at least the start order (relaxed).
-            let mut placed = false;
-            for s in shards.iter_mut() {
-                let pos = s.sts.partition_point(|&x| x <= st);
-                let stair_ok = s.staircase
-                    && (pos == 0 || s.ends[pos - 1] <= end)
-                    && (pos == s.len() || end <= s.ends[pos]);
-                if stair_ok || !s.staircase {
-                    s.ids.insert(pos, id);
-                    s.sts.insert(pos, st);
-                    s.ends.insert(pos, end);
-                    if !s.staircase {
-                        s.rebuild_impact();
-                    }
-                    placed = true;
-                    break;
+    /// Probes the candidate set with each shard's qualifying ids;
+    /// take-once probes replace the per-round binary-search scans and
+    /// candidate re-sorts.
+    fn restrict(&self, _: &(), _: ElemId, q: Interval, scratch: &mut QueryScratch) {
+        let mut cands = std::mem::take(&mut scratch.cands);
+        scratch.load_candidates(&cands, 0);
+        cands.clear();
+        let mut probed = 0u64;
+        for s in self {
+            s.for_each_qualifying(q.st, q.end, |i| {
+                probed += 1;
+                let id = s.ids[i] & !TOMBSTONE;
+                if scratch.probe_take(id) {
+                    cands.push(id);
                 }
-            }
-            if !placed {
-                shards.push(Shard {
-                    ids: vec![id],
-                    sts: vec![st],
-                    ends: vec![end],
-                    staircase: true,
-                    impact: Vec::new(),
-                });
-                // Respect the configured cap loosely: merging on every
-                // insert would be wasteful, so only merge when doubled.
-                let cap = self.config.max_shards_per_list.unwrap_or(512).max(1);
-                if shards.len() > cap * 2 {
-                    let mut entries: Vec<(Timestamp, Timestamp, u32)> = shards
-                        .iter()
-                        .flat_map(|s| {
-                            s.sts
-                                .iter()
-                                .zip(&s.ends)
-                                .zip(&s.ids)
-                                .map(|((&a, &b), &i)| (a, b, i))
-                                .collect::<Vec<_>>()
-                        })
-                        .collect();
-                    entries.sort_unstable();
-                    *shards = build_shards(&entries, self.config);
-                }
-            }
-            self.freqs.bump(e);
+            });
         }
-    }
-
-    fn delete(&mut self, o: &Object) -> bool {
-        let mut any = false;
-        for &e in &o.desc {
-            if let Some(shards) = self.lists.get_mut(&e) {
-                'next_elem: for s in shards.iter_mut() {
-                    // Entries with this start form a contiguous run.
-                    let lo = s.sts.partition_point(|&x| x < o.interval.st);
-                    let hi = s.sts.partition_point(|&x| x <= o.interval.st);
-                    for i in lo..hi {
-                        if s.ids[i] == o.id {
-                            s.ids[i] |= TOMBSTONE;
-                            self.freqs.drop_one(e);
-                            any = true;
-                            break 'next_elem;
-                        }
-                    }
-                }
-            }
-        }
-        any
+        scratch.note_probed(probed);
+        scratch.end_probe();
+        scratch.cands = cands;
     }
 
     fn size_bytes(&self) -> usize {
-        self.lists
-            .values()
-            .map(|shards| {
-                shards.iter().map(Shard::size_bytes).sum::<usize>()
-                    + shards.capacity() * std::mem::size_of::<Shard>()
-                    + 16
-            })
-            .sum::<usize>()
-            + self.freqs.size_bytes()
+        self.iter().map(Shard::size_bytes).sum::<usize>()
+            + self.capacity() * std::mem::size_of::<Shard>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::BruteForce;
-
-    #[test]
-    fn running_example() {
-        let coll = Collection::running_example();
-        let idx = TifSharding::build(&coll);
-        let q = TimeTravelQuery::new(5, 9, vec![0, 2]);
-        let mut got = idx.query(&q);
-        got.sort_unstable();
-        assert_eq!(got, vec![1, 3, 6]);
-    }
 
     #[test]
     fn ideal_shards_satisfy_staircase() {
         let entries: Vec<(Timestamp, Timestamp, u32)> =
             vec![(0, 10, 1), (1, 5, 2), (2, 12, 3), (3, 4, 4), (4, 20, 5)];
-        let shards = build_shards(
-            &entries,
-            ShardingConfig {
-                max_shards_per_list: Some(100),
-            },
-        );
+        let shards = build_shards(&entries, 100);
         for s in &shards {
             assert!(s.staircase);
             assert!(s.sts.windows(2).all(|w| w[0] <= w[1]));
@@ -448,64 +301,31 @@ mod tests {
         let entries: Vec<(Timestamp, Timestamp, u32)> = (0..100u32)
             .map(|i| (i as u64, 200 - i as u64, i)) // anti-staircase: 100 ideal shards
             .collect();
-        let ideal = build_shards(
-            &entries,
-            ShardingConfig {
-                max_shards_per_list: Some(1000),
-            },
-        );
+        let ideal = build_shards(&entries, 1000);
         assert_eq!(ideal.len(), 100);
-        let capped = build_shards(
-            &entries,
-            ShardingConfig {
-                max_shards_per_list: Some(4),
-            },
-        );
+        let capped = build_shards(&entries, 4);
         assert!(capped.len() <= 4);
         let total: usize = capped.iter().map(Shard::len).sum();
         assert_eq!(total, 100);
     }
 
-    #[test]
-    fn matches_oracle_on_example_grid() {
-        let coll = Collection::running_example();
-        let bf = BruteForce::build(coll.objects());
-        for cap in [1usize, 2, 100] {
-            let idx = TifSharding::build_with_config(
-                &coll,
-                ShardingConfig {
-                    max_shards_per_list: Some(cap),
-                },
-            );
-            for st in 0..16u64 {
-                for end in st..16 {
-                    for elems in [vec![0], vec![2], vec![0, 2], vec![1, 2]] {
-                        let q = TimeTravelQuery::new(st, end, elems);
-                        let mut got = idx.query(&q);
-                        got.sort_unstable();
-                        assert_eq!(got, bf.answer(&q), "cap={cap} q={q:?}");
-                    }
-                }
-            }
+    /// The index over `coll` with every list re-merged down to `cap`
+    /// shards (the contract tests' shard-cap axis).
+    fn build_capped(coll: &Collection, cap: usize) -> TifSharding {
+        let mut idx = TifSharding::build(coll);
+        for shards in idx.terms.values_mut() {
+            let mut all: Vec<_> = shards.iter().flat_map(entries_of).collect();
+            all.sort_unstable();
+            *shards = build_shards(&all, cap);
         }
+        idx
     }
 
     #[test]
-    fn updates_match_oracle() {
-        let coll = Collection::running_example();
-        let mut idx = TifSharding::build(&coll);
-        let mut bf = BruteForce::build(coll.objects());
-        let o = Object::new(8, 1, 14, vec![0, 2]);
-        idx.insert(&o);
-        bf.insert(&o);
-        assert!(idx.delete(coll.get(1)));
-        bf.delete(coll.get(1));
-        assert!(!idx.delete(coll.get(1)));
-        for (st, end) in [(0u64, 15u64), (5, 9), (0, 2)] {
-            let q = TimeTravelQuery::new(st, end, vec![0, 2]);
-            let mut got = idx.query(&q);
-            got.sort_unstable();
-            assert_eq!(got, bf.answer(&q));
+    fn contract() {
+        crate::per_term::contract::holds("sqrt cap", TifSharding::build);
+        for cap in [1usize, 2, 100] {
+            crate::per_term::contract::holds(&format!("cap={cap}"), |c| build_capped(c, cap));
         }
     }
 }

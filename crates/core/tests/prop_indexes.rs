@@ -2,6 +2,8 @@
 //! brute-force oracle on arbitrary collections, queries, and update
 //! sequences — the central correctness claim of the library.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 use tir_core::prelude::*;
 
@@ -146,6 +148,7 @@ proptest! {
             0..15,
         ),
         delete_every in 2usize..5,
+        reuse_every in 2usize..5,
         batch_len in 1usize..5,
         // From insert `jump_at` on, ids jump past the universe: not at all
         // (the dense-element bitmaps grow word by word), by a few hundred
@@ -162,43 +165,56 @@ proptest! {
         // sequence leaves can be queried with its bitmaps dropped.
         let mut perf = IrHintPerf::build_with_m(&coll, 6);
         let mut size = IrHintSize::build_with_m(&coll, 6);
-        // Interleave inserts (fresh ids) and deletes of existing objects;
-        // every other chunk of `batch_len` inserts goes through
-        // `insert_batch` (the per-division merge path), the rest one by one.
+        // Interleave inserts and deletes of existing objects; every other
+        // chunk of `batch_len` inserts goes through `insert_batch` (the
+        // per-division merge path), the rest one by one. An insert mints a
+        // fresh id, except that every `reuse_every`-th takes the id of an
+        // object deleted earlier — the server admits any id that is not live.
         let base = coll.len() as u32;
         let mut pending: Vec<Object> = Vec::new();
-        for (i, (a, b, desc)) in extra.iter().enumerate() {
-            let id = base + i as u32 + if i >= jump_at { jump } else { 0 };
-            let o = Object::new(id, *a.min(b), *a.max(b), desc.iter().copied().collect());
-            oracle.insert(&o);
-            if (i / batch_len) % 2 == 0 {
+        let mut reused: HashMap<u32, Object> = HashMap::new();
+        let mut dead: Vec<u32> = Vec::new();
+        {
+            let mut targets: Vec<&mut dyn TemporalIrIndex> =
+                indexes.iter_mut().map(|idx| &mut **idx).collect();
+            targets.push(&mut perf);
+            targets.push(&mut size);
+            for (i, (a, b, desc)) in extra.iter().enumerate() {
+                let fresh = base + i as u32 + if i >= jump_at { jump } else { 0 };
+                let id = if i % reuse_every == 1 { dead.pop().unwrap_or(fresh) } else { fresh };
+                let o = Object::new(id, *a.min(b), *a.max(b), desc.iter().copied().collect());
+                oracle.insert(&o);
+                if id < base {
+                    reused.insert(id, o.clone());
+                }
                 pending.push(o);
-            } else {
-                for idx in indexes.iter_mut() {
-                    idx.insert_batch(&pending);
-                    idx.insert(&o);
+                // A delete this round names an object by id; if that object
+                // is still waiting in `pending`, the batch goes in first.
+                let victim_id = (i % delete_every == 0).then_some((i as u32 * 7) % base);
+                let victim_pending = pending.iter().any(|p| Some(p.id) == victim_id);
+                if (i / batch_len) % 2 == 1 || victim_pending {
+                    let last = pending.pop().expect("just pushed");
+                    for idx in targets.iter_mut() {
+                        idx.insert_batch(&pending);
+                        idx.insert(&last);
+                    }
+                    pending.clear();
                 }
-                perf.insert_batch(&pending);
-                perf.insert(&o);
-                size.insert_batch(&pending);
-                size.insert(&o);
-                pending.clear();
+                if let Some(id) = victim_id {
+                    let victim = reused.get(&id).unwrap_or(coll.get(id));
+                    let expect = oracle.delete(victim);
+                    for idx in targets.iter_mut() {
+                        prop_assert_eq!(idx.delete(victim), expect, "{} delete disagrees", idx.name());
+                    }
+                    if expect {
+                        dead.push(id);
+                    }
+                }
             }
-            if i % delete_every == 0 {
-                let victim = coll.get((i as u32 * 7) % base);
-                let expect = oracle.delete(victim);
-                for idx in indexes.iter_mut() {
-                    prop_assert_eq!(idx.delete(victim), expect, "{} delete disagrees", idx.name());
-                }
-                prop_assert_eq!(perf.delete(victim), expect);
-                prop_assert_eq!(size.delete(victim), expect);
+            for idx in targets.iter_mut() {
+                idx.insert_batch(&pending);
             }
         }
-        for idx in indexes.iter_mut() {
-            idx.insert_batch(&pending);
-        }
-        perf.insert_batch(&pending);
-        size.insert_batch(&pending);
         // Accelerator only: the bitmaps change no answer, present or dropped.
         let mut bare_perf = perf.clone();
         let mut bare_size = size.clone();

@@ -86,7 +86,8 @@ impl Division {
         }
     }
 
-    /// Inserts `(id, st, end)` keeping the configured order. `keep_st` /
+    /// Inserts `(id, st, end)` keeping the configured order (under
+    /// [`DivisionOrder::ById`], at most one entry per id). `keep_st` /
     /// `keep_end` implement the storage optimization.
     pub(crate) fn insert(
         &mut self,
@@ -100,7 +101,24 @@ impl Division {
     ) {
         let pos = match order {
             DivisionOrder::Insertion => self.ids.len(),
-            DivisionOrder::ById => self.ids.partition_point(|&x| (x & !TOMBSTONE) <= id),
+            DivisionOrder::ById => {
+                let pos = self.ids.partition_point(|&x| (x & !TOMBSTONE) < id);
+                if self.ids.get(pos).is_some_and(|&x| x & !TOMBSTONE == id) {
+                    // The id is stored already — the tombstone a delete
+                    // left: revive it in place, or merge kernels that stop
+                    // at the first raw match would never see the new entry.
+                    self.dead -= u32::from(self.ids[pos] != id);
+                    self.ids[pos] = id;
+                    if keep_st {
+                        self.sts[pos] = st;
+                    }
+                    if keep_end {
+                        self.ends[pos] = end;
+                    }
+                    return;
+                }
+                pos
+            }
             DivisionOrder::Beneficial => match sort_key(kind) {
                 SortKey::StAsc => self.sts.partition_point(|&x| x <= st),
                 SortKey::EndDesc => self.ends.partition_point(|&x| x >= end),
@@ -327,6 +345,30 @@ mod tests {
             );
         }
         assert_eq!(d.ids, vec![1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn by_id_reinsert_revives_the_tombstone() {
+        let mut d = Division::default();
+        let put = |d: &mut Division, id, st, end| {
+            d.insert(
+                id,
+                st,
+                end,
+                DivisionOrder::ById,
+                DivisionKind::OrigIn,
+                true,
+                true,
+            )
+        };
+        for id in [1u32, 2, 3] {
+            put(&mut d, id, 0, 5);
+        }
+        assert!(d.tombstone(2));
+        put(&mut d, 2, 1, 4);
+        assert_eq!((d.ids.as_slice(), d.dead), (&[1, 2, 3][..], 0));
+        assert_eq!((d.sts[1], d.ends[1]), (1, 4));
+        assert!(d.tombstone(2), "alive again, so deletable again");
     }
 
     #[test]

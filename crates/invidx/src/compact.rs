@@ -96,13 +96,23 @@ impl<const W: usize> FlatInverted<W> {
         }
     }
 
-    /// Inserts one posting, keeping element and id order.
+    /// Inserts one posting, keeping element and id order. A posting the
+    /// element already stores under `id` — the tombstone a delete left — is
+    /// revived in place, so a list holds at most one entry per raw id.
     pub fn insert(&mut self, elem: u32, id: u32, span: [u64; W]) {
         let (i, pos) = match self.elems.binary_search(&elem) {
             Ok(i) => {
                 let lo = self.offsets[i] as usize;
                 let hi = self.offsets[i + 1] as usize;
-                (i, lo + self.ids[lo..hi].partition_point(|&x| raw(x) <= id))
+                let pos = lo + self.ids[lo..hi].partition_point(|&x| raw(x) < id);
+                if pos < hi && raw(self.ids[pos]) == id {
+                    self.ids[pos] = id;
+                    for (col, v) in self.cols.iter_mut().zip(span) {
+                        col[pos] = v;
+                    }
+                    return;
+                }
+                (i, pos)
             }
             Err(i) => {
                 let pos = self.offsets[i] as usize;
@@ -139,7 +149,8 @@ impl<const W: usize> FlatInverted<W> {
     /// Merges a batch of entries in one rebuild pass —
     /// `O(existing + batch log batch)` instead of one memmove per entry.
     /// Existing postings keep their tombstone bits and their place in
-    /// raw-id order.
+    /// raw-id order, except one a new entry re-uses the id of: the new
+    /// entry replaces it.
     pub fn merge_in(&mut self, new: &mut [Entry<W>]) {
         if new.is_empty() {
             return;
@@ -178,10 +189,13 @@ impl<const W: usize> FlatInverted<W> {
             let hi = self.offsets[i + 1] as usize;
             // Merge same-element runs by raw id.
             while oi < hi && ni < new.len() && new[ni].0 == e {
-                if raw(self.ids[oi]) <= new[ni].1 {
+                if raw(self.ids[oi]) < new[ni].1 {
                     emit(old(e, oi));
                     oi += 1;
                 } else {
+                    // Same raw id: the new posting takes the old one's
+                    // (tombstoned) place.
+                    oi += usize::from(raw(self.ids[oi]) == new[ni].1);
                     emit(new[ni]);
                     ni += 1;
                 }
@@ -311,6 +325,35 @@ mod tests {
         let p2 = idx.postings(2);
         assert_eq!(p2.ends, &[2]);
         assert!(idx.tombstone(5, 10));
+    }
+
+    #[test]
+    fn reinsert_takes_the_tombstones_place() {
+        // One at a time and through a batch merge: the list keeps one
+        // entry per raw id, alive, with the new endpoints.
+        let mut one = CompactTemporalInverted::build(&mut [(5, 3, [50, 60]), (5, 10, [1, 2])]);
+        let mut batch = one.clone();
+        for idx in [&mut one, &mut batch] {
+            assert!(idx.tombstone(5, 3) && idx.tombstone(5, 10));
+        }
+        one.insert(5, 3, [70, 80]);
+        one.insert(5, 10, [7, 8]);
+        batch.merge_in(&mut [(5, 10, [7, 8]), (5, 3, [70, 80]), (5, 4, [0, 0])]);
+        assert!(batch.tombstone(5, 4));
+        for idx in [&one, &batch] {
+            let p = idx.postings(5);
+            let live: Vec<u32> = p
+                .ids
+                .iter()
+                .copied()
+                .filter(|&x| x & TOMBSTONE == 0)
+                .collect();
+            assert_eq!(live, [3, 10]);
+            assert_eq!((p.sts[0], p.ends[0]), (70, 80));
+            assert_eq!(idx.offsets().last(), Some(&(p.ids.len() as u32)));
+        }
+        assert_eq!(one.num_postings(), 2);
+        assert_eq!(batch.num_postings(), 3);
     }
 
     #[test]

@@ -139,8 +139,9 @@ impl DenseBits {
         (self.present[w] >> b) & 1 == 1 && (self.deleted[w] >> b) & 1 == 0
     }
 
-    /// Marks `id` present (growing the universe if needed); returns true
-    /// if it was absent.
+    /// Marks `id` present and alive (growing the universe if needed),
+    /// reviving it if a delete had tombstoned it; returns true if it was
+    /// not alive before.
     pub fn set(&mut self, id: u32) -> bool {
         if id >= self.universe {
             self.universe = id + 1;
@@ -149,7 +150,12 @@ impl DenseBits {
         }
         let (w, b) = (id as usize / 64, id % 64);
         if (self.present[w] >> b) & 1 == 1 {
-            return false;
+            let dead = (self.deleted[w] >> b) & 1 == 1;
+            if dead {
+                self.deleted[w] &= !(1 << b);
+                self.deleted_count -= 1;
+            }
+            return dead;
         }
         self.present[w] |= 1 << b;
         self.present_count += 1;
@@ -296,14 +302,18 @@ impl RunSet {
         self.run_of(id).is_some() && self.deleted.binary_search(&id).is_err()
     }
 
-    /// Marks `id` present (growing the universe if needed); returns true
-    /// if it was absent. Mirrors [`DenseBits::set`]: an id that is
-    /// present but tombstoned stays tombstoned.
+    /// Marks `id` present and alive (growing the universe if needed),
+    /// dropping it from the deleted overlay if a delete had put it there;
+    /// returns true if it was not alive before. Mirrors [`DenseBits::set`].
     pub fn set(&mut self, id: u32) -> bool {
         self.universe = self.universe.max(id + 1);
         let i = self.runs.partition_point(|&(s, _)| s <= id);
         if i > 0 && self.runs[i - 1].1 >= id {
-            return false;
+            let dead = self.deleted.binary_search(&id);
+            if let Ok(p) = dead {
+                self.deleted.remove(p);
+            }
+            return dead.is_ok();
         }
         let extends_prev = i > 0 && self.runs[i - 1].1 + 1 == id;
         let extends_next = i < self.runs.len() && id + 1 == self.runs[i].0;
@@ -469,7 +479,8 @@ impl PostingContainer {
         }
     }
 
-    /// Adds `id` (must not be stored live already), promoting to dense
+    /// Adds `id` (must not be stored live already; a tombstoned entry of
+    /// the same id is revived in place), promoting to dense
     /// or run form if the live count crosses the density threshold
     /// against `universe`, and demoting a run container whose run rule a
     /// scattered insert broke.
@@ -477,9 +488,15 @@ impl PostingContainer {
         match self {
             PostingContainer::Sparse { ids, live } => {
                 match ids.last() {
-                    Some(&last) if raw(last) > id => {
-                        let pos = ids.partition_point(|&x| raw(x) <= id);
-                        ids.insert(pos, id);
+                    Some(&last) if raw(last) >= id => {
+                        let pos = ids.partition_point(|&x| raw(x) < id);
+                        if ids[pos] == id {
+                            return; // stored alive already: a caller bug, not a second entry
+                        } else if raw(ids[pos]) == id {
+                            ids[pos] = id; // the tombstone a delete left: revive it
+                        } else {
+                            ids.insert(pos, id);
+                        }
                     }
                     _ => ids.push(id),
                 }
@@ -801,6 +818,42 @@ mod tests {
         r.for_each_live(|id| seen.push(id));
         assert_eq!(seen.len(), 63);
         assert!(!seen.contains(&7));
+    }
+
+    #[test]
+    fn reinsert_revives_on_every_form() {
+        // A deleted id may be inserted again: each form keeps one entry
+        // per raw id and counts it alive again.
+        let cfg = ContainerConfig::default();
+        let evens: Vec<u32> = (0..64).map(|i| i * 2).collect();
+        let range: Vec<u32> = (0..64).collect();
+        for (mut c, id, universe) in [
+            (
+                PostingContainer::from_sorted(&[1, 5, 9], 1000, cfg),
+                5,
+                1000,
+            ),
+            (
+                PostingContainer::from_sorted(&[1, 5, 9], 1000, cfg),
+                9,
+                1000,
+            ),
+            (PostingContainer::from_sorted(&evens, 128, cfg), 8, 128),
+            (
+                PostingContainer::from_sorted(&range, 10_000, cfg),
+                7,
+                10_000,
+            ),
+        ] {
+            let (card, stored) = (c.cardinality(), c.raw_len());
+            assert!(c.tombstone(id));
+            c.insert(id, universe, cfg);
+            assert_eq!((c.cardinality(), c.raw_len()), (card, stored));
+            let mut seen = Vec::new();
+            c.for_each_live(|x| seen.push(x));
+            assert!(seen.contains(&id) && seen.windows(2).all(|w| w[0] < w[1]));
+            assert!(c.tombstone(id), "alive again, so deletable again");
+        }
     }
 
     #[test]

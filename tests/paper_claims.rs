@@ -34,25 +34,32 @@ fn sharding_has_no_replication() {
     let coll = test_collection();
     let sharding = TifSharding::build(&coll);
     let raw_postings: usize = coll.objects().iter().map(|o| o.desc.len()).sum();
-    assert_eq!(sharding.num_postings(), raw_postings);
+    let mut stored = 0;
+    sharding.for_each_term(|_, shards| stored += shards.iter().map(|s| s.ids.len()).sum::<usize>());
+    assert_eq!(stored, raw_postings);
 }
 
 #[test]
 fn slicing_replication_grows_with_slice_count() {
     let coll = test_collection();
     let raw_postings: usize = coll.objects().iter().map(|o| o.desc.len()).sum();
-    let k1 = TifSlicing::build_with_slices(&coll, 1);
-    let k64 = TifSlicing::build_with_slices(&coll, 64);
-    assert_eq!(k1.num_postings(), raw_postings);
-    assert!(k64.num_postings() > k1.num_postings());
+    let stored = |k| {
+        let mut n = 0;
+        let index = TifSlicing::build_with_slices(&coll, k);
+        index.for_each_term(|_, t| n += t.iter().map(|(_, sub)| sub.len()).sum::<usize>());
+        n
+    };
+    assert_eq!(stored(1), raw_postings);
+    assert!(stored(64) > stored(1));
 }
 
 #[test]
 fn hint_beats_flat_structures_on_small_range_queries() {
     // The motivation for using HINT at all ([19, 20]): on selective range
-    // queries it touches far fewer entries than a coarse grid. We assert
-    // the *work* proxy (query time) is no worse than 1D-grid with few
-    // cells; absolute speedups are for the criterion benches.
+    // queries it reads far fewer entries than a coarse grid. Asserted on
+    // the entries each structure has to look at — every relevant HINT
+    // division in full against every grid cell the query overlaps — not on
+    // the clock.
     let n = 60_000u32;
     let records: Vec<IntervalRecord> = (0..n)
         .map(|i| {
@@ -75,22 +82,19 @@ fn hint_beats_flat_structures_on_small_range_queries() {
         })
         .collect();
 
-    let time = |f: &dyn Fn(u64, u64) -> Vec<u32>| {
-        let t0 = std::time::Instant::now();
-        let mut total = 0;
-        for &(a, b) in &queries {
-            total += f(a, b).len();
+    let (mut h_read, mut g_read) = (0usize, 0usize);
+    for &(a, b) in &queries {
+        let hits = hint.range_query(a, b).len();
+        assert_eq!(hits, grid.range_query(a, b).len());
+        assert_eq!(hits, tree.range_query(a, b).len());
+        hint.visit_relevant(a, b, |view, _mode| h_read += view.ids.len());
+        for c in grid.cell_of(a)..=grid.cell_of(b) {
+            g_read += grid.cell_contents(c).len();
         }
-        (total, t0.elapsed())
-    };
-    let (h_total, h_time) = time(&|a, b| hint.range_query(a, b));
-    let (g_total, g_time) = time(&|a, b| grid.range_query(a, b));
-    let (t_total, _) = time(&|a, b| tree.range_query(a, b));
-    assert_eq!(h_total, g_total);
-    assert_eq!(h_total, t_total);
+    }
     assert!(
-        h_time < g_time,
-        "HINT {h_time:?} should beat a coarse grid {g_time:?} on selective queries"
+        h_read * 10 <= g_read,
+        "HINT read {h_read} entries, an 8-cell grid {g_read}: want a 10x margin"
     );
 }
 
@@ -191,12 +195,13 @@ fn merge_sort_variant_builds_faster_than_binary_search_variant() {
     let coll = eclog_like(0.02, 13);
     assert!(TifHintConfig::merge_sort().m < TifHintConfig::binary_search().m);
     let shape = |index: &TifHint| {
-        let (mut levels, mut partitions) = (0, 0);
-        index.for_each_hint(|_, hint| {
+        let (mut levels, mut partitions, mut entries) = (0, 0, 0);
+        index.for_each_term(|_, hint| {
             levels = levels.max(hint.num_levels());
             partitions += hint.num_partitions();
+            entries += hint.num_entries();
         });
-        (levels, partitions, index.num_entries())
+        (levels, partitions, entries)
     };
     let bs = shape(&TifHint::build(&coll, TifHintConfig::binary_search()));
     let ms = shape(&TifHint::build(&coll, TifHintConfig::merge_sort()));
@@ -255,5 +260,11 @@ fn running_example_reproduces_figure_structures() {
     }
     // I[a] of the base tIF contains o1, o2, o4, o7 (Section 2.2).
     let tif = Tif::build(&coll);
-    assert_eq!(tif.list(0).unwrap().ids, vec![0, 1, 3, 6]);
+    let mut i_a = Vec::new();
+    tif.for_each_term(|e, list| {
+        if e == 0 {
+            i_a = list.ids.clone();
+        }
+    });
+    assert_eq!(i_a, vec![0, 1, 3, 6]);
 }
