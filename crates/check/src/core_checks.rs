@@ -78,10 +78,12 @@ fn check_freqs(
     }
 }
 
-/// What an irHINT's dense-element bitmaps must hold, recomputed from the
-/// divisions alone: for every element that has a bitmap, one bit per live
-/// posting in an *original* division — plus the largest id any posting
-/// carries, which the bitmaps' universe must cover.
+/// What an index's dense-element bitmaps must hold, recomputed from its
+/// postings alone: for every element that has a bitmap, one bit per live
+/// posting in an *original* list (an irHINT's original divisions; every
+/// list of an IR-first term, whose replicas live and die with their
+/// original) — plus the largest id any posting carries, which the bitmaps'
+/// universe must cover.
 struct BitmapAudit {
     members: BTreeMap<u32, Vec<u64>>,
     max_id: Option<u32>,
@@ -279,12 +281,16 @@ trait CheckTerm: TermPartition {
 }
 
 /// Every IR-first index: each term sound in itself and holding as many live
-/// objects as the planner's frequency table says, then the shared state.
+/// objects as the planner's frequency table says, then the shared state,
+/// then the dense-term bitmaps against every id list the terms store (and
+/// none at all under a policy that opts out of them).
 impl<P: CheckTerm> Validate for PerTerm<P> {
     fn validate(&self) -> Vec<Violation> {
         let mut out = Vec::new();
         let method = P::method(self.shared());
+        let mut audit = BitmapAudit::new(self.bitmaps());
         self.for_each_term(|e, term| {
+            term.for_each_id_list(|ids| audit.list(e, ids, true));
             let path = format!("{method}/elem{e}");
             let (count, freq) = (
                 term.check_term(self.shared(), e, &path, &mut out),
@@ -299,6 +305,15 @@ impl<P: CheckTerm> Validate for PerTerm<P> {
             }
         });
         P::check_shared(self.shared(), &mut out);
+        if P::DENSE_TERM_BITMAPS {
+            audit.finish(&method.to_string(), self.bitmaps(), &mut out);
+        } else if let Some((e, _, _)) = self.bitmaps().iter().next() {
+            fail(
+                &mut out,
+                &format!("{method}/bitmaps/elem{e}"),
+                "a dense-term bitmap under a policy that keeps none".into(),
+            );
+        }
         out
     }
 }

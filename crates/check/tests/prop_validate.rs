@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use tir_check::{Validate, Violation};
 use tir_core::prelude::*;
-use tir_core::with_method;
+use tir_core::{with_method, PerTerm, TermPartition};
 use tir_hint::{Hint, HintConfig, IntervalRecord};
 use tir_invidx::{BlockPostings, ContainerConfig, HybridPostings, Kernel, PlanStats};
 
@@ -42,18 +42,23 @@ fn arb_collection(max_objects: usize) -> impl Strategy<Value = Collection> {
     })
 }
 
-/// Inserts `extra` under fresh ids, deletes the masked base objects,
-/// and validates what is left.
+/// Inserts `extra` under fresh ids — the first half one by one, the rest
+/// as one batch, which may promote dense-term bitmaps — deletes the masked
+/// base objects, and validates what is left.
 fn updated<I: TemporalIrIndex + Validate>(
     mut idx: I,
     coll: &Collection,
     extra: &Collection,
     del_mask: &[bool],
 ) -> Vec<Violation> {
-    for o in extra.objects() {
-        let o = Object::new(o.id + 1000, o.interval.st, o.interval.end, o.desc.clone());
-        idx.insert(&o);
-    }
+    let fresh: Vec<Object> = extra
+        .objects()
+        .iter()
+        .map(|o| Object::new(o.id + 1000, o.interval.st, o.interval.end, o.desc.clone()))
+        .collect();
+    let (singles, batch) = fresh.split_at(fresh.len() / 2);
+    singles.iter().for_each(|o| idx.insert(o));
+    idx.insert_batch(batch);
     for (o, &kill) in coll.objects().iter().zip(del_mask) {
         if kill {
             idx.delete(o);
@@ -144,6 +149,38 @@ proptest! {
                 "flipped bitmap bit went unnoticed: {:?}", v
             );
         }
+    }
+
+    #[test]
+    fn corrupted_per_term_bitmap_reports_a_violation(coll in arb_collection(20)) {
+        // Element 0 in every object: dense, so every policy but tIF's keeps
+        // a bitmap for it — one flipped bit must be reported for each.
+        let with_0 = |o: &Object| {
+            let desc = o.desc.iter().copied().chain([0]).collect();
+            Object::new(o.id, o.interval.st, o.interval.end, desc)
+        };
+        let coll = Collection::new(coll.objects().iter().map(with_0).collect());
+        fn flipped<P>(mut idx: PerTerm<P>) -> Result<(), TestCaseError>
+        where
+            P: TermPartition,
+            PerTerm<P>: Validate,
+        {
+            prop_assert!(idx.validate().is_empty(), "{:?}", idx.validate());
+            prop_assert!(idx.testing_corrupt_bitmap());
+            let v = idx.validate();
+            prop_assert!(
+                v.iter().any(|v| v.path.contains("/bitmaps/")),
+                "{}: flipped bitmap bit went unnoticed: {:?}", idx.name(), v
+            );
+            Ok(())
+        }
+        flipped(TifSlicing::build(&coll))?;
+        flipped(TifSharding::build(&coll))?;
+        flipped(TifHint::build(&coll, TifHintConfig::binary_search()))?;
+        flipped(TifHint::build(&coll, TifHintConfig::merge_sort()))?;
+        flipped(TifHintSlicing::build(&coll))?;
+        // tIF opts out: nothing to flip.
+        prop_assert!(!Tif::build(&coll).testing_corrupt_bitmap());
     }
 
     #[test]

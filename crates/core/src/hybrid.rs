@@ -96,6 +96,10 @@ impl TermPartition for DualCopy {
         self.slices.restrict_marked(grid, q, scratch);
     }
 
+    fn for_each_id_list(&self, mut f: impl FnMut(&[u32])) {
+        self.slices.subs.iter().for_each(|sub| f(&sub.ids));
+    }
+
     fn size_bytes(&self) -> usize {
         self.hint.size_bytes()
             + 16

@@ -29,26 +29,19 @@ pub struct IrHintPerf {
 }
 
 /// Gives a bitmap to each of `elems` that the density rule now admits and
-/// that has none, filled from the live postings of the original divisions
-/// (an object is an original in exactly one division). One pass over the
-/// hierarchy however many elements are promoted, none if none is.
+/// that has none ([`ElemBitmaps::promote_qualifying`]), filled from the live
+/// postings of the original divisions (an object is an original in exactly
+/// one division). One pass over the hierarchy however many elements are
+/// promoted, none if none is.
 pub(crate) fn promote_dense<const W: usize>(
     bitmaps: &mut ElemBitmaps,
     tree: &Hierarchy<FlatInverted<W>>,
     freqs: &FreqTable,
     elems: impl IntoIterator<Item = ElemId>,
 ) {
-    let mut fresh: Vec<ElemId> = elems
-        .into_iter()
-        .filter(|&e| bitmaps.qualifies(freqs.get(e)) && bitmaps.bitmap(e).is_none())
-        .collect();
+    let fresh = bitmaps.promote_qualifying(elems, |e| freqs.get(e));
     if fresh.is_empty() {
         return;
-    }
-    fresh.sort_unstable();
-    fresh.dedup();
-    for &e in &fresh {
-        bitmaps.promote(e);
     }
     tree.for_each_division(|div, _level, _j, kind| {
         if !kind.is_replica() && !div.is_empty() {

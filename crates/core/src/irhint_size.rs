@@ -267,6 +267,7 @@ mod tests {
     use super::*;
     use crate::irhint_perf::IrHintPerf;
     use crate::oracle::BruteForce;
+    use crate::prelude::{TifHint, TifHintConfig, TifHintSlicing, TifSharding, TifSlicing};
 
     #[test]
     fn running_example() {
@@ -325,9 +326,10 @@ mod tests {
         );
     }
 
-    /// The life of a dense-element bitmap, the same in both variants.
+    /// The life of a dense-element bitmap, the same in both variants and
+    /// in every IR-first policy that keeps them.
     fn bitmap_lifecycle<I: TemporalIrIndex>(
-        build: fn(&Collection, u32) -> I,
+        build: impl Fn(&Collection, u32) -> I,
         bitmaps: fn(&I) -> &ElemBitmaps,
     ) {
         let ids_of = |idx: &I, e: u32| -> Option<Vec<u32>> {
@@ -377,6 +379,14 @@ mod tests {
     fn bitmaps_are_promoted_lazily_and_demoted_with_hysteresis() {
         bitmap_lifecycle(IrHintSize::build_with_m, IrHintSize::bitmaps);
         bitmap_lifecycle(IrHintPerf::build_with_m, IrHintPerf::bitmaps);
+        bitmap_lifecycle(|c, _| TifSlicing::build(c), TifSlicing::bitmaps);
+        bitmap_lifecycle(|c, _| TifSharding::build(c), TifSharding::bitmaps);
+        for cfg in [TifHintConfig::binary_search(), TifHintConfig::merge_sort()] {
+            let build = |c: &Collection, m| TifHint::build(c, TifHintConfig { m, ..cfg });
+            bitmap_lifecycle(build, TifHint::bitmaps);
+        }
+        let hybrid = |c: &Collection, m| TifHintSlicing::build_with_params(c, m, 4);
+        bitmap_lifecycle(hybrid, TifHintSlicing::bitmaps);
     }
 
     #[test]

@@ -6,6 +6,13 @@
 //! term, intersect the survivors with every other term — crossed with how
 //! a term's postings are organised in time. [`PerTerm`] is that plan;
 //! a [`TermPartition`] is one organisation.
+//!
+//! Whether an object holds a term does not depend on how the term's list is
+//! organised in time, so the skeleton, not the policy, answers the dense
+//! non-seed steps: one index-wide membership bitmap per dense term
+//! ([`ElemBitmaps`], as irHINT keeps) turns such a step into one bit test
+//! per candidate, or one word-AND when the candidates are dense too. Only
+//! the sparse terms reach the policy's own `restrict`.
 
 use std::collections::HashMap;
 use std::fmt::Debug;
@@ -13,10 +20,12 @@ use std::fmt::Debug;
 use crate::collection::Collection;
 use crate::freq::FreqTable;
 use crate::index_trait::TemporalIrIndex;
+use crate::irhint_perf::universe_of;
 use crate::method::Method;
 use crate::types::{ElemId, Interval, Object, ObjectId, TimeTravelQuery};
 use tir_hint::IntervalRecord;
 use tir_invidx::planner::{Kernel, Postings, QueryScratch};
+use tir_invidx::ElemBitmaps;
 
 /// How one term's postings are organised in time — all that varies between
 /// the IR-first methods.
@@ -24,6 +33,13 @@ pub trait TermPartition: Clone + Debug + Sized {
     /// What every term of one index shares: the time domain, slice count,
     /// HINT parameters, tIF's container directory.
     type Shared: Clone + Debug;
+
+    /// Whether the skeleton keeps [`ElemBitmaps`] for the dense terms and
+    /// answers their non-seed steps from them. A property of the policy,
+    /// not an option: only tIF opts out, because its `restrict` already
+    /// intersects a container directory that stores every term dense to
+    /// 1/64 as a bitmap.
+    const DENSE_TERM_BITMAPS: bool = true;
 
     /// The registry method an index over this policy is.
     fn method(shared: &Self::Shared) -> Method;
@@ -45,7 +61,14 @@ pub trait TermPartition: Clone + Debug + Sized {
     fn seed_into(&self, shared: &Self::Shared, q: Interval, scratch: &mut QueryScratch) -> u64;
 
     /// One conjunction step: keeps the candidates this term (`e`) also holds.
+    /// The candidates are in array form, in the order the seed step and
+    /// earlier steps left them, or ascending after a dense step.
     fn restrict(&self, shared: &Self::Shared, e: ElemId, q: Interval, scratch: &mut QueryScratch);
+
+    /// Calls `f` with every id list the term stores, tombstones and
+    /// replicas included: what a newly promoted dense term's bitmap is
+    /// filled from.
+    fn for_each_id_list(&self, f: impl FnMut(&[u32]));
 
     /// Heap footprint of this term in bytes, its own header included.
     fn size_bytes(&self) -> usize;
@@ -57,12 +80,16 @@ pub trait TermPartition: Clone + Debug + Sized {
 }
 
 /// An IR-first index: a term map of `P`s, the planner's frequency table,
-/// and the state all terms share.
+/// the state all terms share, and the dense terms' bitmaps.
 #[derive(Debug, Clone, Default)]
 pub struct PerTerm<P: TermPartition> {
     pub(crate) terms: HashMap<ElemId, P>,
     pub(crate) freqs: FreqTable,
     pub(crate) shared: P::Shared,
+    /// Accelerator only, and empty unless `P::DENSE_TERM_BITMAPS`: every
+    /// bit is derivable from the terms' live postings, and answers are the
+    /// same without it.
+    bitmaps: ElemBitmaps,
 }
 
 pub(crate) fn record(o: &Object) -> IntervalRecord {
@@ -74,8 +101,9 @@ pub(crate) fn record(o: &Object) -> IntervalRecord {
 }
 
 impl<P: TermPartition> PerTerm<P> {
-    /// Groups the collection's postings per term and builds each term's
-    /// structure under `shared`.
+    /// Groups the collection's postings per term, builds each term's
+    /// structure under `shared`, and gives each dense term its bitmap from
+    /// the same groups.
     pub(crate) fn build_with(coll: &Collection, shared: P::Shared) -> Self {
         let mut per_elem: HashMap<ElemId, Vec<IntervalRecord>> = HashMap::new();
         for o in coll.objects() {
@@ -84,17 +112,47 @@ impl<P: TermPartition> PerTerm<P> {
                 per_elem.entry(e).or_default().push(rec);
             }
         }
+        let freqs = FreqTable::from_counts(coll.freqs());
+        let mut bitmaps = ElemBitmaps::with_universe(universe_of(coll));
+        if P::DENSE_TERM_BITMAPS {
+            for e in bitmaps.promote_qualifying(per_elem.keys().copied(), |e| freqs.get(e)) {
+                let ids: Vec<u32> = per_elem[&e].iter().map(|r| r.id).collect();
+                bitmaps.fill_from_postings(e, &ids);
+            }
+        }
         let build = |(e, recs): (ElemId, Vec<_>)| (e, P::build(&shared, &recs));
         PerTerm {
             terms: per_elem.into_iter().map(build).collect(),
-            freqs: FreqTable::from_counts(coll.freqs()),
+            freqs,
             shared,
+            bitmaps,
         }
     }
 
     /// Document frequency of an element as tracked by the planner.
     pub fn freq(&self, e: ElemId) -> u32 {
         self.freqs.get(e)
+    }
+
+    /// The dense-term bitmaps (introspection for validators); empty under
+    /// a policy that opts out.
+    pub fn bitmaps(&self) -> &ElemBitmaps {
+        &self.bitmaps
+    }
+
+    /// Drops every dense-term bitmap. Answers do not change: every
+    /// non-seed step goes to the policy's own `restrict` until an
+    /// `insert_batch` promotes again.
+    pub fn drop_bitmaps(&mut self) {
+        self.bitmaps.drop_all();
+    }
+
+    /// Flips one bit of the first dense-term bitmap (false if there is
+    /// none) — the bitmap then disagrees with the postings, which
+    /// `tir-check` must report.
+    #[cfg(feature = "testing")]
+    pub fn testing_corrupt_bitmap(&mut self) -> bool {
+        self.bitmaps.testing_flip_bit()
     }
 
     /// The state every term shares (introspection for validators).
@@ -129,8 +187,25 @@ impl<P: TermPartition> TemporalIrIndex for PerTerm<P> {
                 break;
             }
             let e = scratch.plan[i];
+            let dense = if P::DENSE_TERM_BITMAPS {
+                self.bitmaps.bitmap(e)
+            } else {
+                None
+            };
+            if let Some(words) = dense {
+                // One bit test per candidate, whatever the policy.
+                scratch.intersect(Postings::Bits(words));
+                continue;
+            }
             match self.terms.get(&e) {
-                Some(term) => term.restrict(&self.shared, e, q.interval, scratch),
+                Some(term) => {
+                    // The policy walks `cands` itself: a word-AND above
+                    // may have left them as a bitmap.
+                    if P::DENSE_TERM_BITMAPS {
+                        scratch.unpack_candidate_bits();
+                    }
+                    term.restrict(&self.shared, e, q.interval, scratch);
+                }
                 // A term no object ever contained: nothing survives.
                 None => scratch.intersect(Postings::Ids(&[])),
             }
@@ -146,6 +221,9 @@ impl<P: TermPartition> TemporalIrIndex for PerTerm<P> {
             term.insert(&mut self.shared, e, &rec);
             self.freqs.bump(e);
         }
+        if P::DENSE_TERM_BITMAPS {
+            self.bitmaps.add_object(o.id, &o.desc);
+        }
     }
 
     fn delete(&mut self, o: &Object) -> bool {
@@ -158,7 +236,30 @@ impl<P: TermPartition> TemporalIrIndex for PerTerm<P> {
                 }
             }
         }
+        if any && P::DENSE_TERM_BITMAPS {
+            self.bitmaps.remove_object(o.id, &o.desc);
+        }
         any
+    }
+
+    /// Inserts one by one, then promotes the batch's terms that the density
+    /// rule now admits — lazily, as irHINT does: a single insert never
+    /// promotes.
+    fn insert_batch(&mut self, batch: &[Object]) {
+        for o in batch {
+            self.insert(o);
+        }
+        if P::DENSE_TERM_BITMAPS {
+            let elems = batch.iter().flat_map(|o| o.desc.iter().copied());
+            for e in self
+                .bitmaps
+                .promote_qualifying(elems, |e| self.freqs.get(e))
+            {
+                if let Some(term) = self.terms.get(&e) {
+                    term.for_each_id_list(|ids| self.bitmaps.fill_from_postings(e, ids));
+                }
+            }
+        }
     }
 
     // Each method keeps the formula it has always reported (the gated
@@ -169,10 +270,14 @@ impl<P: TermPartition> TemporalIrIndex for PerTerm<P> {
     // whole container directory as shared state; tIF+Slicing counts a header
     // per *materialized* sub-list (`subs.len()`), the hybrid per *allocated*
     // slot (`subs.capacity()`); tIF+Sharding counts shard headers at
-    // capacity; per-term HINTs leave out spare partition slots.
+    // capacity; per-term HINTs leave out spare partition slots. The
+    // dense-term bitmaps count at capacity (nothing under tIF).
     fn size_bytes(&self) -> usize {
         let terms = self.terms.values().map(|t| t.size_bytes() + 16);
-        terms.sum::<usize>() + P::shared_size_bytes(&self.shared) + self.freqs.size_bytes()
+        terms.sum::<usize>()
+            + P::shared_size_bytes(&self.shared)
+            + self.freqs.size_bytes()
+            + self.bitmaps.size_bytes()
     }
 }
 
@@ -198,10 +303,20 @@ pub(crate) mod contract {
 
     /// Figure 1's query, the oracle over every interval of the running
     /// example's domain × seven element sets, then an insert, a delete and
-    /// a repeated delete followed by the oracle again.
+    /// a repeated delete followed by the oracle again — with the dense-term
+    /// bitmaps (every term of eight objects is dense) and without them.
     pub(crate) fn holds<P: TermPartition>(what: &str, build: impl Fn(&Collection) -> PerTerm<P>) {
         let coll = Collection::running_example();
-        let mut idx = build(&coll);
+        for bare in [false, true] {
+            let mut idx = build(&coll);
+            if bare {
+                idx.drop_bitmaps();
+            }
+            holds_on(&format!("{what} bare={bare}"), &coll, idx);
+        }
+    }
+
+    fn holds_on<P: TermPartition>(what: &str, coll: &Collection, mut idx: PerTerm<P>) {
         let mut bf = BruteForce::build(coll.objects());
         let fig1 = TimeTravelQuery::new(5, 9, vec![0, 2]);
         assert_eq!(sorted_once(&idx, &fig1, what), vec![1, 3, 6], "{what}");

@@ -272,6 +272,10 @@ impl TermPartition for Vec<Shard> {
         scratch.cands = cands;
     }
 
+    fn for_each_id_list(&self, mut f: impl FnMut(&[u32])) {
+        self.iter().for_each(|s| f(&s.ids));
+    }
+
     fn size_bytes(&self) -> usize {
         self.iter().map(Shard::size_bytes).sum::<usize>()
             + self.capacity() * std::mem::size_of::<Shard>()

@@ -196,6 +196,10 @@ impl TermPartition for SlicedList<2> {
         self.restrict_marked(grid, q, scratch);
     }
 
+    fn for_each_id_list(&self, mut f: impl FnMut(&[u32])) {
+        self.subs.iter().for_each(|sub| f(&sub.ids));
+    }
+
     fn size_bytes(&self) -> usize {
         self.columns_bytes()
             + self.subs.len() * std::mem::size_of::<TemporalList>()

@@ -24,6 +24,9 @@ impl TermPartition for TemporalList {
     /// The container directory backing non-seed intersections.
     type Shared = HybridPostings;
 
+    /// The container directory already holds every dense term as a bitmap.
+    const DENSE_TERM_BITMAPS: bool = false;
+
     fn method(_: &HybridPostings) -> Method {
         Method::Tif
     }
@@ -71,6 +74,10 @@ impl TermPartition for TemporalList {
             Some(c) => scratch.intersect(Postings::Container(c)),
             None => scratch.intersect(Postings::Ids(&[])),
         }
+    }
+
+    fn for_each_id_list(&self, mut f: impl FnMut(&[u32])) {
+        f(&self.ids);
     }
 
     fn size_bytes(&self) -> usize {

@@ -173,6 +173,10 @@ impl TermPartition for Hint {
         scratch.cands = cands;
     }
 
+    fn for_each_id_list(&self, mut f: impl FnMut(&[u32])) {
+        self.for_each_division(|view, _dead| f(view.ids));
+    }
+
     fn size_bytes(&self) -> usize {
         Hint::size_bytes(self)
     }

@@ -6,6 +6,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use tir_core::prelude::*;
+use tir_core::{PerTerm, TermPartition};
 
 const DOMAIN: u64 = 2000;
 const DICT: u32 = 12;
@@ -71,9 +72,40 @@ fn arb_query() -> impl Strategy<Value = TimeTravelQuery> {
         })
 }
 
-fn all_indexes(coll: &Collection) -> Vec<Box<dyn TemporalIrIndex>> {
+/// An index with dense-term bitmaps, which are an accelerator only: the
+/// same state with them dropped must answer the same.
+trait Accelerated: TemporalIrIndex {
+    fn without_bitmaps(&self) -> Box<dyn TemporalIrIndex>;
+}
+
+impl Accelerated for IrHintPerf {
+    fn without_bitmaps(&self) -> Box<dyn TemporalIrIndex> {
+        let mut bare = self.clone();
+        bare.drop_bitmaps();
+        Box::new(bare)
+    }
+}
+
+impl Accelerated for IrHintSize {
+    fn without_bitmaps(&self) -> Box<dyn TemporalIrIndex> {
+        let mut bare = self.clone();
+        bare.drop_bitmaps();
+        Box::new(bare)
+    }
+}
+
+impl<P: TermPartition + 'static> Accelerated for PerTerm<P> {
+    fn without_bitmaps(&self) -> Box<dyn TemporalIrIndex> {
+        let mut bare = self.clone();
+        bare.drop_bitmaps();
+        Box::new(bare)
+    }
+}
+
+/// The seven methods that keep dense-term bitmaps: five IR-first policies
+/// and the two irHINTs.
+fn accelerated_indexes(coll: &Collection) -> Vec<Box<dyn Accelerated>> {
     vec![
-        Box::new(Tif::build(coll)),
         Box::new(TifSlicing::build_with_slices(coll, 7)),
         Box::new(TifSharding::build(coll)),
         Box::new(TifHint::build(
@@ -93,8 +125,22 @@ fn all_indexes(coll: &Collection) -> Vec<Box<dyn TemporalIrIndex>> {
         Box::new(TifHintSlicing::build_with_params(coll, 4, 5)),
         Box::new(IrHintPerf::build_with_m(coll, 6)),
         Box::new(IrHintSize::build_with_m(coll, 6)),
+    ]
+}
+
+/// tIF and cTIF, which keep none.
+fn plain_indexes(coll: &Collection) -> Vec<Box<dyn TemporalIrIndex>> {
+    vec![
+        Box::new(Tif::build(coll)),
         Box::new(CompressedTif::build(coll)),
     ]
+}
+
+fn all_indexes(coll: &Collection) -> Vec<Box<dyn TemporalIrIndex>> {
+    let accelerated = accelerated_indexes(coll).into_iter();
+    let mut all = plain_indexes(coll);
+    all.extend(accelerated.map(|idx| idx as Box<dyn TemporalIrIndex>));
+    all
 }
 
 fn check(
@@ -160,11 +206,10 @@ proptest! {
         let coll = if skewed { skewed_coll } else { plain_coll };
         let jump = [0, 100, 2000][jump_scale as usize] * jump_by;
         let mut oracle = BruteForce::build(coll.objects());
-        let mut indexes = all_indexes(&coll);
-        // The two irHINTs once more as themselves, so the state the
-        // sequence leaves can be queried with its bitmaps dropped.
-        let mut perf = IrHintPerf::build_with_m(&coll, 6);
-        let mut size = IrHintSize::build_with_m(&coll, 6);
+        // The methods with dense-term bitmaps are kept as themselves, so the
+        // state the sequence leaves can be queried with its bitmaps dropped.
+        let mut plain = plain_indexes(&coll);
+        let mut accelerated = accelerated_indexes(&coll);
         // Interleave inserts and deletes of existing objects; every other
         // chunk of `batch_len` inserts goes through `insert_batch` (the
         // per-division merge path), the rest one by one. An insert mints a
@@ -176,9 +221,12 @@ proptest! {
         let mut dead: Vec<u32> = Vec::new();
         {
             let mut targets: Vec<&mut dyn TemporalIrIndex> =
-                indexes.iter_mut().map(|idx| &mut **idx).collect();
-            targets.push(&mut perf);
-            targets.push(&mut size);
+                plain.iter_mut().map(|idx| &mut **idx).collect();
+            targets.extend(
+                accelerated
+                    .iter_mut()
+                    .map(|idx| &mut **idx as &mut dyn TemporalIrIndex),
+            );
             for (i, (a, b, desc)) in extra.iter().enumerate() {
                 let fresh = base + i as u32 + if i >= jump_at { jump } else { 0 };
                 let id = if i % reuse_every == 1 { dead.pop().unwrap_or(fresh) } else { fresh };
@@ -216,16 +264,10 @@ proptest! {
             }
         }
         // Accelerator only: the bitmaps change no answer, present or dropped.
-        let mut bare_perf = perf.clone();
-        let mut bare_size = size.clone();
-        bare_perf.drop_bitmaps();
-        bare_size.drop_bitmaps();
-        indexes.extend::<[Box<dyn TemporalIrIndex>; 4]>([
-            Box::new(perf),
-            Box::new(size),
-            Box::new(bare_perf),
-            Box::new(bare_size),
-        ]);
+        let mut indexes = plain;
+        let bare: Vec<_> = accelerated.iter().map(|idx| idx.without_bitmaps()).collect();
+        indexes.extend(accelerated.into_iter().map(|idx| idx as Box<dyn TemporalIrIndex>));
+        indexes.extend(bare);
         for idx in &indexes {
             for q in &queries {
                 check(idx.as_ref(), &oracle, q)?;

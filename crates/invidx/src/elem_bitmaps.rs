@@ -59,8 +59,8 @@ struct Slot {
 /// The sidecar: a short directory of per-element slots sorted by element. At most
 /// `ELEM_BITMAP_DEN * avg|d|` elements can satisfy the density rule, so the
 /// directory is a sorted vector searched per lookup, not a dictionary-sized
-/// table.
-#[derive(Debug, Clone)]
+/// table. The default is an empty sidecar over an empty universe.
+#[derive(Debug, Clone, Default)]
 pub struct ElemBitmaps {
     universe: u32,
     slots: Vec<Slot>,
@@ -133,6 +133,29 @@ impl ElemBitmaps {
             };
             self.slots.insert(i, slot);
         }
+    }
+
+    /// The one promotion decision every owner shares: gives an all-zero
+    /// bitmap to each of `elems` that the density rule admits at `freq(e)`
+    /// live objects and that has none yet, and returns those elements
+    /// ascending, each once. Only where the postings live is the owner's:
+    /// it then fills each returned element with
+    /// [`ElemBitmaps::fill_from_postings`].
+    pub fn promote_qualifying(
+        &mut self,
+        elems: impl IntoIterator<Item = u32>,
+        freq: impl Fn(u32) -> u32,
+    ) -> Vec<u32> {
+        let mut fresh: Vec<u32> = elems
+            .into_iter()
+            .filter(|&e| self.qualifies(freq(e)) && self.bitmap(e).is_none())
+            .collect();
+        fresh.sort_unstable();
+        fresh.dedup();
+        for &e in &fresh {
+            self.promote(e);
+        }
+        fresh
     }
 
     /// Sets the bit of every live posting in `ids` (bit-31 tombstones are

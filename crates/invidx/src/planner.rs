@@ -743,6 +743,20 @@ impl QueryScratch {
         }
     }
 
+    /// Hands the candidates back in array form, ascending, if a word-AND
+    /// step left them as a bitmap — for a caller about to walk
+    /// [`QueryScratch::cands`] itself (a merge-mark or take-once round)
+    /// instead of calling [`QueryScratch::intersect`]. Array-form
+    /// candidates are left as they are.
+    pub fn unpack_candidate_bits(&mut self) {
+        if self.bits_live {
+            let mut cands = std::mem::take(&mut self.cands);
+            cands.clear();
+            self.drain_into(&mut cands);
+            self.cands = cands;
+        }
+    }
+
     /// Finishes the query: [`QueryScratch::drain_into`] `out`, then flushes
     /// the counters.
     pub fn take_into(&mut self, out: &mut Vec<u32>) {
@@ -1109,6 +1123,35 @@ mod tests {
         // Counters are still the one query's: nothing was flushed between.
         s.reset();
         assert_eq!(s.last_stats().steps(), 2);
+    }
+
+    #[test]
+    fn unpacked_bits_feed_a_mark_round_in_ascending_order() {
+        let evens = bits_of(&(0..128).map(|i| i * 2).collect::<Vec<_>>(), 256);
+        let mut s = QueryScratch::default();
+        s.reset();
+        // Dense candidates, given in descending order: the word-AND leaves
+        // them as a bitmap, and `cands` no longer says what survived.
+        s.cands.extend((0..64).rev());
+        s.intersect(Postings::Bits(&evens));
+        assert_eq!(s.last_stats().word_and_steps, 0, "still mid-query");
+        s.unpack_candidate_bits();
+        let want: Vec<u32> = (0..32).map(|i| i * 2).collect();
+        assert_eq!(s.cands, want);
+        // A merge-mark round reads the handed-back array directly.
+        let mut cands = std::mem::take(&mut s.cands);
+        s.begin_mark(cands.len());
+        s.mark(&cands, &[2, 3, 40, 41]);
+        s.finish_mark(&mut cands);
+        assert_eq!(cands, vec![2, 40]);
+        // Array-form candidates are left as they are, order included.
+        s.cands = vec![9, 3];
+        s.unpack_candidate_bits();
+        assert_eq!(s.cands, vec![9, 3]);
+        let mut out = Vec::new();
+        s.take_into(&mut out);
+        assert_eq!(out, vec![9, 3]);
+        assert_eq!(s.last_stats().word_and_steps, 1);
     }
 
     #[test]

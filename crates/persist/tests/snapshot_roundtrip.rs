@@ -193,6 +193,133 @@ fn unknown_version_and_method_are_rejected() {
     let _ = fs::remove_file(&path);
 }
 
+/// Splitmix64: the mutation loop's own stream, seeded per case.
+fn mix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Byte length of the header plus the section table.
+const TABLE_END: usize = 320;
+
+/// Makes a damaged file pass every checksum again: the header's file
+/// length, each section's CRC over whatever range its (possibly damaged)
+/// table entry names, then the header CRC — so the damage reaches the
+/// decoders behind them.
+fn reseal(bytes: &mut [u8]) {
+    if bytes.len() < TABLE_END {
+        return;
+    }
+    let word = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+    let len = bytes.len() as u64;
+    bytes[36..44].copy_from_slice(&len.to_le_bytes());
+    let sections = u32::from_le_bytes(bytes[32..36].try_into().unwrap()).min(8) as usize;
+    for base in (0..sections).map(|i| 64 + i * 32) {
+        let (offset, n) = (word(bytes, base + 8), word(bytes, base + 16));
+        if let Some(end) = offset.checked_add(n).filter(|&end| end <= len) {
+            let crc = tir_persist::crc32(&bytes[offset as usize..end as usize]);
+            bytes[base + 24..base + 28].copy_from_slice(&crc.to_le_bytes());
+        }
+    }
+    let mut c = tir_persist::Crc32::new();
+    c.update(&bytes[0..44]);
+    c.update(&[0, 0, 0, 0]);
+    c.update(&bytes[48..TABLE_END]);
+    let crc = c.finish();
+    bytes[44..48].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Largest description element for which the fuzz loop builds a
+/// `Collection`: its frequency table has one slot per element id up to the
+/// largest, so a flipped high byte would ask for gigabytes (see ROADMAP
+/// item 2). Larger catalogs are checked against what `Collection::new`
+/// asserts without building one.
+const BUILT_ELEM_LIMIT: u32 = 1 << 20;
+
+/// The snapshot v2 reader under a seeded mutation loop: 512 cases, each
+/// flipping (half of them inside the header and section table), cutting
+/// off or appending 1–4 bytes of a valid file, and in every other case
+/// re-sealing the checksums so the decoders see the damage. Opening and
+/// decoding ends in `Corrupt` or in a catalog `Collection::new` accepts,
+/// never in a panic.
+#[test]
+fn mutated_snapshots_are_corrupt_or_sound_never_a_panic() {
+    let coll = corpus();
+    let path = scratch("fuzz").join(SNAPSHOT_NAME);
+    write_snapshot(
+        &path,
+        3,
+        &dict_for(&coll),
+        coll.objects(),
+        &Tif::build(&coll),
+    )
+    .expect("write");
+    let clean = fs::read(&path).expect("read");
+    let (mut caught_by_crc, mut caught_by_decoder, mut accepted) = (0, 0, 0);
+    for case in 0..512u64 {
+        let mut rng = case;
+        let mut bytes = clean.clone();
+        let edits = 1 + (mix(&mut rng) % 4) as usize;
+        match mix(&mut rng) % 3 {
+            0 => {
+                for _ in 0..edits {
+                    let span = if mix(&mut rng).is_multiple_of(2) {
+                        TABLE_END
+                    } else {
+                        bytes.len()
+                    };
+                    let at = (mix(&mut rng) % span as u64) as usize;
+                    bytes[at] ^= 1 + (mix(&mut rng) % 255) as u8;
+                }
+            }
+            1 => bytes.truncate(bytes.len() - edits),
+            _ => bytes.extend((0..edits).map(|_| mix(&mut rng) as u8)),
+        }
+        let resealed = case % 2 == 1;
+        if resealed {
+            reseal(&mut bytes);
+        }
+        fs::write(&path, &bytes).expect("write mutated");
+        let corrupt = |e: SnapshotError, what: &str| match e {
+            SnapshotError::Corrupt { .. } => {}
+            other => panic!("case {case}: {what} failed with {other}, not Corrupt"),
+        };
+        let snap = match SnapshotFile::open(&path) {
+            Ok(snap) => snap,
+            Err(e) => {
+                corrupt(e, "open");
+                caught_by_crc += usize::from(!resealed);
+                caught_by_decoder += usize::from(resealed);
+                continue;
+            }
+        };
+        if let Err(e) = snap.dictionary() {
+            corrupt(e, "dictionary");
+        }
+        match snap.catalog_objects() {
+            Err(e) => {
+                corrupt(e, "catalog");
+                caught_by_decoder += 1;
+            }
+            Ok(objects) => {
+                let largest = objects.iter().filter_map(|o| o.desc.last()).max();
+                if largest.is_none_or(|&e| e < BUILT_ELEM_LIMIT) {
+                    Collection::new(objects);
+                } else {
+                    assert!(objects.windows(2).all(|w| w[0].id < w[1].id), "case {case}");
+                }
+                accepted += 1;
+            }
+        }
+    }
+    // Both layers saw damage: the checksums, and what is behind them.
+    assert!(caught_by_crc > 0 && caught_by_decoder > 0 && accepted > 0);
+    let _ = fs::remove_file(&path);
+}
+
 #[test]
 fn malformed_catalog_rows_are_corrupt_not_panics() {
     // Rows `Object::new` / `Collection::new` would assert on, written by
