@@ -10,7 +10,7 @@ use tir_core::slicing::{SliceGrid, SlicedList};
 use tir_core::tif_hint::HintParams;
 use tir_core::{CompressedTif, IrHintPerf, IrHintSize, PerTerm, TermPartition, IMPACT_STRIDE};
 use tir_hint::{DivisionKind, Hint};
-use tir_invidx::{live, raw, ElemBitmaps, HybridPostings};
+use tir_invidx::{live, raw, ElemBitmaps};
 
 /// Validates one time-aware postings list (parallel arrays sorted by raw
 /// object id, proper intervals). Returns the live-entry count.
@@ -266,24 +266,14 @@ fn check_shard(path: &str, shard: &Shard, out: &mut Vec<Violation>) -> usize {
 
 /// What the generic IR-first walk asks of a policy: validate one term.
 trait CheckTerm: TermPartition {
-    /// Validates the structure of term `e` under `path`; returns how many
+    /// Validates the structure of one term under `path`; returns how many
     /// live objects it holds.
-    fn check_term(
-        &self,
-        shared: &Self::Shared,
-        e: u32,
-        path: &str,
-        out: &mut Vec<Violation>,
-    ) -> usize;
-
-    /// Validates the state the terms share.
-    fn check_shared(_shared: &Self::Shared, _out: &mut Vec<Violation>) {}
+    fn check_term(&self, shared: &Self::Shared, path: &str, out: &mut Vec<Violation>) -> usize;
 }
 
 /// Every IR-first index: each term sound in itself and holding as many live
-/// objects as the planner's frequency table says, then the shared state,
-/// then the dense-term bitmaps against every id list the terms store (and
-/// none at all under a policy that opts out of them).
+/// objects as the planner's frequency table says, then the dense-term
+/// bitmaps against every id list the terms store.
 impl<P: CheckTerm> Validate for PerTerm<P> {
     fn validate(&self) -> Vec<Violation> {
         let mut out = Vec::new();
@@ -293,7 +283,7 @@ impl<P: CheckTerm> Validate for PerTerm<P> {
             term.for_each_id_list(|ids| audit.list(e, ids, true));
             let path = format!("{method}/elem{e}");
             let (count, freq) = (
-                term.check_term(self.shared(), e, &path, &mut out),
+                term.check_term(self.shared(), &path, &mut out),
                 self.freq(e),
             );
             if count != freq as usize {
@@ -304,63 +294,25 @@ impl<P: CheckTerm> Validate for PerTerm<P> {
                 );
             }
         });
-        P::check_shared(self.shared(), &mut out);
-        if P::DENSE_TERM_BITMAPS {
-            audit.finish(&method.to_string(), self.bitmaps(), &mut out);
-        } else if let Some((e, _, _)) = self.bitmaps().iter().next() {
-            fail(
-                &mut out,
-                &format!("{method}/bitmaps/elem{e}"),
-                "a dense-term bitmap under a policy that keeps none".into(),
-            );
-        }
+        audit.finish(&method.to_string(), self.bitmaps(), &mut out);
         out
     }
 }
 
 impl CheckTerm for TemporalList {
-    fn check_term(
-        &self,
-        containers: &HybridPostings,
-        e: u32,
-        path: &str,
-        out: &mut Vec<Violation>,
-    ) -> usize {
-        let live_count = check_temporal_list(path, &self.ids, self.sts(), self.ends(), out);
-        // The hybrid container mirror must agree list-for-list with
-        // the temporal lists the planner intersects against.
-        match containers.get(e) {
-            None if live_count > 0 => fail(
-                out,
-                path,
-                format!("{live_count} live postings but no hybrid container"),
-            ),
-            Some(c) if c.cardinality() as usize != live_count => fail(
-                out,
-                path,
-                format!(
-                    "hybrid container holds {} live ids, temporal list {live_count}",
-                    c.cardinality()
-                ),
-            ),
-            _ => {}
-        }
-        live_count
-    }
-
-    fn check_shared(containers: &HybridPostings, out: &mut Vec<Violation>) {
-        out.extend(containers.validate());
+    fn check_term(&self, _: &(), path: &str, out: &mut Vec<Violation>) -> usize {
+        check_temporal_list(path, &self.ids, self.sts(), self.ends(), out)
     }
 }
 
 impl CheckTerm for SlicedList<2> {
-    fn check_term(&self, grid: &SliceGrid, _: u32, path: &str, out: &mut Vec<Violation>) -> usize {
+    fn check_term(&self, grid: &SliceGrid, path: &str, out: &mut Vec<Violation>) -> usize {
         check_sliced(path, grid, self, out)
     }
 }
 
 impl CheckTerm for Vec<Shard> {
-    fn check_term(&self, _: &(), _: u32, path: &str, out: &mut Vec<Violation>) -> usize {
+    fn check_term(&self, _: &(), path: &str, out: &mut Vec<Violation>) -> usize {
         let shards = self.iter().enumerate();
         shards
             .map(|(i, shard)| check_shard(&format!("{path}/shard{i}"), shard, out))
@@ -369,7 +321,7 @@ impl CheckTerm for Vec<Shard> {
 }
 
 impl CheckTerm for Hint {
-    fn check_term(&self, _: &HintParams, _: u32, path: &str, out: &mut Vec<Violation>) -> usize {
+    fn check_term(&self, _: &HintParams, path: &str, out: &mut Vec<Violation>) -> usize {
         nest(path, self.validate(), out);
         self.len()
     }
@@ -379,7 +331,6 @@ impl CheckTerm for DualCopy {
     fn check_term(
         &self,
         (_, grid): &(HintParams, SliceGrid),
-        _: u32,
         path: &str,
         out: &mut Vec<Violation>,
     ) -> usize {

@@ -3,8 +3,8 @@
 use crate::{fail, Validate, Violation};
 use tir_invidx::compress::BLOCK_LEN;
 use tir_invidx::{
-    live, raw, BlockPostings, CompressedTemporalPostings, Dictionary, ElemBitmaps, FlatInverted,
-    HybridPostings, PlanStats, PostingContainer, ELEM_BITMAP_DEN,
+    raw, BlockPostings, CompressedTemporalPostings, Dictionary, ElemBitmaps, FlatInverted,
+    PlanStats, ELEM_BITMAP_DEN,
 };
 
 impl Validate for Dictionary {
@@ -206,195 +206,6 @@ impl Validate for ElemBitmaps {
     }
 }
 
-impl Validate for HybridPostings {
-    fn validate(&self) -> Vec<Violation> {
-        let mut out = Vec::new();
-        let universe = self.universe();
-        let den = u64::from(self.config().density_den);
-        self.for_each(|e, c| {
-            let path = format!("hybrid/elem{e}");
-            match c {
-                PostingContainer::Sparse { ids, live: cached } => {
-                    if !ids.windows(2).all(|w| raw(w[0]) < raw(w[1])) {
-                        fail(
-                            &mut out,
-                            &path,
-                            "sparse postings not strictly ascending by raw id".into(),
-                        );
-                    }
-                    // analyze:allow(unguarded-cast): live count bounded by the u32 id universe
-                    let counted = ids.iter().filter(|&&id| live(id)).count() as u32;
-                    if counted != *cached {
-                        fail(
-                            &mut out,
-                            &path,
-                            format!("cached live count {cached}, counted {counted}"),
-                        );
-                    }
-                    if let Some(&last) = ids.last() {
-                        if raw(last) >= universe && universe > 0 {
-                            fail(
-                                &mut out,
-                                &path,
-                                format!("id {} outside universe {universe}", raw(last)),
-                            );
-                        }
-                    }
-                    // Inserts promote eagerly, so a live set at or above
-                    // the density threshold must already have left the
-                    // sparse form (for the bitmap or run container).
-                    if u64::from(counted) * den >= u64::from(universe) && counted > 0 {
-                        fail(
-                            &mut out,
-                            &path,
-                            format!(
-                                "sparse at {counted} live of universe {universe} \
-                                 (threshold 1/{den}): should be dense or runs"
-                            ),
-                        );
-                    }
-                }
-                PostingContainer::Dense(d) => {
-                    let present_pop: u64 =
-                        d.present_words().iter().map(|w| u64::from(w.count_ones())).sum();
-                    if present_pop != u64::from(d.present_count()) {
-                        fail(
-                            &mut out,
-                            &path,
-                            format!(
-                                "cached present count {}, popcount {present_pop}",
-                                d.present_count()
-                            ),
-                        );
-                    }
-                    let deleted_pop: u64 =
-                        d.deleted_words().iter().map(|w| u64::from(w.count_ones())).sum();
-                    if deleted_pop != u64::from(d.deleted_count()) {
-                        fail(
-                            &mut out,
-                            &path,
-                            format!(
-                                "cached deleted count {}, popcount {deleted_pop}",
-                                d.deleted_count()
-                            ),
-                        );
-                    }
-                    if let Some((w, _)) = d
-                        .present_words()
-                        .iter()
-                        .zip(d.deleted_words())
-                        .enumerate()
-                        .find(|(_, (&p, &del))| del & !p != 0)
-                    {
-                        fail(
-                            &mut out,
-                            &path,
-                            format!("deleted bit outside the present set in word {w}"),
-                        );
-                    }
-                    let own = d.universe();
-                    let tail_bits = usize::from(own % 64 != 0);
-                    let want_words = own as usize / 64 + tail_bits;
-                    if d.present_words().len() != want_words
-                        || d.deleted_words().len() != want_words
-                    {
-                        fail(
-                            &mut out,
-                            &path,
-                            format!(
-                                "universe {own} wants {want_words} words, has {} present / {} deleted",
-                                d.present_words().len(),
-                                d.deleted_words().len()
-                            ),
-                        );
-                    } else if own % 64 != 0 {
-                        let ghost = !0u64 << (own % 64);
-                        if d.present_words().last().is_some_and(|&w| w & ghost != 0) {
-                            fail(
-                                &mut out,
-                                &path,
-                                format!("present bits set at or above universe {own}"),
-                            );
-                        }
-                    }
-                }
-                PostingContainer::Runs(r) => {
-                    let runs = r.runs();
-                    for &(s, l) in runs {
-                        if s > l {
-                            fail(&mut out, &path, format!("run ({s}, {l}) has start > last"));
-                        }
-                    }
-                    if !runs
-                        .windows(2)
-                        .all(|w| u64::from(w[0].1) + 1 < u64::from(w[1].0))
-                    {
-                        fail(
-                            &mut out,
-                            &path,
-                            "runs not strictly ascending with gaps (adjacent runs \
-                             should have merged)"
-                                .into(),
-                        );
-                    }
-                    let stored: u64 = runs.iter().map(|&(s, l)| u64::from(l - s) + 1).sum();
-                    if stored != u64::from(r.present_count()) {
-                        fail(
-                            &mut out,
-                            &path,
-                            format!(
-                                "cached stored count {}, runs cover {stored}",
-                                r.present_count()
-                            ),
-                        );
-                    }
-                    let del = r.deleted();
-                    if !del.windows(2).all(|w| w[0] < w[1]) {
-                        fail(
-                            &mut out,
-                            &path,
-                            "deleted overlay not strictly ascending".into(),
-                        );
-                    }
-                    for &dd in del {
-                        let i = runs.partition_point(|&(s, _)| s <= dd);
-                        if i == 0 || runs[i - 1].1 < dd {
-                            fail(
-                                &mut out,
-                                &path,
-                                format!("deleted id {dd} outside every run"),
-                            );
-                            break;
-                        }
-                    }
-                    if !runs.is_empty() && !r.run_rule_holds() {
-                        fail(
-                            &mut out,
-                            &path,
-                            format!(
-                                "run rule broken: {} runs for {} stored ids \
-                                 (should have demoted)",
-                                runs.len(),
-                                r.present_count()
-                            ),
-                        );
-                    }
-                    if let Some(&(_, last)) = runs.last() {
-                        if last >= universe && universe > 0 {
-                            fail(
-                                &mut out,
-                                &path,
-                                format!("run id {last} outside universe {universe}"),
-                            );
-                        }
-                    }
-                }
-            }
-        });
-        out
-    }
-}
-
 impl Validate for PlanStats {
     fn validate(&self) -> Vec<Violation> {
         let mut out = Vec::new();
@@ -419,11 +230,6 @@ impl Validate for PlanStats {
                 self.bitmap_probe_scanned,
             ),
             ("word_and", self.word_and_steps, self.word_and_scanned),
-            (
-                "run_intersect",
-                self.run_intersect_steps,
-                self.run_intersect_scanned,
-            ),
         ] {
             if steps == 0 && scanned != 0 {
                 fail(
@@ -432,6 +238,16 @@ impl Validate for PlanStats {
                     format!("{scanned} elements scanned in zero steps"),
                 );
             }
+        }
+        if self.run_intersect_steps != 0 || self.run_intersect_scanned != 0 {
+            fail(
+                &mut out,
+                "plan_stats/run_intersect",
+                format!(
+                    "{} steps, {} scanned: no kernel records runs",
+                    self.run_intersect_steps, self.run_intersect_scanned
+                ),
+            );
         }
         out
     }

@@ -360,24 +360,6 @@ fn sample_ids(rng: &mut KernelRng, universe: u32, per_mille: u64) -> Vec<u32> {
     ids
 }
 
-/// Sorted id set over `[0, universe)` clustered into runs of roughly
-/// `run_len` consecutive ids, spaced so the overall density is about
-/// `per_mille / 1000` (the run-container's natural habitat).
-fn sample_runs(rng: &mut KernelRng, universe: u32, per_mille: u64, run_len: u32) -> Vec<u32> {
-    let period = (u64::from(run_len) * 1000 / per_mille.max(1)).max(u64::from(run_len) * 2);
-    let mut ids = Vec::new();
-    let mut start = rng.next_u64() % period;
-    while start < u64::from(universe) {
-        let len = u64::from(run_len / 2) + rng.next_u64() % u64::from(run_len);
-        let end = (start + len).min(u64::from(universe));
-        for id in start..end {
-            ids.push(id as u32);
-        }
-        start += period;
-    }
-    ids
-}
-
 /// Names the kernel a one-step plan ran on (for the planner rows of the
 /// microharness, where the cost model — not the caller — picks).
 fn chosen_kernel(stats: &PlanStats) -> &'static str {
@@ -385,8 +367,6 @@ fn chosen_kernel(stats: &PlanStats) -> &'static str {
         "word-and"
     } else if stats.bitmap_probe_steps > 0 {
         "bitmap-probe"
-    } else if stats.run_intersect_steps > 0 {
-        "run-intersect"
     } else if stats.gallop_steps > 0 {
         "gallop"
     } else if stats.simd_merge_steps > 0 {
@@ -405,19 +385,15 @@ fn chosen_kernel(stats: &PlanStats) -> &'static str {
 /// `simd-merge` and `simd-gallop` (which fall back to scalar below
 /// `SIMD_MIN_LEN` or without CPU support — the `TIR_SIMD` env var caps
 /// dispatch), `blocks` (stream-vbyte block decode + merge with skip
-/// bounds), and three planner rows — a [`QueryScratch::intersect`] against
-/// a [`PostingContainer`] built from the Bernoulli sample, one built from
-/// a clustered run-shaped sample (`planner:*`), and the Bernoulli sample
-/// as the present-only words irHINT's dense-element bitmaps hand the
-/// planner (`planner:bits-*`), each labeled with whichever kernel the cost
-/// model picked. After the grid come the reply-path rows
+/// bounds), and two planner rows — a [`QueryScratch::intersect`] against
+/// the Bernoulli sample as a sorted id array (`planner:*`) and as the
+/// present-only words the dense-element bitmaps hand the planner
+/// (`planner:bits-*`), each labeled with whichever kernel the cost model
+/// picked. After the grid come the reply-path rows
 /// ([`bench_reply_kernels`]). CI runs this as a smoke test; the JSON makes
 /// kernel-mix regressions diffable.
 fn cmd_bench_kernels(opts: &Opts, json_path: &str) -> Result<(), String> {
-    use tir_invidx::{
-        intersect_gallop_into, intersect_merge_into, BlockPostings, ContainerConfig,
-        PostingContainer,
-    };
+    use tir_invidx::{intersect_gallop_into, intersect_merge_into, BlockPostings, Postings};
     let universe: u32 = opts.parse_or("universe", 1u32 << 20)?;
     if universe == 0 {
         return Err("--universe must be at least 1".into());
@@ -434,11 +410,6 @@ fn cmd_bench_kernels(opts: &Opts, json_path: &str) -> Result<(), String> {
         let cands = sample_ids(&mut rng, universe, cand_pm);
         for post_pm in [1u64, 8, 64, 256] {
             let postings = sample_ids(&mut rng, universe, post_pm);
-            let clustered = sample_runs(&mut rng, universe, post_pm, 64);
-            let container =
-                PostingContainer::from_sorted(&postings, universe, ContainerConfig::default());
-            let run_container =
-                PostingContainer::from_sorted(&clustered, universe, ContainerConfig::default());
             let blocks = BlockPostings::encode(&postings);
             let mut words = vec![0u64; (universe as usize).div_ceil(64)];
             for &id in &postings {
@@ -516,15 +487,9 @@ fn cmd_bench_kernels(opts: &Opts, json_path: &str) -> Result<(), String> {
                     n_post,
                 ),
             ];
-            use tir_invidx::Postings;
-            for (label, side, n_post) in [
-                ("planner:", Postings::Container(&container), postings.len()),
-                (
-                    "planner:",
-                    Postings::Container(&run_container),
-                    clustered.len(),
-                ),
-                ("planner:bits-", Postings::Bits(&words), postings.len()),
+            for (label, side) in [
+                ("planner:", Postings::Ids(&postings)),
+                ("planner:bits-", Postings::Bits(&words)),
             ] {
                 let ns_call = time(&mut |o| {
                     scratch.reset();
@@ -542,7 +507,7 @@ fn cmd_bench_kernels(opts: &Opts, json_path: &str) -> Result<(), String> {
                     format!("{label}{kernel}"),
                     ns_call,
                     stats.scanned.max(1),
-                    n_post as u64,
+                    n_post,
                 ));
             }
 

@@ -10,7 +10,7 @@ use crate::per_term::{PerTerm, TermPartition};
 use crate::postings::ColumnList;
 use crate::slicing::{SliceGrid, SlicedList, DEFAULT_SLICES};
 use crate::tif_hint::{seed_from_hint, HintParams, TifHintConfig};
-use crate::types::{ElemId, Interval};
+use crate::types::Interval;
 use tir_hint::{Hint, IntervalRecord};
 use tir_invidx::planner::QueryScratch;
 
@@ -70,12 +70,12 @@ impl TermPartition for DualCopy {
         }
     }
 
-    fn insert(&mut self, (_, grid): &mut Self::Shared, _: ElemId, r: &IntervalRecord) {
+    fn insert(&mut self, (_, grid): &Self::Shared, r: &IntervalRecord) {
         self.hint.insert(r);
         self.slices.place(grid, r, [r.st]);
     }
 
-    fn tombstone(&mut self, (_, grid): &mut Self::Shared, _: ElemId, r: &IntervalRecord) -> bool {
+    fn tombstone(&mut self, (_, grid): &Self::Shared, r: &IntervalRecord) -> bool {
         self.slices.tombstone_copies(grid, r);
         self.hint.delete(r)
     }
@@ -86,13 +86,7 @@ impl TermPartition for DualCopy {
         scanned
     }
 
-    fn restrict(
-        &self,
-        (_, grid): &Self::Shared,
-        _: ElemId,
-        q: Interval,
-        scratch: &mut QueryScratch,
-    ) {
+    fn restrict(&self, (_, grid): &Self::Shared, q: Interval, scratch: &mut QueryScratch) {
         self.slices.restrict_marked(grid, q, scratch);
     }
 

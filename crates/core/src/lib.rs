@@ -10,8 +10,7 @@
 //! The first six are one skeleton, [`PerTerm`], over what a term's
 //! postings are ([`TermPartition`]); the next two are time-first. Both
 //! halves answer a dense non-seed query term from one index-wide
-//! membership bitmap (`tir_invidx::ElemBitmaps`; tIF keeps its own
-//! bitmap containers instead).
+//! membership bitmap (`tir_invidx::ElemBitmaps`).
 //!
 //! | Type | Approach | Paper section |
 //! |------|----------|---------------|

@@ -31,15 +31,8 @@ use tir_invidx::ElemBitmaps;
 /// the IR-first methods.
 pub trait TermPartition: Clone + Debug + Sized {
     /// What every term of one index shares: the time domain, slice count,
-    /// HINT parameters, tIF's container directory.
+    /// HINT parameters.
     type Shared: Clone + Debug;
-
-    /// Whether the skeleton keeps [`ElemBitmaps`] for the dense terms and
-    /// answers their non-seed steps from them. A property of the policy,
-    /// not an option: only tIF opts out, because its `restrict` already
-    /// intersects a container directory that stores every term dense to
-    /// 1/64 as a bitmap.
-    const DENSE_TERM_BITMAPS: bool = true;
 
     /// The registry method an index over this policy is.
     fn method(shared: &Self::Shared) -> Method;
@@ -48,11 +41,11 @@ pub trait TermPartition: Clone + Debug + Sized {
     /// (none for a term first seen by an insert).
     fn build(shared: &Self::Shared, records: &[IntervalRecord]) -> Self;
 
-    /// Adds one posting of term `e`.
-    fn insert(&mut self, shared: &mut Self::Shared, e: ElemId, r: &IntervalRecord);
+    /// Adds one posting.
+    fn insert(&mut self, shared: &Self::Shared, r: &IntervalRecord);
 
     /// Logically deletes the posting of `r`; returns true if found alive.
-    fn tombstone(&mut self, shared: &mut Self::Shared, e: ElemId, r: &IntervalRecord) -> bool;
+    fn tombstone(&mut self, shared: &Self::Shared, r: &IntervalRecord) -> bool;
 
     /// The seed step, on the plan's least frequent term: appends to
     /// `scratch.cands` every live id whose interval overlaps `q`, each once
@@ -60,10 +53,10 @@ pub trait TermPartition: Clone + Debug + Sized {
     /// postings scanned.
     fn seed_into(&self, shared: &Self::Shared, q: Interval, scratch: &mut QueryScratch) -> u64;
 
-    /// One conjunction step: keeps the candidates this term (`e`) also holds.
+    /// One conjunction step: keeps the candidates this term also holds.
     /// The candidates are in array form, in the order the seed step and
     /// earlier steps left them, or ascending after a dense step.
-    fn restrict(&self, shared: &Self::Shared, e: ElemId, q: Interval, scratch: &mut QueryScratch);
+    fn restrict(&self, shared: &Self::Shared, q: Interval, scratch: &mut QueryScratch);
 
     /// Calls `f` with every id list the term stores, tombstones and
     /// replicas included: what a newly promoted dense term's bitmap is
@@ -72,11 +65,6 @@ pub trait TermPartition: Clone + Debug + Sized {
 
     /// Heap footprint of this term in bytes, its own header included.
     fn size_bytes(&self) -> usize;
-
-    /// Heap footprint of the shared state in bytes.
-    fn shared_size_bytes(_shared: &Self::Shared) -> usize {
-        0
-    }
 }
 
 /// An IR-first index: a term map of `P`s, the planner's frequency table,
@@ -86,9 +74,8 @@ pub struct PerTerm<P: TermPartition> {
     pub(crate) terms: HashMap<ElemId, P>,
     pub(crate) freqs: FreqTable,
     pub(crate) shared: P::Shared,
-    /// Accelerator only, and empty unless `P::DENSE_TERM_BITMAPS`: every
-    /// bit is derivable from the terms' live postings, and answers are the
-    /// same without it.
+    /// Accelerator only: every bit is derivable from the terms' live
+    /// postings, and answers are the same without it.
     bitmaps: ElemBitmaps,
 }
 
@@ -114,11 +101,9 @@ impl<P: TermPartition> PerTerm<P> {
         }
         let freqs = FreqTable::from_counts(coll.freqs());
         let mut bitmaps = ElemBitmaps::with_universe(universe_of(coll));
-        if P::DENSE_TERM_BITMAPS {
-            for e in bitmaps.promote_qualifying(per_elem.keys().copied(), |e| freqs.get(e)) {
-                let ids: Vec<u32> = per_elem[&e].iter().map(|r| r.id).collect();
-                bitmaps.fill_from_postings(e, &ids);
-            }
+        for e in bitmaps.promote_qualifying(per_elem.keys().copied(), |e| freqs.get(e)) {
+            let ids: Vec<u32> = per_elem[&e].iter().map(|r| r.id).collect();
+            bitmaps.fill_from_postings(e, &ids);
         }
         let build = |(e, recs): (ElemId, Vec<_>)| (e, P::build(&shared, &recs));
         PerTerm {
@@ -134,8 +119,7 @@ impl<P: TermPartition> PerTerm<P> {
         self.freqs.get(e)
     }
 
-    /// The dense-term bitmaps (introspection for validators); empty under
-    /// a policy that opts out.
+    /// The dense-term bitmaps (introspection for validators).
     pub fn bitmaps(&self) -> &ElemBitmaps {
         &self.bitmaps
     }
@@ -187,24 +171,17 @@ impl<P: TermPartition> TemporalIrIndex for PerTerm<P> {
                 break;
             }
             let e = scratch.plan[i];
-            let dense = if P::DENSE_TERM_BITMAPS {
-                self.bitmaps.bitmap(e)
-            } else {
-                None
-            };
-            if let Some(words) = dense {
+            if let Some(words) = self.bitmaps.bitmap(e) {
                 // One bit test per candidate, whatever the policy.
                 scratch.intersect(Postings::Bits(words));
                 continue;
             }
             match self.terms.get(&e) {
                 Some(term) => {
-                    // The policy walks `cands` itself: a word-AND above
+                    // The policy may walk `cands` itself: a word-AND above
                     // may have left them as a bitmap.
-                    if P::DENSE_TERM_BITMAPS {
-                        scratch.unpack_candidate_bits();
-                    }
-                    term.restrict(&self.shared, e, q.interval, scratch);
+                    scratch.unpack_candidate_bits();
+                    term.restrict(&self.shared, q.interval, scratch);
                 }
                 // A term no object ever contained: nothing survives.
                 None => scratch.intersect(Postings::Ids(&[])),
@@ -218,25 +195,23 @@ impl<P: TermPartition> TemporalIrIndex for PerTerm<P> {
         for &e in &o.desc {
             let term = self.terms.entry(e);
             let term = term.or_insert_with(|| P::build(&self.shared, &[]));
-            term.insert(&mut self.shared, e, &rec);
+            term.insert(&self.shared, &rec);
             self.freqs.bump(e);
         }
-        if P::DENSE_TERM_BITMAPS {
-            self.bitmaps.add_object(o.id, &o.desc);
-        }
+        self.bitmaps.add_object(o.id, &o.desc);
     }
 
     fn delete(&mut self, o: &Object) -> bool {
         let (rec, mut any) = (record(o), false);
         for &e in &o.desc {
             if let Some(term) = self.terms.get_mut(&e) {
-                if term.tombstone(&mut self.shared, e, &rec) {
+                if term.tombstone(&self.shared, &rec) {
                     self.freqs.drop_one(e);
                     any = true;
                 }
             }
         }
-        if any && P::DENSE_TERM_BITMAPS {
+        if any {
             self.bitmaps.remove_object(o.id, &o.desc);
         }
         any
@@ -249,35 +224,29 @@ impl<P: TermPartition> TemporalIrIndex for PerTerm<P> {
         for o in batch {
             self.insert(o);
         }
-        if P::DENSE_TERM_BITMAPS {
-            let elems = batch.iter().flat_map(|o| o.desc.iter().copied());
-            for e in self
-                .bitmaps
-                .promote_qualifying(elems, |e| self.freqs.get(e))
-            {
-                if let Some(term) = self.terms.get(&e) {
-                    term.for_each_id_list(|ids| self.bitmaps.fill_from_postings(e, ids));
-                }
+        let elems = batch.iter().flat_map(|o| o.desc.iter().copied());
+        for e in self
+            .bitmaps
+            .promote_qualifying(elems, |e| self.freqs.get(e))
+        {
+            if let Some(term) = self.terms.get(&e) {
+                term.for_each_id_list(|ids| self.bitmaps.fill_from_postings(e, ids));
             }
         }
     }
 
     // Each method keeps the formula it has always reported (the gated
-    // `index_bytes` is in these terms; making them true is ROADMAP item 7).
+    // `index_bytes` is in these terms; making them true is ROADMAP item 8).
     // Their conventions, in one place: every method adds a guessed 16 bytes
     // per hash entry here, and the hybrid — once two maps — a second 16 in
-    // its term; tIF counts lists at capacity plus a header each, and its
-    // whole container directory as shared state; tIF+Slicing counts a header
-    // per *materialized* sub-list (`subs.len()`), the hybrid per *allocated*
-    // slot (`subs.capacity()`); tIF+Sharding counts shard headers at
-    // capacity; per-term HINTs leave out spare partition slots. The
-    // dense-term bitmaps count at capacity (nothing under tIF).
+    // its term; tIF counts lists at capacity plus a header each;
+    // tIF+Slicing counts a header per *materialized* sub-list
+    // (`subs.len()`), the hybrid per *allocated* slot (`subs.capacity()`);
+    // tIF+Sharding counts shard headers at capacity; per-term HINTs leave
+    // out spare partition slots. The dense-term bitmaps count at capacity.
     fn size_bytes(&self) -> usize {
         let terms = self.terms.values().map(|t| t.size_bytes() + 16);
-        terms.sum::<usize>()
-            + P::shared_size_bytes(&self.shared)
-            + self.freqs.size_bytes()
-            + self.bitmaps.size_bytes()
+        terms.sum::<usize>() + self.freqs.size_bytes() + self.bitmaps.size_bytes()
     }
 }
 

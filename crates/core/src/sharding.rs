@@ -7,7 +7,7 @@
 use crate::collection::Collection;
 use crate::method::Method;
 use crate::per_term::{PerTerm, TermPartition};
-use crate::types::{ElemId, Interval, Timestamp};
+use crate::types::{Interval, Timestamp};
 use tir_hint::IntervalRecord;
 use tir_invidx::planner::QueryScratch;
 use tir_invidx::{live, TOMBSTONE};
@@ -191,7 +191,7 @@ impl TermPartition for Vec<Shard> {
         build_shards(&entries, shard_cap(entries.len()))
     }
 
-    fn insert(&mut self, _: &mut (), _: ElemId, r: &IntervalRecord) {
+    fn insert(&mut self, _: &(), r: &IntervalRecord) {
         let (st, end, id) = (r.st, r.end, r.id);
         // First shard where inserting keeps both orders (staircase) or
         // at least the start order (relaxed).
@@ -224,7 +224,7 @@ impl TermPartition for Vec<Shard> {
         }
     }
 
-    fn tombstone(&mut self, _: &mut (), _: ElemId, r: &IntervalRecord) -> bool {
+    fn tombstone(&mut self, _: &(), r: &IntervalRecord) -> bool {
         for s in self.iter_mut() {
             // Entries with this start form a contiguous run.
             let lo = s.sts.partition_point(|&x| x < r.st);
@@ -253,7 +253,7 @@ impl TermPartition for Vec<Shard> {
     /// Probes the candidate set with each shard's qualifying ids;
     /// take-once probes replace the per-round binary-search scans and
     /// candidate re-sorts.
-    fn restrict(&self, _: &(), _: ElemId, q: Interval, scratch: &mut QueryScratch) {
+    fn restrict(&self, _: &(), q: Interval, scratch: &mut QueryScratch) {
         let mut cands = std::mem::take(&mut scratch.cands);
         scratch.load_candidates(&cands, 0);
         cands.clear();

@@ -7,7 +7,7 @@ use crate::collection::Collection;
 use crate::method::Method;
 use crate::per_term::{PerTerm, TermPartition};
 use crate::postings::{ColumnList, TemporalList};
-use crate::types::{ElemId, Interval, Timestamp};
+use crate::types::{Interval, Timestamp};
 use tir_hint::IntervalRecord;
 use tir_invidx::live;
 use tir_invidx::planner::QueryScratch;
@@ -162,11 +162,11 @@ impl TermPartition for SlicedList<2> {
         sl
     }
 
-    fn insert(&mut self, grid: &mut SliceGrid, _: ElemId, r: &IntervalRecord) {
+    fn insert(&mut self, grid: &SliceGrid, r: &IntervalRecord) {
         self.place(grid, r, [r.st, r.end]);
     }
 
-    fn tombstone(&mut self, grid: &mut SliceGrid, _: ElemId, r: &IntervalRecord) -> bool {
+    fn tombstone(&mut self, grid: &SliceGrid, r: &IntervalRecord) -> bool {
         self.tombstone_copies(grid, r)
     }
 
@@ -192,7 +192,7 @@ impl TermPartition for SlicedList<2> {
         scanned
     }
 
-    fn restrict(&self, grid: &SliceGrid, _: ElemId, q: Interval, scratch: &mut QueryScratch) {
+    fn restrict(&self, grid: &SliceGrid, q: Interval, scratch: &mut QueryScratch) {
         self.restrict_marked(grid, q, scratch);
     }
 

@@ -5,33 +5,28 @@ use crate::collection::Collection;
 use crate::method::Method;
 use crate::per_term::{PerTerm, TermPartition};
 use crate::postings::TemporalList;
-use crate::types::{ElemId, Interval};
+use crate::types::Interval;
 use tir_hint::IntervalRecord;
 use tir_invidx::planner::{Postings, QueryScratch};
-use tir_invidx::{ContainerConfig, HybridPostings};
 
 /// The base temporal inverted file: a term holds one [`TemporalList`].
 ///
 /// Query evaluation follows Algorithm 1: scan the postings list of the
 /// least frequent query element filtering by the temporal predicate, then
 /// intersect the candidate set with each remaining list in ascending
-/// frequency order. The non-seed intersections run against a
-/// [`HybridPostings`] sidecar — dense elements as bitmaps, sparse ones as
-/// sorted arrays — so the conjunction planner can pick bitmap kernels.
+/// frequency order. A sparse term's step hands its id column to the
+/// conjunction planner as a sorted array; a dense term's is answered from
+/// the skeleton's membership bitmap, as for every IR-first policy.
 pub type Tif = PerTerm<TemporalList>;
 
 impl TermPartition for TemporalList {
-    /// The container directory backing non-seed intersections.
-    type Shared = HybridPostings;
+    type Shared = ();
 
-    /// The container directory already holds every dense term as a bitmap.
-    const DENSE_TERM_BITMAPS: bool = false;
-
-    fn method(_: &HybridPostings) -> Method {
+    fn method(_: &()) -> Method {
         Method::Tif
     }
 
-    fn build(_: &HybridPostings, records: &[IntervalRecord]) -> Self {
+    fn build(_: &(), records: &[IntervalRecord]) -> Self {
         // One push per posting, as incremental inserts grow a list: the
         // reported size counts capacity.
         let mut list = TemporalList::default();
@@ -41,39 +36,21 @@ impl TermPartition for TemporalList {
         list
     }
 
-    fn insert(&mut self, containers: &mut HybridPostings, e: ElemId, r: &IntervalRecord) {
+    fn insert(&mut self, _: &(), r: &IntervalRecord) {
         TemporalList::insert(self, r.id, [r.st, r.end]);
-        containers.insert(e, r.id);
     }
 
-    fn tombstone(
-        &mut self,
-        containers: &mut HybridPostings,
-        e: ElemId,
-        r: &IntervalRecord,
-    ) -> bool {
-        let found = TemporalList::tombstone(self, r.id);
-        if found {
-            containers.tombstone(e, r.id);
-        }
-        found
+    fn tombstone(&mut self, _: &(), r: &IntervalRecord) -> bool {
+        TemporalList::tombstone(self, r.id)
     }
 
-    fn seed_into(&self, _: &HybridPostings, q: Interval, scratch: &mut QueryScratch) -> u64 {
+    fn seed_into(&self, _: &(), q: Interval, scratch: &mut QueryScratch) -> u64 {
         self.seed_overlap_into(q.st, q.end, &mut scratch.cands) as u64
     }
 
-    fn restrict(
-        &self,
-        containers: &HybridPostings,
-        e: ElemId,
-        _: Interval,
-        scratch: &mut QueryScratch,
-    ) {
-        match containers.get(e) {
-            Some(c) => scratch.intersect(Postings::Container(c)),
-            None => scratch.intersect(Postings::Ids(&[])),
-        }
+    /// The planner picks merge or gallop; it skips bit-31 tombstones.
+    fn restrict(&self, _: &(), _: Interval, scratch: &mut QueryScratch) {
+        scratch.intersect(Postings::Ids(&self.ids));
     }
 
     fn for_each_id_list(&self, mut f: impl FnMut(&[u32])) {
@@ -83,28 +60,12 @@ impl TermPartition for TemporalList {
     fn size_bytes(&self) -> usize {
         TemporalList::size_bytes(self) + std::mem::size_of::<TemporalList>()
     }
-
-    fn shared_size_bytes(containers: &HybridPostings) -> usize {
-        containers.size_bytes()
-    }
 }
 
 impl Tif {
     /// Builds the index over a collection.
     pub fn build(coll: &Collection) -> Self {
-        let mut tif = Self::build_with(coll, HybridPostings::default());
-        let universe = coll
-            .objects()
-            .iter()
-            .map(|o| o.id.saturating_add(1))
-            .max()
-            .unwrap_or(0);
-        tif.shared = HybridPostings::from_lists(
-            tif.terms.iter().map(|(&e, l)| (e, l.ids.as_slice())),
-            universe,
-            ContainerConfig::default(),
-        );
-        tif
+        Self::build_with(coll, ())
     }
 }
 

@@ -11,7 +11,7 @@
 use crate::collection::Collection;
 use crate::method::Method;
 use crate::per_term::{PerTerm, TermPartition};
-use crate::types::{ElemId, Interval, Timestamp};
+use crate::types::{Interval, Timestamp};
 use tir_hint::{DivisionOrder, Hint, HintConfig, IntervalRecord};
 use tir_invidx::planner::QueryScratch;
 
@@ -118,11 +118,11 @@ impl TermPartition for Hint {
         params.build_hint(records)
     }
 
-    fn insert(&mut self, _: &mut HintParams, _: ElemId, r: &IntervalRecord) {
+    fn insert(&mut self, _: &HintParams, r: &IntervalRecord) {
         Hint::insert(self, r);
     }
 
-    fn tombstone(&mut self, _: &mut HintParams, _: ElemId, r: &IntervalRecord) -> bool {
+    fn tombstone(&mut self, _: &HintParams, r: &IntervalRecord) -> bool {
         self.delete(r)
     }
 
@@ -140,7 +140,7 @@ impl TermPartition for Hint {
     /// candidate set with take-once semantics (replacing its binary
     /// searches and the candidate sort they required); Algorithm 4 keeps
     /// its merge-marking pass over the id-sorted divisions.
-    fn restrict(&self, params: &HintParams, _: ElemId, q: Interval, scratch: &mut QueryScratch) {
+    fn restrict(&self, params: &HintParams, q: Interval, scratch: &mut QueryScratch) {
         let (q_st, q_end) = (q.st, q.end);
         let mut cands = std::mem::take(&mut scratch.cands);
         match params.config.strategy {

@@ -102,10 +102,11 @@ impl<P: TermPartition + 'static> Accelerated for PerTerm<P> {
     }
 }
 
-/// The seven methods that keep dense-term bitmaps: five IR-first policies
+/// The eight methods that keep dense-term bitmaps: six IR-first policies
 /// and the two irHINTs.
 fn accelerated_indexes(coll: &Collection) -> Vec<Box<dyn Accelerated>> {
     vec![
+        Box::new(Tif::build(coll)),
         Box::new(TifSlicing::build_with_slices(coll, 7)),
         Box::new(TifSharding::build(coll)),
         Box::new(TifHint::build(
@@ -128,12 +129,9 @@ fn accelerated_indexes(coll: &Collection) -> Vec<Box<dyn Accelerated>> {
     ]
 }
 
-/// tIF and cTIF, which keep none.
+/// cTIF, which keeps none.
 fn plain_indexes(coll: &Collection) -> Vec<Box<dyn TemporalIrIndex>> {
-    vec![
-        Box::new(Tif::build(coll)),
-        Box::new(CompressedTif::build(coll)),
-    ]
+    vec![Box::new(CompressedTif::build(coll))]
 }
 
 fn all_indexes(coll: &Collection) -> Vec<Box<dyn TemporalIrIndex>> {

@@ -13,8 +13,6 @@
 //! * [`simd`] — runtime-dispatched SSE2/SSSE3/AVX2 variants of the hot
 //!   kernels (the one audited `unsafe` module in this crate; scalar
 //!   fallbacks always available, `TIR_SIMD=off` forces them);
-//! * [`container`] — hybrid array/bitmap/run posting containers chosen
-//!   by density and run structure at build/compaction time;
 //! * [`planner`] — the cost-based conjunction planner and reusable
 //!   [`QueryScratch`] arena with per-query kernel counters;
 //! * [`ElemBitmaps`] — global membership bitmaps for an index's few dense
@@ -31,7 +29,6 @@
 
 pub mod compact;
 pub mod compress;
-pub mod container;
 pub mod dict;
 pub mod elem_bitmaps;
 pub mod kernels;
@@ -40,7 +37,6 @@ pub mod simd;
 
 pub use compact::{CompactInverted, CompactTemporalInverted, FlatInverted, TemporalPostings};
 pub use compress::{BlockPostings, CompressedTemporalPostings};
-pub use container::{ContainerConfig, DenseBits, HybridPostings, PostingContainer, RunSet};
 pub use dict::Dictionary;
 pub use elem_bitmaps::{ElemBitmaps, ELEM_BITMAP_DEN};
 pub use kernels::{

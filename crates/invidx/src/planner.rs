@@ -7,9 +7,8 @@
 //!
 //! * sorted array vs sorted array → **merge** or **gallop**, picked by the
 //!   size ratio ([`crate::kernels::GALLOP_RATIO`]);
-//! * anything vs a bitmap (a dense container, or the present-only
-//!   [`Postings::Bits`] view of an index-wide
-//!   [`crate::ElemBitmaps`] entry) → **bitmap-probe** (O(1)
+//! * anything vs the present-only [`Postings::Bits`] view of an
+//!   index-wide [`crate::ElemBitmaps`] entry → **bitmap-probe** (O(1)
 //!   membership per candidate), or **word-AND** when the candidate set is
 //!   itself dense enough to be worth materializing as a bitmap, after
 //!   which consecutive dense steps AND whole 64-bit words;
@@ -25,7 +24,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::compress::BlockPostings;
-use crate::container::{PostingContainer, RunSet};
 use crate::kernels::{live, mark_hits, raw, GALLOP_RATIO};
 use crate::simd;
 
@@ -43,19 +41,17 @@ pub enum Kernel {
     BitmapProbe,
     /// 64-bit word-at-a-time AND of two bitmaps.
     WordAnd,
-    /// Range-at-a-time intersection against a run container.
-    RunIntersect,
 }
 
 /// Per-query planner counters: how many steps each kernel won and how
 /// many elements (or words) each scanned. `scanned` is maintained as the
 /// running total, so `merge_scanned + simd_merge_scanned +
-/// gallop_scanned + bitmap_probe_scanned + word_and_scanned +
-/// run_intersect_scanned == scanned` is an invariant `tir-check` can
-/// audit. `blocks_decoded` counts compressed blocks materialized for
-/// block-at-a-time intersection and is deliberately *not* part of that
-/// sum — it is a unit of decode work, not of elements scanned (those
-/// are counted by the kernel the decoded block fed).
+/// gallop_scanned + bitmap_probe_scanned + word_and_scanned == scanned`
+/// is an invariant `tir-check` can audit. `blocks_decoded` counts
+/// compressed blocks materialized for block-at-a-time intersection and is
+/// deliberately *not* part of that sum — it is a unit of decode work, not
+/// of elements scanned (those are counted by the kernel the decoded block
+/// fed).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanStats {
     /// Steps answered by the scalar merge kernel.
@@ -68,7 +64,10 @@ pub struct PlanStats {
     pub bitmap_probe_steps: u64,
     /// Steps answered by word-AND.
     pub word_and_steps: u64,
-    /// Steps answered by run-range intersection.
+    /// Always 0: no kernel records run steps. Kept because the repo
+    /// benchmark's probes and the `kern_run_intersect` key of `STATS` and
+    /// `loadgen` read it; it goes with the benchmark housekeeping of
+    /// ROADMAP item 4.
     pub run_intersect_steps: u64,
     /// Elements scanned by scalar merge steps.
     pub merge_scanned: u64,
@@ -80,7 +79,8 @@ pub struct PlanStats {
     pub bitmap_probe_scanned: u64,
     /// Words scanned by word-AND steps (plus bitmap build costs).
     pub word_and_scanned: u64,
-    /// Runs plus candidates touched by run-intersect steps.
+    /// Always 0, kept beside [`PlanStats::run_intersect_steps`] for the
+    /// same readers until ROADMAP item 4 removes both.
     pub run_intersect_scanned: u64,
     /// Total elements scanned over all kernels.
     pub scanned: u64,
@@ -113,10 +113,6 @@ impl PlanStats {
                 self.word_and_steps += 1;
                 self.word_and_scanned += scanned;
             }
-            Kernel::RunIntersect => {
-                self.run_intersect_steps += 1;
-                self.run_intersect_scanned += scanned;
-            }
         }
         self.scanned += scanned;
     }
@@ -136,7 +132,6 @@ impl PlanStats {
             + self.gallop_steps
             + self.bitmap_probe_steps
             + self.word_and_steps
-            + self.run_intersect_steps
     }
 
     /// Sum of the per-kernel scanned counters — must equal
@@ -147,7 +142,6 @@ impl PlanStats {
             + self.gallop_scanned
             + self.bitmap_probe_scanned
             + self.word_and_scanned
-            + self.run_intersect_scanned
     }
 
     fn is_zero(&self) -> bool {
@@ -161,13 +155,11 @@ struct GlobalCounters {
     gallop_steps: AtomicU64,
     bitmap_probe_steps: AtomicU64,
     word_and_steps: AtomicU64,
-    run_intersect_steps: AtomicU64,
     merge_scanned: AtomicU64,
     simd_merge_scanned: AtomicU64,
     gallop_scanned: AtomicU64,
     bitmap_probe_scanned: AtomicU64,
     word_and_scanned: AtomicU64,
-    run_intersect_scanned: AtomicU64,
     scanned: AtomicU64,
     blocks_decoded: AtomicU64,
 }
@@ -178,13 +170,11 @@ static GLOBAL: GlobalCounters = GlobalCounters {
     gallop_steps: AtomicU64::new(0),
     bitmap_probe_steps: AtomicU64::new(0),
     word_and_steps: AtomicU64::new(0),
-    run_intersect_steps: AtomicU64::new(0),
     merge_scanned: AtomicU64::new(0),
     simd_merge_scanned: AtomicU64::new(0),
     gallop_scanned: AtomicU64::new(0),
     bitmap_probe_scanned: AtomicU64::new(0),
     word_and_scanned: AtomicU64::new(0),
-    run_intersect_scanned: AtomicU64::new(0),
     scanned: AtomicU64::new(0),
     blocks_decoded: AtomicU64::new(0),
 };
@@ -215,10 +205,6 @@ fn flush_global(s: &PlanStats) {
         .fetch_add(s.word_and_steps, Ordering::Relaxed);
     // analyze:allow(atomic-ordering): monotonic stat counters, read only for reporting
     GLOBAL
-        .run_intersect_steps
-        .fetch_add(s.run_intersect_steps, Ordering::Relaxed);
-    // analyze:allow(atomic-ordering): monotonic stat counters, read only for reporting
-    GLOBAL
         .merge_scanned
         .fetch_add(s.merge_scanned, Ordering::Relaxed);
     // analyze:allow(atomic-ordering): monotonic stat counters, read only for reporting
@@ -238,10 +224,6 @@ fn flush_global(s: &PlanStats) {
         .word_and_scanned
         .fetch_add(s.word_and_scanned, Ordering::Relaxed);
     // analyze:allow(atomic-ordering): monotonic stat counters, read only for reporting
-    GLOBAL
-        .run_intersect_scanned
-        .fetch_add(s.run_intersect_scanned, Ordering::Relaxed);
-    // analyze:allow(atomic-ordering): monotonic stat counters, read only for reporting
     GLOBAL.scanned.fetch_add(s.scanned, Ordering::Relaxed);
     // analyze:allow(atomic-ordering): monotonic stat counters, read only for reporting
     GLOBAL
@@ -260,15 +242,14 @@ pub fn global_stats() -> PlanStats {
         gallop_steps: GLOBAL.gallop_steps.load(Ordering::Relaxed),
         bitmap_probe_steps: GLOBAL.bitmap_probe_steps.load(Ordering::Relaxed),
         word_and_steps: GLOBAL.word_and_steps.load(Ordering::Relaxed),
-        run_intersect_steps: GLOBAL.run_intersect_steps.load(Ordering::Relaxed),
         merge_scanned: GLOBAL.merge_scanned.load(Ordering::Relaxed),
         simd_merge_scanned: GLOBAL.simd_merge_scanned.load(Ordering::Relaxed),
         gallop_scanned: GLOBAL.gallop_scanned.load(Ordering::Relaxed),
         bitmap_probe_scanned: GLOBAL.bitmap_probe_scanned.load(Ordering::Relaxed),
         word_and_scanned: GLOBAL.word_and_scanned.load(Ordering::Relaxed),
-        run_intersect_scanned: GLOBAL.run_intersect_scanned.load(Ordering::Relaxed),
         scanned: GLOBAL.scanned.load(Ordering::Relaxed),
         blocks_decoded: GLOBAL.blocks_decoded.load(Ordering::Relaxed),
+        ..PlanStats::default()
     }
 }
 
@@ -277,8 +258,6 @@ pub fn global_stats() -> PlanStats {
 pub enum Postings<'a> {
     /// A raw-id-sorted slice, bit-31 tombstones allowed.
     Ids(&'a [u32]),
-    /// A hybrid container (array, bitmap, or run form).
-    Container(&'a PostingContainer),
     /// Stream-vbyte block-compressed postings, decoded (and skipped)
     /// block-at-a-time.
     Blocks(&'a BlockPostings),
@@ -298,6 +277,18 @@ pub const WORD_AND_DENSITY_DEN: usize = 32;
 /// Largest id universe a *candidate* bitmap is built for (2^26 ids =
 /// 8 MiB of bits); bigger universes fall back to binary-search probes.
 pub const MAX_PROBE_UNIVERSE: u32 = 1 << 26;
+
+/// ANDs `words` into the common prefix of `dst` and returns the popcount
+/// of that prefix afterwards.
+#[inline]
+fn and_popcount(dst: &mut [u64], words: &[u64]) -> u64 {
+    let mut count = 0u64;
+    for (d, &w) in dst.iter_mut().zip(words) {
+        *d &= w;
+        count += u64::from(d.count_ones());
+    }
+    count
+}
 
 /// Reusable query state: candidate/output buffers, the plan
 /// order, a candidate bitmap, and the per-query kernel counters. Holding
@@ -431,32 +422,8 @@ impl QueryScratch {
         self.check_deadline();
         match side {
             Postings::Ids(ids) => self.intersect_ids(ids),
-            Postings::Container(PostingContainer::Sparse { ids, .. }) => self.intersect_ids(ids),
-            Postings::Container(PostingContainer::Dense(d)) => self.intersect_bitmap(
-                d.universe() as usize,
-                d.present_words().len(),
-                |c| d.contains_live(c),
-                |dst| simd::and_words(dst, d.present_words(), d.deleted_words()),
-            ),
-            Postings::Container(PostingContainer::Runs(r)) => self.intersect_runs(r),
             Postings::Blocks(bp) => self.intersect_blocks(bp),
-            Postings::Bits(words) => self.intersect_bitmap(
-                words.len() * 64,
-                words.len(),
-                |c| {
-                    words
-                        .get(c as usize / 64)
-                        .is_some_and(|w| (w >> (c % 64)) & 1 == 1)
-                },
-                |dst| {
-                    let mut count = 0u64;
-                    for (d, &w) in dst.iter_mut().zip(words) {
-                        *d &= w;
-                        count += u64::from(d.count_ones());
-                    }
-                    count
-                },
-            ),
+            Postings::Bits(words) => self.intersect_bits(words),
         }
     }
 
@@ -500,23 +467,16 @@ impl QueryScratch {
         std::mem::swap(&mut self.cands, &mut self.next);
     }
 
-    /// One step against a bitmap over `[0, universe)` stored in `words`
-    /// 64-bit words: `contains_live(id)` is its membership test and
-    /// `and_into(dst)` ANDs its live bits into the common prefix of `dst`,
-    /// returning the popcount of the result.
+    /// One step against a present-only bitmap: bit `id % 64` of word
+    /// `id / 64` is set iff `id` is a live member, ids past `words` are
+    /// absent.
     #[inline]
-    fn intersect_bitmap(
-        &mut self,
-        universe: usize,
-        words: usize,
-        contains_live: impl Fn(u32) -> bool,
-        and_into: impl Fn(&mut [u64]) -> u64,
-    ) {
+    fn intersect_bits(&mut self, words: &[u64]) {
         if self.bits_live {
             // Word-AND with the incoming bitmap; ids beyond its universe
             // cannot match, so the tail of the candidate bitmap clears.
-            let keep = self.bits_words.min(words);
-            let count = and_into(&mut self.bits[..keep]);
+            let keep = self.bits_words.min(words.len());
+            let count = and_popcount(&mut self.bits[..keep], words);
             for w in keep..self.bits_words {
                 self.bits[w] = 0;
             }
@@ -525,10 +485,11 @@ impl QueryScratch {
             self.stats.note(Kernel::WordAnd, keep as u64);
             return;
         }
+        let universe = words.len() * 64;
         if self.cands.len().saturating_mul(WORD_AND_DENSITY_DEN) >= universe {
             // Dense candidates: materialize them as a bitmap once, then
             // this and consecutive dense steps run word-at-a-time.
-            let w = words;
+            let w = words.len();
             if self.bits.len() < w {
                 self.bits.resize(w, 0);
             }
@@ -539,7 +500,7 @@ impl QueryScratch {
                     self.bits[c as usize / 64] |= 1u64 << (c % 64);
                 }
             }
-            let count = and_into(&mut self.bits[..w]);
+            let count = and_popcount(&mut self.bits[..w], words);
             self.bits_words = w;
             self.bits_count = count;
             self.bits_live = true;
@@ -548,7 +509,10 @@ impl QueryScratch {
             // Sparse candidates: O(1) probe per candidate.
             self.next.clear();
             for &c in &self.cands {
-                if contains_live(c) {
+                if words
+                    .get(c as usize / 64)
+                    .is_some_and(|w| (w >> (c % 64)) & 1 == 1)
+                {
                     self.next.push(c);
                 }
             }
@@ -556,91 +520,6 @@ impl QueryScratch {
                 .note(Kernel::BitmapProbe, self.cands.len() as u64);
             std::mem::swap(&mut self.cands, &mut self.next);
         }
-    }
-
-    // Outlined: keeps the Ids/Dense fast paths tight inside
-    // `intersect`'s inlined dispatch.
-    #[inline(never)]
-    fn intersect_runs(&mut self, r: &RunSet) {
-        let runs = r.runs();
-        let del = r.deleted();
-        if self.bits_live {
-            // The run set is a bitmap in disguise: clear the candidate
-            // bits in the gaps between runs (and past the last run),
-            // then knock out the tombstoned ids.
-            let mut prev = 0u64;
-            for &(s, l) in runs {
-                self.clear_bit_range(prev, u64::from(s));
-                prev = u64::from(l) + 1;
-            }
-            self.clear_bit_range(prev, self.bits_words as u64 * 64);
-            for &d in del {
-                let w = d as usize / 64;
-                if w < self.bits_words {
-                    self.bits[w] &= !(1u64 << (d % 64));
-                }
-            }
-            let mut count = 0u64;
-            for &w in &self.bits[..self.bits_words] {
-                count += u64::from(w.count_ones());
-            }
-            self.bits_count = count;
-            self.stats.note(
-                Kernel::RunIntersect,
-                (self.bits_words + runs.len() + del.len()) as u64,
-            );
-            return;
-        }
-        // Array candidates: two regimes, mirroring merge-vs-gallop on
-        // sorted arrays. A candidate set much smaller than the run list
-        // probes the runs per candidate (O(cands log runs) with a moving
-        // lower bound) — walking every run would cost O(runs log cands)
-        // and dominates tiny-candidate queries against long run lists.
-        self.next.clear();
-        let mut di = 0usize;
-        if self.cands.len().saturating_mul(GALLOP_RATIO) < runs.len() {
-            let mut lo = 0usize;
-            for ci in 0..self.cands.len() {
-                let c = self.cands[ci];
-                lo += runs[lo..].partition_point(|&(_, l)| l < c);
-                if lo == runs.len() {
-                    break;
-                }
-                if runs[lo].0 <= c {
-                    while di < del.len() && del[di] < c {
-                        di += 1;
-                    }
-                    if di >= del.len() || del[di] != c {
-                        self.next.push(c);
-                    }
-                }
-            }
-            self.stats
-                .note(Kernel::RunIntersect, self.cands.len() as u64);
-        } else {
-            // Comparable sizes: one cursor walk over both — O(runs +
-            // candidates), no per-id probes.
-            let mut ci = 0usize;
-            for &(s, l) in runs {
-                ci += self.cands[ci..].partition_point(|&c| c < s);
-                while ci < self.cands.len() && self.cands[ci] <= l {
-                    let c = self.cands[ci];
-                    while di < del.len() && del[di] < c {
-                        di += 1;
-                    }
-                    if di >= del.len() || del[di] != c {
-                        self.next.push(c);
-                    }
-                    ci += 1;
-                }
-                if ci == self.cands.len() {
-                    break;
-                }
-            }
-            self.stats
-                .note(Kernel::RunIntersect, (runs.len() + self.cands.len()) as u64);
-        }
-        std::mem::swap(&mut self.cands, &mut self.next);
     }
 
     #[inline(never)]
@@ -685,29 +564,6 @@ impl QueryScratch {
         self.stats.note(kernel, st.scanned);
         self.stats.note_blocks(st.blocks_decoded);
         std::mem::swap(&mut self.cands, &mut self.next);
-    }
-
-    /// Clears candidate-bitmap bits in `[start, end)` (clamped to the
-    /// live words).
-    fn clear_bit_range(&mut self, start: u64, end: u64) {
-        let limit = self.bits_words as u64 * 64;
-        let (start, end) = (start.min(limit), end.min(limit));
-        if start >= end {
-            return;
-        }
-        let (sw, sb) = ((start / 64) as usize, start % 64);
-        let (ew, eb) = ((end / 64) as usize, end % 64);
-        if sw == ew {
-            self.bits[sw] &= !(((1u64 << eb) - 1) & !((1u64 << sb) - 1));
-            return;
-        }
-        self.bits[sw] &= (1u64 << sb) - 1;
-        for w in &mut self.bits[sw + 1..ew] {
-            *w = 0;
-        }
-        if eb > 0 {
-            self.bits[ew] &= !((1u64 << eb) - 1);
-        }
     }
 
     /// Moves the candidate set (ascending if the planner ended in bitmap
@@ -978,7 +834,6 @@ impl Drop for QueryScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::container::ContainerConfig;
     use crate::kernels::TOMBSTONE;
 
     fn seq(scratch: &mut QueryScratch, seed: &[u32], sides: &[Postings<'_>]) -> Vec<u32> {
@@ -1061,46 +916,33 @@ mod tests {
 
     #[test]
     fn dense_probe_and_word_and() {
-        let cfg = ContainerConfig { density_den: 4 };
-        // Evens: singleton runs fail the run rule, density picks bitmap.
         let dense_ids: Vec<u32> = (0..128).map(|i| i * 2).collect();
-        let c = PostingContainer::from_sorted(&dense_ids, 256, cfg);
-        assert!(c.is_dense());
         let cands: Vec<u32> = (0..64).map(|i| i * 4).collect();
-        let fours = PostingContainer::from_sorted(&cands, 256, cfg);
-        assert!(fours.is_dense());
-        // The same two sets as present-only words: one code path, so the
-        // same kernels and the same answers.
-        let (c_bits, fours_bits) = (bits_of(&dense_ids, 256), bits_of(&cands, 256));
-        let operands = [
-            (Postings::Container(&c), Postings::Container(&fours)),
-            (Postings::Bits(&c_bits), Postings::Bits(&fours_bits)),
-        ];
-        for (evens, fours) in operands {
-            // Sparse candidates: bitmap-probe, in whatever order they came.
-            let mut s = QueryScratch::default();
-            let got = seq(&mut s, &[500, 3, 2], &[evens]);
-            assert_eq!(got, vec![2]);
-            assert_eq!(s.last_stats().bitmap_probe_steps, 1);
+        let (evens, fours) = (bits_of(&dense_ids, 256), bits_of(&cands, 256));
+        let (evens, fours) = (Postings::Bits(&evens), Postings::Bits(&fours));
+        // Sparse candidates: bitmap-probe, in whatever order they came.
+        let mut s = QueryScratch::default();
+        let got = seq(&mut s, &[500, 3, 2], &[evens]);
+        assert_eq!(got, vec![2]);
+        assert_eq!(s.last_stats().bitmap_probe_steps, 1);
 
-            // Dense candidates: word-AND, result extracted ascending.
-            let got = seq(&mut s, &cands, &[evens]);
-            assert_eq!(got, cands);
-            assert_eq!(s.last_stats().word_and_steps, 1);
+        // Dense candidates: word-AND, result extracted ascending.
+        let got = seq(&mut s, &cands, &[evens]);
+        assert_eq!(got, cands);
+        assert_eq!(s.last_stats().word_and_steps, 1);
 
-            // Word-AND chains across consecutive dense steps, then
-            // downshifts cleanly on a sparse side.
-            let got = seq(
-                &mut s,
-                &(0..256).collect::<Vec<_>>(),
-                &[evens, fours, Postings::Ids(&[4, 5, 6, 8, 500])],
-            );
-            assert_eq!(got, vec![4, 8]);
-            let st = s.last_stats();
-            assert_eq!(st.word_and_steps, 2);
-            assert_eq!(st.bitmap_probe_steps, 1);
-            assert_eq!(st.kernel_scanned_sum(), st.scanned);
-        }
+        // Word-AND chains across consecutive dense steps, then
+        // downshifts cleanly on a sparse side.
+        let got = seq(
+            &mut s,
+            &(0..256).collect::<Vec<_>>(),
+            &[evens, fours, Postings::Ids(&[4, 5, 6, 8, 500])],
+        );
+        assert_eq!(got, vec![4, 8]);
+        let st = s.last_stats();
+        assert_eq!(st.word_and_steps, 2);
+        assert_eq!(st.bitmap_probe_steps, 1);
+        assert_eq!(st.kernel_scanned_sum(), st.scanned);
     }
 
     #[test]
@@ -1155,43 +997,6 @@ mod tests {
     }
 
     #[test]
-    fn runs_intersect_in_array_and_bitmap_mode() {
-        let cfg = ContainerConfig { density_den: 4 };
-        let run_ids: Vec<u32> = (100..=140)
-            .map(|i| if i == 120 { i | TOMBSTONE } else { i })
-            .collect();
-        let rc = PostingContainer::from_sorted(&run_ids, 256, cfg);
-        assert!(rc.is_runs());
-
-        // Array candidates: cursor walk over the runs.
-        let mut s = QueryScratch::default();
-        let got = seq(
-            &mut s,
-            &[50, 100, 120, 140, 200],
-            &[Postings::Container(&rc)],
-        );
-        assert_eq!(got, vec![100, 140], "ends kept, tombstone dropped");
-        assert_eq!(s.last_stats().run_intersect_steps, 1);
-
-        // Bitmap candidates (after a word-AND step): gap clearing.
-        let dense_ids: Vec<u32> = (0..128).map(|i| i * 2).collect();
-        let dc = PostingContainer::from_sorted(&dense_ids, 256, cfg);
-        assert!(dc.is_dense());
-        let seed: Vec<u32> = (0..256).collect();
-        let got = seq(
-            &mut s,
-            &seed,
-            &[Postings::Container(&dc), Postings::Container(&rc)],
-        );
-        let want: Vec<u32> = (100..=140).filter(|i| i % 2 == 0 && *i != 120).collect();
-        assert_eq!(got, want);
-        let st = s.last_stats();
-        assert_eq!(st.word_and_steps, 1);
-        assert_eq!(st.run_intersect_steps, 1);
-        assert_eq!(st.kernel_scanned_sum(), st.scanned);
-    }
-
-    #[test]
     fn blocks_intersect_in_array_and_bitmap_mode() {
         // 8 blocks of evens over [0, 2048).
         let ids: Vec<u32> = (0..1024).map(|i| i * 2).collect();
@@ -1210,14 +1015,13 @@ mod tests {
         assert_eq!(st.kernel_scanned_sum(), st.scanned);
 
         // Bitmap candidates: decoding stops at the bitmap's last word.
-        let cfg = ContainerConfig { density_den: 4 };
         let dense_ids: Vec<u32> = (0..128).map(|i| i * 2).collect();
-        let dc = PostingContainer::from_sorted(&dense_ids, 256, cfg);
+        let evens = bits_of(&dense_ids, 256);
         let seed: Vec<u32> = (0..256).collect();
         let got = seq(
             &mut s,
             &seed,
-            &[Postings::Container(&dc), Postings::Blocks(&bp)],
+            &[Postings::Bits(&evens), Postings::Blocks(&bp)],
         );
         assert_eq!(got, dense_ids, "evens in [0, 256) survive both sides");
         let st = s.last_stats();
@@ -1251,36 +1055,31 @@ mod tests {
 
     #[test]
     fn tombstones_respected_on_every_path() {
-        let cfg = ContainerConfig { density_den: 4 };
-        let ids: Vec<u32> = (0..64)
-            .map(|i| {
-                let id = i * 2;
-                if id == 20 {
-                    id | TOMBSTONE
-                } else {
-                    id
-                }
-            })
-            .collect();
-        let c = PostingContainer::from_sorted(&ids, 128, cfg);
-        assert!(c.is_dense());
-        let mut s = QueryScratch::default();
-        // probe path
-        assert_eq!(
-            seq(&mut s, &[18, 20, 22], &[Postings::Container(&c)]),
-            vec![18, 22]
-        );
-        // word-AND path
+        // Evens below 128, id 20 deleted: the present-only words hold no
+        // bit for it, the sorted array keeps it with its tombstone bit.
         let all: Vec<u32> = (0..64).map(|i| i * 2).collect();
-        let got = seq(&mut s, &all, &[Postings::Container(&c)]);
-        assert!(!got.contains(&20) && got.len() == 63);
+        let stored: Vec<u32> = all
+            .iter()
+            .map(|&id| if id == 20 { id | TOMBSTONE } else { id })
+            .collect();
+        let live: Vec<u32> = all.iter().copied().filter(|&id| id != 20).collect();
+        let words = bits_of(&live, 128);
+        let mut s = QueryScratch::default();
+        for side in [Postings::Ids(&stored), Postings::Bits(&words)] {
+            // probe / gallop path
+            assert_eq!(seq(&mut s, &[18, 20, 22], &[side]), vec![18, 22]);
+            // merge / word-AND path
+            let got = seq(&mut s, &all, &[side]);
+            assert!(!got.contains(&20) && got.len() == 63);
+        }
         // downshift path skips tombstoned array entries
         let arr = [18u32, 20 | TOMBSTONE, 22];
         let got = seq(
             &mut s,
             &all,
-            &[Postings::Container(&c), Postings::Ids(&arr)],
+            &[Postings::Bits(&bits_of(&all, 128)), Postings::Ids(&arr)],
         );
+        assert_eq!(s.last_stats().word_and_steps, 1);
         assert_eq!(got, vec![18, 22]);
     }
 

@@ -20,8 +20,6 @@
 //!   tombstone-aware via the sign bit;
 //! * [`gallop_into`] — AVX2 galloping intersection: 8-id block-granular
 //!   exponential search plus a single 8-lane compare in the final block;
-//! * [`and_words`] — AVX2 `dst & present & !deleted` over 4 × u64 lanes
-//!   with a folded population count;
 //! * [`svb_decode_into`] — SSSE3 stream-vbyte delta decode (per-control
 //!   `pshufb` shuffle from a 256-entry table) with an in-register
 //!   prefix sum, used by [`crate::compress::BlockPostings`].
@@ -41,7 +39,7 @@ pub enum SimdLevel {
     Sse2,
     /// SSSE3: adds the `pshufb` stream-vbyte decoder.
     Ssse3,
-    /// AVX2: adds 8-wide gallop probes and 256-bit word-AND.
+    /// AVX2: adds 8-wide gallop probes.
     Avx2,
 }
 
@@ -166,28 +164,6 @@ pub fn gallop_into_forced(cands: &[u32], postings: &[u32], out: &mut Vec<u32>) -
     false
 }
 
-/// Computes `dst[k] = dst[k] & present[k] & !deleted[k]` over the
-/// common prefix of the three slices and returns the total popcount of
-/// the result — one fused pass over the planner's word-AND chain. Uses
-/// 256-bit lanes under AVX2, a scalar loop otherwise.
-#[inline]
-pub fn and_words(dst: &mut [u64], present: &[u64], deleted: &[u64]) -> u64 {
-    let n = dst.len().min(present.len()).min(deleted.len());
-    #[cfg(target_arch = "x86_64")]
-    if n >= 8 && level() >= SimdLevel::Avx2 {
-        // SAFETY: AVX2 support was verified by CPUID via `level()`.
-        // analyze:allow(unsafe-code): target-feature call gated by runtime avx2 detection
-        return unsafe { x86::and_words_avx2(&mut dst[..n], &present[..n], &deleted[..n]) };
-    }
-    let mut count = 0u64;
-    for ((d, &p), &t) in dst[..n].iter_mut().zip(&present[..n]).zip(&deleted[..n]) {
-        let v = *d & p & !t;
-        *d = v;
-        count += u64::from(v.count_ones());
-    }
-    count
-}
-
 /// Decodes one stream-vbyte block: writes `first` to `out[0]`, then
 /// applies the `out.len() - 1` encoded deltas cumulatively (stream-vbyte
 /// layout: one control byte per 4 deltas, 2 bits each giving the
@@ -291,13 +267,12 @@ mod x86 {
     use super::{svb_decode_tail, SVB_TABLES};
     use crate::kernels::{live, raw, TOMBSTONE};
     use std::arch::x86_64::{
-        __m128i, __m256i, _mm256_and_si256, _mm256_andnot_si256, _mm256_castsi256_ps,
-        _mm256_cmpeq_epi32, _mm256_cmpgt_epi32, _mm256_extract_epi64, _mm256_loadu_si256,
-        _mm256_movemask_ps, _mm256_or_si256, _mm256_set1_epi32, _mm256_srai_epi32,
-        _mm256_storeu_si256, _mm_add_epi32, _mm_and_si128, _mm_andnot_si128, _mm_castsi128_ps,
-        _mm_cmpeq_epi32, _mm_cvtsi128_si32, _mm_loadu_si128, _mm_movemask_ps, _mm_or_si128,
-        _mm_set1_epi32, _mm_shuffle_epi32, _mm_shuffle_epi8, _mm_slli_si128, _mm_srai_epi32,
-        _mm_storeu_si128,
+        __m128i, __m256i, _mm256_and_si256, _mm256_castsi256_ps, _mm256_cmpeq_epi32,
+        _mm256_cmpgt_epi32, _mm256_loadu_si256, _mm256_movemask_ps, _mm256_or_si256,
+        _mm256_set1_epi32, _mm256_srai_epi32, _mm_add_epi32, _mm_and_si128, _mm_andnot_si128,
+        _mm_castsi128_ps, _mm_cmpeq_epi32, _mm_cvtsi128_si32, _mm_loadu_si128, _mm_movemask_ps,
+        _mm_or_si128, _mm_set1_epi32, _mm_shuffle_epi32, _mm_shuffle_epi8, _mm_slli_si128,
+        _mm_srai_epi32, _mm_storeu_si128,
     };
 
     /// Rotate-left-by-k lane orders for `_mm_shuffle_epi32` (result lane
@@ -450,41 +425,6 @@ mod x86 {
         }
     }
 
-    /// AVX2 fused AND-ANDNOT-popcount over u64 words (see
-    /// `super::and_words`). All three slices have equal length.
-    ///
-    /// SAFETY contract (upheld by the `and_words` wrapper): AVX2 must be
-    /// available (runtime-detected). Vector loads/stores touch lanes
-    /// `k..k + 4` only while `k + 4 <= len`; `dst` is `&mut` so it
-    /// cannot alias the shared inputs.
-    // analyze:allow(unsafe-code): avx2 intrinsics on bounds-checked 4-word lanes, avx2 runtime-detected by the caller
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn and_words_avx2(dst: &mut [u64], present: &[u64], deleted: &[u64]) -> u64 {
-        let n = dst.len();
-        debug_assert!(present.len() == n && deleted.len() == n);
-        let mut count = 0u64;
-        let mut k = 0usize;
-        while k + 4 <= n {
-            let d = _mm256_loadu_si256(dst.as_ptr().add(k).cast::<__m256i>());
-            let p = _mm256_loadu_si256(present.as_ptr().add(k).cast::<__m256i>());
-            let t = _mm256_loadu_si256(deleted.as_ptr().add(k).cast::<__m256i>());
-            let v = _mm256_andnot_si256(t, _mm256_and_si256(d, p));
-            _mm256_storeu_si256(dst.as_mut_ptr().add(k).cast::<__m256i>(), v);
-            count += u64::from((_mm256_extract_epi64::<0>(v) as u64).count_ones());
-            count += u64::from((_mm256_extract_epi64::<1>(v) as u64).count_ones());
-            count += u64::from((_mm256_extract_epi64::<2>(v) as u64).count_ones());
-            count += u64::from((_mm256_extract_epi64::<3>(v) as u64).count_ones());
-            k += 4;
-        }
-        while k < n {
-            let v = dst[k] & present[k] & !deleted[k];
-            dst[k] = v;
-            count += u64::from(v.count_ones());
-            k += 1;
-        }
-        count
-    }
-
     /// SSSE3 stream-vbyte decode (see `super::svb_decode_into`): one
     /// `pshufb` per control byte expands 4 packed deltas to u32 lanes,
     /// an in-register shift-add pair turns them into a prefix sum, and
@@ -578,26 +518,6 @@ mod tests {
         let mut got = Vec::new();
         gallop_into_forced(&cands, &postings, &mut got);
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn and_words_matches_scalar() {
-        let present: Vec<u64> = (0..33)
-            .map(|i| 0x9e37_79b9_7f4a_7c15u64.rotate_left(i))
-            .collect();
-        let deleted: Vec<u64> = (0..33)
-            .map(|i| 0x0123_4567_89ab_cdefu64.rotate_right(i))
-            .collect();
-        let mut dst: Vec<u64> = (0..33).map(|i| u64::MAX >> (i % 17)).collect();
-        let mut want = dst.clone();
-        let mut want_count = 0u64;
-        for ((w, &p), &t) in want.iter_mut().zip(&present).zip(&deleted) {
-            *w &= p & !t;
-            want_count += u64::from(w.count_ones());
-        }
-        let got_count = and_words(&mut dst, &present, &deleted);
-        assert_eq!(dst, want);
-        assert_eq!(got_count, want_count);
     }
 
     #[test]

@@ -4,9 +4,8 @@
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use tir_invidx::{
-    intersect_adaptive_into, intersect_gallop_into, intersect_merge_into, ContainerConfig,
-    ElemBitmaps, FlatInverted, HybridPostings, PostingContainer, Postings, QueryScratch,
-    ELEM_BITMAP_DEN, TOMBSTONE,
+    intersect_adaptive_into, intersect_gallop_into, intersect_merge_into, ElemBitmaps,
+    FlatInverted, Postings, QueryScratch, ELEM_BITMAP_DEN, TOMBSTONE,
 };
 
 fn sorted_unique(max: u32, len: usize) -> impl Strategy<Value = Vec<u32>> {
@@ -33,6 +32,16 @@ fn tombstoned(ids: &[u32], dead: &[bool]) -> (Vec<u32>, BTreeSet<u32>) {
         .copied()
         .collect();
     (raw, live)
+}
+
+/// The present-only words of a live-id set, as [`ElemBitmaps`] hands them
+/// to the planner: no more words than the largest member needs.
+fn bits_of(live: &BTreeSet<u32>) -> Vec<u64> {
+    let mut words = vec![0u64; live.last().map_or(0, |&id| id as usize / 64 + 1)];
+    for &id in live {
+        words[id as usize / 64] |= 1 << (id % 64);
+    }
+    words
 }
 
 /// One op of [`flat_store_model`]: `0` rebuilds the store from the batch,
@@ -140,35 +149,23 @@ proptest! {
     fn planner_scratch_agrees_with_set_model(
         seed in sorted_unique(2048, 400),
         lists in prop::collection::vec(
-            (sorted_unique(2048, 400), prop::collection::vec(any::<bool>(), 400), 0u8..3),
+            (sorted_unique(2048, 400), prop::collection::vec(any::<bool>(), 400), any::<bool>()),
             0..5,
         ),
-        den in 1u32..64,
     ) {
-        const UNIVERSE: u32 = 2048;
-        let cfg = ContainerConfig { density_den: den };
         let mut scratch = QueryScratch::default();
         scratch.reset();
         scratch.cands.extend_from_slice(&seed);
 
         let mut model: BTreeSet<u32> = seed.iter().copied().collect();
-        for (ids, dead, form) in &lists {
+        for (ids, dead, as_bits) in &lists {
             let (raw, live) = tombstoned(ids, dead);
-            match form {
-                0 => scratch.intersect(Postings::Ids(&raw)),
-                1 => {
-                    let c = PostingContainer::from_sorted(&raw, UNIVERSE, cfg);
-                    scratch.intersect(Postings::Container(&c));
-                }
-                _ => {
-                    // Present-only words: the live ids, and possibly fewer
-                    // words than the candidates' universe.
-                    let mut words = vec![0u64; live.last().map_or(0, |&id| id as usize / 64 + 1)];
-                    for &id in &live {
-                        words[id as usize / 64] |= 1 << (id % 64);
-                    }
-                    scratch.intersect(Postings::Bits(&words));
-                }
+            if *as_bits {
+                // Present-only words: the live ids, and possibly fewer
+                // words than the candidates' universe.
+                scratch.intersect(Postings::Bits(&bits_of(&live)));
+            } else {
+                scratch.intersect(Postings::Ids(&raw));
             }
             model = model.intersection(&live).copied().collect();
         }
@@ -186,57 +183,6 @@ proptest! {
         if !lists.is_empty() {
             prop_assert!(stats.steps() >= 1);
         }
-    }
-
-    #[test]
-    fn hybrid_container_agrees_with_set_model(
-        ids in sorted_unique(512, 200),
-        dead in prop::collection::vec(any::<bool>(), 200),
-        den in 1u32..64,
-        extra in sorted_unique(512, 40),
-        kills in sorted_unique(512, 40),
-    ) {
-        let cfg = ContainerConfig { density_den: den };
-        let (raw, live) = tombstoned(&ids, &dead);
-        let mut h = HybridPostings::from_lists(
-            std::iter::once((7u32, raw.as_slice())),
-            512,
-            cfg,
-        );
-        let mut model = live;
-        for &id in &extra {
-            if !model.contains(&id) && !raw.iter().any(|&r| r & !TOMBSTONE == id) {
-                h.insert(7, id);
-                model.insert(id);
-            }
-        }
-        for &id in &kills {
-            let killed = h.tombstone(7, id);
-            prop_assert_eq!(killed, model.remove(&id));
-        }
-        let want: Vec<u32> = model.iter().copied().collect();
-        let got = match h.get(7) {
-            Some(c) => {
-                let mut v = Vec::new();
-                c.for_each_live(|id| v.push(id));
-                v.sort_unstable();
-                prop_assert_eq!(c.cardinality() as usize, want.len());
-                v
-            }
-            None => Vec::new(),
-        };
-        prop_assert_eq!(got, want.clone());
-        h.compact();
-        let got: Vec<u32> = match h.get(7) {
-            Some(c) => {
-                let mut v = Vec::new();
-                c.for_each_live(|id| v.push(id));
-                v.sort_unstable();
-                v
-            }
-            None => Vec::new(),
-        };
-        prop_assert_eq!(got, want);
     }
 
     #[test]
@@ -326,40 +272,36 @@ proptest! {
         }
     }
 
-    #[test]
-    fn planner_edge_cases_hold_under_any_density(den in 1u32..64) {
-        let cfg = ContainerConfig { density_den: den };
-        let ids: Vec<u32> = (0..100).map(|i| i * 3).collect();
-        let disjoint: Vec<u32> = (0..100).map(|i| i * 3 + 1).collect();
-        let all_dead: Vec<u32> = ids.iter().map(|&id| id | TOMBSTONE).collect();
-        for (postings, want) in [
-            (ids.clone(), ids.clone()),      // identical sets
-            (disjoint, Vec::new()),          // disjoint sets
-            (Vec::new(), Vec::new()),        // empty postings
-            (all_dead, Vec::new()),          // fully tombstoned
-        ] {
-            let c = PostingContainer::from_sorted(&postings, 300, cfg);
-            for as_container in [false, true] {
-                let mut scratch = QueryScratch::default();
-                scratch.reset();
-                scratch.cands.extend_from_slice(&ids);
-                if as_container {
-                    scratch.intersect(Postings::Container(&c));
-                } else {
-                    scratch.intersect(Postings::Ids(&postings));
-                }
-                let mut out = Vec::new();
-                scratch.take_into(&mut out);
-                out.sort_unstable();
-                prop_assert_eq!(&out, &want);
-                // Empty candidate seed stays empty against anything.
-                scratch.reset();
-                scratch.intersect(Postings::Ids(&postings));
-                let mut out = Vec::new();
-                scratch.take_into(&mut out);
-                prop_assert!(out.is_empty());
-            }
+}
+
+#[test]
+fn planner_edge_cases_hold_on_every_operand() {
+    let ids: Vec<u32> = (0..100).map(|i| i * 3).collect();
+    let disjoint: Vec<u32> = (0..100).map(|i| i * 3 + 1).collect();
+    let all_dead: Vec<u32> = ids.iter().map(|&id| id | TOMBSTONE).collect();
+    for (postings, want) in [
+        (ids.clone(), ids.clone()), // identical sets
+        (disjoint, Vec::new()),     // disjoint sets
+        (Vec::new(), Vec::new()),   // empty postings
+        (all_dead, Vec::new()),     // fully tombstoned
+    ] {
+        let (_, live) = tombstoned(&postings, &[]);
+        let words = bits_of(&live);
+        for side in [Postings::Ids(&postings), Postings::Bits(&words)] {
+            let mut scratch = QueryScratch::default();
+            scratch.reset();
+            scratch.cands.extend_from_slice(&ids);
+            scratch.intersect(side);
+            let mut out = Vec::new();
+            scratch.take_into(&mut out);
+            out.sort_unstable();
+            assert_eq!(out, want, "{side:?}");
+            // Empty candidate seed stays empty against anything.
+            scratch.reset();
+            scratch.intersect(side);
+            let mut out = Vec::new();
+            scratch.take_into(&mut out);
+            assert!(out.is_empty());
         }
     }
-
 }

@@ -1,15 +1,14 @@
 //! Differential property tests for the vectorized kernel tier: every
 //! SIMD wrapper against its scalar kernel against a `BTreeSet` oracle,
-//! under tombstones, lane-boundary lengths, and run promote/demote
-//! round-trips. The wrappers always produce the result (falling back to
-//! scalar internally), so the same assertions hold on hosts without the
-//! vector ISA and under `TIR_SIMD=off`.
+//! under tombstones and lane-boundary lengths. The wrappers always produce
+//! the result (falling back to scalar internally), so the same assertions
+//! hold on hosts without the vector ISA and under `TIR_SIMD=off`.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use tir_invidx::{
     intersect_gallop_into, intersect_merge_into, order_ids_ascending, simd, BlockPostings,
-    ContainerConfig, PostingContainer, Postings, QueryScratch, TOMBSTONE,
+    TOMBSTONE,
 };
 
 fn sorted_unique(max: u32, len: usize) -> impl Strategy<Value = Vec<u32>> {
@@ -124,27 +123,6 @@ proptest! {
     }
 
     #[test]
-    fn and_words_matches_the_scalar_model(
-        present in prop::collection::vec(any::<u64>(), 0..40),
-        deleted in prop::collection::vec(any::<u64>(), 0..40),
-        dst_extra in prop::collection::vec(any::<u64>(), 0..40),
-    ) {
-        // dst shares a prefix with present/deleted; the wrapper only
-        // touches the common prefix and must zero nothing beyond it.
-        let mut dst = dst_extra.clone();
-        let want_len = dst.len().min(present.len()).min(deleted.len());
-        let mut want = dst.clone();
-        let mut want_pop = 0u64;
-        for i in 0..want_len {
-            want[i] = dst[i] & present[i] & !deleted[i];
-            want_pop += u64::from(want[i].count_ones());
-        }
-        let pop = simd::and_words(&mut dst, &present, &deleted);
-        prop_assert_eq!(&dst, &want);
-        prop_assert_eq!(pop, want_pop);
-    }
-
-    #[test]
     fn block_decode_round_trips_and_contains_agrees(
         ids in prop::collection::btree_set(0u32..1_000_000, 1..600),
         probes in prop::collection::vec(0u32..1_000_000, 0..40),
@@ -179,57 +157,6 @@ proptest! {
         let st = bp.intersect_into(&cands, &mut out, &mut blk);
         prop_assert_eq!(&out, &want);
         prop_assert!(st.blocks_decoded <= bp.num_blocks() as u64);
-    }
-
-    #[test]
-    fn run_containers_promote_demote_and_answer_like_a_set(
-        seed_runs in prop::collection::vec((0u32..2000, 1u32..80), 1..8),
-        inserts in prop::collection::vec(0u32..2048, 0..40),
-        kills in prop::collection::vec(0u32..2048, 0..40),
-        cands in sorted_unique(2048, 200),
-    ) {
-        const UNIVERSE: u32 = 2048;
-        let cfg = ContainerConfig::default();
-        // Seed from clustered runs (clamped to the universe).
-        let mut model: BTreeSet<u32> = BTreeSet::new();
-        for &(start, len) in &seed_runs {
-            for id in start..(start + len).min(UNIVERSE) {
-                model.insert(id);
-            }
-        }
-        let ids: Vec<u32> = model.iter().copied().collect();
-        let mut c = PostingContainer::from_sorted(&ids, UNIVERSE, cfg);
-        // Scattered inserts may break the run rule and demote; deletes
-        // go to the overlay. The container must track the set exactly
-        // through every promotion and demotion. (Insert's contract is
-        // "not stored live already", so duplicates are skipped.)
-        for &id in &inserts {
-            if model.insert(id) {
-                c.insert(id, UNIVERSE, cfg);
-            }
-        }
-        for &id in &kills {
-            let did = c.tombstone(id);
-            prop_assert_eq!(did, model.remove(&id), "tombstone({id})");
-        }
-        let mut got = Vec::new();
-        c.for_each_live(|id| got.push(id));
-        let want: Vec<u32> = model.iter().copied().collect();
-        prop_assert_eq!(&got, &want, "container diverged from the set model");
-        // Re-choosing the form on compact must not change the contents,
-        // and the intersection result must match on whatever form each
-        // stage picked.
-        let mut scratch = QueryScratch::default();
-        for container in [&c, &{ let mut c2 = c.clone(); c2.compact(UNIVERSE, cfg); c2 }] {
-            scratch.reset();
-            scratch.cands.extend_from_slice(&cands);
-            scratch.intersect(Postings::Container(container));
-            let mut out = Vec::new();
-            scratch.take_into(&mut out);
-            let want: Vec<u32> =
-                cands.iter().copied().filter(|c| model.contains(c)).collect();
-            prop_assert_eq!(&out, &want);
-        }
     }
 
     /// The comparison-free ordering pass against `sort_unstable`: distinct
@@ -326,8 +253,6 @@ fn empty_and_singleton_edges() {
     out.clear();
     simd::gallop_into_forced(&[5], &[4, 5, 6], &mut out);
     assert_eq!(out, [5]);
-    let mut dst: Vec<u64> = vec![];
-    assert_eq!(simd::and_words(&mut dst, &[], &[]), 0);
     let bp = BlockPostings::encode(&[42]);
     assert!(bp.contains(42) && !bp.contains(41));
     let mut blk = Vec::new();

@@ -179,7 +179,8 @@ pub struct LoadgenReport {
     pub kern_bitmap_probe: u64,
     /// Word-AND steps during the run.
     pub kern_word_and: u64,
-    /// Run-container intersection steps during the run.
+    /// Always 0 (`PlanStats::run_intersect_steps`): kept for the repo
+    /// benchmark, which reads the key.
     pub kern_run_intersect: u64,
     /// Compressed posting blocks decoded during the run.
     pub blocks_decoded: u64,

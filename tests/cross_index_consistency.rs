@@ -281,6 +281,7 @@ fn far_id_insert_drops_dense_bitmaps() {
     check(perf, IrHintPerf::bitmaps, &far, &oracle, &queries);
     let size = IrHintSize::build(&coll);
     check(size, IrHintSize::bitmaps, &far, &oracle, &queries);
+    check(Tif::build(&coll), Tif::bitmaps, &far, &oracle, &queries);
     let slicing = TifSlicing::build(&coll);
     check(slicing, TifSlicing::bitmaps, &far, &oracle, &queries);
     let sharding = TifSharding::build(&coll);
@@ -297,8 +298,8 @@ fn far_id_insert_drops_dense_bitmaps() {
 /// bitmap when they are dense too (a word-AND: more candidates than the
 /// universe / 32). If the next term qualifies for a bitmap but never got
 /// one — it crossed the density bound through single inserts, and only
-/// `insert_batch` promotes — the policy's own merge-mark or take-once round
-/// must run on the candidates handed back in array form.
+/// `insert_batch` promotes — the policy's own merge-mark, take-once or
+/// sorted-array round must run on the candidates handed back in array form.
 #[test]
 fn a_sparse_step_after_a_word_and_sees_the_handed_back_candidates() {
     // 800 objects at build. Element 0 seeds (80 objects); element 1 is dense
@@ -362,6 +363,7 @@ fn a_sparse_step_after_a_word_and_sees_the_handed_back_candidates() {
             assert_eq!(got, oracle.answer(q), "{name} q={q:?}");
         }
     }
+    check(Tif::build(&coll), &singles, &oracle, &queries);
     check(TifSlicing::build(&coll), &singles, &oracle, &queries);
     check(TifSharding::build(&coll), &singles, &oracle, &queries);
     for cfg in [TifHintConfig::binary_search(), TifHintConfig::merge_sort()] {
