@@ -1,8 +1,7 @@
 //! Ablation benches for the design choices called out in DESIGN.md:
 //!
-//! * HINT division ordering: beneficial sorting vs insertion order vs
-//!   id order (what the sorting optimization buys);
-//! * storage optimization on/off (endpoint elision);
+//! * HINT division ordering: beneficial sorting vs id order (what the
+//!   sorting optimization buys a plain range query);
 //! * irHINT `m`: IR-aware heuristic vs the interval-only cost model.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -39,20 +38,11 @@ fn bench_division_order(c: &mut Criterion) {
             (st, st + 10_000)
         })
         .collect();
-    for (name, order, storage) in [
-        ("beneficial+storage", DivisionOrder::Beneficial, true),
-        ("beneficial", DivisionOrder::Beneficial, false),
-        ("insertion", DivisionOrder::Insertion, false),
-        ("by_id", DivisionOrder::ById, true),
+    for (name, order) in [
+        ("beneficial", DivisionOrder::Beneficial),
+        ("by_id", DivisionOrder::ById),
     ] {
-        let hint = Hint::build(
-            &recs,
-            HintConfig {
-                m: None,
-                order,
-                storage_opt: storage,
-            },
-        );
+        let hint = Hint::build(&recs, HintConfig { m: None, order });
         group.bench_function(BenchmarkId::new(name, "0.1%"), |b| {
             b.iter(|| {
                 let mut n = 0;

@@ -3,17 +3,14 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::{fail, Validate, Violation};
-use tir_hint::{DivisionKind, DivisionOrder, Grid1D, Hint, IntervalTree};
+use tir_hint::{DivisionKind, DivisionOrder, Hint};
 // The same bit as `tir_hint::TOMBSTONE`; `tir-core` asserts they agree.
 use tir_invidx::{live, raw};
 
 /// Mirrors the crate-private `kept_endpoints` of `tir-hint`: which of the
 /// two endpoint arrays each subdivision stores under the storage
 /// optimization.
-fn kept(kind: DivisionKind, storage_opt: bool) -> (bool, bool) {
-    if !storage_opt {
-        return (true, true);
-    }
+fn kept(kind: DivisionKind) -> (bool, bool) {
     match kind {
         DivisionKind::OrigIn => (true, true),
         DivisionKind::OrigAft => (true, false),
@@ -76,7 +73,7 @@ impl Validate for Hint {
                     format!("dead counter says {dead}, {actual_dead} tombstones stored"),
                 );
             }
-            let (keep_st, keep_end) = kept(div.kind, self.storage_opt());
+            let (keep_st, keep_end) = kept(div.kind);
             for (kept_flag, arr, name) in
                 [(keep_st, div.sts, "sts"), (keep_end, div.ends, "ends")]
             {
@@ -114,7 +111,6 @@ impl Validate for Hint {
                         fail(&mut out, &path, "ids not sorted".into());
                     }
                 }
-                DivisionOrder::Insertion => {}
             }
 
             let fc = domain.partition_first_cell(div.level, div.j);
@@ -232,141 +228,6 @@ impl Validate for Hint {
     }
 }
 
-impl Validate for Grid1D {
-    fn validate(&self) -> Vec<Violation> {
-        let mut out = Vec::new();
-        // Copies per distinct record: each interval must be replicated
-        // into exactly the cells it overlaps, so its copy count is a
-        // multiple of its cell span.
-        let mut copies: BTreeMap<(u32, u64, u64), usize> = BTreeMap::new();
-        for c in 0..self.num_cells() {
-            let path = format!("grid/cell{c}");
-            for r in self.cell_contents(c) {
-                if r.st > r.end {
-                    fail(
-                        &mut out,
-                        &path,
-                        format!("id {}: inverted interval [{}, {}]", r.id, r.st, r.end),
-                    );
-                    continue;
-                }
-                let lo = self.cell_of(r.st);
-                let hi = self.cell_of(r.end);
-                if !(lo..=hi).contains(&c) {
-                    fail(
-                        &mut out,
-                        &path,
-                        format!("id {}: copy outside its overlap range [{lo}, {hi}]", r.id),
-                    );
-                }
-                *copies.entry((r.id, r.st, r.end)).or_insert(0) += 1;
-            }
-        }
-        let mut live = 0usize;
-        for (&(id, st, end), &count) in &copies {
-            let span = (self.cell_of(end) - self.cell_of(st)) as usize + 1;
-            if count % span != 0 {
-                fail(
-                    &mut out,
-                    "grid/replication",
-                    format!("id {id}: {count} copies for an interval spanning {span} cells"),
-                );
-            } else {
-                live += count / span;
-            }
-        }
-        if live != self.len() {
-            fail(
-                &mut out,
-                "grid/conservation",
-                format!(
-                    "{live} intervals reconstructed from cells, grid reports {}",
-                    self.len()
-                ),
-            );
-        }
-        out
-    }
-}
-
-impl Validate for IntervalTree {
-    fn validate(&self) -> Vec<Violation> {
-        let mut out = Vec::new();
-        let mut total = 0usize;
-        let mut node = 0usize;
-        self.visit_nodes(|center, by_st, by_end, lo, hi| {
-            let path = format!("interval_tree/node{node}");
-            node += 1;
-            total += by_st.len();
-            if by_st.len() != by_end.len() {
-                fail(
-                    &mut out,
-                    &path,
-                    format!(
-                        "{} start-sorted vs {} end-sorted records",
-                        by_st.len(),
-                        by_end.len()
-                    ),
-                );
-            } else {
-                let a: BTreeSet<u32> = by_st.iter().map(|r| r.id).collect();
-                let b: BTreeSet<u32> = by_end.iter().map(|r| r.id).collect();
-                if a != b {
-                    fail(
-                        &mut out,
-                        &path,
-                        "start- and end-sorted lists hold different ids".into(),
-                    );
-                }
-            }
-            if !by_st.windows(2).all(|w| w[0].st <= w[1].st) {
-                fail(&mut out, &path, "by_st not ascending by start".into());
-            }
-            if !by_end.windows(2).all(|w| w[0].end >= w[1].end) {
-                fail(&mut out, &path, "by_end not descending by end".into());
-            }
-            for r in by_st {
-                if !(r.st <= center && center <= r.end) {
-                    fail(
-                        &mut out,
-                        &path,
-                        format!(
-                            "id {}: interval [{}, {}] does not stab center {center}",
-                            r.id, r.st, r.end
-                        ),
-                    );
-                }
-                if let Some(lo) = lo {
-                    if r.st <= lo {
-                        fail(
-                            &mut out,
-                            &path,
-                            format!("id {}: start {} violates subtree bound > {lo}", r.id, r.st),
-                        );
-                    }
-                }
-                if let Some(hi) = hi {
-                    if r.end >= hi {
-                        fail(
-                            &mut out,
-                            &path,
-                            format!("id {}: end {} violates subtree bound < {hi}", r.id, r.end),
-                        );
-                    }
-                }
-            }
-        });
-        if total != self.len() {
-            fail(
-                &mut out,
-                "interval_tree/conservation",
-                format!("{total} records across nodes, tree reports {}", self.len()),
-            );
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,21 +247,10 @@ mod tests {
     #[test]
     fn clean_hint_validates_under_every_config() {
         let recs = records();
-        for storage_opt in [false, true] {
-            for order in [
-                DivisionOrder::Beneficial,
-                DivisionOrder::ById,
-                DivisionOrder::Insertion,
-            ] {
-                let cfg = HintConfig {
-                    m: Some(4),
-                    storage_opt,
-                    order,
-                };
-                let h = Hint::build(&recs, cfg);
-                let v = h.validate();
-                assert!(v.is_empty(), "{storage_opt} {order:?}: {v:?}");
-            }
+        for order in [DivisionOrder::Beneficial, DivisionOrder::ById] {
+            let h = Hint::build(&recs, HintConfig { m: Some(4), order });
+            let v = h.validate();
+            assert!(v.is_empty(), "{order:?}: {v:?}");
         }
     }
 
@@ -419,16 +269,7 @@ mod tests {
     }
 
     #[test]
-    fn clean_grid_and_tree_validate() {
-        let recs = records();
-        let g = Grid1D::build(&recs, 7);
-        assert!(g.validate().is_empty());
-        let t = IntervalTree::build(&recs);
-        assert!(t.validate().is_empty());
-    }
-
-    #[test]
-    fn empty_structures_validate() {
+    fn empty_hint_validates() {
         let h = Hint::build(
             &[],
             HintConfig {
@@ -437,7 +278,5 @@ mod tests {
             },
         );
         assert!(h.validate().is_empty());
-        assert!(Grid1D::build(&[], 4).validate().is_empty());
-        assert!(IntervalTree::build(&[]).validate().is_empty());
     }
 }

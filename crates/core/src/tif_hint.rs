@@ -81,7 +81,6 @@ impl HintParams {
         let cfg = HintConfig {
             m: Some(self.config.m),
             order,
-            storage_opt: true,
         };
         Hint::build_with_domain(records, self.domain_min, self.domain_max, cfg)
     }

@@ -6,6 +6,9 @@
 //! (`t1 <= t2` implies `cell(t1) <= cell(t2)`), which is exactly the
 //! property required for HINT's "no comparisons needed in intermediate
 //! partitions" guarantee to carry over to raw-endpoint comparisons.
+//!
+//! [`slice_of`] is the flat counterpart: the equal-width cells of the
+//! Slicing technique over the same raw domain.
 
 /// A discretized time domain: raw timestamps in `[min, max]` are mapped to
 /// cells `0..2^m` by subtracting `min` and right-shifting.
@@ -85,6 +88,18 @@ impl Domain {
     }
 }
 
+/// The equal-width slicing policy, written once: index of the cell (of `k`
+/// over the raw domain `[min, max]`) that holds timestamp `t`, clamped to
+/// the domain. The sliced postings lists of `tir-core` cut their slices
+/// with it.
+#[inline]
+pub fn slice_of(t: u64, min: u64, max: u64, k: u32) -> u32 {
+    let t = t.clamp(min, max);
+    let span = (max - min) as u128 + 1;
+    // analyze:allow(unguarded-cast): quotient is < k, and k is already a u32
+    (((t - min) as u128 * k as u128) / span) as u32
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,6 +159,16 @@ mod tests {
         let d = Domain::new(42, 42, 0);
         assert_eq!(d.cell(42), 0);
         assert_eq!(d.num_cells(), 1);
+    }
+
+    #[test]
+    fn slices_are_equal_width_and_clamped() {
+        assert_eq!(slice_of(0, 0, 99, 4), 0);
+        assert_eq!(slice_of(24, 0, 99, 4), 0);
+        assert_eq!(slice_of(25, 0, 99, 4), 1);
+        assert_eq!(slice_of(99, 0, 99, 4), 3);
+        assert_eq!(slice_of(1000, 0, 99, 4), 3);
+        assert_eq!(slice_of(7, 10, 10, 3), 0);
     }
 
     #[test]

@@ -4,29 +4,18 @@
 use crate::domain::Domain;
 use crate::hierarchy::Hierarchy;
 use crate::layout::{CheckMode, DivisionKind};
-use crate::partition::{kept_endpoints, Division, DivisionOrder, DivisionView, TOMBSTONE};
+use crate::partition::{Division, DivisionOrder, DivisionView, TOMBSTONE};
 use crate::IntervalRecord;
 
-/// Build-time configuration of a [`Hint`] index.
-#[derive(Debug, Clone, Copy)]
+/// Build-time configuration of a [`Hint`] index. Every index keeps only
+/// the endpoint arrays a query may compare (the storage optimization).
+#[derive(Debug, Clone, Copy, Default)]
 pub struct HintConfig {
     /// Number of levels minus one; `None` selects `m` with the cost model
     /// of [`crate::cost::choose_m`].
     pub m: Option<u32>,
     /// Ordering of entries inside subdivisions.
     pub order: DivisionOrder,
-    /// Elide endpoint arrays that no query will ever compare.
-    pub storage_opt: bool,
-}
-
-impl Default for HintConfig {
-    fn default() -> Self {
-        HintConfig {
-            m: None,
-            order: DivisionOrder::Beneficial,
-            storage_opt: true,
-        }
-    }
 }
 
 impl HintConfig {
@@ -35,16 +24,6 @@ impl HintConfig {
         HintConfig {
             m: Some(m),
             ..Default::default()
-        }
-    }
-
-    /// Configuration used by merge-sort intersection strategies: divisions
-    /// sorted by object id.
-    pub fn by_id(m: u32) -> Self {
-        HintConfig {
-            m: Some(m),
-            order: DivisionOrder::ById,
-            storage_opt: true,
         }
     }
 }
@@ -68,7 +47,6 @@ impl HintConfig {
 pub struct Hint {
     tree: Hierarchy<Division>,
     order: DivisionOrder,
-    storage_opt: bool,
     live: usize,
 }
 
@@ -108,10 +86,8 @@ impl Hint {
         let mut tree: Hierarchy<Division> = Hierarchy::new(domain);
         let spans = records.iter().map(|r| (r.st, r.end));
         tree.place_batch(spans, |d, kind, items| {
-            let (keep_st, keep_end) = kept_endpoints(kind, config.storage_opt);
             for r in items.iter().map(|&i| &records[i as usize]) {
-                let order = DivisionOrder::Insertion;
-                d.insert(r.id, r.st, r.end, order, kind, keep_st, keep_end);
+                d.push(r.id, r.st, r.end, kind);
             }
         });
         for (d, kind) in tree.divisions_mut() {
@@ -120,7 +96,6 @@ impl Hint {
         Hint {
             tree,
             order: config.order,
-            storage_opt: config.storage_opt,
             live: records.len(),
         }
     }
@@ -138,11 +113,6 @@ impl Hint {
     /// The ordering configured for subdivision entries.
     pub fn division_order(&self) -> DivisionOrder {
         self.order
-    }
-
-    /// Whether the storage optimization (endpoint-array elision) is on.
-    pub fn storage_opt(&self) -> bool {
-        self.storage_opt
     }
 
     /// The partition indexes materialized at `level`, ascending (empty
@@ -193,7 +163,7 @@ impl Hint {
 
     /// Approximate heap footprint in bytes. Spare partition slots are left
     /// out, as this index has always reported (the committed per-term HINT
-    /// sizes and the gated `index_bytes` are in these terms; ROADMAP item 2
+    /// sizes and the gated `index_bytes` are in these terms; ROADMAP item 8
     /// records what the slack is worth).
     pub fn size_bytes(&self) -> usize {
         self.tree.size_bytes(Division::size_bytes) + std::mem::size_of::<Self>()
@@ -204,10 +174,9 @@ impl Hint {
     pub fn insert(&mut self, r: &IntervalRecord) {
         assert!(r.id & TOMBSTONE == 0, "ids must be < 2^31");
         assert!(r.st <= r.end, "invalid interval");
-        let (order, storage_opt) = (self.order, self.storage_opt);
+        let order = self.order;
         self.tree.place(r.st, r.end, |d, kind| {
-            let (keep_st, keep_end) = kept_endpoints(kind, storage_opt);
-            d.insert(r.id, r.st, r.end, order, kind, keep_st, keep_end);
+            d.insert(r.id, r.st, r.end, order, kind)
         });
         self.live += 1;
     }
@@ -287,7 +256,6 @@ fn sort_division(d: &mut Division, order: DivisionOrder, kind: DivisionKind) {
             }
             SortKey::Unordered => return,
         },
-        DivisionOrder::Insertion => return,
     }
     d.ids = perm.iter().map(|&i| d.ids[i as usize]).collect();
     if !d.sts.is_empty() {
@@ -365,17 +333,9 @@ mod tests {
 
     #[test]
     fn matches_oracle_all_orders() {
-        for order in [
-            DivisionOrder::Beneficial,
-            DivisionOrder::ById,
-            DivisionOrder::Insertion,
-        ] {
+        for order in [DivisionOrder::Beneficial, DivisionOrder::ById] {
             let recs = sample();
-            let cfg = HintConfig {
-                m: Some(3),
-                order,
-                storage_opt: order != DivisionOrder::Insertion,
-            };
+            let cfg = HintConfig { m: Some(3), order };
             let hint = Hint::build(&recs, cfg);
             for q_st in 0..=16u64 {
                 for q_end in q_st..=16 {

@@ -1,20 +1,20 @@
 //! # tir-hint
 //!
-//! Interval indexing substrates for temporal information retrieval:
+//! The interval index the temporal-IR paper builds on:
 //!
 //! * [`Hint`] — the state-of-the-art **H**ierarchical index for
 //!   **int**ervals of Christodoulou, Bouros & Mamoulis (SIGMOD 2022), with
-//!   the subdivision, beneficial-sorting, storage, sparse-partition and
-//!   cache-miss optimizations, plus incremental inserts and logical
-//!   deletes;
-//! * [`Grid1D`] — the flat 1D-grid underlying the Slicing technique;
-//! * [`IntervalTree`] — the classical baseline of the paper's related
-//!   work (Section 6.2);
+//!   the subdivision, storage, sparse-partition and cache-miss
+//!   optimizations always on, plus incremental inserts and logical
+//!   deletes. Its subdivisions are ordered one of two ways
+//!   ([`DivisionOrder`]): beneficially sorted, the paper's range-query
+//!   setting, or by id, for the merge-sort intersections of tIF+HINT;
 //! * [`Hierarchy`] — the payload-agnostic HINT hierarchy (placement rule
 //!   and query walk) that [`Hint`] and both irHINT variants instantiate;
-//!   DESIGN.md "HINT hierarchy and division stores" has the one-page map.
+//!   DESIGN.md "HINT hierarchy and division stores" has the one-page map;
+//! * [`slice_of`] — the equal-width cell formula of the Slicing technique.
 //!
-//! All indexes answer *range (overlap) queries* over closed intervals:
+//! The index answers *range (overlap) queries* over closed intervals:
 //! given `[q_st, q_end]`, return every stored interval `i` with
 //! `i.st <= q_end && q_st <= i.end`.
 
@@ -23,23 +23,18 @@
 
 pub mod cost;
 pub mod domain;
-pub mod grid;
 pub mod hierarchy;
 pub mod index;
-pub mod interval_tree;
 pub mod layout;
 pub mod partition;
 
-pub use domain::Domain;
-pub use grid::{slice_of, Grid1D};
+pub use domain::{slice_of, Domain};
 pub use hierarchy::Hierarchy;
 pub use index::{Hint, HintConfig};
-pub use interval_tree::IntervalTree;
 pub use layout::{CheckMode, DivisionKind, Layout};
 pub use partition::{DivisionOrder, DivisionView, TOMBSTONE};
 
-/// An interval with an attached object id — the unit every index in this
-/// crate stores.
+/// An interval with an attached object id — the unit a [`Hint`] stores.
 ///
 /// Intervals are closed: `[st, end]` with `st <= end`. Ids must be smaller
 /// than `2^31`; the high bit is reserved for tombstones.

@@ -16,20 +16,22 @@ use crate::layout::{CheckMode, DivisionKind};
 /// Object ids must therefore be `< 2^31`.
 pub const TOMBSTONE: u32 = 1 << 31;
 
-/// How the entries inside each subdivision are ordered.
+/// How the entries inside each subdivision are ordered. Both orders keep
+/// only the endpoint arrays a query may compare (the storage
+/// optimization).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DivisionOrder {
     /// Each subdivision uses the sort order that benefits its own
     /// comparisons: `O_in`/`O_aft` ascending by start, `R_in` descending by
-    /// end (`R_aft` needs no order). Enables early-terminating scans.
+    /// end (`R_aft` needs no order). A scan cuts the sorted prefix that
+    /// passes the comparison instead of testing every entry. The paper's
+    /// tIF+HINT(bs), irHINT-size and the plain range query use it.
     #[default]
     Beneficial,
     /// All subdivisions ascending by object id. Required by the merge-sort
     /// intersection strategies of the paper (Algorithm 4); range scans
-    /// degrade to full filters.
+    /// degrade to whole-division filters.
     ById,
-    /// Insertion order; the "unoptimized" baseline.
-    Insertion,
 }
 
 /// One subdivision: parallel arrays of ids and (optionally elided)
@@ -86,9 +88,15 @@ impl Division {
         }
     }
 
+    /// Appends `(id, st, end)` unordered, storing the endpoints `kind`
+    /// keeps: the bulk build appends every entry, then sorts once.
+    pub(crate) fn push(&mut self, id: u32, st: u64, end: u64, kind: DivisionKind) {
+        self.put(self.ids.len(), id, st, end, kind);
+    }
+
     /// Inserts `(id, st, end)` keeping the configured order (under
-    /// [`DivisionOrder::ById`], at most one entry per id). `keep_st` /
-    /// `keep_end` implement the storage optimization.
+    /// [`DivisionOrder::ById`], at most one entry per id), storing the
+    /// endpoints `kind` keeps.
     pub(crate) fn insert(
         &mut self,
         id: u32,
@@ -96,11 +104,8 @@ impl Division {
         end: u64,
         order: DivisionOrder,
         kind: DivisionKind,
-        keep_st: bool,
-        keep_end: bool,
     ) {
         let pos = match order {
-            DivisionOrder::Insertion => self.ids.len(),
             DivisionOrder::ById => {
                 let pos = self.ids.partition_point(|&x| (x & !TOMBSTONE) < id);
                 if self.ids.get(pos).is_some_and(|&x| x & !TOMBSTONE == id) {
@@ -109,6 +114,7 @@ impl Division {
                     // at the first raw match would never see the new entry.
                     self.dead -= u32::from(self.ids[pos] != id);
                     self.ids[pos] = id;
+                    let (keep_st, keep_end) = kept_endpoints(kind);
                     if keep_st {
                         self.sts[pos] = st;
                     }
@@ -125,6 +131,12 @@ impl Division {
                 SortKey::Unordered => self.ids.len(),
             },
         };
+        self.put(pos, id, st, end, kind);
+    }
+
+    /// Stores `(id, st, end)` at `pos` of the columns `kind` keeps.
+    fn put(&mut self, pos: usize, id: u32, st: u64, end: u64, kind: DivisionKind) {
+        let (keep_st, keep_end) = kept_endpoints(kind);
         self.ids.insert(pos, id);
         if keep_st {
             self.sts.insert(pos, st);
@@ -151,7 +163,10 @@ impl Division {
     /// Appends all live ids whose endpoints satisfy `mode` to `out`.
     ///
     /// `mode` must already be refined for this division's kind, so elided
-    /// endpoint arrays are never consulted.
+    /// endpoint arrays are never consulted. Under beneficial sorting, a
+    /// mode that compares the division's sort key first cuts the sorted
+    /// prefix passing that comparison; the rest of the mode is then
+    /// checked on the prefix alone by [`CheckMode::admit_into`].
     pub(crate) fn query_into(
         &self,
         mode: CheckMode,
@@ -161,96 +176,40 @@ impl Division {
         q_end: u64,
         out: &mut Vec<u32>,
     ) {
-        let clean = self.dead == 0;
-        match mode {
-            CheckMode::None => {
-                if clean {
-                    out.extend_from_slice(&self.ids);
+        let beneficial = order == DivisionOrder::Beneficial;
+        let (n, rest) = match (mode, sort_key(kind)) {
+            (CheckMode::Start | CheckMode::Both, SortKey::StAsc) if beneficial => {
+                // Spot check (O(1)): full sortedness is tir-check's
+                // job; an unsorted array still trips here early.
+                debug_assert!(
+                    self.sts.windows(2).take(32).all(|w| w[0] <= w[1]),
+                    "StAsc prefix scan requires starts sorted ascending"
+                );
+                let hi = self.sts.partition_point(|&st| st <= q_end);
+                let rest = if mode == CheckMode::Both {
+                    CheckMode::End
                 } else {
-                    out.extend(self.ids.iter().copied().filter(|id| id & TOMBSTONE == 0));
-                }
+                    CheckMode::None
+                };
+                (hi, rest)
             }
-            CheckMode::Start => {
-                debug_assert_eq!(self.sts.len(), self.ids.len());
-                if order == DivisionOrder::Beneficial && sort_key(kind) == SortKey::StAsc {
-                    // Spot check (O(1)): full sortedness is tir-check's
-                    // job; an unsorted array still trips here early.
-                    debug_assert!(
-                        self.sts.windows(2).take(32).all(|w| w[0] <= w[1]),
-                        "StAsc prefix scan requires starts sorted ascending"
-                    );
-                    let hi = self.sts.partition_point(|&st| st <= q_end);
-                    if clean {
-                        out.extend_from_slice(&self.ids[..hi]);
-                    } else {
-                        out.extend(
-                            self.ids[..hi]
-                                .iter()
-                                .copied()
-                                .filter(|id| id & TOMBSTONE == 0),
-                        );
-                    }
-                } else {
-                    for (i, &st) in self.sts.iter().enumerate() {
-                        if st <= q_end && self.ids[i] & TOMBSTONE == 0 {
-                            out.push(self.ids[i]);
-                        }
-                    }
-                }
+            (CheckMode::End, SortKey::EndDesc) if beneficial => {
+                debug_assert!(
+                    self.ends.windows(2).take(32).all(|w| w[0] >= w[1]),
+                    "EndDesc prefix scan requires ends sorted descending"
+                );
+                (
+                    self.ends.partition_point(|&end| end >= q_st),
+                    CheckMode::None,
+                )
             }
-            CheckMode::End => {
-                debug_assert_eq!(self.ends.len(), self.ids.len());
-                if order == DivisionOrder::Beneficial && sort_key(kind) == SortKey::EndDesc {
-                    debug_assert!(
-                        self.ends.windows(2).take(32).all(|w| w[0] >= w[1]),
-                        "EndDesc prefix scan requires ends sorted descending"
-                    );
-                    let hi = self.ends.partition_point(|&end| end >= q_st);
-                    if clean {
-                        out.extend_from_slice(&self.ids[..hi]);
-                    } else {
-                        out.extend(
-                            self.ids[..hi]
-                                .iter()
-                                .copied()
-                                .filter(|id| id & TOMBSTONE == 0),
-                        );
-                    }
-                } else {
-                    for (i, &end) in self.ends.iter().enumerate() {
-                        if end >= q_st && self.ids[i] & TOMBSTONE == 0 {
-                            out.push(self.ids[i]);
-                        }
-                    }
-                }
-            }
-            CheckMode::Both => {
-                debug_assert_eq!(self.sts.len(), self.ids.len());
-                debug_assert_eq!(self.ends.len(), self.ids.len());
-                if order == DivisionOrder::Beneficial && sort_key(kind) == SortKey::StAsc {
-                    // Spot check (O(1)): full sortedness is tir-check's
-                    // job; an unsorted array still trips here early.
-                    debug_assert!(
-                        self.sts.windows(2).take(32).all(|w| w[0] <= w[1]),
-                        "StAsc prefix scan requires starts sorted ascending"
-                    );
-                    let hi = self.sts.partition_point(|&st| st <= q_end);
-                    for i in 0..hi {
-                        if self.ends[i] >= q_st && self.ids[i] & TOMBSTONE == 0 {
-                            out.push(self.ids[i]);
-                        }
-                    }
-                } else {
-                    for i in 0..self.ids.len() {
-                        if self.sts[i] <= q_end
-                            && self.ends[i] >= q_st
-                            && self.ids[i] & TOMBSTONE == 0
-                        {
-                            out.push(self.ids[i]);
-                        }
-                    }
-                }
-            }
+            _ => (self.ids.len(), mode),
+        };
+        let ids = &self.ids[..n];
+        if rest == CheckMode::None && self.dead == 0 {
+            out.extend_from_slice(ids);
+        } else {
+            rest.admit_into(ids, &self.sts, &self.ends, q_st, q_end, out);
         }
     }
 
@@ -279,10 +238,7 @@ pub(crate) fn sort_key(kind: DivisionKind) -> SortKey {
 
 /// Which endpoint arrays a subdivision materializes under the storage
 /// optimization: `(keep_st, keep_end)`.
-pub(crate) fn kept_endpoints(kind: DivisionKind, storage_opt: bool) -> (bool, bool) {
-    if !storage_opt {
-        return (true, true);
-    }
+pub(crate) fn kept_endpoints(kind: DivisionKind) -> (bool, bool) {
     match kind {
         DivisionKind::OrigIn => (true, true),
         DivisionKind::OrigAft => (true, false),
@@ -305,8 +261,6 @@ mod tests {
                 st + 5,
                 DivisionOrder::Beneficial,
                 DivisionKind::OrigIn,
-                true,
-                true,
             );
         }
         assert!(d.sts.windows(2).all(|w| w[0] <= w[1]));
@@ -316,15 +270,7 @@ mod tests {
     fn beneficial_insert_keeps_end_desc_sorted() {
         let mut d = Division::default();
         for (id, end) in [(1u32, 50u64), (2, 90), (3, 30), (4, 70)] {
-            d.insert(
-                id,
-                0,
-                end,
-                DivisionOrder::Beneficial,
-                DivisionKind::ReplIn,
-                false,
-                true,
-            );
+            d.insert(id, 0, end, DivisionOrder::Beneficial, DivisionKind::ReplIn);
         }
         assert!(d.ends.windows(2).all(|w| w[0] >= w[1]));
         assert!(d.sts.is_empty(), "storage optimization elided starts");
@@ -334,15 +280,7 @@ mod tests {
     fn by_id_insert_keeps_ids_sorted() {
         let mut d = Division::default();
         for id in [5u32, 1, 3, 2, 4] {
-            d.insert(
-                id,
-                0,
-                0,
-                DivisionOrder::ById,
-                DivisionKind::OrigIn,
-                true,
-                true,
-            );
+            d.insert(id, 0, 0, DivisionOrder::ById, DivisionKind::OrigIn);
         }
         assert_eq!(d.ids, vec![1, 2, 3, 4, 5]);
     }
@@ -351,15 +289,7 @@ mod tests {
     fn by_id_reinsert_revives_the_tombstone() {
         let mut d = Division::default();
         let put = |d: &mut Division, id, st, end| {
-            d.insert(
-                id,
-                st,
-                end,
-                DivisionOrder::ById,
-                DivisionKind::OrigIn,
-                true,
-                true,
-            )
+            d.insert(id, st, end, DivisionOrder::ById, DivisionKind::OrigIn)
         };
         for id in [1u32, 2, 3] {
             put(&mut d, id, 0, 5);
@@ -374,84 +304,49 @@ mod tests {
     #[test]
     fn tombstone_hides_from_queries() {
         let mut d = Division::default();
-        d.insert(
-            7,
-            1,
-            9,
-            DivisionOrder::Insertion,
-            DivisionKind::OrigIn,
-            true,
-            true,
-        );
-        d.insert(
-            8,
-            2,
-            9,
-            DivisionOrder::Insertion,
-            DivisionKind::OrigIn,
-            true,
-            true,
-        );
+        let (order, kind) = (DivisionOrder::Beneficial, DivisionKind::OrigIn);
+        d.insert(7, 1, 9, order, kind);
+        d.insert(8, 2, 9, order, kind);
         assert!(d.tombstone(7));
         assert!(!d.tombstone(7), "already dead");
         let mut out = Vec::new();
-        d.query_into(
-            CheckMode::None,
-            DivisionKind::OrigIn,
-            DivisionOrder::Insertion,
-            0,
-            10,
-            &mut out,
-        );
+        d.query_into(CheckMode::None, kind, order, 0, 10, &mut out);
         assert_eq!(out, vec![8]);
     }
 
+    /// The sorted-prefix cut of the beneficial order answers what the
+    /// whole-division filter of the id order answers over the same
+    /// entries, for each mode that cuts (`Start` on `O_aft`, `End` on
+    /// `R_in`, `Both` on `O_in`), with one entry tombstoned.
     #[test]
-    fn start_mode_prefix_scan_matches_filter() {
-        let mut sorted = Division::default();
-        let mut unsorted = Division::default();
-        let entries = [(1u32, 5u64), (2, 15), (3, 25), (4, 35), (5, 45)];
-        for &(id, st) in &entries {
-            sorted.insert(
-                id,
-                st,
-                100,
-                DivisionOrder::Beneficial,
-                DivisionKind::OrigAft,
-                true,
-                false,
-            );
-            unsorted.insert(
-                id,
-                st,
-                100,
-                DivisionOrder::Insertion,
-                DivisionKind::OrigAft,
-                true,
-                false,
-            );
-        }
-        for q_end in [0u64, 5, 20, 44, 45, 99] {
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            sorted.query_into(
-                CheckMode::Start,
-                DivisionKind::OrigAft,
-                DivisionOrder::Beneficial,
-                0,
-                q_end,
-                &mut a,
-            );
-            unsorted.query_into(
-                CheckMode::Start,
-                DivisionKind::OrigAft,
-                DivisionOrder::Insertion,
-                0,
-                q_end,
-                &mut b,
-            );
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "q_end={q_end}");
+    fn prefix_cut_matches_whole_division_filter() {
+        let entries = [
+            (1u32, 5u64, 60u64),
+            (2, 15, 20),
+            (3, 25, 90),
+            (4, 35, 40),
+            (5, 45, 45),
+        ];
+        for (kind, mode) in [
+            (DivisionKind::OrigAft, CheckMode::Start),
+            (DivisionKind::ReplIn, CheckMode::End),
+            (DivisionKind::OrigIn, CheckMode::Both),
+        ] {
+            let mut sorted = Division::default();
+            let mut by_id = Division::default();
+            for &(id, st, end) in &entries {
+                sorted.insert(id, st, end, DivisionOrder::Beneficial, kind);
+                by_id.insert(id, st, end, DivisionOrder::ById, kind);
+            }
+            assert!(sorted.tombstone(3) && by_id.tombstone(3));
+            for (q_st, q_end) in [(0u64, 0u64), (0, 5), (10, 20), (21, 44), (45, 45), (46, 99)] {
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                sorted.query_into(mode, kind, DivisionOrder::Beneficial, q_st, q_end, &mut a);
+                by_id.query_into(mode, kind, DivisionOrder::ById, q_st, q_end, &mut b);
+                a.sort_unstable();
+                assert_eq!(a, b, "{kind:?} {mode:?} [{q_st}, {q_end}]");
+                assert!(!a.contains(&3), "tombstoned entry reported");
+            }
         }
     }
 }

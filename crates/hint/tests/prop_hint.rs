@@ -1,10 +1,11 @@
-//! Property-based tests: every interval index in the crate must agree with
-//! the brute-force oracle on arbitrary inputs, configurations and queries.
+//! Property-based tests: HINT, under both division orders, and the
+//! hierarchy and endpoint predicate it is built from must agree with the
+//! brute-force oracle on arbitrary inputs, configurations and queries.
 
 use proptest::prelude::*;
 use tir_hint::{
-    brute_force_overlap, CheckMode, DivisionOrder, Domain, Grid1D, Hierarchy, Hint, HintConfig,
-    IntervalRecord, IntervalTree, TOMBSTONE,
+    brute_force_overlap, CheckMode, DivisionOrder, Domain, Hierarchy, Hint, HintConfig,
+    IntervalRecord, TOMBSTONE,
 };
 
 fn arb_records(max_len: usize, domain: u64) -> impl Strategy<Value = Vec<IntervalRecord>> {
@@ -33,16 +34,10 @@ proptest! {
         recs in arb_records(120, 1000),
         queries in prop::collection::vec(arb_query(1100), 1..20),
         m in 0u32..10,
-        order_pick in 0u8..3,
-        storage_opt in any::<bool>(),
+        by_id in any::<bool>(),
     ) {
-        let order = match order_pick {
-            0 => DivisionOrder::Beneficial,
-            1 => DivisionOrder::ById,
-            _ => DivisionOrder::Insertion,
-        };
-        let cfg = HintConfig { m: Some(m), order, storage_opt };
-        let hint = Hint::build(&recs, cfg);
+        let order = if by_id { DivisionOrder::ById } else { DivisionOrder::Beneficial };
+        let hint = Hint::build(&recs, HintConfig { m: Some(m), order });
         for (qs, qe) in queries {
             let mut got = hint.range_query(qs, qe);
             let n = got.len();
@@ -149,12 +144,18 @@ proptest! {
         }
     }
 
+    /// Inserts and deletes leave dirty divisions (tombstones, entries
+    /// placed one at a time) behind; under both orders and any `m`, the
+    /// sorted-prefix cut and the whole-division filter must still hide
+    /// every deleted id and find every inserted one.
     #[test]
     fn hint_insert_delete_matches_oracle(
         base in arb_records(60, 500),
         extra in arb_records(30, 500),
         del_mask in prop::collection::vec(any::<bool>(), 60),
-        (qs, qe) in arb_query(600),
+        queries in prop::collection::vec(arb_query(600), 1..8),
+        m in 0u32..9,
+        by_id in any::<bool>(),
     ) {
         // Re-id the extras so ids stay unique.
         let extra: Vec<IntervalRecord> = extra
@@ -162,7 +163,8 @@ proptest! {
             .enumerate()
             .map(|(i, r)| IntervalRecord { id: (1000 + i) as u32, ..*r })
             .collect();
-        let mut hint = Hint::build_with_domain(&base, 0, 600, HintConfig::with_m(6));
+        let order = if by_id { DivisionOrder::ById } else { DivisionOrder::Beneficial };
+        let mut hint = Hint::build_with_domain(&base, 0, 600, HintConfig { m: Some(m), order });
         for r in &extra {
             hint.insert(r);
         }
@@ -173,35 +175,10 @@ proptest! {
                 live.retain(|x| x.id != r.id);
             }
         }
-        let mut got = hint.range_query(qs, qe);
-        got.sort_unstable();
-        prop_assert_eq!(got, brute_force_overlap(&live, qs, qe));
-    }
-
-    #[test]
-    fn grid_matches_oracle(
-        recs in arb_records(100, 1000),
-        (qs, qe) in arb_query(1100),
-        k in 1u32..40,
-    ) {
-        let grid = Grid1D::build(&recs, k);
-        let mut got = grid.range_query(qs, qe);
-        let n = got.len();
-        got.sort_unstable();
-        got.dedup();
-        prop_assert_eq!(n, got.len(), "duplicates");
-        prop_assert_eq!(got, brute_force_overlap(&recs, qs, qe));
-    }
-
-    #[test]
-    fn interval_tree_matches_oracle(
-        recs in arb_records(100, 1000),
-        (qs, qe) in arb_query(1100),
-    ) {
-        let tree = IntervalTree::build(&recs);
-        let mut got = tree.range_query(qs, qe);
-        got.sort_unstable();
-        got.dedup();
-        prop_assert_eq!(got, brute_force_overlap(&recs, qs, qe));
+        for (qs, qe) in queries {
+            let mut got = hint.range_query(qs, qe);
+            got.sort_unstable();
+            prop_assert_eq!(got, brute_force_overlap(&live, qs, qe));
+        }
     }
 }

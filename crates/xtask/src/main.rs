@@ -35,7 +35,7 @@ use std::process::Command;
 use tir_check::Validate;
 use tir_core::prelude::*;
 use tir_core::with_method;
-use tir_hint::{Grid1D, Hint, HintConfig, IntervalRecord, IntervalTree};
+use tir_hint::{Hint, HintConfig, IntervalRecord};
 
 /// Library crates the attribute and source rules apply to. Binaries
 /// (`cli`, `bench`, this crate) and the dependency shims are exempt.
@@ -515,8 +515,6 @@ fn fsck() -> Result<(), String> {
             .map(|o| IntervalRecord::new(o.id, o.interval.st, o.interval.end))
             .collect();
         check(tag, Hint::build(&records, HintConfig::default()).validate());
-        check(tag, Grid1D::build(&records, 64).validate());
-        check(tag, IntervalTree::build(&records).validate());
     }
 
     if violations.is_empty() {

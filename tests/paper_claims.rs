@@ -5,7 +5,7 @@
 use temporal_ir::core::prelude::*;
 use temporal_ir::datagen::{eclog_like, generate, workload, SyntheticConfig, WorkloadSpec};
 use temporal_ir::hint::{
-    brute_force_overlap, Grid1D, Hint, HintConfig, IntervalRecord, IntervalTree,
+    brute_force_overlap, slice_of, DivisionOrder, Hint, HintConfig, IntervalRecord,
 };
 
 fn test_collection() -> Collection {
@@ -59,7 +59,9 @@ fn hint_beats_flat_structures_on_small_range_queries() {
     // queries it reads far fewer entries than a coarse grid. Asserted on
     // the entries each structure has to look at — every relevant HINT
     // division in full against every grid cell the query overlaps — not on
-    // the clock.
+    // the clock. The grid is the equal-width one of the Slicing technique:
+    // a record is stored in every cell its span covers, so a query reads it
+    // once per cell that both spans cover.
     let n = 60_000u32;
     let records: Vec<IntervalRecord> = (0..n)
         .map(|i| {
@@ -72,8 +74,15 @@ fn hint_beats_flat_structures_on_small_range_queries() {
         })
         .collect();
     let hint = Hint::build(&records, HintConfig::default());
-    let grid = Grid1D::build(&records, 8);
-    let tree = IntervalTree::build(&records);
+    let min = records.iter().map(|r| r.st).min().unwrap();
+    let max = records.iter().map(|r| r.end).max().unwrap();
+    let cell = |t| slice_of(t, min, max, 8) as usize;
+    let mut cell_entries = [0usize; 8];
+    for r in &records {
+        cell_entries[cell(r.st)..=cell(r.end)]
+            .iter_mut()
+            .for_each(|n| *n += 1);
+    }
 
     let queries: Vec<(u64, u64)> = (0..200)
         .map(|i| {
@@ -85,12 +94,9 @@ fn hint_beats_flat_structures_on_small_range_queries() {
     let (mut h_read, mut g_read) = (0usize, 0usize);
     for &(a, b) in &queries {
         let hits = hint.range_query(a, b).len();
-        assert_eq!(hits, grid.range_query(a, b).len());
-        assert_eq!(hits, tree.range_query(a, b).len());
+        assert_eq!(hits, brute_force_overlap(&records, a, b).len());
         hint.visit_relevant(a, b, |view, _mode| h_read += view.ids.len());
-        for c in grid.cell_of(a)..=grid.cell_of(b) {
-            g_read += grid.cell_contents(c).len();
-        }
+        g_read += cell_entries[cell(a)..=cell(b)].iter().sum::<usize>();
     }
     assert!(
         h_read * 10 <= g_read,
@@ -110,9 +116,8 @@ fn all_interval_indexes_agree_with_each_other() {
             }
         })
         .collect();
-    let hint = Hint::build(&records, HintConfig::default());
-    let grid = Grid1D::build(&records, 33);
-    let tree = IntervalTree::build(&records);
+    let hints = [DivisionOrder::Beneficial, DivisionOrder::ById]
+        .map(|order| (order, Hint::build(&records, HintConfig { m: None, order })));
     for q in [
         (0u64, 10u64),
         (500, 50_000),
@@ -120,14 +125,11 @@ fn all_interval_indexes_agree_with_each_other() {
         (12_345, 12_345),
     ] {
         let want = brute_force_overlap(&records, q.0, q.1);
-        for (name, mut got) in [
-            ("hint", hint.range_query(q.0, q.1)),
-            ("grid", grid.range_query(q.0, q.1)),
-            ("tree", tree.range_query(q.0, q.1)),
-        ] {
+        for (order, hint) in &hints {
+            let mut got = hint.range_query(q.0, q.1);
             got.sort_unstable();
             got.dedup();
-            assert_eq!(got, want, "{name} q={q:?}");
+            assert_eq!(got, want, "{order:?} q={q:?}");
         }
     }
 }
