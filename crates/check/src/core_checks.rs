@@ -2,15 +2,17 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use crate::hint_checks::{check_interval_division, DivisionAt};
 use crate::{fail, nest, Validate, Violation};
 use tir_core::hybrid::DualCopy;
+use tir_core::irhint::Decoupled;
 use tir_core::postings::TemporalList;
 use tir_core::sharding::Shard;
 use tir_core::slicing::{SliceGrid, SlicedList};
 use tir_core::tif_hint::HintParams;
-use tir_core::{CompressedTif, IrHintPerf, IrHintSize, PerTerm, TermPartition, IMPACT_STRIDE};
-use tir_hint::{DivisionKind, Hint};
-use tir_invidx::{live, raw, ElemBitmaps};
+use tir_core::{CompressedTif, DivisionStore, IrHint, PerTerm, TermPartition, IMPACT_STRIDE};
+use tir_hint::{DivisionOrder, Hint};
+use tir_invidx::{live, raw, CompactTemporalInverted, ElemBitmaps};
 
 /// Validates one time-aware postings list (parallel arrays sorted by raw
 /// object id, proper intervals). Returns the live-entry count.
@@ -421,81 +423,50 @@ impl Validate for CompressedTif {
     }
 }
 
-impl Validate for IrHintPerf {
+/// What the generic irHINT walk asks of a division store: validate one
+/// division, and name the elements whose lists it stores.
+trait CheckDivision: DivisionStore {
+    /// Validates the division `at` under `path`; returns false if its id
+    /// lists are too broken to walk.
+    fn check_division(&self, at: &DivisionAt, path: &str, out: &mut Vec<Violation>) -> bool;
+
+    /// The elements the division stores a list for.
+    fn listed(&self) -> &[u32];
+}
+
+/// Every irHINT: each division sound in itself, each element's live
+/// original postings as many as the planner's frequency table says, then
+/// the dense-element bitmaps against every list the divisions store.
+impl<D: CheckDivision> Validate for IrHint<D> {
     fn validate(&self) -> Vec<Violation> {
         let mut out = Vec::new();
+        let method = D::METHOD.to_string();
         let domain = self.domain();
         let mut orig_live: BTreeMap<u32, usize> = BTreeMap::new();
         let mut audit = BitmapAudit::new(self.bitmaps());
         self.for_each_division(|level, j, kind, div| {
-            let prefix = format!("irhint_perf/level{level}/partition{j}/{}", kind.label());
-            let nested = div.validate();
-            let clean = nested.is_empty();
-            nest(&prefix, nested, &mut out);
-            if !clean {
-                // The flat directory is unreliable; skip elementwise walks.
+            let path = format!("{method}/level{level}/partition{j}/{}", kind.label());
+            let at = DivisionAt {
+                domain,
+                level,
+                j,
+                kind,
+            };
+            if !div.check_division(&at, &path, &mut out) {
                 return;
             }
-            let fc = domain.partition_first_cell(level, j);
-            let lc = domain.partition_last_cell(level, j);
-            let (original, inside) = (!kind.is_replica(), kind.ends_inside());
-            let offsets = div.offsets();
-            for (ei, &e) in div.elements().iter().enumerate() {
-                let (from, to) = (offsets[ei] as usize, offsets[ei + 1] as usize);
-                for p in from..to {
-                    let id = div.all_ids()[p];
-                    let [sts, ends] = div.columns();
-                    let (cs, ce) = (domain.cell(sts[p]), domain.cell(ends[p]));
-                    if original && !(fc..=lc).contains(&cs) {
-                        fail(
-                            &mut out,
-                            &prefix,
-                            format!(
-                                "elem {e} id {}: original with start cell {cs} outside partition [{fc}, {lc}]",
-                                raw(id)
-                            ),
-                        );
-                    }
-                    if !original && cs >= fc {
-                        fail(
-                            &mut out,
-                            &prefix,
-                            format!(
-                                "elem {e} id {}: replica with start cell {cs} not before partition [{fc}, {lc}]",
-                                raw(id)
-                            ),
-                        );
-                    }
-                    if inside && ce > lc {
-                        fail(
-                            &mut out,
-                            &prefix,
-                            format!(
-                                "elem {e} id {}: *_in entry with end cell {ce} after partition [{fc}, {lc}]",
-                                raw(id)
-                            ),
-                        );
-                    }
-                    if !inside && ce <= lc {
-                        fail(
-                            &mut out,
-                            &prefix,
-                            format!(
-                                "elem {e} id {}: *_aft entry with end cell {ce} inside partition [{fc}, {lc}]",
-                                raw(id)
-                            ),
-                        );
-                    }
-                    if original && live(id) {
-                        *orig_live.entry(e).or_insert(0) += 1;
-                    }
+            let original = !kind.is_replica();
+            for &e in div.listed() {
+                let ids = div.ids_of(e);
+                audit.list(e, ids, original);
+                if original {
+                    *orig_live.entry(e).or_insert(0) += ids.iter().filter(|&&id| live(id)).count();
                 }
-                audit.list(e, &div.all_ids()[from..to], original);
             }
         });
-        audit.finish("irhint_perf", self.bitmaps(), &mut out);
+        audit.finish(&method, self.bitmaps(), &mut out);
         check_freqs(
-            "irhint_perf",
+            &method,
             "live original postings across divisions",
             orig_live,
             |e| self.freq(e),
@@ -505,69 +476,69 @@ impl Validate for IrHintPerf {
     }
 }
 
-impl Validate for IrHintSize {
-    fn validate(&self) -> Vec<Violation> {
-        let mut out = Vec::new();
-        nest("irhint_size/hint", self.hint().validate(), &mut out);
+/// irHINT-perf: a sound flat tIF whose every posting obeys the division's
+/// placement rule.
+impl CheckDivision for CompactTemporalInverted {
+    fn check_division(&self, at: &DivisionAt, path: &str, out: &mut Vec<Violation>) -> bool {
+        let nested = self.validate();
+        if !nested.is_empty() {
+            // The flat directory is unreliable; skip elementwise walks.
+            nest(path, nested, out);
+            return false;
+        }
+        let ([sts, ends], offsets) = (self.columns(), self.offsets());
+        for (ei, &e) in self.elements().iter().enumerate() {
+            for p in offsets[ei] as usize..offsets[ei + 1] as usize {
+                let id = self.all_ids()[p];
+                at.check_entry(path, (Some(e), id), Some(sts[p]), Some(ends[p]), out);
+            }
+        }
+        true
+    }
 
-        // Live object ids stored in each interval-store division; every
-        // live posting of the decoupled inverted side must reference one
-        // of them (cross-structure agreement).
-        let mut div_live: BTreeMap<(u32, u32, DivisionKind), BTreeSet<u32>> = BTreeMap::new();
-        self.hint().for_each_division(|div, _dead| {
-            let set = div_live.entry((div.level, div.j, div.kind)).or_default();
-            for &id in div.ids {
-                if live(id) {
-                    set.insert(raw(id));
+    fn listed(&self) -> &[u32] {
+        self.elements()
+    }
+}
+
+/// irHINT-size: sound interval columns in beneficial order, a sound id-only
+/// file, and every live posting naming a live entry of the columns.
+impl CheckDivision for Decoupled {
+    fn check_division(&self, at: &DivisionAt, path: &str, out: &mut Vec<Violation>) -> bool {
+        let nested = self.ids.validate();
+        if !nested.is_empty() {
+            nest(&format!("{path}/ids"), nested, out);
+            return false;
+        }
+        let view = self.intervals.view(at.kind, at.level, at.j);
+        let columns = (view, self.intervals.dead());
+        let intervals = format!("{path}/intervals");
+        if !check_interval_division(
+            at.domain,
+            &intervals,
+            columns,
+            DivisionOrder::Beneficial,
+            out,
+        ) {
+            return true;
+        }
+        let stored: BTreeSet<u32> = view.ids.iter().filter(|&&id| live(id)).copied().collect();
+        for &e in self.ids.elements() {
+            for &id in self.ids_of(e).iter().filter(|&&id| live(id)) {
+                if !stored.contains(&id) {
+                    fail(
+                        out,
+                        path,
+                        format!("elem {e}: live posting {id} absent from the interval columns"),
+                    );
                 }
             }
-        });
+        }
+        true
+    }
 
-        let mut orig_live: BTreeMap<u32, usize> = BTreeMap::new();
-        let mut audit = BitmapAudit::new(self.bitmaps());
-        self.for_each_division_index(|level, j, kind, inv| {
-            let prefix = format!("irhint_size/level{level}/partition{j}/{}", kind.label());
-            let nested = inv.validate();
-            let clean = nested.is_empty();
-            nest(&prefix, nested, &mut out);
-            if !clean {
-                return;
-            }
-            let stored = div_live.get(&(level, j, kind));
-            let offsets = inv.offsets();
-            for (ei, &e) in inv.elements().iter().enumerate() {
-                let (from, to) = (offsets[ei] as usize, offsets[ei + 1] as usize);
-                audit.list(e, &inv.all_ids()[from..to], !kind.is_replica());
-                for p in from..to {
-                    let id = inv.all_ids()[p];
-                    if !live(id) {
-                        continue;
-                    }
-                    if !stored.is_some_and(|s| s.contains(&raw(id))) {
-                        fail(
-                            &mut out,
-                            &prefix,
-                            format!(
-                                "elem {e}: live posting {} absent from the interval store's division",
-                                raw(id)
-                            ),
-                        );
-                    }
-                    if !kind.is_replica() {
-                        *orig_live.entry(e).or_insert(0) += 1;
-                    }
-                }
-            }
-        });
-        audit.finish("irhint_size", self.bitmaps(), &mut out);
-        check_freqs(
-            "irhint_size",
-            "live original postings across divisions",
-            orig_live,
-            |e| self.freq(e),
-            &mut out,
-        );
-        out
+    fn listed(&self) -> &[u32] {
+        self.ids.elements()
     }
 }
 

@@ -3,7 +3,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::{fail, Validate, Violation};
-use tir_hint::{DivisionKind, DivisionOrder, Hint};
+use tir_hint::{DivisionKind, DivisionOrder, DivisionView, Domain, Hint};
 // The same bit as `tir_hint::TOMBSTONE`; `tir-core` asserts they agree.
 use tir_invidx::{live, raw};
 
@@ -17,6 +17,144 @@ fn kept(kind: DivisionKind) -> (bool, bool) {
         DivisionKind::ReplIn => (false, true),
         DivisionKind::ReplAft => (false, false),
     }
+}
+
+/// Partition `(level, j)`'s `kind` division of a hierarchy over `domain`:
+/// where the placement rule lets its entries start and end.
+pub(crate) struct DivisionAt {
+    pub(crate) domain: Domain,
+    pub(crate) level: u32,
+    pub(crate) j: u32,
+    pub(crate) kind: DivisionKind,
+}
+
+impl DivisionAt {
+    /// Reports every way the entry of `id` — `st` and `end` absent where
+    /// the storage optimization elides them, `elem` the list it sits in,
+    /// if any — breaks the placement rule.
+    pub(crate) fn check_entry(
+        &self,
+        path: &str,
+        (elem, id): (Option<u32>, u32),
+        st: Option<u64>,
+        end: Option<u64>,
+        out: &mut Vec<Violation>,
+    ) {
+        let domain = self.domain;
+        let fc = domain.partition_first_cell(self.level, self.j);
+        let lc = domain.partition_last_cell(self.level, self.j);
+        let mut report = |what: String| {
+            let elem = elem.map_or(String::new(), |e| format!("elem {e} "));
+            fail(out, path, format!("{elem}id {}: {what}", raw(id)));
+        };
+        if let (Some(st), Some(end)) = (st, end) {
+            if st > end {
+                report(format!("inverted interval [{st}, {end}]"));
+            }
+        }
+        let original = !self.kind.is_replica();
+        if let Some(cs) = st.map(|st| domain.cell(st)) {
+            if original && !(fc..=lc).contains(&cs) {
+                report(format!(
+                    "original with start cell {cs} outside partition [{fc}, {lc}]"
+                ));
+            }
+            if !original && cs >= fc {
+                report(format!(
+                    "replica with start cell {cs} not before partition [{fc}, {lc}]"
+                ));
+            }
+        }
+        if let Some(ce) = end.map(|end| domain.cell(end)) {
+            let inside = self.kind.ends_inside();
+            if inside && ce > lc {
+                report(format!(
+                    "*_in entry with end cell {ce} after partition [{fc}, {lc}]"
+                ));
+            }
+            if self.kind == DivisionKind::ReplIn && ce < fc {
+                report(format!(
+                    "R_in entry with end cell {ce} before partition [{fc}, {lc}]"
+                ));
+            }
+            if !inside && ce <= lc {
+                report(format!(
+                    "*_aft entry with end cell {ce} inside partition [{fc}, {lc}]"
+                ));
+            }
+        }
+    }
+}
+
+/// Validates one interval division — its tombstone counter, the endpoint
+/// columns its kind keeps, their `order` and every entry's placement —
+/// under `path`. Returns false if the columns are too inconsistent to walk.
+pub(crate) fn check_interval_division(
+    domain: Domain,
+    path: &str,
+    (div, dead): (DivisionView<'_>, usize),
+    order: DivisionOrder,
+    out: &mut Vec<Violation>,
+) -> bool {
+    let n = div.ids.len();
+    let actual_dead = div.ids.iter().filter(|&&id| !live(id)).count();
+    if actual_dead != dead {
+        fail(
+            out,
+            path,
+            format!("dead counter says {dead}, {actual_dead} tombstones stored"),
+        );
+    }
+    let (keep_st, keep_end) = kept(div.kind);
+    for (kept_flag, arr, name) in [(keep_st, div.sts, "sts"), (keep_end, div.ends, "ends")] {
+        let want = if kept_flag { n } else { 0 };
+        if arr.len() != want {
+            fail(
+                out,
+                path,
+                format!("{name} has {} entries, want {want} for {n} ids", arr.len()),
+            );
+        }
+    }
+    // Bail before elementwise walks if the parallel arrays are
+    // inconsistent — everything below indexes by ids position.
+    if (keep_st && div.sts.len() != n) || (keep_end && div.ends.len() != n) {
+        return false;
+    }
+
+    match order {
+        DivisionOrder::Beneficial => match div.kind {
+            DivisionKind::OrigIn | DivisionKind::OrigAft => {
+                if !div.sts.windows(2).all(|w| w[0] <= w[1]) {
+                    fail(out, path, "starts not ascending (Beneficial order)".into());
+                }
+            }
+            DivisionKind::ReplIn => {
+                if !div.ends.windows(2).all(|w| w[0] >= w[1]) {
+                    fail(out, path, "ends not descending (Beneficial order)".into());
+                }
+            }
+            DivisionKind::ReplAft => {}
+        },
+        DivisionOrder::ById => {
+            if !div.ids.windows(2).all(|w| raw(w[0]) < raw(w[1])) {
+                fail(out, path, "ids not sorted".into());
+            }
+        }
+    }
+
+    let at = DivisionAt {
+        domain,
+        level: div.level,
+        j: div.j,
+        kind: div.kind,
+    };
+    for (i, &id) in div.ids.iter().enumerate() {
+        let st = keep_st.then(|| div.sts[i]);
+        let end = keep_end.then(|| div.ends[i]);
+        at.check_entry(path, (None, id), st, end, out);
+    }
+    true
 }
 
 impl Validate for Hint {
@@ -62,137 +200,22 @@ impl Validate for Hint {
         let mut orig_count: BTreeMap<u32, usize> = BTreeMap::new();
         let mut repl_ids: BTreeSet<u32> = BTreeSet::new();
 
+        let order = self.division_order();
         self.for_each_division(|div, dead| {
-            let path = format!("hint/level{}/partition{}/{}", div.level, div.j, div.kind.label());
-            let n = div.ids.len();
-            let actual_dead = div.ids.iter().filter(|&&id| !live(id)).count();
-            if actual_dead != dead {
-                fail(
-                    &mut out,
-                    &path,
-                    format!("dead counter says {dead}, {actual_dead} tombstones stored"),
-                );
-            }
-            let (keep_st, keep_end) = kept(div.kind);
-            for (kept_flag, arr, name) in
-                [(keep_st, div.sts, "sts"), (keep_end, div.ends, "ends")]
-            {
-                let want = if kept_flag { n } else { 0 };
-                if arr.len() != want {
-                    fail(
-                        &mut out,
-                        &path,
-                        format!("{name} has {} entries, want {want} for {n} ids", arr.len()),
-                    );
-                }
-            }
-            // Bail before elementwise walks if the parallel arrays are
-            // inconsistent — everything below indexes by ids position.
-            if (keep_st && div.sts.len() != n) || (keep_end && div.ends.len() != n) {
+            let path = format!(
+                "hint/level{}/partition{}/{}",
+                div.level,
+                div.j,
+                div.kind.label()
+            );
+            if !check_interval_division(domain, &path, (div, dead), order, &mut out) {
                 return;
             }
-
-            match self.division_order() {
-                DivisionOrder::Beneficial => match div.kind {
-                    DivisionKind::OrigIn | DivisionKind::OrigAft => {
-                        if !div.sts.windows(2).all(|w| w[0] <= w[1]) {
-                            fail(&mut out, &path, "starts not ascending (Beneficial order)".into());
-                        }
-                    }
-                    DivisionKind::ReplIn => {
-                        if !div.ends.windows(2).all(|w| w[0] >= w[1]) {
-                            fail(&mut out, &path, "ends not descending (Beneficial order)".into());
-                        }
-                    }
-                    DivisionKind::ReplAft => {}
-                },
-                DivisionOrder::ById => {
-                    if !div.ids.windows(2).all(|w| raw(w[0]) < raw(w[1])) {
-                        fail(&mut out, &path, "ids not sorted".into());
-                    }
-                }
-            }
-
-            let fc = domain.partition_first_cell(div.level, div.j);
-            let lc = domain.partition_last_cell(div.level, div.j);
-            let original = !div.kind.is_replica();
-            for i in 0..n {
-                let id = div.ids[i];
-                if keep_st && keep_end && div.sts[i] > div.ends[i] {
-                    fail(
-                        &mut out,
-                        &path,
-                        format!(
-                            "id {}: inverted interval [{}, {}]",
-                            raw(id),
-                            div.sts[i],
-                            div.ends[i]
-                        ),
-                    );
-                }
-                if keep_st {
-                    let cs = domain.cell(div.sts[i]);
-                    if original && !(fc..=lc).contains(&cs) {
-                        fail(
-                            &mut out,
-                            &path,
-                            format!(
-                                "id {}: original with start cell {cs} outside partition [{fc}, {lc}]",
-                                raw(id)
-                            ),
-                        );
-                    }
-                    if !original && cs >= fc {
-                        fail(
-                            &mut out,
-                            &path,
-                            format!(
-                                "id {}: replica with start cell {cs} not before partition [{fc}, {lc}]",
-                                raw(id)
-                            ),
-                        );
-                    }
-                }
-                if keep_end {
-                    let ce = domain.cell(div.ends[i]);
-                    let inside = div.kind.ends_inside();
-                    if inside && ce > lc {
-                        fail(
-                            &mut out,
-                            &path,
-                            format!(
-                                "id {}: *_in entry with end cell {ce} after partition [{fc}, {lc}]",
-                                raw(id)
-                            ),
-                        );
-                    }
-                    if div.kind == DivisionKind::ReplIn && ce < fc {
-                        fail(
-                            &mut out,
-                            &path,
-                            format!(
-                                "id {}: R_in entry with end cell {ce} before partition [{fc}, {lc}]",
-                                raw(id)
-                            ),
-                        );
-                    }
-                    if !inside && ce <= lc {
-                        fail(
-                            &mut out,
-                            &path,
-                            format!(
-                                "id {}: *_aft entry with end cell {ce} inside partition [{fc}, {lc}]",
-                                raw(id)
-                            ),
-                        );
-                    }
-                }
-                if live(id) {
-                    if original {
-                        *orig_count.entry(id).or_insert(0) += 1;
-                    } else {
-                        repl_ids.insert(id);
-                    }
+            for &id in div.ids.iter().filter(|&&id| live(id)) {
+                if div.kind.is_replica() {
+                    repl_ids.insert(id);
+                } else {
+                    *orig_count.entry(id).or_insert(0) += 1;
                 }
             }
         });

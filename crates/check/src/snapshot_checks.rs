@@ -13,9 +13,9 @@
 
 use std::path::Path;
 
-use tir_persist::{SnapshotError, SnapshotFile};
+use tir_persist::{check_elements_known, SnapshotError, SnapshotFile};
 
-use crate::{fail, Violation};
+use crate::Violation;
 
 /// Opens and validates the snapshot at `path`. Open failures (bad magic,
 /// CRC mismatch, truncation, …) become the single violation the open
@@ -33,22 +33,17 @@ pub fn validate_snapshot(path: &Path) -> Vec<Violation> {
             None
         }
     };
-    match snap.catalog_objects() {
-        Ok(catalog) => {
-            // Descriptions are ascending: the last element is the largest.
+    match (snap.catalog_objects(), dict_len) {
+        (Ok(catalog), Some(terms)) => {
             for o in &catalog {
-                if let (Some(terms), Some(&e)) = (dict_len, o.desc.last()) {
-                    if e as usize >= terms {
-                        fail(
-                            &mut out,
-                            &format!("snapshot/catalog/object[{}]", o.id),
-                            format!("element {e} outside the {terms}-term dictionary"),
-                        );
-                    }
+                let at = || format!("snapshot/catalog/object[{}]", o.id);
+                if let Err(e) = check_elements_known(o, terms, at) {
+                    out.push(violation_of(e));
                 }
             }
         }
-        Err(e) => out.push(violation_of(e)),
+        (Ok(_), None) => {}
+        (Err(e), _) => out.push(violation_of(e)),
     }
     out
 }

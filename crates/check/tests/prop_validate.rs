@@ -121,17 +121,26 @@ proptest! {
     }
 
     #[test]
-    fn corrupted_irhint_perf_reports_a_violation(coll in arb_collection(20), m in 1u32..6) {
+    fn corrupted_irhint_reports_a_violation(coll in arb_collection(20), m in 1u32..6) {
+        // Each store broken in its own structure, seen through the one
+        // generic walk: a parallel endpoint column of irHINT-perf's tIF...
         let mut idx = IrHintPerf::build_with_m(&coll, m);
-        idx.testing_corrupt();
+        idx.testing_corrupt_division(|d| d.testing_corrupt_parallel());
         let v = idx.validate();
         prop_assert!(!v.is_empty(), "corrupted parallel arrays went unnoticed");
-        // The same flat store without endpoint columns, broken where it
-        // can break: the offset directory.
+        // ...and irHINT-size's id-only offset directory and its interval
+        // columns' tombstone counter.
         let mut idx = IrHintSize::build_with_m(&coll, m);
-        idx.testing_corrupt();
+        idx.testing_corrupt_division(|d| d.ids.testing_corrupt_offsets());
         let v = idx.validate();
         prop_assert!(!v.is_empty(), "corrupted offsets went unnoticed");
+        let mut idx = IrHintSize::build_with_m(&coll, m);
+        idx.testing_corrupt_division(|d| d.intervals.testing_corrupt_dead_counter());
+        let v = idx.validate();
+        prop_assert!(
+            v.iter().any(|v| v.path.ends_with("/intervals")),
+            "corrupted dead counter went unnoticed: {:?}", v
+        );
         // One flipped bit in a dense-element bitmap: the divisions are
         // sound, the sidecar no longer says what they say. Element 0 is
         // given to every object, so it is dense and has a bitmap.

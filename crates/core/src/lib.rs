@@ -8,9 +8,10 @@
 //! ## Index implementations
 //!
 //! The first six are one skeleton, [`PerTerm`], over what a term's
-//! postings are ([`TermPartition`]); the next two are time-first. Both
-//! halves answer a dense non-seed query term from one index-wide
-//! membership bitmap (`tir_invidx::ElemBitmaps`).
+//! postings are ([`TermPartition`]); the next two are time-first: one
+//! skeleton, [`IrHint`], over what a HINT division stores
+//! ([`DivisionStore`]). Both halves answer a dense non-seed query term from
+//! one index-wide membership bitmap (`tir_invidx::ElemBitmaps`).
 //!
 //! | Type | Approach | Paper section |
 //! |------|----------|---------------|
@@ -20,8 +21,8 @@
 //! | [`TifHint`] (binary-search) | a term is a HINT, Alg. 3 | §3.1 |
 //! | [`TifHint`] (merge-sort) | a term is an id-sorted HINT, Alg. 4 | §3.1 |
 //! | [`TifHintSlicing`] | dual-copy hybrid: a term is a HINT plus slices | §3.2 |
-//! | [`IrHintPerf`] | time-first, tIF per division | §4.1, Alg. 5 |
-//! | [`IrHintSize`] | time-first, decoupled dual structure | §4.2, Alg. 6 |
+//! | [`IrHintPerf`] | time-first: a division is a tIF | §4.1, Alg. 5 |
+//! | [`IrHintSize`] | time-first: a division is interval columns beside an id-only inverted file | §4.2, Alg. 6 |
 //! | [`CompressedTif`] | block-compressed base + uncompressed overlay | §7 (future work) |
 //!
 //! Those nine rows are the closed set [`Method`] enumerates: the registry
@@ -59,8 +60,7 @@ pub mod compressed_tif;
 pub mod freq;
 pub mod hybrid;
 pub mod index_trait;
-pub mod irhint_perf;
-pub mod irhint_size;
+pub mod irhint;
 pub mod method;
 pub mod oracle;
 pub mod per_term;
@@ -76,8 +76,7 @@ pub use collection::{Collection, CollectionStats};
 pub use compressed_tif::CompressedTif;
 pub use hybrid::TifHintSlicing;
 pub use index_trait::{apply_ops, delete_batch, insert_batch, TemporalIrIndex, WriteOp};
-pub use irhint_perf::IrHintPerf;
-pub use irhint_size::IrHintSize;
+pub use irhint::{DivisionStore, IrHint, IrHintPerf, IrHintSize};
 pub use method::Method;
 pub use oracle::BruteForce;
 pub use per_term::{PerTerm, TermPartition};
@@ -95,8 +94,7 @@ pub mod prelude {
     pub use crate::compressed_tif::CompressedTif;
     pub use crate::hybrid::TifHintSlicing;
     pub use crate::index_trait::{apply_ops, delete_batch, insert_batch, TemporalIrIndex, WriteOp};
-    pub use crate::irhint_perf::IrHintPerf;
-    pub use crate::irhint_size::IrHintSize;
+    pub use crate::irhint::{IrHintPerf, IrHintSize};
     pub use crate::method::Method;
     pub use crate::oracle::BruteForce;
     pub use crate::ranked::{RankedQuery, RankedTif, ScoredHit};

@@ -20,7 +20,7 @@ use std::fmt::Debug;
 use crate::collection::Collection;
 use crate::freq::FreqTable;
 use crate::index_trait::TemporalIrIndex;
-use crate::irhint_perf::universe_of;
+use crate::irhint::universe_of;
 use crate::method::Method;
 use crate::types::{ElemId, Interval, Object, ObjectId, TimeTravelQuery};
 use tir_hint::IntervalRecord;

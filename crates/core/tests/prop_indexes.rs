@@ -6,7 +6,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use tir_core::prelude::*;
-use tir_core::{PerTerm, TermPartition};
+use tir_core::{DivisionStore, IrHint, PerTerm, TermPartition};
 
 const DOMAIN: u64 = 2000;
 const DICT: u32 = 12;
@@ -78,15 +78,7 @@ trait Accelerated: TemporalIrIndex {
     fn without_bitmaps(&self) -> Box<dyn TemporalIrIndex>;
 }
 
-impl Accelerated for IrHintPerf {
-    fn without_bitmaps(&self) -> Box<dyn TemporalIrIndex> {
-        let mut bare = self.clone();
-        bare.drop_bitmaps();
-        Box::new(bare)
-    }
-}
-
-impl Accelerated for IrHintSize {
+impl<D: DivisionStore + 'static> Accelerated for IrHint<D> {
     fn without_bitmaps(&self) -> Box<dyn TemporalIrIndex> {
         let mut bare = self.clone();
         bare.drop_bitmaps();

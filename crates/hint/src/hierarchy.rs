@@ -4,8 +4,8 @@
 //! `(level, partition, subdivision)` holds an interval* and *which
 //! subdivisions a range query reads under which endpoint checks*. Both are
 //! written here once; [`crate::Hint`] (`D` = interval columns), irHINT-perf
-//! (`D` = a temporal inverted file) and irHINT-size (`D` = an id-only
-//! inverted file beside a `Hint`) are instantiations.
+//! (`D` = a temporal inverted file) and irHINT-size (`D` = the interval
+//! columns and an id-only inverted file, side by side) are instantiations.
 
 use crate::domain::Domain;
 use crate::layout::{refine_mode, CheckMode, DivisionKind, Layout};
@@ -98,13 +98,6 @@ impl<D> Hierarchy<D> {
             .iter()
             .map(|l| l.parts.capacity() - l.parts.len())
             .sum()
-    }
-
-    /// The division `(level, j, kind)`, if its partition is materialized.
-    pub fn division(&self, level: u32, j: u32, kind: DivisionKind) -> Option<&D> {
-        let lvl = self.levels.get(level as usize)?;
-        let i = lvl.keys.binary_search(&j).ok()?;
-        Some(&lvl.parts[i][kind.index()])
     }
 
     /// Visits every materialized division (empty ones included) as

@@ -3,7 +3,7 @@
 
 use crate::domain::Domain;
 use crate::hierarchy::Hierarchy;
-use crate::layout::{CheckMode, DivisionKind};
+use crate::layout::CheckMode;
 use crate::partition::{Division, DivisionOrder, DivisionView, TOMBSTONE};
 use crate::IntervalRecord;
 
@@ -91,7 +91,7 @@ impl Hint {
             }
         });
         for (d, kind) in tree.divisions_mut() {
-            sort_division(d, config.order, kind);
+            d.sort(config.order, kind);
         }
         Hint {
             tree,
@@ -126,7 +126,7 @@ impl Hint {
     /// Introspection for validators and serializers.
     pub fn for_each_division(&self, mut f: impl FnMut(DivisionView<'_>, usize)) {
         self.tree
-            .for_each_division(|d, level, j, kind| f(d.view(kind, level, j), d.dead as usize));
+            .for_each_division(|d, level, j, kind| f(d.view(kind, level, j), d.dead()));
     }
 
     /// Deliberately desynchronizes a division's `dead` counter from its
@@ -135,7 +135,7 @@ impl Hint {
     #[cfg(feature = "testing")]
     pub fn testing_corrupt_dead_counter(&mut self) {
         if let Some((d, _)) = self.tree.divisions_mut().find(|(d, _)| !d.is_empty()) {
-            d.dead += 1;
+            d.testing_corrupt_dead_counter();
         }
     }
 
@@ -234,35 +234,6 @@ impl Hint {
                     f(d.view(kind, level, j), mode);
                 }
             });
-    }
-}
-
-fn sort_division(d: &mut Division, order: DivisionOrder, kind: DivisionKind) {
-    use crate::partition::{sort_key, SortKey};
-    let n = d.ids.len();
-    if n <= 1 {
-        return;
-    }
-    // analyze:allow(unguarded-cast): record ids are u32 by construction, so n <= u32::MAX
-    let mut perm: Vec<u32> = (0..n as u32).collect();
-    match order {
-        DivisionOrder::ById => {
-            perm.sort_unstable_by_key(|&i| d.ids[i as usize] & !TOMBSTONE);
-        }
-        DivisionOrder::Beneficial => match sort_key(kind) {
-            SortKey::StAsc => perm.sort_unstable_by_key(|&i| d.sts[i as usize]),
-            SortKey::EndDesc => {
-                perm.sort_unstable_by_key(|&i| std::cmp::Reverse(d.ends[i as usize]))
-            }
-            SortKey::Unordered => return,
-        },
-    }
-    d.ids = perm.iter().map(|&i| d.ids[i as usize]).collect();
-    if !d.sts.is_empty() {
-        d.sts = perm.iter().map(|&i| d.sts[i as usize]).collect();
-    }
-    if !d.ends.is_empty() {
-        d.ends = perm.iter().map(|&i| d.ends[i as usize]).collect();
     }
 }
 

@@ -32,7 +32,7 @@ pub use domain::{slice_of, Domain};
 pub use hierarchy::Hierarchy;
 pub use index::{Hint, HintConfig};
 pub use layout::{CheckMode, DivisionKind, Layout};
-pub use partition::{DivisionOrder, DivisionView, TOMBSTONE};
+pub use partition::{Division, DivisionOrder, DivisionView, TOMBSTONE};
 
 /// An interval with an attached object id — the unit a [`Hint`] stores.
 ///

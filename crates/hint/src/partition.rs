@@ -24,8 +24,9 @@ pub enum DivisionOrder {
     /// Each subdivision uses the sort order that benefits its own
     /// comparisons: `O_in`/`O_aft` ascending by start, `R_in` descending by
     /// end (`R_aft` needs no order). A scan cuts the sorted prefix that
-    /// passes the comparison instead of testing every entry. The paper's
-    /// tIF+HINT(bs), irHINT-size and the plain range query use it.
+    /// passes the comparison instead of testing every entry. The plain
+    /// range query, tIF+HINT(bs) (its terms' HINTs) and every irHINT-size
+    /// division use it.
     #[default]
     Beneficial,
     /// All subdivisions ascending by object id. Required by the merge-sort
@@ -65,19 +66,26 @@ pub struct DivisionView<'a> {
 }
 
 impl Division {
+    /// Number of stored entries, tombstoned ones included.
     #[inline]
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.ids.len()
     }
 
+    /// True if no entry is stored.
     #[inline]
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
+    }
+
+    /// Number of tombstoned entries.
+    pub fn dead(&self) -> usize {
+        self.dead as usize
     }
 
     /// The read-only view of this division as the `kind` subdivision of
     /// partition `(level, j)`.
-    pub(crate) fn view(&self, kind: DivisionKind, level: u32, j: u32) -> DivisionView<'_> {
+    pub fn view(&self, kind: DivisionKind, level: u32, j: u32) -> DivisionView<'_> {
         DivisionView {
             ids: &self.ids,
             sts: &self.sts,
@@ -90,21 +98,14 @@ impl Division {
 
     /// Appends `(id, st, end)` unordered, storing the endpoints `kind`
     /// keeps: the bulk build appends every entry, then sorts once.
-    pub(crate) fn push(&mut self, id: u32, st: u64, end: u64, kind: DivisionKind) {
+    pub fn push(&mut self, id: u32, st: u64, end: u64, kind: DivisionKind) {
         self.put(self.ids.len(), id, st, end, kind);
     }
 
     /// Inserts `(id, st, end)` keeping the configured order (under
     /// [`DivisionOrder::ById`], at most one entry per id), storing the
     /// endpoints `kind` keeps.
-    pub(crate) fn insert(
-        &mut self,
-        id: u32,
-        st: u64,
-        end: u64,
-        order: DivisionOrder,
-        kind: DivisionKind,
-    ) {
+    pub fn insert(&mut self, id: u32, st: u64, end: u64, order: DivisionOrder, kind: DivisionKind) {
         let pos = match order {
             DivisionOrder::ById => {
                 let pos = self.ids.partition_point(|&x| (x & !TOMBSTONE) < id);
@@ -147,7 +148,7 @@ impl Division {
     }
 
     /// Marks the entry for `id` as deleted; returns true if found alive.
-    pub(crate) fn tombstone(&mut self, id: u32) -> bool {
+    pub fn tombstone(&mut self, id: u32) -> bool {
         // Divisions are small; a linear probe over the dense id array is
         // the same locate-and-mark cost the paper's logical deletes pay.
         for slot in self.ids.iter_mut() {
@@ -167,7 +168,7 @@ impl Division {
     /// mode that compares the division's sort key first cuts the sorted
     /// prefix passing that comparison; the rest of the mode is then
     /// checked on the prefix alone by [`CheckMode::admit_into`].
-    pub(crate) fn query_into(
+    pub fn query_into(
         &self,
         mode: CheckMode,
         kind: DivisionKind,
@@ -213,13 +214,50 @@ impl Division {
         }
     }
 
-    pub(crate) fn size_bytes(&self) -> usize {
+    /// Puts the entries in `order` once, after a run of [`Self::push`]es.
+    pub fn sort(&mut self, order: DivisionOrder, kind: DivisionKind) {
+        let n = self.ids.len();
+        if n <= 1 {
+            return;
+        }
+        // analyze:allow(unguarded-cast): record ids are u32 by construction, so n <= u32::MAX
+        let mut perm: Vec<u32> = (0..n as u32).collect();
+        match order {
+            DivisionOrder::ById => {
+                perm.sort_unstable_by_key(|&i| self.ids[i as usize] & !TOMBSTONE);
+            }
+            DivisionOrder::Beneficial => match sort_key(kind) {
+                SortKey::StAsc => perm.sort_unstable_by_key(|&i| self.sts[i as usize]),
+                SortKey::EndDesc => {
+                    perm.sort_unstable_by_key(|&i| std::cmp::Reverse(self.ends[i as usize]))
+                }
+                SortKey::Unordered => return,
+            },
+        }
+        self.ids = perm.iter().map(|&i| self.ids[i as usize]).collect();
+        if !self.sts.is_empty() {
+            self.sts = perm.iter().map(|&i| self.sts[i as usize]).collect();
+        }
+        if !self.ends.is_empty() {
+            self.ends = perm.iter().map(|&i| self.ends[i as usize]).collect();
+        }
+    }
+
+    /// Heap bytes of the columns, at capacity.
+    pub fn size_bytes(&self) -> usize {
         self.ids.capacity() * 4 + self.sts.capacity() * 8 + self.ends.capacity() * 8
+    }
+
+    /// Desynchronizes the `dead` counter from the tombstone bits, so
+    /// validator tests can confirm the corruption is reported.
+    #[cfg(feature = "testing")]
+    pub fn testing_corrupt_dead_counter(&mut self) {
+        self.dead += 1;
     }
 }
 
 #[derive(PartialEq, Eq, Clone, Copy)]
-pub(crate) enum SortKey {
+enum SortKey {
     StAsc,
     EndDesc,
     Unordered,
@@ -228,7 +266,7 @@ pub(crate) enum SortKey {
 /// The beneficial sort key for a subdivision: starts ascending where
 /// `i.st <= q.end` prefixes are scanned, ends descending where
 /// `q.st <= i.end` prefixes are scanned.
-pub(crate) fn sort_key(kind: DivisionKind) -> SortKey {
+fn sort_key(kind: DivisionKind) -> SortKey {
     match kind {
         DivisionKind::OrigIn | DivisionKind::OrigAft => SortKey::StAsc,
         DivisionKind::ReplIn => SortKey::EndDesc,

@@ -23,7 +23,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::compress::BlockPostings;
 use crate::kernels::{live, mark_hits, raw, GALLOP_RATIO};
 use crate::simd;
 
@@ -258,9 +257,6 @@ pub fn global_stats() -> PlanStats {
 pub enum Postings<'a> {
     /// A raw-id-sorted slice, bit-31 tombstones allowed.
     Ids(&'a [u32]),
-    /// Stream-vbyte block-compressed postings, decoded (and skipped)
-    /// block-at-a-time.
-    Blocks(&'a BlockPostings),
     /// A present-only bitmap: bit `id % 64` of word `id / 64` is set iff
     /// `id` is a live member, ids past the slice are absent — the
     /// [`crate::ElemBitmaps`] view. Candidates need not be sorted for this
@@ -422,7 +418,6 @@ impl QueryScratch {
         self.check_deadline();
         match side {
             Postings::Ids(ids) => self.intersect_ids(ids),
-            Postings::Blocks(bp) => self.intersect_blocks(bp),
             Postings::Bits(words) => self.intersect_bits(words),
         }
     }
@@ -520,50 +515,6 @@ impl QueryScratch {
                 .note(Kernel::BitmapProbe, self.cands.len() as u64);
             std::mem::swap(&mut self.cands, &mut self.next);
         }
-    }
-
-    #[inline(never)]
-    fn intersect_blocks(&mut self, bp: &BlockPostings) {
-        if self.bits_live {
-            // Downshift block-at-a-time: blocks whose first id is past
-            // the bitmap's live words can never match, so decoding stops
-            // there; everything decoded is probed like a sorted array.
-            self.cands.clear();
-            let limit = self.bits_words as u64 * 64;
-            let mut blocks = 0u64;
-            let mut scanned = 0u64;
-            for b in 0..bp.num_blocks() {
-                if u64::from(bp.block_first(b)) >= limit {
-                    break;
-                }
-                self.blk.clear();
-                bp.decode_block_into(b, &mut self.blk);
-                blocks += 1;
-                scanned += self.blk.len() as u64;
-                for &p in &self.blk {
-                    let r = raw(p);
-                    let w = r as usize / 64;
-                    if live(p) && w < self.bits_words && (self.bits[w] >> (r % 64)) & 1 == 1 {
-                        self.cands.push(r);
-                    }
-                }
-            }
-            self.zero_bits();
-            self.bits_live = false;
-            self.stats.note(Kernel::BitmapProbe, scanned);
-            self.stats.note_blocks(blocks);
-            return;
-        }
-        self.next.clear();
-        let st = bp.intersect_into(&self.cands, &mut self.next, &mut self.blk);
-        let kernel = if st.vector {
-            Kernel::SimdMerge
-        } else {
-            Kernel::Merge
-        };
-        self.stats.note(kernel, st.scanned);
-        self.stats.note_blocks(st.blocks_decoded);
-        std::mem::swap(&mut self.cands, &mut self.next);
     }
 
     /// Moves the candidate set (ascending if the planner ended in bitmap
@@ -786,7 +737,7 @@ impl QueryScratch {
     }
 
     /// Takes the block-decode buffer for call sites that stream
-    /// [`BlockPostings`] themselves (e.g. cTIF's overlay union). Give it
+    /// [`crate::BlockPostings`] themselves (e.g. cTIF's overlay union). Give it
     /// back with [`QueryScratch::put_blk`].
     pub fn take_blk(&mut self) -> Vec<u32> {
         let mut blk = std::mem::take(&mut self.blk);
@@ -994,42 +945,6 @@ mod tests {
         s.take_into(&mut out);
         assert_eq!(out, vec![9, 3]);
         assert_eq!(s.last_stats().word_and_steps, 1);
-    }
-
-    #[test]
-    fn blocks_intersect_in_array_and_bitmap_mode() {
-        // 8 blocks of evens over [0, 2048).
-        let ids: Vec<u32> = (0..1024).map(|i| i * 2).collect();
-        let bp = BlockPostings::encode(&ids);
-        assert_eq!(bp.num_blocks(), 8);
-
-        // Array candidates confined to one block: the rest skip.
-        let mut s = QueryScratch::default();
-        let cands: Vec<u32> = (600..700).collect();
-        let got = seq(&mut s, &cands, &[Postings::Blocks(&bp)]);
-        let want: Vec<u32> = (600..700).filter(|c| c % 2 == 0).collect();
-        assert_eq!(got, want);
-        let st = s.last_stats();
-        assert_eq!(st.blocks_decoded, 1);
-        assert_eq!(st.steps(), 1);
-        assert_eq!(st.kernel_scanned_sum(), st.scanned);
-
-        // Bitmap candidates: decoding stops at the bitmap's last word.
-        let dense_ids: Vec<u32> = (0..128).map(|i| i * 2).collect();
-        let evens = bits_of(&dense_ids, 256);
-        let seed: Vec<u32> = (0..256).collect();
-        let got = seq(
-            &mut s,
-            &seed,
-            &[Postings::Bits(&evens), Postings::Blocks(&bp)],
-        );
-        assert_eq!(got, dense_ids, "evens in [0, 256) survive both sides");
-        let st = s.last_stats();
-        assert!(
-            st.blocks_decoded < bp.num_blocks() as u64,
-            "blocks past the bitmap universe stay undecoded"
-        );
-        assert_eq!(st.kernel_scanned_sum(), st.scanned);
     }
 
     #[test]

@@ -37,7 +37,7 @@ use tir_core::{apply_ops, with_method, Collection, Method, Object, TemporalIrInd
 use tir_fault::FaultSite;
 use tir_invidx::Dictionary;
 
-use crate::snapshot::{write_snapshot, SnapshotError, SnapshotFile};
+use crate::snapshot::{check_elements_known, write_snapshot, SnapshotError, SnapshotFile};
 use crate::termlog::TermLog;
 use crate::wal::{Wal, WalOp, DEFAULT_SEGMENT_BYTES};
 
@@ -166,8 +166,14 @@ impl Durability {
         let snap = SnapshotFile::open(&dir.join(SNAPSHOT_NAME))?;
         let (method, snapshot_epoch) = (snap.meta().method, snap.meta().epoch);
         let mut dict = snap.dictionary()?;
-        let coll = Collection::new(snap.catalog_objects()?);
+        let objects = snap.catalog_objects()?;
         drop(snap);
+        for o in &objects {
+            check_elements_known(o, dict.len(), || {
+                format!("snapshot/catalog/object[{}]", o.id)
+            })?;
+        }
+        let coll = Collection::new(objects);
         let mut index: I = build_as(method, &coll)?;
         let mut catalog: HashMap<u32, Object> =
             coll.objects().iter().map(|o| (o.id, o.clone())).collect();
@@ -178,6 +184,14 @@ impl Durability {
         TermLog::recover(dir, &mut dict)?;
 
         let replay = Wal::replay(dir, snapshot_epoch)?;
+        // An op naming a term `terms.log` never made durable is corrupt,
+        // and is refused before any op is applied.
+        for (epoch, ops) in &replay.batches {
+            for (i, op) in ops.iter().enumerate() {
+                let (WalOp::Insert(o) | WalOp::Delete(o)) = op;
+                check_elements_known(o, dict.len(), || format!("wal/epoch[{epoch}]/op[{i}]"))?;
+            }
+        }
         let mut epoch = snapshot_epoch;
         let replayed = replay.batches.len() as u64;
         for (e, ops) in &replay.batches {
@@ -401,7 +415,7 @@ mod tests {
     fn snapshot_prunes_and_recovery_starts_from_it() {
         let dir = scratch_dir("snapshot");
         let mut index = Tif::default();
-        let dict = Dictionary::new();
+        let dict = Dictionary::from_parts(vec!["a".into()], vec![4]).expect("dict");
         let mut d = Durability::create(
             &dir,
             &index,
@@ -429,5 +443,62 @@ mod tests {
         assert_eq!(r.replayed, 0, "everything was in the snapshot");
         assert_eq!(r.durability.live(), 4);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Peak resident set of this process in MiB, where `/proc` reports it.
+    fn peak_rss_mib() -> Option<u64> {
+        let status = fs::read_to_string("/proc/self/status").ok()?;
+        let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+        let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+        Some(kib / 1024)
+    }
+
+    /// Recovery refuses `dir` with a corrupt error addressed at `at`, and
+    /// sized nothing by the out-of-range element id it found there.
+    fn refused_at(dir: &Path, at: &str) {
+        let err = Durability::recover::<Tif>(dir, DurabilityOptions::default())
+            .expect_err("an element past the dictionary is corrupt");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().starts_with(at), "{err}");
+        assert!(err.to_string().contains("1-term dictionary"), "{err}");
+        if let Some(mib) = peak_rss_mib() {
+            assert!(mib < 1024, "recovery peaked at {mib} MiB");
+        }
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    const FAR: u32 = u32::MAX - 1;
+
+    fn one_term() -> Dictionary {
+        Dictionary::from_parts(vec!["a".into()], vec![1]).expect("dict")
+    }
+
+    #[test]
+    fn resealed_snapshot_naming_an_unknown_element_is_refused() {
+        let dir = scratch_dir("far-snapshot");
+        fs::create_dir_all(&dir).expect("dir");
+        // CRC-valid: written by the real writer, not patched afterwards.
+        let catalog = [obj(1, 0, 5, &[0]), obj(2, 3, 9, &[0, FAR])];
+        let path = dir.join(SNAPSHOT_NAME);
+        write_snapshot(&path, 0, &one_term(), &catalog, &Tif::default()).expect("write");
+        refused_at(&dir, "snapshot/catalog/object[2]");
+    }
+
+    #[test]
+    fn resealed_wal_record_naming_an_unknown_element_is_refused() {
+        let dir = scratch_dir("far-wal");
+        let opts = DurabilityOptions::default();
+        let index = Tif::default();
+        drop(Durability::create(&dir, &index, &one_term(), &[], opts).expect("create"));
+        // A sealed record whose term `terms.log` never made durable.
+        let mut wal = Wal::open(&dir, 1, opts.segment_bytes).expect("wal");
+        let ops = [
+            WalOp::Insert(obj(1, 0, 5, &[0])),
+            WalOp::Insert(obj(2, 3, 9, &[FAR])),
+        ];
+        wal.append(1, &ops).expect("append");
+        wal.sync().expect("sync");
+        drop(wal);
+        refused_at(&dir, "wal/epoch[1]/op[1]");
     }
 }

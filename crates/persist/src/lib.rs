@@ -43,6 +43,8 @@ pub use crc::{crc32, Crc32};
 pub use engine::{
     ApplyOutcome, Durability, DurabilityOptions, PersistStats, Recovered, SNAPSHOT_NAME,
 };
-pub use snapshot::{write_snapshot, SnapshotError, SnapshotFile, SnapshotMeta, FORMAT_VERSION};
+pub use snapshot::{
+    check_elements_known, write_snapshot, SnapshotError, SnapshotFile, SnapshotMeta, FORMAT_VERSION,
+};
 pub use termlog::TermLog;
 pub use wal::{WalOp, WalStats};

@@ -129,6 +129,24 @@ impl From<SnapshotError> for io::Error {
     }
 }
 
+/// Refuses `o` as corrupt at `at` if its description names an element
+/// id the `terms`-term dictionary does not hold. Recovery sizes
+/// per-element tables by the largest id it is handed, so a CRC-valid record
+/// naming element `u32::MAX - 1` would otherwise ask for 16 GiB.
+pub fn check_elements_known(
+    o: &Object,
+    terms: usize,
+    at: impl FnOnce() -> String,
+) -> Result<(), SnapshotError> {
+    match o.desc.iter().find(|&&e| e as usize >= terms) {
+        Some(e) => Err(SnapshotError::corrupt(
+            at(),
+            format!("element {e} outside the {terms}-term dictionary"),
+        )),
+        None => Ok(()),
+    }
+}
+
 /// The parsed header of a snapshot.
 #[derive(Debug, Clone, Copy)]
 pub struct SnapshotMeta {

@@ -157,7 +157,12 @@ fn run_case<I, F>(
     let _ = fs::remove_dir_all(&dir);
 
     let mut index = build(coll);
-    let dict = Dictionary::new();
+    // Every element the catalog and the stream name is a term: recovery
+    // refuses an id its dictionary does not hold.
+    let mut dict = Dictionary::new();
+    for e in 0..coll.dict_size() {
+        dict.intern(&format!("e{e}"));
+    }
     let opts = DurabilityOptions {
         segment_bytes: 512, // rotate every couple of batches
         snapshot_every: 3,  // exercise the snapshot path mid-run

@@ -24,7 +24,11 @@ fn scratch(name: &str) -> PathBuf {
 
 fn setup(dir: &Path, coll: &Collection) -> (Tif, Durability, Dictionary, DurabilityOptions) {
     let index = Tif::build(coll);
-    let dict = Dictionary::new();
+    // Covers the catalog and the elements the batches below name.
+    let mut dict = Dictionary::new();
+    for e in 0..coll.dict_size().max(4) {
+        dict.intern(&format!("e{e}"));
+    }
     let opts = DurabilityOptions {
         segment_bytes: 1 << 20,
         snapshot_every: 0,

@@ -108,7 +108,7 @@ fn recovery_through_a_mismatching_type_is_refused() {
     let dir = scratch("mismatch");
     let opts = DurabilityOptions::default();
     let index = Tif::build(&coll);
-    Durability::create(&dir, &index, &Dictionary::new(), coll.objects(), opts).expect("create");
+    Durability::create(&dir, &index, &dict_for(&coll), coll.objects(), opts).expect("create");
     let err = Durability::recover::<TifHint>(&dir, opts).expect_err("tif dir as TifHint");
     assert!(err.to_string().contains("snapshot stores tif"), "{err}");
     // The oracle is not a registry method: nothing could rebuild it.

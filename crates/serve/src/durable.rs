@@ -68,7 +68,11 @@ mod tests {
 
     fn durable_store(dir: &Path) -> EpochStore<Tif> {
         let index = Tif::default();
-        let dict = Dictionary::new();
+        // The elements the tests' inserts name.
+        let mut dict = Dictionary::new();
+        for term in ["a", "b", "c"] {
+            dict.intern(term);
+        }
         let d = Durability::create(dir, &index, &dict, &[], DurabilityOptions::default())
             .expect("create");
         let log = TermLog::open(dir).expect("term log");

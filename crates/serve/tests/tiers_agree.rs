@@ -139,7 +139,10 @@ where
     let dir = std::env::temp_dir().join(format!("tir-serve-tiers-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let index = build(coll);
-    let dict = Dictionary::new();
+    let mut dict = Dictionary::new();
+    for e in 0..coll.dict_size() {
+        dict.intern(&format!("e{e}"));
+    }
     let opts = DurabilityOptions {
         snapshot_every: 2, // the flush barriers snapshot too
         ..Default::default()
