@@ -151,7 +151,6 @@ impl Default for Config {
                 "query_into",
                 "intersect_merge_into",
                 "intersect_gallop_into",
-                "intersect_adaptive_into",
                 "mark_hits",
             ]),
             hot_path_cuts: s(&["query"]),

@@ -1,11 +1,11 @@
 //! Micro-benchmarks of the sorted-set intersection kernels: merge vs
-//! galloping vs adaptive, across size ratios — the machinery behind every
+//! galloping, across size ratios — the machinery behind every
 //! postings-list intersection in the library.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
-use tir_invidx::{intersect_adaptive_into, intersect_gallop_into, intersect_merge_into};
+use tir_invidx::{intersect_gallop_into, intersect_merge_into};
 
 fn sorted(n: usize, stride: u32, offset: u32) -> Vec<u32> {
     (0..n as u32).map(|i| i * stride + offset).collect()
@@ -22,7 +22,6 @@ fn bench_kernels(c: &mut Criterion) {
                 intersect_merge_into as fn(&[u32], &[u32], &mut Vec<u32>),
             ),
             ("gallop", intersect_gallop_into),
-            ("adaptive", intersect_adaptive_into),
         ] {
             group.bench_with_input(
                 BenchmarkId::new(name, cand_size),

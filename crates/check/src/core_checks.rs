@@ -4,13 +4,14 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::hint_checks::{check_interval_division, DivisionAt};
 use crate::{fail, nest, Validate, Violation};
+use tir_core::compressed_tif::CompressedList;
 use tir_core::hybrid::DualCopy;
 use tir_core::irhint::Decoupled;
 use tir_core::postings::TemporalList;
 use tir_core::sharding::Shard;
 use tir_core::slicing::{SliceGrid, SlicedList};
 use tir_core::tif_hint::HintParams;
-use tir_core::{CompressedTif, DivisionStore, IrHint, PerTerm, TermPartition, IMPACT_STRIDE};
+use tir_core::{DivisionStore, IrHint, PerTerm, TermPartition, IMPACT_STRIDE};
 use tir_hint::{DivisionOrder, Hint};
 use tir_invidx::{live, raw, CompactTemporalInverted, ElemBitmaps};
 
@@ -355,71 +356,55 @@ impl CheckTerm for DualCopy {
     }
 }
 
-impl Validate for CompressedTif {
-    fn validate(&self) -> Vec<Violation> {
-        let mut out = Vec::new();
-        let mut live_count: BTreeMap<u32, usize> = BTreeMap::new();
-        let mut seen_dead: BTreeSet<u32> = BTreeSet::new();
-        self.for_each_base(|e, ids, triples| {
-            let prefix = format!("ctif/elem{e}/base");
-            let Some(triples) = triples else {
-                fail(&mut out, &prefix, "id list without temporal triples".into());
-                return;
-            };
-            let clean_before = out.len();
-            nest(&prefix, ids.validate(), &mut out);
-            nest(&prefix, triples.validate(), &mut out);
-            if out.len() != clean_before {
-                return; // the production decoders below assume sound streams
-            }
-            let mut decoded = Vec::with_capacity(ids.len());
-            ids.for_each(|id| decoded.push(id));
-            let mut temporal = Vec::with_capacity(triples.len());
-            triples.for_each(|id, _, _| temporal.push(id));
-            if decoded != temporal {
-                fail(
-                    &mut out,
-                    &prefix,
-                    format!(
-                        "id blocks hold {} ids, temporal triples {}: the two base copies disagree",
-                        decoded.len(),
-                        temporal.len()
-                    ),
-                );
-            }
-            let live = live_count.entry(e).or_insert(0);
-            for id in decoded {
-                if self.dead().contains(&id) {
-                    seen_dead.insert(id);
-                } else {
-                    *live += 1;
-                }
-            }
-        });
-        self.for_each_overlay(|e, list| {
-            let path = format!("ctif/elem{e}/overlay");
-            *live_count.entry(e).or_insert(0) +=
-                check_temporal_list(&path, &list.ids, list.sts(), list.ends(), &mut out);
-        });
-        // Tombstone hygiene: the blacklist names base objects only —
-        // overlay entries carry their own tombstone bit.
-        for id in self.dead() {
-            if !seen_dead.contains(id) {
-                fail(
-                    &mut out,
-                    "ctif/dead",
-                    format!("blacklisted id {id} is in no base list"),
-                );
+/// cTIF: both base streams sound and decoding to the same ids, the dead
+/// ids a subset of those, and a sound overlay.
+impl CheckTerm for CompressedList {
+    fn check_term(&self, _: &(), path: &str, out: &mut Vec<Violation>) -> usize {
+        let overlay = format!("{path}/overlay");
+        let live_overlay = check_temporal_list(
+            &overlay,
+            &self.overlay.ids,
+            self.overlay.sts(),
+            self.overlay.ends(),
+            out,
+        );
+        let base = format!("{path}/base");
+        let clean_before = out.len();
+        nest(&base, self.ids.validate(), out);
+        nest(&base, self.temporal.validate(), out);
+        if out.len() != clean_before {
+            return live_overlay; // the production decoders below assume sound streams
+        }
+        let mut decoded = Vec::with_capacity(self.ids.len());
+        self.ids.for_each(|id| decoded.push(id));
+        let mut temporal = Vec::with_capacity(self.temporal.len());
+        self.temporal.for_each(|id, _, _| temporal.push(id));
+        if decoded != temporal {
+            fail(
+                out,
+                &base,
+                format!(
+                    "id blocks hold {} ids, temporal triples {}: the two base copies disagree",
+                    decoded.len(),
+                    temporal.len()
+                ),
+            );
+        }
+        // Tombstone hygiene: the dead list names base ids only — overlay
+        // entries carry their own tombstone bit.
+        let dead = format!("{path}/dead");
+        if !self.dead.windows(2).all(|w| w[0] < w[1]) {
+            fail(out, &dead, "dead ids not strictly ascending".into());
+        }
+        let mut dead_in_base = 0;
+        for id in &self.dead {
+            if decoded.binary_search(id).is_ok() {
+                dead_in_base += 1;
+            } else {
+                fail(out, &dead, format!("dead id {id} is not in the base"));
             }
         }
-        check_freqs(
-            "ctif",
-            "live postings across base and overlay",
-            live_count,
-            |e| self.freq(e),
-            &mut out,
-        );
-        out
+        decoded.len().saturating_sub(dead_in_base) + live_overlay
     }
 }
 

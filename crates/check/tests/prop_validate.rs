@@ -189,6 +189,7 @@ proptest! {
         flipped(TifHint::build(&coll, TifHintConfig::binary_search()))?;
         flipped(TifHint::build(&coll, TifHintConfig::merge_sort()))?;
         flipped(TifHintSlicing::build(&coll))?;
+        flipped(CompressedTif::build(&coll))?;
     }
 
     #[test]

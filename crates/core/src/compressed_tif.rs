@@ -1,264 +1,167 @@
 //! **cTIF** — a compressed temporal inverted file (extension).
 //!
 //! Section 7 of the paper leaves inverted-file compression as future
-//! work; this index explores it: the bulk of every postings list is held
-//! delta-compressed and immutable — id lists as stream-vbyte blocks with
-//! uncompressed skip bounds, temporal triples as varint streams — while
-//! updates go to a small uncompressed overlay (LSM-style). Queries
-//! consult both sides, skipping base blocks whose bounds cannot meet the
-//! candidate set and decoding the rest block-at-a-time into the scratch
-//! buffer; deletes tombstone overlay entries directly and blacklist base
-//! entries.
-
-use std::collections::{HashMap, HashSet};
+//! work; this policy explores it on the IR-first skeleton: the bulk of
+//! every term's postings is held delta-compressed and immutable — ids as
+//! stream-vbyte blocks with uncompressed skip bounds, temporal triples as
+//! varint streams — while updates go to a small uncompressed overlay
+//! (LSM-style). A conjunction step skips base blocks whose bounds cannot
+//! meet the candidate set and decodes the rest block-at-a-time into the
+//! scratch buffer; a delete tombstones the overlay entry directly, or else
+//! lists the id among the term's dead base ids.
 
 use crate::collection::Collection;
-use crate::freq::FreqTable;
-use crate::index_trait::TemporalIrIndex;
 use crate::method::Method;
+use crate::per_term::{PerTerm, TermPartition};
 use crate::postings::TemporalList;
-use crate::types::{Object, ObjectId, TimeTravelQuery};
+use crate::types::Interval;
+use tir_hint::IntervalRecord;
 use tir_invidx::compress::{BlockPostings, CompressedTemporalPostings};
-use tir_invidx::intersect_merge_into;
 use tir_invidx::planner::{Kernel, QueryScratch};
+use tir_invidx::{intersect_merge_into, TOMBSTONE};
 
-/// The compressed temporal inverted file.
+/// One term of cTIF: a compressed base in two forms, an overlay, and the
+/// base ids deleted since the build.
 #[derive(Debug, Clone, Default)]
-pub struct CompressedTif {
-    /// Immutable compressed lists: block-coded ids for intersections,
-    /// temporal triples for the first-element filter.
-    base_ids: HashMap<u32, BlockPostings>,
-    base_temporal: HashMap<u32, CompressedTemporalPostings>,
-    /// Dynamic uncompressed overlay.
-    overlay: HashMap<u32, TemporalList>,
-    /// Objects deleted from the immutable base.
-    dead: HashSet<ObjectId>,
-    freqs: FreqTable,
+pub struct CompressedList {
+    /// The base ids as blocks, for conjunction steps.
+    pub ids: BlockPostings,
+    /// The same base as `(id, start, end)` triples, for the seed step.
+    pub temporal: CompressedTemporalPostings,
+    /// Postings inserted since the build, uncompressed.
+    pub overlay: TemporalList,
+    /// The base ids deleted since the build, strictly ascending.
+    pub dead: Vec<u32>,
 }
+
+/// The compressed temporal inverted file. Its terms share nothing.
+pub type CompressedTif = PerTerm<CompressedList>;
 
 impl CompressedTif {
     /// Builds the compressed base from a collection.
     pub fn build(coll: &Collection) -> Self {
-        let mut per_elem: HashMap<u32, (Vec<u32>, Vec<u64>, Vec<u64>)> = HashMap::new();
-        for o in coll.objects() {
-            for &e in &o.desc {
-                let entry = per_elem.entry(e).or_default();
-                entry.0.push(o.id);
-                entry.1.push(o.interval.st);
-                entry.2.push(o.interval.end);
-            }
-        }
-        let mut base_ids = HashMap::with_capacity(per_elem.len());
-        let mut base_temporal = HashMap::with_capacity(per_elem.len());
-        for (e, (ids, sts, ends)) in per_elem {
-            base_ids.insert(e, BlockPostings::encode(&ids));
-            base_temporal.insert(e, CompressedTemporalPostings::encode(&ids, &sts, &ends));
-        }
-        CompressedTif {
-            base_ids,
-            base_temporal,
-            overlay: HashMap::new(),
-            dead: HashSet::new(),
-            freqs: FreqTable::from_counts(coll.freqs()),
-        }
-    }
-
-    /// Compressed-base bytes (the number the compression future-work
-    /// question cares about).
-    pub fn base_size_bytes(&self) -> usize {
-        self.base_ids
-            .values()
-            .map(|c| c.size_bytes() + 16)
-            .sum::<usize>()
-            + self
-                .base_temporal
-                .values()
-                .map(|c| c.size_bytes() + 16)
-                .sum::<usize>()
-    }
-
-    /// Document frequency of an element as tracked by the planner.
-    pub fn freq(&self, e: u32) -> u32 {
-        self.freqs.get(e)
-    }
-
-    /// Calls `f(element, ids, triples)` for every compressed base list,
-    /// in unspecified element order (introspection for validators).
-    pub fn for_each_base(
-        &self,
-        mut f: impl FnMut(u32, &BlockPostings, Option<&CompressedTemporalPostings>),
-    ) {
-        for (&e, ids) in &self.base_ids {
-            f(e, ids, self.base_temporal.get(&e));
-        }
-    }
-
-    /// Calls `f(element, list)` for every overlay list, in unspecified
-    /// element order (introspection for validators).
-    pub fn for_each_overlay(&self, mut f: impl FnMut(u32, &TemporalList)) {
-        for (&e, list) in &self.overlay {
-            f(e, list);
-        }
-    }
-
-    /// The base objects deleted so far (introspection for validators).
-    pub fn dead(&self) -> &HashSet<ObjectId> {
-        &self.dead
+        Self::build_with(coll, ())
     }
 }
 
-impl TemporalIrIndex for CompressedTif {
-    fn name(&self) -> &'static str {
-        Method::Ctif.paper_name()
+impl CompressedList {
+    fn is_dead(&self, id: u32) -> bool {
+        self.dead.binary_search(&id).is_ok()
+    }
+}
+
+impl TermPartition for CompressedList {
+    type Shared = ();
+
+    fn method(_: &()) -> Method {
+        Method::Ctif
     }
 
-    fn query_into(&self, q: &TimeTravelQuery, scratch: &mut QueryScratch, out: &mut Vec<ObjectId>) {
-        scratch.reset();
-        self.freqs.plan_into(&q.elems, &mut scratch.plan);
-        if scratch.plan.is_empty() {
-            return;
+    fn build(_: &(), records: &[IntervalRecord]) -> Self {
+        let ids: Vec<u32> = records.iter().map(|r| r.id).collect();
+        let sts: Vec<u64> = records.iter().map(|r| r.st).collect();
+        let ends: Vec<u64> = records.iter().map(|r| r.end).collect();
+        CompressedList {
+            ids: BlockPostings::encode(&ids),
+            temporal: CompressedTemporalPostings::encode(&ids, &sts, &ends),
+            overlay: TemporalList::default(),
+            dead: Vec::new(),
         }
-        let (q_st, q_end) = (q.interval.st, q.interval.end);
+    }
 
-        // Least frequent element: temporal filter over base + overlay.
-        let first = scratch.plan[0];
-        let mut scanned = 0u64;
-        if let Some(base) = self.base_temporal.get(&first) {
-            let cands = &mut scratch.cands;
-            base.for_each(|id, st, end| {
-                scanned += 1;
-                if st <= q_end && end >= q_st && !self.dead.contains(&id) {
-                    cands.push(id);
-                }
-            });
-        }
-        if let Some(over) = self.overlay.get(&first) {
-            scanned += over.seed_overlap_into(q_st, q_end, &mut scratch.cands) as u64;
-        }
-        scratch.note(Kernel::Merge, scanned);
-        scratch.cands.sort_unstable();
-        scratch.cands.dedup();
+    fn insert(&mut self, _: &(), r: &IntervalRecord) {
+        self.overlay.insert(r.id, [r.st, r.end]);
+    }
 
-        // Remaining elements: block-at-a-time intersection against the
-        // base ids, merged with the overlay hits. Blocks whose skip
-        // bounds cannot meet the candidates are never decoded; decoded
-        // blocks land in the scratch decode buffer and go through the
-        // dispatched merge kernel.
-        let mut hits = scratch.take_aux();
-        let mut blk = scratch.take_blk();
-        for pi in 1..scratch.plan.len() {
-            if scratch.cands.is_empty() {
-                break;
-            }
-            let e = scratch.plan[pi];
-            hits.clear();
-            if let Some(base) = self.base_ids.get(&e) {
-                let st = base.intersect_into(&scratch.cands, &mut hits, &mut blk);
-                hits.retain(|id| !self.dead.contains(id));
-                let k = if st.vector {
-                    Kernel::SimdMerge
-                } else {
-                    Kernel::Merge
-                };
-                scratch.note(k, st.scanned);
-                scratch.note_blocks(st.blocks_decoded);
-            }
-            if let Some(over) = self.overlay.get(&e) {
-                intersect_merge_into(&scratch.cands, &over.ids, &mut hits);
-                scratch.note(Kernel::Merge, (scratch.cands.len() + over.ids.len()) as u64);
-            }
-            hits.sort_unstable();
-            hits.dedup();
-            std::mem::swap(&mut scratch.cands, &mut hits);
+    /// Overlay first; if the id is not alive there, the base entry dies.
+    fn tombstone(&mut self, _: &(), r: &IntervalRecord) -> bool {
+        if self.overlay.tombstone(r.id) {
+            return true;
         }
+        match self.dead.binary_search(&r.id) {
+            Err(pos) if self.ids.contains(r.id) => {
+                self.dead.insert(pos, r.id);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// The temporal filter over the base triples, skipping dead ids with
+    /// one cursor (both ascend), then over the overlay.
+    fn seed_into(&self, _: &(), q: Interval, scratch: &mut QueryScratch) -> u64 {
+        let cands = &mut scratch.cands;
+        let (mut scanned, mut d) = (0u64, 0usize);
+        self.temporal.for_each(|id, st, end| {
+            scanned += 1;
+            while d < self.dead.len() && self.dead[d] < id {
+                d += 1;
+            }
+            if st <= q.end && end >= q.st && self.dead.get(d) != Some(&id) {
+                cands.push(id);
+            }
+        });
+        scanned += self.overlay.seed_overlap_into(q.st, q.end, cands) as u64;
+        cands.sort_unstable();
+        cands.dedup();
+        scanned
+    }
+
+    /// Block-at-a-time intersection against the base ids, merged with the
+    /// overlay hits. Blocks whose skip bounds cannot meet the candidates
+    /// are never decoded; decoded blocks land in the scratch decode buffer
+    /// and go through the dispatched merge kernel.
+    fn restrict(&self, _: &(), _: Interval, scratch: &mut QueryScratch) {
+        let (mut hits, mut blk) = (scratch.take_aux(), scratch.take_blk());
+        if !self.ids.is_empty() {
+            let st = self.ids.intersect_into(&scratch.cands, &mut hits, &mut blk);
+            hits.retain(|&id| !self.is_dead(id));
+            let k = if st.vector {
+                Kernel::SimdMerge
+            } else {
+                Kernel::Merge
+            };
+            scratch.note(k, st.scanned);
+            scratch.note_blocks(st.blocks_decoded);
+        }
+        if !self.overlay.is_empty() {
+            intersect_merge_into(&scratch.cands, &self.overlay.ids, &mut hits);
+            let scanned = scratch.cands.len() + self.overlay.len();
+            scratch.note(Kernel::Merge, scanned as u64);
+        }
+        hits.sort_unstable();
+        hits.dedup();
+        std::mem::swap(&mut scratch.cands, &mut hits);
         scratch.put_blk(blk);
         scratch.put_aux(hits);
-        scratch.take_into(out);
     }
 
-    fn insert(&mut self, o: &Object) {
-        for &e in &o.desc {
-            self.overlay
-                .entry(e)
-                .or_default()
-                .insert(o.id, [o.interval.st, o.interval.end]);
-            self.freqs.bump(e);
-        }
-    }
-
-    fn delete(&mut self, o: &Object) -> bool {
-        // Overlay first; if absent there, blacklist the base entry.
-        let mut any = false;
-        let mut in_overlay = false;
-        for &e in &o.desc {
-            if let Some(list) = self.overlay.get_mut(&e) {
-                if list.tombstone(o.id) {
-                    in_overlay = true;
-                    any = true;
-                    self.freqs.drop_one(e);
-                }
-            }
-        }
-        if !in_overlay {
-            let in_base = self
-                .base_ids
-                .get(o.desc.first().unwrap_or(&u32::MAX))
-                .map(|c| c.contains(o.id))
-                .unwrap_or(false);
-            if in_base && self.dead.insert(o.id) {
-                for &e in &o.desc {
-                    self.freqs.drop_one(e);
-                }
-                any = true;
-            }
-        }
-        any
+    /// The decoded base with its dead ids tombstoned, then the overlay.
+    fn for_each_id_list(&self, mut f: impl FnMut(&[u32])) {
+        let mut base = Vec::with_capacity(self.ids.len());
+        self.ids.for_each(|id| {
+            base.push(if self.is_dead(id) { id | TOMBSTONE } else { id });
+        });
+        f(&base);
+        f(&self.overlay.ids);
     }
 
     fn size_bytes(&self) -> usize {
-        self.base_size_bytes()
-            + self
-                .overlay
-                .values()
-                .map(|l| l.size_bytes() + std::mem::size_of::<TemporalList>() + 16)
-                .sum::<usize>()
-            + self.dead.len() * 8
-            + self.freqs.size_bytes()
+        self.ids.size_bytes()
+            + self.temporal.size_bytes()
+            + self.overlay.size_bytes()
+            + std::mem::size_of::<TemporalList>()
+            + self.dead.capacity() * 4
+            + std::mem::size_of::<Vec<u32>>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::BruteForce;
+    use crate::index_trait::TemporalIrIndex;
     use crate::tif::Tif;
-
-    #[test]
-    fn running_example() {
-        let coll = Collection::running_example();
-        let idx = CompressedTif::build(&coll);
-        let q = TimeTravelQuery::new(5, 9, vec![0, 2]);
-        let mut got = idx.query(&q);
-        got.sort_unstable();
-        assert_eq!(got, vec![1, 3, 6]);
-    }
-
-    #[test]
-    fn matches_oracle_on_example_grid() {
-        let coll = Collection::running_example();
-        let idx = CompressedTif::build(&coll);
-        let bf = BruteForce::build(coll.objects());
-        for st in 0..16u64 {
-            for end in st..16 {
-                for elems in [vec![0], vec![2], vec![0, 2], vec![0, 1, 2]] {
-                    let q = TimeTravelQuery::new(st, end, elems);
-                    let mut got = idx.query(&q);
-                    got.sort_unstable();
-                    assert_eq!(got, bf.answer(&q), "q={q:?}");
-                }
-            }
-        }
-    }
+    use crate::types::Object;
 
     #[test]
     fn compressed_base_is_smaller_than_plain_tif() {
@@ -285,34 +188,14 @@ mod tests {
     }
 
     #[test]
-    fn overlay_updates_match_oracle() {
-        let coll = Collection::running_example();
-        let mut idx = CompressedTif::build(&coll);
-        let mut bf = BruteForce::build(coll.objects());
-        // Insert into the overlay.
-        let o = Object::new(8, 4, 11, vec![0, 2]);
-        idx.insert(&o);
-        bf.insert(&o);
-        // Delete one base object and the overlay object.
-        assert!(idx.delete(coll.get(3)));
-        bf.delete(coll.get(3));
-        assert!(!idx.delete(coll.get(3)), "idempotent");
-        assert!(idx.delete(&o));
-        bf.delete(&o);
-        for st in 0..16u64 {
-            for elems in [vec![0, 2], vec![2]] {
-                let q = TimeTravelQuery::new(st, st + 4, elems);
-                let mut got = idx.query(&q);
-                got.sort_unstable();
-                assert_eq!(got, bf.answer(&q), "q={q:?}");
-            }
-        }
-    }
-
-    #[test]
     fn delete_unknown_object_is_false() {
         let coll = Collection::running_example();
         let mut idx = CompressedTif::build(&coll);
         assert!(!idx.delete(&Object::new(77, 0, 5, vec![0])));
+    }
+
+    #[test]
+    fn contract() {
+        crate::per_term::contract::holds("ctif", CompressedTif::build);
     }
 }

@@ -7,9 +7,9 @@
 //!
 //! ## Index implementations
 //!
-//! The first six are one skeleton, [`PerTerm`], over what a term's
-//! postings are ([`TermPartition`]); the next two are time-first: one
-//! skeleton, [`IrHint`], over what a HINT division stores
+//! Seven rows are one skeleton, [`PerTerm`], over what a term's postings
+//! are ([`TermPartition`]): the first six and cTIF. The two irHINTs are
+//! time-first: one skeleton, [`IrHint`], over what a HINT division stores
 //! ([`DivisionStore`]). Both halves answer a dense non-seed query term from
 //! one index-wide membership bitmap (`tir_invidx::ElemBitmaps`).
 //!
@@ -23,7 +23,7 @@
 //! | [`TifHintSlicing`] | dual-copy hybrid: a term is a HINT plus slices | §3.2 |
 //! | [`IrHintPerf`] | time-first: a division is a tIF | §4.1, Alg. 5 |
 //! | [`IrHintSize`] | time-first: a division is interval columns beside an id-only inverted file | §4.2, Alg. 6 |
-//! | [`CompressedTif`] | block-compressed base + uncompressed overlay | §7 (future work) |
+//! | [`CompressedTif`] | a term is a block-compressed base + uncompressed overlay | §7 (future work) |
 //!
 //! Those nine rows are the closed set [`Method`] enumerates: the registry
 //! names each method (CLI spelling and paper name), builds it with the

@@ -5,7 +5,8 @@
 //! ascending frequency, answer the time-travel part on the least frequent
 //! term, intersect the survivors with every other term — crossed with how
 //! a term's postings are organised in time. [`PerTerm`] is that plan;
-//! a [`TermPartition`] is one organisation.
+//! a [`TermPartition`] is one organisation. cTIF (§7's compression future
+//! work) is one more: a compressed base with an uncompressed overlay.
 //!
 //! Whether an object holds a term does not depend on how the term's list is
 //! organised in time, so the skeleton, not the policy, answers the dense
@@ -243,7 +244,9 @@ impl<P: TermPartition> TemporalIrIndex for PerTerm<P> {
     // tIF+Slicing counts a header per *materialized* sub-list
     // (`subs.len()`), the hybrid per *allocated* slot (`subs.capacity()`);
     // tIF+Sharding counts shard headers at capacity; per-term HINTs leave
-    // out spare partition slots. The dense-term bitmaps count at capacity.
+    // out spare partition slots; cTIF counts its two base streams with
+    // their own headers, and its overlay columns and dead ids at capacity
+    // plus a header each. The dense-term bitmaps count at capacity.
     fn size_bytes(&self) -> usize {
         let terms = self.terms.values().map(|t| t.size_bytes() + 16);
         terms.sum::<usize>() + self.freqs.size_bytes() + self.bitmaps.size_bytes()
@@ -270,10 +273,13 @@ pub(crate) mod contract {
         got
     }
 
-    /// Figure 1's query, the oracle over every interval of the running
-    /// example's domain × seven element sets, then an insert, a delete and
-    /// a repeated delete followed by the oracle again — with the dense-term
-    /// bitmaps (every term of eight objects is dense) and without them.
+    /// Figure 1's query, then the oracle over every interval of the running
+    /// example's domain × seven element sets: as built; after an insert, a
+    /// delete and a repeated delete; after a deleted base object's id comes
+    /// back with another interval and description; and after a far id
+    /// stretches the universe until no term is dense. Each with the
+    /// dense-term bitmaps (every term of eight objects is dense) and
+    /// without them.
     pub(crate) fn holds<P: TermPartition>(what: &str, build: impl Fn(&Collection) -> PerTerm<P>) {
         let coll = Collection::running_example();
         for bare in [false, true] {
@@ -285,10 +291,7 @@ pub(crate) mod contract {
         }
     }
 
-    fn holds_on<P: TermPartition>(what: &str, coll: &Collection, mut idx: PerTerm<P>) {
-        let mut bf = BruteForce::build(coll.objects());
-        let fig1 = TimeTravelQuery::new(5, 9, vec![0, 2]);
-        assert_eq!(sorted_once(&idx, &fig1, what), vec![1, 3, 6], "{what}");
+    fn oracle_grid<P: TermPartition>(idx: &PerTerm<P>, bf: &BruteForce, what: &str) {
         let elem_sets = [
             vec![0],
             vec![1],
@@ -298,25 +301,46 @@ pub(crate) mod contract {
             vec![0, 1, 2],
             vec![5],
         ];
-        for round in 0..2 {
-            for st in 0..16u64 {
-                for end in st..16 {
-                    for elems in &elem_sets {
-                        let q = TimeTravelQuery::new(st, end, elems.clone());
-                        assert_eq!(sorted_once(&idx, &q, what), bf.answer(&q), "{what} q={q:?}");
-                    }
-                }
-            }
-            if round == 0 {
-                let o = Object::new(8, 2, 13, vec![0, 1, 2]);
-                idx.insert(&o);
-                bf.insert(&o);
-                for victim in [3, 6] {
-                    assert!(idx.delete(coll.get(victim)), "{what}");
-                    bf.delete(coll.get(victim));
-                    assert!(!idx.delete(coll.get(victim)), "{what}: idempotent");
+        for st in 0..16u64 {
+            for end in st..16 {
+                for elems in &elem_sets {
+                    let q = TimeTravelQuery::new(st, end, elems.clone());
+                    assert_eq!(sorted_once(idx, &q, what), bf.answer(&q), "{what} q={q:?}");
                 }
             }
         }
+    }
+
+    fn holds_on<P: TermPartition>(what: &str, coll: &Collection, mut idx: PerTerm<P>) {
+        let mut bf = BruteForce::build(coll.objects());
+        let fig1 = TimeTravelQuery::new(5, 9, vec![0, 2]);
+        assert_eq!(sorted_once(&idx, &fig1, what), vec![1, 3, 6], "{what}");
+        oracle_grid(&idx, &bf, &format!("{what} built"));
+
+        let o = Object::new(8, 2, 13, vec![0, 1, 2]);
+        idx.insert(&o);
+        bf.insert(&o);
+        for victim in [3, 6] {
+            assert!(idx.delete(coll.get(victim)), "{what}");
+            bf.delete(coll.get(victim));
+            assert!(!idx.delete(coll.get(victim)), "{what}: idempotent");
+        }
+        oracle_grid(&idx, &bf, &format!("{what} updated"));
+
+        // o2 = [2, 6] {a, c} dies; its id comes back as [9, 12] {b, c, 5}:
+        // dead where it was built, live where it was inserted, both in c.
+        assert!(idx.delete(coll.get(1)), "{what}");
+        bf.delete(coll.get(1));
+        let reborn = Object::new(1, 9, 12, vec![1, 2, 5]);
+        idx.insert(&reborn);
+        bf.insert(&reborn);
+        oracle_grid(&idx, &bf, &format!("{what} re-used id"));
+
+        // Id 1000 grows the universe past every term's density bound.
+        let far = Object::new(1000, 4, 9, vec![0, 2]);
+        idx.insert(&far);
+        bf.insert(&far);
+        assert_eq!(idx.bitmaps().iter().count(), 0, "{what}: far id demotes");
+        oracle_grid(&idx, &bf, &format!("{what} far id"));
     }
 }

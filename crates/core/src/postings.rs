@@ -1,6 +1,6 @@
 //! Time-aware postings lists: the building block of every IR-first index.
 
-use crate::types::{Object, ObjectId, Timestamp};
+use crate::types::{ObjectId, Timestamp};
 use tir_invidx::{live, raw, TOMBSTONE};
 
 /// An id-sorted column list: object ids (raw-id order, tombstone high bit
@@ -113,22 +113,6 @@ impl TemporalList {
         }
         self.ids.len()
     }
-}
-
-/// Builds one [`TemporalList`] per element from a collection of objects.
-/// Objects must be visited in ascending id order for the lists to come out
-/// sorted (true for [`crate::collection::Collection`]).
-pub fn build_lists(objects: &[Object]) -> std::collections::HashMap<u32, TemporalList> {
-    let mut lists: std::collections::HashMap<u32, TemporalList> = std::collections::HashMap::new();
-    for o in objects {
-        for &e in &o.desc {
-            lists
-                .entry(e)
-                .or_default()
-                .insert(o.id, [o.interval.st, o.interval.end]);
-        }
-    }
-    lists
 }
 
 #[cfg(test)]

@@ -18,8 +18,7 @@
 use std::collections::HashMap;
 
 use crate::collection::Collection;
-use crate::freq::FreqTable;
-use crate::postings::{build_lists, TemporalList};
+use crate::tif::Tif;
 use crate::types::{ElemId, Interval, ObjectId, Timestamp};
 use tir_invidx::live;
 
@@ -56,11 +55,11 @@ pub struct ScoredHit {
     pub score: f64,
 }
 
-/// Inverted-file evaluator for ranked temporal queries.
+/// Inverted-file evaluator for ranked temporal queries: scores read tIF's
+/// postings lists and frequencies.
 #[derive(Debug, Clone, Default)]
 pub struct RankedTif {
-    lists: HashMap<u32, TemporalList>,
-    freqs: FreqTable,
+    tif: Tif,
     n: usize,
 }
 
@@ -68,14 +67,13 @@ impl RankedTif {
     /// Builds the evaluator over a collection.
     pub fn build(coll: &Collection) -> Self {
         RankedTif {
-            lists: build_lists(coll.objects()),
-            freqs: FreqTable::from_counts(coll.freqs()),
+            tif: Tif::build(coll),
             n: coll.len(),
         }
     }
 
     fn idf(&self, e: ElemId) -> f64 {
-        let f = self.freqs.get(e).max(1) as f64;
+        let f = self.tif.freq(e).max(1) as f64;
         (1.0 + self.n as f64 / f).ln()
     }
 
@@ -95,7 +93,7 @@ impl RankedTif {
         // Accumulate IDF mass and remember the overlap factor per object.
         let mut acc: HashMap<ObjectId, (f64, f64)> = HashMap::new();
         for &e in &q.elems {
-            let Some(list) = self.lists.get(&e) else {
+            let Some(list) = self.tif.terms.get(&e) else {
                 continue;
             };
             let w = self.idf(e);

@@ -94,8 +94,8 @@ impl<P: TermPartition + 'static> Accelerated for PerTerm<P> {
     }
 }
 
-/// The eight methods that keep dense-term bitmaps: six IR-first policies
-/// and the two irHINTs.
+/// Every method, each with its dense-term bitmaps: the seven IR-first
+/// methods and the two irHINTs.
 fn accelerated_indexes(coll: &Collection) -> Vec<Box<dyn Accelerated>> {
     vec![
         Box::new(Tif::build(coll)),
@@ -116,21 +116,17 @@ fn accelerated_indexes(coll: &Collection) -> Vec<Box<dyn Accelerated>> {
             },
         )),
         Box::new(TifHintSlicing::build_with_params(coll, 4, 5)),
+        Box::new(CompressedTif::build(coll)),
         Box::new(IrHintPerf::build_with_m(coll, 6)),
         Box::new(IrHintSize::build_with_m(coll, 6)),
     ]
 }
 
-/// cTIF, which keeps none.
-fn plain_indexes(coll: &Collection) -> Vec<Box<dyn TemporalIrIndex>> {
-    vec![Box::new(CompressedTif::build(coll))]
-}
-
 fn all_indexes(coll: &Collection) -> Vec<Box<dyn TemporalIrIndex>> {
     let accelerated = accelerated_indexes(coll).into_iter();
-    let mut all = plain_indexes(coll);
-    all.extend(accelerated.map(|idx| idx as Box<dyn TemporalIrIndex>));
-    all
+    accelerated
+        .map(|idx| idx as Box<dyn TemporalIrIndex>)
+        .collect()
 }
 
 fn check(
@@ -196,9 +192,8 @@ proptest! {
         let coll = if skewed { skewed_coll } else { plain_coll };
         let jump = [0, 100, 2000][jump_scale as usize] * jump_by;
         let mut oracle = BruteForce::build(coll.objects());
-        // The methods with dense-term bitmaps are kept as themselves, so the
-        // state the sequence leaves can be queried with its bitmaps dropped.
-        let mut plain = plain_indexes(&coll);
+        // The methods are kept as themselves, so the state the sequence
+        // leaves can be queried with its bitmaps dropped.
         let mut accelerated = accelerated_indexes(&coll);
         // Interleave inserts and deletes of existing objects; every other
         // chunk of `batch_len` inserts goes through `insert_batch` (the
@@ -210,13 +205,10 @@ proptest! {
         let mut reused: HashMap<u32, Object> = HashMap::new();
         let mut dead: Vec<u32> = Vec::new();
         {
-            let mut targets: Vec<&mut dyn TemporalIrIndex> =
-                plain.iter_mut().map(|idx| &mut **idx).collect();
-            targets.extend(
-                accelerated
-                    .iter_mut()
-                    .map(|idx| &mut **idx as &mut dyn TemporalIrIndex),
-            );
+            let mut targets: Vec<&mut dyn TemporalIrIndex> = accelerated
+                .iter_mut()
+                .map(|idx| &mut **idx as &mut dyn TemporalIrIndex)
+                .collect();
             for (i, (a, b, desc)) in extra.iter().enumerate() {
                 let fresh = base + i as u32 + if i >= jump_at { jump } else { 0 };
                 let id = if i % reuse_every == 1 { dead.pop().unwrap_or(fresh) } else { fresh };
@@ -254,9 +246,9 @@ proptest! {
             }
         }
         // Accelerator only: the bitmaps change no answer, present or dropped.
-        let mut indexes = plain;
         let bare: Vec<_> = accelerated.iter().map(|idx| idx.without_bitmaps()).collect();
-        indexes.extend(accelerated.into_iter().map(|idx| idx as Box<dyn TemporalIrIndex>));
+        let mut indexes: Vec<_> =
+            accelerated.into_iter().map(|idx| idx as Box<dyn TemporalIrIndex>).collect();
         indexes.extend(bare);
         for idx in &indexes {
             for q in &queries {

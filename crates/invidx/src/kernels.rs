@@ -139,26 +139,14 @@ pub fn intersect_gallop_rev_into(cands: &[u32], postings: &[u32], out: &mut Vec<
     }
 }
 
-/// Ratio above which [`intersect_adaptive_into`] switches from merging to
-/// galloping. Retuned 16 → 8 on the vectorized-kernel density grid: the
+/// Size ratio above which a conjunction step (the planner's `intersect`,
+/// its merge-marking rounds, `BlockPostings::intersect_into`) gallops
+/// through the longer side instead of merging. Retuned 16 → 8 on the vectorized-kernel density grid: the
 /// 8-lane gallop probe already beats both merge forms at an 8:1
 /// postings:cands ratio ((1‰,8‰): 8.0µs vs 10.8µs scalar merge; (8‰,64‰):
 /// 106µs vs 133µs vector merge) and ties at 4:1, where the old scalar
 /// crossover sat near 16:1 (BENCH_kernels.json).
 pub const GALLOP_RATIO: usize = 8;
-
-/// Picks merge or gallop (either direction) based on the size ratio of
-/// the inputs.
-#[inline]
-pub fn intersect_adaptive_into(cands: &[u32], postings: &[u32], out: &mut Vec<u32>) {
-    if cands.len().saturating_mul(GALLOP_RATIO) < postings.len() {
-        intersect_gallop_into(cands, postings, out);
-    } else if postings.len().saturating_mul(GALLOP_RATIO) < cands.len() {
-        intersect_gallop_rev_into(cands, postings, out);
-    } else {
-        intersect_merge_into(cands, postings, out);
-    }
-}
 
 /// Marks `hits[i] = true` for every candidate `cands[i]` that has a live
 /// posting. Used when a candidate may occur in several postings runs (e.g.
@@ -353,7 +341,6 @@ mod tests {
             intersect_merge_into as fn(&[u32], &[u32], &mut Vec<u32>),
             intersect_gallop_into,
             intersect_gallop_rev_into,
-            intersect_adaptive_into,
         ] {
             let mut out = Vec::new();
             f(cands, postings, &mut out);
@@ -382,10 +369,6 @@ mod tests {
         let mut out = Vec::new();
         intersect_gallop_rev_into(&cands, &postings, &mut out);
         assert_eq!(out, vec![0, 2999 * 3, 9999 * 3]);
-        // The adaptive dispatch picks it at this skew and must agree.
-        let mut adaptive = Vec::new();
-        intersect_adaptive_into(&cands, &postings, &mut adaptive);
-        assert_eq!(adaptive, out);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use tir_invidx::{
-    intersect_adaptive_into, intersect_gallop_into, intersect_merge_into, ElemBitmaps,
-    FlatInverted, Postings, QueryScratch, ELEM_BITMAP_DEN, TOMBSTONE,
+    intersect_gallop_into, intersect_merge_into, ElemBitmaps, FlatInverted, Postings, QueryScratch,
+    ELEM_BITMAP_DEN, TOMBSTONE,
 };
 
 fn sorted_unique(max: u32, len: usize) -> impl Strategy<Value = Vec<u32>> {
@@ -137,7 +137,6 @@ proptest! {
         for f in [
             intersect_merge_into as fn(&[u32], &[u32], &mut Vec<u32>),
             intersect_gallop_into,
-            intersect_adaptive_into,
         ] {
             let mut out = Vec::new();
             f(&cands, &postings, &mut out);

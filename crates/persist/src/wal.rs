@@ -54,6 +54,9 @@ pub const RECORD_MAGIC: [u8; 4] = *b"TIRW";
 const RECORD_HEADER: usize = 16;
 /// Default segment-rotation threshold.
 pub const DEFAULT_SEGMENT_BYTES: u64 = 4 << 20;
+/// Bytes of one encoded op before its elements: tag, id, start, end and
+/// element count.
+const OP_HEAD: usize = 25;
 /// Refuse records claiming payloads past this bound (corrupt length
 /// fields would otherwise drive huge allocations during replay).
 const MAX_PAYLOAD: u32 = 256 << 20;
@@ -135,7 +138,9 @@ pub fn decode_ops(payload: &[u8], at: &str) -> io::Result<Vec<WalOp>> {
     let corrupt = |msg: String| io::Error::new(io::ErrorKind::InvalidData, format!("{at}: {msg}"));
     let n = read_u32(payload, 0).ok_or_else(|| corrupt("payload shorter than op count".into()))?
         as usize;
-    let mut ops = Vec::with_capacity(n.min(4096));
+    // Capacities trust the length fields only as far as the payload could
+    // hold them: an op is at least `OP_HEAD` bytes, an element 4.
+    let mut ops = Vec::with_capacity(n.min(payload.len() / OP_HEAD));
     let mut pos = 4usize;
     for i in 0..n {
         let tag = *payload
@@ -150,8 +155,14 @@ pub fn decode_ops(payload: &[u8], at: &str) -> io::Result<Vec<WalOp>> {
         let dlen = read_u32(payload, pos + 20)
             .ok_or_else(|| corrupt(format!("op[{i}] desc length truncated")))?
             as usize;
+        if id & (1 << 31) != 0 {
+            return Err(corrupt(format!("op[{i}] id {id} uses the tombstone bit")));
+        }
+        if st > end {
+            return Err(corrupt(format!("op[{i}] inverted interval [{st}, {end}]")));
+        }
         pos += 24;
-        let mut desc = Vec::with_capacity(dlen.min(4096));
+        let mut desc = Vec::with_capacity(dlen.min(payload.len().saturating_sub(pos) / 4));
         for j in 0..dlen {
             desc.push(
                 read_u32(payload, pos + j * 4)
@@ -545,5 +556,23 @@ mod tests {
         payload[4] = 9; // unknown tag
         assert!(decode_ops(&payload, "t").is_err());
         assert!(decode_ops(&payload[..7], "t").is_err());
+    }
+
+    #[test]
+    fn decode_refuses_what_object_new_asserts() {
+        // Re-sealed WAL damage the mutation loop found (snapshot_roundtrip
+        // cases 3 and 71): an inverted interval and an id with the
+        // tombstone bit panicked in `Object::new` instead of erroring.
+        let payload = encode_ops(&[op(5, 1, 2)]);
+        let mut inverted = payload.clone();
+        inverted[9..17].copy_from_slice(&9u64.to_le_bytes());
+        let err = decode_ops(&inverted, "seg@16").expect_err("inverted");
+        assert!(err
+            .to_string()
+            .contains("seg@16: op[0] inverted interval [9, 2]"));
+        let mut tombstoned = payload;
+        tombstoned[5..9].copy_from_slice(&(5u32 | 1 << 31).to_le_bytes());
+        let err = decode_ops(&tombstoned, "seg@16").expect_err("tombstone bit");
+        assert!(err.to_string().contains("tombstone bit"), "{err}");
     }
 }

@@ -5,7 +5,10 @@
 //! open time, and a CRC-valid file whose catalog breaks an in-memory
 //! invariant must be rejected by the decoder, never panic.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::fs;
+use std::io;
 use std::path::PathBuf;
 
 use tir_check::Validate;
@@ -13,9 +16,10 @@ use tir_core::prelude::*;
 use tir_core::with_method;
 use tir_datagen::SyntheticConfig;
 use tir_invidx::Dictionary;
+use tir_persist::wal::Wal;
 use tir_persist::{
-    write_snapshot, Durability, DurabilityOptions, Recovered, SnapshotError, SnapshotFile, WalOp,
-    SNAPSHOT_NAME,
+    write_snapshot, Durability, DurabilityOptions, Recovered, SnapshotError, SnapshotFile, TermLog,
+    WalOp, SNAPSHOT_NAME,
 };
 
 fn scratch(name: &str) -> PathBuf {
@@ -318,6 +322,250 @@ fn mutated_snapshots_are_corrupt_or_sound_never_a_panic() {
     // Both layers saw damage: the checksums, and what is behind them.
     assert!(caught_by_crc > 0 && caught_by_decoder > 0 && accepted > 0);
     let _ = fs::remove_file(&path);
+}
+
+/// Records the largest single allocation this thread asks for while armed,
+/// so a reader can be held to allocating no more than its input holds.
+struct Largest;
+
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note_allocation(size: usize) {
+    // `try_with`: the allocator also runs while thread-locals are torn down.
+    let _ = ARMED.try_with(|armed| {
+        if armed.get() {
+            LARGEST.with(|l| l.set(l.get().max(size)));
+        }
+    });
+}
+
+// SAFETY: delegates every call verbatim to `System`; the wrapper only
+// records a size and never touches the memory.
+unsafe impl GlobalAlloc for Largest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_allocation(layout.size());
+        // SAFETY: the caller's contract, forwarded unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_allocation(layout.size());
+        // SAFETY: the caller's contract, forwarded unchanged.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_allocation(new_size);
+        // SAFETY: the caller's contract, forwarded unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` and `layout` come from the paired call above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Largest = Largest;
+
+/// Runs `f` and returns its result with the largest single allocation it
+/// made on this thread.
+fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|l| l.set(0));
+    ARMED.with(|a| a.set(true));
+    let out = f();
+    ARMED.with(|a| a.set(false));
+    (out, LARGEST.with(Cell::get))
+}
+
+/// What a reader of `len` input bytes may allocate at once: its input,
+/// decoded into a few times as many bytes, plus paths and messages.
+fn allocation_bound(len: usize) -> usize {
+    4 * len + 1024
+}
+
+/// One case of the log mutation loops: flips, cuts off or appends 1–4
+/// bytes.
+fn mutate(bytes: &mut Vec<u8>, rng: &mut u64) {
+    let edits = 1 + (mix(rng) % 4) as usize;
+    match mix(rng) % 3 {
+        0 => {
+            for _ in 0..edits {
+                let at = (mix(rng) % bytes.len() as u64) as usize;
+                bytes[at] ^= 1 + (mix(rng) % 255) as u8;
+            }
+        }
+        1 => bytes.truncate(bytes.len().saturating_sub(edits)),
+        _ => bytes.extend((0..edits).map(|_| mix(rng) as u8)),
+    }
+}
+
+/// Recomputes the CRC of every record whose framing still fits, following
+/// the (possibly damaged) length fields: `head` bytes before the payload,
+/// whose length is the `u32` at `len_at`, a CRC over `crc_from..` the
+/// payload's end, then the CRC itself.
+fn reseal_records(bytes: &mut [u8], head: usize, len_at: usize, crc_from: usize) {
+    let mut pos = 0usize;
+    while bytes.len() - pos >= head {
+        let at = pos + len_at;
+        let plen = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        let end = pos + head + plen;
+        if end + 4 > bytes.len() {
+            return;
+        }
+        let crc = tir_persist::crc32(&bytes[pos + crc_from..end]);
+        bytes[end..end + 4].copy_from_slice(&crc.to_le_bytes());
+        pos = end + 4;
+    }
+}
+
+/// Eight batches of one to three inserts and deletes.
+fn wal_batches() -> Vec<Vec<WalOp>> {
+    let op = |b: u32, i: u32| {
+        let id = 10 * b + i;
+        let st = u64::from(id);
+        let o = Object::new(id, st, st + 5 + u64::from(b), vec![b % 4, 4 + i]);
+        if (b + i) % 4 == 3 {
+            WalOp::Delete(o)
+        } else {
+            WalOp::Insert(o)
+        }
+    };
+    (0..8)
+        .map(|b| (0..1 + b % 3).map(|i| op(b, i)).collect())
+        .collect()
+}
+
+/// The WAL reader under the snapshot loop's mutations: 512 cases over a
+/// log of several segments, each damaging one segment and in every other
+/// case re-sealing its record CRCs so `decode_ops` sees the damage. Replay
+/// ends in `InvalidData` naming `path@offset` or in `Ok` — a prefix of the
+/// written batches where nothing was re-sealed — never in a panic or an
+/// allocation larger than the log.
+#[test]
+fn mutated_wal_segments_are_invalid_or_a_prefix_never_a_panic() {
+    let dir = scratch("wal-fuzz");
+    let written = wal_batches();
+    let mut wal = Wal::open(&dir, 1, 200).expect("open");
+    for (epoch, ops) in (1..).zip(&written) {
+        wal.append(epoch, ops).expect("append");
+        wal.sync().expect("sync");
+    }
+    drop(wal);
+    let mut segs: Vec<PathBuf> = fs::read_dir(&dir)
+        .expect("list")
+        .map(|e| e.expect("entry").path())
+        .collect();
+    segs.sort();
+    assert!(segs.len() >= 3, "{segs:?}");
+    let clean: Vec<Vec<u8>> = segs.iter().map(|p| fs::read(p).expect("read")).collect();
+    let (mut invalid, mut prefixes) = (0, 0);
+    for case in 0..512u64 {
+        let mut rng = case;
+        let s = (mix(&mut rng) % segs.len() as u64) as usize;
+        let mut bytes = clean[s].clone();
+        mutate(&mut bytes, &mut rng);
+        let resealed = case % 2 == 1;
+        if resealed {
+            reseal_records(&mut bytes, 16, 4, 4);
+        }
+        for (path, clean) in segs.iter().zip(&clean) {
+            fs::write(path, clean).expect("restore");
+        }
+        fs::write(&segs[s], &bytes).expect("write mutated");
+        let len: usize = clean.iter().map(Vec::len).sum::<usize>() + bytes.len();
+        let (got, largest) = largest_allocation(|| Wal::replay(&dir, 0));
+        assert!(
+            largest <= allocation_bound(len),
+            "case {case}: a {largest}-byte allocation replaying {len} bytes"
+        );
+        match got {
+            Err(e) => {
+                assert_eq!(e.kind(), io::ErrorKind::InvalidData, "case {case}: {e}");
+                let msg = e.to_string();
+                let named = segs
+                    .iter()
+                    .any(|p| msg.contains(&format!("{}@", p.display())));
+                assert!(named, "case {case}: {msg} names no segment offset");
+                invalid += 1;
+            }
+            Ok(replayed) if !resealed => {
+                let got: Vec<&Vec<WalOp>> = replayed.batches.iter().map(|(_, ops)| ops).collect();
+                let want: Vec<&Vec<WalOp>> = written.iter().take(got.len()).collect();
+                assert_eq!(
+                    got, want,
+                    "case {case}: not a prefix of the written batches"
+                );
+                prefixes += 1;
+            }
+            Ok(_) => {}
+        }
+    }
+    assert!(invalid > 0 && prefixes > 0);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// `terms.log` under the same loop: recovery onto a dictionary that holds
+/// the first three of ten logged terms ends in `InvalidData` naming
+/// `terms.log@offset` or in `Ok` — the dictionary extended by a prefix of
+/// the logged terms where nothing was re-sealed — never in a panic or an
+/// allocation larger than the log.
+#[test]
+fn mutated_term_logs_are_invalid_or_a_prefix_never_a_panic() {
+    let dir = scratch("termlog-fuzz");
+    let terms: Vec<String> = (0..10).map(|i| format!("term-{i}")).collect();
+    let mut log = TermLog::open(&dir).expect("open");
+    for (id, term) in (0..).zip(&terms) {
+        log.append(id, term).expect("append");
+    }
+    let path = log.path().to_path_buf();
+    drop(log);
+    let clean = fs::read(&path).expect("read");
+    let snapshot_terms = || Dictionary::from_parts(terms[..3].to_vec(), vec![0; 3]).expect("parts");
+    let (mut invalid, mut prefixes) = (0, 0);
+    for case in 0..512u64 {
+        let mut rng = case;
+        let mut bytes = clean.clone();
+        mutate(&mut bytes, &mut rng);
+        let resealed = case % 2 == 1;
+        if resealed {
+            reseal_records(&mut bytes, 8, 4, 0);
+        }
+        fs::write(&path, &bytes).expect("write mutated");
+        let mut dict = snapshot_terms();
+        let (got, largest) = largest_allocation(|| TermLog::recover(&dir, &mut dict));
+        assert!(
+            largest <= allocation_bound(bytes.len()),
+            "case {case}: a {largest}-byte allocation recovering {} bytes",
+            bytes.len()
+        );
+        match got {
+            Err(e) => {
+                assert_eq!(e.kind(), io::ErrorKind::InvalidData, "case {case}: {e}");
+                assert!(e.to_string().starts_with("terms.log@"), "case {case}: {e}");
+                invalid += 1;
+            }
+            Ok(_) if !resealed => {
+                let got: Vec<&str> = (0..dict.len() as u32)
+                    .filter_map(|id| dict.term(id))
+                    .collect();
+                assert!(dict.len() >= 3, "case {case}: snapshot terms lost");
+                assert_eq!(
+                    got,
+                    terms[..dict.len()].to_vec(),
+                    "case {case}: not a prefix"
+                );
+                prefixes += 1;
+            }
+            Ok(_) => {}
+        }
+    }
+    assert!(invalid > 0 && prefixes > 0);
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
