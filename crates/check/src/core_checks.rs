@@ -3,63 +3,17 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::hint_checks::{check_interval_division, DivisionAt};
+use crate::invidx_checks::check_columns;
 use crate::{fail, nest, Validate, Violation};
 use tir_core::compressed_tif::CompressedList;
 use tir_core::hybrid::DualCopy;
 use tir_core::irhint::Decoupled;
-use tir_core::postings::TemporalList;
 use tir_core::sharding::Shard;
 use tir_core::slicing::{SliceGrid, SlicedList};
 use tir_core::tif_hint::HintParams;
 use tir_core::{DivisionStore, IrHint, PerTerm, TermPartition, IMPACT_STRIDE};
 use tir_hint::{DivisionOrder, Hint};
-use tir_invidx::{live, raw, CompactTemporalInverted, ElemBitmaps};
-
-/// Validates one time-aware postings list (parallel arrays sorted by raw
-/// object id, proper intervals). Returns the live-entry count.
-fn check_temporal_list(
-    path: &str,
-    ids: &[u32],
-    sts: &[u64],
-    ends: &[u64],
-    out: &mut Vec<Violation>,
-) -> usize {
-    if sts.len() != ids.len() || ends.len() != ids.len() {
-        fail(
-            out,
-            path,
-            format!(
-                "parallel columns disagree: {} ids, {} starts, {} ends",
-                ids.len(),
-                sts.len(),
-                ends.len()
-            ),
-        );
-        return 0;
-    }
-    if !ids.windows(2).all(|w| raw(w[0]) < raw(w[1])) {
-        fail(
-            out,
-            path,
-            "postings not strictly ascending by raw id".into(),
-        );
-    }
-    for i in 0..ids.len() {
-        if sts[i] > ends[i] {
-            fail(
-                out,
-                path,
-                format!(
-                    "id {}: inverted interval [{}, {}]",
-                    raw(ids[i]),
-                    sts[i],
-                    ends[i]
-                ),
-            );
-        }
-    }
-    ids.iter().filter(|&&id| live(id)).count()
-}
+use tir_invidx::{live, raw, CompactTemporalInverted, ElemBitmaps, TemporalList};
 
 /// Reports every element whose counted live postings (`what` says how
 /// they were counted) disagree with the planner's frequency table.
@@ -172,7 +126,7 @@ fn check_sliced<const W: usize>(
         }
         let (ids, sts, ends) = (&sub.ids, sub.sts(), sub.cols.get(1));
         let clean_before = out.len();
-        check_temporal_list(&path, ids, sts, ends.map_or(sts, |e| e), out);
+        check_columns(&path, sub, out);
         if out.len() != clean_before {
             continue;
         }
@@ -200,38 +154,12 @@ fn check_sliced<const W: usize>(
 
 /// Validates one shard; returns its live-entry count.
 fn check_shard(path: &str, shard: &Shard, out: &mut Vec<Violation>) -> usize {
-    let n = shard.ids.len();
-    if shard.sts.len() != n || shard.ends.len() != n {
-        fail(
-            out,
-            path,
-            format!(
-                "parallel columns disagree: {n} ids, {} starts, {} ends",
-                shard.sts.len(),
-                shard.ends.len()
-            ),
-        );
+    let Some(alive) = check_columns(path, &shard.entries, out) else {
         return 0;
-    }
-    if !shard.sts.windows(2).all(|w| w[0] <= w[1]) {
-        fail(out, path, "starts not ascending".into());
-    }
-    for k in 0..n {
-        if shard.sts[k] > shard.ends[k] {
-            fail(
-                out,
-                path,
-                format!(
-                    "id {}: inverted interval [{}, {}]",
-                    raw(shard.ids[k]),
-                    shard.sts[k],
-                    shard.ends[k]
-                ),
-            );
-        }
-    }
+    };
+    let (n, ends) = (shard.entries.len(), shard.entries.ends());
     if shard.staircase {
-        if !shard.ends.windows(2).all(|w| w[0] <= w[1]) {
+        if !ends.windows(2).all(|w| w[0] <= w[1]) {
             fail(out, path, "staircase shard with ends not ascending".into());
         }
         if !shard.impact.is_empty() {
@@ -249,7 +177,7 @@ fn check_shard(path: &str, shard: &Shard, out: &mut Vec<Violation>) -> usize {
                 ),
             );
         } else {
-            for (b, chunk) in shard.ends.chunks(IMPACT_STRIDE).enumerate() {
+            for (b, chunk) in ends.chunks(IMPACT_STRIDE).enumerate() {
                 let max = chunk.iter().copied().max().unwrap_or(0);
                 if shard.impact[b] != max {
                     fail(
@@ -264,7 +192,7 @@ fn check_shard(path: &str, shard: &Shard, out: &mut Vec<Violation>) -> usize {
             }
         }
     }
-    shard.ids.iter().filter(|&&id| live(id)).count()
+    alive
 }
 
 /// What the generic IR-first walk asks of a policy: validate one term.
@@ -304,7 +232,7 @@ impl<P: CheckTerm> Validate for PerTerm<P> {
 
 impl CheckTerm for TemporalList {
     fn check_term(&self, _: &(), path: &str, out: &mut Vec<Violation>) -> usize {
-        check_temporal_list(path, &self.ids, self.sts(), self.ends(), out)
+        check_columns(path, self, out).unwrap_or(0)
     }
 }
 
@@ -361,13 +289,7 @@ impl CheckTerm for DualCopy {
 impl CheckTerm for CompressedList {
     fn check_term(&self, _: &(), path: &str, out: &mut Vec<Violation>) -> usize {
         let overlay = format!("{path}/overlay");
-        let live_overlay = check_temporal_list(
-            &overlay,
-            &self.overlay.ids,
-            self.overlay.sts(),
-            self.overlay.ends(),
-            out,
-        );
+        let live_overlay = check_columns(&overlay, &self.overlay, out).unwrap_or(0);
         let base = format!("{path}/base");
         let clean_before = out.len();
         nest(&base, self.ids.validate(), out);
@@ -471,11 +393,11 @@ impl CheckDivision for CompactTemporalInverted {
             nest(path, nested, out);
             return false;
         }
-        let ([sts, ends], offsets) = (self.columns(), self.offsets());
+        let (list, offsets) = (self.list(), self.offsets());
         for (ei, &e) in self.elements().iter().enumerate() {
             for p in offsets[ei] as usize..offsets[ei + 1] as usize {
-                let id = self.all_ids()[p];
-                at.check_entry(path, (Some(e), id), Some(sts[p]), Some(ends[p]), out);
+                let (id, [st, end]) = list.entry_at(p);
+                at.check_entry(path, (Some(e), id), Some(st), Some(end), out);
             }
         }
         true

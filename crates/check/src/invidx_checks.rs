@@ -1,10 +1,12 @@
 //! Validators for the inverted-index substrate (`tir-invidx`).
 
+use std::ops::Range;
+
 use crate::{fail, Validate, Violation};
 use tir_invidx::compress::BLOCK_LEN;
 use tir_invidx::{
-    raw, BlockPostings, CompressedTemporalPostings, Dictionary, ElemBitmaps, FlatInverted,
-    PlanStats, ELEM_BITMAP_DEN,
+    live, raw, BlockPostings, ColumnList, CompressedTemporalPostings, Dictionary, ElemBitmaps,
+    FlatInverted, PlanStats, SortKey, ELEM_BITMAP_DEN,
 };
 
 impl Validate for Dictionary {
@@ -50,109 +52,109 @@ impl Validate for Dictionary {
     }
 }
 
-/// Validates a flat element → postings directory: exact, monotone offsets
-/// bracketing strictly ascending postings under a strictly ascending
-/// element directory. Returns per-element live counts via `on_list`.
-fn check_flat_directory(
-    prefix: &str,
-    elems: &[u32],
-    offsets: &[u32],
-    ids: &[u32],
+/// The one column validator, for every [`ColumnList`] whatever its sort
+/// key: [`check_parallel`], then [`check_run`] over the whole list.
+/// Returns the live-entry count, or `None` if the columns are not parallel.
+pub(crate) fn check_columns<const W: usize, K: SortKey>(
+    path: &str,
+    list: &ColumnList<W, K>,
     out: &mut Vec<Violation>,
-    mut on_list: impl FnMut(u32, &[u32]),
-) {
-    if offsets.len() != elems.len() + 1 {
-        fail(
-            out,
-            &format!("{prefix}/offsets"),
-            format!(
-                "{} offsets for {} elements (want elements + 1)",
-                offsets.len(),
-                elems.len()
-            ),
-        );
-        return;
-    }
-    if offsets.first() != Some(&0) {
-        fail(
-            out,
-            &format!("{prefix}/offsets"),
-            "first offset is not 0".into(),
-        );
-        return;
-    }
-    if !offsets.windows(2).all(|w| w[0] <= w[1]) {
-        fail(
-            out,
-            &format!("{prefix}/offsets"),
-            "offsets not monotone".into(),
-        );
-        return;
-    }
-    if offsets.last().copied().unwrap_or(0) as usize != ids.len() {
-        fail(
-            out,
-            &format!("{prefix}/offsets"),
-            format!(
-                "last offset {} does not match {} stored postings",
-                offsets.last().copied().unwrap_or(0),
-                ids.len()
-            ),
-        );
-        return;
-    }
-    if !elems.windows(2).all(|w| w[0] < w[1]) {
-        fail(
-            out,
-            &format!("{prefix}/elements"),
-            "element directory not strictly ascending".into(),
-        );
-    }
-    for (i, &e) in elems.iter().enumerate() {
-        let list = &ids[offsets[i] as usize..offsets[i + 1] as usize];
-        if !list.windows(2).all(|w| raw(w[0]) < raw(w[1])) {
-            fail(
-                out,
-                &format!("{prefix}/elem{e}"),
-                "postings not strictly ascending by raw id".into(),
-            );
-        }
-        on_list(e, list);
-    }
+) -> Option<usize> {
+    check_parallel(path, list, out).then(|| check_run(path, list, 0..list.len(), out))
 }
 
+/// Every endpoint column as long as the id column.
+fn check_parallel<const W: usize, K>(
+    path: &str,
+    list: &ColumnList<W, K>,
+    out: &mut Vec<Violation>,
+) -> bool {
+    let n = list.ids.len();
+    if list.cols.iter().any(|col| col.len() != n) {
+        let lens: Vec<usize> = list.cols.iter().map(Vec::len).collect();
+        fail(
+            out,
+            path,
+            format!("parallel columns disagree: {n} ids, endpoint columns of {lens:?}"),
+        );
+        return false;
+    }
+    true
+}
+
+/// The entries `run` of a list with parallel columns — the whole list, or
+/// one element's run in a flat store — in key order and with no inverted
+/// interval. Returns the run's live-entry count.
+fn check_run<const W: usize, K: SortKey>(
+    path: &str,
+    list: &ColumnList<W, K>,
+    run: Range<usize>,
+    out: &mut Vec<Violation>,
+) -> usize {
+    if !(run.start + 1..run.end).all(|i| K::in_order(list, i - 1, i)) {
+        fail(out, path, format!("entries not {}", K::ORDER));
+    }
+    if let [sts, ends] = list.cols.as_slice() {
+        for i in run.clone().filter(|&i| sts[i] > ends[i]) {
+            fail(
+                out,
+                path,
+                format!(
+                    "id {}: inverted interval [{}, {}]",
+                    raw(list.ids[i]),
+                    sts[i],
+                    ends[i]
+                ),
+            );
+        }
+    }
+    list.ids[run].iter().filter(|&&id| live(id)).count()
+}
+
+/// A flat store: sound columns; exact, monotone offsets under a strictly
+/// ascending element directory; and every element's run a sound id-sorted
+/// list.
 impl<const W: usize> Validate for FlatInverted<W> {
     fn validate(&self) -> Vec<Violation> {
         let mut out = Vec::new();
-        let n = self.all_ids().len();
-        if self.columns().iter().any(|col| col.len() != n) {
-            let lens: Vec<usize> = self.columns().iter().map(Vec::len).collect();
-            fail(
-                &mut out,
-                "compact/columns",
-                format!("parallel columns disagree: {n} ids, endpoint columns of {lens:?}"),
-            );
+        let (elems, offsets, list) = (self.elements(), self.offsets(), self.list());
+        if !check_parallel("compact", list, &mut out) {
             return out;
         }
-        if let [sts, ends] = self.columns().as_slice() {
-            for (i, (st, end)) in sts.iter().zip(ends).enumerate() {
-                if st > end {
-                    fail(
-                        &mut out,
-                        "compact/intervals",
-                        format!("entry {i}: inverted interval [{st}, {end}]"),
-                    );
-                }
-            }
+        let broken = if offsets.len() != elems.len() + 1 {
+            Some(format!(
+                "{} offsets for {} elements (want elements + 1)",
+                offsets.len(),
+                elems.len()
+            ))
+        } else if offsets.first() != Some(&0) {
+            Some("first offset is not 0".into())
+        } else if !offsets.windows(2).all(|w| w[0] <= w[1]) {
+            Some("offsets not monotone".into())
+        } else if offsets.last().copied().unwrap_or(0) as usize != list.len() {
+            Some(format!(
+                "last offset {} does not match {} stored postings",
+                offsets.last().copied().unwrap_or(0),
+                list.len()
+            ))
+        } else {
+            None
+        };
+        if let Some(broken) = broken {
+            fail(&mut out, "compact/offsets", broken);
+            return out;
         }
-        check_flat_directory(
-            "compact",
-            self.elements(),
-            self.offsets(),
-            self.all_ids(),
-            &mut out,
-            |_, _| {},
-        );
+        if !elems.windows(2).all(|w| w[0] < w[1]) {
+            fail(
+                &mut out,
+                "compact/elements",
+                "element directory not strictly ascending".into(),
+            );
+        }
+        for (i, &e) in elems.iter().enumerate() {
+            let run = offsets[i] as usize..offsets[i + 1] as usize;
+            check_run(&format!("compact/elem{e}"), list, run, &mut out);
+        }
         out
     }
 }

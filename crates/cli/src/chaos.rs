@@ -32,8 +32,6 @@
 //! a BruteForce oracle over a [`tir_check::oracle_query_grid`].
 
 use std::collections::{HashMap, HashSet};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -44,8 +42,8 @@ use tir_datagen::SyntheticConfig;
 use tir_fault::{FaultAction, FaultPlan, FaultSite, SeededPlan};
 use tir_invidx::Dictionary;
 use tir_persist::{Durability, DurabilityOptions, Recovered, TermLog};
-use tir_serve::protocol::{parse_response, HealthStatus, Response};
-use tir_serve::{spawn_server_durable, PoolConfig, ServeDict, ServerConfig};
+use tir_serve::protocol::{HealthStatus, Response};
+use tir_serve::{spawn_server_durable, Connection, PoolConfig, ServeDict, ServerConfig};
 
 use crate::Opts;
 
@@ -76,50 +74,6 @@ impl FaultPlan for DenySnapshots {
         } else {
             FaultAction::None
         }
-    }
-}
-
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-    line: String,
-}
-
-impl Client {
-    fn open(addr: &std::net::SocketAddr) -> Result<Client, String> {
-        let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-        stream.set_nodelay(true).map_err(|e| e.to_string())?;
-        stream
-            .set_read_timeout(Some(READ_TIMEOUT))
-            .map_err(|e| e.to_string())?;
-        Ok(Client {
-            reader: BufReader::new(stream.try_clone().map_err(|e| e.to_string())?),
-            writer: stream,
-            line: String::new(),
-        })
-    }
-
-    /// One request/response round trip. `Err` means the transport died
-    /// or stalled past the read timeout — the caller reconnects and
-    /// treats the in-flight op as uncertain.
-    fn call(&mut self, request: &str) -> Result<Response, String> {
-        // One write per request: the server must never wake on a line
-        // whose terminator is still in flight.
-        self.line.clear();
-        self.line.push_str(request);
-        self.line.push('\n');
-        self.writer
-            .write_all(self.line.as_bytes())
-            .map_err(|e| format!("send: {e}"))?;
-        self.line.clear();
-        let n = self
-            .reader
-            .read_line(&mut self.line)
-            .map_err(|e| format!("recv: {e}"))?;
-        if n == 0 {
-            return Err("connection dropped".into());
-        }
-        parse_response(self.line.trim_end())
     }
 }
 
@@ -337,7 +291,7 @@ where
     let mut fresh_terms = 0u64;
     let mut tally = Tally::default();
 
-    let mut client = Client::open(&addr)?;
+    let mut client = Connection::open_with_timeout(&addr.to_string(), Some(READ_TIMEOUT))?;
     // Pre-fault sanity: a healthy server says so.
     match client.call("HEALTH")? {
         Response::Health(HealthStatus::Ok) => {}
@@ -433,7 +387,7 @@ where
 /// the installed fault plan.
 #[allow(clippy::too_many_arguments)]
 fn drive(
-    client: &mut Client,
+    client: &mut Connection,
     addr: &std::net::SocketAddr,
     seed: u64,
     rounds: u64,
@@ -449,26 +403,30 @@ fn drive(
 ) -> Result<(), String> {
     // One call with drop/timeout recovery. Returns Ok(None) when the
     // transport died (caller decides what that means for the op).
-    let call =
-        |client: &mut Client, req: &str, tally: &mut Tally| -> Result<Option<Response>, String> {
-            tally.requests += 1;
-            match client.call(req) {
-                Ok(resp) => Ok(Some(resp)),
-                Err(_) => {
-                    tally.drops += 1;
-                    // Reconnect with a short grace: the server never stops
-                    // accepting mid-schedule.
-                    for _ in 0..50 {
-                        if let Ok(fresh) = Client::open(addr) {
-                            *client = fresh;
-                            return Ok(None);
-                        }
-                        std::thread::sleep(Duration::from_millis(20));
+    let call = |client: &mut Connection,
+                req: &str,
+                tally: &mut Tally|
+     -> Result<Option<Response>, String> {
+        tally.requests += 1;
+        match client.call(req) {
+            Ok(resp) => Ok(Some(resp)),
+            Err(_) => {
+                tally.drops += 1;
+                // Reconnect with a short grace: the server never stops
+                // accepting mid-schedule.
+                for _ in 0..50 {
+                    if let Ok(fresh) =
+                        Connection::open_with_timeout(&addr.to_string(), Some(READ_TIMEOUT))
+                    {
+                        *client = fresh;
+                        return Ok(None);
                     }
-                    Err("could not reconnect after a dropped connection".into())
+                    std::thread::sleep(Duration::from_millis(20));
                 }
+                Err("could not reconnect after a dropped connection".into())
             }
-        };
+        }
+    };
 
     let mut degraded_seen = false;
     for round in 0..rounds {

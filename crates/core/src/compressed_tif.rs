@@ -13,12 +13,11 @@
 use crate::collection::Collection;
 use crate::method::Method;
 use crate::per_term::{PerTerm, TermPartition};
-use crate::postings::TemporalList;
 use crate::types::Interval;
 use tir_hint::IntervalRecord;
 use tir_invidx::compress::{BlockPostings, CompressedTemporalPostings};
 use tir_invidx::planner::{Kernel, QueryScratch};
-use tir_invidx::{intersect_merge_into, TOMBSTONE};
+use tir_invidx::{intersect_merge_into, TemporalList, TOMBSTONE};
 
 /// One term of cTIF: a compressed base in two forms, an overlay, and the
 /// base ids deleted since the build.

@@ -7,12 +7,12 @@
 use crate::collection::Collection;
 use crate::method::Method;
 use crate::per_term::{PerTerm, TermPartition};
-use crate::postings::ColumnList;
 use crate::slicing::{SliceGrid, SlicedList, DEFAULT_SLICES};
 use crate::tif_hint::{seed_from_hint, HintParams, TifHintConfig};
 use crate::types::Interval;
 use tir_hint::{Hint, IntervalRecord};
 use tir_invidx::planner::QueryScratch;
+use tir_invidx::ColumnList;
 
 /// Default HINT levels for the hybrid; Section 5.2 tunes `m = 5`.
 pub const DEFAULT_M: u32 = 5;

@@ -64,7 +64,6 @@ pub mod irhint;
 pub mod method;
 pub mod oracle;
 pub mod per_term;
-pub mod postings;
 pub mod ranked;
 pub mod sharding;
 pub mod slicing;

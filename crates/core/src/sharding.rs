@@ -10,7 +10,7 @@ use crate::per_term::{PerTerm, TermPartition};
 use crate::types::{Interval, Timestamp};
 use tir_hint::IntervalRecord;
 use tir_invidx::planner::QueryScratch;
-use tir_invidx::{live, TOMBSTONE};
+use tir_invidx::{live, ByStart, ColumnList, TOMBSTONE};
 
 /// Entries per impact-list block.
 pub const IMPACT_STRIDE: usize = 64;
@@ -19,12 +19,9 @@ pub const IMPACT_STRIDE: usize = 64;
 /// an index hands out `&Shard` only).
 #[derive(Debug, Clone, Default)]
 pub struct Shard {
-    /// Object ids (tombstone high bit marks logical deletes).
-    pub ids: Vec<u32>,
-    /// Interval starts, non-decreasing.
-    pub sts: Vec<Timestamp>,
-    /// Interval ends; non-decreasing iff `staircase`.
-    pub ends: Vec<Timestamp>,
+    /// The `⟨o.id, [o.tst, o.tend]⟩` entries, starts non-decreasing; ends
+    /// non-decreasing too iff `staircase`.
+    pub entries: ColumnList<2, ByStart>,
     /// Whether ends are sorted too (ideal shards are, cost-merged ones may
     /// not be).
     pub staircase: bool,
@@ -34,30 +31,27 @@ pub struct Shard {
 }
 
 impl Shard {
-    fn len(&self) -> usize {
-        self.ids.len()
-    }
-
     fn rebuild_impact(&mut self) {
         self.impact.clear();
-        for chunk in self.ends.chunks(IMPACT_STRIDE) {
+        for chunk in self.entries.ends().chunks(IMPACT_STRIDE) {
             self.impact.push(chunk.iter().copied().max().unwrap_or(0));
         }
     }
 
     /// Calls `f(i)` for every live entry overlapping `[q_st, q_end]`.
     fn for_each_qualifying(&self, q_st: Timestamp, q_end: Timestamp, mut f: impl FnMut(usize)) {
+        let (sts, ends) = (self.entries.sts(), self.entries.ends());
         // Entries starting after q_end cannot qualify: prefix by start.
-        let hi = self.sts.partition_point(|&st| st <= q_end);
+        let hi = sts.partition_point(|&st| st <= q_end);
         let lo = if self.staircase {
             // Ends are sorted too: entries ending before q_st are a prefix.
-            self.ends[..hi].partition_point(|&end| end < q_st)
+            ends[..hi].partition_point(|&end| end < q_st)
         } else {
             0
         };
         if self.staircase {
             for i in lo..hi {
-                if live(self.ids[i]) {
+                if live(self.entries.ids[i]) {
                     f(i);
                 }
             }
@@ -73,18 +67,13 @@ impl Shard {
                     continue;
                 }
                 while i < block_end {
-                    if self.ends[i] >= q_st && live(self.ids[i]) {
+                    if ends[i] >= q_st && live(self.entries.ids[i]) {
                         f(i);
                     }
                     i += 1;
                 }
             }
         }
-    }
-
-    fn size_bytes(&self) -> usize {
-        self.ids.capacity() * 4
-            + (self.sts.capacity() + self.ends.capacity() + self.impact.capacity()) * 8
     }
 }
 
@@ -100,10 +89,10 @@ fn shard_cap(n: usize) -> usize {
     ((n as f64).sqrt().ceil() as usize).clamp(1, MAX_SHARDS_PER_LIST)
 }
 
-/// The `(start, end, id)` entries of a shard, in stored order.
-fn entries_of(s: &Shard) -> impl Iterator<Item = (Timestamp, Timestamp, u32)> + '_ {
-    let spans = s.sts.iter().zip(&s.ends);
-    spans.zip(&s.ids).map(|((&st, &end), &id)| (st, end, id))
+/// The `(id, [start, end])` entries of a postings list, sorted by start,
+/// then end, then id.
+fn sort_by_start(entries: &mut [(u32, [Timestamp; 2])]) {
+    entries.sort_unstable_by_key(|&(id, [st, end])| (st, end, id));
 }
 
 /// The tIF+Sharding index: a term holds its postings list cut into shards.
@@ -120,59 +109,54 @@ impl TifSharding {
 /// entries sorted by start, placing each into the first shard whose tail
 /// end is not larger yields the minimal number of staircase shards — then
 /// cost-aware merging down to `cap` shards.
-fn build_shards(entries: &[(Timestamp, Timestamp, u32)], cap: usize) -> Vec<Shard> {
-    debug_assert!(entries.windows(2).all(|w| w[0] <= w[1]));
+fn build_shards(entries: &[(u32, [Timestamp; 2])], cap: usize) -> Vec<Shard> {
+    let key = |&(id, [st, end]): &(u32, [Timestamp; 2])| (st, end, id);
+    debug_assert!(entries.windows(2).all(|w| key(&w[0]) <= key(&w[1])));
     let mut shards: Vec<Shard> = Vec::new();
-    for &(st, end, id) in entries {
+    for &(id, span) in entries {
         let slot = shards
             .iter()
-            .position(|s| s.ends.last().is_none_or(|&tail| tail <= end));
+            .position(|s| s.entries.ends().last().is_none_or(|&tail| tail <= span[1]));
         let slot = match slot {
             Some(i) => i,
             None => {
-                shards.push(Shard {
-                    staircase: true,
-                    ..Default::default()
-                });
+                shards.push(Shard::default());
                 shards.len() - 1
             }
         };
         let shard = &mut shards[slot];
         shard.staircase = true;
-        shard.ids.push(id);
-        shard.sts.push(st);
-        shard.ends.push(end);
+        shard.entries.push_entry(id, span);
     }
     while shards.len() > cap {
         // Merge the two smallest shards: cheapest extra scan cost.
         let (mut a, mut b) = (0, 1);
         for i in 0..shards.len() {
-            if shards[i].len() < shards[a].len() {
+            if shards[i].entries.len() < shards[a].entries.len() {
                 b = a;
                 a = i;
-            } else if i != a && shards[i].len() < shards[b].len() {
+            } else if i != a && shards[i].entries.len() < shards[b].entries.len() {
                 b = i;
             }
         }
         let (a, b) = (a.min(b), a.max(b));
         let small = shards.swap_remove(b);
         let big = &mut shards[a];
-        let mut merged: Vec<_> = entries_of(big).chain(entries_of(&small)).collect();
-        merged.sort_unstable();
-        big.ids = merged.iter().map(|&(_, _, i)| i).collect();
-        big.sts = merged.iter().map(|&(s, _, _)| s).collect();
-        big.ends = merged.iter().map(|&(_, e, _)| e).collect();
-        big.staircase = big.ends.windows(2).all(|w| w[0] <= w[1]);
+        let mut merged: Vec<_> = big
+            .entries
+            .entries()
+            .chain(small.entries.entries())
+            .collect();
+        sort_by_start(&mut merged);
+        big.entries = ColumnList::from_entries(&merged);
+        big.staircase = big.entries.ends().windows(2).all(|w| w[0] <= w[1]);
     }
-    for s in &mut shards {
-        if !s.staircase {
-            s.rebuild_impact();
-        }
-    }
-    // Re-check staircase after merging (merge may coincidentally keep it).
     for s in &mut shards {
         if s.staircase {
-            debug_assert!(s.ends.windows(2).all(|w| w[0] <= w[1]));
+            // Re-check staircase after merging (merge may coincidentally keep it).
+            debug_assert!(s.entries.ends().windows(2).all(|w| w[0] <= w[1]));
+        } else {
+            s.rebuild_impact();
         }
     }
     shards
@@ -186,8 +170,8 @@ impl TermPartition for Vec<Shard> {
     }
 
     fn build(_: &(), records: &[IntervalRecord]) -> Self {
-        let mut entries: Vec<_> = records.iter().map(|r| (r.st, r.end, r.id)).collect();
-        entries.sort_unstable();
+        let mut entries: Vec<_> = records.iter().map(|r| (r.id, [r.st, r.end])).collect();
+        sort_by_start(&mut entries);
         build_shards(&entries, shard_cap(entries.len()))
     }
 
@@ -196,14 +180,13 @@ impl TermPartition for Vec<Shard> {
         // First shard where inserting keeps both orders (staircase) or
         // at least the start order (relaxed).
         for s in self.iter_mut() {
-            let pos = s.sts.partition_point(|&x| x <= st);
+            let (sts, ends) = (s.entries.sts(), s.entries.ends());
+            let pos = sts.partition_point(|&x| x <= st);
             let stair_ok = s.staircase
-                && (pos == 0 || s.ends[pos - 1] <= end)
-                && (pos == s.len() || end <= s.ends[pos]);
+                && (pos == 0 || ends[pos - 1] <= end)
+                && (pos == sts.len() || end <= ends[pos]);
             if stair_ok || !s.staircase {
-                s.ids.insert(pos, id);
-                s.sts.insert(pos, st);
-                s.ends.insert(pos, end);
+                s.entries.insert_at(pos, id, [st, end]);
                 if !s.staircase {
                     s.rebuild_impact();
                 }
@@ -211,32 +194,20 @@ impl TermPartition for Vec<Shard> {
             }
         }
         self.push(Shard {
-            ids: vec![id],
-            sts: vec![st],
-            ends: vec![end],
+            entries: ColumnList::from_entries(&[(id, [st, end])]),
             staircase: true,
             impact: Vec::new(),
         });
         if self.len() > MAX_SHARDS_PER_LIST * 2 {
-            let mut all: Vec<_> = self.iter().flat_map(entries_of).collect();
-            all.sort_unstable();
+            let mut all: Vec<_> = self.iter().flat_map(|s| s.entries.entries()).collect();
+            sort_by_start(&mut all);
             *self = build_shards(&all, shard_cap(all.len()));
         }
     }
 
     fn tombstone(&mut self, _: &(), r: &IntervalRecord) -> bool {
-        for s in self.iter_mut() {
-            // Entries with this start form a contiguous run.
-            let lo = s.sts.partition_point(|&x| x < r.st);
-            let hi = s.sts.partition_point(|&x| x <= r.st);
-            for i in lo..hi {
-                if s.ids[i] == r.id {
-                    s.ids[i] |= TOMBSTONE;
-                    return true;
-                }
-            }
-        }
-        false
+        self.iter_mut()
+            .any(|s| s.entries.tombstone_starting(r.st, r.id))
     }
 
     fn seed_into(&self, _: &(), q: Interval, scratch: &mut QueryScratch) -> u64 {
@@ -244,7 +215,7 @@ impl TermPartition for Vec<Shard> {
         for s in self {
             s.for_each_qualifying(q.st, q.end, |i| {
                 scanned += 1;
-                scratch.cands.push(s.ids[i] & !TOMBSTONE);
+                scratch.cands.push(s.entries.ids[i] & !TOMBSTONE);
             });
         }
         scanned
@@ -261,7 +232,7 @@ impl TermPartition for Vec<Shard> {
         for s in self {
             s.for_each_qualifying(q.st, q.end, |i| {
                 probed += 1;
-                let id = s.ids[i] & !TOMBSTONE;
+                let id = s.entries.ids[i] & !TOMBSTONE;
                 if scratch.probe_take(id) {
                     cands.push(id);
                 }
@@ -273,12 +244,12 @@ impl TermPartition for Vec<Shard> {
     }
 
     fn for_each_id_list(&self, mut f: impl FnMut(&[u32])) {
-        self.iter().for_each(|s| f(&s.ids));
+        self.iter().for_each(|s| f(&s.entries.ids));
     }
 
     fn size_bytes(&self) -> usize {
-        self.iter().map(Shard::size_bytes).sum::<usize>()
-            + self.capacity() * std::mem::size_of::<Shard>()
+        let shard = |s: &Shard| s.entries.size_bytes() + s.impact.capacity() * 8;
+        self.iter().map(shard).sum::<usize>() + self.capacity() * std::mem::size_of::<Shard>()
     }
 }
 
@@ -288,28 +259,33 @@ mod tests {
 
     #[test]
     fn ideal_shards_satisfy_staircase() {
-        let entries: Vec<(Timestamp, Timestamp, u32)> =
-            vec![(0, 10, 1), (1, 5, 2), (2, 12, 3), (3, 4, 4), (4, 20, 5)];
+        let entries: Vec<(u32, [Timestamp; 2])> = vec![
+            (1, [0, 10]),
+            (2, [1, 5]),
+            (3, [2, 12]),
+            (4, [3, 4]),
+            (5, [4, 20]),
+        ];
         let shards = build_shards(&entries, 100);
         for s in &shards {
             assert!(s.staircase);
-            assert!(s.sts.windows(2).all(|w| w[0] <= w[1]));
-            assert!(s.ends.windows(2).all(|w| w[0] <= w[1]));
+            assert!(s.entries.sts().windows(2).all(|w| w[0] <= w[1]));
+            assert!(s.entries.ends().windows(2).all(|w| w[0] <= w[1]));
         }
-        let total: usize = shards.iter().map(Shard::len).sum();
+        let total: usize = shards.iter().map(|s| s.entries.len()).sum();
         assert_eq!(total, entries.len());
     }
 
     #[test]
     fn merging_respects_cap() {
-        let entries: Vec<(Timestamp, Timestamp, u32)> = (0..100u32)
-            .map(|i| (i as u64, 200 - i as u64, i)) // anti-staircase: 100 ideal shards
+        let entries: Vec<(u32, [Timestamp; 2])> = (0..100u32)
+            .map(|i| (i, [i as u64, 200 - i as u64])) // anti-staircase: 100 ideal shards
             .collect();
         let ideal = build_shards(&entries, 1000);
         assert_eq!(ideal.len(), 100);
         let capped = build_shards(&entries, 4);
         assert!(capped.len() <= 4);
-        let total: usize = capped.iter().map(Shard::len).sum();
+        let total: usize = capped.iter().map(|s| s.entries.len()).sum();
         assert_eq!(total, 100);
     }
 
@@ -318,8 +294,8 @@ mod tests {
     fn build_capped(coll: &Collection, cap: usize) -> TifSharding {
         let mut idx = TifSharding::build(coll);
         for shards in idx.terms.values_mut() {
-            let mut all: Vec<_> = shards.iter().flat_map(entries_of).collect();
-            all.sort_unstable();
+            let mut all: Vec<_> = shards.iter().flat_map(|s| s.entries.entries()).collect();
+            sort_by_start(&mut all);
             *shards = build_shards(&all, cap);
         }
         idx

@@ -6,11 +6,10 @@
 use crate::collection::Collection;
 use crate::method::Method;
 use crate::per_term::{PerTerm, TermPartition};
-use crate::postings::{ColumnList, TemporalList};
 use crate::types::{Interval, Timestamp};
 use tir_hint::IntervalRecord;
-use tir_invidx::live;
 use tir_invidx::planner::QueryScratch;
+use tir_invidx::{live, ColumnList, TemporalList};
 
 /// Default slice count; Section 5.2 selects 50 as the smallest value in
 /// the highest-throughput plateau.

@@ -4,10 +4,10 @@
 use crate::collection::Collection;
 use crate::method::Method;
 use crate::per_term::{PerTerm, TermPartition};
-use crate::postings::TemporalList;
 use crate::types::Interval;
 use tir_hint::IntervalRecord;
 use tir_invidx::planner::{Postings, QueryScratch};
+use tir_invidx::TemporalList;
 
 /// The base temporal inverted file: a term holds one [`TemporalList`].
 ///

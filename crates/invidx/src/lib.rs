@@ -4,9 +4,13 @@
 //!
 //! * [`Dictionary`] — string-to-element-id interning with document
 //!   frequencies;
+//! * [`ColumnList`] — the one uncompressed time-aware postings list: an
+//!   id column plus `W` endpoint columns, id-sorted ([`TemporalList`]) or
+//!   start-sorted ([`ByStart`]);
 //! * [`FlatInverted`] — the flat, low-overhead per-division index used
-//!   inside irHINT partitions, id-only ([`CompactInverted`]) or carrying
-//!   `[start, end]` ([`CompactTemporalInverted`]);
+//!   inside irHINT partitions: one column list cut into element runs,
+//!   id-only ([`CompactInverted`]) or carrying `[start, end]`
+//!   ([`CompactTemporalInverted`]);
 //! * [`kernels`] — merge / galloping sorted-set intersection primitives,
 //!   tombstone-aware, and the comparison-free pass that puts a served
 //!   answer in ascending order;
@@ -27,6 +31,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod column_list;
 pub mod compact;
 pub mod compress;
 pub mod dict;
@@ -35,6 +40,7 @@ pub mod kernels;
 pub mod planner;
 pub mod simd;
 
+pub use column_list::{ById, ByStart, ColumnList, SortKey, TemporalList};
 pub use compact::{CompactInverted, CompactTemporalInverted, FlatInverted, TemporalPostings};
 pub use compress::{BlockPostings, CompressedTemporalPostings};
 pub use dict::Dictionary;

@@ -86,12 +86,8 @@ fn flat_store_model<const W: usize>(ops: &[FlatOp]) -> Result<(), TestCaseError>
         }
         prop_assert_eq!(store.num_postings(), model.len());
         prop_assert_eq!(store.offsets().len(), store.elements().len() + 1);
-        for col in store.columns() {
-            prop_assert_eq!(
-                col.len(),
-                store.all_ids().len(),
-                "column not parallel to ids"
-            );
+        for col in &store.list().cols {
+            prop_assert_eq!(col.len(), store.list().len(), "column not parallel to ids");
         }
         for e in 0..13u32 {
             let p = store.postings(e);

@@ -70,7 +70,7 @@ pub use durable::ServeDict;
 pub use epoch::{EpochConfig, EpochStore, Rejected, Snapshot, WriteOp};
 pub use histogram::LatencyHistogram;
 pub use json::Json;
-pub use loadgen::{LoadgenConfig, LoadgenReport};
+pub use loadgen::{Connection, LoadgenConfig, LoadgenReport};
 pub use pool::{PoolConfig, QueryOutcome, QueryPool, QueryReply};
 pub use protocol::HealthStatus;
 pub use server::{spawn_server, spawn_server_durable, ServerConfig, ServerHandle};

@@ -900,8 +900,88 @@ mod tests {
         }
     }
 
+    /// One valid line per verb: the seeds of the request mutation loop.
+    const VALID_REQUESTS: [&str; 9] = [
+        "QUERY 5 9 a,c DEADLINE 250",
+        "INSERT 8 5 6 a,c",
+        "DELETE 8",
+        "FLUSH",
+        "SNAPSHOT",
+        "HEALTH",
+        "STATS",
+        "ELEMS 16",
+        "SHUTDOWN",
+    ];
+
+    /// What the server assumes of a parsed request when it applies one:
+    /// `Object::new` and `TimeTravelQuery::new` assert the first three,
+    /// and the deadline is added to the dispatch instant.
+    fn applicable(req: &Request) -> Result<(), String> {
+        let span = |from: u64, to: u64| match from <= to {
+            true => Ok(()),
+            false => Err(format!("from {from} > to {to}")),
+        };
+        let id = |id: ObjectId| match id < 1 << 31 {
+            true => Ok(()),
+            false => Err(format!("id {id} carries the tombstone bit")),
+        };
+        let elems = |elems: &[String]| match elems.is_empty() || elems.iter().any(String::is_empty)
+        {
+            true => Err(format!("empty element token in {elems:?}")),
+            false => Ok(()),
+        };
+        match req {
+            Request::Query {
+                from,
+                to,
+                elems: e,
+                deadline_ms,
+            } => {
+                span(*from, *to)?;
+                elems(e)?;
+                let ms = deadline_ms.unwrap_or(0);
+                match std::time::Instant::now().checked_add(std::time::Duration::from_millis(ms)) {
+                    Some(_) => Ok(()),
+                    None => Err(format!("deadline {ms} ms overflows the clock")),
+                }
+            }
+            Request::Insert {
+                id: i,
+                from,
+                to,
+                elems: e,
+            } => {
+                id(*i)?;
+                span(*from, *to)?;
+                elems(e)
+            }
+            Request::Delete { id: i } => id(*i),
+            _ => Ok(()),
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Every edit of a valid request line parses to an error or to a
+        /// request the server can apply without panicking.
+        #[test]
+        fn mutated_requests_parse_to_an_error_or_an_applicable_request(
+            verb in 0..VALID_REQUESTS.len(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut line = VALID_REQUESTS[verb].to_string();
+            assert!(parse_request(&line).is_ok(), "{line:?}");
+            let mut rng = seed;
+            for _ in 0..1 + mix(&mut rng) % 4 {
+                mutate(&mut line, &mut rng);
+                if let Ok(req) = parse_request(&line) {
+                    if let Err(e) = applicable(&req) {
+                        panic!("{line:?} parsed to {req:?}: {e}");
+                    }
+                }
+            }
+        }
 
         /// The new `HITS` parser accepts and rejects exactly what the
         /// token-wise one does, with the same answer or the same message;

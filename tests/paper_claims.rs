@@ -35,7 +35,8 @@ fn sharding_has_no_replication() {
     let sharding = TifSharding::build(&coll);
     let raw_postings: usize = coll.objects().iter().map(|o| o.desc.len()).sum();
     let mut stored = 0;
-    sharding.for_each_term(|_, shards| stored += shards.iter().map(|s| s.ids.len()).sum::<usize>());
+    sharding
+        .for_each_term(|_, shards| stored += shards.iter().map(|s| s.entries.len()).sum::<usize>());
     assert_eq!(stored, raw_postings);
 }
 
