@@ -74,7 +74,7 @@ impl CallGraph {
             // `Arc::clone`) is external — making it a leaf instead of a
             // name-wide wildcard keeps `Vec::new()` from "reaching"
             // every constructor in the workspace. A lowercase
-            // qualifier is a module path (`kernels::mark_hits`) and
+            // qualifier is a module path (`kernels::merge_matches`) and
             // falls through to the name-wide set.
             if qual.chars().next().is_some_and(char::is_uppercase) {
                 return Vec::new();
@@ -122,8 +122,8 @@ mod tests {
     #[test]
     fn module_qualifiers_fall_back_to_name_wide() {
         let g = graph(
-            "fn mark_hits() {}\n\
-             fn caller() { kernels::mark_hits(); }\n",
+            "fn merge_matches() {}\n\
+             fn caller() { kernels::merge_matches(); }\n",
         );
         let caller = g.named("caller")[0];
         assert_eq!(g.resolve(&g.calls(caller)[0]).len(), 1);

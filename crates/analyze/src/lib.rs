@@ -151,11 +151,13 @@ impl Default for Config {
                 "query_into",
                 "intersect_merge_into",
                 "intersect_gallop_into",
-                "mark_hits",
+                "merge_matches",
+                "gallop_matches",
+                "gallop_rev_matches",
             ]),
             hot_path_cuts: s(&["query"]),
             scratch_arenas: s(&["QueryScratch"]),
-            growth_sinks: s(&["QueryScratch", "Vec", "String"]),
+            growth_sinks: s(&["QueryScratch", "IdTaker", "Vec", "String"]),
             serve_roots: s(&["accept_loop"]),
             unsafe_audited_paths: s(&["invidx/src/simd.rs"]),
             taint_crates: None,

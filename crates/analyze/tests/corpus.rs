@@ -504,10 +504,15 @@ fn hot_path_alloc_fires_on_macros_and_kernel_roots() {
         ),
         ["hot-path-alloc"]
     );
-    assert_eq!(
-        rules_fired("fn mark_hits(a: &[u32]) {\n    let v = vec![1, 2];\n}\n"),
-        ["hot-path-alloc"]
-    );
+    for kernel in ["merge_matches", "gallop_matches", "gallop_rev_matches"] {
+        assert_eq!(
+            rules_fired(&format!(
+                "fn {kernel}(a: &[u32]) {{\n    let v = vec![1, 2];\n}}\n"
+            )),
+            ["hot-path-alloc"],
+            "{kernel}"
+        );
+    }
 }
 
 #[test]

@@ -179,9 +179,9 @@ impl<P: TermPartition> TemporalIrIndex for PerTerm<P> {
             }
             match self.terms.get(&e) {
                 Some(term) => {
-                    // The policy may walk `cands` itself: a word-AND above
-                    // may have left them as a bitmap.
-                    scratch.unpack_candidate_bits();
+                    // The deadline probe every non-seed step starts with,
+                    // and `cands` in array form for the policy.
+                    scratch.begin_policy_step();
                     term.restrict(&self.shared, q.interval, scratch);
                 }
                 // A term no object ever contained: nothing survives.

@@ -221,26 +221,20 @@ impl TermPartition for Vec<Shard> {
         scanned
     }
 
-    /// Probes the candidate set with each shard's qualifying ids;
-    /// take-once probes replace the per-round binary-search scans and
-    /// candidate re-sorts.
+    /// Offers each shard's qualifying ids to the planner's take-once
+    /// round, which replaces per-round binary-search scans and candidate
+    /// re-sorts.
     fn restrict(&self, _: &(), q: Interval, scratch: &mut QueryScratch) {
-        let mut cands = std::mem::take(&mut scratch.cands);
-        scratch.load_candidates(&cands, 0);
-        cands.clear();
-        let mut probed = 0u64;
-        for s in self {
-            s.for_each_qualifying(q.st, q.end, |i| {
-                probed += 1;
-                let id = s.entries.ids[i] & !TOMBSTONE;
-                if scratch.probe_take(id) {
-                    cands.push(id);
-                }
-            });
-        }
-        scratch.note_probed(probed);
-        scratch.end_probe();
-        scratch.cands = cands;
+        scratch.intersect_offered(|taker| {
+            let mut probed = 0u64;
+            for s in self {
+                s.for_each_qualifying(q.st, q.end, |i| {
+                    probed += 1;
+                    taker.offer_id(s.entries.ids[i] & !TOMBSTONE);
+                });
+            }
+            probed
+        });
     }
 
     fn for_each_id_list(&self, mut f: impl FnMut(&[u32])) {

@@ -105,24 +105,23 @@ impl<const W: usize> SlicedList<W> {
         found
     }
 
-    /// Merge-marks the sorted candidate set against each relevant
-    /// id-sorted sub-list. A candidate may be replicated into several
-    /// slices, so hits are marked rather than emitted directly; compaction
-    /// keeps the set sorted for the next round and emits each id once.
+    /// Marks the sorted candidate set against each relevant id-sorted
+    /// sub-list. A candidate may be replicated into several slices, so the
+    /// planner marks hits rather than emitting them directly, and keeps
+    /// each id once.
     pub(crate) fn restrict_marked(
         &self,
         grid: &SliceGrid,
         q: Interval,
         scratch: &mut QueryScratch,
     ) {
-        let mut cands = std::mem::take(&mut scratch.cands);
-        scratch.begin_mark(cands.len());
-        for s in grid.slice_of(q.st)..=grid.slice_of(q.end) {
-            let Some(sub) = self.sub(s) else { continue };
-            scratch.mark(&cands, &sub.ids);
-        }
-        scratch.finish_mark(&mut cands);
-        scratch.cands = cands;
+        scratch.intersect_runs(|runs| {
+            for s in grid.slice_of(q.st)..=grid.slice_of(q.end) {
+                if let Some(sub) = self.sub(s) {
+                    runs.mark_run(&sub.ids);
+                }
+            }
+        });
     }
 
     /// Bytes of the materialized sub-lists' columns.

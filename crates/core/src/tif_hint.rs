@@ -135,41 +135,30 @@ impl TermPartition for Hint {
         scanned
     }
 
-    /// Traverses each relevant division of `H[e]`. Algorithm 3 probes the
-    /// candidate set with take-once semantics (replacing its binary
-    /// searches and the candidate sort they required); Algorithm 4 keeps
-    /// its merge-marking pass over the id-sorted divisions.
+    /// Traverses each relevant division of `H[e]`. Algorithm 3 offers the
+    /// admitted ids to the planner's take-once round (replacing its binary
+    /// searches and the candidate sort they required); Algorithm 4 hands
+    /// the id-sorted divisions to its marking round.
     fn restrict(&self, params: &HintParams, q: Interval, scratch: &mut QueryScratch) {
         let (q_st, q_end) = (q.st, q.end);
-        let mut cands = std::mem::take(&mut scratch.cands);
         match params.config.strategy {
             // Algorithm 3: beneficial sorting + endpoint checks.
-            IntersectStrategy::BinarySearch => {
-                scratch.load_candidates(&cands, 0);
-                cands.clear();
+            IntersectStrategy::BinarySearch => scratch.intersect_offered(|taker| {
                 let mut probed = 0u64;
                 self.visit_relevant(q_st, q_end, |view, mode| {
                     probed += view.ids.len() as u64;
                     mode.for_each_admitted(view.ids, view.sts, view.ends, q_st, q_end, |id| {
-                        if scratch.probe_take(id) {
-                            cands.push(id);
-                        }
+                        taker.offer_id(id)
                     });
                 });
-                scratch.note_probed(probed);
-                scratch.end_probe();
-            }
-            // Algorithm 4: merge-mark against id-sorted divisions, no
-            // temporal checks (candidates already overlap the query).
-            IntersectStrategy::MergeSort => {
-                scratch.begin_mark(cands.len());
-                self.visit_relevant(q_st, q_end, |view, _mode| {
-                    scratch.mark(&cands, view.ids);
-                });
-                scratch.finish_mark(&mut cands);
-            }
+                probed
+            }),
+            // Algorithm 4: no temporal checks (candidates already overlap
+            // the query).
+            IntersectStrategy::MergeSort => scratch.intersect_runs(|runs| {
+                self.visit_relevant(q_st, q_end, |view, _mode| runs.mark_run(view.ids));
+            }),
         }
-        scratch.cands = cands;
     }
 
     fn for_each_id_list(&self, mut f: impl FnMut(&[u32])) {

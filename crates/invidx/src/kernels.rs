@@ -46,10 +46,11 @@ macro_rules! debug_assert_sorted {
     };
 }
 
-/// Classic merge (zipper) intersection: appends every candidate that has a
-/// live posting to `out`. Linear in `cands.len() + postings.len()`.
+/// Classic merge (zipper) intersection: calls `hit(i, cands[i])` for
+/// every candidate that has a live posting, in candidate order. Linear in
+/// `cands.len() + postings.len()`.
 #[inline]
-pub fn intersect_merge_into(cands: &[u32], postings: &[u32], out: &mut Vec<u32>) {
+pub fn merge_matches(cands: &[u32], postings: &[u32], mut hit: impl FnMut(usize, u32)) {
     debug_assert_sorted!(cands);
     debug_assert_sorted!(postings, raw);
     let (mut i, mut j) = (0, 0);
@@ -61,7 +62,7 @@ pub fn intersect_merge_into(cands: &[u32], postings: &[u32], out: &mut Vec<u32>)
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
                 if live(postings[j]) {
-                    out.push(c);
+                    hit(i, c);
                 }
                 i += 1;
                 j += 1;
@@ -71,13 +72,15 @@ pub fn intersect_merge_into(cands: &[u32], postings: &[u32], out: &mut Vec<u32>)
 }
 
 /// Galloping (exponential-search) intersection, efficient when `cands` is
-/// much smaller than `postings`: `O(|cands| * log |postings|)`.
+/// much smaller than `postings`: per candidate, an exponential search
+/// through `postings` — `O(|cands| * log |postings|)`. Same sink as
+/// [`merge_matches`].
 #[inline]
-pub fn intersect_gallop_into(cands: &[u32], postings: &[u32], out: &mut Vec<u32>) {
+pub fn gallop_matches(cands: &[u32], postings: &[u32], mut hit: impl FnMut(usize, u32)) {
     debug_assert_sorted!(cands);
     debug_assert_sorted!(postings, raw);
     let mut lo = 0usize;
-    for &c in cands {
+    for (i, &c) in cands.iter().enumerate() {
         // Gallop to find the first posting with raw id >= c.
         let mut step = 1usize;
         let mut hi = lo;
@@ -90,7 +93,7 @@ pub fn intersect_gallop_into(cands: &[u32], postings: &[u32], out: &mut Vec<u32>
         let idx = lo + postings[lo..hi].partition_point(|&p| raw(p) < c);
         if idx < postings.len() && raw(postings[idx]) == c {
             if live(postings[idx]) {
-                out.push(c);
+                hit(i, c);
             }
             lo = idx + 1;
         } else {
@@ -106,9 +109,9 @@ pub fn intersect_gallop_into(cands: &[u32], postings: &[u32], out: &mut Vec<u32>
 /// the candidate set: iterates the postings (skipping tombstones) and
 /// gallops through `cands`. `O(|postings| * log |cands|)` where a merge
 /// would scan `|cands| + |postings|`; at a 40:1 cands:postings ratio
-/// that is ~3x less work.
+/// that is ~3x less work. Same sink as [`merge_matches`].
 #[inline]
-pub fn intersect_gallop_rev_into(cands: &[u32], postings: &[u32], out: &mut Vec<u32>) {
+pub fn gallop_rev_matches(cands: &[u32], postings: &[u32], mut hit: impl FnMut(usize, u32)) {
     debug_assert_sorted!(cands);
     debug_assert_sorted!(postings, raw);
     let mut lo = 0usize;
@@ -128,7 +131,7 @@ pub fn intersect_gallop_rev_into(cands: &[u32], postings: &[u32], out: &mut Vec<
         let hi = hi.min(cands.len());
         let idx = lo + cands[lo..hi].partition_point(|&x| x < c);
         if idx < cands.len() && cands[idx] == c {
-            out.push(c);
+            hit(idx, c);
             lo = idx + 1;
         } else {
             lo = idx;
@@ -139,116 +142,32 @@ pub fn intersect_gallop_rev_into(cands: &[u32], postings: &[u32], out: &mut Vec<
     }
 }
 
-/// Size ratio above which a conjunction step (the planner's `intersect`,
-/// its merge-marking rounds, `BlockPostings::intersect_into`) gallops
-/// through the longer side instead of merging. Retuned 16 → 8 on the vectorized-kernel density grid: the
+/// [`merge_matches`], appending every matching candidate to `out`.
+#[inline]
+pub fn intersect_merge_into(cands: &[u32], postings: &[u32], out: &mut Vec<u32>) {
+    merge_matches(cands, postings, |_, c| out.push(c));
+}
+
+/// [`gallop_matches`], appending every matching candidate to `out`.
+#[inline]
+pub fn intersect_gallop_into(cands: &[u32], postings: &[u32], out: &mut Vec<u32>) {
+    gallop_matches(cands, postings, |_, c| out.push(c));
+}
+
+/// [`gallop_rev_matches`], appending every matching candidate to `out`.
+#[inline]
+pub fn intersect_gallop_rev_into(cands: &[u32], postings: &[u32], out: &mut Vec<u32>) {
+    gallop_rev_matches(cands, postings, |_, c| out.push(c));
+}
+
+/// Size ratio above which a sorted conjunction step (the planner's
+/// `intersect` and `intersect_runs`, `BlockPostings::intersect_into`)
+/// gallops through the longer side instead of merging. Retuned 16 → 8 on the vectorized-kernel density grid: the
 /// 8-lane gallop probe already beats both merge forms at an 8:1
 /// postings:cands ratio ((1‰,8‰): 8.0µs vs 10.8µs scalar merge; (8‰,64‰):
 /// 106µs vs 133µs vector merge) and ties at 4:1, where the old scalar
 /// crossover sat near 16:1 (BENCH_kernels.json).
 pub const GALLOP_RATIO: usize = 8;
-
-/// Marks `hits[i] = true` for every candidate `cands[i]` that has a live
-/// posting. Used when a candidate may occur in several postings runs (e.g.
-/// replicated slice sub-lists) and must still be emitted once.
-#[inline]
-pub fn mark_hits(cands: &[u32], postings: &[u32], hits: &mut [bool]) {
-    debug_assert_eq!(cands.len(), hits.len());
-    debug_assert_sorted!(cands);
-    debug_assert_sorted!(postings, raw);
-    let (mut i, mut j) = (0, 0);
-    while i < cands.len() && j < postings.len() {
-        let c = cands[i];
-        let p = raw(postings[j]);
-        match c.cmp(&p) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                if live(postings[j]) {
-                    hits[i] = true;
-                }
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-}
-
-/// Galloping variant of [`mark_hits`] for candidate sets much smaller
-/// than the postings run: per candidate, an exponential search through
-/// `postings` replaces the zipper's element-by-element scan —
-/// `O(|cands| * log |postings|)` against `O(|cands| + |postings|)`. On
-/// the slicing benchmark this is the dominant mark shape (slice
-/// sub-lists run to tens of thousands of ids against a few hundred
-/// surviving candidates).
-#[inline]
-pub fn mark_hits_gallop(cands: &[u32], postings: &[u32], hits: &mut [bool]) {
-    debug_assert_eq!(cands.len(), hits.len());
-    debug_assert_sorted!(cands);
-    debug_assert_sorted!(postings, raw);
-    let mut lo = 0usize;
-    for (i, &c) in cands.iter().enumerate() {
-        let mut step = 1usize;
-        let mut hi = lo;
-        while hi < postings.len() && raw(postings[hi]) < c {
-            lo = hi + 1;
-            hi = lo + step;
-            step <<= 1;
-        }
-        let hi = hi.min(postings.len());
-        let idx = lo + postings[lo..hi].partition_point(|&p| raw(p) < c);
-        if idx < postings.len() && raw(postings[idx]) == c {
-            if live(postings[idx]) {
-                hits[i] = true;
-            }
-            lo = idx + 1;
-        } else {
-            lo = idx;
-        }
-        if lo >= postings.len() {
-            break;
-        }
-    }
-}
-
-/// Reversed-gallop variant of [`mark_hits`] for postings much smaller
-/// than the candidate set: iterates the live postings and gallops
-/// through `cands`, marking matches by index —
-/// `O(|postings| * log |cands|)` against the merge's full
-/// `O(|cands| + |postings|)` scan. Same marking semantics: per call,
-/// the first occurrence of each matching candidate value is marked per
-/// matching posting.
-#[inline]
-pub fn mark_hits_gallop_rev(cands: &[u32], postings: &[u32], hits: &mut [bool]) {
-    debug_assert_eq!(cands.len(), hits.len());
-    debug_assert_sorted!(cands);
-    debug_assert_sorted!(postings, raw);
-    let mut lo = 0usize;
-    for &p in postings {
-        if !live(p) {
-            continue;
-        }
-        let c = raw(p);
-        let mut step = 1usize;
-        let mut hi = lo;
-        while hi < cands.len() && cands[hi] < c {
-            lo = hi + 1;
-            hi = lo + step;
-            step <<= 1;
-        }
-        let hi = hi.min(cands.len());
-        let idx = lo + cands[lo..hi].partition_point(|&x| x < c);
-        if idx < cands.len() && cands[idx] == c {
-            hits[idx] = true;
-            lo = idx + 1;
-        } else {
-            lo = idx;
-        }
-        if lo >= cands.len() {
-            break;
-        }
-    }
-}
 
 /// The span rule of [`order_ids_ascending`]: the bitmap pass runs when
 /// the answer's id span, in 64-bit words, is at most this many times the

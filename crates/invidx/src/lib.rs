@@ -12,8 +12,8 @@
 //!   id-only ([`CompactInverted`]) or carrying `[start, end]`
 //!   ([`CompactTemporalInverted`]);
 //! * [`kernels`] — merge / galloping sorted-set intersection primitives,
-//!   tombstone-aware, and the comparison-free pass that puts a served
-//!   answer in ascending order;
+//!   each written once over a match sink, tombstone-aware, and the
+//!   comparison-free pass that puts a served answer in ascending order;
 //! * [`simd`] — runtime-dispatched SSE2/SSSE3/AVX2 variants of the hot
 //!   kernels (the one audited `unsafe` module in this crate; scalar
 //!   fallbacks always available, `TIR_SIMD=off` forces them);
@@ -46,9 +46,8 @@ pub use compress::{BlockPostings, CompressedTemporalPostings};
 pub use dict::Dictionary;
 pub use elem_bitmaps::{ElemBitmaps, ELEM_BITMAP_DEN};
 pub use kernels::{
-    intersect_gallop_into, intersect_gallop_rev_into, intersect_merge_into, live, mark_hits,
-    mark_hits_gallop, mark_hits_gallop_rev, order_ids_ascending, raw, ORDER_SPAN_WORDS_PER_ID,
-    TOMBSTONE,
+    intersect_gallop_into, intersect_gallop_rev_into, intersect_merge_into, live,
+    order_ids_ascending, raw, ORDER_SPAN_WORDS_PER_ID, TOMBSTONE,
 };
 pub use planner::{global_stats, Kernel, PlanStats, Postings, QueryScratch};
 pub use simd::SimdLevel;

@@ -5,16 +5,23 @@
 //! with the remaining elements in ascending document frequency. This
 //! module owns the *how* of each intersection step:
 //!
-//! * sorted array vs sorted array → **merge** or **gallop**, picked by the
-//!   size ratio ([`crate::kernels::GALLOP_RATIO`]);
+//! * sorted array vs sorted array → **merge** or **gallop** in either
+//!   direction, picked by the size ratio ([`crate::kernels::GALLOP_RATIO`])
+//!   in one place for both the array step and the run-marking round;
 //! * anything vs the present-only [`Postings::Bits`] view of an
 //!   index-wide [`crate::ElemBitmaps`] entry → **bitmap-probe** (O(1)
 //!   membership per candidate), or **word-AND** when the candidate set is
 //!   itself dense enough to be worth materializing as a bitmap, after
 //!   which consecutive dense steps AND whole 64-bit words;
-//! * candidate membership probes (the Algorithm 3 / mark-hits pattern)
-//!   → a candidate bitmap when the universe is small enough, binary
+//! * id-sorted runs that may share ids (slices, id-sorted HINT
+//!   divisions) → one marking round, [`QueryScratch::intersect_runs`];
+//! * ids offered in no id order (shards, beneficially sorted HINT
+//!   divisions) → one take-once round, [`QueryScratch::intersect_offered`],
+//!   over a candidate bitmap when the universe is small enough, binary
 //!   search otherwise.
+//!
+//! A policy only says which runs or ids are relevant; the planner runs the
+//! round, picks the kernel and counts the work.
 //!
 //! All state lives in a reusable [`QueryScratch`] so a steady-state query
 //! performs no allocation beyond its reply vector, and every step is
@@ -23,7 +30,10 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::kernels::{live, mark_hits, raw, GALLOP_RATIO};
+use crate::kernels::{
+    gallop_matches, gallop_rev_matches, intersect_gallop_rev_into, live, merge_matches, raw,
+    GALLOP_RATIO,
+};
 use crate::simd;
 
 /// The kernel a conjunction step ran on.
@@ -264,6 +274,30 @@ pub enum Postings<'a> {
     Bits(&'a [u64]),
 }
 
+/// The three sorted-step algorithms.
+#[derive(Clone, Copy)]
+enum Algo {
+    Merge,
+    Gallop,
+    GallopRev,
+}
+
+/// The size-ratio choice of every sorted step, array or run: gallop
+/// through the longer side once it is [`GALLOP_RATIO`] times the shorter,
+/// else merge. Returns the algorithm, its scalar counter (both gallop
+/// directions share one: same cost shape) and the elements it scans, the
+/// side it iterates.
+#[inline]
+fn choose(cands: usize, postings: usize) -> (Algo, Kernel, u64) {
+    if cands.saturating_mul(GALLOP_RATIO) < postings {
+        (Algo::Gallop, Kernel::Gallop, cands as u64)
+    } else if postings.saturating_mul(GALLOP_RATIO) < cands {
+        (Algo::GallopRev, Kernel::Gallop, postings as u64)
+    } else {
+        (Algo::Merge, Kernel::Merge, (cands + postings) as u64)
+    }
+}
+
 /// The candidate set becomes worth materializing as a bitmap once it
 /// covers at least 1/`WORD_AND_DENSITY_DEN` of the dense side's universe:
 /// below that, per-candidate probes touch less memory than whole-word
@@ -306,7 +340,6 @@ pub struct QueryScratch {
     loaded: Vec<u32>,
     hits: Vec<bool>,
     blk: Vec<u32>,
-    probe_bits: bool,
     stats: PlanStats,
     last: PlanStats,
     deadline: Option<std::time::Instant>,
@@ -348,10 +381,11 @@ impl QueryScratch {
     }
 
     /// Arms (or clears) a per-query deadline. The serve pool sets this
-    /// before `query_into`; conjunction steps then probe the wall clock
-    /// once per [`DEADLINE_PROBE_EVERY`] scanned elements and, on
-    /// expiry, drop every candidate so the rest of the plan collapses to
-    /// O(1) early-exits. After the query, [`QueryScratch::timed_out`]
+    /// before `query_into`; every non-seed step then starts with a probe
+    /// ([`QueryScratch::intersect`], [`QueryScratch::begin_policy_step`])
+    /// that reads the wall clock once per [`DEADLINE_PROBE_EVERY`] scanned
+    /// elements and, on expiry, drops every candidate so the rest of the
+    /// plan collapses to O(1) early-exits. After the query, [`QueryScratch::timed_out`]
     /// says whether the built answer is partial and must be discarded. A
     /// query that completes without ever probing past its deadline is
     /// complete and servable regardless of the clock.
@@ -439,26 +473,19 @@ impl QueryScratch {
             return;
         }
         self.next.clear();
-        if self.cands.len().saturating_mul(GALLOP_RATIO) < ids.len() {
-            // Scalar and AVX2 gallop share one counter: same cost shape.
-            simd::gallop_into(&self.cands, ids, &mut self.next);
-            self.stats.note(Kernel::Gallop, self.cands.len() as u64);
-        } else if ids.len().saturating_mul(GALLOP_RATIO) < self.cands.len() {
-            // Opposite skew: iterate the small postings side, gallop
-            // through the candidates. Same counter as forward gallop —
-            // the scanned side is the one iterated.
-            crate::kernels::intersect_gallop_rev_into(&self.cands, ids, &mut self.next);
-            self.stats.note(Kernel::Gallop, ids.len() as u64);
-        } else {
-            let vector = simd::merge_into(&self.cands, ids, &mut self.next);
-            let kernel = if vector {
-                Kernel::SimdMerge
-            } else {
-                Kernel::Merge
-            };
-            self.stats
-                .note(kernel, (self.cands.len() + ids.len()) as u64);
+        let (algo, mut kernel, scanned) = choose(self.cands.len(), ids.len());
+        let (cands, next) = (&self.cands, &mut self.next);
+        match algo {
+            // The AVX2 gallop shares the scalar counter: same cost shape.
+            Algo::Gallop => _ = simd::gallop_into(cands, ids, next),
+            Algo::GallopRev => intersect_gallop_rev_into(cands, ids, next),
+            Algo::Merge => {
+                if simd::merge_into(cands, ids, next) {
+                    kernel = Kernel::SimdMerge;
+                }
+            }
         }
+        self.stats.note(kernel, scanned);
         std::mem::swap(&mut self.cands, &mut self.next);
     }
 
@@ -550,12 +577,13 @@ impl QueryScratch {
         }
     }
 
-    /// Hands the candidates back in array form, ascending, if a word-AND
-    /// step left them as a bitmap — for a caller about to walk
-    /// [`QueryScratch::cands`] itself (a merge-mark or take-once round)
-    /// instead of calling [`QueryScratch::intersect`]. Array-form
-    /// candidates are left as they are.
-    pub fn unpack_candidate_bits(&mut self) {
+    /// Starts a non-seed step that does not go through
+    /// [`QueryScratch::intersect`] (a policy's own restriction): probes an
+    /// armed deadline, as `intersect` does, then hands the candidates back
+    /// in array form, ascending, if a word-AND step left them as a bitmap.
+    /// Array-form candidates are left as they are.
+    pub fn begin_policy_step(&mut self) {
+        self.check_deadline();
         if self.bits_live {
             let mut cands = std::mem::take(&mut self.cands);
             cands.clear();
@@ -593,131 +621,74 @@ impl QueryScratch {
         self.bits_count = 0;
     }
 
-    // ----- candidate-probe mode (Algorithm 3 / mark-hits call sites) -----
+    /// One step over id-sorted runs that may share ids (slice-replicated
+    /// sub-lists, id-sorted HINT divisions): `each_run` hands every
+    /// relevant run to [`RunMarker::mark_run`], which marks the candidates
+    /// the run holds; the candidates are then compacted, in order, to the
+    /// marked ones, so an id held by several runs survives once. The
+    /// candidates must be in array form and ascending.
+    pub fn intersect_runs(&mut self, each_run: impl FnOnce(&mut RunMarker<'_>)) {
+        debug_assert!(!self.bits_live, "begin_policy_step hands back array form");
+        if self.cands.is_empty() {
+            return;
+        }
+        self.hits.clear();
+        self.hits.resize(self.cands.len(), false);
+        each_run(&mut RunMarker {
+            cands: &self.cands,
+            hits: &mut self.hits,
+            stats: &mut self.stats,
+        });
+        let mut hits = self.hits.iter();
+        self.cands.retain(|_| hits.next() == Some(&true));
+    }
 
-    /// Indexes `cands` (unique live raw ids, any order) for repeated
-    /// [`QueryScratch::probe_take`] calls: a candidate bitmap when the id
-    /// range is small enough, a sorted copy with hit flags otherwise.
-    /// `universe` is a sizing hint (`max id + 1` if known; 0 is fine —
-    /// the candidate maximum is used); ranges beyond
-    /// [`MAX_PROBE_UNIVERSE`] fall back to binary-search probes.
-    pub fn load_candidates(&mut self, cands: &[u32], universe: u32) {
-        let needed = cands
+    /// One step over ids that arrive in no id order (start-sorted shards,
+    /// beneficially sorted HINT divisions): the candidates (array form, any
+    /// order) are indexed — as a bitmap up to [`MAX_PROBE_UNIVERSE`], else
+    /// sorted for binary search — and `walk` offers ids to
+    /// [`IdTaker::offer_id`], returning how many postings it scanned. Each
+    /// candidate is taken at most once, so replicated postings emit it
+    /// once; the survivors are the candidates, in the order taken.
+    pub fn intersect_offered(&mut self, walk: impl FnOnce(&mut IdTaker<'_>) -> u64) {
+        debug_assert!(!self.bits_live, "begin_policy_step hands back array form");
+        if self.cands.is_empty() {
+            return;
+        }
+        std::mem::swap(&mut self.loaded, &mut self.cands);
+        let universe = self
+            .loaded
             .iter()
-            .fold(universe, |u, &c| u.max(c.saturating_add(1)));
-        self.loaded.clear();
-        self.loaded.extend_from_slice(cands);
-        if needed > 0 && needed <= MAX_PROBE_UNIVERSE {
-            self.probe_bits = true;
-            let w = (needed as usize).div_ceil(64);
+            .fold(0u32, |u, &c| u.max(c.saturating_add(1)));
+        let (kernel, index) = if universe <= MAX_PROBE_UNIVERSE {
+            let w = (universe as usize).div_ceil(64);
             if self.bits.len() < w {
                 self.bits.resize(w, 0);
             }
-            self.bits_words = self.bits_words.max(w);
             for &c in &self.loaded {
                 self.bits[c as usize / 64] |= 1u64 << (c % 64);
             }
-            self.stats
-                .note(Kernel::BitmapProbe, self.loaded.len() as u64);
+            (Kernel::BitmapProbe, CandIndex::Bits(&mut self.bits[..w]))
         } else {
-            self.probe_bits = false;
             self.loaded.sort_unstable();
             self.hits.clear();
             self.hits.resize(self.loaded.len(), false);
-            self.stats.note(Kernel::Gallop, self.loaded.len() as u64);
-        }
-    }
-
-    /// Tests whether `raw_id` is a loaded candidate not yet taken, and
-    /// takes it — each candidate is emitted at most once per load, which
-    /// replaces the mark-hits pass over replicated sub-lists.
-    ///
-    /// Deliberately does no counter bookkeeping: this is the hottest
-    /// per-element call in the probe pattern, so call sites account the
-    /// elements they scanned in bulk via [`QueryScratch::note_probed`].
-    #[inline]
-    pub fn probe_take(&mut self, raw_id: u32) -> bool {
-        if self.probe_bits {
-            let w = raw_id as usize / 64;
-            if w < self.bits_words && (self.bits[w] >> (raw_id % 64)) & 1 == 1 {
-                self.bits[w] &= !(1u64 << (raw_id % 64));
-                return true;
-            }
-            false
-        } else if let Ok(i) = self.loaded.binary_search(&raw_id) {
-            !std::mem::replace(&mut self.hits[i], true)
-        } else {
-            false
-        }
-    }
-
-    /// Records `scanned` posting elements probed through
-    /// [`QueryScratch::probe_take`] since the last
-    /// [`QueryScratch::load_candidates`], attributed to whichever probe
-    /// kernel that load selected. Called once per posting list (or per
-    /// round) rather than per element so the probe loop stays free of
-    /// counter read-modify-writes.
-    #[inline]
-    pub fn note_probed(&mut self, scanned: u64) {
-        let kernel = if self.probe_bits {
-            Kernel::BitmapProbe
-        } else {
-            Kernel::Gallop
+            let (ids, taken) = (&self.loaded[..], &mut self.hits[..]);
+            (Kernel::Gallop, CandIndex::Sorted { ids, taken })
         };
-        self.stats.note(kernel, scanned);
-    }
-
-    // ----- merge-marking rounds (sorted replicated sub-lists) -----
-
-    /// Begins a merge-marking round over a sorted candidate set of `n`
-    /// ids: clears and sizes the per-candidate hit flags. Cheaper than
-    /// probe mode when the postings runs are id-sorted, because each
-    /// [`QueryScratch::mark`] is a branch-light linear zipper.
-    pub fn begin_mark(&mut self, n: usize) {
-        self.hits.clear();
-        self.hits.resize(n, false);
-    }
-
-    /// Merge-marks every candidate with a live posting in `postings`
-    /// (both sorted ascending; postings by raw id). A candidate may be
-    /// marked by several runs — e.g. slice-replicated sub-lists — and is
-    /// still emitted once by [`QueryScratch::finish_mark`].
-    pub fn mark(&mut self, cands: &[u32], postings: &[u32]) {
-        self.check_deadline();
-        if self.deadline_expired {
-            // Past deadline: mark nothing, so finish_mark empties the
-            // caller's candidate buffer and its plan early-exits.
-            return;
-        }
-        if postings.len().saturating_mul(GALLOP_RATIO) < cands.len() {
-            // Skewed round: iterate the small postings side, gallop
-            // through the candidates (same dispatch as intersect_ids).
-            crate::kernels::mark_hits_gallop_rev(cands, postings, &mut self.hits);
-            self.stats.note(Kernel::Gallop, postings.len() as u64);
-        } else if cands.len().saturating_mul(GALLOP_RATIO) < postings.len() {
-            // Opposite skew — few surviving candidates against a long
-            // sub-list (the dominant slicing shape: ~10^2 cands vs 10^4
-            // postings): gallop through the postings per candidate.
-            crate::kernels::mark_hits_gallop(cands, postings, &mut self.hits);
-            self.stats.note(Kernel::Gallop, cands.len() as u64);
-        } else {
-            mark_hits(cands, postings, &mut self.hits);
-            self.stats
-                .note(Kernel::Merge, (cands.len() + postings.len()) as u64);
-        }
-    }
-
-    /// Ends a merge-marking round: compacts `cands` in place (preserving
-    /// sorted order) to the candidates that were marked.
-    pub fn finish_mark(&mut self, cands: &mut Vec<u32>) {
-        debug_assert_eq!(self.hits.len(), cands.len());
-        let mut i = 0;
-        cands.retain(|_| {
-            let hit = self.hits[i];
-            i += 1;
-            hit
+        self.stats.note(kernel, self.loaded.len() as u64);
+        let scanned = walk(&mut IdTaker {
+            index,
+            out: &mut self.cands,
         });
-        self.hits.clear();
+        self.stats.note(kernel, scanned);
+        if kernel == Kernel::BitmapProbe {
+            // Candidates never taken still have their bit set.
+            for &c in &self.loaded {
+                self.bits[c as usize / 64] &= !(1u64 << (c % 64));
+            }
+        }
+        self.loaded.clear();
     }
 
     /// Takes the internal secondary buffer for call sites that run their
@@ -757,28 +728,75 @@ impl QueryScratch {
     pub fn note_blocks(&mut self, blocks: u64) {
         self.stats.note_blocks(blocks);
     }
-
-    /// Ends a probe round, clearing the candidate index so the next
-    /// [`QueryScratch::load_candidates`] starts clean.
-    pub fn end_probe(&mut self) {
-        if self.probe_bits {
-            for &c in &self.loaded {
-                let w = c as usize / 64;
-                if w < self.bits.len() {
-                    self.bits[w] &= !(1u64 << (c % 64));
-                }
-            }
-            self.bits_words = 0;
-        } else {
-            self.hits.clear();
-        }
-        self.loaded.clear();
-    }
 }
 
 impl Drop for QueryScratch {
     fn drop(&mut self) {
         self.finish_query();
+    }
+}
+
+/// The handle [`QueryScratch::intersect_runs`] passes to its closure.
+pub struct RunMarker<'a> {
+    cands: &'a [u32],
+    hits: &'a mut [bool],
+    stats: &'a mut PlanStats,
+}
+
+impl RunMarker<'_> {
+    /// Marks every candidate with a live posting in `postings` (sorted by
+    /// raw id), on the kernel the size ratio picks, and counts the run as
+    /// one step.
+    pub fn mark_run(&mut self, postings: &[u32]) {
+        let (algo, kernel, scanned) = choose(self.cands.len(), postings.len());
+        let (cands, hits) = (self.cands, &mut *self.hits);
+        let mark = |i: usize, _| hits[i] = true;
+        match algo {
+            Algo::Merge => merge_matches(cands, postings, mark),
+            Algo::Gallop => gallop_matches(cands, postings, mark),
+            Algo::GallopRev => gallop_rev_matches(cands, postings, mark),
+        }
+        self.stats.note(kernel, scanned);
+    }
+}
+
+/// How a take-once round indexes its candidates.
+enum CandIndex<'a> {
+    /// Bit `id` set iff `id` is a candidate not yet taken.
+    Bits(&'a mut [u64]),
+    /// The candidates ascending, with a taken flag each.
+    Sorted {
+        ids: &'a [u32],
+        taken: &'a mut [bool],
+    },
+}
+
+/// The handle [`QueryScratch::intersect_offered`] passes to its walk.
+pub struct IdTaker<'a> {
+    index: CandIndex<'a>,
+    out: &'a mut Vec<u32>,
+}
+
+impl IdTaker<'_> {
+    /// Keeps `raw_id` if it is a candidate not taken yet, and takes it.
+    /// Does no counter bookkeeping: the walk returns its scan count once.
+    #[inline]
+    pub fn offer_id(&mut self, raw_id: u32) {
+        let fresh = match &mut self.index {
+            CandIndex::Bits(words) => match words.get_mut(raw_id as usize / 64) {
+                Some(w) if (*w >> (raw_id % 64)) & 1 == 1 => {
+                    *w &= !(1u64 << (raw_id % 64));
+                    true
+                }
+                _ => false,
+            },
+            CandIndex::Sorted { ids, taken } => ids
+                .binary_search(&raw_id)
+                .is_ok_and(|i| !std::mem::replace(&mut taken[i], true)),
+        };
+        if fresh {
+            self.out.push(raw_id);
+        }
     }
 }
 
@@ -919,7 +937,7 @@ mod tests {
     }
 
     #[test]
-    fn unpacked_bits_feed_a_mark_round_in_ascending_order() {
+    fn a_policy_step_gets_a_word_and_result_back_ascending() {
         let evens = bits_of(&(0..128).map(|i| i * 2).collect::<Vec<_>>(), 256);
         let mut s = QueryScratch::default();
         s.reset();
@@ -928,18 +946,15 @@ mod tests {
         s.cands.extend((0..64).rev());
         s.intersect(Postings::Bits(&evens));
         assert_eq!(s.last_stats().word_and_steps, 0, "still mid-query");
-        s.unpack_candidate_bits();
+        s.begin_policy_step();
         let want: Vec<u32> = (0..32).map(|i| i * 2).collect();
         assert_eq!(s.cands, want);
-        // A merge-mark round reads the handed-back array directly.
-        let mut cands = std::mem::take(&mut s.cands);
-        s.begin_mark(cands.len());
-        s.mark(&cands, &[2, 3, 40, 41]);
-        s.finish_mark(&mut cands);
-        assert_eq!(cands, vec![2, 40]);
+        // A run round reads the handed-back array directly.
+        s.intersect_runs(|runs| runs.mark_run(&[2, 3, 40, 41]));
+        assert_eq!(s.cands, vec![2, 40]);
         // Array-form candidates are left as they are, order included.
         s.cands = vec![9, 3];
-        s.unpack_candidate_bits();
+        s.begin_policy_step();
         assert_eq!(s.cands, vec![9, 3]);
         let mut out = Vec::new();
         s.take_into(&mut out);
@@ -999,47 +1014,73 @@ mod tests {
     }
 
     #[test]
-    fn probe_mode_takes_each_candidate_once() {
+    fn offered_rounds_take_each_candidate_once() {
         let mut s = QueryScratch::default();
-        // 100 exercises the candidate bitmap; u32::MAX overflows
-        // MAX_PROBE_UNIVERSE and exercises the sorted fallback.
-        for universe in [100u32, u32::MAX] {
+        // Small ids index the candidates as a bitmap; one id at
+        // MAX_PROBE_UNIVERSE sends the round to the sorted fallback.
+        for far in [99, MAX_PROBE_UNIVERSE] {
             s.reset();
-            s.load_candidates(&[5, 1, 9], universe);
-            assert!(s.probe_take(1));
-            assert!(!s.probe_take(1), "taken candidates never re-emit");
-            assert!(!s.probe_take(2));
-            assert!(s.probe_take(9));
-            s.end_probe();
-            // A fresh load sees a clean slate.
-            s.load_candidates(&[1], universe);
-            assert!(s.probe_take(1));
-            s.end_probe();
+            s.cands.extend_from_slice(&[5, far, 1, 9]);
+            s.intersect_offered(|taker| {
+                for id in [1, 1, 2, far, 9, far, 9] {
+                    taker.offer_id(id);
+                }
+                7
+            });
+            assert_eq!(s.cands, vec![1, far, 9], "taken candidates never re-emit");
+            // A fresh round sees a clean slate.
+            s.intersect_offered(|taker| {
+                [9, far, 1].into_iter().for_each(|id| taker.offer_id(id));
+                3
+            });
+            assert_eq!(s.cands, vec![9, far, 1]);
+            s.reset();
+            let st = s.last_stats();
+            let steps = if far < MAX_PROBE_UNIVERSE {
+                st.bitmap_probe_steps
+            } else {
+                st.gallop_steps
+            };
+            assert_eq!(steps, 4, "a load and a scan per round, far={far}");
+            assert_eq!(st.scanned, 4 + 7 + 3 + 3);
+            // The word arena is left all-zero for the answer's ordering.
+            let mut ids = [70, 5, 1];
+            s.order_answer_ids(&mut ids);
+            assert_eq!(ids, [1, 5, 70]);
         }
     }
 
     #[test]
-    fn mark_rounds_compact_to_hit_candidates() {
+    fn run_rounds_compact_to_the_candidates_some_run_holds() {
         let mut s = QueryScratch::default();
         s.reset();
-        let mut cands = vec![1u32, 4, 7, 9];
-        s.begin_mark(cands.len());
-        // Replicated runs: 7 appears in both, and is still emitted once.
-        s.mark(&cands, &[2, 7, 9 | TOMBSTONE]);
-        s.mark(&cands, &[4, 7]);
-        s.finish_mark(&mut cands);
-        assert_eq!(cands, vec![4, 7]);
+        s.cands.extend_from_slice(&[1, 4, 7, 9]);
+        // Replicated runs: 7 is in both and survives once; 9's posting is
+        // tombstoned.
+        s.intersect_runs(|runs| {
+            runs.mark_run(&[2, 7, 9 | TOMBSTONE]);
+            runs.mark_run(&[4, 7]);
+        });
+        assert_eq!(s.cands, vec![4, 7]);
         // A fresh round starts from clean flags.
-        s.begin_mark(cands.len());
-        s.mark(&cands, &[4]);
-        s.finish_mark(&mut cands);
-        assert_eq!(cands, vec![4]);
-        let stats = {
-            s.reset();
-            s.last_stats()
-        };
-        assert_eq!(stats.kernel_scanned_sum(), stats.scanned);
-        assert!(stats.merge_steps >= 3);
+        s.intersect_runs(|runs| runs.mark_run(&[4]));
+        assert_eq!(s.cands, vec![4]);
+        // Either skew gallops, counting the side it iterates.
+        let long: Vec<u32> = (0..100).collect();
+        s.cands = vec![5, 500];
+        s.intersect_runs(|runs| runs.mark_run(&long));
+        assert_eq!(s.cands, vec![5]);
+        s.cands = long;
+        s.intersect_runs(|runs| runs.mark_run(&[50, 60 | TOMBSTONE]));
+        assert_eq!(s.cands, vec![50]);
+        // A round with no relevant run keeps nothing.
+        s.intersect_runs(|_| {});
+        assert!(s.cands.is_empty());
+        s.reset();
+        let st = s.last_stats();
+        assert_eq!(st.kernel_scanned_sum(), st.scanned);
+        assert_eq!((st.merge_steps, st.merge_scanned), (3, 7 + 6 + 3));
+        assert_eq!((st.gallop_steps, st.gallop_scanned), (2, 2 + 2));
     }
 
     #[test]

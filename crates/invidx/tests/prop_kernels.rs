@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use tir_invidx::{
-    intersect_gallop_into, intersect_merge_into, order_ids_ascending, simd, BlockPostings,
+    intersect_gallop_into, intersect_merge_into, kernels, order_ids_ascending, simd, BlockPostings,
     TOMBSTONE,
 };
 
@@ -97,29 +97,27 @@ proptest! {
         let mut rev = Vec::new();
         tir_invidx::intersect_gallop_rev_into(&cands, &raw, &mut rev);
         prop_assert_eq!(&rev, &want, "reversed gallop disagrees with oracle");
-        // The mark variant must select the same survivors by index.
-        let mut hits_merge = vec![false; cands.len()];
-        tir_invidx::mark_hits(&cands, &raw, &mut hits_merge);
-        let mut hits_rev = vec![false; cands.len()];
-        tir_invidx::mark_hits_gallop_rev(&cands, &raw, &mut hits_rev);
-        prop_assert_eq!(&hits_rev, &hits_merge, "reversed mark disagrees with merge mark");
     }
 
     #[test]
-    fn gallop_mark_matches_merge_mark(
-        cands in sorted_unique(4000, 60),
-        postings in sorted_unique(4000, 400),
+    fn every_algorithm_marks_the_merges_indexes(
+        short in sorted_unique(4000, 60),
+        long in sorted_unique(4000, 400),
+        forward in any::<bool>(),
         dead in prop::collection::vec(any::<bool>(), 400),
     ) {
-        // Forward skew: few candidates against a long postings run —
-        // the galloping mark must flag exactly the indexes the zipper
-        // flags.
+        let (cands, postings) = if forward { (short, long) } else { (long, short) };
+        // Under the marking sink a run round uses, each algorithm must
+        // flag exactly the indexes the zipper flags, in either skew.
         let (raw, _) = tombstoned(&postings, &dead);
-        let mut hits_merge = vec![false; cands.len()];
-        tir_invidx::mark_hits(&cands, &raw, &mut hits_merge);
-        let mut hits_gallop = vec![false; cands.len()];
-        tir_invidx::mark_hits_gallop(&cands, &raw, &mut hits_gallop);
-        prop_assert_eq!(&hits_gallop, &hits_merge, "gallop mark disagrees with merge mark");
+        let mut merge = vec![false; cands.len()];
+        kernels::merge_matches(&cands, &raw, |i, _| merge[i] = true);
+        let mut gallop = vec![false; cands.len()];
+        kernels::gallop_matches(&cands, &raw, |i, _| gallop[i] = true);
+        prop_assert_eq!(&gallop, &merge, "gallop marks disagree with merge marks");
+        let mut rev = vec![false; cands.len()];
+        kernels::gallop_rev_matches(&cands, &raw, |i, _| rev[i] = true);
+        prop_assert_eq!(&rev, &merge, "reversed gallop marks disagree with merge marks");
     }
 
     #[test]

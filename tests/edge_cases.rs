@@ -194,3 +194,37 @@ fn duplicate_elements_in_query_and_description() {
         assert_eq!(got, vec![0, 1], "{}", idx.name());
     }
 }
+
+#[test]
+fn an_expired_deadline_stops_an_all_sparse_plan() {
+    // Three sparse terms: every 10th, 11th and 12th of 100 000 objects, so
+    // no term has a dense bitmap and every non-seed step is a policy's own.
+    // Over the whole domain the seed alone scans 8 334 postings, past the
+    // deadline probe's stride, so the first non-seed step must see a
+    // deadline that has passed.
+    let objects: Vec<Object> = (0..100_000u32)
+        .map(|i| {
+            let desc = [10, 11, 12].into_iter().filter(|k| i % k == 0).collect();
+            Object::new(i, u64::from(i), u64::from(i) + 5, desc)
+        })
+        .collect();
+    let coll = Collection::new(objects);
+    let oracle = BruteForce::build(coll.objects());
+    let q = TimeTravelQuery::new(0, 100_005, vec![10, 11, 12]);
+    let mut scratch = QueryScratch::default();
+    let mut out = Vec::new();
+    for idx in build_all(&coll) {
+        // Already past when the plan probes the clock.
+        scratch.set_deadline(Some(std::time::Instant::now()));
+        out.clear();
+        idx.query_into(&q, &mut scratch, &mut out);
+        assert!(scratch.timed_out(), "{}", idx.name());
+
+        scratch.set_deadline(None);
+        out.clear();
+        idx.query_into(&q, &mut scratch, &mut out);
+        assert!(!scratch.timed_out(), "{}", idx.name());
+        out.sort_unstable();
+        assert_eq!(out, oracle.answer(&q), "{}", idx.name());
+    }
+}
