@@ -208,24 +208,17 @@ trait CheckTerm: TermPartition {
 impl<P: CheckTerm> Validate for PerTerm<P> {
     fn validate(&self) -> Vec<Violation> {
         let mut out = Vec::new();
-        let method = P::method(self.shared());
+        let method = P::method(self.shared()).to_string();
         let mut audit = BitmapAudit::new(self.bitmaps());
+        let mut counts = Vec::new();
         self.for_each_term(|e, term| {
             term.for_each_id_list(|ids| audit.list(e, ids, true));
             let path = format!("{method}/elem{e}");
-            let (count, freq) = (
-                term.check_term(self.shared(), &path, &mut out),
-                self.freq(e),
-            );
-            if count != freq as usize {
-                fail(
-                    &mut out,
-                    &path,
-                    format!("{count} live objects stored, planner tracks freq {freq}"),
-                );
-            }
+            counts.push((e, term.check_term(self.shared(), &path, &mut out)));
         });
-        audit.finish(&method.to_string(), self.bitmaps(), &mut out);
+        audit.finish(&method, self.bitmaps(), &mut out);
+        let what = "live objects stored";
+        check_freqs(&method, what, counts, |e| self.freq(e), &mut out);
         out
     }
 }

@@ -384,8 +384,9 @@ fn chosen_kernel(stats: &PlanStats) -> &'static str {
 /// `gallop-rev` array kernels, the dispatched vector counterparts
 /// `simd-merge` and `simd-gallop` (which fall back to scalar below
 /// `SIMD_MIN_LEN` or without CPU support — the `TIR_SIMD` env var caps
-/// dispatch), `blocks` (stream-vbyte block decode + merge with skip
-/// bounds), and two planner rows — a [`QueryScratch::intersect`] against
+/// dispatch), `blocks` (a planner run round over the stream-vbyte blocks:
+/// skip by bounds, decode, mark each block's candidate window), and two
+/// planner rows — a [`QueryScratch::intersect`] against
 /// the Bernoulli sample as a sorted id array (`planner:*`) and as the
 /// present-only words the dense-element bitmaps hand the planner
 /// (`planner:bits-*`), each labeled with whichever kernel the cost model
@@ -424,7 +425,6 @@ fn cmd_bench_kernels(opts: &Opts, json_path: &str) -> Result<(), String> {
             };
 
             let mut out = Vec::new();
-            let mut blk = Vec::new();
             let mut scratch = QueryScratch::default();
             // ns/call of `kernel`, which appends its hits to the buffer
             // it is handed (cleared before every call).
@@ -439,7 +439,6 @@ fn cmd_bench_kernels(opts: &Opts, json_path: &str) -> Result<(), String> {
                 per_call.min(u128::from(u64::MAX)) as u64
             };
             let (n_cands, n_post) = (cands.len() as u64, postings.len() as u64);
-            let mut block_scanned = 1u64;
             // (kernel, ns/call, scanned/call, |postings| for the row).
             // Forced SIMD variants: the grid exists to measure the vector
             // kernels even in cells below the production dispatch gate.
@@ -481,9 +480,12 @@ fn cmd_bench_kernels(opts: &Opts, json_path: &str) -> Result<(), String> {
                 (
                     "blocks".into(),
                     time(&mut |o| {
-                        block_scanned = blocks.intersect_into(&cands, o, &mut blk).scanned.max(1);
+                        scratch.reset();
+                        scratch.cands.extend_from_slice(&cands);
+                        scratch.intersect_runs(|runs| runs.mark_blocks(&blocks, &[]));
+                        scratch.take_into(o);
                     }),
-                    block_scanned,
+                    scratch.last_stats().scanned.max(1),
                     n_post,
                 ),
             ];

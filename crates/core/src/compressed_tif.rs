@@ -5,10 +5,11 @@
 //! every term's postings is held delta-compressed and immutable — ids as
 //! stream-vbyte blocks with uncompressed skip bounds, temporal triples as
 //! varint streams — while updates go to a small uncompressed overlay
-//! (LSM-style). A conjunction step skips base blocks whose bounds cannot
-//! meet the candidate set and decodes the rest block-at-a-time into the
-//! scratch buffer; a delete tombstones the overlay entry directly, or else
-//! lists the id among the term's dead base ids.
+//! (LSM-style). A conjunction step is one planner run round: base blocks
+//! whose bounds cannot meet the candidate set are skipped, the rest are
+//! decoded one at a time as id-sorted runs, and the overlay is one run
+//! more; a delete tombstones the overlay entry directly, or else lists the
+//! id among the term's dead base ids.
 
 use crate::collection::Collection;
 use crate::method::Method;
@@ -16,8 +17,8 @@ use crate::per_term::{PerTerm, TermPartition};
 use crate::types::Interval;
 use tir_hint::IntervalRecord;
 use tir_invidx::compress::{BlockPostings, CompressedTemporalPostings};
-use tir_invidx::planner::{Kernel, QueryScratch};
-use tir_invidx::{intersect_merge_into, TemporalList, TOMBSTONE};
+use tir_invidx::planner::QueryScratch;
+use tir_invidx::{TemporalList, TOMBSTONE};
 
 /// One term of cTIF: a compressed base in two forms, an overlay, and the
 /// base ids deleted since the build.
@@ -106,33 +107,15 @@ impl TermPartition for CompressedList {
         scanned
     }
 
-    /// Block-at-a-time intersection against the base ids, merged with the
-    /// overlay hits. Blocks whose skip bounds cannot meet the candidates
-    /// are never decoded; decoded blocks land in the scratch decode buffer
-    /// and go through the dispatched merge kernel.
+    /// One run round: the base blocks that can meet the candidates, each
+    /// decoded with its dead ids tombstoned, then the overlay.
     fn restrict(&self, _: &(), _: Interval, scratch: &mut QueryScratch) {
-        let (mut hits, mut blk) = (scratch.take_aux(), scratch.take_blk());
-        if !self.ids.is_empty() {
-            let st = self.ids.intersect_into(&scratch.cands, &mut hits, &mut blk);
-            hits.retain(|&id| !self.is_dead(id));
-            let k = if st.vector {
-                Kernel::SimdMerge
-            } else {
-                Kernel::Merge
-            };
-            scratch.note(k, st.scanned);
-            scratch.note_blocks(st.blocks_decoded);
-        }
-        if !self.overlay.is_empty() {
-            intersect_merge_into(&scratch.cands, &self.overlay.ids, &mut hits);
-            let scanned = scratch.cands.len() + self.overlay.len();
-            scratch.note(Kernel::Merge, scanned as u64);
-        }
-        hits.sort_unstable();
-        hits.dedup();
-        std::mem::swap(&mut scratch.cands, &mut hits);
-        scratch.put_blk(blk);
-        scratch.put_aux(hits);
+        scratch.intersect_runs(|runs| {
+            runs.mark_blocks(&self.ids, &self.dead);
+            if !self.overlay.is_empty() {
+                runs.mark_run(&self.overlay.ids);
+            }
+        });
     }
 
     /// The decoded base with its dead ids tombstoned, then the overlay.
@@ -159,8 +142,9 @@ impl TermPartition for CompressedList {
 mod tests {
     use super::*;
     use crate::index_trait::TemporalIrIndex;
+    use crate::oracle::BruteForce;
     use crate::tif::Tif;
-    use crate::types::Object;
+    use crate::types::{Object, TimeTravelQuery};
 
     #[test]
     fn compressed_base_is_smaller_than_plain_tif() {
@@ -191,6 +175,63 @@ mod tests {
         let coll = Collection::running_example();
         let mut idx = CompressedTif::build(&coll);
         assert!(!idx.delete(&Object::new(77, 0, 5, vec![0])));
+    }
+
+    /// Term 1 holds ids 0..1024 in eight blocks of 128, `[128k, 128k + 127]`;
+    /// the seed term 0 holds four ids in blocks 1 and 2. Ids 128 and 255 —
+    /// block 1's first and last — come back without term 1, so the base
+    /// lists them dead while they stay candidates; id 200 comes back with
+    /// term 1, dead in the base and live in the overlay.
+    #[test]
+    fn a_step_decodes_only_the_blocks_its_candidates_meet() {
+        let seed = [128u32, 200, 255, 300];
+        let objects: Vec<Object> = (0..1024u32)
+            .map(|i| {
+                let desc = if seed.contains(&i) {
+                    vec![0, 1]
+                } else {
+                    vec![1]
+                };
+                Object::new(i, u64::from(i), u64::from(i) + 10, desc)
+            })
+            .collect();
+        let coll = Collection::new(objects);
+        let mut idx = CompressedTif::build(&coll);
+        idx.drop_bitmaps();
+        let mut bf = BruteForce::build(coll.objects());
+        for (id, desc) in [(128, vec![0]), (255, vec![0]), (200, vec![0, 1])] {
+            assert!(idx.delete(coll.get(id)));
+            bf.delete(coll.get(id));
+            let back = Object::new(id, 5, 2000, desc);
+            idx.insert(&back);
+            bf.insert(&back);
+        }
+        let term = &idx.terms[&1];
+        assert_eq!(term.ids.num_blocks(), 8);
+        assert_eq!(term.dead, vec![128, 200, 255]);
+        assert_eq!(
+            (term.ids.block_first(1), term.ids.block_last(1)),
+            (128, 255)
+        );
+
+        let mut scratch = QueryScratch::default();
+        for (st, end) in [(0, 5000), (5, 5), (150, 260), (290, 400)] {
+            let q = TimeTravelQuery::new(st, end, vec![0, 1]);
+            let mut got = Vec::new();
+            idx.query_into(&q, &mut scratch, &mut got);
+            got.sort_unstable();
+            assert_eq!(got, bf.answer(&q), "q={q:?}");
+        }
+        let q = TimeTravelQuery::new(0, 5000, vec![0, 1]);
+        let mut got = Vec::new();
+        idx.query_into(&q, &mut scratch, &mut got);
+        assert_eq!(got, vec![200, 300]);
+        let st = scratch.last_stats();
+        assert_eq!(st.blocks_decoded, 2, "blocks 0 and 3..8 are skipped");
+        // Three candidates against block 1's 128 ids, one against block
+        // 2's: both windows are under 1/8 of their block.
+        assert!(st.gallop_steps > 0, "{st:?}");
+        assert_eq!(st.kernel_scanned_sum(), st.scanned);
     }
 
     #[test]

@@ -51,18 +51,6 @@ fn get_varint(data: &[u8], pos: &mut usize) -> u64 {
 /// decode, small enough that skip bounds prune effectively.
 pub const BLOCK_LEN: usize = 128;
 
-/// Costs of one [`BlockPostings::intersect_into`] call, reported back so
-/// the caller can feed the planner's counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BlockStats {
-    /// Blocks actually decoded (skipped blocks cost nothing).
-    pub blocks_decoded: u64,
-    /// Candidates plus decoded ids scanned by the merge kernel.
-    pub scanned: u64,
-    /// True if any block went through the vector merge kernel.
-    pub vector: bool,
-}
-
 /// Stream-vbyte block-compressed postings: strictly ascending clean ids
 /// (no tombstones — deletions live in the caller's overlay), cut into
 /// [`BLOCK_LEN`]-id blocks. Each block keeps its first and last id
@@ -160,6 +148,13 @@ impl BlockPostings {
         self.lasts[b]
     }
 
+    /// The first block whose last id is at least `id` (`num_blocks()` if
+    /// none): the only block that can hold `id`.
+    #[inline]
+    pub(crate) fn first_block_reaching(&self, id: u32) -> usize {
+        self.lasts.partition_point(|&l| l < id)
+    }
+
     /// Ids stored in block `b`.
     #[inline]
     fn block_len(&self, b: usize) -> usize {
@@ -216,7 +211,7 @@ impl BlockPostings {
     /// True if `id` is encoded. Binary-searches the block bounds, then
     /// walks at most one block without decoding it into a buffer.
     pub fn contains(&self, id: u32) -> bool {
-        let b = self.lasts.partition_point(|&l| l < id);
+        let b = self.first_block_reaching(id);
         if b == self.num_blocks() || self.firsts[b] > id {
             return false;
         }
@@ -235,55 +230,9 @@ impl BlockPostings {
         found
     }
 
-    /// Block-at-a-time intersection with a sorted clean candidate set:
-    /// appends every candidate present in this list to `out`, skipping
-    /// blocks whose `[first, last]` range cannot meet the remaining
-    /// candidates *without decoding them*; decoded blocks go through the
-    /// dispatched merge kernel. `blk` is the caller's reusable decode
-    /// buffer (see `QueryScratch::take_blk`).
-    pub fn intersect_into(
-        &self,
-        cands: &[u32],
-        out: &mut Vec<u32>,
-        blk: &mut Vec<u32>,
-    ) -> BlockStats {
-        let mut st = BlockStats::default();
-        let Some(&last_cand) = cands.last() else {
-            return st;
-        };
-        let mut ci = 0usize;
-        // First block that can hold the smallest candidate.
-        let mut b = self.lasts.partition_point(|&l| l < cands[0]);
-        while b < self.num_blocks() && ci < cands.len() {
-            let (first, last) = (self.firsts[b], self.lasts[b]);
-            if first > last_cand {
-                break;
-            }
-            if last < cands[ci] {
-                b += 1;
-                continue;
-            }
-            let count = self.decode_block_into(b, blk);
-            let ce = ci + cands[ci..].partition_point(|&c| c <= last);
-            let window = &cands[ci..ce];
-            // A candidate window much wider than the block reverses the
-            // roles: iterate the decoded ids, gallop through the window.
-            if count.saturating_mul(crate::kernels::GALLOP_RATIO) < window.len() {
-                crate::kernels::intersect_gallop_rev_into(window, blk, out);
-                st.scanned += count as u64;
-            } else {
-                st.vector |= simd::merge_into(window, blk, out);
-                st.scanned += (ce - ci + count) as u64;
-            }
-            st.blocks_decoded += 1;
-            ci = ce;
-            b += 1;
-        }
-        st
-    }
-
     /// Calls `f(id)` for every encoded id, ascending (validators and
-    /// introspection; queries use [`BlockPostings::intersect_into`]).
+    /// introspection; queries mark decoded blocks in a planner run round,
+    /// [`crate::planner::RunMarker::mark_blocks`]).
     pub fn for_each(&self, mut f: impl FnMut(u32)) {
         for b in 0..self.num_blocks() {
             self.walk_block(b, |id| {
@@ -398,6 +347,8 @@ impl CompressedTemporalPostings {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::intersect_merge_into;
+    use crate::planner::{PlanStats, QueryScratch};
 
     #[test]
     fn temporal_roundtrip() {
@@ -431,6 +382,17 @@ mod tests {
         assert!(!bp.contains(ids[299] + 1), "past the last block");
     }
 
+    /// One planner run round over `bp`'s blocks with `dead` listed: the
+    /// surviving candidates and the round's counters.
+    fn block_round(bp: &BlockPostings, cands: &[u32], dead: &[u32]) -> (Vec<u32>, PlanStats) {
+        let mut s = QueryScratch::default();
+        s.cands.extend_from_slice(cands);
+        s.intersect_runs(|runs| runs.mark_blocks(bp, dead));
+        let mut out = Vec::new();
+        s.take_into(&mut out);
+        (out, s.last_stats())
+    }
+
     #[test]
     fn block_intersection_skips_blocks() {
         // 8 blocks of evens; candidates confined to one block's range.
@@ -438,12 +400,27 @@ mod tests {
         let bp = BlockPostings::encode(&ids);
         assert_eq!(bp.num_blocks(), 8);
         let cands: Vec<u32> = (600..700u32).collect();
-        let (mut out, mut blk) = (Vec::new(), Vec::new());
-        let st = bp.intersect_into(&cands, &mut out, &mut blk);
+        let (out, st) = block_round(&bp, &cands, &[]);
+        let mut merged = Vec::new();
+        intersect_merge_into(&cands, &ids, &mut merged);
         let want: Vec<u32> = (600..700).filter(|c| c % 2 == 0).collect();
         assert_eq!(out, want);
+        assert_eq!(out, merged, "the round agrees with the merge");
         assert_eq!(st.blocks_decoded, 1, "other 7 blocks skip by range");
+        assert_eq!(st.steps(), 1, "one step per decoded block");
         assert!(st.scanned > 0);
+        assert_eq!(st.kernel_scanned_sum(), st.scanned);
+
+        // Dead ids at the block's first and last position drop out; a dead
+        // id in a skipped block costs nothing.
+        let (first, last) = (bp.block_first(2), bp.block_last(2));
+        assert_eq!((first, last), (512, 766));
+        let (out, st) = block_round(&bp, &cands, &[4, first, 620, last]);
+        let want: Vec<u32> = want.into_iter().filter(|&c| c != 620).collect();
+        assert_eq!(out, want);
+        assert_eq!(st.blocks_decoded, 1);
+        let (out, _) = block_round(&bp, &[first, first + 2, last], &[first, last]);
+        assert_eq!(out, vec![first + 2]);
     }
 
     #[test]
@@ -452,16 +429,20 @@ mod tests {
         assert!(bp.is_empty());
         assert_eq!(bp.num_blocks(), 0);
         assert!(!bp.contains(0));
-        let (mut out, mut blk) = (Vec::new(), Vec::new());
-        let st = bp.intersect_into(&[1, 2, 3], &mut out, &mut blk);
-        assert!(out.is_empty() && st.blocks_decoded == 0);
+        let (out, st) = block_round(&bp, &[1, 2, 3], &[]);
+        assert!(out.is_empty() && st.blocks_decoded == 0 && st.steps() == 0);
 
         let bp = BlockPostings::encode(&[42]);
         assert_eq!(bp.len(), 1);
         assert!(bp.contains(42) && !bp.contains(41));
-        let st = bp.intersect_into(&[41, 42, 43], &mut out, &mut blk);
+        let (out, st) = block_round(&bp, &[41, 42, 43], &[]);
         assert_eq!(out, vec![42]);
         assert_eq!(st.blocks_decoded, 1);
+        let (out, st) = block_round(&bp, &[42], &[42]);
+        assert!(out.is_empty(), "a dead single id");
+        assert_eq!(st.blocks_decoded, 1);
+        let (out, st) = block_round(&bp, &[], &[]);
+        assert!(out.is_empty() && st.blocks_decoded == 0);
     }
 
     #[test]

@@ -161,7 +161,7 @@ pub fn intersect_gallop_rev_into(cands: &[u32], postings: &[u32], out: &mut Vec<
 }
 
 /// Size ratio above which a sorted conjunction step (the planner's
-/// `intersect` and `intersect_runs`, `BlockPostings::intersect_into`)
+/// `intersect`, and every run or decoded block a run round marks)
 /// gallops through the longer side instead of merging. Retuned 16 → 8 on the vectorized-kernel density grid: the
 /// 8-lane gallop probe already beats both merge forms at an 8:1
 /// postings:cands ratio ((1‰,8‰): 8.0µs vs 10.8µs scalar merge; (8‰,64‰):

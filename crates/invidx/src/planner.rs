@@ -14,7 +14,8 @@
 //!   itself dense enough to be worth materializing as a bitmap, after
 //!   which consecutive dense steps AND whole 64-bit words;
 //! * id-sorted runs that may share ids (slices, id-sorted HINT
-//!   divisions) → one marking round, [`QueryScratch::intersect_runs`];
+//!   divisions, a compressed list's decoded blocks and its overlay) → one
+//!   marking round, [`QueryScratch::intersect_runs`];
 //! * ids offered in no id order (shards, beneficially sorted HINT
 //!   divisions) → one take-once round, [`QueryScratch::intersect_offered`],
 //!   over a candidate bitmap when the universe is small enough, binary
@@ -30,9 +31,10 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::compress::BlockPostings;
 use crate::kernels::{
     gallop_matches, gallop_rev_matches, intersect_gallop_rev_into, live, merge_matches, raw,
-    GALLOP_RATIO,
+    GALLOP_RATIO, TOMBSTONE,
 };
 use crate::simd;
 
@@ -57,10 +59,10 @@ pub enum Kernel {
 /// running total, so `merge_scanned + simd_merge_scanned +
 /// gallop_scanned + bitmap_probe_scanned + word_and_scanned == scanned`
 /// is an invariant `tir-check` can audit. `blocks_decoded` counts
-/// compressed blocks materialized for block-at-a-time intersection and is
-/// deliberately *not* part of that sum — it is a unit of decode work, not
-/// of elements scanned (those are counted by the kernel the decoded block
-/// fed).
+/// compressed blocks a run round decoded ([`RunMarker::mark_blocks`]) and
+/// is deliberately *not* part of that sum — it is a unit of decode work,
+/// not of elements scanned (those are counted by the kernel each decoded
+/// block was marked on).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanStats {
     /// Steps answered by the scalar merge kernel.
@@ -124,14 +126,6 @@ impl PlanStats {
             }
         }
         self.scanned += scanned;
-    }
-
-    /// Records compressed posting blocks decoded outside any single
-    /// kernel step (the elements they produced are counted by the
-    /// kernel that consumed them).
-    #[inline]
-    pub fn note_blocks(&mut self, blocks: u64) {
-        self.blocks_decoded += blocks;
     }
 
     /// Total steps over all kernels.
@@ -427,8 +421,8 @@ impl QueryScratch {
         }
     }
 
-    /// Records a step that ran outside the planner's own kernels (e.g.
-    /// cTIF's streaming decode-intersect) so the totals stay honest.
+    /// Records a step that ran outside the planner's own kernels (a seed
+    /// step's scan) so the totals stay honest.
     #[inline]
     pub fn note(&mut self, kernel: Kernel, scanned: u64) {
         self.stats.note(kernel, scanned);
@@ -622,11 +616,12 @@ impl QueryScratch {
     }
 
     /// One step over id-sorted runs that may share ids (slice-replicated
-    /// sub-lists, id-sorted HINT divisions): `each_run` hands every
-    /// relevant run to [`RunMarker::mark_run`], which marks the candidates
-    /// the run holds; the candidates are then compacted, in order, to the
-    /// marked ones, so an id held by several runs survives once. The
-    /// candidates must be in array form and ascending.
+    /// sub-lists, id-sorted HINT divisions, a compressed base's blocks and
+    /// its overlay): `each_run` hands every relevant run to
+    /// [`RunMarker::mark_run`] or [`RunMarker::mark_blocks`], which mark
+    /// the candidates the run holds; the candidates are then compacted, in
+    /// order, to the marked ones, so an id held by several runs survives
+    /// once. The candidates must be in array form and ascending.
     pub fn intersect_runs(&mut self, each_run: impl FnOnce(&mut RunMarker<'_>)) {
         debug_assert!(!self.bits_live, "begin_policy_step hands back array form");
         if self.cands.is_empty() {
@@ -637,6 +632,7 @@ impl QueryScratch {
         each_run(&mut RunMarker {
             cands: &self.cands,
             hits: &mut self.hits,
+            blk: &mut self.blk,
             stats: &mut self.stats,
         });
         let mut hits = self.hits.iter();
@@ -690,44 +686,6 @@ impl QueryScratch {
         }
         self.loaded.clear();
     }
-
-    /// Takes the internal secondary buffer for call sites that run their
-    /// own merge loops (e.g. cTIF's compressed streaming intersection).
-    /// Give it back with [`QueryScratch::put_aux`] so its capacity is
-    /// reused by later queries.
-    pub fn take_aux(&mut self) -> Vec<u32> {
-        let mut aux = std::mem::take(&mut self.next);
-        aux.clear();
-        aux
-    }
-
-    /// Returns the buffer taken with [`QueryScratch::take_aux`].
-    pub fn put_aux(&mut self, mut aux: Vec<u32>) {
-        aux.clear();
-        self.next = aux;
-    }
-
-    /// Takes the block-decode buffer for call sites that stream
-    /// [`crate::BlockPostings`] themselves (e.g. cTIF's overlay union). Give it
-    /// back with [`QueryScratch::put_blk`].
-    pub fn take_blk(&mut self) -> Vec<u32> {
-        let mut blk = std::mem::take(&mut self.blk);
-        blk.clear();
-        blk
-    }
-
-    /// Returns the buffer taken with [`QueryScratch::take_blk`].
-    pub fn put_blk(&mut self, mut blk: Vec<u32>) {
-        blk.clear();
-        self.blk = blk;
-    }
-
-    /// Records compressed blocks decoded by an external streaming loop
-    /// (see [`QueryScratch::note`] for the matching element counts).
-    #[inline]
-    pub fn note_blocks(&mut self, blocks: u64) {
-        self.stats.note_blocks(blocks);
-    }
 }
 
 impl Drop for QueryScratch {
@@ -740,7 +698,22 @@ impl Drop for QueryScratch {
 pub struct RunMarker<'a> {
     cands: &'a [u32],
     hits: &'a mut [bool],
+    blk: &'a mut Vec<u32>,
     stats: &'a mut PlanStats,
+}
+
+/// Marks `hits[i]` for every `cands[i]` with a live posting in `postings`
+/// (sorted by raw id), on the kernel the size ratio picks, and counts one
+/// step.
+fn mark_sorted(cands: &[u32], hits: &mut [bool], postings: &[u32], stats: &mut PlanStats) {
+    let (algo, kernel, scanned) = choose(cands.len(), postings.len());
+    let mark = |i: usize, _| hits[i] = true;
+    match algo {
+        Algo::Merge => merge_matches(cands, postings, mark),
+        Algo::Gallop => gallop_matches(cands, postings, mark),
+        Algo::GallopRev => gallop_rev_matches(cands, postings, mark),
+    }
+    stats.note(kernel, scanned);
 }
 
 impl RunMarker<'_> {
@@ -748,15 +721,47 @@ impl RunMarker<'_> {
     /// raw id), on the kernel the size ratio picks, and counts the run as
     /// one step.
     pub fn mark_run(&mut self, postings: &[u32]) {
-        let (algo, kernel, scanned) = choose(self.cands.len(), postings.len());
-        let (cands, hits) = (self.cands, &mut *self.hits);
-        let mark = |i: usize, _| hits[i] = true;
-        match algo {
-            Algo::Merge => merge_matches(cands, postings, mark),
-            Algo::Gallop => gallop_matches(cands, postings, mark),
-            Algo::GallopRev => gallop_rev_matches(cands, postings, mark),
+        mark_sorted(self.cands, self.hits, postings, self.stats);
+    }
+
+    /// Marks every candidate `blocks` holds and `dead` (strictly
+    /// ascending) does not list. A block whose `[first, last]` cannot meet
+    /// the remaining candidates is skipped without decoding; every other
+    /// block is decoded into the scratch's block buffer, its dead ids
+    /// tombstoned, and marked against the candidates up to its last id
+    /// only — one step and one decoded block each, so the size ratio is
+    /// the window's to the block's.
+    pub fn mark_blocks(&mut self, blocks: &BlockPostings, dead: &[u32]) {
+        let cands = self.cands;
+        let Some(&last_cand) = cands.last() else {
+            return;
+        };
+        let mut ci = 0usize;
+        // First block that can hold the smallest candidate.
+        let mut b = blocks.first_block_reaching(cands[0]);
+        while b < blocks.num_blocks() && ci < cands.len() {
+            let (first, last) = (blocks.block_first(b), blocks.block_last(b));
+            if first > last_cand {
+                break;
+            }
+            if last < cands[ci] {
+                b += 1;
+                continue;
+            }
+            blocks.decode_block_into(b, self.blk);
+            let lo = dead.partition_point(|&id| id < first);
+            let hi = dead.partition_point(|&id| id <= last);
+            for &id in &dead[lo..hi] {
+                if let Ok(j) = self.blk.binary_search_by_key(&id, |&p| raw(p)) {
+                    self.blk[j] |= TOMBSTONE;
+                }
+            }
+            let ce = ci + cands[ci..].partition_point(|&c| c <= last);
+            mark_sorted(&cands[ci..ce], &mut self.hits[ci..ce], self.blk, self.stats);
+            self.stats.blocks_decoded += 1;
+            ci = ce;
+            b += 1;
         }
-        self.stats.note(kernel, scanned);
     }
 }
 
@@ -803,7 +808,6 @@ impl IdTaker<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::TOMBSTONE;
 
     fn seq(scratch: &mut QueryScratch, seed: &[u32], sides: &[Postings<'_>]) -> Vec<u32> {
         scratch.reset();

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use tir_invidx::{
     intersect_gallop_into, intersect_merge_into, kernels, order_ids_ascending, simd, BlockPostings,
-    TOMBSTONE,
+    PlanStats, QueryScratch, TOMBSTONE,
 };
 
 fn sorted_unique(max: u32, len: usize) -> impl Strategy<Value = Vec<u32>> {
@@ -34,6 +34,17 @@ fn tombstoned(ids: &[u32], dead: &[bool]) -> (Vec<u32>, BTreeSet<u32>) {
         .copied()
         .collect();
     (raw, live)
+}
+
+/// One planner run round over `bp`'s blocks with `dead` listed: the
+/// surviving candidates and the round's counters.
+fn block_round(bp: &BlockPostings, cands: &[u32], dead: &[u32]) -> (Vec<u32>, PlanStats) {
+    let mut s = QueryScratch::default();
+    s.cands.extend_from_slice(cands);
+    s.intersect_runs(|runs| runs.mark_blocks(bp, dead));
+    let mut out = Vec::new();
+    s.take_into(&mut out);
+    (out, s.last_stats())
 }
 
 fn oracle(cands: &[u32], live: &BTreeSet<u32>) -> Vec<u32> {
@@ -141,20 +152,27 @@ proptest! {
         }
     }
 
+    /// The block round against the oracle and the merge, with a random
+    /// subset of the encoded ids listed dead.
     #[test]
     fn block_intersect_matches_oracle(
         cands in sorted_unique(1_000_000, 120),
         ids in prop::collection::btree_set(0u32..1_000_000, 1..600),
+        dead_mask in prop::collection::vec(any::<bool>(), 600),
     ) {
-        let live: BTreeSet<u32> = ids.iter().copied().collect();
         let ids: Vec<u32> = ids.into_iter().collect();
         let bp = BlockPostings::encode(&ids);
+        let (stored, live) = tombstoned(&ids, &dead_mask);
+        let dead: Vec<u32> = stored.iter().filter(|&&id| id & TOMBSTONE != 0).map(|&id| id & !TOMBSTONE).collect();
         let want = oracle(&cands, &live);
-        let mut out = Vec::new();
-        let mut blk = Vec::new();
-        let st = bp.intersect_into(&cands, &mut out, &mut blk);
+        let mut merged = Vec::new();
+        intersect_merge_into(&cands, &stored, &mut merged);
+        let (out, st) = block_round(&bp, &cands, &dead);
         prop_assert_eq!(&out, &want);
+        prop_assert_eq!(&out, &merged);
         prop_assert!(st.blocks_decoded <= bp.num_blocks() as u64);
+        prop_assert_eq!(st.steps(), st.blocks_decoded, "one step per decoded block");
+        prop_assert_eq!(st.kernel_scanned_sum(), st.scanned);
     }
 
     /// The comparison-free ordering pass against `sort_unstable`: distinct
@@ -223,13 +241,9 @@ fn lane_boundary_lengths_agree_with_the_oracle() {
                 out.clear();
                 simd::gallop_into_forced(&cands, &postings, &mut out);
                 assert_eq!(out, want, "gallop n={n} m={m} stride={stride}");
-                if !postings.is_empty() {
-                    let bp = BlockPostings::encode(&postings);
-                    let mut blk = Vec::new();
-                    out.clear();
-                    bp.intersect_into(&cands, &mut out, &mut blk);
-                    assert_eq!(out, want, "blocks n={n} m={m} stride={stride}");
-                }
+                let bp = BlockPostings::encode(&postings);
+                let (out, _) = block_round(&bp, &cands, &[]);
+                assert_eq!(out, want, "blocks n={n} m={m} stride={stride}");
             }
         }
     }
@@ -251,15 +265,14 @@ fn empty_and_singleton_edges() {
     out.clear();
     simd::gallop_into_forced(&[5], &[4, 5, 6], &mut out);
     assert_eq!(out, [5]);
+    let (out, st) = block_round(&BlockPostings::encode(&[]), &[5], &[]);
+    assert!(out.is_empty() && st.blocks_decoded == 0);
     let bp = BlockPostings::encode(&[42]);
     assert!(bp.contains(42) && !bp.contains(41));
-    let mut blk = Vec::new();
-    out.clear();
-    let st = bp.intersect_into(&[41, 42, 43], &mut out, &mut blk);
+    let (out, st) = block_round(&bp, &[41, 42, 43], &[]);
     assert_eq!(out, [42]);
     assert_eq!(st.blocks_decoded, 1);
-    out.clear();
-    let st = bp.intersect_into(&[43, 44], &mut out, &mut blk);
+    let (out, st) = block_round(&bp, &[43, 44], &[]);
     assert!(out.is_empty());
     assert_eq!(
         st.blocks_decoded, 0,

@@ -3,8 +3,6 @@
 //! wire, in memory and durable, and after recovery. Two ids per server: one
 //! the index was built over and one minted by an `INSERT`.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::path::Path;
 
 use tir_check::Validate;
@@ -14,35 +12,28 @@ use tir_datagen::SyntheticConfig;
 use tir_invidx::Dictionary;
 use tir_persist::{Durability, DurabilityOptions, Recovered, TermLog};
 use tir_serve::epoch::Validator;
+use tir_serve::protocol::Response;
 use tir_serve::server::{spawn_server, spawn_server_durable, ServerConfig, ServerHandle};
-use tir_serve::ServeDict;
+use tir_serve::{Connection, ServeDict};
 
-struct Client {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-}
+struct Client(Connection);
 
 impl Client {
     fn open(server: &ServerHandle) -> Client {
-        let stream = TcpStream::connect(server.addr()).expect("connect");
-        let reader = BufReader::new(stream.try_clone().expect("clone"));
-        Client { stream, reader }
+        let addr = server.addr().to_string();
+        let timeout = Some(std::time::Duration::from_secs(60));
+        Client(Connection::open_with_timeout(&addr, timeout).expect("connect"))
     }
 
-    fn call(&mut self, req: &str) -> String {
-        self.stream
-            .write_all(format!("{req}\n").as_bytes())
-            .expect("send");
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("recv");
-        line.trim_end().to_string()
+    fn call(&mut self, req: &str) -> Response {
+        self.0.call(req).expect("round trip")
     }
 
     fn insert(&mut self, o: &Object) {
         let terms: Vec<String> = o.desc.iter().map(|e| format!("e{e}")).collect();
         let (st, end) = (o.interval.st, o.interval.end);
         let req = format!("INSERT {} {st} {end} {}", o.id, terms.join(","));
-        assert_eq!(self.call(&req), "OK", "{req}");
+        assert_eq!(self.call(&req), Response::Ok, "{req}");
     }
 
     /// One-, two- and three-term queries over the whole domain and over
@@ -56,9 +47,9 @@ impl Client {
                     let q = TimeTravelQuery::new(st, end, elems.to_vec());
                     let terms: Vec<String> = elems.iter().map(|e| format!("e{e}")).collect();
                     let answer = self.call(&format!("QUERY {st} {end} {}", terms.join(",")));
-                    let mut words = answer.split_ascii_whitespace();
-                    assert_eq!(words.next(), Some("HITS"), "{what}: {answer}");
-                    let ids: Vec<u32> = words.skip(1).map(|w| w.parse().expect("id")).collect();
+                    let Response::Hits(ids) = answer else {
+                        panic!("{what}: {answer:?}");
+                    };
                     assert_eq!(ids, oracle.answer(&q), "{what} q={q:?}");
                 }
             }
@@ -93,18 +84,27 @@ fn drive(server: &ServerHandle, coll: &Collection, what: &str) -> Vec<Object> {
         );
         let mut live = first.clone();
         for next in [&first, &shifted, &first] {
-            assert_eq!(client.call(&format!("DELETE {id}")), "OK", "{what}");
-            assert_eq!(client.call(&format!("DELETE {id}")), "MISSING", "{what}");
+            let delete = format!("DELETE {id}");
+            assert_eq!(client.call(&delete), Response::Ok, "{what}");
+            assert_eq!(client.call(&delete), Response::Missing, "{what}");
             catalog.retain(|o| o.id != id);
             client.insert(next);
             catalog.push(next.clone());
-            assert!(client.call("FLUSH").starts_with("EPOCH"), "{what}");
+            let flushed = client.call("FLUSH");
+            assert!(matches!(flushed, Response::Epoch(_)), "{what}: {flushed:?}");
             client.agrees_with(&catalog, &[&live, next], what);
             live = next.clone();
         }
     }
-    let stats = client.call("STATS");
-    assert!(stats.contains("violations=0"), "{what}: {stats}");
+    let Response::Stats(stats) = client.call("STATS") else {
+        panic!("{what}: STATS");
+    };
+    let violations = stats.iter().find(|(k, _)| k == "violations");
+    assert_eq!(
+        violations.map(|(_, v)| v.as_str()),
+        Some("0"),
+        "{what}: {stats:?}"
+    );
     catalog.sort_unstable_by_key(|o| o.id);
     catalog
 }
