@@ -217,26 +217,28 @@ proptest! {
 
     #[test]
     fn plan_stats_validate_and_catch_desync(
-        notes in prop::collection::vec((0u8..5, 0u64..1000), 0..32),
+        notes in prop::collection::vec((0u8..4, 0u64..1000), 0..32),
         bump in 1u64..100,
     ) {
         let mut stats = PlanStats::default();
         for &(k, scanned) in &notes {
             let kernel = match k {
                 0 => Kernel::Merge,
-                1 => Kernel::SimdMerge,
-                2 => Kernel::Gallop,
-                3 => Kernel::BitmapProbe,
+                1 => Kernel::Gallop,
+                2 => Kernel::BitmapProbe,
                 _ => Kernel::WordAnd,
             };
             stats.note(kernel, scanned);
         }
         let v = stats.validate();
         prop_assert!(v.is_empty(), "violations: {v:?}");
-        // The run fields no kernel writes must stay 0.
+        // The fields no kernel writes must stay 0.
         let mut runs = stats;
         runs.run_intersect_steps = bump;
         prop_assert!(!runs.validate().is_empty(), "a run step went unnoticed");
+        let mut vector = stats;
+        vector.simd_merge_scanned = bump;
+        prop_assert!(!vector.validate().is_empty(), "a vector merge went unnoticed");
         stats.scanned += bump;
         prop_assert!(!stats.validate().is_empty(), "scanned desync went unnoticed");
     }

@@ -369,8 +369,6 @@ fn chosen_kernel(stats: &PlanStats) -> &'static str {
         "bitmap-probe"
     } else if stats.gallop_steps > 0 {
         "gallop"
-    } else if stats.simd_merge_steps > 0 {
-        "simd-merge"
     } else {
         "merge"
     }
@@ -380,13 +378,10 @@ fn chosen_kernel(stats: &PlanStats) -> &'static str {
 /// over a candidate-density × postings-density grid (synthetic ids, no
 /// corpus needed) and write per-cell ns/element to `PATH`.
 ///
-/// Nine timings per cell: the raw scalar `merge`, `gallop` and
-/// `gallop-rev` array kernels, the dispatched vector counterparts
-/// `simd-merge` and `simd-gallop` (which fall back to scalar below
-/// `SIMD_MIN_LEN` or without CPU support — the `TIR_SIMD` env var caps
-/// dispatch), `blocks` (a planner run round over the stream-vbyte blocks:
-/// skip by bounds, decode, mark each block's candidate window), and two
-/// planner rows — a [`QueryScratch::intersect`] against
+/// Six timings per cell: the raw `merge`, `gallop` and `gallop-rev`
+/// array kernels, `blocks` (a planner run round over the stream-vbyte
+/// blocks: skip by bounds, decode, mark each block's candidate window),
+/// and two planner rows — a [`QueryScratch::intersect`] against
 /// the Bernoulli sample as a sorted id array (`planner:*`) and as the
 /// present-only words the dense-element bitmaps hand the planner
 /// (`planner:bits-*`), each labeled with whichever kernel the cost model
@@ -440,8 +435,6 @@ fn cmd_bench_kernels(opts: &Opts, json_path: &str) -> Result<(), String> {
             };
             let (n_cands, n_post) = (cands.len() as u64, postings.len() as u64);
             // (kernel, ns/call, scanned/call, |postings| for the row).
-            // Forced SIMD variants: the grid exists to measure the vector
-            // kernels even in cells below the production dispatch gate.
             let mut measured: Vec<(String, u64, u64, u64)> = vec![
                 (
                     "merge".into(),
@@ -450,24 +443,8 @@ fn cmd_bench_kernels(opts: &Opts, json_path: &str) -> Result<(), String> {
                     n_post,
                 ),
                 (
-                    "simd-merge".into(),
-                    time(&mut |o| {
-                        tir_invidx::simd::merge_into_forced(&cands, &postings, o);
-                    }),
-                    work as u64,
-                    n_post,
-                ),
-                (
                     "gallop".into(),
                     time(&mut |o| intersect_gallop_into(&cands, &postings, o)),
-                    n_cands,
-                    n_post,
-                ),
-                (
-                    "simd-gallop".into(),
-                    time(&mut |o| {
-                        tir_invidx::simd::gallop_into_forced(&cands, &postings, o);
-                    }),
                     n_cands,
                     n_post,
                 ),

@@ -14,9 +14,10 @@
 //! * [`kernels`] — merge / galloping sorted-set intersection primitives,
 //!   each written once over a match sink, tombstone-aware, and the
 //!   comparison-free pass that puts a served answer in ascending order;
-//! * [`simd`] — runtime-dispatched SSE2/SSSE3/AVX2 variants of the hot
-//!   kernels (the one audited `unsafe` module in this crate; scalar
-//!   fallbacks always available, `TIR_SIMD=off` forces them);
+//! * [`simd`] — the runtime-dispatched SSSE3 stream-vbyte decoder that
+//!   [`BlockPostings`] runs on (the one audited `unsafe` module in this
+//!   crate; the scalar decode is always available, `TIR_SIMD=off` forces
+//!   it);
 //! * [`planner`] — the cost-based conjunction planner and reusable
 //!   [`QueryScratch`] arena with per-query kernel counters;
 //! * [`ElemBitmaps`] — global membership bitmaps for an index's few dense

@@ -33,20 +33,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::compress::BlockPostings;
 use crate::kernels::{
-    gallop_matches, gallop_rev_matches, intersect_gallop_rev_into, live, merge_matches, raw,
-    GALLOP_RATIO, TOMBSTONE,
+    gallop_matches, gallop_rev_matches, intersect_gallop_into, intersect_gallop_rev_into,
+    intersect_merge_into, live, merge_matches, raw, GALLOP_RATIO, TOMBSTONE,
 };
-use crate::simd;
 
 /// The kernel a conjunction step ran on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
-    /// Linear zipper merge of two sorted arrays (scalar).
+    /// Linear zipper merge of two sorted arrays.
     Merge,
-    /// SSE2 block-wise merge of two sorted arrays.
-    SimdMerge,
-    /// Exponential-search (galloping) intersection or binary-search
-    /// probe (scalar or AVX2 — same cost shape, one counter).
+    /// Exponential-search (galloping) intersection, in either direction,
+    /// or binary-search probe (same cost shape, one counter).
     Gallop,
     /// O(1) membership tests against a bitmap.
     BitmapProbe,
@@ -56,8 +53,8 @@ pub enum Kernel {
 
 /// Per-query planner counters: how many steps each kernel won and how
 /// many elements (or words) each scanned. `scanned` is maintained as the
-/// running total, so `merge_scanned + simd_merge_scanned +
-/// gallop_scanned + bitmap_probe_scanned + word_and_scanned == scanned`
+/// running total, so `merge_scanned + gallop_scanned +
+/// bitmap_probe_scanned + word_and_scanned == scanned`
 /// is an invariant `tir-check` can audit. `blocks_decoded` counts
 /// compressed blocks a run round decoded ([`RunMarker::mark_blocks`]) and
 /// is deliberately *not* part of that sum — it is a unit of decode work,
@@ -65,9 +62,12 @@ pub enum Kernel {
 /// block was marked on).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanStats {
-    /// Steps answered by the scalar merge kernel.
+    /// Steps answered by the merge kernel.
     pub merge_steps: u64,
-    /// Steps answered by the SSE2 block merge kernel.
+    /// Always 0: no kernel records vector merge steps. Kept because the
+    /// repo benchmark's probes and the `kern_simd_merge` key of `STATS`
+    /// and `loadgen` read it; it goes with the benchmark housekeeping of
+    /// ROADMAP item 4.
     pub simd_merge_steps: u64,
     /// Steps answered by the gallop / binary-search kernel.
     pub gallop_steps: u64,
@@ -80,9 +80,10 @@ pub struct PlanStats {
     /// `loadgen` read it; it goes with the benchmark housekeeping of
     /// ROADMAP item 4.
     pub run_intersect_steps: u64,
-    /// Elements scanned by scalar merge steps.
+    /// Elements scanned by merge steps.
     pub merge_scanned: u64,
-    /// Elements scanned by SSE2 block merge steps.
+    /// Always 0, kept beside [`PlanStats::simd_merge_steps`] for the same
+    /// readers until ROADMAP item 4 removes both.
     pub simd_merge_scanned: u64,
     /// Elements scanned by gallop steps.
     pub gallop_scanned: u64,
@@ -108,10 +109,6 @@ impl PlanStats {
                 self.merge_steps += 1;
                 self.merge_scanned += scanned;
             }
-            Kernel::SimdMerge => {
-                self.simd_merge_steps += 1;
-                self.simd_merge_scanned += scanned;
-            }
             Kernel::Gallop => {
                 self.gallop_steps += 1;
                 self.gallop_scanned += scanned;
@@ -130,21 +127,13 @@ impl PlanStats {
 
     /// Total steps over all kernels.
     pub fn steps(&self) -> u64 {
-        self.merge_steps
-            + self.simd_merge_steps
-            + self.gallop_steps
-            + self.bitmap_probe_steps
-            + self.word_and_steps
+        self.merge_steps + self.gallop_steps + self.bitmap_probe_steps + self.word_and_steps
     }
 
     /// Sum of the per-kernel scanned counters — must equal
     /// [`PlanStats::scanned`].
     pub fn kernel_scanned_sum(&self) -> u64 {
-        self.merge_scanned
-            + self.simd_merge_scanned
-            + self.gallop_scanned
-            + self.bitmap_probe_scanned
-            + self.word_and_scanned
+        self.merge_scanned + self.gallop_scanned + self.bitmap_probe_scanned + self.word_and_scanned
     }
 
     fn is_zero(&self) -> bool {
@@ -154,12 +143,10 @@ impl PlanStats {
 
 struct GlobalCounters {
     merge_steps: AtomicU64,
-    simd_merge_steps: AtomicU64,
     gallop_steps: AtomicU64,
     bitmap_probe_steps: AtomicU64,
     word_and_steps: AtomicU64,
     merge_scanned: AtomicU64,
-    simd_merge_scanned: AtomicU64,
     gallop_scanned: AtomicU64,
     bitmap_probe_scanned: AtomicU64,
     word_and_scanned: AtomicU64,
@@ -169,12 +156,10 @@ struct GlobalCounters {
 
 static GLOBAL: GlobalCounters = GlobalCounters {
     merge_steps: AtomicU64::new(0),
-    simd_merge_steps: AtomicU64::new(0),
     gallop_steps: AtomicU64::new(0),
     bitmap_probe_steps: AtomicU64::new(0),
     word_and_steps: AtomicU64::new(0),
     merge_scanned: AtomicU64::new(0),
-    simd_merge_scanned: AtomicU64::new(0),
     gallop_scanned: AtomicU64::new(0),
     bitmap_probe_scanned: AtomicU64::new(0),
     word_and_scanned: AtomicU64::new(0),
@@ -192,10 +177,6 @@ fn flush_global(s: &PlanStats) {
         .fetch_add(s.merge_steps, Ordering::Relaxed);
     // analyze:allow(atomic-ordering): monotonic stat counters, read only for reporting
     GLOBAL
-        .simd_merge_steps
-        .fetch_add(s.simd_merge_steps, Ordering::Relaxed);
-    // analyze:allow(atomic-ordering): monotonic stat counters, read only for reporting
-    GLOBAL
         .gallop_steps
         .fetch_add(s.gallop_steps, Ordering::Relaxed);
     // analyze:allow(atomic-ordering): monotonic stat counters, read only for reporting
@@ -210,10 +191,6 @@ fn flush_global(s: &PlanStats) {
     GLOBAL
         .merge_scanned
         .fetch_add(s.merge_scanned, Ordering::Relaxed);
-    // analyze:allow(atomic-ordering): monotonic stat counters, read only for reporting
-    GLOBAL
-        .simd_merge_scanned
-        .fetch_add(s.simd_merge_scanned, Ordering::Relaxed);
     // analyze:allow(atomic-ordering): monotonic stat counters, read only for reporting
     GLOBAL
         .gallop_scanned
@@ -241,12 +218,10 @@ pub fn global_stats() -> PlanStats {
     // analyze:allow(atomic-ordering): monotonic stat counters, read only for reporting
     PlanStats {
         merge_steps: GLOBAL.merge_steps.load(Ordering::Relaxed),
-        simd_merge_steps: GLOBAL.simd_merge_steps.load(Ordering::Relaxed),
         gallop_steps: GLOBAL.gallop_steps.load(Ordering::Relaxed),
         bitmap_probe_steps: GLOBAL.bitmap_probe_steps.load(Ordering::Relaxed),
         word_and_steps: GLOBAL.word_and_steps.load(Ordering::Relaxed),
         merge_scanned: GLOBAL.merge_scanned.load(Ordering::Relaxed),
-        simd_merge_scanned: GLOBAL.simd_merge_scanned.load(Ordering::Relaxed),
         gallop_scanned: GLOBAL.gallop_scanned.load(Ordering::Relaxed),
         bitmap_probe_scanned: GLOBAL.bitmap_probe_scanned.load(Ordering::Relaxed),
         word_and_scanned: GLOBAL.word_and_scanned.load(Ordering::Relaxed),
@@ -278,7 +253,7 @@ enum Algo {
 
 /// The size-ratio choice of every sorted step, array or run: gallop
 /// through the longer side once it is [`GALLOP_RATIO`] times the shorter,
-/// else merge. Returns the algorithm, its scalar counter (both gallop
+/// else merge. Returns the algorithm, its counter (both gallop
 /// directions share one: same cost shape) and the elements it scans, the
 /// side it iterates.
 #[inline]
@@ -467,17 +442,12 @@ impl QueryScratch {
             return;
         }
         self.next.clear();
-        let (algo, mut kernel, scanned) = choose(self.cands.len(), ids.len());
+        let (algo, kernel, scanned) = choose(self.cands.len(), ids.len());
         let (cands, next) = (&self.cands, &mut self.next);
         match algo {
-            // The AVX2 gallop shares the scalar counter: same cost shape.
-            Algo::Gallop => _ = simd::gallop_into(cands, ids, next),
+            Algo::Merge => intersect_merge_into(cands, ids, next),
+            Algo::Gallop => intersect_gallop_into(cands, ids, next),
             Algo::GallopRev => intersect_gallop_rev_into(cands, ids, next),
-            Algo::Merge => {
-                if simd::merge_into(cands, ids, next) {
-                    kernel = Kernel::SimdMerge;
-                }
-            }
         }
         self.stats.note(kernel, scanned);
         std::mem::swap(&mut self.cands, &mut self.next);
@@ -885,6 +855,18 @@ mod tests {
         let st = s.last_stats();
         assert_eq!(st.steps(), 2);
         assert_eq!(st.kernel_scanned_sum(), st.scanned);
+
+        // Large arrays merge on the same scalar kernel.
+        let n = 4_173u32;
+        let a: Vec<u32> = (0..n).map(|i| i * 3).collect();
+        let b: Vec<u32> = (0..n).map(|i| i * 2).collect();
+        let mut want = Vec::new();
+        intersect_merge_into(&a, &b, &mut want);
+        let got = seq(&mut s, &a, &[Postings::Ids(&b)]);
+        assert_eq!(got, want);
+        let st = s.last_stats();
+        assert_eq!((st.merge_steps, st.merge_scanned), (1, 2 * u64::from(n)));
+        assert_eq!(st.kernel_scanned_sum(), st.scanned);
     }
 
     #[test]
@@ -964,27 +946,6 @@ mod tests {
         s.take_into(&mut out);
         assert_eq!(out, vec![9, 3]);
         assert_eq!(s.last_stats().word_and_steps, 1);
-    }
-
-    #[test]
-    fn large_arrays_dispatch_to_the_vector_merge() {
-        // Both sides must clear SIMD_MERGE_MIN or the wrapper (correctly)
-        // routes to scalar.
-        let n = crate::simd::SIMD_MERGE_MIN as u32 + 77;
-        let a: Vec<u32> = (0..n).map(|i| i * 3).collect();
-        let b: Vec<u32> = (0..n).map(|i| i * 2).collect();
-        let mut want = Vec::new();
-        crate::kernels::intersect_merge_into(&a, &b, &mut want);
-        let mut s = QueryScratch::default();
-        let got = seq(&mut s, &a, &[Postings::Ids(&b)]);
-        assert_eq!(got, want);
-        let st = s.last_stats();
-        if simd::level() >= crate::simd::SimdLevel::Sse2 {
-            assert_eq!(st.simd_merge_steps, 1, "big merge takes the SSE2 path");
-        } else {
-            assert_eq!(st.merge_steps, 1, "scalar fallback under TIR_SIMD=off");
-        }
-        assert_eq!(st.kernel_scanned_sum(), st.scanned);
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Differential property tests for the vectorized kernel tier: every
-//! SIMD wrapper against its scalar kernel against a `BTreeSet` oracle,
-//! under tombstones and lane-boundary lengths. The wrappers always produce
-//! the result (falling back to scalar internally), so the same assertions
-//! hold on hosts without the vector ISA and under `TIR_SIMD=off`.
+//! Differential property tests for the intersection kernels and the
+//! block round: every kernel against a `BTreeSet` oracle, under
+//! tombstones and lane-boundary lengths. The block round decodes on the
+//! SSSE3 stream-vbyte path where the CPU has it and on the scalar path
+//! under `TIR_SIMD=off`; the same assertions hold on both.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use tir_invidx::{
-    intersect_gallop_into, intersect_merge_into, kernels, order_ids_ascending, simd, BlockPostings,
+    intersect_gallop_into, intersect_merge_into, kernels, order_ids_ascending, BlockPostings,
     PlanStats, QueryScratch, TOMBSTONE,
 };
 
@@ -55,7 +55,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn simd_merge_matches_scalar_and_oracle(
+    fn merge_matches_oracle(
         cands in sorted_unique(4000, 200),
         postings in sorted_unique(4000, 200),
         dead in prop::collection::vec(any::<bool>(), 200),
@@ -65,18 +65,10 @@ proptest! {
         let mut scalar = Vec::new();
         intersect_merge_into(&cands, &raw, &mut scalar);
         prop_assert_eq!(&scalar, &want, "scalar merge disagrees with oracle");
-        // Forced variant: the gated wrapper would route these sizes to
-        // scalar, and the vector tails are exactly what needs coverage.
-        let mut vector = Vec::new();
-        simd::merge_into_forced(&cands, &raw, &mut vector);
-        prop_assert_eq!(&vector, &want, "simd merge disagrees with oracle");
-        vector.clear();
-        simd::merge_into(&cands, &raw, &mut vector);
-        prop_assert_eq!(&vector, &want, "gated merge wrapper disagrees with oracle");
     }
 
     #[test]
-    fn simd_gallop_matches_scalar_and_oracle(
+    fn gallop_matches_oracle(
         cands in sorted_unique(4000, 60),
         postings in sorted_unique(4000, 400),
         dead in prop::collection::vec(any::<bool>(), 400),
@@ -86,12 +78,6 @@ proptest! {
         let mut scalar = Vec::new();
         intersect_gallop_into(&cands, &raw, &mut scalar);
         prop_assert_eq!(&scalar, &want, "scalar gallop disagrees with oracle");
-        let mut vector = Vec::new();
-        simd::gallop_into_forced(&cands, &raw, &mut vector);
-        prop_assert_eq!(&vector, &want, "simd gallop disagrees with oracle");
-        vector.clear();
-        simd::gallop_into(&cands, &raw, &mut vector);
-        prop_assert_eq!(&vector, &want, "gated gallop wrapper disagrees with oracle");
     }
 
     #[test]
@@ -221,8 +207,8 @@ proptest! {
 
 /// Exhaustive lane-boundary sweep: every length around the 4/8/16-lane
 /// and 64-bit word edges, for aligned and offset id patterns, on every
-/// kernel. Catches off-by-one bugs in vector tails that random lengths
-/// rarely hit.
+/// kernel. Catches off-by-one bugs in kernel and decoder tails that
+/// random lengths rarely hit.
 #[test]
 fn lane_boundary_lengths_agree_with_the_oracle() {
     let lengths = [
@@ -236,10 +222,10 @@ fn lane_boundary_lengths_agree_with_the_oracle() {
                 let live: BTreeSet<u32> = postings.iter().copied().collect();
                 let want = oracle(&cands, &live);
                 let mut out = Vec::new();
-                simd::merge_into_forced(&cands, &postings, &mut out);
+                intersect_merge_into(&cands, &postings, &mut out);
                 assert_eq!(out, want, "merge n={n} m={m} stride={stride}");
                 out.clear();
-                simd::gallop_into_forced(&cands, &postings, &mut out);
+                intersect_gallop_into(&cands, &postings, &mut out);
                 assert_eq!(out, want, "gallop n={n} m={m} stride={stride}");
                 let bp = BlockPostings::encode(&postings);
                 let (out, _) = block_round(&bp, &cands, &[]);
@@ -249,21 +235,21 @@ fn lane_boundary_lengths_agree_with_the_oracle() {
     }
 }
 
-/// Empty and singleton inputs on every wrapper: the degenerate shapes
-/// the vector paths must hand off to scalar without touching memory.
+/// Empty and singleton inputs on every kernel and the block round: the
+/// degenerate shapes that must answer without touching memory.
 #[test]
 fn empty_and_singleton_edges() {
     let mut out = Vec::new();
-    simd::merge_into_forced(&[], &[], &mut out);
+    intersect_merge_into(&[], &[], &mut out);
     assert!(out.is_empty());
-    simd::gallop_into_forced(&[], &[1, 2, 3], &mut out);
+    intersect_gallop_into(&[], &[1, 2, 3], &mut out);
     assert!(out.is_empty());
-    simd::merge_into_forced(&[5], &[], &mut out);
+    intersect_merge_into(&[5], &[], &mut out);
     assert!(out.is_empty());
-    simd::merge_into_forced(&[5], &[5], &mut out);
+    intersect_merge_into(&[5], &[5], &mut out);
     assert_eq!(out, [5]);
     out.clear();
-    simd::gallop_into_forced(&[5], &[4, 5, 6], &mut out);
+    intersect_gallop_into(&[5], &[4, 5, 6], &mut out);
     assert_eq!(out, [5]);
     let (out, st) = block_round(&BlockPostings::encode(&[]), &[5], &[]);
     assert!(out.is_empty() && st.blocks_decoded == 0);
