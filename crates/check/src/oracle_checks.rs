@@ -87,16 +87,7 @@ pub fn diff_against_oracle<I: TemporalIrIndex + ?Sized>(
         }
         let want = oracle.answer(q);
         if got != want {
-            let missing: Vec<u32> = want
-                .iter()
-                .filter(|id| !got.contains(id))
-                .copied()
-                .collect();
-            let extra: Vec<u32> = got
-                .iter()
-                .filter(|id| !want.contains(id))
-                .copied()
-                .collect();
+            let (missing, extra) = sorted_difference(&want, &got);
             out.push(Violation::new(
                 format!("oracle/query{i}"),
                 format!("divergence on {q:?}: missing {missing:?}, extra {extra:?}"),
@@ -104,6 +95,27 @@ pub fn diff_against_oracle<I: TemporalIrIndex + ?Sized>(
         }
     }
     out
+}
+
+/// `(want − got, got − want)` of two strictly ascending id lists, in one
+/// merge walk.
+fn sorted_difference(want: &[u32], got: &[u32]) -> (Vec<u32>, Vec<u32>) {
+    let (mut missing, mut extra) = (Vec::new(), Vec::new());
+    let (mut w, mut g) = (0, 0);
+    while w < want.len() || g < got.len() {
+        match (want.get(w), got.get(g)) {
+            (Some(a), Some(b)) if a == b => (w, g) = (w + 1, g + 1),
+            (Some(&a), b) if b.is_none_or(|&b| a < b) => {
+                missing.push(a);
+                w += 1;
+            }
+            (_, b) => {
+                extra.extend(b);
+                g += 1;
+            }
+        }
+    }
+    (missing, extra)
 }
 
 #[cfg(test)]
@@ -132,12 +144,34 @@ mod tests {
         assert!(diff_against_oracle(&index, coll.objects(), &grid).is_empty());
 
         // Drop one object from the catalog the oracle sees: the index
-        // now answers "extra" ids and the diff must say so.
+        // answers it as an extra id. Built without it, the index misses it.
         let partial: Vec<Object> = coll.objects()[1..].to_vec();
+        let dropped = coll.objects()[0].id;
         let wide = oracle_query_grid(&partial, 8, 7);
         let mut all = grid;
         all.extend(wide);
-        // The full-domain queries are guaranteed to see the dropped id.
-        assert!(!diff_against_oracle(&index, &partial, &all).is_empty());
+        let without = Tif::build(&Collection::new(partial.clone()));
+        let cases = [
+            (
+                diff_against_oracle(&index, &partial, &all),
+                vec![],
+                vec![dropped],
+            ),
+            (
+                diff_against_oracle(&without, coll.objects(), &all),
+                vec![dropped],
+                vec![],
+            ),
+        ];
+        for (report, missing, extra) in cases {
+            // The full-domain queries are guaranteed to see the dropped id.
+            assert!(!report.is_empty());
+            for v in report {
+                let tail = format!("missing {missing:?}, extra {extra:?}");
+                assert!(v.message.ends_with(&tail), "{}", v.message);
+            }
+        }
+        let (missing, extra) = sorted_difference(&[1, 3, 5, 7], &[2, 3, 7, 9]);
+        assert_eq!((missing, extra), (vec![1, 5], vec![2, 9]));
     }
 }

@@ -9,8 +9,6 @@
 //! flushed before a snapshot was taken is never missing from that
 //! snapshot.
 
-mod common;
-
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -22,6 +20,23 @@ use tir_invidx::ORDER_SPAN_WORDS_PER_ID;
 use tir_serve::epoch::{EpochConfig, EpochStore, WriteOp};
 use tir_serve::pool::{PoolConfig, QueryPool};
 use tir_serve::Rejected;
+
+/// The same objects as a catalog looks after deletes and later inserts:
+/// every third id a hole, the upper half renumbered far above `len`.
+fn with_sparse_ids(coll: &Collection) -> Collection {
+    let half = coll.objects().iter().map(|o| o.id).max().unwrap_or(0) / 2;
+    let survivors = coll.objects().iter().filter(|o| o.id % 3 != 0).cloned();
+    Collection::new(
+        survivors
+            .map(|mut o| {
+                if o.id > half {
+                    o.id += 4_000_000;
+                }
+                o
+            })
+            .collect(),
+    )
+}
 
 fn small_corpus() -> Collection {
     let mut cfg = SyntheticConfig::default().scaled(0.002);
@@ -240,7 +255,7 @@ fn readers_race_writer_and_agree_with_oracle() {
         // renumbered: ~1.4K ids inside 2.6K are dense enough for the
         // bitmap pass, the same ids strewn over 4M are not.
         let dense = Collection::new(survivors);
-        let sparse = common::with_sparse_ids(&dense);
+        let sparse = with_sparse_ids(&dense);
         let (in_rule, _) = with_method!(m, |I, build| served_answers_equal_the_oracle::<I>(
             build(&dense),
             dense.objects(),

@@ -183,69 +183,6 @@ fn agree_on_selectivity_binned_workloads() {
     assert_all_agree(&coll, &queries, "selectivity");
 }
 
-/// The Table 6 protocol: index `offline`, insert `batch` — the first half
-/// one object at a time, the rest in one `insert_batch` — then delete every
-/// 7th original object; answers must track the oracle throughout.
-fn assert_agree_after_updates(
-    offline: &Collection,
-    batch: &[Object],
-    queries: &[TimeTravelQuery],
-    ctx: &str,
-) {
-    let mut indexes = all_indexes(offline);
-    let mut oracle = BruteForce::build(offline.objects());
-    let (singles, merged) = batch.split_at(batch.len() / 2);
-    for o in batch {
-        oracle.insert(o);
-    }
-    for idx in indexes.iter_mut() {
-        singles.iter().for_each(|o| idx.insert(o));
-        idx.insert_batch(merged);
-    }
-    for i in (0..offline.len()).step_by(7) {
-        let victim = offline.get(i as u32);
-        assert!(oracle.delete(victim));
-        for idx in indexes.iter_mut() {
-            assert!(
-                idx.delete(victim),
-                "[{ctx}] {} failed to delete {i}",
-                idx.name()
-            );
-        }
-    }
-    for idx in &indexes {
-        for q in queries {
-            let mut got = idx.query(q);
-            got.sort_unstable();
-            assert_eq!(
-                got,
-                oracle.answer(q),
-                "[{ctx}] {} after updates",
-                idx.name()
-            );
-        }
-    }
-}
-
-#[test]
-fn agree_after_90_10_update_split() {
-    let coll = generate(&SyntheticConfig::default().scaled(0.001));
-    let (offline, batch) = coll.split_for_updates(0.10);
-    let queries = workload(&coll, &WorkloadSpec::default(), 25, 31);
-    assert_agree_after_updates(&offline, &batch, &queries, "synthetic");
-
-    // Dense terms, and ids that leave the universe behind halfway through
-    // the single inserts: irHINT's bitmaps take set bits in arrival order,
-    // stretch over the gap, lose the terms the wider universe leaves too
-    // sparse, take a merged batch, and clear bits for the deletes.
-    let coll = dense_terms();
-    let (offline, mut batch) = coll.split_for_updates(0.10);
-    let gap = coll.len() as u32;
-    batch[100..].iter_mut().for_each(|o| o.id += gap);
-    let queries = dense_terms_queries(&coll);
-    assert_agree_after_updates(&offline, &batch, &queries, "dense terms");
-}
-
 /// One object with an id in the millions must cost an index with dense-term
 /// bitmaps nothing: the id universe is `max_id + 1`, no term of a 4K-object
 /// corpus is dense in it, so the bitmaps go instead of growing to cover it.

@@ -3,8 +3,6 @@
 //! adversarial queries.
 
 use temporal_ir::core::prelude::*;
-use temporal_ir::core::with_method;
-use tir_check::Validate;
 
 fn build_all(coll: &Collection) -> Vec<Box<dyn TemporalIrIndex + Send + Sync>> {
     Method::ALL.iter().map(|m| m.build(coll)).collect()
@@ -134,50 +132,6 @@ fn delete_everything_then_insert_again() {
         // Fresh ids after the tombstoned range.
         idx.insert(&Object::new(100, 50, 60, vec![2]));
         assert_eq!(idx.query(&q), vec![100], "{}", idx.name());
-    }
-}
-
-#[test]
-fn deleted_id_can_be_reused() {
-    // The server admits `INSERT id` once `id` is no longer live, so every
-    // store must take a dead id back: same interval (the entry lands where
-    // its tombstone is), then another interval and description.
-    fn reuse<I: TemporalIrIndex + Validate>(mut idx: I, coll: &Collection) {
-        let name = idx.name();
-        let mut oracle = BruteForce::build(coll.objects());
-        let agree = |idx: &I, oracle: &BruteForce, step: &str| {
-            for elems in [vec![2], vec![5], vec![2, 5], vec![1, 2], vec![1, 2, 5]] {
-                for (st, end) in [(0, 1000), (100, 130), (300, 420), (55, 55)] {
-                    let q = TimeTravelQuery::new(st, end, elems.clone());
-                    let mut got = idx.query(&q);
-                    got.sort_unstable();
-                    assert_eq!(got, oracle.answer(&q), "{name} {step} q={q:?}");
-                }
-            }
-        };
-        for id in [0u32, 7, 20, 39] {
-            let old = coll.get(id).clone();
-            let moved = Object::new(id, 300 + id as u64, 400 + id as u64, vec![1, 2, 5]);
-            let mut live = old.clone();
-            for (step, new) in [("same interval", &old), ("moved", &moved), ("back", &old)] {
-                assert!(idx.delete(&live) && oracle.delete(&live), "{name} {step}");
-                assert!(!idx.delete(&live), "{name} {step}: deleted twice");
-                agree(&idx, &oracle, "after delete");
-                idx.insert(new);
-                oracle.insert(new);
-                agree(&idx, &oracle, step);
-                live = new.clone();
-            }
-        }
-        let violations = idx.validate();
-        assert!(violations.is_empty(), "{name}: {violations:?}");
-    }
-    let objects: Vec<Object> = (0..40u32)
-        .map(|i| Object::new(i, i as u64 * 10, i as u64 * 10 + 25, vec![i % 2, 2, 5]))
-        .collect();
-    let coll = Collection::new(objects);
-    for m in Method::ALL {
-        with_method!(m, |I, build| reuse::<I>(build(&coll), &coll));
     }
 }
 
