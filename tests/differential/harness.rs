@@ -49,7 +49,8 @@ pub enum Op {
 }
 
 /// Direct: two leapfrogging copies. Store: `EpochStore::new`, read from its
-/// published snapshot. Wire, Durable: `spawn_server`, `spawn_server_durable`.
+/// published snapshot and sent the deletes of missing ids the server
+/// refuses. Wire, Durable: `spawn_server`, `spawn_server_durable`.
 /// Recovered: durable, restarted from a recovered copy at `KillRecover`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum TierKind {
@@ -84,25 +85,24 @@ where
     }
 }
 
-/// Runs the seeded script through every method on `tier`. A failure is
-/// shrunk; the panic names the corpus, seed, method and tier, and the ops
-/// of the script that still fail.
-pub fn check(corpus: &str, coll: &Collection, seed: u64, len: usize, tier: TierKind) {
-    let script = generate(coll, seed, len);
+/// Runs `script` through every method on `tier`. A failure is shrunk; the
+/// panic names the script (`label`), method and tier, and the ops of the
+/// script that still fail.
+pub fn check(label: &str, coll: &Collection, script: &[Op], tier: TierKind) {
     let ops = |keep: &[usize]| -> Vec<Op> { keep.iter().map(|&i| script[i].clone()).collect() };
     for method in Method::ALL {
-        let Err(first) = replay(coll, method, tier, &script) else {
+        let Err(first) = replay(coll, method, tier, script) else {
             continue;
         };
         let fails = |keep: &[usize]| replay(coll, method, tier, &ops(keep)).is_err();
-        let keep = shrink((0..len).collect(), fails);
+        let keep = shrink((0..script.len()).collect(), fails);
         let last = replay(coll, method, tier, &ops(&keep)).unwrap_err();
         let listed: String = ops(&keep)
             .iter()
             .map(|op| format!("\n    {op:?}"))
             .collect();
         panic!(
-            "{corpus} corpus, seed {seed}, {method}, {tier:?}: {first}\n\
+            "{label}, {method}, {tier:?}: {first}\n\
              shrunk to ops {keep:?} of the script, which fail at {last}{listed}"
         );
     }
@@ -124,7 +124,7 @@ pub fn replay(coll: &Collection, method: Method, tier: TierKind, ops: &[Op]) -> 
     let open = || with_method!(method, |I, b| open::<I>(b(coll), tier, method, coll));
     let at = Cell::new(0);
     CAUGHT.set(Some(String::new()));
-    let ran = catch_unwind(AssertUnwindSafe(|| drive(open(), coll, ops, &at)));
+    let ran = catch_unwind(AssertUnwindSafe(|| drive(open(), tier, coll, ops, &at)));
     let caught = CAUGHT.take().unwrap_or_default();
     let op = ops
         .get(at.get())
@@ -254,8 +254,12 @@ struct Model {
     domain: (u64, u64),
     dict: u32,
     epoch: u64,
-    /// `[inserts, deletes, missed_deletes, publish_reused, publish_cloned]`.
-    counters: [u64; 5],
+    /// Whether the tier enqueues a delete of a missing id, as only the
+    /// store tier does: the server answers `MISSING` instead.
+    sends_missing: bool,
+    /// `[inserts, deletes, missed_deletes, publish_reused, publish_cloned,
+    /// max_batch]`.
+    counters: [u64; 6],
 }
 
 impl Model {
@@ -305,17 +309,24 @@ impl Model {
     }
 
     /// Closes `group` with `barrier`. A tier with epochs must ack the
-    /// model's `(epoch, live)`: one epoch per batch, at most two batches.
+    /// model's `(epoch, live)`: one epoch per batch, and the ops sent form
+    /// at most two batches, the first of one op (see [`Gate`]).
     fn barrier(&mut self, tier: &mut dyn Tier, group: &mut Vec<Write>, barrier: &Op) {
-        let (mut admitted, mut inserts) = (0, 0);
+        let (mut sent, mut inserts, mut missed) = (0, 0, 0);
         for (op, ok) in requests(group) {
-            admitted += u64::from(ok);
-            inserts += u64::from(ok && matches!(op, WriteOp::Insert(_)));
+            let sends = ok || self.sends_missing;
+            sent += u64::from(sends);
+            inserts += u64::from(sends && matches!(op, WriteOp::Insert(_)));
+            missed += u64::from(sends && !ok);
         }
-        self.epoch += admitted.min(2);
+        self.epoch += sent.min(2);
         self.counters[0] += inserts;
-        self.counters[1] += admitted - inserts;
+        self.counters[1] += sent - inserts - missed;
+        self.counters[2] += missed;
         self.counters[3] = self.epoch;
+        // The gate's two batches: the first op alone, then the rest.
+        let largest = sent.min(1).max(sent.saturating_sub(1));
+        self.counters[5] = self.counters[5].max(largest);
         let catalog: Vec<Object> = self.live.values().cloned().collect();
         self.oracle = BruteForce::build(&catalog);
         if let Some(acked) = tier.commit(&std::mem::take(group), barrier, &catalog) {
@@ -376,8 +387,9 @@ fn open<I: Index>(index: I, tier: TierKind, method: Method, coll: &Collection) -
 
 /// Runs `ops` through `tier` against the model: every answer, every
 /// barrier and, at the end, the applier's counters. `at` tracks the op.
-fn drive(mut tier: Box<dyn Tier>, coll: &Collection, ops: &[Op], at: &Cell<usize>) {
+fn drive(mut tier: Box<dyn Tier>, kind: TierKind, coll: &Collection, ops: &[Op], at: &Cell<usize>) {
     let (mut model, mut group, tier) = (Model::new(coll), Vec::new(), tier.as_mut());
+    model.sends_missing = kind == TierKind::Store;
     for (i, op) in ops.iter().enumerate() {
         at.set(i);
         // A read follows a barrier: which unflushed writes it would see is
@@ -399,8 +411,8 @@ fn drive(mut tier: Box<dyn Tier>, coll: &Collection, ops: &[Op], at: &Cell<usize
     at.set(ops.len());
     model.barrier(tier, &mut group, &Op::Flush);
     if let Some(counters) = tier.counters() {
-        let names = "[inserts, deletes, missed_deletes, publish_reused, publish_cloned]";
-        assert_eq!(counters, model.counters, "{names}");
+        let names = "[inserts, deletes, missed_deletes, publish_reused, publish_cloned, max_batch]";
+        assert_eq!(counters, model.counters[..counters.len()], "{names}");
     }
 }
 
@@ -412,8 +424,9 @@ trait Tier {
     /// The answer in ascending order, or `None` if it timed out.
     fn query(&mut self, q: &TimeTravelQuery, expired: bool) -> Option<Vec<u32>>;
     fn drop_bitmaps(&mut self) {}
-    /// The applier's counters, if one applier served the whole script.
-    fn counters(&mut self) -> Option<[u64; 5]> {
+    /// The applier's counters, if one applier served the whole script: a
+    /// prefix of [`Model::counters`].
+    fn counters(&mut self) -> Option<Vec<u64>> {
         None
     }
 }
@@ -518,21 +531,22 @@ fn gated<I: Validate>(checks: bool) -> (Validator<I>, Gate) {
 
 impl Gate {
     /// Sends `group` so that it commits as exactly two batches: once its
-    /// first admitted op is enqueued the applier is parked with that alone,
-    /// and everything enqueued meanwhile forms the second.
-    fn send(&self, group: &[Write], mut send: impl FnMut(WriteOp, bool)) {
-        let mut admitted = 0;
+    /// first op is enqueued the applier is parked with that alone, and
+    /// everything enqueued meanwhile forms the second. `send` sends one op,
+    /// flagged admitted or not, and says whether it was enqueued.
+    fn send(&self, group: &[Write], mut send: impl FnMut(WriteOp, bool) -> bool) {
+        let mut sent = 0;
         for (op, ok) in requests(group) {
-            send(op, ok);
-            admitted += u32::from(ok);
-            if ok && admitted == 1 {
+            let enqueued = send(op, ok);
+            sent += u32::from(enqueued);
+            if enqueued && sent == 1 {
                 self.parked();
             }
         }
-        if admitted > 0 {
+        if sent > 0 {
             self.go();
         }
-        if admitted > 1 {
+        if sent > 1 {
             self.parked();
             self.go();
         }
@@ -570,11 +584,11 @@ impl<I: Index> Store<I> {
 impl<I: Index> Tier for Store<I> {
     fn commit(&mut self, group: &[Write], barrier: &Op, _: &[Object]) -> Option<(u64, u64)> {
         let store = &self.store;
-        // The server's admission: a delete of a missing id is not enqueued.
-        self.gate.send(group, |op, ok| {
-            if ok {
-                store.enqueue(op).expect("enqueue");
-            }
+        // Unlike the server, the store is sent a delete of a missing id too:
+        // the applier must count it as missed and change nothing.
+        self.gate.send(group, |op, _| {
+            store.enqueue(op).expect("enqueue");
+            true
         });
         let acked = match barrier {
             Op::Snapshot => store.force_snapshot(),
@@ -589,20 +603,15 @@ impl<I: Index> Tier for Store<I> {
         answer(&self.store.snapshot().index, q, expired)
     }
 
-    fn counters(&mut self) -> Option<[u64; 5]> {
+    /// The counters `STATS` reports and `max_batch`, which it does not.
+    fn counters(&mut self) -> Option<Vec<u64>> {
         // The last ack goes out before the applier catches its retired copy
         // up; an empty flush queues behind that step.
         self.store.flush().expect("flush");
         let s = self.store.stats();
-        let publish = [&s.publish_reused, &s.publish_cloned];
-        let c = [
-            &s.inserts,
-            &s.deletes,
-            &s.missed_deletes,
-            publish[0],
-            publish[1],
-        ];
-        Some(c.map(|c| c.load(SeqCst)))
+        let (i, d, m) = (&s.inserts, &s.deletes, &s.missed_deletes);
+        let c = [i, d, m, &s.publish_reused, &s.publish_cloned, &s.max_batch];
+        Some(c.iter().map(|c| c.load(SeqCst)).collect())
     }
 }
 
@@ -744,6 +753,7 @@ impl<I: Index> Tier for Served<I> {
                 WriteOp::Delete(o) => (format!("DELETE {}", o.id), Response::Missing),
             };
             assert_eq!(client.call(&request), Ok(want), "{request}");
+            ok
         });
         Some(match barrier {
             Op::KillRecover if self.tier == TierKind::Recovered => self.kill_recover(catalog),
@@ -764,7 +774,7 @@ impl<I: Index> Tier for Served<I> {
         }
     }
 
-    fn counters(&mut self) -> Option<[u64; 5]> {
+    fn counters(&mut self) -> Option<Vec<u64>> {
         self.barrier("FLUSH");
         let keys = [
             "inserts",
@@ -773,7 +783,7 @@ impl<I: Index> Tier for Served<I> {
             "publish_reused",
             "publish_cloned",
         ];
-        (self.tier != TierKind::Recovered).then(|| self.stats(keys))
+        (self.tier != TierKind::Recovered).then(|| self.stats(keys).to_vec())
     }
 }
 
