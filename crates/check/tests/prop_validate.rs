@@ -237,7 +237,7 @@ proptest! {
         runs.run_intersect_steps = bump;
         prop_assert!(!runs.validate().is_empty(), "a run step went unnoticed");
         let mut vector = stats;
-        vector.simd_merge_scanned = bump;
+        vector.simd_merge_steps = bump;
         prop_assert!(!vector.validate().is_empty(), "a vector merge went unnoticed");
         stats.scanned += bump;
         prop_assert!(!stats.validate().is_empty(), "scanned desync went unnoticed");

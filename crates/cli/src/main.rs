@@ -460,7 +460,7 @@ fn cmd_bench_kernels(opts: &Opts, json_path: &str) -> Result<(), String> {
                         scratch.reset();
                         scratch.cands.extend_from_slice(&cands);
                         scratch.intersect_runs(|runs| runs.mark_blocks(&blocks, &[]));
-                        scratch.take_into(o);
+                        scratch.drain_into(o);
                     }),
                     scratch.last_stats().scanned.max(1),
                     n_post,
@@ -474,7 +474,7 @@ fn cmd_bench_kernels(opts: &Opts, json_path: &str) -> Result<(), String> {
                     scratch.reset();
                     scratch.cands.extend_from_slice(&cands);
                     scratch.intersect(side);
-                    scratch.take_into(o);
+                    scratch.drain_into(o);
                 });
                 let stats = scratch.last_stats();
                 let mut kernel = chosen_kernel(&stats);

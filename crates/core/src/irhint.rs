@@ -236,7 +236,7 @@ impl<D: DivisionStore> TemporalIrIndex for IrHint<D> {
                 }
             });
         scratch.plan = plan;
-        scratch.take_into(out);
+        scratch.drain_into(out);
     }
 
     fn insert(&mut self, o: &Object) {
@@ -368,15 +368,9 @@ fn query_temporal_if(
     scratch.cands.clear();
     mode.admit_into(p.ids, p.sts, p.ends, q.st, q.end, &mut scratch.cands);
     scratch.note(Kernel::Merge, p.ids.len() as u64);
-    for &e in rest {
-        if scratch.is_empty() {
-            break;
-        }
-        scratch.intersect(match bitmaps.bitmap(e) {
-            Some(words) => Postings::Bits(words),
-            None => Postings::Ids(div.postings(e).ids),
-        });
-    }
+    scratch.intersect_rest_of_plan(rest, bitmaps, |scratch, e| {
+        scratch.intersect(Postings::Ids(div.postings(e).ids));
+    });
     // Dense candidates against a bitmap leave the planner in bitmap form;
     // the next division must find it empty and in array form again.
     scratch.drain_into(out);

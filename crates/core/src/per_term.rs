@@ -160,35 +160,28 @@ impl<P: TermPartition> TemporalIrIndex for PerTerm<P> {
     fn query_into(&self, q: &TimeTravelQuery, scratch: &mut QueryScratch, out: &mut Vec<ObjectId>) {
         scratch.reset();
         self.freqs.plan_into(&q.elems, &mut scratch.plan);
-        if scratch.plan.is_empty() {
-            return;
-        }
-        if let Some(term) = self.terms.get(&scratch.plan[0]) {
-            let scanned = term.seed_into(&self.shared, q.interval, scratch);
-            scratch.note(Kernel::Merge, scanned);
-        }
-        for i in 1..scratch.plan.len() {
-            if scratch.is_empty() {
-                break;
+        // The plan is borrowed across the steps while the scratch is
+        // mutated, so move it out and restore it after.
+        let plan = std::mem::take(&mut scratch.plan);
+        if let Some((first, rest)) = plan.split_first() {
+            if let Some(term) = self.terms.get(first) {
+                let scanned = term.seed_into(&self.shared, q.interval, scratch);
+                scratch.note(Kernel::Merge, scanned);
             }
-            let e = scratch.plan[i];
-            if let Some(words) = self.bitmaps.bitmap(e) {
-                // One bit test per candidate, whatever the policy.
-                scratch.intersect(Postings::Bits(words));
-                continue;
-            }
-            match self.terms.get(&e) {
-                Some(term) => {
-                    // The deadline probe every non-seed step starts with,
-                    // and `cands` in array form for the policy.
-                    scratch.begin_policy_step();
-                    term.restrict(&self.shared, q.interval, scratch);
+            scratch.intersect_rest_of_plan(rest, &self.bitmaps, |scratch, e| {
+                match self.terms.get(&e) {
+                    Some(term) => {
+                        // `cands` in array form for the policy.
+                        scratch.begin_policy_step();
+                        term.restrict(&self.shared, q.interval, scratch);
+                    }
+                    // A term no object ever contained: nothing survives.
+                    None => scratch.intersect(Postings::Ids(&[])),
                 }
-                // A term no object ever contained: nothing survives.
-                None => scratch.intersect(Postings::Ids(&[])),
-            }
+            });
         }
-        scratch.take_into(out);
+        scratch.plan = plan;
+        scratch.drain_into(out);
     }
 
     fn insert(&mut self, o: &Object) {

@@ -389,7 +389,7 @@ mod tests {
         s.cands.extend_from_slice(cands);
         s.intersect_runs(|runs| runs.mark_blocks(bp, dead));
         let mut out = Vec::new();
-        s.take_into(&mut out);
+        s.drain_into(&mut out);
         (out, s.last_stats())
     }
 

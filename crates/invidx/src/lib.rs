@@ -50,5 +50,5 @@ pub use kernels::{
     intersect_gallop_into, intersect_gallop_rev_into, intersect_merge_into, live,
     order_ids_ascending, raw, ORDER_SPAN_WORDS_PER_ID, TOMBSTONE,
 };
-pub use planner::{global_stats, Kernel, PlanStats, Postings, QueryScratch};
+pub use planner::{Kernel, PlanStats, Postings, QueryScratch};
 pub use simd::SimdLevel;

@@ -26,12 +26,13 @@
 //!
 //! All state lives in a reusable [`QueryScratch`] so a steady-state query
 //! performs no allocation beyond its reply vector, and every step is
-//! counted: per-query via [`QueryScratch::last_stats`], process-wide via
-//! [`global_stats`] (surfaced through `tir serve`'s `STATS`).
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! counted there, once: [`QueryScratch::last_stats`] reads the counts since
+//! the query's [`QueryScratch::reset`]. Whoever runs queries sums them:
+//! `tir serve`'s query pool into its `STATS` totals, the work ledger
+//! (`tests/work_ledger.rs`) and the repo benchmark into their rows.
 
 use crate::compress::BlockPostings;
+use crate::elem_bitmaps::ElemBitmaps;
 use crate::kernels::{
     gallop_matches, gallop_rev_matches, intersect_gallop_into, intersect_gallop_rev_into,
     intersect_merge_into, live, merge_matches, raw, GALLOP_RATIO, TOMBSTONE,
@@ -65,9 +66,8 @@ pub struct PlanStats {
     /// Steps answered by the merge kernel.
     pub merge_steps: u64,
     /// Always 0: no kernel records vector merge steps. Kept because the
-    /// repo benchmark's probes and the `kern_simd_merge` key of `STATS`
-    /// and `loadgen` read it; it goes with the benchmark housekeeping of
-    /// ROADMAP item 4.
+    /// repo benchmark's probes read it; it goes with the benchmark
+    /// housekeeping of ROADMAP item 4.
     pub simd_merge_steps: u64,
     /// Steps answered by the gallop / binary-search kernel.
     pub gallop_steps: u64,
@@ -75,25 +75,17 @@ pub struct PlanStats {
     pub bitmap_probe_steps: u64,
     /// Steps answered by word-AND.
     pub word_and_steps: u64,
-    /// Always 0: no kernel records run steps. Kept because the repo
-    /// benchmark's probes and the `kern_run_intersect` key of `STATS` and
-    /// `loadgen` read it; it goes with the benchmark housekeeping of
-    /// ROADMAP item 4.
+    /// Always 0: no kernel records run steps. Kept, as
+    /// [`PlanStats::simd_merge_steps`] is, for the repo benchmark's probes.
     pub run_intersect_steps: u64,
     /// Elements scanned by merge steps.
     pub merge_scanned: u64,
-    /// Always 0, kept beside [`PlanStats::simd_merge_steps`] for the same
-    /// readers until ROADMAP item 4 removes both.
-    pub simd_merge_scanned: u64,
     /// Elements scanned by gallop steps.
     pub gallop_scanned: u64,
     /// Elements probed by bitmap steps.
     pub bitmap_probe_scanned: u64,
     /// Words scanned by word-AND steps (plus bitmap build costs).
     pub word_and_scanned: u64,
-    /// Always 0, kept beside [`PlanStats::run_intersect_steps`] for the
-    /// same readers until ROADMAP item 4 removes both.
-    pub run_intersect_scanned: u64,
     /// Total elements scanned over all kernels.
     pub scanned: u64,
     /// Compressed posting blocks decoded for block-at-a-time steps.
@@ -135,99 +127,23 @@ impl PlanStats {
     pub fn kernel_scanned_sum(&self) -> u64 {
         self.merge_scanned + self.gallop_scanned + self.bitmap_probe_scanned + self.word_and_scanned
     }
-
-    fn is_zero(&self) -> bool {
-        self.steps() == 0 && self.scanned == 0 && self.blocks_decoded == 0
-    }
 }
 
-struct GlobalCounters {
-    merge_steps: AtomicU64,
-    gallop_steps: AtomicU64,
-    bitmap_probe_steps: AtomicU64,
-    word_and_steps: AtomicU64,
-    merge_scanned: AtomicU64,
-    gallop_scanned: AtomicU64,
-    bitmap_probe_scanned: AtomicU64,
-    word_and_scanned: AtomicU64,
-    scanned: AtomicU64,
-    blocks_decoded: AtomicU64,
-}
-
-static GLOBAL: GlobalCounters = GlobalCounters {
-    merge_steps: AtomicU64::new(0),
-    gallop_steps: AtomicU64::new(0),
-    bitmap_probe_steps: AtomicU64::new(0),
-    word_and_steps: AtomicU64::new(0),
-    merge_scanned: AtomicU64::new(0),
-    gallop_scanned: AtomicU64::new(0),
-    bitmap_probe_scanned: AtomicU64::new(0),
-    word_and_scanned: AtomicU64::new(0),
-    scanned: AtomicU64::new(0),
-    blocks_decoded: AtomicU64::new(0),
-};
-
-fn flush_global(s: &PlanStats) {
-    if s.is_zero() {
-        return;
-    }
-    // analyze:allow(atomic-ordering): monotonic stat counters, read only for reporting
-    GLOBAL
-        .merge_steps
-        .fetch_add(s.merge_steps, Ordering::Relaxed);
-    // analyze:allow(atomic-ordering): monotonic stat counters, read only for reporting
-    GLOBAL
-        .gallop_steps
-        .fetch_add(s.gallop_steps, Ordering::Relaxed);
-    // analyze:allow(atomic-ordering): monotonic stat counters, read only for reporting
-    GLOBAL
-        .bitmap_probe_steps
-        .fetch_add(s.bitmap_probe_steps, Ordering::Relaxed);
-    // analyze:allow(atomic-ordering): monotonic stat counters, read only for reporting
-    GLOBAL
-        .word_and_steps
-        .fetch_add(s.word_and_steps, Ordering::Relaxed);
-    // analyze:allow(atomic-ordering): monotonic stat counters, read only for reporting
-    GLOBAL
-        .merge_scanned
-        .fetch_add(s.merge_scanned, Ordering::Relaxed);
-    // analyze:allow(atomic-ordering): monotonic stat counters, read only for reporting
-    GLOBAL
-        .gallop_scanned
-        .fetch_add(s.gallop_scanned, Ordering::Relaxed);
-    // analyze:allow(atomic-ordering): monotonic stat counters, read only for reporting
-    GLOBAL
-        .bitmap_probe_scanned
-        .fetch_add(s.bitmap_probe_scanned, Ordering::Relaxed);
-    // analyze:allow(atomic-ordering): monotonic stat counters, read only for reporting
-    GLOBAL
-        .word_and_scanned
-        .fetch_add(s.word_and_scanned, Ordering::Relaxed);
-    // analyze:allow(atomic-ordering): monotonic stat counters, read only for reporting
-    GLOBAL.scanned.fetch_add(s.scanned, Ordering::Relaxed);
-    // analyze:allow(atomic-ordering): monotonic stat counters, read only for reporting
-    GLOBAL
-        .blocks_decoded
-        .fetch_add(s.blocks_decoded, Ordering::Relaxed);
-}
-
-/// Process-wide accumulated planner counters (every query answered since
-/// start, all threads). Point-in-time read; cross-counter tearing is
-/// acceptable for reporting.
-pub fn global_stats() -> PlanStats {
-    // analyze:allow(atomic-ordering): monotonic stat counters, read only for reporting
-    PlanStats {
-        merge_steps: GLOBAL.merge_steps.load(Ordering::Relaxed),
-        gallop_steps: GLOBAL.gallop_steps.load(Ordering::Relaxed),
-        bitmap_probe_steps: GLOBAL.bitmap_probe_steps.load(Ordering::Relaxed),
-        word_and_steps: GLOBAL.word_and_steps.load(Ordering::Relaxed),
-        merge_scanned: GLOBAL.merge_scanned.load(Ordering::Relaxed),
-        gallop_scanned: GLOBAL.gallop_scanned.load(Ordering::Relaxed),
-        bitmap_probe_scanned: GLOBAL.bitmap_probe_scanned.load(Ordering::Relaxed),
-        word_and_scanned: GLOBAL.word_and_scanned.load(Ordering::Relaxed),
-        scanned: GLOBAL.scanned.load(Ordering::Relaxed),
-        blocks_decoded: GLOBAL.blocks_decoded.load(Ordering::Relaxed),
-        ..PlanStats::default()
+/// Sums two queries' counters, field by field.
+impl std::ops::AddAssign for PlanStats {
+    fn add_assign(&mut self, o: PlanStats) {
+        self.merge_steps += o.merge_steps;
+        self.simd_merge_steps += o.simd_merge_steps;
+        self.gallop_steps += o.gallop_steps;
+        self.bitmap_probe_steps += o.bitmap_probe_steps;
+        self.word_and_steps += o.word_and_steps;
+        self.run_intersect_steps += o.run_intersect_steps;
+        self.merge_scanned += o.merge_scanned;
+        self.gallop_scanned += o.gallop_scanned;
+        self.bitmap_probe_scanned += o.bitmap_probe_scanned;
+        self.word_and_scanned += o.word_and_scanned;
+        self.scanned += o.scanned;
+        self.blocks_decoded += o.blocks_decoded;
     }
 }
 
@@ -310,7 +226,6 @@ pub struct QueryScratch {
     hits: Vec<bool>,
     blk: Vec<u32>,
     stats: PlanStats,
-    last: PlanStats,
     deadline: Option<std::time::Instant>,
     deadline_probe_at: u64,
     deadline_expired: bool,
@@ -322,31 +237,22 @@ pub struct QueryScratch {
 const DEADLINE_PROBE_EVERY: u64 = 4096;
 
 impl QueryScratch {
-    /// Starts a new query: flushes the previous query's counters to the
-    /// process-wide totals and clears all candidate state.
+    /// Starts a new query: zeroes the counters and clears all candidate
+    /// state.
     pub fn reset(&mut self) {
-        self.finish_query();
-        self.cands.clear();
-        self.plan.clear();
-    }
-
-    /// Flushes pending counters (also called by [`QueryScratch::reset`]
-    /// and on drop, so drive-by uses cannot lose counts).
-    fn finish_query(&mut self) {
-        if !self.stats.is_zero() {
-            flush_global(&self.stats);
-            self.last = self.stats;
-            self.stats = PlanStats::default();
-        }
+        self.stats = PlanStats::default();
         if self.bits_live {
             self.zero_bits();
             self.bits_live = false;
         }
+        self.cands.clear();
+        self.plan.clear();
     }
 
-    /// The counters of the most recently finished query.
+    /// The counters since the last [`QueryScratch::reset`]: read after a
+    /// query, that query's work, and all zero for a query that did none.
     pub fn last_stats(&self) -> PlanStats {
-        self.last
+        self.stats
     }
 
     /// Arms (or clears) a per-query deadline. The serve pool sets this
@@ -510,8 +416,9 @@ impl QueryScratch {
 
     /// Moves the candidate set (ascending if the planner ended in bitmap
     /// form) to the end of `out` and leaves the scratch empty and in array
-    /// form, ready to be seeded again — how a plan that runs once per
-    /// partition hands over one partition's answers mid-query.
+    /// form, ready to be seeded again: how a query hands over its answer,
+    /// and how a plan that runs once per partition hands over one
+    /// partition's answers mid-query. The counters keep running.
     pub fn drain_into(&mut self, out: &mut Vec<u32>) {
         if self.bits_live {
             for w in 0..self.bits_words {
@@ -556,11 +463,27 @@ impl QueryScratch {
         }
     }
 
-    /// Finishes the query: [`QueryScratch::drain_into`] `out`, then flushes
-    /// the counters.
-    pub fn take_into(&mut self, out: &mut Vec<u32>) {
-        self.drain_into(out);
-        self.finish_query();
+    /// Runs the non-seed steps of a plan, `rest`, on the seeded candidates
+    /// until they run out: a term with an index-wide bitmap in `bitmaps` is
+    /// one [`Postings::Bits`] step, and any other term is the caller's
+    /// `list_step` (a division's id list, a policy's own restriction).
+    /// Each step starts with the deadline probe, in
+    /// [`QueryScratch::intersect`] or [`QueryScratch::begin_policy_step`].
+    pub fn intersect_rest_of_plan(
+        &mut self,
+        rest: &[u32],
+        bitmaps: &ElemBitmaps,
+        mut list_step: impl FnMut(&mut QueryScratch, u32),
+    ) {
+        for &e in rest {
+            if self.is_empty() {
+                break;
+            }
+            match bitmaps.bitmap(e) {
+                Some(words) => self.intersect(Postings::Bits(words)),
+                None => list_step(self, e),
+            }
+        }
     }
 
     /// Puts a finished query's answer in ascending order on this scratch's
@@ -655,12 +578,6 @@ impl QueryScratch {
             }
         }
         self.loaded.clear();
-    }
-}
-
-impl Drop for QueryScratch {
-    fn drop(&mut self) {
-        self.finish_query();
     }
 }
 
@@ -789,7 +706,7 @@ mod tests {
             scratch.intersect(*side);
         }
         let mut out = Vec::new();
-        scratch.take_into(&mut out);
+        scratch.drain_into(&mut out);
         out
     }
 
@@ -828,7 +745,7 @@ mod tests {
             s.intersect(side);
             assert!(!s.timed_out());
             let mut out = Vec::new();
-            s.take_into(&mut out);
+            s.drain_into(&mut out);
             assert_eq!(out, vec![2, 4, 6]);
 
             // A generous deadline never fires even on heavy plans.
@@ -917,8 +834,7 @@ mod tests {
         s.drain_into(&mut out);
         let want: Vec<u32> = (0..32).map(|i| i * 2).chain([8, 300]).collect();
         assert_eq!(out, want);
-        // Counters are still the one query's: nothing was flushed between.
-        s.reset();
+        // Counters are the one query's: a hand-over does not reset them.
         assert_eq!(s.last_stats().steps(), 2);
     }
 
@@ -931,7 +847,7 @@ mod tests {
         // them as a bitmap, and `cands` no longer says what survived.
         s.cands.extend((0..64).rev());
         s.intersect(Postings::Bits(&evens));
-        assert_eq!(s.last_stats().word_and_steps, 0, "still mid-query");
+        assert_eq!(s.last_stats().word_and_steps, 1, "counted as it runs");
         s.begin_policy_step();
         let want: Vec<u32> = (0..32).map(|i| i * 2).collect();
         assert_eq!(s.cands, want);
@@ -943,7 +859,7 @@ mod tests {
         s.begin_policy_step();
         assert_eq!(s.cands, vec![9, 3]);
         let mut out = Vec::new();
-        s.take_into(&mut out);
+        s.drain_into(&mut out);
         assert_eq!(out, vec![9, 3]);
         assert_eq!(s.last_stats().word_and_steps, 1);
     }
@@ -999,7 +915,6 @@ mod tests {
                 3
             });
             assert_eq!(s.cands, vec![9, far, 1]);
-            s.reset();
             let st = s.last_stats();
             let steps = if far < MAX_PROBE_UNIVERSE {
                 st.bitmap_probe_steps
@@ -1041,7 +956,6 @@ mod tests {
         // A round with no relevant run keeps nothing.
         s.intersect_runs(|_| {});
         assert!(s.cands.is_empty());
-        s.reset();
         let st = s.last_stats();
         assert_eq!(st.kernel_scanned_sum(), st.scanned);
         assert_eq!((st.merge_steps, st.merge_scanned), (3, 7 + 6 + 3));
@@ -1049,16 +963,13 @@ mod tests {
     }
 
     #[test]
-    fn global_counters_accumulate() {
-        let before = global_stats();
+    fn a_query_that_does_no_work_reads_zero() {
         let mut s = QueryScratch::default();
-        assert_eq!(
-            seq(&mut s, &[1, 2, 3], &[Postings::Ids(&[2, 3, 4])]),
-            vec![2, 3]
-        );
-        drop(s); // a scratch flushes its counters when the query finishes
-        let after = global_stats();
-        assert!(after.scanned > before.scanned);
-        assert_eq!(after.kernel_scanned_sum(), after.scanned);
+        let got = seq(&mut s, &[1, 2, 3], &[Postings::Ids(&[2, 3, 4])]);
+        assert_eq!(got, vec![2, 3]);
+        assert_eq!((s.last_stats().merge_steps, s.last_stats().scanned), (1, 6));
+        // An empty seed: the plan stops before its first step.
+        assert!(seq(&mut s, &[], &[Postings::Ids(&[2, 3, 4])]).is_empty());
+        assert_eq!(s.last_stats(), PlanStats::default());
     }
 }

@@ -166,7 +166,7 @@ proptest! {
         }
 
         let mut out = Vec::new();
-        scratch.take_into(&mut out);
+        scratch.drain_into(&mut out);
         out.sort_unstable();
         let want: Vec<u32> = model.into_iter().collect();
         prop_assert_eq!(out, want);
@@ -288,14 +288,14 @@ fn planner_edge_cases_hold_on_every_operand() {
             scratch.cands.extend_from_slice(&ids);
             scratch.intersect(side);
             let mut out = Vec::new();
-            scratch.take_into(&mut out);
+            scratch.drain_into(&mut out);
             out.sort_unstable();
             assert_eq!(out, want, "{side:?}");
             // Empty candidate seed stays empty against anything.
             scratch.reset();
             scratch.intersect(side);
             let mut out = Vec::new();
-            scratch.take_into(&mut out);
+            scratch.drain_into(&mut out);
             assert!(out.is_empty());
         }
     }

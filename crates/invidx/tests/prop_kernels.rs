@@ -43,7 +43,7 @@ fn block_round(bp: &BlockPostings, cands: &[u32], dead: &[u32]) -> (Vec<u32>, Pl
     s.cands.extend_from_slice(cands);
     s.intersect_runs(|runs| runs.mark_blocks(bp, dead));
     let mut out = Vec::new();
-    s.take_into(&mut out);
+    s.drain_into(&mut out);
     (out, s.last_stats())
 }
 

@@ -171,17 +171,12 @@ pub struct LoadgenReport {
     /// Conjunction-planner kernel mix over the run (post-run minus
     /// pre-run server counters): scalar merge steps.
     pub kern_merge: u64,
-    /// Vectorized merge steps during the run.
-    pub kern_simd_merge: u64,
     /// Gallop / binary-search steps during the run.
     pub kern_gallop: u64,
     /// Bitmap-probe steps during the run.
     pub kern_bitmap_probe: u64,
     /// Word-AND steps during the run.
     pub kern_word_and: u64,
-    /// Always 0 (`PlanStats::run_intersect_steps`): kept for the repo
-    /// benchmark, which reads the key.
-    pub kern_run_intersect: u64,
     /// Compressed posting blocks decoded during the run.
     pub blocks_decoded: u64,
     /// Elements scanned by intersection kernels during the run.
@@ -224,11 +219,9 @@ impl LoadgenReport {
             ("flush_max_us", Json::Num(self.flush_max_us)),
             ("size_bytes", Json::Int(self.size_bytes)),
             ("kern_merge", Json::Int(self.kern_merge)),
-            ("kern_simd_merge", Json::Int(self.kern_simd_merge)),
             ("kern_gallop", Json::Int(self.kern_gallop)),
             ("kern_bitmap_probe", Json::Int(self.kern_bitmap_probe)),
             ("kern_word_and", Json::Int(self.kern_word_and)),
-            ("kern_run_intersect", Json::Int(self.kern_run_intersect)),
             ("blocks_decoded", Json::Int(self.blocks_decoded)),
             ("elems_scanned", Json::Int(self.elems_scanned)),
             ("publish_reused", Json::Int(self.publish_reused)),
@@ -244,8 +237,8 @@ impl LoadgenReport {
              latency     p50 {:.0}µs | p95 {:.0}µs | p99 {:.0}µs | max {:.0}µs\n\
              outcomes    ok {} | hits {} | rejected {} | missing {} | errors {}\n\
              resilience  timeouts {} | retries {} | degraded {} | wrong {}\n\
-             kernels     merge {} | simd-merge {} | gallop {} | bitmap-probe {} | word-AND {} \
-             | run {} | blocks {} | scanned {}\n\
+             kernels     merge {} | gallop {} | bitmap-probe {} | word-AND {} | blocks {} \
+             | scanned {}\n\
              publish     reused {} | cloned {}",
             self.requests,
             self.elapsed_s,
@@ -266,11 +259,9 @@ impl LoadgenReport {
             self.degraded,
             self.wrong,
             self.kern_merge,
-            self.kern_simd_merge,
             self.kern_gallop,
             self.kern_bitmap_probe,
             self.kern_word_and,
-            self.kern_run_intersect,
             self.blocks_decoded,
             self.elems_scanned,
             self.publish_reused,
@@ -352,11 +343,9 @@ impl Connection {
 #[derive(Debug, Clone, Copy, Default)]
 struct ServerCounters {
     merge: u64,
-    simd_merge: u64,
     gallop: u64,
     bitmap_probe: u64,
     word_and: u64,
-    run_intersect: u64,
     blocks_decoded: u64,
     scanned: u64,
     publish_reused: u64,
@@ -374,11 +363,9 @@ impl ServerCounters {
         };
         ServerCounters {
             merge: get("kern_merge"),
-            simd_merge: get("kern_simd_merge"),
             gallop: get("kern_gallop"),
             bitmap_probe: get("kern_bitmap_probe"),
             word_and: get("kern_word_and"),
-            run_intersect: get("kern_run_intersect"),
             blocks_decoded: get("blocks_decoded"),
             scanned: get("elems_scanned"),
             publish_reused: get("publish_reused"),
@@ -391,11 +378,9 @@ impl ServerCounters {
     fn since(&self, earlier: &ServerCounters) -> ServerCounters {
         ServerCounters {
             merge: self.merge.saturating_sub(earlier.merge),
-            simd_merge: self.simd_merge.saturating_sub(earlier.simd_merge),
             gallop: self.gallop.saturating_sub(earlier.gallop),
             bitmap_probe: self.bitmap_probe.saturating_sub(earlier.bitmap_probe),
             word_and: self.word_and.saturating_sub(earlier.word_and),
-            run_intersect: self.run_intersect.saturating_sub(earlier.run_intersect),
             blocks_decoded: self.blocks_decoded.saturating_sub(earlier.blocks_decoded),
             scanned: self.scanned.saturating_sub(earlier.scanned),
             publish_reused: self.publish_reused.saturating_sub(earlier.publish_reused),
@@ -756,11 +741,9 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
         size_bytes: info.size_bytes,
         threads: cfg.threads,
         kern_merge: counters.merge,
-        kern_simd_merge: counters.simd_merge,
         kern_gallop: counters.gallop,
         kern_bitmap_probe: counters.bitmap_probe,
         kern_word_and: counters.word_and,
-        kern_run_intersect: counters.run_intersect,
         blocks_decoded: counters.blocks_decoded,
         elems_scanned: counters.scanned,
         publish_reused: counters.publish_reused,

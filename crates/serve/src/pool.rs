@@ -21,15 +21,20 @@
 //! correct and already paid for.
 //!
 //! Panics: the index walk runs under `catch_unwind`. A query that panics
-//! answers [`Rejected::Closed`], bumps [`PoolStats::worker_panics`], and
-//! hands a fresh scratch back to the gate — one poisoned query can never
-//! shrink the pool or take its connection thread down.
+//! answers [`Rejected::Closed`], counts in [`PoolStats::worker_panics`],
+//! and hands a fresh scratch back to the gate — one poisoned query can
+//! never shrink the pool or take its connection thread down.
+//!
+//! Counters: the gate keeps the pool's [`PoolStats`] and updates them in
+//! the critical sections a query already passes through — a refusal in
+//! `acquire`, every other outcome when the permit goes back — so counting
+//! adds no lock. A query's planner work comes from its scratch
+//! ([`QueryScratch::last_stats`]), the one place that counts it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use tir_core::{ObjectId, QueryScratch, TemporalIrIndex, TimeTravelQuery};
+use tir_core::{ObjectId, PlanStats, QueryScratch, TemporalIrIndex, TimeTravelQuery};
 
 use crate::epoch::{EpochStore, Rejected};
 use crate::witness::{lock, wait};
@@ -75,29 +80,42 @@ impl Default for PoolConfig {
     }
 }
 
-/// Counters exported by [`QueryPool::stats`].
-#[derive(Debug, Default)]
+/// The pool's counters since it was built, as [`QueryPool::stats`] reads
+/// them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Queries answered.
-    pub served: AtomicU64,
+    pub served: u64,
     /// Queries refused because the gate's waiting room was full.
-    pub overloaded: AtomicU64,
+    pub overloaded: u64,
     /// Queries answered `TIMEOUT` (deadline expired at the gate or
     /// mid-plan).
-    pub timeouts: AtomicU64,
+    pub timeouts: u64,
     /// Query panics caught on the calling thread.
-    pub worker_panics: AtomicU64,
+    pub worker_panics: u64,
+    /// The planner work of every query that reached the index walk:
+    /// answered, timed out mid-plan or panicked. A query refused at the
+    /// gate, or whose deadline expired before the walk, adds nothing.
+    pub plan: PlanStats,
 }
 
-fn bump(counter: &AtomicU64) {
-    // analyze:allow(atomic-ordering): monotonic stat counter, read only for reporting
-    counter.fetch_add(1, Ordering::Relaxed);
+impl PoolStats {
+    /// Counts one query that held a permit, and the work its walk did.
+    fn count(&mut self, outcome: &Result<QueryOutcome, Rejected>, work: PlanStats) {
+        match outcome {
+            Ok(QueryOutcome::Answered(_)) => self.served += 1,
+            Ok(QueryOutcome::TimedOut) => self.timeouts += 1,
+            Err(_) => self.worker_panics += 1,
+        }
+        self.plan += work;
+    }
 }
 
 /// The gate's state: a permit *is* an idle scratch.
 struct Gate {
     idle: Vec<QueryScratch>,
     waiting: usize,
+    stats: PoolStats,
 }
 
 /// The executor: runs each query on its caller, at most `workers` at a
@@ -108,7 +126,6 @@ pub struct QueryPool<I> {
     freed: Condvar,
     workers: usize,
     max_waiting: usize,
-    stats: PoolStats,
 }
 
 impl<I: TemporalIrIndex + Clone + Send + Sync + 'static> QueryPool<I> {
@@ -123,11 +140,11 @@ impl<I: TemporalIrIndex + Clone + Send + Sync + 'static> QueryPool<I> {
                 // put in order on the permit's own word arena.
                 idle: (0..workers).map(|_| QueryScratch::default()).collect(),
                 waiting: 0,
+                stats: PoolStats::default(),
             }),
             freed: Condvar::new(),
             workers,
             max_waiting: workers.saturating_mul(config.queue_depth.max(1)),
-            stats: PoolStats::default(),
         }
     }
 
@@ -150,9 +167,10 @@ impl<I: TemporalIrIndex + Clone + Send + Sync + 'static> QueryPool<I> {
         deadline: Option<Instant>,
     ) -> Result<QueryOutcome, Rejected> {
         let mut scratch = self.acquire()?;
-        let outcome = self.run(&query, deadline, &mut scratch);
+        let (outcome, work) = self.run(&query, deadline, &mut scratch);
         let mut gate = lock(&self.gate);
         gate.idle.push(scratch);
+        gate.stats.count(&outcome, work);
         let wake = gate.waiting > 0;
         drop(gate);
         if wake {
@@ -173,7 +191,7 @@ impl<I: TemporalIrIndex + Clone + Send + Sync + 'static> QueryPool<I> {
             }
             if !queued {
                 if gate.waiting >= self.max_waiting {
-                    bump(&self.stats.overloaded);
+                    gate.stats.overloaded += 1;
                     return Err(Rejected::Overloaded);
                 }
                 gate.waiting += 1;
@@ -184,20 +202,23 @@ impl<I: TemporalIrIndex + Clone + Send + Sync + 'static> QueryPool<I> {
         }
     }
 
-    /// The query itself, permit in hand and gate released.
+    /// The query itself, permit in hand and gate released: its outcome,
+    /// and the planner work it did.
     fn run(
         &self,
         query: &TimeTravelQuery,
         deadline: Option<Instant>,
         scratch: &mut QueryScratch,
-    ) -> Result<QueryOutcome, Rejected> {
+    ) -> (Result<QueryOutcome, Rejected>, PlanStats) {
         // Chaos hook: simulate a slow query; it and the callers waiting
         // behind its permit then find their deadlines expired.
         tir_fault::stall(tir_fault::FaultSite::WorkerStall);
         if deadline.is_some_and(|d| Instant::now() >= d) {
-            bump(&self.stats.timeouts);
-            return Ok(QueryOutcome::TimedOut);
+            return (Ok(QueryOutcome::TimedOut), PlanStats::default());
         }
+        // The counts read below are this query's even if the walk panics
+        // before the index resets the scratch.
+        scratch.reset();
         scratch.set_deadline(deadline);
         let snap = self.store.snapshot();
         let mut ids: Vec<ObjectId> = Vec::new();
@@ -207,26 +228,25 @@ impl<I: TemporalIrIndex + Clone + Send + Sync + 'static> QueryPool<I> {
                 scratch.order_answer_ids(&mut ids);
             }
         }));
+        let work = scratch.last_stats();
         if walk.is_err() {
             // The arena may be half-written: the permit goes back fresh.
             *scratch = QueryScratch::default();
-            bump(&self.stats.worker_panics);
-            return Err(Rejected::Closed);
+            return (Err(Rejected::Closed), work);
         }
         if scratch.timed_out() {
-            bump(&self.stats.timeouts);
-            return Ok(QueryOutcome::TimedOut);
+            return (Ok(QueryOutcome::TimedOut), work);
         }
-        bump(&self.stats.served);
-        Ok(QueryOutcome::Answered(QueryReply {
+        let reply = QueryReply {
             epoch: snap.epoch,
             ids,
-        }))
+        };
+        (Ok(QueryOutcome::Answered(reply)), work)
     }
 
-    /// Live counters.
-    pub fn stats(&self) -> &PoolStats {
-        &self.stats
+    /// The counters, read in one critical section of the gate.
+    pub fn stats(&self) -> PoolStats {
+        lock(&self.gate).stats
     }
 
     /// Number of permits.
@@ -240,7 +260,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::epoch::{EpochConfig, WriteOp};
     use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-    use tir_core::{BruteForce, Collection, Object};
+    use tir_core::{BruteForce, Collection, Object, Tif};
 
     fn pool_over<I>(index: I, config: PoolConfig) -> QueryPool<I>
     where
@@ -299,7 +319,7 @@ pub(crate) mod tests {
                 });
             }
         });
-        assert!(pool.stats().served.load(Ordering::Relaxed) > 0);
+        assert!(pool.stats().served > 0);
         // Every permit came back and nobody is still counted as waiting.
         let gate = lock(&pool.gate);
         assert_eq!((gate.idle.len(), gate.waiting), (pool.workers(), 0));
@@ -313,13 +333,36 @@ pub(crate) mod tests {
             .execute_with_deadline(q.clone(), Some(Instant::now()))
             .expect("execute");
         assert_eq!(outcome, QueryOutcome::TimedOut);
-        assert_eq!(pool.stats().timeouts.load(Ordering::Relaxed), 1);
+        assert_eq!(pool.stats().timeouts, 1);
         // A generous deadline answers normally.
         let later = Instant::now() + std::time::Duration::from_secs(60);
         match pool.execute_with_deadline(q, Some(later)).expect("execute") {
             QueryOutcome::Answered(reply) => assert_eq!(reply.ids, vec![1, 3, 6]),
             QueryOutcome::TimedOut => panic!("a 60s deadline must not expire"),
         }
+    }
+
+    #[test]
+    fn plan_counts_are_the_walks_sum_and_a_gate_timeout_adds_none() {
+        let coll = Collection::running_example();
+        let (direct, pool) = (Tif::build(&coll), pool_over(Tif::build(&coll), ONE_BY_ONE));
+        let (mut scratch, mut out, mut want) =
+            (QueryScratch::default(), Vec::new(), PlanStats::default());
+        for elems in [vec![0, 2], vec![1], vec![0, 1, 2], vec![5]] {
+            let q = TimeTravelQuery::new(2, 9, elems);
+            out.clear();
+            direct.query_into(&q, &mut scratch, &mut out);
+            want += scratch.last_stats();
+            pool.execute(q).expect("execute");
+        }
+        assert!(want.steps() > 0);
+        assert_eq!(pool.stats().plan, want);
+        // Expired before the walk: counted as a timeout, with no work.
+        let q = TimeTravelQuery::new(5, 9, vec![0, 2]);
+        let outcome = pool.execute_with_deadline(q, Some(Instant::now()));
+        assert_eq!(outcome, Ok(QueryOutcome::TimedOut));
+        let stats = pool.stats();
+        assert_eq!((stats.served, stats.timeouts, stats.plan), (4, 1, want));
     }
 
     /// A [`BruteForce`] that shows a test's hook the start time of every
@@ -405,7 +448,7 @@ pub(crate) mod tests {
             let second = s.spawn(|| pool.execute(TimeTravelQuery::new(5, 9, vec![1])));
             wait_until_waiting(&pool, 1);
             assert_eq!(pool.execute(q.clone()), Err(Rejected::Overloaded));
-            assert_eq!(pool.stats().overloaded.load(Ordering::Relaxed), 1);
+            assert_eq!(pool.stats().overloaded, 1);
             assert!(entered.try_recv().is_err(), "the waiter has not run");
             for _ in 0..2 {
                 release.send(()).expect("release");
@@ -416,7 +459,7 @@ pub(crate) mod tests {
             let direct = example_index().answer(&TimeTravelQuery::new(5, 9, vec![1]));
             assert_eq!(second.ids, direct);
         });
-        assert_eq!(pool.stats().served.load(Ordering::Relaxed), 2);
+        assert_eq!(pool.stats().served, 2);
     }
 
     #[test]
@@ -438,7 +481,7 @@ pub(crate) mod tests {
             assert_eq!(second, Ok(QueryOutcome::TimedOut));
         });
         assert!(entered.try_recv().is_err(), "the timed-out query ran");
-        assert_eq!(pool.stats().timeouts.load(Ordering::Relaxed), 1);
+        assert_eq!(pool.stats().timeouts, 1);
     }
 
     #[test]
@@ -450,7 +493,7 @@ pub(crate) mod tests {
             pool.execute(poisoned).expect_err("the panic is the answer"),
             Rejected::Closed
         );
-        assert_eq!(pool.stats().worker_panics.load(Ordering::Relaxed), 1);
+        assert_eq!(pool.stats().worker_panics, 1);
         let reply = pool
             .execute(TimeTravelQuery::new(5, 9, vec![0, 2]))
             .expect("the only permit came back");

@@ -458,10 +458,10 @@ where
                     ),
                 ),
                 ("workers", shared.pool.workers().to_string()),
-                ("served", count(&pstats.served)),
-                ("overloaded", count(&pstats.overloaded)),
-                ("timeouts", count(&pstats.timeouts)),
-                ("worker_panics", count(&pstats.worker_panics)),
+                ("served", pstats.served.to_string()),
+                ("overloaded", pstats.overloaded.to_string()),
+                ("timeouts", pstats.timeouts.to_string()),
+                ("worker_panics", pstats.worker_panics.to_string()),
                 ("inserts", count(&estats.inserts)),
                 ("deletes", count(&estats.deletes)),
                 ("missed_deletes", count(&estats.missed_deletes)),
@@ -470,6 +470,7 @@ where
                 ("degraded_writes", count(&estats.degraded_writes)),
                 ("publish_reused", count(&estats.publish_reused)),
                 ("publish_cloned", count(&estats.publish_cloned)),
+                ("max_batch", count(&estats.max_batch)),
             ]
             .into_iter()
             .map(|(k, v)| (k.to_string(), v))
@@ -489,18 +490,16 @@ where
                     pairs.push((k.to_string(), v.to_string()));
                 }
             }
-            // Conjunction-planner kernel mix (process-wide totals): lets
-            // loadgen and CI spot kernel-selection regressions.
-            let kstats = tir_invidx::global_stats();
+            // This server's conjunction-planner kernel mix: lets loadgen
+            // and CI spot kernel-selection regressions.
+            let plan = pstats.plan;
             for (k, v) in [
-                ("kern_merge", kstats.merge_steps),
-                ("kern_simd_merge", kstats.simd_merge_steps),
-                ("kern_gallop", kstats.gallop_steps),
-                ("kern_bitmap_probe", kstats.bitmap_probe_steps),
-                ("kern_word_and", kstats.word_and_steps),
-                ("kern_run_intersect", kstats.run_intersect_steps),
-                ("blocks_decoded", kstats.blocks_decoded),
-                ("elems_scanned", kstats.scanned),
+                ("kern_merge", plan.merge_steps),
+                ("kern_gallop", plan.gallop_steps),
+                ("kern_bitmap_probe", plan.bitmap_probe_steps),
+                ("kern_word_and", plan.word_and_steps),
+                ("blocks_decoded", plan.blocks_decoded),
+                ("elems_scanned", plan.scanned),
             ] {
                 pairs.push((k.to_string(), v.to_string()));
             }
@@ -623,6 +622,42 @@ mod tests {
 
         assert!(roundtrip(&mut stream, &mut reader, "BOGUS").starts_with("ERR"));
         server.stop();
+    }
+
+    #[test]
+    fn each_server_counts_only_its_own_work() {
+        fn scanned((stream, reader): &mut (TcpStream, BufReader<TcpStream>)) -> u64 {
+            let stats = roundtrip(stream, reader, "STATS");
+            let Ok(Response::Stats(pairs)) = parse_response(&stats) else {
+                panic!("{stats}");
+            };
+            let value = pairs.iter().find(|(k, _)| k == "elems_scanned");
+            value
+                .and_then(|(_, v)| v.parse().ok())
+                .expect("elems_scanned")
+        }
+        let coll = Collection::running_example();
+        let servers = [(); 2].map(|()| serve_example(Tif::build(&coll), PoolConfig::default()));
+        let [mut one, mut two] = servers.each_ref().map(|server| {
+            let stream = TcpStream::connect(server.addr()).expect("connect");
+            let reader = BufReader::new(stream.try_clone().expect("clone"));
+            (stream, reader)
+        });
+        let before = scanned(&mut two);
+        let hits = roundtrip(&mut one.0, &mut one.1, "QUERY 5 9 a,c");
+        assert_eq!(hits, "HITS 3 1 3 6");
+        assert!(scanned(&mut one) > 0, "the queried server counts its walk");
+        let direct = Tif::build(&coll).query(&TimeTravelQuery::new(5, 9, vec![0, 2]));
+        assert_eq!(direct, vec![1, 3, 6]);
+        assert_eq!(
+            scanned(&mut two),
+            before,
+            "another server's query, or a direct one"
+        );
+        drop((one, two));
+        for server in servers {
+            server.stop();
+        }
     }
 
     #[test]

@@ -291,7 +291,6 @@ fn a_sparse_step_after_a_word_and_sees_the_handed_back_candidates() {
         for q in queries {
             let mut got = Vec::new();
             index.query_into(q, &mut scratch, &mut got);
-            scratch.reset();
             assert!(
                 scratch.last_stats().word_and_steps >= 1,
                 "{name}: the dense step must word-AND, q={q:?}"

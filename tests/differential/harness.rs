@@ -412,7 +412,7 @@ fn drive(mut tier: Box<dyn Tier>, kind: TierKind, coll: &Collection, ops: &[Op],
     model.barrier(tier, &mut group, &Op::Flush);
     if let Some(counters) = tier.counters() {
         let names = "[inserts, deletes, missed_deletes, publish_reused, publish_cloned, max_batch]";
-        assert_eq!(counters, model.counters[..counters.len()], "{names}");
+        assert_eq!(counters, model.counters, "{names}");
     }
 }
 
@@ -424,9 +424,9 @@ trait Tier {
     /// The answer in ascending order, or `None` if it timed out.
     fn query(&mut self, q: &TimeTravelQuery, expired: bool) -> Option<Vec<u32>>;
     fn drop_bitmaps(&mut self) {}
-    /// The applier's counters, if one applier served the whole script: a
-    /// prefix of [`Model::counters`].
-    fn counters(&mut self) -> Option<Vec<u64>> {
+    /// The applier's counters, if one applier served the whole script, in
+    /// the order of [`Model::counters`].
+    fn counters(&mut self) -> Option<[u64; 6]> {
         None
     }
 }
@@ -603,15 +603,15 @@ impl<I: Index> Tier for Store<I> {
         answer(&self.store.snapshot().index, q, expired)
     }
 
-    /// The counters `STATS` reports and `max_batch`, which it does not.
-    fn counters(&mut self) -> Option<Vec<u64>> {
+    /// The counters `STATS` reports, read off the store.
+    fn counters(&mut self) -> Option<[u64; 6]> {
         // The last ack goes out before the applier catches its retired copy
         // up; an empty flush queues behind that step.
         self.store.flush().expect("flush");
         let s = self.store.stats();
         let (i, d, m) = (&s.inserts, &s.deletes, &s.missed_deletes);
         let c = [i, d, m, &s.publish_reused, &s.publish_cloned, &s.max_batch];
-        Some(c.iter().map(|c| c.load(SeqCst)).collect())
+        Some(c.map(|c| c.load(SeqCst)))
     }
 }
 
@@ -774,7 +774,7 @@ impl<I: Index> Tier for Served<I> {
         }
     }
 
-    fn counters(&mut self) -> Option<Vec<u64>> {
+    fn counters(&mut self) -> Option<[u64; 6]> {
         self.barrier("FLUSH");
         let keys = [
             "inserts",
@@ -782,8 +782,9 @@ impl<I: Index> Tier for Served<I> {
             "missed_deletes",
             "publish_reused",
             "publish_cloned",
+            "max_batch",
         ];
-        (self.tier != TierKind::Recovered).then(|| self.stats(keys).to_vec())
+        (self.tier != TierKind::Recovered).then(|| self.stats(keys))
     }
 }
 

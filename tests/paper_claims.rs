@@ -165,13 +165,11 @@ fn less_selective_queries_are_slower_for_every_method() {
         let run = |qs: &[TimeTravelQuery]| {
             let (mut hits, mut scanned) = (0usize, 0u64);
             let mut out = Vec::new();
+            let mut scratch = QueryScratch::default();
             for q in qs {
-                // A scratch of its own, so the counters are this query's.
-                let mut scratch = QueryScratch::default();
                 out.clear();
                 idx.query_into(q, &mut scratch, &mut out);
                 hits += out.len();
-                scratch.reset();
                 scanned += scratch.last_stats().scanned;
             }
             (hits, scanned)
