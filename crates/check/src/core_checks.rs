@@ -386,10 +386,9 @@ impl CheckDivision for CompactTemporalInverted {
             nest(path, nested, out);
             return false;
         }
-        let (list, offsets) = (self.list(), self.offsets());
-        for (ei, &e) in self.elements().iter().enumerate() {
-            for p in offsets[ei] as usize..offsets[ei + 1] as usize {
-                let (id, [st, end]) = list.entry_at(p);
+        for (i, &e) in self.elements().iter().enumerate() {
+            for p in self.elem_run(i) {
+                let (id, [st, end]) = self.list().entry_at(p);
                 at.check_entry(path, (Some(e), id), Some(st), Some(end), out);
             }
         }

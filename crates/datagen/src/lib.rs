@@ -22,7 +22,7 @@ pub mod queries;
 pub mod realworld;
 pub mod synthetic;
 
-pub use mixed::{mixed_stream, MixedSpec, Op};
+pub use mixed::{mixed_stream, with_sparse_ids, MixedSpec, Op};
 pub use queries::{
     selectivity_binned, workload, ElemSource, Extent, WorkloadSpec, SELECTIVITY_BINS,
     SELECTIVITY_LABELS,

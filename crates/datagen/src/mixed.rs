@@ -133,9 +133,44 @@ pub fn mixed_stream(coll: &Collection, spec: &MixedSpec, n: usize, seed: u64) ->
     out
 }
 
+/// The objects of `coll` as a catalog holds them after deletes and later
+/// inserts: every third id a hole, and every id above half the largest one
+/// renumbered 4,000,000 higher, far past the dense range.
+pub fn with_sparse_ids(coll: &Collection) -> Collection {
+    let half = coll.objects().iter().map(|o| o.id).max().unwrap_or(0) / 2;
+    let survivors = coll.objects().iter().filter(|o| o.id % 3 != 0).cloned();
+    Collection::new(
+        survivors
+            .map(|mut o| {
+                if o.id > half {
+                    o.id += 4_000_000;
+                }
+                o
+            })
+            .collect(),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sparse_ids_keep_two_thirds_and_lift_the_upper_half() {
+        let coll = crate::generate(&crate::SyntheticConfig::default().scaled(0.001));
+        let sparse = with_sparse_ids(&coll);
+        let max = coll.objects().iter().map(|o| o.id).max().unwrap();
+        for o in sparse.objects() {
+            let id = if o.id > 4_000_000 {
+                o.id - 4_000_000
+            } else {
+                o.id
+            };
+            assert!(id % 3 != 0 && (id > max / 2) == (o.id > 4_000_000));
+        }
+        let kept = coll.objects().iter().filter(|o| o.id % 3 != 0).count();
+        assert_eq!(sparse.len(), kept);
+    }
     use std::collections::HashSet;
     use tir_core::{BruteForce, TemporalIrIndex};
 

@@ -15,28 +15,13 @@ use std::sync::Arc;
 use tir_check::Validate;
 use tir_core::prelude::*;
 use tir_core::with_method;
-use tir_datagen::{mixed_stream, workload, Extent, MixedSpec, Op, SyntheticConfig, WorkloadSpec};
+use tir_datagen::{
+    mixed_stream, with_sparse_ids, workload, Extent, MixedSpec, Op, SyntheticConfig, WorkloadSpec,
+};
 use tir_invidx::ORDER_SPAN_WORDS_PER_ID;
 use tir_serve::epoch::{EpochConfig, EpochStore, WriteOp};
 use tir_serve::pool::{PoolConfig, QueryPool};
 use tir_serve::Rejected;
-
-/// The same objects as a catalog looks after deletes and later inserts:
-/// every third id a hole, the upper half renumbered far above `len`.
-fn with_sparse_ids(coll: &Collection) -> Collection {
-    let half = coll.objects().iter().map(|o| o.id).max().unwrap_or(0) / 2;
-    let survivors = coll.objects().iter().filter(|o| o.id % 3 != 0).cloned();
-    Collection::new(
-        survivors
-            .map(|mut o| {
-                if o.id > half {
-                    o.id += 4_000_000;
-                }
-                o
-            })
-            .collect(),
-    )
-}
 
 fn small_corpus() -> Collection {
     let mut cfg = SyntheticConfig::default().scaled(0.002);

@@ -5,8 +5,8 @@
 use temporal_ir::core::prelude::*;
 use temporal_ir::core::{PerTerm, TermPartition};
 use temporal_ir::datagen::{
-    eclog_like, generate, selectivity_binned, wikipedia_like, workload, ElemSource, Extent,
-    SyntheticConfig, WorkloadSpec,
+    eclog_like, generate, selectivity_binned, wikipedia_like, with_sparse_ids, workload,
+    ElemSource, Extent, SyntheticConfig, WorkloadSpec,
 };
 use temporal_ir::invidx::ElemBitmaps;
 
@@ -31,23 +31,6 @@ fn assert_all_agree(coll: &Collection, queries: &[TimeTravelQuery], ctx: &str) {
             );
         }
     }
-}
-
-/// The same objects as a catalog looks after deletes and later inserts:
-/// every third id a hole, the upper half renumbered far above `len`.
-fn with_sparse_ids(coll: &Collection) -> Collection {
-    let half = coll.len() as u32 / 2;
-    let survivors = coll.objects().iter().filter(|o| o.id % 3 != 0).cloned();
-    Collection::new(
-        survivors
-            .map(|mut o| {
-                if o.id > half {
-                    o.id += 4_000_000;
-                }
-                o
-            })
-            .collect(),
-    )
 }
 
 /// `dense100k` in miniature — the benchmark's served corpus, 50 objects per

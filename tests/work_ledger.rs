@@ -2,7 +2,11 @@
 //! gated by equality against the committed `WORK_baseline.json`.
 //!
 //! Each row sums, over one query set, the hits and every `PlanStats` field
-//! that `last_stats()` reads after each `query_into`. The rows are exact
+//! that `last_stats()` reads after each `query_into`. Every method is read
+//! in three states: `built`; `written`, after a fixed insert batch and
+//! delete batch through `insert_batch` / `delete_batch`; and `applied`,
+//! after the same inserts and deletes one op at a time through
+//! `apply_ops`, the path a server's applier runs. The rows are exact
 //! for a seed, so a change that moves the work any method does shows here
 //! as a row that moved. Such a change regenerates the file and explains
 //! the diff: on a mismatch this test writes the computed ledger to
@@ -82,13 +86,28 @@ fn ledger() -> BTreeMap<String, String> {
         .collect();
     let deletes: Vec<Object> = coll.objects().iter().step_by(20).cloned().collect();
 
+    // The same writes one op at a time, as a server's applier runs them.
+    let ops: Vec<WriteOp> = inserts
+        .iter()
+        .cloned()
+        .map(WriteOp::Insert)
+        .chain(deletes.iter().cloned().map(WriteOp::Delete))
+        .collect();
+
     let mut rows = BTreeMap::new();
     for m in Method::ALL {
         let mut index = m.build(&coll);
-        for state in ["built", "written"] {
-            if state == "written" {
-                index.insert_batch(&inserts);
-                delete_batch(&mut *index, &deletes);
+        for state in ["built", "written", "applied"] {
+            match state {
+                "written" => {
+                    index.insert_batch(&inserts);
+                    delete_batch(&mut *index, &deletes);
+                }
+                "applied" => {
+                    index = m.build(&coll);
+                    apply_ops(&mut *index, &ops);
+                }
+                _ => {}
             }
             for (extent, queries) in &sets {
                 let mut line = String::from("{");
@@ -131,7 +150,7 @@ fn parse(text: &str) -> BTreeMap<String, String> {
 #[test]
 fn every_method_does_the_committed_work() {
     let rows = ledger();
-    assert_eq!(rows.len(), Method::ALL.len() * 2 * EXTENTS.len());
+    assert_eq!(rows.len(), Method::ALL.len() * 3 * EXTENTS.len());
     let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/WORK_baseline.json");
     let committed = std::fs::read_to_string(baseline).map(|t| parse(&t));
     if committed.as_ref().ok() == Some(&rows) {
