@@ -3,7 +3,7 @@
 //! catalog of live objects.
 //!
 //! This is the verification core shared by `tir recover --verify` and
-//! the `tir chaos` harness: after a crash, a fault, or a recovery, the
+//! the root differential harness: after a crash, a fault, or a recovery, the
 //! surviving index must answer **exactly** like a linear scan of the
 //! catalog it claims to hold — every qualifying id, exactly once.
 

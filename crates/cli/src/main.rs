@@ -9,13 +9,11 @@
 //! tir check   --input data.tsv
 //! tir serve   [--input data.tsv | --scale S] [--method M] [--port P]
 //! tir loadgen --addr host:port [--requests N] [--threads T]
-//! tir chaos   [--schedules N] [--seed K]
 //! ```
 //!
 //! TSV format: `start<TAB>end<TAB>elem1,elem2,...` per object; `#` lines
 //! are comments.
 
-mod chaos;
 mod io;
 
 use std::fs::File;
@@ -112,7 +110,6 @@ fn run(args: &[String]) -> Result<(), String> {
         "check" => cmd_check(&opts),
         "serve" => cmd_serve(&opts),
         "loadgen" => cmd_loadgen(&opts),
-        "chaos" => chaos::cmd_chaos(&opts),
         "snapshot" => cmd_snapshot(&opts),
         "recover" => cmd_recover(&opts),
         "--help" | "-h" | "help" => {
@@ -132,7 +129,7 @@ fn usage() -> String {
         m => m.to_string(),
     });
     format!(
-        "usage: tir <gen|stats|query|bench|check|serve|loadgen|chaos|snapshot|recover> [--flags]\n\
+        "usage: tir <gen|stats|query|bench|check|serve|loadgen|snapshot|recover> [--flags]\n\
          gen      --out FILE [--cardinality N] [--seed K] [--scale S]\n\
          stats    --input FILE\n\
          query    --input FILE --from T --to T --elems a,b [--method M] [--topk K]\n\
@@ -149,9 +146,6 @@ fn usage() -> String {
                   [--write-fraction F] [--insert-fraction F] [--elems N]\n\
                   [--durability N] [--deadline-ms MS] [--retries N] [--backoff-ms MS]\n\
                   [--json BENCH_serve.json]\n\
-         chaos    [--schedules N] [--seed K] [--rounds N] [--scale S]\n\
-                  (seeded fault-injection schedules against a live durable\n\
-                  server; model + oracle verified, kill-then-recover each)\n\
          snapshot --out FILE [--input FILE | --scale S] [--method M] [--epoch N]\n\
                   (write a standalone snapshot file, then fsck it)\n\
          recover  --data-dir DIR [--verify]   (replay snapshot + WAL, report the\n\

@@ -11,7 +11,7 @@
 //! durable step has exactly one probe, and this is the only injection
 //! registry in the workspace. In production nothing is installed and
 //! every probe is a single atomic load that returns
-//! [`FaultAction::None`]. Under `tir chaos` a seeded [`FaultPlan`] is
+//! [`FaultAction::None`]. Under the root `chaos` test a seeded [`FaultPlan`] is
 //! [`install`]ed and each site visit is mapped — purely and
 //! deterministically from `(seed, site, visit)` — to an injected
 //! outcome: an I/O error shaped like ENOSPC/EIO, a short write, a stall,
@@ -23,10 +23,10 @@
 //! workload against the same seed reproduces the same faults, and a
 //! failing chaos schedule is re-runnable from its seed alone.
 //!
-//! The layer deliberately does **not** use feature gates: the release
-//! `tir chaos` binary drives a real release-built server, so the probes
-//! compile in everywhere and cost one relaxed-free atomic load when no
-//! plan is installed.
+//! The layer deliberately does **not** use feature gates: the `chaos`
+//! test drives the server as it ships, in a release build too, so the
+//! probes compile in everywhere and cost one relaxed-free atomic load
+//! when no plan is installed.
 //!
 //! ```
 //! use tir_fault::{FaultAction, FaultPlan, FaultSite, NoFaults};

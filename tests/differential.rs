@@ -13,7 +13,9 @@ use tir_datagen::SyntheticConfig;
 const OPS: usize = 150;
 const SEED: u64 = 1;
 
-fn every_corpus(tier: TierKind) {
+/// Each corpus's script through every method on `tier`, and the applier's
+/// counters of each, where the tier reports them.
+fn every_corpus(tier: TierKind) -> Vec<(Method, [u64; 6])> {
     // Five hundred objects over a sparse fifty-term dictionary.
     let mut small = SyntheticConfig::default().scaled(0.0005);
     (small.desc_size, small.seed) = (3, 29);
@@ -26,11 +28,18 @@ fn every_corpus(tier: TierKind) {
         dense.desc_size,
         dense.seed,
     ) = (1_000, 20, 5, 11);
+    let mut counters = Vec::new();
     for (name, cfg) in [("small", small), ("dense", dense)] {
         let coll = tir_datagen::generate(&cfg);
         let script = generate(&coll, SEED, OPS);
-        check(&format!("{name} corpus, seed {SEED}"), &coll, &script, tier);
+        counters.extend(check(
+            &format!("{name} corpus, seed {SEED}"),
+            &coll,
+            &script,
+            tier,
+        ));
     }
+    counters
 }
 
 /// Ids die and come back at the edges: the first id, the last, and one far
@@ -75,9 +84,16 @@ fn direct() {
     every_corpus(TierKind::Direct);
 }
 
+/// Every method's applier clones a master while a reader pins the copy it
+/// retired, and reclaims that copy once the reader lets it go.
 #[test]
 fn store() {
-    every_corpus(TierKind::Store);
+    for (method, [.., reused, cloned, _]) in every_corpus(TierKind::Store) {
+        assert!(
+            reused > 0 && cloned > 0,
+            "{method}: {reused} reused, {cloned} cloned"
+        );
+    }
 }
 
 #[test]

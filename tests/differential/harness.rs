@@ -8,15 +8,20 @@
 //! missing id. The writes between two barriers form a group, which a
 //! served tier commits as exactly two batches (see [`Gate`]), so the model
 //! knows the `(epoch, live)` every barrier acks.
+//!
+//! Under a fault plan a served tier runs ungated, and a write's [`Fate`]
+//! can be hidden. Its id is then doubtful: the script's later ops on it are
+//! not sent, an answer must hold every certain match and nothing that could
+//! not match, and the next kill-recover settles it.
 
 use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, set_hook, take_hook, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Once;
+use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -24,10 +29,11 @@ use rand::{Rng, SeedableRng};
 use tir_check::{diff_against_oracle, oracle_query_grid, Validate};
 use tir_core::prelude::*;
 use tir_core::{with_method, DivisionStore, IrHint, PerTerm, TermPartition};
+use tir_fault::SeededPlan;
 use tir_invidx::{Dictionary, QueryScratch};
 use tir_persist::{Durability, DurabilityOptions, Recovered, TermLog};
-use tir_serve::epoch::Validator;
-use tir_serve::protocol::Response;
+use tir_serve::epoch::{Snapshot, Validator};
+use tir_serve::protocol::{HealthStatus, Response};
 use tir_serve::{spawn_server, spawn_server_durable, Connection, EpochConfig, EpochStore};
 use tir_serve::{ServeDict, ServerConfig, ServerHandle};
 
@@ -46,6 +52,9 @@ pub enum Op {
     /// and serve from it (a flush on every other tier).
     KillRecover,
     DropBitmaps,
+    /// Hold the published snapshot across the next barrier (the store
+    /// tier; nothing elsewhere).
+    Pin,
 }
 
 /// Direct: two leapfrogging copies. Store: `EpochStore::new`, read from its
@@ -85,34 +94,59 @@ where
     }
 }
 
-/// Runs `script` through every method on `tier`. A failure is shrunk; the
-/// panic names the script (`label`), method and tier, and the ops of the
-/// script that still fail.
-pub fn check(label: &str, coll: &Collection, script: &[Op], tier: TierKind) {
+/// Runs `script` through every method on `tier`, and returns the applier's
+/// counters of each method whose tier reports them.
+pub fn check(
+    label: &str,
+    coll: &Collection,
+    script: &[Op],
+    tier: TierKind,
+) -> Vec<(Method, [u64; 6])> {
+    let counters = |m| check_method(label, coll, script, tier, m, None).map(|c| (m, c));
+    Method::ALL.into_iter().filter_map(counters).collect()
+}
+
+/// Runs `script` through `method` on `tier`, under `plan` if there is one.
+/// A failure is shrunk; the panic names the script (`label`), method and
+/// tier, and the ops of the script that still fail.
+pub fn check_method(
+    label: &str,
+    coll: &Collection,
+    script: &[Op],
+    tier: TierKind,
+    method: Method,
+    plan: Option<SeededPlan>,
+) -> Option<[u64; 6]> {
     let ops = |keep: &[usize]| -> Vec<Op> { keep.iter().map(|&i| script[i].clone()).collect() };
-    for method in Method::ALL {
-        let Err(first) = replay(coll, method, tier, script) else {
-            continue;
-        };
-        let fails = |keep: &[usize]| replay(coll, method, tier, &ops(keep)).is_err();
-        let keep = shrink((0..script.len()).collect(), fails);
-        let last = replay(coll, method, tier, &ops(&keep)).unwrap_err();
-        let listed: String = ops(&keep)
-            .iter()
-            .map(|op| format!("\n    {op:?}"))
-            .collect();
-        panic!(
-            "{label}, {method}, {tier:?}: {first}\n\
-             shrunk to ops {keep:?} of the script, which fail at {last}{listed}"
-        );
-    }
+    let first = match replay(coll, method, tier, script, plan) {
+        Ok(counters) => return counters,
+        Err(first) => first,
+    };
+    let fails = |keep: &[usize]| replay(coll, method, tier, &ops(keep), plan).is_err();
+    let keep = shrink((0..script.len()).collect(), fails);
+    let last =
+        replay(coll, method, tier, &ops(&keep), plan).map_or_else(|e| e, |_| "a pass".into());
+    let listed: String = ops(&keep)
+        .iter()
+        .map(|op| format!("\n    {op:?}"))
+        .collect();
+    panic!(
+        "{label}, {method}, {tier:?}: {first}\n\
+         shrunk to ops {keep:?} of the script, which fail at {last}{listed}"
+    );
 }
 
 thread_local!(static CAUGHT: Cell<Option<String>> = const { Cell::new(None) });
 
 /// One script through one method on one tier. A failed check panics; the
 /// panic is caught here, unprinted, and returned with the op it failed at.
-pub fn replay(coll: &Collection, method: Method, tier: TierKind, ops: &[Op]) -> Result<(), String> {
+pub fn replay(
+    coll: &Collection,
+    method: Method,
+    tier: TierKind,
+    ops: &[Op],
+    plan: Option<SeededPlan>,
+) -> Result<Option<[u64; 6]>, String> {
     static HOOK: Once = Once::new();
     HOOK.call_once(|| {
         let print = take_hook();
@@ -121,10 +155,12 @@ pub fn replay(coll: &Collection, method: Method, tier: TierKind, ops: &[Op]) -> 
             None => print(p),
         }));
     });
-    let open = || with_method!(method, |I, b| open::<I>(b(coll), tier, method, coll));
+    let open = || with_method!(method, |I, b| open::<I>(b(coll), tier, method, coll, plan));
     let at = Cell::new(0);
     CAUGHT.set(Some(String::new()));
-    let ran = catch_unwind(AssertUnwindSafe(|| drive(open(), tier, coll, ops, &at)));
+    let ran = catch_unwind(AssertUnwindSafe(|| {
+        drive(open(), tier, coll, ops, &at, plan.is_none())
+    }));
     let caught = CAUGHT.take().unwrap_or_default();
     let op = ops
         .get(at.get())
@@ -182,7 +218,7 @@ pub fn generate(coll: &Collection, seed: u64, len: usize) -> Vec<Op> {
                 if rng.gen_bool(0.5) {
                     // The id comes straight back.
                     script.push(Op::Delete(last_deleted));
-                    model.resolve(&Op::Delete(last_deleted));
+                    model.admit(&Op::Delete(last_deleted));
                     Op::Insert(model.revive(&mut rng, last_deleted))
                 } else {
                     Op::Delete(last_deleted)
@@ -191,6 +227,10 @@ pub fn generate(coll: &Collection, seed: u64, len: usize) -> Vec<Op> {
             (34..=57, _) if rng.gen_bool(0.5) => Op::Delete(last_deleted),
             (34..=57, _) => Op::Delete(fresh + rng.gen_range(1..1_000)),
             (58..=63, _) => {
+                // Half the batches commit behind a pinned reader.
+                if rng.gen_bool(0.5) {
+                    script.push(Op::Pin);
+                }
                 let mut batch = Vec::new();
                 for _ in 0..rng.gen_range(2..=6) {
                     batch.push(match dead {
@@ -216,7 +256,7 @@ pub fn generate(coll: &Collection, seed: u64, len: usize) -> Vec<Op> {
             (94..=97, _) => Op::KillRecover,
             _ => Op::DropBitmaps,
         };
-        model.resolve(&op);
+        model.admit(&op);
         script.push(op);
     }
     script.truncate(len);
@@ -226,37 +266,89 @@ pub fn generate(coll: &Collection, seed: u64, len: usize) -> Vec<Op> {
 /// A write as the model resolved it: one store-level op, flagged whether
 /// the server admits it (a delete of a missing id answers `MISSING` and is
 /// never enqueued), or a batch.
+#[derive(Clone)]
 enum Write {
     Op(WriteOp, bool),
     Batch(Vec<Object>),
 }
 
-/// A group's store-level ops, each flagged admitted or not.
-fn requests(group: &[Write]) -> Vec<(WriteOp, bool)> {
-    let mut out = Vec::new();
-    for w in group {
-        match w {
-            Write::Op(op, admitted) => out.push((op.clone(), *admitted)),
-            Write::Batch(os) => out.extend(os.iter().map(|o| (WriteOp::Insert(o.clone()), true))),
+impl Write {
+    /// The store-level ops, each flagged admitted or not.
+    fn requests(&self) -> Vec<(WriteOp, bool)> {
+        match self {
+            Write::Op(op, admitted) => vec![(op.clone(), *admitted)],
+            Write::Batch(os) => os
+                .iter()
+                .map(|o| (WriteOp::Insert(o.clone()), true))
+                .collect(),
         }
     }
-    out
 }
 
-/// The one model: the live catalog and the dead ids, and what the applier
-/// must have done to reach them.
+/// What became of one write request.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Fate {
+    /// `OK`, or `MISSING` for a delete of a missing id.
+    Admitted,
+    /// `OVERLOADED`, `DEGRADED`, or an `ERR` the fault plan injected.
+    Refused,
+    /// No reply: the connection dropped.
+    Hidden,
+}
+
+/// What a barrier reported.
+#[derive(Default)]
+struct Ack {
+    /// The barrier answered: every write admitted since the last one is in.
+    settled: bool,
+    /// The `(epoch, live)` acked, if the tier has epochs; after a restart,
+    /// the restarted server's.
+    epoch: Option<(u64, u64)>,
+    /// After a kill-recover, the recovered catalog.
+    recovered: Option<Vec<Object>>,
+}
+
+impl Ack {
+    fn of(epoch: Option<(u64, u64)>) -> Ack {
+        let settled = epoch.is_some();
+        Ack {
+            settled,
+            epoch,
+            ..Ack::default()
+        }
+    }
+}
+
+/// The one model: the live catalog and the dead ids, the ids whose state a
+/// fault hid, and what the applier must have done to reach them.
 #[derive(Default)]
 struct Model {
+    /// Each certainly live object.
     live: BTreeMap<u32, Object>,
     /// Each dead id's last object.
     dead: BTreeMap<u32, Object>,
+    /// Each doubtful id's possible states (`None`: not live).
+    doubt: BTreeMap<u32, Vec<Option<Object>>>,
+    /// Each id written since the last ack, with the states it has passed
+    /// through since: what it may be if the barrier does not answer.
+    unacked: BTreeMap<u32, Vec<Option<Object>>>,
+    /// The admitted writes since the last barrier.
+    group: Vec<(WriteOp, bool)>,
     oracle: BruteForce,
     domain: (u64, u64),
-    dict: u32,
+    /// Element ids known: the corpus's dictionary, then each fresh term.
+    terms: u32,
     epoch: u64,
+    /// Whether a group commits as exactly two batches (see [`Gate`]); an
+    /// ungated one commits as one batch or as up to one per write.
+    gated: bool,
     /// Whether the tier enqueues a delete of a missing id, as only the
     /// store tier does: the server answers `MISSING` instead.
     sends_missing: bool,
+    /// Whether a reader holds the published snapshot until the barrier.
+    pinned: bool,
+    /// Whether the applier holds a copy a pin kept it from reclaiming.
+    reclaim: bool,
     /// `[inserts, deletes, missed_deletes, publish_reused, publish_cloned,
     /// max_batch]`.
     counters: [u64; 6],
@@ -269,21 +361,21 @@ impl Model {
             live: coll.objects().iter().map(|o| (o.id, o.clone())).collect(),
             oracle: BruteForce::build(coll.objects()),
             domain: (d.st, d.end.max(d.st + 1)),
-            dict: coll.dict_size() as u32,
+            terms: coll.dict_size() as u32,
+            gated: true,
             ..Model::default()
         }
     }
 
-    fn resolve(&mut self, op: &Op) -> Option<Write> {
+    /// `op` as the tier is sent it, if at all. Ops on a doubtful id are not
+    /// sent, nor an insert of a live id.
+    fn resolve(&self, op: &Op) -> Option<Write> {
+        let free = |id| !self.live.contains_key(&id) && !self.doubt.contains_key(&id);
         match op {
-            Op::Insert(o) => self
-                .admit(o)
-                .then(|| Write::Op(WriteOp::Insert(o.clone()), true)),
-            Op::Delete(id) => Some(match self.live.remove(id) {
-                Some(o) => {
-                    self.dead.insert(*id, o.clone());
-                    Write::Op(WriteOp::Delete(o), true)
-                }
+            Op::Insert(o) => free(o.id).then(|| Write::Op(WriteOp::Insert(o.clone()), true)),
+            Op::Delete(id) if self.doubt.contains_key(id) => None,
+            Op::Delete(id) => Some(match self.live.get(id) {
+                Some(o) => Write::Op(WriteOp::Delete(o.clone()), true),
                 None => {
                     let ghost = Object::new(*id, 0, 1, vec![0]);
                     let o = self.dead.get(id).cloned().unwrap_or(ghost);
@@ -291,59 +383,210 @@ impl Model {
                 }
             }),
             Op::Batch(os) => {
-                let admitted: Vec<Object> = os.iter().filter(|o| self.admit(o)).cloned().collect();
+                let mut taken = BTreeSet::new();
+                let admitted = os.iter().filter(|o| free(o.id) && taken.insert(o.id));
+                let admitted: Vec<Object> = admitted.cloned().collect();
                 (!admitted.is_empty()).then_some(Write::Batch(admitted))
             }
             _ => None,
         }
     }
 
-    /// Takes `o` live, unless its id already is.
-    fn admit(&mut self, o: &Object) -> bool {
-        let free = !self.live.contains_key(&o.id);
-        if free {
-            self.dead.remove(&o.id);
-            self.live.insert(o.id, o.clone());
+    /// Takes `op` as admitted, as the generator does.
+    fn admit(&mut self, op: &Op) {
+        for (op, ok) in self.resolve(op).iter().flat_map(Write::requests) {
+            self.settle(op, ok, Fate::Admitted);
         }
-        free
     }
 
-    /// Closes `group` with `barrier`. A tier with epochs must ack the
-    /// model's `(epoch, live)`: one epoch per batch, and the ops sent form
-    /// at most two batches, the first of one op (see [`Gate`]).
-    fn barrier(&mut self, tier: &mut dyn Tier, group: &mut Vec<Write>, barrier: &Op) {
+    /// Sends `op` to `tier` and settles each request by its fate.
+    fn write(&mut self, tier: &mut dyn Tier, op: &Op) {
+        let Some(write) = self.resolve(op) else {
+            return;
+        };
+        let fates = tier.write(&write);
+        for ((op, ok), fate) in write.requests().into_iter().zip(fates) {
+            if fate == Fate::Admitted {
+                self.group.push((op.clone(), ok));
+            }
+            self.settle(op, ok, fate);
+        }
+    }
+
+    /// An admitted write changes the model; a hidden one makes its id
+    /// doubtful; a refused one, or a delete of a missing id, changes nothing.
+    fn settle(&mut self, op: WriteOp, ok: bool, fate: Fate) {
+        if fate == Fate::Refused || !ok {
+            return;
+        }
+        let (id, after) = match op {
+            WriteOp::Insert(o) => (o.id, Some(o)),
+            WriteOp::Delete(o) => (o.id, None),
+        };
+        let before = self.live.get(&id).cloned();
+        let states = self.unacked.entry(id).or_insert_with(|| vec![before]);
+        states.push(after.clone());
+        if fate == Fate::Hidden {
+            let states = self.unacked.remove(&id).unwrap_or_default();
+            self.doubt(id, states);
+        } else if let Some(o) = after {
+            self.dead.remove(&id);
+            self.live.insert(id, o);
+        } else if let Some(o) = self.live.remove(&id) {
+            self.dead.insert(id, o);
+        }
+    }
+
+    fn doubt(&mut self, id: u32, states: Vec<Option<Object>>) {
+        self.live.remove(&id);
+        self.doubt.insert(id, states);
+    }
+
+    /// A reader pins the published snapshot, which holds the model's live
+    /// catalog, if the tier has one.
+    fn pin(&mut self, tier: &mut dyn Tier) {
+        let catalog: Vec<Object> = self.live.values().cloned().collect();
+        self.pinned |= tier.pin(&catalog);
+    }
+
+    /// Closes the group with `barrier`. A barrier that answers settles the
+    /// group, and one that does not leaves every write in it doubtful; a
+    /// recovery settles all doubt. While the model is exact, a tier with
+    /// epochs must ack its `(epoch, live)`: one epoch per batch, and a
+    /// gated group forms at most two batches, the first of one op (see
+    /// [`Gate`]).
+    fn barrier(&mut self, tier: &mut dyn Tier, barrier: &Op) {
         let (mut sent, mut inserts, mut missed) = (0, 0, 0);
-        for (op, ok) in requests(group) {
+        for (op, ok) in self.group.drain(..) {
             let sends = ok || self.sends_missing;
             sent += u64::from(sends);
             inserts += u64::from(sends && matches!(op, WriteOp::Insert(_)));
             missed += u64::from(sends && !ok);
         }
-        self.epoch += sent.min(2);
+        self.count(sent, inserts, missed);
+        let catalog: Vec<Object> = self.live.values().cloned().collect();
+        let mut ack = tier.commit(barrier, &catalog);
+        let exact = ack.settled && self.doubt.is_empty();
+        let unacked = std::mem::take(&mut self.unacked);
+        if !ack.settled {
+            for (id, states) in unacked {
+                self.doubt(id, states);
+            }
+        }
+        if let Some(recovered) = ack.recovered.take() {
+            self.recover(recovered);
+        }
+        if let Some((epoch, live)) = ack.epoch {
+            let (least, most) = if self.gated {
+                (sent.min(2), sent.min(2))
+            } else {
+                (sent.min(1), sent)
+            };
+            let grew = exact.then(|| epoch.wrapping_sub(self.epoch));
+            assert!(
+                grew.is_none_or(|n| (least..=most).contains(&n)),
+                "epoch {epoch} after {} at {sent} writes",
+                self.epoch
+            );
+            let want = self.doubt.is_empty().then_some(self.live.len() as u64);
+            assert!(want.is_none_or(|n| n == live), "live {live}, not {want:?}");
+            self.epoch = epoch;
+        }
+        let catalog: Vec<Object> = self.live.values().cloned().collect();
+        self.oracle = BruteForce::build(&catalog);
+    }
+
+    /// The applier's counters after a gated group of `sent` ops. Each batch
+    /// publishes and then reclaims the copy it retired, unless the pin holds
+    /// it: then the next batch reclaims it, or clones the published copy
+    /// while the pin still holds it.
+    fn count(&mut self, sent: u64, inserts: u64, missed: u64) {
+        let held = std::mem::take(&mut self.pinned);
+        for batch in 0..sent.min(2) {
+            if std::mem::take(&mut self.reclaim) {
+                self.counters[if held && batch == 1 { 4 } else { 3 }] += 1;
+            }
+            if held && batch == 0 {
+                self.reclaim = true;
+            } else {
+                self.counters[3] += 1;
+            }
+        }
         self.counters[0] += inserts;
         self.counters[1] += sent - inserts - missed;
         self.counters[2] += missed;
-        self.counters[3] = self.epoch;
         // The gate's two batches: the first op alone, then the rest.
         let largest = sent.min(1).max(sent.saturating_sub(1));
         self.counters[5] = self.counters[5].max(largest);
-        let catalog: Vec<Object> = self.live.values().cloned().collect();
-        self.oracle = BruteForce::build(&catalog);
-        if let Some(acked) = tier.commit(&std::mem::take(group), barrier, &catalog) {
-            assert_eq!(acked, (self.epoch, catalog.len() as u64), "(epoch, live)");
-        }
     }
 
-    /// An object over the corpus's domain and dictionary.
-    fn object(&self, rng: &mut StdRng, id: u32) -> Object {
+    /// Settles doubt by the catalog a recovery found: it holds every certain
+    /// object, each doubtful id in one of its possible states, and nothing
+    /// that was never acked. The model is exact again.
+    fn recover(&mut self, recovered: Vec<Object>) {
+        let mut found: BTreeMap<u32, Object> = recovered.into_iter().map(|o| (o.id, o)).collect();
+        for (id, o) in &self.live {
+            let kept = found.remove(id);
+            assert_eq!(kept.as_ref(), Some(o), "recovered id {id}");
+        }
+        for (id, states) in std::mem::take(&mut self.doubt) {
+            let state = found.remove(&id);
+            assert!(
+                states.contains(&state),
+                "doubtful id {id} recovered as {state:?}, not one of {states:?}"
+            );
+            if let Some(o) = state {
+                self.live.insert(id, o);
+            }
+        }
+        assert!(
+            found.is_empty(),
+            "recovered ids never acked: {:?}",
+            found.keys()
+        );
+    }
+
+    /// An answer holds every certain match and nothing that could not
+    /// match: while no id is doubtful, exactly the oracle's answer.
+    fn check(&self, q: &TimeTravelQuery, got: &[u32]) {
+        let want = self.oracle.answer(q);
+        if self.doubt.is_empty() {
+            assert_eq!(got, want);
+            return;
+        }
+        let missing = want.iter().filter(|id| got.binary_search(id).is_err());
+        let missing: Vec<&u32> = missing.collect();
+        let possible = |id: &u32| {
+            let mut states = self.doubt.get(id).into_iter().flatten().flatten();
+            want.binary_search(id).is_ok() || states.any(|o| q.matches(o))
+        };
+        let impossible: Vec<&u32> = got.iter().filter(|id| !possible(id)).collect();
+        let sound = missing.is_empty() && impossible.is_empty();
+        assert!(
+            sound,
+            "{q:?}: missing {missing:?}, impossible {impossible:?}"
+        );
+    }
+
+    /// An object over the corpus's domain and the terms known so far, or
+    /// now and then a fresh one.
+    fn object(&mut self, rng: &mut StdRng, id: u32) -> Object {
         let (st, end) = self.interval(rng);
-        let desc = (0..rng.gen_range(1..=4)).map(|_| self.term(rng)).collect();
+        let mut desc = Vec::new();
+        for _ in 0..rng.gen_range(1..=4) {
+            desc.push(if rng.gen_bool(0.05) {
+                self.terms += 1;
+                self.terms - 1
+            } else {
+                self.term(rng)
+            });
+        }
         Object::new(id, st, end, desc)
     }
 
     /// Dead `id` back as the object it was, as its interval with another
     /// description, or as another object.
-    fn revive(&self, rng: &mut StdRng, id: u32) -> Object {
+    fn revive(&mut self, rng: &mut StdRng, id: u32) -> Object {
         let other = self.object(rng, id);
         match (self.dead.get(&id), rng.gen_range(0..4)) {
             (Some(was), 0) => was.clone(),
@@ -373,57 +616,85 @@ impl Model {
 
     /// Low element ids, like the corpus's frequent terms, come most often.
     fn term(&self, rng: &mut StdRng) -> u32 {
-        rng.gen_range(0..self.dict).min(rng.gen_range(0..self.dict))
+        rng.gen_range(0..self.terms)
+            .min(rng.gen_range(0..self.terms))
     }
 }
 
-fn open<I: Index>(index: I, tier: TierKind, method: Method, coll: &Collection) -> Box<dyn Tier> {
+fn open<I: Index>(
+    index: I,
+    tier: TierKind,
+    method: Method,
+    coll: &Collection,
+    plan: Option<SeededPlan>,
+) -> Box<dyn Tier> {
     match tier {
-        TierKind::Direct => Box::new(Direct(index.clone(), index)),
+        TierKind::Direct => Box::new(Direct(index.clone(), index, Vec::new())),
         TierKind::Store => Box::new(Store::new(index, coll.len() as u64)),
-        _ => Box::new(Served::<I>::open(tier, method, coll, index)),
+        _ => Box::new(Served::<I>::open(tier, method, coll, index, plan)),
     }
 }
 
 /// Runs `ops` through `tier` against the model: every answer, every
-/// barrier and, at the end, the applier's counters. `at` tracks the op.
-fn drive(mut tier: Box<dyn Tier>, kind: TierKind, coll: &Collection, ops: &[Op], at: &Cell<usize>) {
-    let (mut model, mut group, tier) = (Model::new(coll), Vec::new(), tier.as_mut());
-    model.sends_missing = kind == TierKind::Store;
+/// barrier and, at the end, the applier's counters, which it returns. `at`
+/// tracks the op.
+fn drive(
+    mut tier: Box<dyn Tier>,
+    kind: TierKind,
+    coll: &Collection,
+    ops: &[Op],
+    at: &Cell<usize>,
+    gated: bool,
+) -> Option<[u64; 6]> {
+    let (mut model, tier) = (Model::new(coll), tier.as_mut());
+    (model.gated, model.sends_missing) = (gated, kind == TierKind::Store);
     for (i, op) in ops.iter().enumerate() {
         at.set(i);
         // A read follows a barrier: which unflushed writes it would see is
         // up to the applier.
-        if matches!(op, Op::Query(_) | Op::Expired(_) | Op::DropBitmaps) && !group.is_empty() {
-            model.barrier(tier, &mut group, &Op::Flush);
+        let reads = matches!(
+            op,
+            Op::Query(_) | Op::Expired(_) | Op::DropBitmaps | Op::Pin
+        );
+        if reads && !model.group.is_empty() {
+            model.barrier(tier, &Op::Flush);
         }
         match op {
-            Op::Insert(_) | Op::Delete(_) | Op::Batch(_) => group.extend(model.resolve(op)),
-            Op::Flush | Op::Snapshot | Op::KillRecover => model.barrier(tier, &mut group, op),
+            Op::Insert(_) | Op::Delete(_) | Op::Batch(_) => model.write(tier, op),
+            Op::Flush | Op::Snapshot | Op::KillRecover => model.barrier(tier, op),
             Op::DropBitmaps => tier.drop_bitmaps(),
-            Op::Query(q) => assert_eq!(tier.query(q, false), Some(model.oracle.answer(q))),
+            Op::Pin => model.pin(tier),
+            Op::Query(q) => model.check(q, &tier.query(q, false).expect("an answer")),
             Op::Expired(q) => {
-                let got = tier.query(q, true);
-                assert!(got.is_none_or(|got| got == model.oracle.answer(q)));
+                if let Some(got) = tier.query(q, true) {
+                    model.check(q, &got);
+                }
             }
         }
     }
     at.set(ops.len());
-    model.barrier(tier, &mut group, &Op::Flush);
-    if let Some(counters) = tier.counters() {
-        let names = "[inserts, deletes, missed_deletes, publish_reused, publish_cloned, max_batch]";
-        assert_eq!(counters, model.counters, "{names}");
-    }
+    model.barrier(tier, &Op::Flush);
+    let counters = tier.counters()?;
+    let names = "[inserts, deletes, missed_deletes, publish_reused, publish_cloned, max_batch]";
+    assert_eq!(counters, model.counters, "{names}");
+    Some(counters)
 }
 
 /// One way of holding an index and serving it.
 trait Tier {
-    /// Commits `group` and then `barrier`, and returns the `(epoch, live)`
-    /// acked if the tier has epochs. `catalog` is the model's.
-    fn commit(&mut self, group: &[Write], barrier: &Op, catalog: &[Object]) -> Option<(u64, u64)>;
+    /// Sends `write` and returns the fate of each of its requests.
+    fn write(&mut self, write: &Write) -> Vec<Fate>;
+    /// Closes the writes since the last barrier with `barrier`. `catalog`
+    /// is the model's.
+    fn commit(&mut self, barrier: &Op, catalog: &[Object]) -> Ack;
     /// The answer in ascending order, or `None` if it timed out.
     fn query(&mut self, q: &TimeTravelQuery, expired: bool) -> Option<Vec<u32>>;
     fn drop_bitmaps(&mut self) {}
+    /// Holds the published snapshot, which answers like `catalog`, until
+    /// the next barrier has committed; says whether it did.
+    fn pin(&mut self, _catalog: &[Object]) -> bool {
+        false
+    }
     /// The applier's counters, if one applier served the whole script, in
     /// the order of [`Model::counters`].
     fn counters(&mut self) -> Option<[u64; 6]> {
@@ -432,10 +703,10 @@ trait Tier {
 }
 
 /// The epoch store's two-copy publish without the store, as `(master,
-/// published)`: a group commits to the master, the copies trade places,
-/// and the retired one replays the group. An index is a pure function of
-/// its build and the ops since, so the copies never diverge.
-struct Direct<I>(I, I);
+/// published, group)`: a group commits to the master, the copies trade
+/// places, and the retired one replays the group. An index is a pure
+/// function of its build and the ops since, so the copies never diverge.
+struct Direct<I>(I, I, Vec<Write>);
 
 /// `apply_ops` on one copy, with a `Batch` through `insert_batch`; returns
 /// how many deletes found their object alive.
@@ -451,17 +722,26 @@ fn apply<I: TemporalIrIndex>(index: &mut I, group: &[Write]) -> u64 {
 }
 
 impl<I: Index> Tier for Direct<I> {
-    fn commit(&mut self, group: &[Write], _: &Op, catalog: &[Object]) -> Option<(u64, u64)> {
+    fn write(&mut self, write: &Write) -> Vec<Fate> {
+        self.2.push(write.clone());
+        vec![Fate::Admitted; write.requests().len()]
+    }
+
+    fn commit(&mut self, _: &Op, catalog: &[Object]) -> Ack {
+        let group = std::mem::take(&mut self.2);
+        let settled = Ack {
+            settled: true,
+            ..Ack::default()
+        };
         if group.is_empty() {
-            return None;
+            return settled;
         }
-        let deletes = requests(group)
-            .into_iter()
-            .filter(|r| r.1 && matches!(r.0, WriteOp::Delete(_)));
-        let want = deletes.count() as u64;
-        let first = apply(&mut self.0, group);
+        let deletes = group.iter().flat_map(Write::requests);
+        let want = deletes.filter(|r| r.1 && matches!(r.0, WriteOp::Delete(_)));
+        let want = want.count() as u64;
+        let first = apply(&mut self.0, &group);
         std::mem::swap(&mut self.0, &mut self.1);
-        let second = apply(&mut self.0, group);
+        let second = apply(&mut self.0, &group);
         assert_eq!(
             (first, second),
             (want, want),
@@ -473,7 +753,7 @@ impl<I: Index> Tier for Direct<I> {
         let grid = oracle_query_grid(catalog, 8, want);
         let diverged = diff_against_oracle(&self.1, catalog, &grid);
         assert!(diverged.is_empty(), "{diverged:?}");
-        None
+        settled
     }
 
     fn query(&mut self, q: &TimeTravelQuery, expired: bool) -> Option<Vec<u32>> {
@@ -503,21 +783,25 @@ fn answer<I: TemporalIrIndex>(index: &I, q: &TimeTravelQuery, expired: bool) -> 
 }
 
 /// The driver's end of the validator hook that parks the applier inside
-/// every epoch swap: `(parked, release)`.
-struct Gate(Receiver<()>, SyncSender<()>);
+/// every epoch swap: `(parked, release, sent)`. A group it gates commits
+/// as exactly two batches: once its first op is enqueued the applier is
+/// parked with that alone, and everything enqueued meanwhile forms the
+/// second.
+struct Gate(Receiver<()>, SyncSender<()>, u32);
 
 /// How long the driver waits on a server or the applier before it calls
 /// the run hung; generous, so it never fires on a slow machine.
 const HANG: Duration = Duration::from_secs(60);
 
-/// A validator that parks the applier at the gate, then, if `checks`, runs
-/// the structural checks whose count `STATS violations` reports.
-fn gated<I: Validate>(checks: bool) -> (Validator<I>, Gate) {
+/// A validator that, if `park`, parks the applier at the gate it returns,
+/// then, if `checks`, runs the structural checks whose count `STATS
+/// violations` reports.
+fn gated<I: Validate>(checks: bool, park: bool) -> (Validator<I>, Option<Gate>) {
     let (entered, parked) = sync_channel(1);
     let (release, released) = sync_channel(1);
     let validator: Validator<I> = Box::new(move |index: &I| {
         // A driver that has gone must not leave the applier parked.
-        if entered.send(()).is_ok() {
+        if park && entered.send(()).is_ok() {
             let _ = released.recv();
         }
         if checks {
@@ -526,23 +810,21 @@ fn gated<I: Validate>(checks: bool) -> (Validator<I>, Gate) {
             0
         }
     });
-    (validator, Gate(parked, release))
+    (validator, park.then(|| Gate(parked, release, 0)))
 }
 
 impl Gate {
-    /// Sends `group` so that it commits as exactly two batches: once its
-    /// first op is enqueued the applier is parked with that alone, and
-    /// everything enqueued meanwhile forms the second. `send` sends one op,
-    /// flagged admitted or not, and says whether it was enqueued.
-    fn send(&self, group: &[Write], mut send: impl FnMut(WriteOp, bool) -> bool) {
-        let mut sent = 0;
-        for (op, ok) in requests(group) {
-            let enqueued = send(op, ok);
-            sent += u32::from(enqueued);
-            if enqueued && sent == 1 {
-                self.parked();
-            }
+    /// One op of the group was enqueued.
+    fn enqueued(&mut self) {
+        self.2 += 1;
+        if self.2 == 1 {
+            self.parked();
         }
+    }
+
+    /// Lets the group's batches through, before its barrier is sent.
+    fn release(&mut self) {
+        let sent = std::mem::take(&mut self.2);
         if sent > 0 {
             self.go();
         }
@@ -565,42 +847,72 @@ impl Gate {
 struct Store<I> {
     // Dropped first: a parked applier must wake before the store joins it.
     gate: Gate,
+    /// A reader's snapshot, and the catalog it was published at.
+    pinned: Option<(Arc<Snapshot<I>>, Vec<Object>)>,
     store: EpochStore<I>,
 }
 
 impl<I: Index> Store<I> {
     fn new(index: I, live: u64) -> Self {
         // The direct tier validates every state this store reaches.
-        let (validator, gate) = gated(false);
+        let (validator, gate) = gated(false, true);
         let config = EpochConfig {
             validator: Some(validator),
             ..Default::default()
         };
         let store = EpochStore::new(index, live, config);
-        Store { gate, store }
+        let gate = gate.expect("a gate");
+        Store {
+            gate,
+            pinned: None,
+            store,
+        }
     }
 }
 
 impl<I: Index> Tier for Store<I> {
-    fn commit(&mut self, group: &[Write], barrier: &Op, _: &[Object]) -> Option<(u64, u64)> {
+    /// Unlike the server, the store is sent a delete of a missing id too:
+    /// the applier must count it as missed and change nothing.
+    fn write(&mut self, write: &Write) -> Vec<Fate> {
+        let mut fates = Vec::new();
+        for (op, _) in write.requests() {
+            self.store.enqueue(op).expect("enqueue");
+            self.gate.enqueued();
+            fates.push(Fate::Admitted);
+        }
+        fates
+    }
+
+    fn commit(&mut self, barrier: &Op, _: &[Object]) -> Ack {
+        self.gate.release();
         let store = &self.store;
-        // Unlike the server, the store is sent a delete of a missing id too:
-        // the applier must count it as missed and change nothing.
-        self.gate.send(group, |op, _| {
-            store.enqueue(op).expect("enqueue");
-            true
-        });
         let acked = match barrier {
             Op::Snapshot => store.force_snapshot(),
             _ => store.flush(),
         };
         let (acked, snap) = (acked.expect("barrier"), store.snapshot());
         assert_eq!(snap.epoch, acked, "a barrier acks the published epoch");
-        Some((acked, snap.live))
+        // The ack goes out after the applier tried to reclaim each copy it
+        // retired, so the pin can go now.
+        if let Some((pinned, catalog)) = self.pinned.take() {
+            let grid = oracle_query_grid(&catalog, 8, pinned.epoch);
+            let diverged = diff_against_oracle(&pinned.index, &catalog, &grid);
+            let live = catalog.len() as u64;
+            assert!(
+                pinned.live == live && diverged.is_empty(),
+                "the pinned copy: {diverged:?}"
+            );
+        }
+        Ack::of(Some((acked, snap.live)))
     }
 
     fn query(&mut self, q: &TimeTravelQuery, expired: bool) -> Option<Vec<u32>> {
         answer(&self.store.snapshot().index, q, expired)
+    }
+
+    fn pin(&mut self, catalog: &[Object]) -> bool {
+        self.pinned = Some((self.store.snapshot(), catalog.to_vec()));
+        true
     }
 
     /// The counters `STATS` reports, read off the store.
@@ -633,12 +945,23 @@ struct Served<I> {
     method: Method,
     root: PathBuf,
     restarts: u32,
-    live: Option<(Gate, Connection, ServerHandle)>,
+    /// Armed once the first server says it is healthy; the applier then
+    /// runs ungated and the connection may drop.
+    plan: Option<SeededPlan>,
+    /// Whether the server has answered `DEGRADED` since it started.
+    degraded: bool,
+    live: Option<(Option<Gate>, Connection, ServerHandle)>,
     index: PhantomData<I>,
 }
 
 impl<I: Index> Served<I> {
-    fn open(tier: TierKind, method: Method, coll: &Collection, index: I) -> Self {
+    fn open(
+        tier: TierKind,
+        method: Method,
+        coll: &Collection,
+        index: I,
+        plan: Option<SeededPlan>,
+    ) -> Self {
         static DIRS: AtomicU64 = AtomicU64::new(0);
         let (pid, n) = (std::process::id(), DIRS.fetch_add(1, SeqCst));
         let root = std::env::temp_dir().join(format!("tir-differential-{pid}-{n}"));
@@ -647,6 +970,8 @@ impl<I: Index> Served<I> {
             method,
             root,
             restarts: 0,
+            plan,
+            degraded: false,
             live: None,
             index: PhantomData,
         };
@@ -662,6 +987,16 @@ impl<I: Index> Served<I> {
             let durability = Durability::create(&served.dir(), &index, &dict, catalog, DURABILITY);
             served.start_durable(index, dict, durability.expect("a data directory"));
         }
+        if let Some(plan) = plan {
+            // Boot I/O is clean: the plan is armed on a healthy server.
+            let health = served.ask("HEALTH");
+            assert_eq!(
+                health,
+                Response::Health(HealthStatus::Ok),
+                "HEALTH before faults"
+            );
+            tir_fault::install(Arc::new(plan));
+        }
         served
     }
 
@@ -675,7 +1010,7 @@ impl<I: Index> Served<I> {
     ) {
         // A durable server reaches the in-memory one's states; a recovered
         // index is rebuilt, so its states are new.
-        let (validator, gate) = gated(self.tier != TierKind::Durable);
+        let (validator, gate) = gated(self.tier != TierKind::Durable, self.plan.is_none());
         let config = ServerConfig {
             method: self.method.to_string(),
             ..Default::default()
@@ -683,6 +1018,7 @@ impl<I: Index> Served<I> {
         let server = spawn(config, validator).expect("a server");
         let client = Connection::open_with_timeout(&server.addr().to_string(), Some(HANG));
         self.live = Some((gate, client.expect("a connection"), server));
+        self.degraded = false;
     }
 
     fn start_durable(&mut self, index: I, dict: Dictionary, durability: Durability) {
@@ -690,33 +1026,103 @@ impl<I: Index> Served<I> {
         self.start(|config, v| spawn_server_durable(index, dict, durability, config, Some(v)));
     }
 
-    fn call(&mut self, request: &str) -> Response {
-        let (_, client, _) = self.live.as_mut().expect("a server");
-        let response = client.call(request);
-        response.unwrap_or_else(|e| panic!("{request}: {e}"))
+    /// One round trip. Under a fault plan a dropped connection is opened
+    /// again and answers `None`; a reply slower than [`HANG`] is a hang.
+    fn call(&mut self, request: &str) -> Option<Response> {
+        let (_, client, server) = self.live.as_mut().expect("a server");
+        let sent = Instant::now();
+        match client.call(request) {
+            Ok(response) => Some(response),
+            Err(e) if self.plan.is_none() || sent.elapsed() >= HANG => panic!("{request}: {e}"),
+            Err(_) => {
+                let addr = server.addr().to_string();
+                for _ in 0..50 {
+                    if let Ok(fresh) = Connection::open_with_timeout(&addr, Some(HANG)) {
+                        *client = fresh;
+                        return None;
+                    }
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                panic!("{request}: no connection after a drop");
+            }
+        }
+    }
+
+    /// A request that changes nothing, sent again until it is answered.
+    fn ask(&mut self, request: &str) -> Response {
+        loop {
+            if let Some(response) = self.call(request) {
+                return response;
+            }
+        }
     }
 
     fn stats<const N: usize>(&mut self, keys: [&str; N]) -> [u64; N] {
-        let Response::Stats(pairs) = self.call("STATS") else {
+        let Response::Stats(pairs) = self.ask("STATS") else {
             panic!("STATS");
         };
         let stat = |k| pairs.iter().find(|p| p.0 == k)?.1.parse().ok();
         keys.map(|k| stat(k).expect(k))
     }
 
-    /// A barrier: `STATS` must show the epoch it acked, and no violations.
-    fn barrier(&mut self, request: &str) -> (u64, u64) {
-        let acked = self.call(request);
-        let [epoch, live, violations] = self.stats(["epoch", "live", "violations"]);
-        let want = (Response::Epoch(epoch), 0);
-        assert_eq!((acked, violations), want, "{request}");
-        (epoch, live)
+    /// What became of a write the model expects to answer `want`.
+    fn fate(&mut self, request: &str, want: Response) -> Fate {
+        let fate = match self.call(request) {
+            None => Fate::Hidden,
+            Some(Response::Ok) if self.degraded => panic!("{request}: a degraded server took it"),
+            Some(response) if response == want => Fate::Admitted,
+            Some(Response::Degraded) => {
+                self.degrade();
+                Fate::Refused
+            }
+            Some(Response::Overloaded) => Fate::Refused,
+            Some(Response::Err(msg)) if tir_fault::message_is_injected(&msg) => Fate::Refused,
+            Some(other) => panic!("{request}: {other:?}, not {want:?}"),
+        };
+        assert!(
+            self.plan.is_some() || fate == Fate::Admitted,
+            "{request}: {fate:?}"
+        );
+        fate
     }
 
-    /// After the flush everything acked is on disk, so a copy of the live
-    /// directory is what `kill -9` would leave.
-    fn kill_recover(&mut self, catalog: &[Object]) -> (u64, u64) {
-        self.barrier("FLUSH");
+    /// Once the server answers `DEGRADED`, `HEALTH` says so, and it refuses
+    /// every write and barrier until it restarts.
+    fn degrade(&mut self) {
+        if !std::mem::replace(&mut self.degraded, true) {
+            let health = self.ask("HEALTH");
+            assert_eq!(
+                health,
+                Response::Health(HealthStatus::Degraded),
+                "HEALTH after DEGRADED"
+            );
+        }
+    }
+
+    /// A barrier, sent again if the connection drops: `None` if it answers
+    /// `DEGRADED`, else the `(epoch, live)` it acked, where `STATS` must
+    /// show that epoch and no violations.
+    fn barrier(&mut self, request: &str) -> Option<(u64, u64)> {
+        match self.ask(request) {
+            Response::Degraded if self.plan.is_some() => {
+                self.degrade();
+                None
+            }
+            Response::Epoch(acked) if !self.degraded => {
+                let [epoch, live, violations] = self.stats(["epoch", "live", "violations"]);
+                assert_eq!((acked, violations), (epoch, 0), "{request}");
+                Some((epoch, live))
+            }
+            other => panic!("{request}: {other:?}"),
+        }
+    }
+
+    /// After the flush, whatever it answers, nothing is in flight, so a
+    /// copy of the live directory is what `kill -9` would leave. The
+    /// recovered catalog goes back to the model, which names an element
+    /// `e{n}` for its id `n`.
+    fn kill_recover(&mut self) -> Ack {
+        let acked = self.barrier("FLUSH");
         let from = self.dir();
         self.restarts += 1;
         let to = self.dir();
@@ -726,23 +1132,34 @@ impl<I: Index> Served<I> {
             std::fs::copy(&path, to.join(path.file_name().expect("a name"))).expect("a copy");
         }
         let r: Recovered<I> = Durability::recover(&to, DURABILITY).expect("recovery");
-        let recovered = r.durability.catalog_sorted() == catalog;
-        assert!(recovered, "the recovered catalog");
+        let catalog = r.durability.catalog_sorted();
         let violations = r.index.validate();
-        let diverged = diff_against_oracle(&r.index, catalog, &oracle_query_grid(catalog, 24, 0));
+        let diverged = diff_against_oracle(&r.index, &catalog, &oracle_query_grid(&catalog, 24, 0));
         let clean = violations.is_empty() && diverged.is_empty();
         assert!(clean, "{violations:?} {diverged:?}");
+        let name = |e: u32| -> Option<u32> { r.dict.term(e)?.strip_prefix('e')?.parse().ok() };
+        let element = |e: u32| name(e).unwrap_or_else(|| panic!("element {e}"));
+        let recovered = catalog.iter().map(|o| {
+            let desc = o.desc.iter().map(|&e| element(e)).collect();
+            Object::new(o.id, o.interval.st, o.interval.end, desc)
+        });
+        let recovered = Some(recovered.collect());
         self.stop(false);
         self.start_durable(r.index, r.dict, r.durability);
         let [epoch, live] = self.stats(["epoch", "live"]);
-        (epoch, live)
+        let epoch = Some((epoch, live));
+        Ack {
+            settled: acked.is_some(),
+            epoch,
+            recovered,
+        }
     }
 }
 
 impl<I: Index> Tier for Served<I> {
-    fn commit(&mut self, group: &[Write], barrier: &Op, catalog: &[Object]) -> Option<(u64, u64)> {
-        let (gate, client, _) = self.live.as_mut().expect("a server");
-        gate.send(group, |op, ok| {
+    fn write(&mut self, write: &Write) -> Vec<Fate> {
+        let mut fates = Vec::new();
+        for (op, ok) in write.requests() {
             let (request, want) = match op {
                 WriteOp::Insert(o) => {
                     let (id, st, end) = (o.id, o.interval.st, o.interval.end);
@@ -752,14 +1169,25 @@ impl<I: Index> Tier for Served<I> {
                 WriteOp::Delete(o) if ok => (format!("DELETE {}", o.id), Response::Ok),
                 WriteOp::Delete(o) => (format!("DELETE {}", o.id), Response::Missing),
             };
-            assert_eq!(client.call(&request), Ok(want), "{request}");
-            ok
-        });
-        Some(match barrier {
-            Op::KillRecover if self.tier == TierKind::Recovered => self.kill_recover(catalog),
-            Op::Snapshot => self.barrier("SNAPSHOT"),
-            _ => self.barrier("FLUSH"),
-        })
+            fates.push(self.fate(&request, want));
+            // A gate means no fault plan, so the write was admitted: an
+            // insert or a delete of a live id is enqueued.
+            if let (Some((Some(gate), ..)), true) = (&mut self.live, ok) {
+                gate.enqueued();
+            }
+        }
+        fates
+    }
+
+    fn commit(&mut self, barrier: &Op, _: &[Object]) -> Ack {
+        if let Some((Some(gate), ..)) = &mut self.live {
+            gate.release();
+        }
+        match barrier {
+            Op::KillRecover if self.tier == TierKind::Recovered => self.kill_recover(),
+            Op::Snapshot => Ack::of(self.barrier("SNAPSHOT")),
+            _ => Ack::of(self.barrier("FLUSH")),
+        }
     }
 
     /// Replies are checked as they come, never sorted first.
@@ -767,7 +1195,7 @@ impl<I: Index> Tier for Served<I> {
         let (st, end, terms) = (q.interval.st, q.interval.end, terms(&q.elems));
         let deadline = if expired { " DEADLINE 0" } else { "" };
         let request = format!("QUERY {st} {end} {terms}{deadline}");
-        match self.call(&request) {
+        match self.ask(&request) {
             Response::Timeout if expired => None,
             Response::Hits(ids) if !expired => Some(ascending(ids)),
             other => panic!("{request}: {other:?}"),
@@ -790,12 +1218,16 @@ impl<I: Index> Tier for Served<I> {
 
 impl<I> Served<I> {
     /// Lets a parked applier go, hangs up, and stops the server. The last
-    /// server snapshots first, so that no shutdown snapshot of a store
-    /// dropped late lands after the directory is removed.
+    /// server snapshots first, with the fault plan gone, so that no
+    /// shutdown snapshot of a store dropped late lands after the directory
+    /// is removed.
     fn stop(&mut self, last: bool) {
         if let Some((gate, mut client, server)) = self.live.take() {
             drop(gate);
             if last {
+                if self.plan.is_some() {
+                    tir_fault::clear();
+                }
                 let _ = client.call("SNAPSHOT");
             }
             drop(client);
