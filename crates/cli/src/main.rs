@@ -380,7 +380,8 @@ fn chosen_kernel(stats: &PlanStats) -> &'static str {
 /// present-only words the dense-element bitmaps hand the planner
 /// (`planner:bits-*`), each labeled with whichever kernel the cost model
 /// picked. After the grid come the reply-path rows
-/// ([`bench_reply_kernels`]). CI runs this as a smoke test; the JSON makes
+/// ([`bench_reply_kernels`]) and the snapshot/WAL checksum rows
+/// ([`bench_crc_kernels`]). CI runs this as a smoke test; the JSON makes
 /// kernel-mix regressions diffable.
 fn cmd_bench_kernels(opts: &Opts, json_path: &str) -> Result<(), String> {
     use tir_invidx::{intersect_gallop_into, intersect_merge_into, BlockPostings, Postings};
@@ -510,6 +511,7 @@ fn cmd_bench_kernels(opts: &Opts, json_path: &str) -> Result<(), String> {
         }
     }
     bench_reply_kernels(&mut rng, reps, &mut records);
+    bench_crc_kernels(&mut rng, reps, &mut records);
     let doc = Json::obj(vec![
         ("tool", Json::str("tir bench --kernels")),
         ("git_rev", Json::str(git_rev())),
@@ -613,6 +615,42 @@ fn bench_reply_kernels(rng: &mut KernelRng, reps: u32, records: &mut Vec<Json>) 
             std::hint::black_box(parse_response(std::hint::black_box(&text)).is_ok());
         });
         emit("reply:parse-hits", 1, parsed);
+    }
+}
+
+/// The checksum rows of the kernel grid: ns per byte of the CRC32 that
+/// guards every snapshot section, WAL record and term-log record
+/// (`persist:crc32`): over 4 KiB (a WAL record), 1 MiB (one catalog
+/// column of a `dense100k` snapshot) and 8 MiB (about that whole file).
+fn bench_crc_kernels(rng: &mut KernelRng, reps: u32, records: &mut Vec<Json>) {
+    const KERNEL: &str = "persist:crc32";
+    println!(
+        "{:<10} {:<22} {:>12} {:>12}",
+        "bytes", "kernel", "ns/call", "ns/byte"
+    );
+    for len in [4usize << 10, 1 << 20, 8 << 20] {
+        let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64().to_le_bytes()[0]).collect();
+        let cell_reps = if reps > 0 {
+            reps
+        } else {
+            // Aim for ~256 MiB checksummed per measurement.
+            ((256usize << 20) / len).clamp(3, 100_000) as u32
+        };
+        let t0 = Instant::now();
+        for _ in 0..cell_reps {
+            std::hint::black_box(tir_persist::crc32(std::hint::black_box(&bytes)));
+        }
+        let per_call = t0.elapsed().as_nanos() / u128::from(cell_reps);
+        let ns_call = per_call.min(u128::from(u64::MAX)) as u64;
+        let ns_byte = ns_call as f64 / len as f64;
+        println!("{len:<10} {KERNEL:<22} {ns_call:>12} {ns_byte:>12.3}");
+        records.push(Json::obj(vec![
+            ("kernel", Json::str(KERNEL)),
+            ("bytes", Json::Int(len as u64)),
+            ("reps", Json::Int(u64::from(cell_reps))),
+            ("ns_per_call", Json::Int(ns_call)),
+            ("ns_per_elem", Json::Num(ns_byte)),
+        ]));
     }
 }
 

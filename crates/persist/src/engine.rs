@@ -26,7 +26,7 @@
 //! arm each in turn and assert oracle-exact recovery.
 
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -112,12 +112,14 @@ pub struct Recovered<I> {
 }
 
 /// Owns a data directory: the open WAL, the catalog mirror the snapshot
-/// writer needs, and the epoch counters.
+/// writer needs, and the epoch counters. The mirror is ordered by id, so
+/// the writer and [`Durability::catalog_sorted`] read it in the
+/// snapshot's order and never sort.
 #[derive(Debug)]
 pub struct Durability {
     dir: PathBuf,
     wal: Wal,
-    catalog: HashMap<u32, Object>,
+    catalog: BTreeMap<u32, Object>,
     epoch: u64,
     last_snapshot_epoch: u64,
     opts: DurabilityOptions,
@@ -175,7 +177,7 @@ impl Durability {
         }
         let coll = Collection::new(objects);
         let mut index: I = build_as(method, &coll)?;
-        let mut catalog: HashMap<u32, Object> =
+        let mut catalog: BTreeMap<u32, Object> =
             coll.objects().iter().map(|o| (o.id, o.clone())).collect();
         drop(coll);
 
@@ -244,9 +246,7 @@ impl Durability {
     /// The catalog mirror, sorted by id (what the snapshot writer and
     /// recovery verifiers see).
     pub fn catalog_sorted(&self) -> Vec<Object> {
-        let mut v: Vec<Object> = self.catalog.values().cloned().collect();
-        v.sort_unstable_by_key(|o| o.id);
-        v
+        self.catalog.values().cloned().collect()
     }
 
     /// Number of live objects in the catalog mirror.
@@ -353,7 +353,7 @@ fn build_as<I: 'static>(method: Method, coll: &Collection) -> Result<I, Snapshot
 
 /// Keeps the catalog mirror (what the next snapshot writes) in step with
 /// ops just applied to the index.
-fn mirror_ops(catalog: &mut HashMap<u32, Object>, ops: &[WalOp]) {
+fn mirror_ops(catalog: &mut BTreeMap<u32, Object>, ops: &[WalOp]) {
     for op in ops {
         match op {
             WalOp::Insert(o) => catalog.insert(o.id, o.clone()),

@@ -183,18 +183,33 @@ pub fn write_snapshot<'a, I: TemporalIrIndex>(
         )
     })?;
 
-    let (mut offs, mut blob, mut freq) = (Vec::new(), Vec::new(), Vec::new());
+    // Every section is reserved at its exact length, so the one encoding
+    // pass below never grows a buffer.
+    let terms = dict.len() as u32;
+    let blob_len: usize = (0..terms).map(|id| dict.term(id).map_or(0, str::len)).sum();
+    let mut offs = Vec::with_capacity(4 * (dict.len() + 1));
+    let mut blob = Vec::with_capacity(blob_len);
+    let mut freq = Vec::with_capacity(4 * dict.len());
     put_u32(&mut offs, 0);
-    for id in 0..dict.len() as u32 {
+    for id in 0..terms {
         blob.extend_from_slice(dict.term(id).unwrap_or("").as_bytes());
         put_u32(&mut offs, blob.len() as u32);
         put_u32(&mut freq, dict.freq(id));
     }
 
+    // The durable engine's mirror hands the catalog over in id order;
+    // only another order pays for a sort.
     let mut catalog: Vec<&Object> = catalog.into_iter().collect();
-    catalog.sort_unstable_by_key(|o| o.id);
-    let (mut ids, mut sts, mut ends) = (Vec::new(), Vec::new(), Vec::new());
-    let (mut desc_offs, mut desc) = (Vec::new(), Vec::new());
+    if !catalog.is_sorted_by_key(|o| o.id) {
+        catalog.sort_unstable_by_key(|o| o.id);
+    }
+    let n = catalog.len();
+    let desc_len: usize = catalog.iter().map(|o| o.desc.len()).sum();
+    let mut ids = Vec::with_capacity(4 * n);
+    let mut sts = Vec::with_capacity(8 * n);
+    let mut ends = Vec::with_capacity(8 * n);
+    let mut desc_offs = Vec::with_capacity(4 * (n + 1));
+    let mut desc = Vec::with_capacity(4 * desc_len);
     put_u32(&mut desc_offs, 0);
     for o in &catalog {
         put_u32(&mut ids, o.id);
@@ -223,7 +238,7 @@ pub fn write_snapshot<'a, I: TemporalIrIndex>(
     put_u32(&mut head, FORMAT_VERSION);
     put_u32(&mut head, tag);
     put_u64(&mut head, epoch);
-    put_u64(&mut head, catalog.len() as u64);
+    put_u64(&mut head, n as u64);
     put_u32(&mut head, sections.len() as u32);
     put_u64(&mut head, file_len as u64);
     let crc_at = head.len();

@@ -35,6 +35,7 @@
 //! be crash fallout (everything before the tail was fsynced) and is
 //! reported as corruption instead.
 
+use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -133,8 +134,8 @@ pub fn encode_ops(ops: &[WalOp]) -> Vec<u8> {
 }
 
 /// Parses a record payload back into ops. `at` names the record in
-/// corruption errors.
-pub fn decode_ops(payload: &[u8], at: &str) -> io::Result<Vec<WalOp>> {
+/// corruption errors, and is formatted only when one is raised.
+pub fn decode_ops(payload: &[u8], at: impl fmt::Display) -> io::Result<Vec<WalOp>> {
     let corrupt = |msg: String| io::Error::new(io::ErrorKind::InvalidData, format!("{at}: {msg}"));
     let n = read_u32(payload, 0).ok_or_else(|| corrupt("payload shorter than op count".into()))?
         as usize;
@@ -184,6 +185,19 @@ pub fn decode_ops(payload: &[u8], at: &str) -> io::Result<Vec<WalOp>> {
         )));
     }
     Ok(ops)
+}
+
+/// A record's place in the log, `segment-path@byte-offset`, as replay's
+/// refusals name it. A clean record never formats it.
+struct RecordAt<'a> {
+    path: &'a Path,
+    pos: usize,
+}
+
+impl fmt::Display for RecordAt<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}@{}", self.path.display(), self.pos)
+    }
 }
 
 /// The append side of the log: an open active segment plus rotation
@@ -332,7 +346,7 @@ impl Wal {
                 if pos == bytes.len() {
                     break;
                 }
-                let at = format!("{}@{pos}", path.display());
+                let at = RecordAt { path, pos };
                 let torn = |msg: &str| -> io::Result<bool> {
                     if last_segment {
                         Ok(true) // truncate below
@@ -388,7 +402,7 @@ impl Wal {
                 expected_next = Some(epoch + 1);
                 let payload = &bytes[pos + RECORD_HEADER..pos + RECORD_HEADER + plen as usize];
                 if epoch > snapshot_epoch {
-                    out.batches.push((epoch, decode_ops(payload, &at)?));
+                    out.batches.push((epoch, decode_ops(payload, at)?));
                 }
                 pos += total;
                 keep = pos;

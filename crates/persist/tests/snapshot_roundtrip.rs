@@ -206,6 +206,33 @@ fn mix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+#[test]
+fn a_shuffled_catalog_writes_the_sorted_catalogs_bytes() {
+    let coll = corpus();
+    let (index, dict) = (Tif::build(&coll), dict_for(&coll));
+    let dir = scratch("shuffled");
+    let sorted_path = dir.join("sorted.tir");
+    write_snapshot(&sorted_path, 3, &dict, coll.objects(), &index).expect("write sorted");
+    let sorted = fs::read(&sorted_path).expect("read sorted");
+
+    let mut shuffled: Vec<&Object> = coll.objects().iter().collect();
+    let mut rng = 0x5EED;
+    for i in (1..shuffled.len()).rev() {
+        shuffled.swap(i, (mix(&mut rng) % (i as u64 + 1)) as usize);
+    }
+    assert!(
+        !shuffled.is_sorted_by_key(|o| o.id),
+        "the shuffle moved nothing"
+    );
+    let shuffled_path = dir.join("shuffled.tir");
+    write_snapshot(&shuffled_path, 3, &dict, shuffled, &index).expect("write shuffled");
+    assert!(
+        fs::read(&shuffled_path).expect("read shuffled") == sorted,
+        "a shuffled catalog must write the sorted catalog's bytes"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Byte length of the header plus the section table.
 const TABLE_END: usize = 320;
 

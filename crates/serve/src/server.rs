@@ -12,7 +12,8 @@
 //!
 //! A `QUERY` naming an element unknown to the dictionary answers
 //! `HITS 0`: no object can carry it, and a serving system should not
-//! treat a miss as a client fault.
+//! treat a miss as a client fault. Its deadline still holds: an expired
+//! one answers `TIMEOUT`, as every other expired query does.
 //!
 //! Robustness on the wire: request lines are read through a hard
 //! [`MAX_LINE_BYTES`] cap (an unterminated or oversize line answers one
@@ -354,7 +355,12 @@ where
                 elems.iter().map(|t| dict.dict().lookup(t)).collect()
             };
             match resolved {
-                // An element nothing was ever tagged with ⇒ empty answer.
+                // An element nothing was ever tagged with ⇒ empty answer,
+                // unless the budget is already spent: then `TIMEOUT`, as
+                // the pool's admission check answers any expired query.
+                None if deadline.is_some_and(|d| std::time::Instant::now() >= d) => {
+                    Response::Timeout
+                }
                 None => Response::Hits(Vec::new()),
                 Some(ids) => match shared
                     .pool
@@ -880,6 +886,22 @@ mod tests {
                 other => assert_eq!(parse_response(body), Ok(other)),
             }
         }
+    }
+
+    #[test]
+    fn an_expired_query_times_out_whatever_its_terms() {
+        let server = example_server();
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        // `zz` is interned nowhere: no object can carry it, but a spent
+        // budget still answers TIMEOUT, as it does for known terms.
+        for req in ["QUERY 5 9 zz DEADLINE 0", "QUERY 5 9 a,zz DEADLINE 0"] {
+            assert_eq!(roundtrip(&mut stream, &mut reader, req), "TIMEOUT", "{req}");
+        }
+        for req in ["QUERY 5 9 zz", "QUERY 5 9 a,zz DEADLINE 60000"] {
+            assert_eq!(roundtrip(&mut stream, &mut reader, req), "HITS 0", "{req}");
+        }
+        server.stop();
     }
 
     #[test]
