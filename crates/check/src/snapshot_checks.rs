@@ -95,7 +95,7 @@ mod tests {
         let row = |id, st, end, desc: &[u32]| Object {
             id,
             interval: Interval { st, end },
-            desc: desc.to_vec(),
+            desc: desc.into(),
         };
         let dict = Dictionary::new();
         for (catalog, at) in [

@@ -54,7 +54,7 @@ fn updated<I: TemporalIrIndex + Validate>(
     let fresh: Vec<Object> = extra
         .objects()
         .iter()
-        .map(|o| Object::new(o.id + 1000, o.interval.st, o.interval.end, o.desc.clone()))
+        .map(|o| Object::new(o.id + 1000, o.interval.st, o.interval.end, o.desc.to_vec()))
         .collect();
     let (singles, batch) = fresh.split_at(fresh.len() / 2);
     singles.iter().for_each(|o| idx.insert(o));
@@ -108,7 +108,7 @@ proptest! {
     ) {
         let mut idx = IrHintPerf::build_with_m(&coll, m);
         for o in extra.objects() {
-            let o = Object::new(o.id + 1000, o.interval.st, o.interval.end, o.desc.clone());
+            let o = Object::new(o.id + 1000, o.interval.st, o.interval.end, o.desc.to_vec());
             idx.insert(&o);
         }
         for (o, &kill) in coll.objects().iter().zip(del_mask.iter()) {

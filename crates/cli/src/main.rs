@@ -767,7 +767,11 @@ fn serve_index<I>(
 where
     I: TemporalIrIndex + tir_check::Validate + Clone + Send + Sync + 'static,
 {
+    // The catalog shares each description with the collection; once the
+    // collection is gone the server is its only holder, so a deleted
+    // object's description is freed with it.
     let catalog = corpus.collection.objects().to_vec();
+    drop(corpus.collection);
     let validator = checking_validator();
     let handle = spawn_server(index, catalog, corpus.dictionary, config, validator)
         .map_err(|e| format!("bind: {e}"))?;

@@ -52,7 +52,7 @@ impl Collection {
         }
         let mut freqs = vec![0u32; max_elem as usize + 1];
         for o in &objects {
-            for &e in &o.desc {
+            for &e in o.desc.iter() {
                 freqs[e as usize] += 1;
             }
         }

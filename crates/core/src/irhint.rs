@@ -243,7 +243,7 @@ impl<D: DivisionStore> TemporalIrIndex for IrHint<D> {
         self.tree.place(o.interval.st, o.interval.end, |div, kind| {
             div.store_one(kind, o)
         });
-        for &e in &o.desc {
+        for &e in o.desc.iter() {
             self.freqs.bump(e);
         }
         self.bitmaps.add_object(o.id, &o.desc);
@@ -261,7 +261,7 @@ impl<D: DivisionStore> TemporalIrIndex for IrHint<D> {
                 }
             });
         if found {
-            for &e in &o.desc {
+            for &e in o.desc.iter() {
                 self.freqs.drop_one(e);
             }
             self.bitmaps.remove_object(o.id, &o.desc);
@@ -278,7 +278,7 @@ impl<D: DivisionStore> TemporalIrIndex for IrHint<D> {
     fn insert_batch(&mut self, batch: &[Object]) {
         self.place_batch(batch);
         for o in batch {
-            for &e in &o.desc {
+            for &e in o.desc.iter() {
                 self.freqs.bump(e);
             }
             self.bitmaps.add_object(o.id, &o.desc);
@@ -308,14 +308,14 @@ impl DivisionStore for CompactTemporalInverted {
     }
 
     fn store_one(&mut self, _kind: DivisionKind, o: &Object) {
-        for &e in &o.desc {
+        for &e in o.desc.iter() {
             self.insert(e, o.id, [o.interval.st, o.interval.end]);
         }
     }
 
     fn tombstone_object(&mut self, o: &Object) -> bool {
         let mut any = false;
-        for &e in &o.desc {
+        for &e in o.desc.iter() {
             any |= self.tombstone(e, o.id);
         }
         any
@@ -424,14 +424,14 @@ impl DivisionStore for Decoupled {
         let (st, end) = (o.interval.st, o.interval.end);
         self.intervals
             .insert(o.id, st, end, DivisionOrder::Beneficial, kind);
-        for &e in &o.desc {
+        for &e in o.desc.iter() {
             self.ids.insert(e, o.id, []);
         }
     }
 
     /// Found if the interval columns held `o` alive.
     fn tombstone_object(&mut self, o: &Object) -> bool {
-        for &e in &o.desc {
+        for &e in o.desc.iter() {
             self.ids.tombstone(e, o.id);
         }
         self.intervals.tombstone(o.id)
@@ -597,7 +597,7 @@ mod tests {
         let copies = (0..16).flat_map(|c| {
             let objects = example.objects().iter();
             objects.map(move |o| {
-                Object::new(o.id + 8 * c, o.interval.st, o.interval.end, o.desc.clone())
+                Object::new(o.id + 8 * c, o.interval.st, o.interval.end, o.desc.to_vec())
             })
         });
         let coll = Collection::new(copies.collect());

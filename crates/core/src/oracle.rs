@@ -67,10 +67,15 @@ impl TemporalIrIndex for BruteForce {
         false
     }
 
+    /// Each object's slot plus its description: `len × 4` bytes behind an
+    /// `Arc` header of two counts. The description bytes are shared with
+    /// the collection the oracle was built from (a clone is a refcount
+    /// bump), so this counts them once more than the process holds.
     fn size_bytes(&self) -> usize {
+        const ARC_HEADER: usize = 2 * std::mem::size_of::<usize>();
         self.objects
             .iter()
-            .map(|o| std::mem::size_of::<Object>() + o.desc.capacity() * 4)
+            .map(|o| std::mem::size_of::<Object>() + ARC_HEADER + o.desc.len() * 4)
             .sum::<usize>()
             + self.deleted.capacity()
     }

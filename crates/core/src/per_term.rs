@@ -96,7 +96,7 @@ impl<P: TermPartition> PerTerm<P> {
         let mut per_elem: HashMap<ElemId, Vec<IntervalRecord>> = HashMap::new();
         for o in coll.objects() {
             let rec = record(o);
-            for &e in &o.desc {
+            for &e in o.desc.iter() {
                 per_elem.entry(e).or_default().push(rec);
             }
         }
@@ -186,7 +186,7 @@ impl<P: TermPartition> TemporalIrIndex for PerTerm<P> {
 
     fn insert(&mut self, o: &Object) {
         let rec = record(o);
-        for &e in &o.desc {
+        for &e in o.desc.iter() {
             let term = self.terms.entry(e);
             let term = term.or_insert_with(|| P::build(&self.shared, &[]));
             term.insert(&self.shared, &rec);
@@ -197,7 +197,7 @@ impl<P: TermPartition> TemporalIrIndex for PerTerm<P> {
 
     fn delete(&mut self, o: &Object) -> bool {
         let (rec, mut any) = (record(o), false);
-        for &e in &o.desc {
+        for &e in o.desc.iter() {
             if let Some(term) = self.terms.get_mut(&e) {
                 if term.tombstone(&self.shared, &rec) {
                     self.freqs.drop_one(e);

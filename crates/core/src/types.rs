@@ -1,6 +1,8 @@
 //! Object model of temporal IR: intervals, objects, and time-travel
 //! queries (Section 2.1 of the paper).
 
+use std::sync::Arc;
+
 /// Object identifier. Must be `< 2^31`; the high bit is reserved for
 /// tombstones inside the indexes.
 pub type ObjectId = u32;
@@ -52,8 +54,10 @@ pub struct Object {
     pub id: ObjectId,
     /// Lifespan.
     pub interval: Interval,
-    /// Sorted, duplicate-free descriptive elements.
-    pub desc: Vec<ElemId>,
+    /// Sorted, duplicate-free descriptive elements. Immutable once the
+    /// object exists (an update is a delete plus an insert), so every clone
+    /// of the object shares this one allocation.
+    pub desc: Arc<[ElemId]>,
 }
 
 impl Object {
@@ -65,7 +69,7 @@ impl Object {
         Object {
             id,
             interval: Interval::new(st, end),
-            desc,
+            desc: desc.into(),
         }
     }
 
@@ -134,7 +138,7 @@ mod tests {
     #[test]
     fn object_normalizes_description() {
         let o = Object::new(1, 0, 10, vec![3, 1, 3, 2]);
-        assert_eq!(o.desc, vec![1, 2, 3]);
+        assert_eq!(*o.desc, [1, 2, 3]);
     }
 
     #[test]

@@ -24,6 +24,14 @@
 //!
 //! Every step is preceded by one `tir-fault` probe; the property tests
 //! arm each in turn and assert oracle-exact recovery.
+//!
+//! The catalog mirror (the live objects the next snapshot writes) keeps
+//! the very `Object`s it is handed: by [`Durability::create`], in each
+//! batch's ops, and from the catalog recovery decodes. `Object::desc` is
+//! an immutable shared `Arc<[ElemId]>`, so a mirror entry is a pointer to
+//! the one description the server's admission catalog, its write queue
+//! and the WAL encoder also hold, and [`Durability::catalog_sorted`]
+//! hands out pointers, not copies.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -114,7 +122,8 @@ pub struct Recovered<I> {
 /// Owns a data directory: the open WAL, the catalog mirror the snapshot
 /// writer needs, and the epoch counters. The mirror is ordered by id, so
 /// the writer and [`Durability::catalog_sorted`] read it in the
-/// snapshot's order and never sort.
+/// snapshot's order and never sort. Its entries share their descriptions
+/// with the objects they were cloned from.
 #[derive(Debug)]
 pub struct Durability {
     dir: PathBuf,
@@ -244,7 +253,8 @@ impl Durability {
     }
 
     /// The catalog mirror, sorted by id (what the snapshot writer and
-    /// recovery verifiers see).
+    /// recovery verifiers see). Each object shares its description with
+    /// the mirror's entry.
     pub fn catalog_sorted(&self) -> Vec<Object> {
         self.catalog.values().cloned().collect()
     }
@@ -442,6 +452,34 @@ mod tests {
         assert_eq!(r.epoch, 4);
         assert_eq!(r.replayed, 0, "everything was in the snapshot");
         assert_eq!(r.durability.live(), 4);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_holder_shares_one_description() {
+        let shared = |a: &Object, b: &Object| Arc::ptr_eq(&a.desc, &b.desc);
+        let dir = scratch_dir("shared");
+        let opts = DurabilityOptions::default();
+        let dict = Dictionary::from_parts(vec!["a".into(), "b".into()], vec![2, 2]).expect("dict");
+        let catalog = [obj(1, 0, 10, &[0, 1]), obj(2, 5, 15, &[0])];
+        let mut index = Tif::build(&Collection::new(catalog.to_vec()));
+        let mut d = Durability::create(&dir, &index, &dict, &catalog, opts).expect("create");
+        let mirrored = d.catalog_sorted();
+        assert_eq!(mirrored, catalog);
+        assert!(catalog.iter().zip(&mirrored).all(|(a, b)| shared(a, b)));
+
+        let op = obj(3, 2, 4, &[1]);
+        d.apply_batch(&mut index, &[WalOp::Insert(op.clone())])
+            .expect("apply");
+        assert!(shared(&op, &d.catalog[&3]), "the mirror copied the op");
+        drop(d);
+
+        // Recovery decodes fresh descriptions, and keeps nothing but the
+        // mirror holding them: each one handed out has exactly two owners.
+        let r: Recovered<Tif> = Durability::recover(&dir, opts).expect("recover");
+        let handed = r.durability.catalog_sorted();
+        assert_eq!(handed, [catalog.as_slice(), &[op]].concat());
+        assert!(handed.iter().all(|o| Arc::strong_count(&o.desc) == 2));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -30,6 +30,7 @@
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 use tir_core::{Interval, Method, Object, TemporalIrIndex};
 use tir_invidx::Dictionary;
@@ -215,7 +216,7 @@ pub fn write_snapshot<'a, I: TemporalIrIndex>(
         put_u32(&mut ids, o.id);
         put_u64(&mut sts, o.interval.st);
         put_u64(&mut ends, o.interval.end);
-        for &e in &o.desc {
+        for &e in o.desc.iter() {
             put_u32(&mut desc, e);
         }
         put_u32(&mut desc_offs, (desc.len() / 4) as u32);
@@ -498,7 +499,7 @@ impl SnapshotFile {
                     ),
                 ));
             }
-            let d: Vec<u32> = (prev_off as usize..off as usize)
+            let d: Arc<[u32]> = (prev_off as usize..off as usize)
                 .map(|j| desc.get(j))
                 .collect();
             if d.windows(2).any(|w| w[0] >= w[1]) {

@@ -126,7 +126,7 @@ pub fn encode_ops(ops: &[WalOp]) -> Vec<u8> {
         put_u64(&mut buf, o.interval.st);
         put_u64(&mut buf, o.interval.end);
         put_u32(&mut buf, o.desc.len() as u32);
-        for &e in &o.desc {
+        for &e in o.desc.iter() {
             put_u32(&mut buf, e);
         }
     }

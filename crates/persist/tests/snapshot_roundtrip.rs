@@ -602,7 +602,7 @@ fn malformed_catalog_rows_are_corrupt_not_panics() {
     let obj = |id: u32, st: u64, end: u64, desc: &[u32]| Object {
         id,
         interval: Interval { st, end },
-        desc: desc.to_vec(),
+        desc: desc.into(),
     };
     let good = obj(1, 0, 9, &[0, 2]);
     for (bad, at) in [

@@ -10,6 +10,13 @@
 //! bounded write queue. Both reject with `OVERLOADED` instead of queueing
 //! unboundedly.
 //!
+//! A server allocates each description once. `Object::desc` is an
+//! immutable shared `Arc<[ElemId]>`, so the catalog, the queued
+//! [`WriteOp`]s and a durable server's `Durability` mirror each hold a
+//! pointer to the same elements. An `INSERT` that will be refused (its
+//! id is live, or the store is degraded) is refused before its terms are
+//! interned, so it grows neither the dictionary nor `terms.log`.
+//!
 //! A `QUERY` naming an element unknown to the dictionary answers
 //! `HITS 0`: no object can carry it, and a serving system should not
 //! treat a miss as a client fault. Its deadline still holds: an expired
@@ -378,6 +385,20 @@ where
             to,
             elems,
         } => {
+            // A write that will be refused interns nothing: on a durable
+            // server interning a fresh term fsyncs `terms.log` under the
+            // dictionary lock every `QUERY` waits on. This early check
+            // never holds the catalog across the intern below.
+            let live = {
+                let catalog = lock(&shared.catalog);
+                catalog.contains_key(&id)
+            };
+            if live {
+                return Response::Err(format!("id {id} already live"));
+            }
+            if shared.store.health() == HealthStatus::Degraded {
+                return Response::Degraded;
+            }
             // On a durable server, interning fsyncs new terms to
             // `terms.log` *before* the op can be enqueued, so no WAL
             // record can ever reference an unlogged term id.
@@ -391,7 +412,7 @@ where
             };
             let object = Object::new(id, from, to, desc);
             // Admission control: the catalog lock spans the liveness
-            // check and the enqueue so two racing INSERTs of one id
+            // re-check and the enqueue so two racing INSERTs of one id
             // cannot both pass.
             let mut catalog = lock(&shared.catalog);
             if catalog.contains_key(&id) {
@@ -689,12 +710,12 @@ mod tests {
         server.stop();
     }
 
-    #[test]
-    fn durable_server_flushes_snapshots_and_recovers() {
-        use tir_persist::{Durability, DurabilityOptions, Recovered, TermLog};
+    /// A durable `tif` server over the running example (`a`, `b`, `c`
+    /// interned) in a fresh data directory `dir`.
+    fn durable_example(dir: &std::path::Path) -> ServerHandle {
+        use tir_persist::{DurabilityOptions, TermLog};
 
-        let dir = std::env::temp_dir().join(format!("tir-serve-durable-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(dir);
         let coll = Collection::running_example();
         let mut dict = Dictionary::new();
         for name in ["a", "b", "c"] {
@@ -702,15 +723,15 @@ mod tests {
         }
         let index = Tif::build(&coll);
         let durability = Durability::create(
-            &dir,
+            dir,
             &index,
             &dict,
             coll.objects(),
             DurabilityOptions::default(),
         )
         .expect("create data dir");
-        let log = TermLog::open(&dir).expect("term log");
-        let server = spawn_server_durable(
+        let log = TermLog::open(dir).expect("term log");
+        spawn_server_durable(
             index,
             ServeDict::durable(dict, log),
             durability,
@@ -720,7 +741,15 @@ mod tests {
             },
             None,
         )
-        .expect("server spawns");
+        .expect("server spawns")
+    }
+
+    #[test]
+    fn durable_server_flushes_snapshots_and_recovers() {
+        use tir_persist::{DurabilityOptions, Recovered};
+
+        let dir = std::env::temp_dir().join(format!("tir-serve-durable-{}", std::process::id()));
+        let server = durable_example(&dir);
         let mut stream = TcpStream::connect(server.addr()).expect("connect");
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
 
@@ -764,6 +793,41 @@ mod tests {
         server.stop();
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&copy);
+    }
+
+    #[test]
+    fn a_refused_insert_interns_nothing() {
+        let dir = std::env::temp_dir().join(format!("tir-serve-refused-{}", std::process::id()));
+        let server = durable_example(&dir);
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let log = dir.join("terms.log");
+        let log_len = || std::fs::metadata(&log).map_or(0, |m| m.len());
+        // `ELEMS` with room for every term lists the whole dictionary.
+        let state = |stream: &mut TcpStream, reader: &mut BufReader<TcpStream>| {
+            (log_len(), roundtrip(stream, reader, "ELEMS 100"))
+        };
+        let before = state(&mut stream, &mut reader);
+        assert_eq!(before.1, "ELEMS a b c");
+
+        // Id 1 is live: the fresh term must reach neither the dictionary
+        // nor `terms.log`.
+        assert_eq!(
+            roundtrip(&mut stream, &mut reader, "INSERT 1 0 1 zebra"),
+            "ERR id 1 already live"
+        );
+        assert_eq!(state(&mut stream, &mut reader), before);
+
+        // On a free id the same term is interned and logged.
+        assert_eq!(
+            roundtrip(&mut stream, &mut reader, "INSERT 8 0 1 zebra"),
+            "OK"
+        );
+        let after = state(&mut stream, &mut reader);
+        assert!(after.0 > before.0, "terms.log grew: {after:?}");
+        assert_eq!(after.1, "ELEMS a b c zebra");
+        server.stop();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

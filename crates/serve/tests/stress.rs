@@ -292,7 +292,7 @@ fn flushed_inserts_are_never_missing_from_later_snapshots() {
         let hits = snap.index.query(&TimeTravelQuery::new(
             o.interval.st,
             o.interval.end,
-            o.desc.clone(),
+            o.desc.to_vec(),
         ));
         assert!(
             hits.contains(&id),

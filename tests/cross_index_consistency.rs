@@ -173,7 +173,7 @@ fn agree_on_selectivity_binned_workloads() {
 fn far_id_insert_drops_dense_bitmaps() {
     let coll = dense_terms();
     let queries = dense_terms_queries(&coll);
-    let far = Object::new(4_000_000, 10, 20, coll.get(0).desc.clone());
+    let far = Object::new(4_000_000, 10, 20, coll.get(0).desc.to_vec());
     let mut oracle = BruteForce::build(coll.objects());
     oracle.insert(&far);
 

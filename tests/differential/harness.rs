@@ -590,7 +590,10 @@ impl Model {
         let other = self.object(rng, id);
         match (self.dead.get(&id), rng.gen_range(0..4)) {
             (Some(was), 0) => was.clone(),
-            (Some(was), 1 | 2) => Object::new(id, was.interval.st, was.interval.end, other.desc),
+            (Some(was), 1 | 2) => Object {
+                interval: was.interval,
+                ..other
+            },
             _ => other,
         }
     }

@@ -141,7 +141,7 @@ fn duplicate_elements_in_query_and_description() {
         Object::new(0, 0, 10, vec![3, 3, 1, 1]), // Object::new dedups
         Object::new(1, 5, 15, vec![1]),
     ]);
-    assert_eq!(coll.get(0).desc, vec![1, 3]);
+    assert_eq!(*coll.get(0).desc, [1, 3]);
     for idx in build_all(&coll) {
         let mut got = idx.query(&TimeTravelQuery::new(0, 20, vec![1, 1, 1]));
         got.sort_unstable();
