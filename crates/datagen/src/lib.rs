@@ -10,7 +10,7 @@
 //!   knobs (extent, |q.d|, element frequency bins, selectivity bins) with
 //!   guaranteed non-empty results;
 //! * [`mixed`] — interleaved read/write operation streams for the
-//!   serving layer (`tir-serve`) and its stress tests;
+//!   serving layer (`tir-serve`) and its load generator;
 //! * [`dist`] — the in-house zipf and normal samplers.
 
 #![forbid(unsafe_code)]

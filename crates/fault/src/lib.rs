@@ -15,8 +15,8 @@
 //! [`install`]ed and each site visit is mapped — purely and
 //! deterministically from `(seed, site, visit)` — to an injected
 //! outcome: an I/O error shaped like ENOSPC/EIO, a short write, a stall,
-//! or a dropped connection. Tests that crash one named step (the
-//! crash-recovery sweep, the degraded-mode test) install a [`OneShot`].
+//! or a dropped connection. The root `crash_points` test crashes one named
+//! step at a time: its scripts' `Arm` op installs a [`OneShot`].
 //!
 //! Determinism is the point. A plan is a pure function of the site and a
 //! per-site visit counter (reset on [`install`]), so replaying the same
@@ -158,8 +158,8 @@ impl FaultPlan for NoFaults {
 }
 
 /// Fires `action` at exactly one `(site, visit)`; every other probe
-/// passes. What the crash-recovery and degraded-mode tests arm to fail
-/// one named step of the durable write path.
+/// passes. What the crash-point sweep arms to fail one named step of the
+/// durable write path.
 #[derive(Debug, Clone, Copy)]
 pub struct OneShot {
     /// The site to fail.

@@ -1,9 +1,9 @@
 //! The durability engine: the one place that owns the WAL-before-apply
 //! ordering, snapshot atomicity, and recovery.
 //!
-//! Both the server's applier and the crash-recovery property
-//! tests drive this type, so the ordering logic under test is exactly
-//! the ordering in production:
+//! The server's applier drives this type, and the crash-point tests drive
+//! that server, so the ordering logic under test is exactly the ordering
+//! in production:
 //!
 //! 1. [`Durability::apply_batch`] — append the batch to the WAL,
 //!    `fsync`, **then** apply it to the index and the catalog mirror and
@@ -22,8 +22,8 @@
 //!    WAL semantics — recovery never loses an ack, it may complete an
 //!    almost-acknowledged write).
 //!
-//! Every step is preceded by one `tir-fault` probe; the property tests
-//! arm each in turn and assert oracle-exact recovery.
+//! Every step is preceded by one `tir-fault` probe; the root
+//! `crash_points` test arms each in turn and asserts exact recovery.
 //!
 //! The catalog mirror (the live objects the next snapshot writes) keeps
 //! the very `Object`s it is handed: by [`Durability::create`], in each

@@ -22,10 +22,10 @@
 //!   durable.
 //!
 //! Crash discipline is testable: every step of the durable apply and
-//! snapshot paths is preceded by one `tir-fault` probe, and the
-//! crash-recovery proptests arm each in turn (`tir_fault::OneShot`)
-//! while replaying `mixed_stream` ops, demanding exact
-//! `BruteForce`-oracle agreement after recovery at every point. The ops
+//! snapshot paths is preceded by one `tir-fault` probe, and the root
+//! `crash_points` test arms each in turn (`tir_fault::OneShot`) in a
+//! differential-harness script on a durable server, demanding that two
+//! recoveries each reach exactly the model's catalog. The ops
 //! themselves are `tir_core::WriteOp` ([`WalOp`] is that type) and are
 //! applied by `tir_core::apply_ops`, live and on replay alike.
 

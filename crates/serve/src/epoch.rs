@@ -52,8 +52,9 @@
 //! queueing unboundedly. [`EpochStore::flush`] is the write barrier: when
 //! it returns, every command enqueued before the call is applied and
 //! visible to subsequent [`EpochStore::snapshot`] calls — this is the
-//! monotonicity contract the stress tests check (an id inserted before a
-//! snapshot was taken is never missing from it).
+//! monotonicity contract the differential harness's readers check (each
+//! answer a reader reads equals the model's at the epoch its snapshot
+//! carries).
 //!
 //! ## The optional journal
 //!

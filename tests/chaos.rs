@@ -9,7 +9,7 @@
 #[path = "differential/harness.rs"]
 mod harness;
 
-use harness::{check_method, generate, TierKind};
+use harness::{check_method, generate, Beside, TierKind};
 use tir_core::prelude::*;
 use tir_datagen::SyntheticConfig;
 use tir_fault::{FaultSite, SeededPlan};
@@ -34,7 +34,7 @@ fn seeded_faults() {
             &script,
             tier,
             method,
-            Some(plan),
+            Beside::Plan(plan),
         );
         // The seed's I/O fault fired if its site was visited past it.
         let io = plan.io_fault();

@@ -2,20 +2,20 @@
 //! seeded op script per corpus, run by the harness in `differential/`.
 //! DESIGN.md ("Invariants & validation") says how to replay a failure.
 
+#[allow(dead_code)] // the armed-fault sweep's and chaos's entry points
 #[path = "differential/harness.rs"]
 mod harness;
 
-use harness::{check, generate, Op, TierKind};
+use harness::{check, check_method, generate, Beside, Op, Report, TierKind};
 use tir_core::prelude::*;
-use tir_datagen::SyntheticConfig;
+use tir_datagen::{with_sparse_ids, SyntheticConfig};
 
 /// Ops per script, and the seed of each corpus's script.
 const OPS: usize = 150;
 const SEED: u64 = 1;
 
-/// Each corpus's script through every method on `tier`, and the applier's
-/// counters of each, where the tier reports them.
-fn every_corpus(tier: TierKind) -> Vec<(Method, [u64; 6])> {
+/// The two corpora, by name.
+fn corpora() -> [(&'static str, Collection); 2] {
     // Five hundred objects over a sparse fifty-term dictionary.
     let mut small = SyntheticConfig::default().scaled(0.0005);
     (small.desc_size, small.seed) = (3, 29);
@@ -28,18 +28,22 @@ fn every_corpus(tier: TierKind) -> Vec<(Method, [u64; 6])> {
         dense.desc_size,
         dense.seed,
     ) = (1_000, 20, 5, 11);
-    let mut counters = Vec::new();
-    for (name, cfg) in [("small", small), ("dense", dense)] {
-        let coll = tir_datagen::generate(&cfg);
+    [
+        ("small", tir_datagen::generate(&small)),
+        ("dense", tir_datagen::generate(&dense)),
+    ]
+}
+
+/// Each corpus's script through every method on `tier` with `beside`, and
+/// each run's report.
+fn every_corpus(tier: TierKind, beside: Beside) -> Vec<(Method, Report)> {
+    let mut reports = Vec::new();
+    for (name, coll) in corpora() {
         let script = generate(&coll, SEED, OPS);
-        counters.extend(check(
-            &format!("{name} corpus, seed {SEED}"),
-            &coll,
-            &script,
-            tier,
-        ));
+        let label = format!("{name} corpus, seed {SEED}");
+        reports.extend(check(&label, &coll, &script, tier, beside));
     }
-    counters
+    reports
 }
 
 /// Ids die and come back at the edges: the first id, the last, and one far
@@ -75,20 +79,47 @@ fn reused_ids_at_the_edges() {
     }
     use TierKind::*;
     for tier in [Direct, Store, Wire, Durable, Recovered] {
-        check("re-used ids at the edges", &coll, &script, tier);
+        check(
+            "re-used ids at the edges",
+            &coll,
+            &script,
+            tier,
+            Beside::Nothing,
+        );
     }
 }
 
+/// irHINT-perf reports one run of ids per division, so the server's
+/// ordering step takes the bitmap pass for answers whose ids lie close and
+/// the comparison sort for those strewn wide. The two corpora reach the
+/// first; the dense one with its ids strewn over four million, as a catalog
+/// holds them after deletes and far inserts, reaches the second.
 #[test]
 fn direct() {
-    every_corpus(TierKind::Direct);
+    let mut reports = every_corpus(TierKind::Direct, Beside::Nothing);
+    let [.., (_, dense)] = corpora();
+    let sparse = with_sparse_ids(&dense);
+    let script = generate(&sparse, SEED, 2 * OPS);
+    let label = format!("dense corpus, sparse ids, seed {SEED}");
+    let (tier, method) = (TierKind::Direct, Method::IrHintPerf);
+    let report = check_method(&label, &sparse, &script, tier, method, Beside::Nothing);
+    reports.push((method, report));
+    let irhint = reports.iter().filter(|(m, _)| *m == method);
+    let [within, past] = irhint.fold([0, 0], |[w, p], (_, r)| {
+        [w + r.ordering[0], p + r.ordering[1]]
+    });
+    assert!(
+        within > 20 && past > 20,
+        "{within} within the span rule, {past} past it"
+    );
 }
 
 /// Every method's applier clones a master while a reader pins the copy it
 /// retired, and reclaims that copy once the reader lets it go.
 #[test]
 fn store() {
-    for (method, [.., reused, cloned, _]) in every_corpus(TierKind::Store) {
+    for (method, report) in every_corpus(TierKind::Store, Beside::Nothing) {
+        let [.., reused, cloned, _] = report.counters.expect("counters");
         assert!(
             reused > 0 && cloned > 0,
             "{method}: {reused} reused, {cloned} cloned"
@@ -98,15 +129,30 @@ fn store() {
 
 #[test]
 fn wire() {
-    every_corpus(TierKind::Wire);
+    every_corpus(TierKind::Wire, Beside::Nothing);
+}
+
+/// Two readers race the dense corpus's script on the store and the wire
+/// tiers, and every method's readers answer mid-script, each answer exact
+/// at its epoch.
+#[test]
+fn readers() {
+    let [.., (name, dense)] = corpora();
+    let script = generate(&dense, SEED, OPS);
+    let label = format!("{name} corpus, seed {SEED}, with readers");
+    for tier in [TierKind::Store, TierKind::Wire] {
+        for (method, report) in check(&label, &dense, &script, tier, Beside::Readers) {
+            assert!(report.reads > 0, "{method}, {tier:?}: no reader answered");
+        }
+    }
 }
 
 #[test]
 fn durable() {
-    every_corpus(TierKind::Durable);
+    every_corpus(TierKind::Durable, Beside::Nothing);
 }
 
 #[test]
 fn recovered() {
-    every_corpus(TierKind::Recovered);
+    every_corpus(TierKind::Recovered, Beside::Nothing);
 }

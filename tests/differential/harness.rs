@@ -9,19 +9,26 @@
 //! served tier commits as exactly two batches (see [`Gate`]), so the model
 //! knows the `(epoch, live)` every barrier acks.
 //!
-//! Under a fault plan a served tier runs ungated, and a write's [`Fate`]
-//! can be hidden. Its id is then doubtful: the script's later ops on it are
-//! not sent, an answer must hold every certain match and nothing that could
-//! not match, and the next kill-recover settles it.
+//! Two axes run beside a script. [`Beside::Readers`] races reader threads
+//! against it on the store and wire tiers, and checks each answer exactly
+//! against the model at the epoch the reader read. [`Op::Arm`] arms one
+//! fault at a chosen point of the script; the tier stays gated, so the
+//! model knows which batch the fault killed and stays exact.
+//!
+//! Under a seeded fault plan a served tier runs ungated, and a write's
+//! [`Fate`] can be hidden. Its id is then doubtful: the script's later ops
+//! on it are not sent, an answer must hold every certain match and nothing
+//! that could not match, and the next kill-recover settles it.
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, set_hook, take_hook, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Once};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::{Arc, Condvar, Mutex, Once};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -29,8 +36,8 @@ use rand::{Rng, SeedableRng};
 use tir_check::{diff_against_oracle, oracle_query_grid, Validate};
 use tir_core::prelude::*;
 use tir_core::{with_method, DivisionStore, IrHint, PerTerm, TermPartition};
-use tir_fault::SeededPlan;
-use tir_invidx::{Dictionary, QueryScratch};
+use tir_fault::{FaultAction, FaultSite, OneShot, SeededPlan};
+use tir_invidx::{Dictionary, QueryScratch, ORDER_SPAN_WORDS_PER_ID};
 use tir_persist::{Durability, DurabilityOptions, Recovered, TermLog};
 use tir_serve::epoch::{Snapshot, Validator};
 use tir_serve::protocol::{HealthStatus, Response};
@@ -55,6 +62,36 @@ pub enum Op {
     /// Hold the published snapshot across the next barrier (the store
     /// tier; nothing elsewhere).
     Pin,
+    /// Install `OneShot { site, visit: 0, action }`: the fault fires at the
+    /// site's next visit (a served tier; nothing elsewhere).
+    Arm(FaultSite, FaultAction),
+}
+
+/// What runs beside the script.
+#[derive(Clone, Copy, Debug)]
+pub enum Beside {
+    Nothing,
+    /// [`READERS`] threads query the published state while the script
+    /// writes (the store and wire tiers).
+    Readers,
+    /// A seeded fault plan, armed once the server is healthy; the applier
+    /// runs ungated.
+    Plan(SeededPlan),
+}
+
+/// What one run of a script saw.
+#[derive(Debug, Default)]
+pub struct Report {
+    /// The applier's counters, if one applier served the whole script, in
+    /// the order of [`Model::counters`].
+    pub counters: Option<[u64; 6]>,
+    /// Distinct reader answers checked while the script ran.
+    pub reads: usize,
+    /// Unordered raw answers on the direct tier, `[within, past]` the
+    /// bitmap pass's span rule (see [`ordering_path`]).
+    pub ordering: [usize; 2],
+    /// Kill-recovers the recovered tier made.
+    pub recoveries: usize,
 }
 
 /// Direct: two leapfrogging copies. Store: `EpochStore::new`, read from its
@@ -94,38 +131,39 @@ where
     }
 }
 
-/// Runs `script` through every method on `tier`, and returns the applier's
-/// counters of each method whose tier reports them.
+/// Runs `script` through every method on `tier` with `beside`, and returns
+/// each method's report.
 pub fn check(
     label: &str,
     coll: &Collection,
     script: &[Op],
     tier: TierKind,
-) -> Vec<(Method, [u64; 6])> {
-    let counters = |m| check_method(label, coll, script, tier, m, None).map(|c| (m, c));
-    Method::ALL.into_iter().filter_map(counters).collect()
+    beside: Beside,
+) -> Vec<(Method, Report)> {
+    let report = |m| (m, check_method(label, coll, script, tier, m, beside));
+    Method::ALL.into_iter().map(report).collect()
 }
 
-/// Runs `script` through `method` on `tier`, under `plan` if there is one.
-/// A failure is shrunk; the panic names the script (`label`), method and
-/// tier, and the ops of the script that still fail.
+/// Runs `script` through `method` on `tier` with `beside`. A failure is
+/// shrunk; the panic names the script (`label`), method and tier, and the
+/// ops of the script that still fail.
 pub fn check_method(
     label: &str,
     coll: &Collection,
     script: &[Op],
     tier: TierKind,
     method: Method,
-    plan: Option<SeededPlan>,
-) -> Option<[u64; 6]> {
+    beside: Beside,
+) -> Report {
     let ops = |keep: &[usize]| -> Vec<Op> { keep.iter().map(|&i| script[i].clone()).collect() };
-    let first = match replay(coll, method, tier, script, plan) {
-        Ok(counters) => return counters,
+    let first = match replay(coll, method, tier, script, beside) {
+        Ok(report) => return report,
         Err(first) => first,
     };
-    let fails = |keep: &[usize]| replay(coll, method, tier, &ops(keep), plan).is_err();
+    let fails = |keep: &[usize]| replay(coll, method, tier, &ops(keep), beside).is_err();
     let keep = shrink((0..script.len()).collect(), fails);
     let last =
-        replay(coll, method, tier, &ops(&keep), plan).map_or_else(|e| e, |_| "a pass".into());
+        replay(coll, method, tier, &ops(&keep), beside).map_or_else(|e| e, |_| "a pass".into());
     let listed: String = ops(&keep)
         .iter()
         .map(|op| format!("\n    {op:?}"))
@@ -145,8 +183,8 @@ pub fn replay(
     method: Method,
     tier: TierKind,
     ops: &[Op],
-    plan: Option<SeededPlan>,
-) -> Result<Option<[u64; 6]>, String> {
+    beside: Beside,
+) -> Result<Report, String> {
     static HOOK: Once = Once::new();
     HOOK.call_once(|| {
         let print = take_hook();
@@ -155,11 +193,34 @@ pub fn replay(
             None => print(p),
         }));
     });
-    let open = || with_method!(method, |I, b| open::<I>(b(coll), tier, method, coll, plan));
+    let rendezvous = matches!(beside, Beside::Readers).then(|| Arc::new(Rendezvous::new(READERS)));
+    let plan = match beside {
+        Beside::Plan(plan) => Some(plan),
+        _ => None,
+    };
+    let open = || {
+        let rendezvous = rendezvous.clone();
+        with_method!(method, |I, b| open::<I>(
+            b(coll),
+            tier,
+            method,
+            coll,
+            plan,
+            rendezvous
+        ))
+    };
     let at = Cell::new(0);
     CAUGHT.set(Some(String::new()));
     let ran = catch_unwind(AssertUnwindSafe(|| {
-        drive(open(), tier, coll, ops, &at, plan.is_none())
+        drive(
+            open(),
+            tier,
+            coll,
+            ops,
+            &at,
+            plan.is_none(),
+            rendezvous.clone(),
+        )
     }));
     let caught = CAUGHT.take().unwrap_or_default();
     let op = ops
@@ -263,6 +324,51 @@ pub fn generate(coll: &Collection, seed: u64, len: usize) -> Vec<Op> {
     script
 }
 
+/// A crash-point script for the recovered tier: writes, `Arm(site,
+/// action)`, more writes (the first insert naming a fresh term), a
+/// `SNAPSHOT` barrier, reads of what the fault left, writes a degraded
+/// server must refuse, a kill-recover, more writes and reads, and a second
+/// kill-recover. The armed group's first write is committed before the
+/// fault is armed, so a fault on the write path kills the group's second
+/// batch.
+pub fn armed(coll: &Collection, seed: u64, site: FaultSite, action: FaultAction) -> Vec<Op> {
+    let drawn = generate(coll, seed, 160);
+    let mut writes = drawn.iter().filter(|op| is_write(op)).cloned();
+    let mut queries = drawn
+        .iter()
+        .filter(|op| matches!(op, Op::Query(_)))
+        .cloned();
+    let mut script: Vec<Op> = writes.by_ref().take(10).collect();
+    script.push(Op::Arm(site, action));
+    let fresh = |o: &Object| {
+        let desc = o
+            .desc
+            .iter()
+            .copied()
+            .chain([coll.dict_size() as u32 + 1_000]);
+        Object::new(o.id, o.interval.st, o.interval.end, desc.collect())
+    };
+    let mut named = false;
+    for op in writes.by_ref().take(8) {
+        script.push(match op {
+            Op::Insert(o) if !std::mem::replace(&mut named, true) => Op::Insert(fresh(&o)),
+            Op::Batch(mut os) if !std::mem::replace(&mut named, true) => {
+                os[0] = fresh(&os[0]);
+                Op::Batch(os)
+            }
+            op => op,
+        });
+    }
+    script.push(Op::Snapshot);
+    script.extend(queries.by_ref().take(4));
+    script.extend(writes.by_ref().take(4));
+    script.push(Op::KillRecover);
+    script.extend(writes.take(10));
+    script.extend(queries.take(4));
+    script.push(Op::KillRecover);
+    script
+}
+
 /// A write as the model resolved it: one store-level op, flagged whether
 /// the server admits it (a delete of a missing id answers `MISSING` and is
 /// never enqueued), or a batch.
@@ -301,16 +407,17 @@ enum Fate {
 struct Ack {
     /// The barrier answered: every write admitted since the last one is in.
     settled: bool,
-    /// The `(epoch, live)` acked, if the tier has epochs; after a restart,
-    /// the restarted server's.
+    /// The `(epoch, live)` acked, if the tier has epochs; if a gated
+    /// barrier answered `DEGRADED`, the `(epoch, live)` still published.
     epoch: Option<(u64, u64)>,
-    /// After a kill-recover, the recovered catalog.
-    recovered: Option<Vec<Object>>,
+    /// After a kill-recover, the recovered epoch and catalog.
+    recovered: Option<(u64, Vec<Object>)>,
+    /// The writes a degraded server has discarded since it started.
+    discarded: u64,
 }
 
 impl Ack {
-    fn of(epoch: Option<(u64, u64)>) -> Ack {
-        let settled = epoch.is_some();
+    fn of(settled: bool, epoch: Option<(u64, u64)>) -> Ack {
         Ack {
             settled,
             epoch,
@@ -334,6 +441,16 @@ struct Model {
     unacked: BTreeMap<u32, Vec<Option<Object>>>,
     /// The admitted writes since the last barrier.
     group: Vec<(WriteOp, bool)>,
+    /// The live catalog at the last barrier.
+    base: BTreeMap<u32, Object>,
+    /// After a fault killed a batch that reached the WAL (its append did
+    /// not fail), its epoch and the catalog it would have published: a
+    /// recovery that replays it lands there.
+    attempted: Option<(u64, BTreeMap<u32, Object>)>,
+    /// The fault an [`Op::Arm`] installed.
+    armed: Option<FaultSite>,
+    /// With readers beside the script, the oracle at each epoch published.
+    epochs: Option<BTreeMap<u64, BruteForce>>,
     oracle: BruteForce,
     domain: (u64, u64),
     /// Element ids known: the corpus's dictionary, then each fresh term.
@@ -357,8 +474,11 @@ struct Model {
 impl Model {
     fn new(coll: &Collection) -> Model {
         let d = coll.domain();
+        let live: BTreeMap<u32, Object> =
+            coll.objects().iter().map(|o| (o.id, o.clone())).collect();
         Model {
-            live: coll.objects().iter().map(|o| (o.id, o.clone())).collect(),
+            base: live.clone(),
+            live,
             oracle: BruteForce::build(coll.objects()),
             domain: (d.st, d.end.max(d.st + 1)),
             terms: coll.dict_size() as u32,
@@ -442,6 +562,17 @@ impl Model {
         self.doubt.insert(id, states);
     }
 
+    /// Takes the live catalog back to `catalog`: the writes a fault killed
+    /// were never applied.
+    fn rewind(&mut self, catalog: BTreeMap<u32, Object>) {
+        for (id, o) in std::mem::replace(&mut self.live, catalog) {
+            if !self.live.contains_key(&id) {
+                self.dead.insert(id, o);
+            }
+        }
+        self.dead.retain(|id, _| !self.live.contains_key(id));
+    }
+
     /// A reader pins the published snapshot, which holds the model's live
     /// catalog, if the tier has one.
     fn pin(&mut self, tier: &mut dyn Tier) {
@@ -455,43 +586,102 @@ impl Model {
     /// epochs must ack its `(epoch, live)`: one epoch per batch, and a
     /// gated group forms at most two batches, the first of one op (see
     /// [`Gate`]).
+    ///
+    /// A gated barrier that answers `DEGRADED` leaves no doubt: an armed
+    /// fault killed one of the group's two batches, or the snapshot after
+    /// them, and the epoch still published says which. The killed batch and
+    /// every write after it are discarded. The model goes back to that
+    /// epoch's catalog, and remembers the killed batch's for the recovery,
+    /// which may replay it.
     fn barrier(&mut self, tier: &mut dyn Tier, barrier: &Op) {
         let (mut sent, mut inserts, mut missed) = (0, 0, 0);
+        // The catalog the gate's first batch, the group's first op, publishes.
+        let mut first = self.base.clone();
         for (op, ok) in self.group.drain(..) {
             let sends = ok || self.sends_missing;
+            if sent == 0 && ok {
+                match &op {
+                    WriteOp::Insert(o) => first.insert(o.id, o.clone()),
+                    WriteOp::Delete(o) => first.remove(&o.id),
+                };
+            }
             sent += u64::from(sends);
             inserts += u64::from(sends && matches!(op, WriteOp::Insert(_)));
             missed += u64::from(sends && !ok);
         }
         self.count(sent, inserts, missed);
+        let batches = sent.min(2);
+        // The catalog at each epoch from the last barrier's, if gated.
+        let base = self.base.clone();
+        let states = match batches {
+            0 => vec![base],
+            1 => vec![base, self.live.clone()],
+            _ => vec![base, first, self.live.clone()],
+        };
+        if let (Some(epochs), true) = (&mut self.epochs, self.gated) {
+            for (k, state) in states.iter().enumerate().skip(1) {
+                let objects: Vec<Object> = state.values().cloned().collect();
+                epochs.insert(self.epoch + k as u64, BruteForce::build(&objects));
+            }
+        }
         let catalog: Vec<Object> = self.live.values().cloned().collect();
         let mut ack = tier.commit(barrier, &catalog);
         let exact = ack.settled && self.doubt.is_empty();
         let unacked = std::mem::take(&mut self.unacked);
-        if !ack.settled {
+        if !ack.settled && !self.gated {
             for (id, states) in unacked {
                 self.doubt(id, states);
             }
         }
-        if let Some(recovered) = ack.recovered.take() {
-            self.recover(recovered);
-        }
         if let Some((epoch, live)) = ack.epoch {
-            let (least, most) = if self.gated {
-                (sent.min(2), sent.min(2))
+            if self.gated && !ack.settled {
+                let k = epoch.wrapping_sub(self.epoch);
+                // A fault on the write path kills a batch before it
+                // publishes; one on the snapshot path, after both did.
+                let kills_batch = self.armed.is_some_and(|site| {
+                    matches!(
+                        site,
+                        FaultSite::WalAppend | FaultSite::WalSync | FaultSite::Apply
+                    )
+                });
+                let fits = if kills_batch {
+                    k < batches || k == 0
+                } else {
+                    k == batches
+                };
+                assert!(
+                    fits,
+                    "epoch {epoch} after {} at {batches} batches, {:?} armed",
+                    self.epoch, self.armed
+                );
+                if let Some(killed) = states.get(k as usize + 1) {
+                    let discarded = sent - k;
+                    assert_eq!(ack.discarded, discarded, "writes discarded");
+                    let appended = self.armed != Some(FaultSite::WalAppend);
+                    self.attempted = appended.then(|| (epoch + 1, killed.clone()));
+                }
+                self.rewind(states[k as usize].clone());
             } else {
-                (sent.min(1), sent)
-            };
-            let grew = exact.then(|| epoch.wrapping_sub(self.epoch));
-            assert!(
-                grew.is_none_or(|n| (least..=most).contains(&n)),
-                "epoch {epoch} after {} at {sent} writes",
-                self.epoch
-            );
+                let (least, most) = if self.gated {
+                    (batches, batches)
+                } else {
+                    (sent.min(1), sent)
+                };
+                let grew = exact.then(|| epoch.wrapping_sub(self.epoch));
+                assert!(
+                    grew.is_none_or(|n| (least..=most).contains(&n)),
+                    "epoch {epoch} after {} at {sent} writes",
+                    self.epoch
+                );
+            }
             let want = self.doubt.is_empty().then_some(self.live.len() as u64);
             assert!(want.is_none_or(|n| n == live), "live {live}, not {want:?}");
             self.epoch = epoch;
         }
+        if let Some((epoch, recovered)) = ack.recovered.take() {
+            self.recover(epoch, recovered, exact);
+        }
+        self.base = self.live.clone();
         let catalog: Vec<Object> = self.live.values().cloned().collect();
         self.oracle = BruteForce::build(&catalog);
     }
@@ -520,10 +710,32 @@ impl Model {
         self.counters[5] = self.counters[5].max(largest);
     }
 
-    /// Settles doubt by the catalog a recovery found: it holds every certain
-    /// object, each doubtful id in one of its possible states, and nothing
-    /// that was never acked. The model is exact again.
-    fn recover(&mut self, recovered: Vec<Object>) {
+    /// Settles doubt by the catalog a recovery found at `epoch`: it holds
+    /// every certain object, each doubtful id in one of its possible states,
+    /// and nothing that was never acked. Recovery never loses an acked
+    /// epoch. A gated run, or an `exact` barrier, pins it: the epoch last
+    /// published, or a killed batch's that reached the WAL, replayed. The
+    /// model is exact again.
+    fn recover(&mut self, epoch: u64, recovered: Vec<Object>, exact: bool) {
+        assert!(
+            epoch >= self.epoch,
+            "recovered epoch {epoch}, acked {}",
+            self.epoch
+        );
+        match self.attempted.take() {
+            Some((killed, state)) if epoch == killed => {
+                self.rewind(state);
+                self.epoch = killed;
+            }
+            _ => {}
+        }
+        let acked = self.epoch;
+        let pinned = exact || self.gated;
+        assert!(
+            !pinned || epoch == acked,
+            "recovered epoch {epoch}, not {acked}"
+        );
+        self.epoch = epoch;
         let mut found: BTreeMap<u32, Object> = recovered.into_iter().map(|o| (o.id, o)).collect();
         for (id, o) in &self.live {
             let kept = found.remove(id);
@@ -544,6 +756,32 @@ impl Model {
             "recovered ids never acked: {:?}",
             found.keys()
         );
+    }
+
+    /// Checks what the readers read since the last call: each answer is
+    /// strictly ascending and, at some epoch in the range its reader read,
+    /// exactly that epoch's oracle answer. Returns how many it checked.
+    fn check_reads(&self, readers: &Readers, queries: &[TimeTravelQuery]) -> usize {
+        let reads = std::mem::take(&mut *lock(&readers.shared.reads));
+        if let Some(failed) = lock(&readers.shared.failed).take() {
+            panic!("{failed}");
+        }
+        let epochs = self.epochs.as_ref().expect("epochs");
+        for ((lo, hi, n, ids), reader) in &reads {
+            let q = &queries[*n];
+            let ascending = ids.windows(2).all(|w| w[0] < w[1]);
+            assert!(
+                ascending,
+                "reader {reader}: {q:?} not strictly ascending: {ids:?}"
+            );
+            let right = |e: &u64| epochs.get(e).is_some_and(|o| o.answer(q) == *ids);
+            assert!(
+                (*lo..=*hi).any(|e| right(&e)),
+                "reader {reader} at epochs {lo}..={hi}: {q:?} answered {ids:?}, epoch {lo} {:?}",
+                epochs.get(lo).map(|o| o.answer(q))
+            );
+        }
+        reads.len()
     }
 
     /// An answer holds every certain match and nothing that could not
@@ -630,17 +868,22 @@ fn open<I: Index>(
     method: Method,
     coll: &Collection,
     plan: Option<SeededPlan>,
+    readers: Option<Arc<Rendezvous>>,
 ) -> Box<dyn Tier> {
     match tier {
-        TierKind::Direct => Box::new(Direct(index.clone(), index, Vec::new())),
-        TierKind::Store => Box::new(Store::new(index, coll.len() as u64)),
-        _ => Box::new(Served::<I>::open(tier, method, coll, index, plan)),
+        TierKind::Direct => Box::new(Direct(index.clone(), index, Vec::new(), [0; 2])),
+        TierKind::Store => Box::new(Store::new(index, coll.len() as u64, readers)),
+        _ => Box::new(Served::<I>::open(tier, method, coll, index, plan, readers)),
     }
 }
 
+fn is_write(op: &Op) -> bool {
+    matches!(op, Op::Insert(_) | Op::Delete(_) | Op::Batch(_))
+}
+
 /// Runs `ops` through `tier` against the model: every answer, every
-/// barrier and, at the end, the applier's counters, which it returns. `at`
-/// tracks the op.
+/// barrier, every reader's answer and, at the end, the applier's counters.
+/// `at` tracks the op.
 fn drive(
     mut tier: Box<dyn Tier>,
     kind: TierKind,
@@ -648,11 +891,26 @@ fn drive(
     ops: &[Op],
     at: &Cell<usize>,
     gated: bool,
-) -> Option<[u64; 6]> {
+    rendezvous: Option<Arc<Rendezvous>>,
+) -> Report {
     let (mut model, tier) = (Model::new(coll), tier.as_mut());
     (model.gated, model.sends_missing) = (gated, kind == TierKind::Store);
+    let mut report = Report::default();
+    let queries = reader_queries(&model);
+    let mut readers = rendezvous.and_then(|r| Readers::start(tier, r, &queries));
+    let raced = readers.is_some();
+    if raced {
+        model.epochs = Some(BTreeMap::from([(0, model.oracle.clone())]));
+    }
+    // The readers stop before the last group commits, so that none holds
+    // the copy its publish retires and the applier's counters come out as
+    // the model's, but for the split between reused and cloned masters.
+    let last = ops.iter().rposition(is_write).map_or(0, |i| i + 1);
     for (i, op) in ops.iter().enumerate() {
         at.set(i);
+        if i == last {
+            report.reads += stop_readers(&mut readers, &model, &queries);
+        }
         // A read follows a barrier: which unflushed writes it would see is
         // up to the applier.
         let reads = matches!(
@@ -667,6 +925,10 @@ fn drive(
             Op::Flush | Op::Snapshot | Op::KillRecover => model.barrier(tier, op),
             Op::DropBitmaps => tier.drop_bitmaps(),
             Op::Pin => model.pin(tier),
+            Op::Arm(site, action) => {
+                model.armed = Some(*site);
+                tier.arm(*site, *action);
+            }
             Op::Query(q) => model.check(q, &tier.query(q, false).expect("an answer")),
             Op::Expired(q) => {
                 if let Some(got) = tier.query(q, true) {
@@ -674,13 +936,192 @@ fn drive(
                 }
             }
         }
+        report.recoveries +=
+            usize::from(matches!(op, Op::KillRecover) && kind == TierKind::Recovered);
+        if let Some(readers) = &readers {
+            report.reads += model.check_reads(readers, &queries);
+        }
     }
     at.set(ops.len());
+    report.reads += stop_readers(&mut readers, &model, &queries);
     model.barrier(tier, &Op::Flush);
-    let counters = tier.counters()?;
-    let names = "[inserts, deletes, missed_deletes, publish_reused, publish_cloned, max_batch]";
-    assert_eq!(counters, model.counters, "{names}");
-    Some(counters)
+    report.ordering = tier.ordering();
+    report.counters = tier.counters();
+    if let Some(counters) = report.counters {
+        let names = "[inserts, deletes, missed_deletes, publish_reused, publish_cloned, max_batch]";
+        // A reader's pin decides whether the next master is reclaimed or
+        // cloned, so with readers only the sum is the model's.
+        let split = |[i, d, m, r, c, b]: [u64; 6]| {
+            if raced {
+                [i, d, m, r + c, 0, b]
+            } else {
+                [i, d, m, r, c, b]
+            }
+        };
+        assert_eq!(split(counters), split(model.counters), "{names}");
+    }
+    report
+}
+
+/// Stops the readers, if they run, and checks what they read last.
+fn stop_readers(
+    readers: &mut Option<Readers>,
+    model: &Model,
+    queries: &[TimeTravelQuery],
+) -> usize {
+    readers.take().map_or(0, |mut readers| {
+        readers.stop();
+        model.check_reads(&readers, queries)
+    })
+}
+
+/// What the readers ask: each of the four most frequent terms over the
+/// whole domain, and eight queries drawn as the script's are.
+fn reader_queries(model: &Model) -> Vec<TimeTravelQuery> {
+    let (lo, hi) = model.domain;
+    let whole = (0..4.min(model.terms)).map(|t| TimeTravelQuery::new(lo, hi, vec![t]));
+    let mut rng = StdRng::seed_from_u64(7);
+    let drawn: Vec<TimeTravelQuery> = (0..8).map(|_| model.query(&mut rng)).collect();
+    whole.chain(drawn).collect()
+}
+
+/// Reader threads beside a script.
+const READERS: usize = 2;
+
+/// How long a reader waits between reads that no rendezvous asked for.
+const PAUSE: Duration = Duration::from_millis(5);
+
+/// A reader on its own handle to a tier's published state.
+trait Reader: Send {
+    /// The answer to `q` as the tier gave it, and the range of epochs it
+    /// was read at.
+    fn read(&mut self, q: &TimeTravelQuery) -> Result<((u64, u64), Vec<u32>), String>;
+}
+
+/// Lets the driver wait until every reader has read the published state as
+/// it stands: the gate asks at each park of the applier, so readers read
+/// mid-script whatever the scheduler does, and read each state a batch
+/// publishes before the next batch starts.
+struct Rendezvous {
+    /// The last round asked, and the last round each reader answered.
+    rounds: Mutex<(u64, Vec<u64>)>,
+    turned: Condvar,
+}
+
+impl Rendezvous {
+    fn new(readers: usize) -> Self {
+        Rendezvous {
+            rounds: Mutex::new((0, vec![0; readers])),
+            turned: Condvar::new(),
+        }
+    }
+
+    /// Returns once every reader has made a read that began after the call.
+    fn sync(&self) {
+        let mut rounds = lock(&self.rounds);
+        rounds.0 += 1;
+        let round = rounds.0;
+        self.turned.notify_all();
+        let deadline = Instant::now() + HANG;
+        while rounds.1.iter().any(|&r| r < round) {
+            let left = deadline.checked_duration_since(Instant::now());
+            let left = left.expect("the readers answer a rendezvous");
+            rounds = self.turned.wait_timeout(rounds, left).expect("rounds").0;
+        }
+    }
+
+    /// The round reader `r`'s next read answers: the one asked, after a
+    /// wait of up to [`PAUSE`] if the reader has answered it already.
+    fn next(&self, r: usize) -> u64 {
+        let mut rounds = lock(&self.rounds);
+        if rounds.1[r] == rounds.0 {
+            rounds = self.turned.wait_timeout(rounds, PAUSE).expect("rounds").0;
+        }
+        rounds.0
+    }
+
+    fn answered(&self, r: usize, round: u64) {
+        let mut rounds = lock(&self.rounds);
+        rounds.1[r] = rounds.1[r].max(round);
+        self.turned.notify_all();
+    }
+}
+
+/// What the reader threads share with the driver.
+struct Shared {
+    stop: AtomicBool,
+    rendezvous: Arc<Rendezvous>,
+    /// Each distinct answer read since the driver last looked, as `(first
+    /// epoch, last epoch, query, ids)`, and the reader that read it.
+    reads: Mutex<BTreeMap<(u64, u64, usize, Vec<u32>), usize>>,
+    failed: Mutex<Option<String>>,
+}
+
+/// [`READERS`] threads, each reading round the queries on its own handle
+/// until stopped.
+struct Readers {
+    shared: Arc<Shared>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl Readers {
+    /// The readers, if `tier` has a published state to race.
+    fn start(
+        tier: &mut dyn Tier,
+        rendezvous: Arc<Rendezvous>,
+        queries: &[TimeTravelQuery],
+    ) -> Option<Readers> {
+        let handles: Option<Vec<Box<dyn Reader>>> = (0..READERS).map(|_| tier.reader()).collect();
+        let shared = Arc::new(Shared {
+            stop: AtomicBool::new(false),
+            rendezvous,
+            reads: Mutex::default(),
+            failed: Mutex::default(),
+        });
+        let spawn = |(r, mut reader): (usize, Box<dyn Reader>)| {
+            let (shared, queries) = (Arc::clone(&shared), queries.to_vec());
+            std::thread::spawn(move || {
+                let mut n = r;
+                while !shared.stop.load(SeqCst) {
+                    let round = shared.rendezvous.next(r);
+                    n = (n + 1) % queries.len();
+                    match reader.read(&queries[n]) {
+                        Ok(((lo, hi), ids)) => {
+                            lock(&shared.reads).entry((lo, hi, n, ids)).or_insert(r);
+                            shared.rendezvous.answered(r, round);
+                        }
+                        Err(e) => {
+                            *lock(&shared.failed) = Some(format!("reader {r}: {e}"));
+                            break;
+                        }
+                    }
+                }
+                // A reader that has gone answers every rendezvous.
+                shared.rendezvous.answered(r, u64::MAX);
+            })
+        };
+        let threads = handles?.into_iter().enumerate().map(spawn).collect();
+        Some(Readers { shared, threads })
+    }
+
+    fn stop(&mut self) {
+        self.shared.stop.store(true, SeqCst);
+        for thread in self.threads.drain(..) {
+            if thread.join().is_err() {
+                *lock(&self.shared.failed) = Some("a reader panicked".into());
+            }
+        }
+    }
+}
+
+impl Drop for Readers {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// One way of holding an index and serving it.
@@ -698,6 +1139,16 @@ trait Tier {
     fn pin(&mut self, _catalog: &[Object]) -> bool {
         false
     }
+    /// Installs a one-shot fault at `site`'s next visit.
+    fn arm(&mut self, _site: FaultSite, _action: FaultAction) {}
+    /// A reader of the published state on a handle of its own.
+    fn reader(&mut self) -> Option<Box<dyn Reader>> {
+        None
+    }
+    /// See [`Report::ordering`].
+    fn ordering(&self) -> [usize; 2] {
+        [0; 2]
+    }
     /// The applier's counters, if one applier served the whole script, in
     /// the order of [`Model::counters`].
     fn counters(&mut self) -> Option<[u64; 6]> {
@@ -706,10 +1157,10 @@ trait Tier {
 }
 
 /// The epoch store's two-copy publish without the store, as `(master,
-/// published, group)`: a group commits to the master, the copies trade
-/// places, and the retired one replays the group. An index is a pure
+/// published, group, ordering)`: a group commits to the master, the copies
+/// trade places, and the retired one replays the group. An index is a pure
 /// function of its build and the ops since, so the copies never diverge.
-struct Direct<I>(I, I, Vec<Write>);
+struct Direct<I>(I, I, Vec<Write>, [usize; 2]);
 
 /// `apply_ops` on one copy, with a `Batch` through `insert_batch`; returns
 /// how many deletes found their object alive.
@@ -732,10 +1183,7 @@ impl<I: Index> Tier for Direct<I> {
 
     fn commit(&mut self, _: &Op, catalog: &[Object]) -> Ack {
         let group = std::mem::take(&mut self.2);
-        let settled = Ack {
-            settled: true,
-            ..Ack::default()
-        };
+        let settled = Ack::of(true, None);
         if group.is_empty() {
             return settled;
         }
@@ -759,38 +1207,75 @@ impl<I: Index> Tier for Direct<I> {
         settled
     }
 
+    /// Counts which way the server's ordering step would take the raw
+    /// answer.
     fn query(&mut self, q: &TimeTravelQuery, expired: bool) -> Option<Vec<u32>> {
-        answer(&self.1, q, expired)
+        let raw = answer(&self.1, q, expired)?;
+        if let Some(within) = ordering_path(&raw) {
+            self.3[usize::from(!within)] += 1;
+        }
+        Some(ascending_set(raw))
     }
 
     fn drop_bitmaps(&mut self) {
         self.0.strip_bitmaps();
         self.1.strip_bitmaps();
     }
+
+    fn ordering(&self) -> [usize; 2] {
+        self.3
+    }
 }
 
-/// An expired deadline may stop the plan, or the plan may end before its
-/// first probe; an answer that ends must be whole.
+/// Which way the pool's ordering step takes an answer as the index reports
+/// it: `None` if it already ascends, else whether its span is within the
+/// bitmap pass's rule (`ORDER_SPAN_WORDS_PER_ID`).
+fn ordering_path(raw: &[u32]) -> Option<bool> {
+    if raw.is_sorted() {
+        return None;
+    }
+    let (lo, hi) = (raw.iter().min()?, raw.iter().max()?);
+    let span_words = ((hi - lo) / 64) as usize + 1;
+    Some(span_words <= raw.len() * ORDER_SPAN_WORDS_PER_ID)
+}
+
+/// The raw answer, unordered, unless an expired deadline stopped the plan
+/// (the plan may also end before its first probe; an answer that ends must
+/// be whole).
 fn answer<I: TemporalIrIndex>(index: &I, q: &TimeTravelQuery, expired: bool) -> Option<Vec<u32>> {
     let (mut scratch, mut got) = (QueryScratch::default(), Vec::new());
     scratch.set_deadline(expired.then(Instant::now));
     index.query_into(q, &mut scratch, &mut got);
-    if scratch.timed_out() {
-        return None;
-    }
+    (!scratch.timed_out()).then_some(got)
+}
+
+/// A raw answer in order, with no id twice.
+fn ascending_set(mut got: Vec<u32>) -> Vec<u32> {
     let n = got.len();
     got.sort_unstable();
     got.dedup();
     assert_eq!(got.len(), n, "duplicate ids");
-    Some(got)
+    got
 }
 
 /// The driver's end of the validator hook that parks the applier inside
-/// every epoch swap: `(parked, release, sent)`. A group it gates commits
-/// as exactly two batches: once its first op is enqueued the applier is
-/// parked with that alone, and everything enqueued meanwhile forms the
-/// second.
-struct Gate(Receiver<()>, SyncSender<()>, u32);
+/// every epoch swap. A group it gates commits as exactly two batches: once
+/// its first op is enqueued the applier is parked with that alone, and
+/// everything enqueued meanwhile forms the second.
+struct Gate {
+    parked: Receiver<()>,
+    release: SyncSender<()>,
+    /// Ops of the group enqueued so far.
+    sent: u32,
+    /// Whether the applier is parked with the group's first op.
+    holding: bool,
+    /// An armed fault that, once fired, degrades the store, and a
+    /// connection to ask `HEALTH` on: a degraded applier discards every
+    /// batch before it reaches the validator.
+    watch: Option<(FaultSite, Connection)>,
+    /// Readers to let read at each park.
+    readers: Option<Arc<Rendezvous>>,
+}
 
 /// How long the driver waits on a server or the applier before it calls
 /// the run hung; generous, so it never fires on a slow machine.
@@ -799,7 +1284,11 @@ const HANG: Duration = Duration::from_secs(60);
 /// A validator that, if `park`, parks the applier at the gate it returns,
 /// then, if `checks`, runs the structural checks whose count `STATS
 /// violations` reports.
-fn gated<I: Validate>(checks: bool, park: bool) -> (Validator<I>, Option<Gate>) {
+fn gated<I: Validate>(
+    checks: bool,
+    park: bool,
+    readers: Option<Arc<Rendezvous>>,
+) -> (Validator<I>, Option<Gate>) {
     let (entered, parked) = sync_channel(1);
     let (release, released) = sync_channel(1);
     let validator: Validator<I> = Box::new(move |index: &I| {
@@ -813,36 +1302,66 @@ fn gated<I: Validate>(checks: bool, park: bool) -> (Validator<I>, Option<Gate>) 
             0
         }
     });
-    (validator, park.then(|| Gate(parked, release, 0)))
+    let gate = Gate {
+        parked,
+        release,
+        sent: 0,
+        holding: false,
+        watch: None,
+        readers,
+    };
+    (validator, park.then_some(gate))
 }
 
 impl Gate {
     /// One op of the group was enqueued.
     fn enqueued(&mut self) {
-        self.2 += 1;
-        if self.2 == 1 {
-            self.parked();
+        self.sent += 1;
+        if self.sent == 1 {
+            self.holding = self.parked();
         }
     }
 
     /// Lets the group's batches through, before its barrier is sent.
     fn release(&mut self) {
-        let sent = std::mem::take(&mut self.2);
-        if sent > 0 {
+        let sent = std::mem::take(&mut self.sent);
+        if std::mem::take(&mut self.holding) {
             self.go();
         }
-        if sent > 1 {
-            self.parked();
+        if sent > 1 && self.parked() {
             self.go();
         }
     }
 
-    fn parked(&self) {
-        self.0.recv_timeout(HANG).expect("the applier parks");
+    /// Waits for the applier to park, then lets the readers read; `false`
+    /// if the watched fault has degraded the store, so the batch never
+    /// parks.
+    fn parked(&mut self) -> bool {
+        let deadline = Instant::now() + HANG;
+        loop {
+            match self.parked.recv_timeout(Duration::from_millis(1)) {
+                Ok(()) => break,
+                Err(RecvTimeoutError::Timeout) if self.killed() => return false,
+                Err(RecvTimeoutError::Timeout) if Instant::now() < deadline => {}
+                Err(e) => panic!("the applier parks: {e}"),
+            }
+        }
+        if let Some(readers) = &self.readers {
+            readers.sync();
+        }
+        true
+    }
+
+    fn killed(&mut self) -> bool {
+        let Some((site, health)) = &mut self.watch else {
+            return false;
+        };
+        let degraded = Ok(Response::Health(HealthStatus::Degraded));
+        tir_fault::visits(*site) > 0 && health.call("HEALTH") == degraded
     }
 
     fn go(&self) {
-        self.1.send(()).expect("the applier waits");
+        self.release.send(()).expect("the applier waits");
     }
 }
 
@@ -852,24 +1371,36 @@ struct Store<I> {
     gate: Gate,
     /// A reader's snapshot, and the catalog it was published at.
     pinned: Option<(Arc<Snapshot<I>>, Vec<Object>)>,
-    store: EpochStore<I>,
+    store: Arc<EpochStore<I>>,
 }
 
 impl<I: Index> Store<I> {
-    fn new(index: I, live: u64) -> Self {
+    fn new(index: I, live: u64, readers: Option<Arc<Rendezvous>>) -> Self {
         // The direct tier validates every state this store reaches.
-        let (validator, gate) = gated(false, true);
+        let (validator, gate) = gated(false, true, readers);
         let config = EpochConfig {
             validator: Some(validator),
             ..Default::default()
         };
-        let store = EpochStore::new(index, live, config);
+        let store = Arc::new(EpochStore::new(index, live, config));
         let gate = gate.expect("a gate");
         Store {
             gate,
             pinned: None,
             store,
         }
+    }
+}
+
+/// A reader of the store's published snapshot, at the epoch it carries.
+struct StoreReader<I>(Arc<EpochStore<I>>);
+
+impl<I: Index> Reader for StoreReader<I> {
+    fn read(&mut self, q: &TimeTravelQuery) -> Result<((u64, u64), Vec<u32>), String> {
+        let snap = self.0.snapshot();
+        let mut ids = snap.index.query(q);
+        ids.sort_unstable();
+        Ok(((snap.epoch, snap.epoch), ids))
     }
 }
 
@@ -906,16 +1437,20 @@ impl<I: Index> Tier for Store<I> {
                 "the pinned copy: {diverged:?}"
             );
         }
-        Ack::of(Some((acked, snap.live)))
+        Ack::of(true, Some((acked, snap.live)))
     }
 
     fn query(&mut self, q: &TimeTravelQuery, expired: bool) -> Option<Vec<u32>> {
-        answer(&self.store.snapshot().index, q, expired)
+        answer(&self.store.snapshot().index, q, expired).map(ascending_set)
     }
 
     fn pin(&mut self, catalog: &[Object]) -> bool {
         self.pinned = Some((self.store.snapshot(), catalog.to_vec()));
         true
+    }
+
+    fn reader(&mut self) -> Option<Box<dyn Reader>> {
+        Some(Box::new(StoreReader(Arc::clone(&self.store))))
     }
 
     /// The counters `STATS` reports, read off the store.
@@ -928,6 +1463,21 @@ impl<I: Index> Tier for Store<I> {
         let c = [i, d, m, &s.publish_reused, &s.publish_cloned, &s.max_batch];
         Some(c.map(|c| c.load(SeqCst)))
     }
+}
+
+/// What a gate must watch on `server` for the `armed` fault: one yet to
+/// fire that degrades the store (a failed `terms.log` append refuses one
+/// `INSERT`).
+fn watch(
+    armed: Option<(FaultSite, FaultAction)>,
+    server: &ServerHandle,
+) -> Option<(FaultSite, Connection)> {
+    let site = armed?.0;
+    let degrades = site != FaultSite::TermLogAppend;
+    (degrades && tir_fault::visits(site) == 0).then(|| {
+        let health = Connection::open_with_timeout(&server.addr().to_string(), Some(HANG));
+        (site, health.expect("a connection"))
+    })
 }
 
 fn ascending(ids: Vec<u32>) -> Vec<u32> {
@@ -951,8 +1501,13 @@ struct Served<I> {
     /// Armed once the first server says it is healthy; the applier then
     /// runs ungated and the connection may drop.
     plan: Option<SeededPlan>,
+    /// The fault an [`Op::Arm`] installed; the applier stays gated.
+    armed: Option<(FaultSite, FaultAction)>,
     /// Whether the server has answered `DEGRADED` since it started.
     degraded: bool,
+    /// The epoch the server started at.
+    since: u64,
+    readers: Option<Arc<Rendezvous>>,
     live: Option<(Option<Gate>, Connection, ServerHandle)>,
     index: PhantomData<I>,
 }
@@ -964,6 +1519,7 @@ impl<I: Index> Served<I> {
         coll: &Collection,
         index: I,
         plan: Option<SeededPlan>,
+        readers: Option<Arc<Rendezvous>>,
     ) -> Self {
         static DIRS: AtomicU64 = AtomicU64::new(0);
         let (pid, n) = (std::process::id(), DIRS.fetch_add(1, SeqCst));
@@ -974,7 +1530,10 @@ impl<I: Index> Served<I> {
             root,
             restarts: 0,
             plan,
+            armed: None,
             degraded: false,
+            since: 0,
+            readers,
             live: None,
             index: PhantomData,
         };
@@ -1011,14 +1570,19 @@ impl<I: Index> Served<I> {
         &mut self,
         spawn: impl FnOnce(ServerConfig, Validator<I>) -> std::io::Result<ServerHandle>,
     ) {
-        // A durable server reaches the in-memory one's states; a recovered
-        // index is rebuilt, so its states are new.
-        let (validator, gate) = gated(self.tier != TierKind::Durable, self.plan.is_none());
+        // A durable server, and one that readers race, reach the states of
+        // the in-memory one the same script runs without readers; a
+        // recovered index is rebuilt, so its states are new.
+        let checks = self.tier != TierKind::Durable && self.readers.is_none();
+        let (validator, mut gate) = gated(checks, self.plan.is_none(), self.readers.clone());
         let config = ServerConfig {
             method: self.method.to_string(),
             ..Default::default()
         };
         let server = spawn(config, validator).expect("a server");
+        if let Some(gate) = &mut gate {
+            gate.watch = watch(self.armed, &server);
+        }
         let client = Connection::open_with_timeout(&server.addr().to_string(), Some(HANG));
         self.live = Some((gate, client.expect("a connection"), server));
         self.degraded = false;
@@ -1027,6 +1591,11 @@ impl<I: Index> Served<I> {
     fn start_durable(&mut self, index: I, dict: Dictionary, durability: Durability) {
         let dict = ServeDict::durable(dict, TermLog::open(&self.dir()).expect("terms.log"));
         self.start(|config, v| spawn_server_durable(index, dict, durability, config, Some(v)));
+    }
+
+    /// Whether a fault may refuse a request.
+    fn faulty(&self) -> bool {
+        self.plan.is_some() || self.armed.is_some()
     }
 
     /// One round trip. Under a fault plan a dropped connection is opened
@@ -1064,8 +1633,7 @@ impl<I: Index> Served<I> {
         let Response::Stats(pairs) = self.ask("STATS") else {
             panic!("STATS");
         };
-        let stat = |k| pairs.iter().find(|p| p.0 == k)?.1.parse().ok();
-        keys.map(|k| stat(k).expect(k))
+        stats(&pairs, keys).unwrap_or_else(|k| panic!("STATS {k}"))
     }
 
     /// What became of a write the model expects to answer `want`.
@@ -1080,10 +1648,16 @@ impl<I: Index> Served<I> {
             }
             Some(Response::Overloaded) => Fate::Refused,
             Some(Response::Err(msg)) if tir_fault::message_is_injected(&msg) => Fate::Refused,
+            // A degraded server's admission catalog still holds the ids
+            // its discarded inserts named, and says so before it says it
+            // is degraded.
+            Some(Response::Err(msg)) if self.degraded && msg.ends_with("already live") => {
+                Fate::Refused
+            }
             Some(other) => panic!("{request}: {other:?}, not {want:?}"),
         };
         assert!(
-            self.plan.is_some() || fate == Fate::Admitted,
+            self.faulty() || fate == Fate::Admitted,
             "{request}: {fate:?}"
         );
         fate
@@ -1102,30 +1676,58 @@ impl<I: Index> Served<I> {
         }
     }
 
-    /// A barrier, sent again if the connection drops: `None` if it answers
-    /// `DEGRADED`, else the `(epoch, live)` it acked, where `STATS` must
-    /// show that epoch and no violations.
-    fn barrier(&mut self, request: &str) -> Option<(u64, u64)> {
+    /// A barrier, sent again if the connection drops: acked, with the
+    /// `(epoch, live)` it acked, where `STATS` must show that epoch and no
+    /// violations. A gated server that answers `DEGRADED` reports the
+    /// `(epoch, live)` it still serves, and the writes it discarded.
+    fn barrier(&mut self, request: &str) -> Ack {
         match self.ask(request) {
-            Response::Degraded if self.plan.is_some() => {
+            Response::Degraded if self.faulty() => {
                 self.degrade();
-                None
+                let [epoch, live, discarded] = self.stats(["epoch", "live", "degraded_writes"]);
+                let epoch = self.plan.is_none().then_some((epoch, live));
+                Ack {
+                    discarded,
+                    ..Ack::of(false, epoch)
+                }
             }
             Response::Epoch(acked) if !self.degraded => {
                 let [epoch, live, violations] = self.stats(["epoch", "live", "violations"]);
                 assert_eq!((acked, violations), (epoch, 0), "{request}");
-                Some((epoch, live))
+                Ack::of(true, Some((epoch, live)))
             }
             other => panic!("{request}: {other:?}"),
         }
     }
 
     /// After the flush, whatever it answers, nothing is in flight, so a
-    /// copy of the live directory is what `kill -9` would leave. The
-    /// recovered catalog goes back to the model, which names an element
-    /// `e{n}` for its id `n`.
+    /// copy of the live directory is what `kill -9` would leave. Recovery
+    /// opens the snapshot the server last completed (or, if an armed fault
+    /// stopped it before it pruned the WAL, the one it had just renamed
+    /// into place), ignores the temporary file a failed rename leaves, and
+    /// truncates the torn tail a short write leaves. The recovered catalog
+    /// goes back to the model, which names an element `e{n}` for its id
+    /// `n`.
     fn kill_recover(&mut self) -> Ack {
         let acked = self.barrier("FLUSH");
+        let keys = [
+            "epoch",
+            "snapshot_epoch",
+            "publish_reused",
+            "publish_cloned",
+        ];
+        let [published, snapshot, reused, cloned] = self.stats(keys);
+        // No reader pins a copy here, and gated, the flush queued behind
+        // each catch-up: every epoch's retired copy was reclaimed, and a
+        // batch a fault killed took none.
+        let masters = (reused, cloned);
+        let want = (published - self.since, 0);
+        assert!(
+            self.plan.is_some() || masters == want,
+            "masters reused, cloned {masters:?}"
+        );
+        // What the armed fault left, if it degraded this server.
+        let fault = self.armed.filter(|_| self.degraded);
         let from = self.dir();
         self.restarts += 1;
         let to = self.dir();
@@ -1134,7 +1736,25 @@ impl<I: Index> Served<I> {
             let path = entry.expect("a file").path();
             std::fs::copy(&path, to.join(path.file_name().expect("a name"))).expect("a copy");
         }
+        if let Some((FaultSite::SnapshotRename, _)) = fault {
+            assert!(
+                to.join("snapshot.tir.tmp").is_file(),
+                "no temporary snapshot left"
+            );
+        }
         let r: Recovered<I> = Durability::recover(&to, DURABILITY).expect("recovery");
+        let torn = fault == Some((FaultSite::WalAppend, FaultAction::ShortWrite));
+        assert!(
+            r.truncated_tail || !torn,
+            "the torn WAL tail was not truncated"
+        );
+        let pruning = matches!(fault, Some((FaultSite::WalPrune, _)));
+        let opened = if pruning { published } else { snapshot };
+        assert_eq!(
+            r.durability.snapshot_epoch(),
+            opened,
+            "the snapshot recovery opened"
+        );
         let catalog = r.durability.catalog_sorted();
         let violations = r.index.validate();
         let diverged = diff_against_oracle(&r.index, &catalog, &oracle_query_grid(&catalog, 24, 0));
@@ -1142,19 +1762,63 @@ impl<I: Index> Served<I> {
         assert!(clean, "{violations:?} {diverged:?}");
         let name = |e: u32| -> Option<u32> { r.dict.term(e)?.strip_prefix('e')?.parse().ok() };
         let element = |e: u32| name(e).unwrap_or_else(|| panic!("element {e}"));
-        let recovered = catalog.iter().map(|o| {
-            let desc = o.desc.iter().map(|&e| element(e)).collect();
-            Object::new(o.id, o.interval.st, o.interval.end, desc)
-        });
-        let recovered = Some(recovered.collect());
+        let recovered: Vec<Object> = catalog
+            .iter()
+            .map(|o| {
+                let desc = o.desc.iter().map(|&e| element(e)).collect();
+                Object::new(o.id, o.interval.st, o.interval.end, desc)
+            })
+            .collect();
+        let want = [r.epoch, recovered.len() as u64];
         self.stop(false);
         self.start_durable(r.index, r.dict, r.durability);
-        let [epoch, live] = self.stats(["epoch", "live"]);
-        let epoch = Some((epoch, live));
+        assert_eq!(self.stats(["epoch", "live"]), want, "the restarted server");
+        self.since = want[0];
         Ack {
-            settled: acked.is_some(),
-            epoch,
-            recovered,
+            recovered: Some((want[0], recovered)),
+            ..acked
+        }
+    }
+}
+
+/// The values of `keys` in a `STATS` reply, or the first key missing.
+fn stats<'k, const N: usize>(
+    pairs: &[(String, String)],
+    keys: [&'k str; N],
+) -> Result<[u64; N], &'k str> {
+    let stat = |k| pairs.iter().find(|p| p.0 == k)?.1.parse().ok();
+    let mut values = [0; N];
+    for (value, k) in values.iter_mut().zip(keys) {
+        *value = stat(k).ok_or(k)?;
+    }
+    Ok(values)
+}
+
+/// A reader on its own connection: the `STATS` epochs before and after a
+/// `QUERY` bound the epoch that answered it.
+struct WireReader(Connection);
+
+impl WireReader {
+    fn epoch(&mut self) -> Result<u64, String> {
+        match self.0.call("STATS")? {
+            Response::Stats(pairs) => Ok(stats(&pairs, ["epoch"])?[0]),
+            other => Err(format!("STATS: {other:?}")),
+        }
+    }
+}
+
+impl Reader for WireReader {
+    /// The reply as it came, never sorted.
+    fn read(&mut self, q: &TimeTravelQuery) -> Result<((u64, u64), Vec<u32>), String> {
+        let before = self.epoch()?;
+        let request = query(q, false);
+        loop {
+            match self.0.call(&request)? {
+                Response::Hits(ids) => return Ok(((before, self.epoch()?), ids)),
+                // The pool's back pressure: ask again.
+                Response::Overloaded => {}
+                other => return Err(format!("{request}: {other:?}")),
+            }
         }
     }
 }
@@ -1172,12 +1836,12 @@ impl<I: Index> Tier for Served<I> {
                 WriteOp::Delete(o) if ok => (format!("DELETE {}", o.id), Response::Ok),
                 WriteOp::Delete(o) => (format!("DELETE {}", o.id), Response::Missing),
             };
-            fates.push(self.fate(&request, want));
-            // A gate means no fault plan, so the write was admitted: an
-            // insert or a delete of a live id is enqueued.
-            if let (Some((Some(gate), ..)), true) = (&mut self.live, ok) {
+            let fate = self.fate(&request, want);
+            // An admitted insert or delete of a live id is enqueued.
+            if let (Some((Some(gate), ..)), true) = (&mut self.live, ok && fate == Fate::Admitted) {
                 gate.enqueued();
             }
+            fates.push(fate);
         }
         fates
     }
@@ -1188,21 +1852,37 @@ impl<I: Index> Tier for Served<I> {
         }
         match barrier {
             Op::KillRecover if self.tier == TierKind::Recovered => self.kill_recover(),
-            Op::Snapshot => Ack::of(self.barrier("SNAPSHOT")),
-            _ => Ack::of(self.barrier("FLUSH")),
+            Op::Snapshot => self.barrier("SNAPSHOT"),
+            _ => self.barrier("FLUSH"),
         }
     }
 
     /// Replies are checked as they come, never sorted first.
     fn query(&mut self, q: &TimeTravelQuery, expired: bool) -> Option<Vec<u32>> {
-        let (st, end, terms) = (q.interval.st, q.interval.end, terms(&q.elems));
-        let deadline = if expired { " DEADLINE 0" } else { "" };
-        let request = format!("QUERY {st} {end} {terms}{deadline}");
+        let request = query(q, expired);
         match self.ask(&request) {
             Response::Timeout if expired => None,
             Response::Hits(ids) if !expired => Some(ascending(ids)),
             other => panic!("{request}: {other:?}"),
         }
+    }
+
+    fn arm(&mut self, site: FaultSite, action: FaultAction) {
+        tir_fault::install(Arc::new(OneShot {
+            site,
+            visit: 0,
+            action,
+        }));
+        self.armed = Some((site, action));
+        if let Some((Some(gate), _, server)) = &mut self.live {
+            gate.watch = watch(self.armed, server);
+        }
+    }
+
+    fn reader(&mut self) -> Option<Box<dyn Reader>> {
+        let addr = self.live.as_ref()?.2.addr().to_string();
+        let client = Connection::open_with_timeout(&addr, Some(HANG));
+        Some(Box::new(WireReader(client.expect("a connection"))))
     }
 
     fn counters(&mut self) -> Option<[u64; 6]> {
@@ -1221,14 +1901,14 @@ impl<I: Index> Tier for Served<I> {
 
 impl<I> Served<I> {
     /// Lets a parked applier go, hangs up, and stops the server. The last
-    /// server snapshots first, with the fault plan gone, so that no
-    /// shutdown snapshot of a store dropped late lands after the directory
-    /// is removed.
+    /// server snapshots first, with any fault gone, so that no shutdown
+    /// snapshot of a store dropped late lands after the directory is
+    /// removed.
     fn stop(&mut self, last: bool) {
         if let Some((gate, mut client, server)) = self.live.take() {
             drop(gate);
             if last {
-                if self.plan.is_some() {
+                if self.plan.is_some() || self.armed.is_some() {
                     tir_fault::clear();
                 }
                 let _ = client.call("SNAPSHOT");
@@ -1244,6 +1924,13 @@ impl<I> Drop for Served<I> {
         self.stop(true);
         let _ = std::fs::remove_dir_all(&self.root);
     }
+}
+
+/// The `QUERY` request for `q`, with a deadline already spent if `expired`.
+fn query(q: &TimeTravelQuery, expired: bool) -> String {
+    let (st, end, terms) = (q.interval.st, q.interval.end, terms(&q.elems));
+    let deadline = if expired { " DEADLINE 0" } else { "" };
+    format!("QUERY {st} {end} {terms}{deadline}")
 }
 
 fn terms(elems: &[u32]) -> String {
